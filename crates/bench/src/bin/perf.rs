@@ -35,11 +35,9 @@ use cocoa_core::experiment::{
 use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::{run, WarmArtifacts};
 use cocoa_core::serve::{client, ServeConfig, Server};
-use cocoa_localization::adaptive::AdaptiveGrid;
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
-use cocoa_localization::grid::{GridConfig, PositionGrid};
-use cocoa_localization::kernel::{GridKernel, GridPrecision};
-use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf};
+use cocoa_localization::grid::{ConstraintOutcome, GridConfig, PositionGrid};
+use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, RadialProfile};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
@@ -160,9 +158,10 @@ fn main() -> ExitCode {
     });
     let speedup = grid_radial / grid_naive;
 
-    // Kernel variants, isolated at the grid level (100×100 cells, one
+    // The lane kernel against the scalar reference loop it must match bit
+    // for bit, isolated at the grid level (100×100 cells, one
     // representative floored profile, beacon positions rotated so the work
-    // is not degenerate). `scalar` is the pre-kernel reference loop.
+    // is not degenerate).
     let profile = radial
         .lookup(Dbm::new(-70.0))
         .expect("calibrated bin")
@@ -173,74 +172,41 @@ fn main() -> ExitCode {
         Point::new(60.0, 60.0),
         Point::new(140.0, 150.0),
     ];
-    let bench_kernel = |kern: GridKernel, precision: GridPrecision| {
-        let mut g = PositionGrid::new(grid_cfg);
-        let mut i = 0usize;
-        ops_per_sec(|| {
-            g.apply_radial_constraint_with(beacons[i % 4], &profile, kern, precision);
-            i += 1;
-            if i.is_multiple_of(16) {
-                g.reset_uniform();
-            }
-        })
-    };
-    let kernel_scalar = bench_kernel(GridKernel::Scalar, GridPrecision::F64);
-    let kernel_simd = bench_kernel(GridKernel::Simd, GridPrecision::F64);
-    let kernel_f32 = bench_kernel(GridKernel::Simd, GridPrecision::F32);
+    let bench_kernel =
+        |apply: fn(&mut PositionGrid, Point, &RadialProfile) -> ConstraintOutcome| {
+            let mut g = PositionGrid::new(grid_cfg);
+            let mut i = 0usize;
+            ops_per_sec(|| {
+                apply(&mut g, beacons[i % 4], &profile);
+                i += 1;
+                if i.is_multiple_of(16) {
+                    g.reset_uniform();
+                }
+            })
+        };
+    let kernel_scalar = bench_kernel(PositionGrid::apply_radial_constraint_reference);
+    let kernel_simd = bench_kernel(PositionGrid::apply_radial_constraint);
     let simd_speedup = kernel_simd / kernel_scalar;
-    let f32_speedup = kernel_f32 / kernel_scalar;
 
     // Window-level: 4 beacons applied sequentially (one posterior
     // load/store + renormalize each) vs one fused batch.
-    let constraints: Vec<(Point, &cocoa_net::calibration::RadialProfile)> =
+    let constraints: Vec<(Point, &RadialProfile)> =
         beacons.iter().map(|&b| (b, &profile)).collect();
     let mut g_seq = PositionGrid::new(grid_cfg);
     let window_sequential = ops_per_sec(|| {
         g_seq.reset_uniform();
         for &b in &beacons {
-            g_seq.apply_radial_constraint_with(b, &profile, GridKernel::Simd, GridPrecision::F64);
+            g_seq.apply_radial_constraint(b, &profile);
         }
     });
     let mut g_fused = PositionGrid::new(grid_cfg);
     let window_fused = ops_per_sec(|| {
         g_fused.reset_uniform();
-        g_fused.apply_fused_radial_constraints(&constraints, GridPrecision::F64);
+        g_fused.apply_fused_radial_constraints(&constraints);
     });
     let fused_speedup = window_fused / window_sequential;
 
-    // Adaptive coarse-to-fine: same 4-beacon window, counting evaluated
-    // cells. The dense window touches 4 × 10⁴ cells; the adaptive grid
-    // evaluates coarse tiles once and fine cells only where mass lives.
-    let mut g_ad = AdaptiveGrid::new(grid_cfg, 4, 2.0);
-    let mut adaptive_touched = 0u64;
-    let mut adaptive_windows = 0u64;
-    let window_adaptive = ops_per_sec(|| {
-        g_ad.reset_uniform();
-        for &b in &beacons {
-            let (_, op) = g_ad.apply_radial_constraint(b, &profile);
-            adaptive_touched += op.cells_touched;
-        }
-        adaptive_windows += 1;
-    });
     let dense_cells_per_window = 4 * PositionGrid::new(grid_cfg).num_cells();
-    let adaptive_cells_per_window = adaptive_touched as f64 / adaptive_windows as f64;
-    let cells_ratio = dense_cells_per_window as f64 / adaptive_cells_per_window;
-    // Equal-accuracy guard: the adaptive estimate must stay within one
-    // grid cell (2 m) of the dense one on this window — the dense grid's
-    // own quantization scale.
-    let adaptive_estimate_delta = {
-        let mut dense = PositionGrid::new(grid_cfg);
-        let mut adaptive = AdaptiveGrid::new(grid_cfg, 4, 2.0);
-        for &b in &beacons {
-            dense.apply_radial_constraint(b, &profile);
-            adaptive.apply_radial_constraint(b, &profile);
-        }
-        dense.mean().distance_to(adaptive.mean())
-    };
-    assert!(
-        adaptive_estimate_delta < grid_cfg.resolution_m,
-        "adaptive estimate drifted {adaptive_estimate_delta:.2} m from dense"
-    );
 
     // PDF-table lookup over a 64-value RSSI ramp: dense vector vs the
     // seed's BTreeMap-with-probing layout rebuilt from the same entries.
@@ -383,17 +349,9 @@ fn main() -> ExitCode {
         fmt_ops(kernel_simd)
     );
     println!(
-        "grid kernel (f32):     {}  ({f32_speedup:.2}x)",
-        fmt_ops(kernel_f32)
-    );
-    println!(
         "grid window (fused):   {} vs sequential {}  ({fused_speedup:.2}x)",
         fmt_ops(window_fused),
         fmt_ops(window_sequential)
-    );
-    println!(
-        "grid window (adaptive): {}  ({adaptive_cells_per_window:.0} cells vs {dense_cells_per_window} dense, {cells_ratio:.1}x fewer, est delta {adaptive_estimate_delta:.3} m)",
-        fmt_ops(window_adaptive)
     );
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
     println!("pdf lookup (probing):  {}", fmt_ops(lookup_probing));
@@ -426,16 +384,10 @@ fn main() -> ExitCode {
          \"grid_kernel_scalar_ops_per_sec\": {kernel_scalar:.1},\n  \
          \"grid_kernel_simd_ops_per_sec\": {kernel_simd:.1},\n  \
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \
-         \"grid_kernel_f32_ops_per_sec\": {kernel_f32:.1},\n  \
-         \"grid_update_f32_speedup\": {f32_speedup:.2},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
          \"grid_window_fused_ops_per_sec\": {window_fused:.1},\n  \
          \"grid_update_fused_speedup\": {fused_speedup:.2},\n  \
-         \"grid_window_adaptive_ops_per_sec\": {window_adaptive:.1},\n  \
-         \"grid_adaptive_cells_per_window\": {adaptive_cells_per_window:.0},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
-         \"grid_adaptive_cells_ratio\": {cells_ratio:.2},\n  \
-         \"grid_adaptive_estimate_delta_m\": {adaptive_estimate_delta:.4},\n  \
          \"pdf_lookup_dense_ops_per_sec\": {lookup_dense:.1},\n  \
          \"pdf_lookup_probing_ops_per_sec\": {lookup_probing:.1},\n  \
          \"fig7_quick_wall_secs\": {fig7_secs:.3}\n}}\n"

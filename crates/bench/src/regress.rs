@@ -1,8 +1,9 @@
 //! Noise-aware performance-regression gate over BENCH snapshots.
 //!
 //! The `perf` binary writes flat-JSON metric snapshots (`BENCH_grid.json`,
-//! `BENCH_snapshot.json`). This module turns a ring of such snapshots under
-//! `bench/history/` into a regression gate:
+//! `BENCH_snapshot.json`, `BENCH_estimator.json`, `BENCH_serve.json`). This
+//! module turns a ring of such snapshots under `bench/history/` into a
+//! regression gate:
 //!
 //! - `perf --record` merges the freshly written BENCH files into one history
 //!   entry and prunes the ring to the most recent [`HISTORY_KEEP`] entries;
@@ -68,10 +69,8 @@ pub const SPECS: &[MetricSpec] = &[
     spec("grid_update_radial_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_kernel_scalar_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_kernel_simd_ops_per_sec", HigherIsBetter, 0.5),
-    spec("grid_kernel_f32_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_window_sequential_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_window_fused_ops_per_sec", HigherIsBetter, 0.5),
-    spec("grid_window_adaptive_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_dense_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_probing_ops_per_sec", HigherIsBetter, 0.5),
     // --- BENCH_grid.json: relative speedups (ratios of two timings taken
@@ -79,17 +78,8 @@ pub const SPECS: &[MetricSpec] = &[
     spec("grid_update_radial_speedup", HigherIsBetter, 0.35),
     spec("grid_update_simd_speedup", HigherIsBetter, 0.35),
     spec("grid_update_fused_speedup", HigherIsBetter, 0.35),
-    // Informational: the f32 kernel currently loses to scalar f64 (~0.95×)
-    // because the gather/scatter at the tile edges is still scalar. The
-    // planned fix is the masked-gather vectorization of the PDF lookup
-    // (ROADMAP item 5); until that lands this metric documents the status
-    // quo instead of gating on it.
-    spec("grid_update_f32_speedup", Informational, 0.0),
-    // --- BENCH_grid.json: deterministic shape/accuracy ---
-    spec("grid_adaptive_cells_per_window", LowerIsBetter, 0.05),
+    // --- BENCH_grid.json: deterministic shape ---
     spec("grid_dense_cells_per_window", LowerIsBetter, 0.01),
-    spec("grid_adaptive_cells_ratio", HigherIsBetter, 0.05),
-    spec("grid_adaptive_estimate_delta_m", LowerIsBetter, 0.05),
     spec("fig7_quick_wall_secs", LowerIsBetter, 1.0),
     // --- BENCH_estimator.json: quick-scale estimator-backend ablation.
     // The errors are deterministic for a fixed seed, but deliberate
@@ -194,7 +184,8 @@ pub fn load_current(dir: &Path) -> Result<Metrics, String> {
     }
     if !found {
         return Err(format!(
-            "no BENCH_grid.json / BENCH_snapshot.json under {} — run `perf` first",
+            "no BENCH_grid.json / BENCH_snapshot.json / BENCH_estimator.json / \
+             BENCH_serve.json under {} — run `perf` first",
             dir.display()
         ));
     }
@@ -507,14 +498,14 @@ mod tests {
 
     #[test]
     fn informational_metric_never_fails() {
-        let history = vec![metrics(&[("grid_update_f32_speedup", 0.95)])];
-        let tanked = metrics(&[("grid_update_f32_speedup", 0.1)]);
+        let history = vec![metrics(&[("serve_cached_wall_secs", 0.0004)])];
+        let tanked = metrics(&[("serve_cached_wall_secs", 0.4)]);
         let report = check(&tanked, &history);
         assert!(report.passed());
         let row = report
             .rows
             .iter()
-            .find(|r| r.key == "grid_update_f32_speedup")
+            .find(|r| r.key == "serve_cached_wall_secs")
             .unwrap();
         assert_eq!(row.verdict, Verdict::Info);
     }

@@ -21,7 +21,6 @@ use cocoa_core::prelude::*;
 use cocoa_core::report;
 use cocoa_core::runner::SimRun;
 use cocoa_localization::estimator::RfAlgorithm;
-use cocoa_localization::kernel::{GridKernel, GridPrecision};
 use cocoa_sim::snapshot::SnapshotError;
 use cocoa_sim::time::{SimDuration, SimTime};
 
@@ -51,12 +50,8 @@ OPTIONS:
     --estimator ALGO    bayes | multilateration | ekf     [default: bayes]
     --algorithm ALGO    alias of --estimator
     --grid METRES       Bayesian grid resolution          [default: 2.0]
-    --grid-kernel K     grid inner loop: simd | scalar    [default: simd]
-    --grid-precision P  lane arithmetic: f64 | f32        [default: f64]
     --grid-fused        commit each transmit window's beacons as one
                         fused grid pass (one renormalize per window)
-    --grid-adaptive     coarse-to-fine adaptive posterior (incompatible
-                        with --grid-fused)
     --snapshot SECS     record a per-robot CDF snapshot (repeatable)
     --no-coordination   radios idle instead of sleeping
     --no-sync           disable the MRMM SYNC service
@@ -250,29 +245,8 @@ fn parse_args() -> Result<Args, ArgError> {
                         .map_err(|e| Usage(format!("--grid: {e}")))?,
                 );
             }
-            "--grid-kernel" => match value("--grid-kernel")?.as_str() {
-                "simd" => {
-                    b.grid_kernel(GridKernel::Simd);
-                }
-                "scalar" => {
-                    b.grid_kernel(GridKernel::Scalar);
-                }
-                v => return Err(Usage(format!("--grid-kernel: unknown kernel '{v}'"))),
-            },
-            "--grid-precision" => match value("--grid-precision")?.as_str() {
-                "f64" => {
-                    b.grid_precision(GridPrecision::F64);
-                }
-                "f32" => {
-                    b.grid_precision(GridPrecision::F32);
-                }
-                v => return Err(Usage(format!("--grid-precision: unknown precision '{v}'"))),
-            },
             "--grid-fused" => {
                 b.grid_fused(true);
-            }
-            "--grid-adaptive" => {
-                b.grid_adaptive(true);
             }
             "--snapshot" => {
                 let s: f64 = value("--snapshot")?

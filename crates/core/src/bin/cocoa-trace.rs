@@ -145,7 +145,7 @@ fn summary(trace: &TraceFile) {
     println!("counters        {}", trace.counters.len());
     println!("spans           {}", trace.spans.len());
     println!("histograms      {}", trace.hists.len());
-    // One-line grid-kernel digest: which inner loop ran and what it cost.
+    // One-line grid-kernel digest: single vs fused updates and their cost.
     let grid = |name: &str| {
         trace
             .counters
@@ -153,28 +153,19 @@ fn summary(trace: &TraceFile) {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
-    let variants: Vec<String> = [
-        ("scalar", "grid.kernel.scalar"),
-        ("simd", "grid.kernel.simd"),
-        ("simd_f32", "grid.kernel.simd_f32"),
-        ("fused", "grid.kernel.fused"),
-        ("adaptive", "grid.kernel.adaptive"),
-    ]
-    .iter()
-    .filter_map(|(short, name)| {
-        let v = grid(name);
-        (v > 0).then(|| format!("{short}={v}"))
-    })
-    .collect();
+    let variants: Vec<String> = [("simd", "grid.kernel.simd"), ("fused", "grid.kernel.fused")]
+        .iter()
+        .filter_map(|(short, name)| {
+            let v = grid(name);
+            (v > 0).then(|| format!("{short}={v}"))
+        })
+        .collect();
     if !variants.is_empty() {
         println!("grid kernels    {}", variants.join(" "));
         println!("grid cells      {}", grid("grid.cells_touched"));
-        let (fused, refined) = (grid("grid.fused_windows"), grid("grid.cells_refined"));
+        let fused = grid("grid.fused_windows");
         if fused > 0 {
             println!("grid fused wins {fused}");
-        }
-        if refined > 0 {
-            println!("grid refined    {refined}");
         }
     }
     // One-line estimator digest: which RF backend ran and how its windows

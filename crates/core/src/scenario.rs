@@ -8,7 +8,6 @@
 use serde::{Deserialize, Serialize};
 
 use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision};
 use cocoa_mobility::odometry::OdometryConfig;
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
@@ -111,11 +110,12 @@ pub struct Scenario {
     /// from our reference estimate disagrees with the RSSI-implied
     /// distance by more than this. `0.0` disables the gate.
     pub outlier_gate_m: f64,
-    /// Grid-update pipeline: kernel variant, lane precision, window-level
-    /// beacon fusion and coarse-to-fine adaptive resolution. The default
-    /// reproduces the reference posterior bit for bit.
+    /// Batch every beacon of a transmit window into one pass over the
+    /// Bayesian posterior (one renormalize per window instead of one per
+    /// beacon). Off by default; the unfused update reproduces the
+    /// reference posterior bit for bit.
     #[serde(default)]
-    pub grid_pipeline: GridPipeline,
+    pub grid_fused: bool,
 }
 
 impl Scenario {
@@ -217,14 +217,6 @@ impl Scenario {
                 self.outlier_gate_m
             ));
         }
-        self.grid_pipeline.validate()?;
-        if self.grid_pipeline.fused && self.grid_pipeline.adaptive {
-            return Err(
-                "fused windows and the adaptive grid cannot be combined (the batch \
-                 pass is defined over the dense posterior)"
-                    .into(),
-            );
-        }
         Ok(())
     }
 }
@@ -271,7 +263,7 @@ impl Default for ScenarioBuilder {
                 failover_missed_periods: 3,
                 entropy_watchdog_frac: 0.98,
                 outlier_gate_m: 80.0,
-                grid_pipeline: GridPipeline::default(),
+                grid_fused: false,
             },
         }
     }
@@ -466,33 +458,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the whole grid-update pipeline at once.
-    pub fn grid_pipeline(&mut self, pipeline: GridPipeline) -> &mut Self {
-        self.scenario.grid_pipeline = pipeline;
-        self
-    }
-
-    /// Selects the grid kernel variant.
-    pub fn grid_kernel(&mut self, kernel: GridKernel) -> &mut Self {
-        self.scenario.grid_pipeline.kernel = kernel;
-        self
-    }
-
-    /// Selects the lane arithmetic precision.
-    pub fn grid_precision(&mut self, precision: GridPrecision) -> &mut Self {
-        self.scenario.grid_pipeline.precision = precision;
-        self
-    }
-
     /// Enables/disables fused (whole-window) beacon batching.
     pub fn grid_fused(&mut self, fused: bool) -> &mut Self {
-        self.scenario.grid_pipeline.fused = fused;
-        self
-    }
-
-    /// Enables/disables the coarse-to-fine adaptive posterior.
-    pub fn grid_adaptive(&mut self, adaptive: bool) -> &mut Self {
-        self.scenario.grid_pipeline.adaptive = adaptive;
+        self.scenario.grid_fused = fused;
         self
     }
 

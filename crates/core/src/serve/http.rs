@@ -6,7 +6,7 @@
 //! alive, no TLS. Both head and body are size-capped so a confused or
 //! hostile peer cannot balloon server memory.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request line + headers.
@@ -24,6 +24,30 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+/// Why [`read_request`] produced no request.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The peer stalled past the stream's read timeout.
+    TimedOut,
+    /// The request was malformed, oversized or cut off.
+    Malformed(String),
+}
+
+impl From<String> for ReadError {
+    fn from(detail: String) -> Self {
+        ReadError::Malformed(detail)
+    }
+}
+
+/// One `read` call, with an expired read timeout (`WouldBlock` on Unix,
+/// `TimedOut` on Windows) told apart from every other failure.
+fn read_some(stream: &mut TcpStream, chunk: &mut [u8], what: &str) -> Result<usize, ReadError> {
+    stream.read(chunk).map_err(|e| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => ReadError::TimedOut,
+        _ => ReadError::Malformed(format!("{what}: {e}")),
+    })
+}
+
 /// Finds the end of the head (`\r\n\r\n`), returning the offset of the
 /// terminator start.
 fn head_end(buf: &[u8]) -> Option<usize> {
@@ -31,8 +55,9 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Reads one request off the stream. Blocking; the caller owns
-/// timeouts via `TcpStream::set_read_timeout`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// timeouts via `TcpStream::set_read_timeout`, and an expired one
+/// surfaces as [`ReadError::TimedOut`].
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_len = loop {
@@ -40,13 +65,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
             break pos;
         }
         if buf.len() > MAX_HEAD {
-            return Err("request head too large".into());
+            return Err(ReadError::Malformed("request head too large".into()));
         }
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("read request: {e}"))?;
+        let n = read_some(stream, &mut chunk, "read request")?;
         if n == 0 {
-            return Err("connection closed mid-request".into());
+            return Err(ReadError::Malformed("connection closed mid-request".into()));
         }
         buf.extend_from_slice(&chunk[..n]);
     };
@@ -75,15 +98,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         }
     }
     if content_length > MAX_BODY {
-        return Err(format!("request body too large ({content_length} bytes)"));
+        return Err(format!("request body too large ({content_length} bytes)").into());
     }
     let mut body = buf[head_len + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("read body: {e}"))?;
+        let n = read_some(stream, &mut chunk, "read body")?;
         if n == 0 {
-            return Err("connection closed mid-body".into());
+            return Err(ReadError::Malformed("connection closed mid-body".into()));
         }
         body.extend_from_slice(&chunk[..n]);
     }

@@ -84,6 +84,12 @@ const MANIFEST_FILE: &str = "serve-manifest.json";
 /// and the time-to-first-byte of a cache hit, so it is kept small; the
 /// idle spin this buys (500 wakeups/s) is noise next to one run.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long a connection may take to deliver its complete request. A
+/// peer that connects and stalls is answered 408 once this expires, so
+/// it cannot pin a handler thread — and with it the drain, which joins
+/// every handler. A spec is a few hundred bytes; honest clients send it
+/// in well under a millisecond.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server configuration. `Default` binds an ephemeral localhost port
 /// with no deadline and no persistence.
@@ -344,9 +350,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        return;
+    }
     let request = match http::read_request(&mut stream) {
         Ok(r) => r,
-        Err(e) => {
+        Err(http::ReadError::TimedOut) => {
+            let _ = error_response(
+                &mut stream,
+                408,
+                "Request Timeout",
+                "protocol",
+                "no complete request within the read timeout",
+            );
+            return;
+        }
+        Err(http::ReadError::Malformed(e)) => {
             let _ = error_response(&mut stream, 400, "Bad Request", "protocol", &e);
             return;
         }

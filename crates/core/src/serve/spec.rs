@@ -11,7 +11,6 @@
 //! on what constitutes a valid experiment.
 
 use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
-use cocoa_localization::kernel::{GridKernel, GridPrecision};
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::faults::FaultPlan;
 use cocoa_sim::telemetry::TelemetryLevel;
@@ -142,29 +141,8 @@ pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
             "grid_m" => {
                 b.grid_resolution(num(key, value)?);
             }
-            "grid_kernel" => match text(key, value)? {
-                "simd" => {
-                    b.grid_kernel(GridKernel::Simd);
-                }
-                "scalar" => {
-                    b.grid_kernel(GridKernel::Scalar);
-                }
-                other => return Err(format!("unknown grid kernel '{other}'")),
-            },
-            "grid_precision" => match text(key, value)? {
-                "f64" => {
-                    b.grid_precision(GridPrecision::F64);
-                }
-                "f32" => {
-                    b.grid_precision(GridPrecision::F32);
-                }
-                other => return Err(format!("unknown grid precision '{other}'")),
-            },
             "grid_fused" => {
                 b.grid_fused(flag(key, value)?);
-            }
-            "grid_adaptive" => {
-                b.grid_adaptive(flag(key, value)?);
             }
             "coordination" => {
                 b.coordination(flag(key, value)?);
@@ -255,6 +233,7 @@ pub fn example_spec() -> String {
         "  \"period_s\": 100,\n",
         "  \"mode\": \"cocoa\",\n",
         "  \"estimator\": \"bayes\",\n",
+        "  \"grid_fused\": false,\n",
         "  \"telemetry\": \"off\"\n",
         "}\n"
     )
@@ -320,6 +299,13 @@ mod tests {
         assert!(parse_spec("{\"robots\": \"many\"}").is_err(), "mistyped");
         assert!(parse_spec("{\"robotz\": 5}").is_err(), "unknown key");
         assert!(parse_spec("{\"mode\": \"psychic\"}").is_err());
+        for retired in [
+            "{\"grid_kernel\": \"scalar\"}",
+            "{\"grid_precision\": \"f32\"}",
+            "{\"grid_adaptive\": true}",
+        ] {
+            assert!(parse_spec(retired).is_err(), "{retired} is no longer a key");
+        }
         assert!(
             parse_spec("{\"static\": true, \"v_max\": 3.0}").is_err(),
             "static vs explicit speeds"

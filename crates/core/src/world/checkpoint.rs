@@ -24,7 +24,6 @@
 
 use bytes::Bytes;
 
-use cocoa_localization::adaptive::Tile;
 use cocoa_localization::backend::BackendCheckpoint;
 use cocoa_localization::bayes::GridStats;
 use cocoa_localization::ekf::EkfSnapshot;
@@ -32,7 +31,6 @@ use cocoa_localization::estimator::{
     EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
 };
 use cocoa_localization::grid::GridConfig;
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision};
 use cocoa_localization::multilateration::RangeObservation;
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
@@ -430,34 +428,17 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
     put_u32(&mut buf, s.failover_missed_periods);
     put_f64(&mut buf, s.entropy_watchdog_frac);
     put_f64(&mut buf, s.outlier_gate_m);
-    put_u8(
-        &mut buf,
-        match s.grid_pipeline.kernel {
-            GridKernel::Scalar => 0,
-            GridKernel::Simd => 1,
-        },
-    );
-    put_u8(
-        &mut buf,
-        match s.grid_pipeline.precision {
-            GridPrecision::F64 => 0,
-            GridPrecision::F32 => 1,
-        },
-    );
-    put_bool(&mut buf, s.grid_pipeline.fused);
-    put_bool(&mut buf, s.grid_pipeline.adaptive);
-    put_u32(&mut buf, s.grid_pipeline.adaptive_coarse_factor);
-    put_f64(&mut buf, s.grid_pipeline.adaptive_refine_factor);
+    put_bool(&mut buf, s.grid_fused);
     buf
 }
 
 /// The setup-feeding subset of the scenario encoding: exactly the
 /// fields whose effects are baked into a time-zero snapshot during
 /// [`world::setup_world`] (seed, arena, team size and composition,
-/// speed range, estimator, grid resolution, channel, energy, odometry,
-/// mesh, multicast, clock skew). Two scenarios with identical immutable
-/// encodings are warm-fork compatible; everything else is schedule-side
-/// and may differ between a snapshot and its forks.
+/// speed range, estimator, grid resolution and fusion, channel, energy,
+/// odometry, mesh, multicast, clock skew). Two scenarios with identical
+/// immutable encodings are warm-fork compatible; everything else is
+/// schedule-side and may differ between a snapshot and its forks.
 ///
 /// [`SimRun::warm_fork`] compares these bytes directly, so the
 /// compatibility check and the [`warm_fingerprint`] cache key can never
@@ -490,6 +471,9 @@ fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
         },
     );
     put_f64(&mut buf, s.grid_resolution_m);
+    // Fusion decides how every robot's estimator is built at setup, so
+    // the time-zero snapshot bakes it in.
+    put_bool(&mut buf, s.grid_fused);
     put_channel(&mut buf, &s.channel);
     put_energy(&mut buf, &s.energy);
     put_f64(&mut buf, s.odometry.displacement_sigma);
@@ -649,22 +633,7 @@ fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError
     let failover_missed_periods = r.u32()?;
     let entropy_watchdog_frac = r.f64()?;
     let outlier_gate_m = r.f64()?;
-    let grid_pipeline = GridPipeline {
-        kernel: match r.u8()? {
-            0 => GridKernel::Scalar,
-            1 => GridKernel::Simd,
-            t => return Err(bad_tag("grid kernel", t)),
-        },
-        precision: match r.u8()? {
-            0 => GridPrecision::F64,
-            1 => GridPrecision::F32,
-            t => return Err(bad_tag("grid precision", t)),
-        },
-        fused: r.bool()?,
-        adaptive: r.bool()?,
-        adaptive_coarse_factor: r.u32()?,
-        adaptive_refine_factor: r.f64()?,
-    };
+    let grid_fused = r.bool()?;
     Ok(Scenario {
         seed,
         area,
@@ -698,7 +667,7 @@ fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError
         failover_missed_periods,
         entropy_watchdog_frac,
         outlier_gate_m,
-        grid_pipeline,
+        grid_fused,
     })
 }
 
@@ -948,7 +917,7 @@ fn decode_medium(r: &mut SnapshotReader<'_>) -> Result<MediumState, SnapshotErro
 // Robots section.
 // ---------------------------------------------------------------------------
 
-/// Writes the v4 estimator section: the lifecycle header shared by every
+/// Writes the estimator section: the lifecycle header shared by every
 /// backend, then a backend tag and the tagged solver payload (mirroring
 /// [`BackendCheckpoint`]).
 fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
@@ -971,7 +940,6 @@ fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
     match &c.backend {
         BackendCheckpoint::Bayes {
             posterior_cells,
-            adaptive_tiles,
             pending,
             grid_stats,
             beacons_applied,
@@ -980,28 +948,14 @@ fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
             put_vec(buf, posterior_cells, |b, &p| put_f64(b, p));
             put_u32(buf, *beacons_applied);
             put_u32(buf, *beacons_seen);
-            put_vec(buf, adaptive_tiles, |b, tile| match tile {
-                Tile::Coarse(mass) => {
-                    put_u8(b, 0);
-                    put_f64(b, *mass);
-                }
-                Tile::Refined(cells) => {
-                    put_u8(b, 1);
-                    put_vec(b, cells, |b, &m| put_f64(b, m));
-                }
-            });
             put_vec(buf, pending, |b, &(anchor, bin)| {
                 put_point(b, anchor);
                 put_u32(b, bin.0 as u16 as u32);
             });
-            put_u64(buf, grid_stats.kernel_scalar);
             put_u64(buf, grid_stats.kernel_simd);
-            put_u64(buf, grid_stats.kernel_simd_f32);
             put_u64(buf, grid_stats.kernel_fused);
-            put_u64(buf, grid_stats.kernel_adaptive);
             put_u64(buf, grid_stats.fused_windows);
             put_u64(buf, grid_stats.cells_touched);
-            put_u64(buf, grid_stats.cells_refined);
         }
         BackendCheckpoint::Lateration { ranges } => {
             put_vec(buf, ranges, |b, obs| {
@@ -1051,29 +1005,19 @@ fn read_estimator(r: &mut SnapshotReader<'_>) -> Result<EstimatorCheckpoint, Sna
             let posterior_cells = read_vec(r, |r| r.f64())?;
             let beacons_applied = r.u32()?;
             let beacons_seen = r.u32()?;
-            let adaptive_tiles = read_vec(r, |r| match r.u8()? {
-                0 => Ok(Tile::Coarse(r.f64()?)),
-                1 => Ok(Tile::Refined(read_vec(r, |r| r.f64())?)),
-                t => Err(bad_tag("adaptive tile", t)),
-            })?;
             let pending = read_vec(r, |r| {
                 let anchor = read_point(r)?;
                 let bin = RssiBin(r.u32()? as u16 as i16);
                 Ok((anchor, bin))
             })?;
             let grid_stats = GridStats {
-                kernel_scalar: r.u64()?,
                 kernel_simd: r.u64()?,
-                kernel_simd_f32: r.u64()?,
                 kernel_fused: r.u64()?,
-                kernel_adaptive: r.u64()?,
                 fused_windows: r.u64()?,
                 cells_touched: r.u64()?,
-                cells_refined: r.u64()?,
             };
             BackendCheckpoint::Bayes {
                 posterior_cells,
-                adaptive_tiles,
                 pending,
                 grid_stats,
                 beacons_applied,
@@ -1316,7 +1260,7 @@ fn decode_robots(
             HealthMonitor::from_checkpoint(state, since, ledger)
         };
         let rf = read_opt(r, read_estimator)?
-            .map(|c| WindowedRfEstimator::from_checkpoint_with(grid, scenario.grid_pipeline, c));
+            .map(|c| WindowedRfEstimator::from_checkpoint_fused(grid, scenario.grid_fused, c));
         let mesh_bytes = r.bytes()?;
         let mut mesh = mesh::make_backend(
             scenario.multicast,
@@ -2227,9 +2171,9 @@ impl SimRun {
     /// feed setup may differ from the snapshot's scenario: the beacon
     /// period, windowing, coordination flag, fault plan and similar
     /// schedule-side knobs. Setup-feeding fields (seed, area, team size,
-    /// channel, energy, odometry, estimator, multicast, mesh config,
-    /// clock skew, speed range) must match, because their effects are
-    /// already baked into the captured state.
+    /// channel, energy, odometry, estimator, grid resolution and fusion,
+    /// multicast, mesh config, clock skew, speed range) must match,
+    /// because their effects are already baked into the captured state.
     ///
     /// The snapshot must have been captured at time zero with no events
     /// processed; anything later has already consumed schedule-dependent
@@ -2257,7 +2201,7 @@ impl SimRun {
         if !compatible {
             return Err(malformed(
                 "warm fork scenario changes a setup-feeding field (seed, area, team, \
-                 channel, energy, odometry, estimator, multicast, mesh or clock skew)",
+                 channel, energy, odometry, estimator, grid, multicast, mesh or clock skew)",
             ));
         }
         scenario
@@ -2403,29 +2347,19 @@ mod tests {
         let bayes = (
             proptest::collection::vec(0.0f64..1.0, 0..64),
             proptest::collection::vec(
-                prop_oneof![
-                    (0.0f64..1.0).prop_map(Tile::Coarse),
-                    proptest::collection::vec(0.0f64..1.0, 1..8).prop_map(Tile::Refined),
-                ],
-                0..6,
-            ),
-            proptest::collection::vec(
                 (arb_point(), -120i16..0).prop_map(|(p, b)| (p, RssiBin(b))),
                 0..4,
             ),
             any::<u8>(),
             any::<u8>(),
         )
-            .prop_map(
-                |(cells, tiles, pending, applied, seen)| BackendCheckpoint::Bayes {
-                    posterior_cells: cells,
-                    adaptive_tiles: tiles,
-                    pending,
-                    grid_stats: GridStats::default(),
-                    beacons_applied: u32::from(applied),
-                    beacons_seen: u32::from(seen),
-                },
-            );
+            .prop_map(|(cells, pending, applied, seen)| BackendCheckpoint::Bayes {
+                posterior_cells: cells,
+                pending,
+                grid_stats: GridStats::default(),
+                beacons_applied: u32::from(applied),
+                beacons_seen: u32::from(seen),
+            });
         let lateration = proptest::collection::vec(
             (arb_point(), 0.1f64..300.0, 0.01f64..10.0).prop_map(|(anchor, range, weight)| {
                 RangeObservation {
@@ -2463,7 +2397,7 @@ mod tests {
     }
 
     proptest! {
-        /// The v4 estimator section round-trips byte-exactly for every
+        /// The estimator section round-trips byte-exactly for every
         /// backend variant: encode → decode → re-encode reproduces both
         /// the checkpoint struct and the original bytes.
         #[test]
@@ -2695,37 +2629,9 @@ mod tests {
                 }),
             ),
             (
-                "grid_pipeline",
-                Box::new(|b| {
-                    b.grid_pipeline(GridPipeline {
-                        adaptive: true,
-                        adaptive_coarse_factor: 8,
-                        ..GridPipeline::default()
-                    });
-                }),
-            ),
-            (
-                "grid_kernel",
-                Box::new(|b| {
-                    b.grid_kernel(GridKernel::Scalar);
-                }),
-            ),
-            (
-                "grid_precision",
-                Box::new(|b| {
-                    b.grid_precision(GridPrecision::F32);
-                }),
-            ),
-            (
                 "grid_fused",
                 Box::new(|b| {
                     b.grid_fused(true);
-                }),
-            ),
-            (
-                "grid_adaptive",
-                Box::new(|b| {
-                    b.grid_adaptive(true);
                 }),
             ),
         ];
@@ -2751,8 +2657,8 @@ mod tests {
     }
 
     /// The codec version participates in the hash, so fingerprints from
-    /// one snapshot schema never match another's: a v4 artifact cache
-    /// cannot serve a v5 request.
+    /// one snapshot schema never match another's: an artifact cache
+    /// built under one schema cannot serve a request under the next.
     #[test]
     fn fingerprints_are_schema_versioned() {
         use cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION;
@@ -2800,16 +2706,23 @@ mod tests {
             "the full fingerprint must still tell the requests apart"
         );
         let setup = Scenario::builder().seed(7).build();
-        assert_ne!(
-            warm_fingerprint(&base),
-            warm_fingerprint(&setup),
-            "setup-feeding fields must split the family"
-        );
+        // Fusion picks how each robot's estimator is built at setup, so a
+        // fork cannot switch it on a snapshot taken without it.
+        let fused = Scenario::builder().grid_fused(true).build();
+        for (name, other) in [("seed", &setup), ("grid_fused", &fused)] {
+            assert_ne!(
+                warm_fingerprint(&base),
+                warm_fingerprint(other),
+                "setup-feeding field '{name}' must split the family"
+            );
+        }
         // The compatibility gate agrees with the cache key, both ways.
         let artifacts = WarmArtifacts::build(&base);
         assert!(artifacts.compatible_with(&schedule));
-        assert!(!artifacts.compatible_with(&setup));
         assert!(artifacts.fork(&schedule, Telemetry::off()).is_ok());
-        assert!(artifacts.fork(&setup, Telemetry::off()).is_err());
+        for other in [&setup, &fused] {
+            assert!(!artifacts.compatible_with(other));
+            assert!(artifacts.fork(other, Telemetry::off()).is_err());
+        }
     }
 }

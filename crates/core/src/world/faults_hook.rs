@@ -83,7 +83,7 @@ pub(crate) fn apply_fault(
             let area = world.scenario.area;
             let res = world.scenario.grid_resolution_m;
             let alg = world.scenario.rf_algorithm;
-            let pipeline = world.scenario.grid_pipeline;
+            let fused = world.scenario.grid_fused;
             let r = &mut world.robots[robot];
             r.alive = true;
             r.epoch = r.epoch.wrapping_add(1);
@@ -94,7 +94,7 @@ pub(crate) fn apply_fault(
             r.fix_anchor = None;
             r.synced_this_window = false;
             if let Some(rf) = r.rf.as_mut() {
-                *rf = WindowedRfEstimator::with_pipeline(GridConfig::new(area, res), alg, pipeline);
+                *rf = WindowedRfEstimator::with_fused(GridConfig::new(area, res), alg, fused);
             }
             let up_state = if uses_rf {
                 PowerState::Idle

@@ -260,8 +260,8 @@ pub(crate) fn finalize(
             ro.outlier_beacons_rejected,
         );
         t.absorb("robustness.flat_posteriors", ro.flat_posteriors);
-        // Grid kernel accounting: only namespaces that actually fired are
-        // emitted, so the default (pure simd/f64) run stays compact.
+        // Grid kernel accounting: only counters that actually fired are
+        // emitted, so an unfused run carries no `grid.*fused*` rows.
         let mut gs = cocoa_localization::bayes::GridStats::default();
         for r in &world.robots {
             if let Some(rf) = r.rf.as_ref() {
@@ -269,14 +269,10 @@ pub(crate) fn finalize(
             }
         }
         for (name, value) in [
-            ("grid.kernel.scalar", gs.kernel_scalar),
             ("grid.kernel.simd", gs.kernel_simd),
-            ("grid.kernel.simd_f32", gs.kernel_simd_f32),
             ("grid.kernel.fused", gs.kernel_fused),
-            ("grid.kernel.adaptive", gs.kernel_adaptive),
             ("grid.fused_windows", gs.fused_windows),
             ("grid.cells_touched", gs.cells_touched),
-            ("grid.cells_refined", gs.cells_refined),
         ] {
             if value > 0 {
                 t.absorb(name, value);

@@ -274,10 +274,10 @@ pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> Worl
             radio.set_state(SimTime::ZERO, PowerState::Off);
         }
         let rf = if !equipped && scenario.mode.uses_rf() {
-            Some(WindowedRfEstimator::with_pipeline(
+            Some(WindowedRfEstimator::with_fused(
                 GridConfig::new(scenario.area, scenario.grid_resolution_m),
                 scenario.rf_algorithm,
-                scenario.grid_pipeline,
+                scenario.grid_fused,
             ))
         } else {
             None

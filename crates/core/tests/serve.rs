@@ -4,7 +4,9 @@
 //! ephemeral localhost port and talks to it through the bundled
 //! client — the same code path `cocoa-serve --submit` uses.
 
-use std::sync::Arc;
+use std::io::Read;
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cocoa_core::executor::manifest::encode_metrics;
@@ -187,6 +189,65 @@ fn warm_fork_results_match_a_cold_local_run() {
     assert_eq!(
         encode_metrics(&wire_metrics),
         encode_metrics(&local_metrics)
+    );
+}
+
+#[test]
+fn fused_request_is_not_forked_from_its_unfused_family() {
+    let (server, addr) = start(ServeConfig {
+        quiet: true,
+        ..ServeConfig::default()
+    });
+    // Fusion is fixed when each robot's estimator is built, so the fused
+    // request cannot reuse the unfused request's time-zero artifacts.
+    let fused_spec = "{\"seed\": 11, \"robots\": 6, \"equipped\": 3, \"duration_s\": 120, \
+                      \"period_s\": 50, \"grid_fused\": true}";
+    let unfused = client::submit(&addr, SMALL_SPEC).expect("unfused submit");
+    let fused = client::submit(&addr, fused_spec).expect("fused submit");
+    assert_eq!(unfused.status, 200);
+    assert_eq!(fused.status, 200, "{}", fused.body_str());
+    let request = parse_spec(fused_spec).expect("spec parses");
+    let local_metrics = cocoa_core::runner::run(&request.scenario);
+    let wire_metrics = fused.metrics().expect("metrics decode");
+    assert_eq!(
+        encode_metrics(&wire_metrics),
+        encode_metrics(&local_metrics)
+    );
+    assert_eq!(counter(&server, "serve.warm_forks"), 0);
+}
+
+#[test]
+fn silent_client_cannot_stall_shutdown_drain() {
+    let (server, addr) = start(ServeConfig {
+        quiet: true,
+        ..ServeConfig::default()
+    });
+    // Connects and never sends a byte.
+    let mut silent = TcpStream::connect(&addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("client read timeout");
+    // Connections are accepted in arrival order, so once this answer is
+    // in, the silent connection already has its handler.
+    let health = client::get(&addr, "/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    client::shutdown(&addr).expect("shutdown accepted");
+    let (done, drained) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        server.wait();
+        let _ = done.send(());
+    });
+    drained
+        .recv_timeout(Duration::from_secs(60))
+        .expect("drain must finish while the silent client still holds its socket");
+    waiter.join().expect("drain waiter");
+    let mut answer = String::new();
+    silent
+        .read_to_string(&mut answer)
+        .expect("server closes the silent connection");
+    assert!(
+        answer.starts_with("HTTP/1.1 408 "),
+        "silent client gets a timeout answer: {answer:?}"
     );
 }
 

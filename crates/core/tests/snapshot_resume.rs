@@ -12,9 +12,9 @@ use std::sync::OnceLock;
 use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::SimRun;
 use cocoa_core::scenario::Scenario;
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision};
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::faults::FaultPlan;
+use cocoa_sim::snapshot::{SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 use cocoa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ fn resume_is_bit_identical_across_backends_and_fault_presets() {
 
 #[test]
 fn resume_is_bit_identical_for_every_estimator_backend() {
-    // The v4 estimator section is backend-tagged: each RF solver's state
+    // The estimator section is backend-tagged: each RF solver's state
     // (posterior cells / range set / EKF mean+covariance) must survive
     // capture and restore so the resumed run stays bit-identical, across
     // every mesh backend it might be combined with.
@@ -111,45 +111,39 @@ fn resume_is_bit_identical_for_every_estimator_backend() {
 
 #[test]
 fn resume_is_bit_identical_for_every_grid_kernel_variant() {
+    // The one grid-update knob: a fused estimator also carries its
+    // recorded-but-unflushed beacons across the snapshot.
     let at = SimTime::ZERO + SimDuration::from_secs(DURATION_S / 2);
-    let variants = [
-        GridPipeline {
-            kernel: GridKernel::Scalar,
-            ..GridPipeline::default()
-        },
-        GridPipeline::default(), // simd / f64
-        GridPipeline {
-            precision: GridPrecision::F32,
-            ..GridPipeline::default()
-        },
-        GridPipeline {
-            fused: true,
-            ..GridPipeline::default()
-        },
-        GridPipeline {
-            adaptive: true,
-            ..GridPipeline::default()
-        },
-    ];
-    for pipeline in variants {
+    for fused in [false, true] {
         let mut s = scenario(42, MulticastProtocol::Mrmm, "sync-crash");
-        s.grid_pipeline = pipeline;
+        s.grid_fused = fused;
         s.validate().expect("variant scenario must validate");
         let (m_cold, j_cold) = uninterrupted(&s);
         let (m_res, j_res) = interrupted_at(&s, at);
         assert_eq!(
-            m_cold,
-            m_res,
-            "{}: RunMetrics diverged after resume",
-            pipeline.variant_name()
+            m_cold, m_res,
+            "fused={fused}: RunMetrics diverged after resume"
         );
         assert_eq!(
-            j_cold,
-            j_res,
-            "{}: telemetry JSONL diverged after resume",
-            pipeline.variant_name()
+            j_cold, j_res,
+            "fused={fused}: telemetry JSONL diverged after resume"
         );
     }
+}
+
+#[test]
+fn previous_schema_snapshots_are_rejected_with_a_typed_error() {
+    let s = scenario(42, MulticastProtocol::Mrmm, "none");
+    let mut run = SimRun::new(&s, Telemetry::off());
+    run.run_until(SimTime::ZERO + SimDuration::from_secs(DURATION_S / 2));
+    let mut bytes = run.capture();
+    // The schema version sits right after the four magic bytes.
+    let previous = SNAPSHOT_SCHEMA_VERSION - 1;
+    bytes[4..8].copy_from_slice(&previous.to_le_bytes());
+    assert_eq!(
+        SimRun::resume(&bytes).err(),
+        Some(SnapshotError::UnsupportedVersion { found: previous })
+    );
 }
 
 #[test]

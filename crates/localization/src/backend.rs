@@ -24,14 +24,10 @@ use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::{Dbm, RssiBin};
 
-use crate::adaptive::Tile;
-use crate::bayes::{
-    BayesianLocalizer, GridStats, ObservationResult, Posterior, MIN_BEACONS_FOR_ESTIMATE,
-};
+use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE};
 use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
 use crate::estimator::RfAlgorithm;
 use crate::grid::GridConfig;
-use crate::kernel::GridPipeline;
 use crate::multilateration::{Multilaterator, RangeObservation};
 
 /// One per-window RF solver, as driven by the window lifecycle in
@@ -72,8 +68,8 @@ pub trait RfBackend {
         rssi: Dbm,
     ) -> ObservationResult;
 
-    /// Commits beacons a fused pipeline recorded during the window in one
-    /// batched pass. A no-op for backends without a fused pipeline.
+    /// Commits beacons a fused backend recorded during the window in one
+    /// batched pass. A no-op for backends that apply beacons as they come.
     fn flush_pending(&mut self, _radial: &RadialConstraintTable) {}
 
     /// The solver's position estimate at window end, if this window
@@ -116,15 +112,10 @@ pub trait RfBackend {
         None
     }
 
-    /// Kernel/fusion/adaptive accounting (the `grid.*` telemetry
-    /// counters). Zero for gridless backends.
+    /// Kernel and fusion accounting (the `grid.*` telemetry counters).
+    /// Zero for gridless backends.
     fn grid_stats(&self) -> GridStats {
         GridStats::default()
-    }
-
-    /// The active grid pipeline, if the backend runs one.
-    fn pipeline(&self) -> Option<&GridPipeline> {
-        None
     }
 
     /// The backend's complete state as checkpoint data.
@@ -132,19 +123,16 @@ pub trait RfBackend {
 }
 
 /// One backend's complete state as checkpoint data, tagged by algorithm
-/// (the snapshot codec's v4 estimator section mirrors this shape).
+/// (the snapshot codec's estimator section mirrors this shape).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendCheckpoint {
-    /// [`BayesianLocalizer`] state. Dense pipelines fill
-    /// `posterior_cells`; the adaptive pipeline fills `adaptive_tiles`.
+    /// [`BayesianLocalizer`] state.
     Bayes {
-        /// Posterior cell probabilities (dense pipelines; empty otherwise).
+        /// Posterior cell probabilities.
         posterior_cells: Vec<f64>,
-        /// Posterior tile state (adaptive pipeline; empty otherwise).
-        adaptive_tiles: Vec<Tile>,
         /// Recorded-but-unflushed fused beacons.
         pending: Vec<(Point, RssiBin)>,
-        /// Kernel/fusion/adaptive accounting.
+        /// Kernel and fusion accounting.
         grid_stats: GridStats,
         /// Beacons applied since the last window reset.
         beacons_applied: u32,
@@ -235,18 +223,9 @@ impl RfBackend for BayesianLocalizer {
         *BayesianLocalizer::grid_stats(self)
     }
 
-    fn pipeline(&self) -> Option<&GridPipeline> {
-        Some(BayesianLocalizer::pipeline(self))
-    }
-
     fn checkpoint(&self) -> BackendCheckpoint {
-        let (cells, tiles) = match self.posterior() {
-            Posterior::Dense(g) => (g.cells().to_vec(), Vec::new()),
-            Posterior::Adaptive(g) => (Vec::new(), g.tiles().to_vec()),
-        };
         BackendCheckpoint::Bayes {
-            posterior_cells: cells,
-            adaptive_tiles: tiles,
+            posterior_cells: self.grid().cells().to_vec(),
             pending: self.pending().to_vec(),
             grid_stats: *BayesianLocalizer::grid_stats(self),
             beacons_applied: self.beacons_applied(),

@@ -13,9 +13,7 @@ use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::{Dbm, RssiBin};
 
-use crate::adaptive::{AdaptiveGrid, Tile};
 use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
-use crate::kernel::{GridKernel, GridPipeline};
 
 /// The paper requires at least this many beacons before estimating.
 pub const MIN_BEACONS_FOR_ESTIMATE: u32 = 3;
@@ -85,8 +83,10 @@ pub enum ObservationResult {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BayesianLocalizer {
-    posterior: Posterior,
-    pipeline: GridPipeline,
+    grid: PositionGrid,
+    /// Batch every beacon of a transmit window into one pass over the
+    /// posterior (one renormalize per window instead of one per beacon).
+    fused: bool,
     beacons_applied: u32,
     beacons_seen: u32,
     /// Beacons resolved but not yet multiplied in (fused mode only): the
@@ -97,78 +97,46 @@ pub struct BayesianLocalizer {
     stats: GridStats,
 }
 
-/// The posterior representation behind the localizer: the dense grid, or
-/// the coarse-to-fine [`AdaptiveGrid`] when the pipeline's `adaptive` knob
-/// is set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Posterior {
-    /// Dense fine-lattice posterior.
-    Dense(PositionGrid),
-    /// Coarse-to-fine tiled posterior.
-    Adaptive(AdaptiveGrid),
-}
-
 /// Cumulative grid-kernel cost accounting, surfaced as `grid.*` telemetry
 /// counters. Counts are per constraint application (not per window) and
 /// survive window resets — they describe work done, not posterior state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct GridStats {
-    /// Radial constraints applied through the scalar reference kernel.
-    pub kernel_scalar: u64,
-    /// Radial constraints applied through the lane-packed f64 kernel.
+    /// Radial constraints applied one at a time through the lane kernel.
     pub kernel_simd: u64,
-    /// Radial constraints applied through the f32 lane kernel.
-    pub kernel_simd_f32: u64,
     /// Radial constraints folded through fused window batches.
     pub kernel_fused: u64,
-    /// Radial constraints applied on the adaptive grid.
-    pub kernel_adaptive: u64,
     /// Windows whose beacons were committed as one fused grid pass.
     pub fused_windows: u64,
-    /// Cells whose constraint weight was evaluated, across all kernels
-    /// (the adaptive mode's headline saving).
+    /// Cells whose constraint weight was evaluated.
     pub cells_touched: u64,
-    /// Fine cells materialized by adaptive refinement.
-    pub cells_refined: u64,
 }
 
 impl GridStats {
     /// Merges another accumulator into this one (used when aggregating
     /// per-robot stats into run-level counters).
     pub fn absorb(&mut self, other: &GridStats) {
-        self.kernel_scalar += other.kernel_scalar;
         self.kernel_simd += other.kernel_simd;
-        self.kernel_simd_f32 += other.kernel_simd_f32;
         self.kernel_fused += other.kernel_fused;
-        self.kernel_adaptive += other.kernel_adaptive;
         self.fused_windows += other.fused_windows;
         self.cells_touched += other.cells_touched;
-        self.cells_refined += other.cells_refined;
     }
 }
 
 impl BayesianLocalizer {
-    /// Creates a localizer with a uniform prior over the area and the
-    /// default grid pipeline (lane-packed f64 kernel — bit-identical to the
-    /// scalar reference).
+    /// Creates a localizer with a uniform prior over the area that applies
+    /// each beacon as it arrives.
     pub fn new(config: GridConfig) -> Self {
-        Self::with_pipeline(config, GridPipeline::default())
+        Self::with_fused(config, false)
     }
 
-    /// Creates a localizer with an explicit grid pipeline.
-    pub fn with_pipeline(config: GridConfig, pipeline: GridPipeline) -> Self {
-        let posterior = if pipeline.adaptive {
-            Posterior::Adaptive(AdaptiveGrid::new(
-                config,
-                pipeline.adaptive_coarse_factor,
-                pipeline.adaptive_refine_factor,
-            ))
-        } else {
-            Posterior::Dense(PositionGrid::new(config))
-        };
+    /// Creates a localizer that, when `fused`, batches each window's
+    /// beacons into one grid pass at
+    /// [`flush_pending`](Self::flush_pending).
+    pub fn with_fused(config: GridConfig, fused: bool) -> Self {
         BayesianLocalizer {
-            posterior,
-            pipeline,
+            grid: PositionGrid::new(config),
+            fused,
             beacons_applied: 0,
             beacons_seen: 0,
             pending: Vec::new(),
@@ -176,40 +144,17 @@ impl BayesianLocalizer {
         }
     }
 
-    /// The active grid pipeline.
-    pub fn pipeline(&self) -> &GridPipeline {
-        &self.pipeline
-    }
-
     /// Cumulative kernel cost accounting.
     pub fn grid_stats(&self) -> &GridStats {
         &self.stats
     }
 
-    /// The posterior representation.
-    pub fn posterior(&self) -> &Posterior {
-        &self.posterior
-    }
-
-    fn dense_mut(&mut self) -> &mut PositionGrid {
-        match &mut self.posterior {
-            Posterior::Dense(g) => g,
-            Posterior::Adaptive(_) => {
-                panic!("operation requires the dense grid (adaptive pipeline active)")
-            }
-        }
-    }
-
     /// Incorporates one beacon: the sender claims to be at `beacon_pos` and
     /// was heard at `rssi`.
     ///
-    /// This is the generic (closure) path and requires the dense grid;
-    /// adaptive-pipeline localizers are only fed through
-    /// [`observe_beacon_radial`](Self::observe_beacon_radial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adaptive pipeline is active.
+    /// This is the generic (closure) path: the constraint is evaluated per
+    /// cell from the PDF table, and it is applied immediately even in fused
+    /// mode.
     pub fn observe_beacon(
         &mut self,
         table: &PdfTable,
@@ -221,7 +166,7 @@ impl BayesianLocalizer {
             return ObservationResult::NoPdf;
         };
         let outcome = self
-            .dense_mut()
+            .grid
             .apply_constraint(|cell| pdf.density(cell.distance_to(beacon_pos)) + CONSTRAINT_FLOOR);
         self.record(outcome)
     }
@@ -229,8 +174,7 @@ impl BayesianLocalizer {
     /// Incorporates one beacon through the radial fast path: the constraint
     /// comes from `radial`'s pre-sampled profile for the observed RSSI
     /// (same bin-fallback rule as [`PdfTable::lookup`]) and is applied
-    /// through the pipeline-selected kernel — no per-cell `exp`, no
-    /// allocation.
+    /// through the lane kernel — no per-cell `exp`, no allocation.
     ///
     /// In **fused** mode the observation is only *recorded* (position +
     /// resolved bin); the grid work happens in one batched pass at
@@ -245,7 +189,7 @@ impl BayesianLocalizer {
         rssi: Dbm,
     ) -> ObservationResult {
         self.beacons_seen += 1;
-        if self.pipeline.fused && !self.pipeline.adaptive {
+        if self.fused {
             let Some(bin) = radial.resolve(rssi) else {
                 return ObservationResult::NoPdf;
             };
@@ -259,40 +203,16 @@ impl BayesianLocalizer {
         self.record(outcome)
     }
 
-    /// Applies one radial constraint through the pipeline-selected kernel,
-    /// updating the cost accounting.
+    /// Applies one radial constraint through the lane kernel, updating the
+    /// cost accounting.
     fn apply_radial(
         &mut self,
         beacon_pos: Point,
         profile: &cocoa_net::calibration::RadialProfile,
     ) -> ConstraintOutcome {
-        match &mut self.posterior {
-            Posterior::Dense(grid) => {
-                self.stats.cells_touched += grid.num_cells() as u64;
-                match (self.pipeline.kernel, self.pipeline.precision) {
-                    (GridKernel::Scalar, _) => self.stats.kernel_scalar += 1,
-                    (GridKernel::Simd, crate::kernel::GridPrecision::F64) => {
-                        self.stats.kernel_simd += 1
-                    }
-                    (GridKernel::Simd, crate::kernel::GridPrecision::F32) => {
-                        self.stats.kernel_simd_f32 += 1
-                    }
-                }
-                grid.apply_radial_constraint_with(
-                    beacon_pos,
-                    profile,
-                    self.pipeline.kernel,
-                    self.pipeline.precision,
-                )
-            }
-            Posterior::Adaptive(grid) => {
-                let (outcome, op) = grid.apply_radial_constraint(beacon_pos, profile);
-                self.stats.kernel_adaptive += 1;
-                self.stats.cells_touched += op.cells_touched;
-                self.stats.cells_refined += op.cells_refined;
-                outcome
-            }
-        }
+        self.stats.cells_touched += self.grid.num_cells() as u64;
+        self.stats.kernel_simd += 1;
+        self.grid.apply_radial_constraint(beacon_pos, profile)
     }
 
     /// Commits all recorded-but-unapplied beacons of a fused window in one
@@ -315,15 +235,11 @@ impl BayesianLocalizer {
             .filter_map(|&(pos, bin)| radial.get(bin).map(|p| (pos, p)))
             .collect();
         let n = constraints.len() as u32;
-        let precision = self.pipeline.precision;
-        let outcome = self
-            .dense_mut()
-            .apply_fused_radial_constraints(&constraints, precision);
-        match outcome {
+        match self.grid.apply_fused_radial_constraints(&constraints) {
             ConstraintOutcome::Applied => {
                 self.stats.fused_windows += 1;
                 self.stats.kernel_fused += u64::from(n);
-                self.stats.cells_touched += u64::from(n) * self.num_posterior_cells() as u64;
+                self.stats.cells_touched += u64::from(n) * self.grid.num_cells() as u64;
                 self.beacons_applied += n;
                 n
             }
@@ -337,13 +253,6 @@ impl BayesianLocalizer {
                 }
                 applied
             }
-        }
-    }
-
-    fn num_posterior_cells(&self) -> usize {
-        match &self.posterior {
-            Posterior::Dense(g) => g.num_cells(),
-            Posterior::Adaptive(g) => g.num_cells(),
         }
     }
 
@@ -363,14 +272,7 @@ impl BayesianLocalizer {
     /// In fused mode, call [`flush_pending`](Self::flush_pending) first —
     /// recorded-but-unflushed beacons do not count.
     pub fn estimate(&self) -> Option<Point> {
-        if self.beacons_applied >= MIN_BEACONS_FOR_ESTIMATE {
-            Some(match &self.posterior {
-                Posterior::Dense(g) => g.mean(),
-                Posterior::Adaptive(g) => g.mean(),
-            })
-        } else {
-            None
-        }
+        (self.beacons_applied >= MIN_BEACONS_FOR_ESTIMATE).then(|| self.grid.mean())
     }
 
     /// Beacons multiplied into the posterior since the last reset.
@@ -386,52 +288,32 @@ impl BayesianLocalizer {
     /// Posterior entropy, nats (confidence proxy; exposed for the relay-
     /// beaconing extension's goodness guard).
     pub fn entropy(&self) -> f64 {
-        match &self.posterior {
-            Posterior::Dense(g) => g.entropy(),
-            Posterior::Adaptive(g) => g.entropy(),
-        }
+        self.grid.entropy()
     }
 
     /// The entropy of the uniform prior over this grid, nats — the ceiling
     /// the entropy watchdog measures against.
     pub fn max_entropy(&self) -> f64 {
-        match &self.posterior {
-            Posterior::Dense(g) => g.max_entropy(),
-            Posterior::Adaptive(g) => g.max_entropy(),
-        }
+        self.grid.max_entropy()
     }
 
     /// Resets to the uniform prior — the paper's robots "throw away their
     /// currently estimated positions" at each transmit period. Also drops
     /// any unflushed fused beacons (their window is over).
     pub fn reset(&mut self) {
-        match &mut self.posterior {
-            Posterior::Dense(g) => g.reset_uniform(),
-            Posterior::Adaptive(g) => g.reset_uniform(),
-        }
+        self.grid.reset_uniform();
         self.pending.clear();
         self.beacons_applied = 0;
         self.beacons_seen = 0;
     }
 
-    /// Read-only access to the dense posterior grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adaptive pipeline is active — match on
-    /// [`posterior`](Self::posterior) instead.
+    /// Read-only access to the posterior grid.
     pub fn grid(&self) -> &PositionGrid {
-        match &self.posterior {
-            Posterior::Dense(g) => g,
-            Posterior::Adaptive(_) => {
-                panic!("grid() requires the dense posterior (adaptive pipeline active)")
-            }
-        }
+        &self.grid
     }
 
-    /// Rebuilds a localizer from checkpointed state: the posterior cells
-    /// (see [`PositionGrid::cells`]) plus the beacon counters, under the
-    /// default pipeline.
+    /// Rebuilds an unfused localizer from checkpointed state: the posterior
+    /// cells (see [`PositionGrid::cells`]) plus the beacon counters.
     ///
     /// # Panics
     ///
@@ -442,32 +324,20 @@ impl BayesianLocalizer {
         beacons_applied: u32,
         beacons_seen: u32,
     ) -> Self {
-        let mut loc = Self::with_pipeline(config, GridPipeline::default());
+        let mut loc = Self::new(config);
         loc.restore_posterior_cells(cells);
         loc.beacons_applied = beacons_applied;
         loc.beacons_seen = beacons_seen;
         loc
     }
 
-    /// Restores checkpointed dense posterior cells (checkpoint plumbing).
+    /// Restores checkpointed posterior cells (checkpoint plumbing).
     ///
     /// # Panics
     ///
-    /// Panics if the adaptive pipeline is active or the cell count differs.
+    /// Panics if the cell count differs.
     pub fn restore_posterior_cells(&mut self, cells: &[f64]) {
-        self.dense_mut().restore_cells(cells);
-    }
-
-    /// Restores checkpointed adaptive tile state (checkpoint plumbing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adaptive pipeline is not active or the layout differs.
-    pub fn restore_posterior_tiles(&mut self, tiles: Vec<Tile>) {
-        match &mut self.posterior {
-            Posterior::Adaptive(g) => g.restore_tiles(tiles),
-            Posterior::Dense(_) => panic!("tile restore requires the adaptive posterior"),
-        }
+        self.grid.restore_cells(cells);
     }
 
     /// Restores checkpointed beacon counters, pending fused beacons and

@@ -26,7 +26,6 @@ use cocoa_net::rssi::Dbm;
 use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
 use crate::grid::GridConfig;
-use crate::kernel::GridPipeline;
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
 
 /// Which localization strategy a robot runs (paper Sections 4.1–4.3).
@@ -243,17 +242,17 @@ impl WindowedRfEstimator {
 
     /// Creates an estimator with an explicit per-window algorithm.
     pub fn with_algorithm(grid: GridConfig, algorithm: RfAlgorithm) -> Self {
-        Self::with_pipeline(grid, algorithm, GridPipeline::default())
+        Self::with_fused(grid, algorithm, false)
     }
 
-    /// Creates an estimator with an explicit per-window algorithm and grid
-    /// pipeline (kernel, precision, fusion, adaptive resolution). The
-    /// pipeline only affects the Bayesian backend; the gridless backends
-    /// (multilateration, EKF) ignore it.
-    pub fn with_pipeline(grid: GridConfig, algorithm: RfAlgorithm, pipeline: GridPipeline) -> Self {
+    /// Creates an estimator with an explicit per-window algorithm that,
+    /// when `fused`, batches each window's beacons into one grid pass. Only
+    /// the Bayesian backend fuses; the gridless backends (multilateration,
+    /// EKF) ignore the flag.
+    pub fn with_fused(grid: GridConfig, algorithm: RfAlgorithm, fused: bool) -> Self {
         let backend = match algorithm {
             RfAlgorithm::Bayes => {
-                Backend::Bayes(Box::new(BayesianLocalizer::with_pipeline(grid, pipeline)))
+                Backend::Bayes(Box::new(BayesianLocalizer::with_fused(grid, fused)))
             }
             RfAlgorithm::Multilateration => Backend::Lateration(Multilaterator::new(
                 grid.area,
@@ -421,19 +420,19 @@ impl WindowedRfEstimator {
     /// posterior ([`RfBackend::end_window_confidence`] returns `None`)
     /// never trip the watchdog.
     ///
-    /// Fused pipelines must flush their pending beacons before the window
+    /// Fused estimators must flush their pending beacons before the window
     /// is judged — use
     /// [`end_window_guarded_with`](Self::end_window_guarded_with) and pass
-    /// the radial constraint table whenever the pipeline may be fused.
+    /// the radial constraint table whenever the estimator may be fused.
     pub fn end_window_guarded(&mut self, watchdog_frac: f64) -> WindowOutcome {
         self.end_window_guarded_with(watchdog_frac, None)
     }
 
     /// [`end_window_guarded`](Self::end_window_guarded), first committing
-    /// any beacons a fused pipeline recorded during the window in one
+    /// any beacons a fused estimator recorded during the window in one
     /// batched grid pass. `radial` must describe the same calibration the
     /// beacons were observed under; `None` is only correct for unfused
-    /// pipelines (any pending beacons would be dropped).
+    /// estimators (any pending beacons would be dropped).
     pub fn end_window_guarded_with(
         &mut self,
         watchdog_frac: f64,
@@ -490,15 +489,10 @@ impl WindowedRfEstimator {
         self.backend.as_dyn().ekf_counters()
     }
 
-    /// Kernel/fusion/adaptive accounting of the Bayesian backend (the
-    /// `grid.*` telemetry counters). Zero for gridless backends.
+    /// Kernel and fusion accounting of the Bayesian backend (the `grid.*`
+    /// telemetry counters). Zero for gridless backends.
     pub fn grid_stats(&self) -> GridStats {
         self.backend.as_dyn().grid_stats()
-    }
-
-    /// The active grid pipeline, if the Bayesian backend is running.
-    pub fn pipeline(&self) -> Option<&GridPipeline> {
-        self.backend.as_dyn().pipeline()
     }
 
     /// The estimator's complete state as checkpoint data: the lifecycle
@@ -513,44 +507,33 @@ impl WindowedRfEstimator {
         }
     }
 
-    /// Rebuilds an estimator from checkpointed state over `grid` (the same
-    /// grid configuration the original was built with), under the default
-    /// grid pipeline. The gridless backends are reconstructed with the
-    /// default solver configuration, as
-    /// [`WindowedRfEstimator::with_algorithm`] uses.
+    /// Rebuilds an unfused estimator from checkpointed state over `grid`
+    /// (the same grid configuration the original was built with). The
+    /// gridless backends are reconstructed with the default solver
+    /// configuration, as [`WindowedRfEstimator::with_algorithm`] uses.
     pub fn from_checkpoint(grid: GridConfig, c: EstimatorCheckpoint) -> Self {
-        Self::from_checkpoint_with(grid, GridPipeline::default(), c)
+        Self::from_checkpoint_fused(grid, false, c)
     }
 
-    /// [`from_checkpoint`](Self::from_checkpoint) under an explicit grid
-    /// pipeline — required for bit-identical resume of non-default kernel
-    /// variants, since the pipeline decides which posterior representation
-    /// and counters the checkpoint fields map onto.
+    /// [`from_checkpoint`](Self::from_checkpoint) for an estimator built
+    /// with [`with_fused`](Self::with_fused) — `fused` must match the
+    /// original for the resumed run to stay bit-identical.
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint's posterior representation (dense cells vs
-    /// adaptive tiles) does not match the pipeline's `adaptive` flag.
-    pub fn from_checkpoint_with(
-        grid: GridConfig,
-        pipeline: GridPipeline,
-        c: EstimatorCheckpoint,
-    ) -> Self {
+    /// Panics if the checkpoint's posterior cell count does not match
+    /// `grid`.
+    pub fn from_checkpoint_fused(grid: GridConfig, fused: bool, c: EstimatorCheckpoint) -> Self {
         let backend = match c.backend {
             BackendCheckpoint::Bayes {
                 posterior_cells,
-                adaptive_tiles,
                 pending,
                 grid_stats,
                 beacons_applied,
                 beacons_seen,
             } => {
-                let mut b = BayesianLocalizer::with_pipeline(grid, pipeline);
-                if pipeline.adaptive {
-                    b.restore_posterior_tiles(adaptive_tiles);
-                } else {
-                    b.restore_posterior_cells(&posterior_cells);
-                }
+                let mut b = BayesianLocalizer::with_fused(grid, fused);
+                b.restore_posterior_cells(&posterior_cells);
                 b.restore_counters(beacons_applied, beacons_seen, pending, grid_stats);
                 Backend::Bayes(Box::new(b))
             }
@@ -799,7 +782,6 @@ mod tests {
         // The EKF has no posterior: entropy is the no-confidence sentinel.
         assert_eq!(est.entropy(), f64::INFINITY);
         assert_eq!(est.entropy_fraction(), None);
-        assert_eq!(est.pipeline(), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use cocoa_net::calibration::RadialProfile;
 use cocoa_net::geometry::{Area, Point};
 
-use crate::kernel::{self, GridKernel, GridPrecision};
+use crate::kernel;
 
 /// Grid discretization parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,12 +95,9 @@ pub struct PositionGrid {
     #[serde(skip)]
     dx2: Vec<f64>,
     /// Reusable per-row buffer of pre-scaled profile coordinates (scalar
-    /// reference path only — the lane kernels fuse this stage away).
+    /// reference loop only — the lane kernel fuses this stage away).
     #[serde(skip)]
     row_t: Vec<f64>,
-    /// f32 mirror of `dx2` for the half-precision kernel.
-    #[serde(skip)]
-    dx2f: Vec<f32>,
 }
 
 /// Sums with four independent accumulators so the reduction is not one
@@ -155,7 +152,6 @@ impl PositionGrid {
             scratch: Vec::with_capacity(n),
             dx2: Vec::with_capacity(nx),
             row_t: Vec::with_capacity(nx),
-            dx2f: Vec::new(),
         }
     }
 
@@ -250,73 +246,53 @@ impl PositionGrid {
     ///
     /// The fast path of the Bayesian update: squared x-offsets are computed
     /// once per column, squared y-offsets once per row, and the density
-    /// comes from a pre-sampled 1-D [`RadialProfile`] lookup instead of a
-    /// per-cell `exp`/histogram evaluation. All buffers are persistent, so
-    /// a beacon update allocates nothing.
+    /// comes from a pre-sampled 1-D [`RadialProfile`] lookup through the
+    /// lane-packed [`kernel::radial_product_row`] instead of a per-cell
+    /// `exp`/histogram evaluation. All buffers are persistent, so a beacon
+    /// update allocates nothing.
     ///
     /// Equivalent (within float rounding) to
     /// `apply_constraint(|p| profile.density(p.distance_to(center)))`,
-    /// including the [`ConstraintOutcome::Rejected`] behaviour.
+    /// including the [`ConstraintOutcome::Rejected`] behaviour, and
+    /// bit-identical to
+    /// [`apply_radial_constraint_reference`](Self::apply_radial_constraint_reference)
+    /// (see [`kernel`] for the contract).
     pub fn apply_radial_constraint(
         &mut self,
         center: Point,
         profile: &RadialProfile,
     ) -> ConstraintOutcome {
-        self.apply_radial_constraint_with(center, profile, GridKernel::Simd, GridPrecision::F64)
-    }
-
-    /// [`apply_radial_constraint`](Self::apply_radial_constraint) with an
-    /// explicit kernel/precision selection.
-    ///
-    /// `Scalar` runs the reference two-stage loop; `Simd`+`F64` runs the
-    /// lane-packed kernel, bit-identical to `Scalar` (see
-    /// [`crate::kernel`]); `Simd`+`F32` runs the half-precision
-    /// lanes, within [`kernel::F32_KERNEL_REL_BOUND`] per cell. A `Scalar`
-    /// kernel ignores the precision knob — scalar is always the f64
-    /// reference.
-    pub fn apply_radial_constraint_with(
-        &mut self,
-        center: Point,
-        profile: &RadialProfile,
-        kern: GridKernel,
-        precision: GridPrecision,
-    ) -> ConstraintOutcome {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let total = match (kern, precision) {
-            (GridKernel::Scalar, _) => {
-                Self::reset_scratch(&mut scratch, self.cells.len());
-                self.radial_rows_scalar(&mut scratch, center, profile);
-                sum_4lane(&scratch)
-            }
-            (GridKernel::Simd, GridPrecision::F64) => {
-                Self::ensure_scratch(&mut scratch, self.cells.len());
-                self.radial_rows_simd(&mut scratch, center, profile)
-            }
-            (GridKernel::Simd, GridPrecision::F32) => {
-                Self::ensure_scratch(&mut scratch, self.cells.len());
-                self.radial_rows_f32(&mut scratch, center, profile);
-                sum_4lane(&scratch)
-            }
-        };
-        let outcome = self.commit(&scratch, total);
+        Self::ensure_scratch(&mut scratch, self.cells.len());
+        let mut dx2 = std::mem::take(&mut self.dx2);
+        Self::fill_dx2(&mut dx2, &self.xs, center.x);
+        let inv_step = profile.inv_step();
+        let table = profile.lane_table();
+        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
+            let dy = self.ys[iy] - center.y;
+            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
+            kernel::radial_product_row(out, row, &dx2, dy * dy, inv_step, table);
+        }
+        self.dx2 = dx2;
+        let outcome = self.commit(&scratch, sum_4lane(&scratch));
         self.scratch = scratch;
         outcome
     }
 
-    /// Fills `dx2` with per-column squared x-distances to `cx`.
-    fn fill_dx2(dx2: &mut Vec<f64>, xs: &[f64], cx: f64) {
-        dx2.clear();
-        dx2.extend(xs.iter().map(|&x| {
-            let dx = x - cx;
-            dx * dx
-        }));
-    }
-
-    /// The reference scalar radial path (pre-kernel behaviour): a
+    /// The scalar two-stage reference loop for
+    /// [`apply_radial_constraint`](Self::apply_radial_constraint): a
     /// vectorizable distance stage into `row_t`, then a gather-bound
-    /// interpolation stage. Per-profile invariants (`inv_step`) are hoisted
-    /// out of the row loop.
-    fn radial_rows_scalar(&mut self, scratch: &mut [f64], center: Point, profile: &RadialProfile) {
+    /// interpolation stage. It defines the bits the lane kernel must
+    /// reproduce and exists for the bit-identity proptest and the kernel
+    /// speedup benchmark; no run configuration selects it.
+    #[doc(hidden)]
+    pub fn apply_radial_constraint_reference(
+        &mut self,
+        center: Point,
+        profile: &RadialProfile,
+    ) -> ConstraintOutcome {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        Self::reset_scratch(&mut scratch, self.cells.len());
         let mut dx2 = std::mem::take(&mut self.dx2);
         let mut row_t = std::mem::take(&mut self.row_t);
         Self::fill_dx2(&mut dx2, &self.xs, center.x);
@@ -336,49 +312,18 @@ impl PositionGrid {
         }
         self.dx2 = dx2;
         self.row_t = row_t;
+        let outcome = self.commit(&scratch, sum_4lane(&scratch));
+        self.scratch = scratch;
+        outcome
     }
 
-    /// The lane-packed f64 path: the fully vectorized gather kernel row by
-    /// row, then the flat 4-lane total reduction. Returns the unnormalized
-    /// total. Bit-identical to
-    /// [`radial_rows_scalar`](Self::radial_rows_scalar) followed by the
-    /// same reduction (see [`kernel`] for the contract).
-    fn radial_rows_simd(
-        &mut self,
-        scratch: &mut [f64],
-        center: Point,
-        profile: &RadialProfile,
-    ) -> f64 {
-        let mut dx2 = std::mem::take(&mut self.dx2);
-        Self::fill_dx2(&mut dx2, &self.xs, center.x);
-        let inv_step = profile.inv_step();
-        let table = profile.lane_table();
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-            let dy = self.ys[iy] - center.y;
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            kernel::radial_product_row(out, row, &dx2, dy * dy, inv_step, table);
-        }
-        self.dx2 = dx2;
-        sum_4lane(scratch)
-    }
-
-    /// The half-precision path: distances and interpolation in f32 lanes,
-    /// widened back to f64 only for the posterior product.
-    fn radial_rows_f32(&mut self, scratch: &mut [f64], center: Point, profile: &RadialProfile) {
-        let mut dx2f = std::mem::take(&mut self.dx2f);
-        dx2f.clear();
-        dx2f.extend(self.xs.iter().map(|&x| {
-            let dx = (x - center.x) as f32;
+    /// Fills `dx2` with per-column squared x-distances to `cx`.
+    fn fill_dx2(dx2: &mut Vec<f64>, xs: &[f64], cx: f64) {
+        dx2.clear();
+        dx2.extend(xs.iter().map(|&x| {
+            let dx = x - cx;
             dx * dx
         }));
-        let inv_step = profile.inv_step_f32();
-        let table = profile.lane_table_f32();
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-            let dy = (self.ys[iy] - center.y) as f32;
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            kernel::radial_product_row_f32(out, row, &dx2f, dy * dy, inv_step, table);
-        }
-        self.dx2f = dx2f;
     }
 
     /// Multiplies a whole window's worth of radial constraints into the
@@ -397,12 +342,10 @@ impl PositionGrid {
     /// untouched (with floored profiles this requires a non-finite value,
     /// same as the sequential path in practice).
     ///
-    /// An empty batch is a no-op `Applied`. The `F32` precision variant
-    /// uses the f32 kernel for every fold.
+    /// An empty batch is a no-op `Applied`.
     pub fn apply_fused_radial_constraints(
         &mut self,
         constraints: &[(Point, &RadialProfile)],
-        precision: GridPrecision,
     ) -> ConstraintOutcome {
         if constraints.is_empty() {
             return ConstraintOutcome::Applied;
@@ -411,83 +354,42 @@ impl PositionGrid {
         // The first beacon's kernel seeds every scratch row from the
         // posterior, so no zero-fill is needed.
         Self::ensure_scratch(&mut scratch, self.cells.len());
-        match precision {
-            GridPrecision::F64 => {
-                // One dx² row per beacon, concatenated into the dx2 buffer.
-                let mut dx2 = std::mem::take(&mut self.dx2);
-                dx2.clear();
-                for &(center, _) in constraints {
-                    for &x in &self.xs {
-                        let dx = x - center.x;
-                        dx2.push(dx * dx);
-                    }
-                }
-                for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-                    let y = self.ys[iy];
-                    let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-                    for (b, &(center, profile)) in constraints.iter().enumerate() {
-                        let dy = y - center.y;
-                        let bdx2 = &dx2[b * self.nx..(b + 1) * self.nx];
-                        if b == 0 {
-                            kernel::radial_product_row(
-                                out,
-                                row,
-                                bdx2,
-                                dy * dy,
-                                profile.inv_step(),
-                                profile.lane_table(),
-                            );
-                        } else {
-                            kernel::radial_product_row_mul(
-                                out,
-                                bdx2,
-                                dy * dy,
-                                profile.inv_step(),
-                                profile.lane_table(),
-                            );
-                        }
-                    }
-                }
-                self.dx2 = dx2;
-            }
-            GridPrecision::F32 => {
-                let mut dx2f = std::mem::take(&mut self.dx2f);
-                dx2f.clear();
-                for &(center, _) in constraints {
-                    for &x in &self.xs {
-                        let dx = (x - center.x) as f32;
-                        dx2f.push(dx * dx);
-                    }
-                }
-                for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-                    let y = self.ys[iy];
-                    let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-                    for (b, &(center, profile)) in constraints.iter().enumerate() {
-                        let dy = (y - center.y) as f32;
-                        let bdx2 = &dx2f[b * self.nx..(b + 1) * self.nx];
-                        if b == 0 {
-                            kernel::radial_product_row_f32(
-                                out,
-                                row,
-                                bdx2,
-                                dy * dy,
-                                profile.inv_step_f32(),
-                                profile.lane_table_f32(),
-                            );
-                        } else {
-                            kernel::radial_product_row_mul_f32(
-                                out,
-                                bdx2,
-                                dy * dy,
-                                profile.inv_step_f32(),
-                                profile.lane_table_f32(),
-                            );
-                        }
-                    }
-                }
-                self.dx2f = dx2f;
+        // One dx² row per beacon, concatenated into the dx2 buffer.
+        let mut dx2 = std::mem::take(&mut self.dx2);
+        dx2.clear();
+        for &(center, _) in constraints {
+            for &x in &self.xs {
+                let dx = x - center.x;
+                dx2.push(dx * dx);
             }
         }
+        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
+            let y = self.ys[iy];
+            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
+            for (b, &(center, profile)) in constraints.iter().enumerate() {
+                let dy = y - center.y;
+                let bdx2 = &dx2[b * self.nx..(b + 1) * self.nx];
+                if b == 0 {
+                    kernel::radial_product_row(
+                        out,
+                        row,
+                        bdx2,
+                        dy * dy,
+                        profile.inv_step(),
+                        profile.lane_table(),
+                    );
+                } else {
+                    kernel::radial_product_row_mul(
+                        out,
+                        bdx2,
+                        dy * dy,
+                        profile.inv_step(),
+                        profile.lane_table(),
+                    );
+                }
+            }
+        }
+        self.dx2 = dx2;
         let total = sum_4lane(&scratch);
         let outcome = self.commit(&scratch, total);
         self.scratch = scratch;

@@ -1,4 +1,4 @@
-//! Lane-packed grid-update kernels and the grid pipeline configuration.
+//! Lane-packed grid-update kernels.
 //!
 //! The Bayesian grid update is the per-robot hot path: every beacon
 //! multiplies a radial constraint into a 10⁴-cell posterior. This module
@@ -29,165 +29,28 @@
 //! # Bit-identity contract
 //!
 //! [`radial_product_row`] computes, per cell, the exact value the scalar
-//! reference path ([`PositionGrid::apply_radial_constraint`]) computes —
-//! `cell · lerp(profile, √(dx² + dy²) / step)`. The delta table caches
-//! `fl(v[i+1] − v[i])`, the very difference the scalar path evaluates
-//! inline; in the interior the float-clamped coordinate and fraction are
-//! the same values the scalar index computation produces, and in the
-//! clamp region both paths multiply a non-negative finite fraction by the
-//! zero sentinel delta, adding an exact `+0.0`. The f64 lane kernel is
-//! therefore **bit-identical** to the scalar path cell for cell for every
+//! reference loop ([`PositionGrid::apply_radial_constraint_reference`])
+//! computes — `cell · lerp(profile, √(dx² + dy²) / step)`. The delta table
+//! caches `fl(v[i+1] − v[i])`, the very difference the scalar path
+//! evaluates inline; in the interior the float-clamped coordinate and
+//! fraction are the same values the scalar index computation produces, and
+//! in the clamp region both paths multiply a non-negative finite fraction
+//! by the zero sentinel delta, adding an exact `+0.0`. The lane kernel is
+//! therefore **bit-identical** to the scalar loop cell for cell for every
 //! finite lattice coordinate — i.e. any physically representable
 //! geometry. (An infinite coordinate needs cell-to-beacon distances
-//! beyond ~1e154 m; there the scalar path propagates NaN while the lane
-//! kernel clamps.) That is what lets [`GridKernel::Simd`] be the default
-//! while pinned-seed golden traces stay byte-identical.
+//! beyond ~1e154 m; there the scalar loop propagates NaN while the lane
+//! kernel clamps.) That is what lets the lane kernel be the only
+//! production path while pinned-seed golden traces stay byte-identical.
 //!
-//! The f32 kernel trades that contract for twice the lane width: distances
-//! and interpolation run in f32 and only the posterior multiply widens
-//! back to f64. Its per-cell error is bounded by [`F32_KERNEL_REL_BOUND`]
-//! (pinned by proptest) relative to the profile's peak value.
-//!
-//! [`PositionGrid::apply_radial_constraint`]: crate::grid::PositionGrid::apply_radial_constraint
+//! [`PositionGrid::apply_radial_constraint_reference`]: crate::grid::PositionGrid::apply_radial_constraint_reference
 
-use cocoa_net::calibration::{LaneTable, LaneTable32};
-use serde::{Deserialize, Serialize};
-
-/// How the radial constraint inner loop is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GridKernel {
-    /// The reference two-stage scalar loop (pre-refactor behaviour).
-    Scalar,
-    /// The hand-unrolled lane-packed kernel (bit-identical in f64).
-    #[default]
-    Simd,
-}
-
-impl std::fmt::Display for GridKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            GridKernel::Scalar => "scalar",
-            GridKernel::Simd => "simd",
-        })
-    }
-}
-
-/// Arithmetic width of the lane-packed kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GridPrecision {
-    /// Full f64 lanes — bit-identical to the scalar reference path.
-    #[default]
-    F64,
-    /// f32 lanes (twice the width); posterior cells stay f64. Per-cell
-    /// error is bounded by [`F32_KERNEL_REL_BOUND`] × the profile's peak.
-    F32,
-}
-
-impl std::fmt::Display for GridPrecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            GridPrecision::F64 => "f64",
-            GridPrecision::F32 => "f32",
-        })
-    }
-}
-
-/// Documented per-cell error bound of the f32 kernel, relative to the
-/// profile's maximum sample value (pinned by the
-/// `f32_kernel_within_documented_bound` proptest).
-pub const F32_KERNEL_REL_BOUND: f64 = 5e-4;
-
-/// The complete grid-update pipeline selection: kernel, precision, beacon
-/// fusion and adaptive resolution. Lives on the `Scenario` and is plumbed
-/// into every Bayesian estimator; [`GridPipeline::default`] reproduces the
-/// pre-pipeline behaviour bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GridPipeline {
-    /// Inner-loop implementation.
-    pub kernel: GridKernel,
-    /// Lane arithmetic width.
-    pub precision: GridPrecision,
-    /// Batch every beacon of a transmit window into one pass over the
-    /// posterior (one renormalize per window instead of one per beacon).
-    pub fused: bool,
-    /// Maintain the posterior at coarse resolution and refine only tiles
-    /// holding appreciable mass (see `AdaptiveGrid`).
-    pub adaptive: bool,
-    /// Adaptive mode: fine cells per coarse-tile side (≥ 1; 4 ⇒ one tile
-    /// covers up to 16 fine cells).
-    pub adaptive_coarse_factor: u32,
-    /// Adaptive mode: a tile is refined when its mass exceeds this factor
-    /// times the uniform tile mass, and collapsed again below its inverse.
-    /// Must exceed 1.
-    pub adaptive_refine_factor: f64,
-}
-
-impl Default for GridPipeline {
-    fn default() -> Self {
-        GridPipeline {
-            kernel: GridKernel::Simd,
-            precision: GridPrecision::F64,
-            fused: false,
-            adaptive: false,
-            adaptive_coarse_factor: 4,
-            adaptive_refine_factor: 2.0,
-        }
-    }
-}
-
-impl GridPipeline {
-    /// Validates cross-field invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message naming the violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.adaptive_coarse_factor == 0 {
-            return Err("adaptive coarse factor must be at least 1".into());
-        }
-        if !self.adaptive_refine_factor.is_finite() || self.adaptive_refine_factor <= 1.0 {
-            return Err(format!(
-                "adaptive refine factor {} must be finite and exceed 1",
-                self.adaptive_refine_factor
-            ));
-        }
-        Ok(())
-    }
-
-    /// Short name of the active kernel variant, for telemetry counters.
-    pub fn variant_name(&self) -> &'static str {
-        if self.adaptive {
-            "adaptive"
-        } else {
-            match (self.kernel, self.precision) {
-                (GridKernel::Scalar, _) => "scalar",
-                (GridKernel::Simd, GridPrecision::F64) => "simd",
-                (GridKernel::Simd, GridPrecision::F32) => "simd_f32",
-            }
-        }
-    }
-}
+use cocoa_net::calibration::LaneTable;
 
 /// 2⁵² — the magic bias for branchless f64 → index extraction: for an
 /// integer-valued `tf` in `[0, 2⁵²)`, the low mantissa bits of `tf + P52`
 /// are exactly `tf`.
 const P52: f64 = 4503599627370496.0;
-
-/// 2²³ — the f32 counterpart of [`P52`].
-const P23: f32 = 8388608.0;
-
-/// Scalar linear interpolation into a [`LaneTable`] at the pre-scaled
-/// lattice coordinate `t = d / step` — the reference expression the lane
-/// kernels reproduce, and the lookup the adaptive grid uses for scattered
-/// (non-row) evaluations. Clamping is an index `min`; the zero sentinel
-/// delta makes clamped lookups return the final sample exactly.
-#[inline]
-pub fn lerp_table(table: &LaneTable, t: f64) -> f64 {
-    let val = table.val();
-    let del = table.del();
-    let i = (t as usize).min(table.last_index());
-    val[i] + del[i] * (t - i as f64)
-}
 
 /// One grid row of the radial update:
 /// `out[i] = cells[i] · lerp(table, √(dx2[i] + dy2) · inv_step)`.
@@ -227,40 +90,6 @@ pub fn radial_product_row(
     }
 }
 
-/// One grid row of the radial update with f32 lane arithmetic (twice the
-/// lanes of the f64 kernel): distances, scaling and interpolation run in
-/// f32; only the final posterior multiply widens to f64.
-///
-/// # Panics
-///
-/// Panics if `cells` or `dx2` are shorter than `out`.
-#[inline(never)]
-pub fn radial_product_row_f32(
-    out: &mut [f64],
-    cells: &[f64],
-    dx2: &[f32],
-    dy2: f32,
-    inv_step: f32,
-    table: &LaneTable32,
-) {
-    let n = out.len();
-    let cells = &cells[..n];
-    let dx2 = &dx2[..n];
-    let val = table.val();
-    let del = table.del();
-    let lastf = table.lastf();
-    assert!(val.len().is_power_of_two());
-    assert_eq!(val.len(), del.len());
-    let mask = val.len() - 1;
-    for ((o, &c), &d) in out.iter_mut().zip(cells).zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
-        let tf = t.trunc();
-        let j = ((tf + P23).to_bits() as usize) & mask;
-        let w = val[j] + del[j] * (t - tf);
-        *o = c * f64::from(w);
-    }
-}
-
 /// One grid row of a *fused* radial update: multiplies one beacon's
 /// constraint into an already-initialized scratch row
 /// (`out[i] *= lerp(table, √(dx2[i] + dy2) · inv_step)`). The fused window
@@ -295,38 +124,21 @@ pub fn radial_product_row_mul(
     }
 }
 
-/// f32 fold step of the fused path: `out[i] *= widen(lerp32(...))`.
-///
-/// # Panics
-///
-/// Panics if `dx2` is shorter than `out`.
-#[inline(never)]
-pub fn radial_product_row_mul_f32(
-    out: &mut [f64],
-    dx2: &[f32],
-    dy2: f32,
-    inv_step: f32,
-    table: &LaneTable32,
-) {
-    let n = out.len();
-    let dx2 = &dx2[..n];
-    let val = table.val();
-    let del = table.del();
-    let lastf = table.lastf();
-    assert!(val.len().is_power_of_two());
-    assert_eq!(val.len(), del.len());
-    let mask = val.len() - 1;
-    for (o, &d) in out.iter_mut().zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
-        let tf = t.trunc();
-        let j = ((tf + P23).to_bits() as usize) & mask;
-        *o *= f64::from(val[j] + del[j] * (t - tf));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Scalar linear interpolation into a [`LaneTable`] at the pre-scaled
+    /// lattice coordinate `t = d / step` — the reference expression the
+    /// lane kernels reproduce. Clamping is an index `min`; the zero
+    /// sentinel delta makes clamped lookups return the final sample
+    /// exactly.
+    fn lerp_table(table: &LaneTable, t: f64) -> f64 {
+        let val = table.val();
+        let del = table.del();
+        let i = (t as usize).min(table.lastf() as usize);
+        val[i] + del[i] * (t - i as f64)
+    }
 
     #[test]
     fn lerp_table_matches_inline_interpolation() {
@@ -397,70 +209,5 @@ mod tests {
                 * lerp_table(&table, (dx2[i] + 4.0).sqrt() * inv_step);
             assert!((w1 - direct).abs() <= 1e-15 * direct.abs() + f64::MIN_POSITIVE);
         }
-    }
-
-    #[test]
-    fn f32_kernel_tracks_f64_within_bound() {
-        let values: Vec<f64> = (0..128)
-            .map(|k| (-(k as f64) * 0.07).exp() + 1e-6)
-            .collect();
-        let table64 = LaneTable::from_values(&values);
-        let table32 = LaneTable32::from_values(&values);
-        let n = 23;
-        let cells = vec![1.0 / n as f64; n];
-        let dx2: Vec<f64> = (0..n).map(|i| (i as f64 * 2.3 - 20.0).powi(2)).collect();
-        let dx2f: Vec<f32> = dx2.iter().map(|&v| v as f32).collect();
-        let (dy2, step) = (30.0f64, 0.4f64);
-        let mut a = vec![0.0; n];
-        let mut b = vec![0.0; n];
-        radial_product_row(&mut a, &cells, &dx2, dy2, 1.0 / step, &table64);
-        radial_product_row_f32(
-            &mut b,
-            &cells,
-            &dx2f,
-            dy2 as f32,
-            (1.0 / step) as f32,
-            &table32,
-        );
-        let peak = values.iter().cloned().fold(0.0f64, f64::max) / n as f64;
-        for i in 0..n {
-            assert!(
-                (a[i] - b[i]).abs() <= F32_KERNEL_REL_BOUND * peak,
-                "cell {i}: f64 {} vs f32 {}",
-                a[i],
-                b[i]
-            );
-        }
-    }
-
-    #[test]
-    fn pipeline_validation() {
-        let ok = GridPipeline::default();
-        assert!(ok.validate().is_ok());
-        assert_eq!(ok.variant_name(), "simd");
-        let mut bad = ok;
-        bad.adaptive_coarse_factor = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = ok;
-        bad.adaptive_refine_factor = 1.0;
-        assert!(bad.validate().is_err());
-        let mut f32v = ok;
-        f32v.precision = GridPrecision::F32;
-        assert_eq!(f32v.variant_name(), "simd_f32");
-        let mut ad = ok;
-        ad.adaptive = true;
-        assert_eq!(ad.variant_name(), "adaptive");
-        assert_eq!(
-            GridPipeline {
-                kernel: GridKernel::Scalar,
-                ..ok
-            }
-            .variant_name(),
-            "scalar"
-        );
-        assert_eq!(
-            format!("{} {}", GridKernel::Simd, GridPrecision::F32),
-            "simd f32"
-        );
     }
 }

@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod backend;
 pub mod bayes;
 pub mod ekf;
@@ -33,7 +32,6 @@ pub mod multilateration;
 
 /// Glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::adaptive::AdaptiveGrid;
     pub use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
     pub use crate::bayes::{
         BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE,
@@ -43,6 +41,5 @@ pub mod prelude {
         EstimatorMode, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
     };
     pub use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
-    pub use crate::kernel::{GridKernel, GridPipeline, GridPrecision};
     pub use crate::multilateration::{MultilaterationConfig, Multilaterator, RangeObservation};
 }

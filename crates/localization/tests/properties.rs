@@ -1,10 +1,8 @@
 //! Property-based tests for the Bayesian localization invariants, the EKF
 //! backend's covariance health, and backend checkpoint round-trips.
 
-use cocoa_localization::adaptive::AdaptiveGrid;
-use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
+use cocoa_localization::bayes::CONSTRAINT_FLOOR;
 use cocoa_localization::grid::ConstraintOutcome;
-use cocoa_localization::kernel::{GridKernel, GridPipeline, GridPrecision, F32_KERNEL_REL_BOUND};
 use cocoa_localization::prelude::*;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialProfile};
 use cocoa_net::channel::RfChannel;
@@ -346,10 +344,11 @@ proptest! {
 }
 
 proptest! {
-    /// The lane-packed f64 kernel is bit-identical to the scalar
-    /// reference: same posterior bytes for arbitrary beacon geometry,
-    /// profile shape and grid resolution. This is the contract that lets
-    /// the Simd kernel be the default without perturbing goldens.
+    /// The lane-packed kernel behind `apply_radial_constraint` is
+    /// bit-identical to the scalar reference loop: same posterior bytes for
+    /// arbitrary beacon geometry, profile shape and grid resolution. This
+    /// is the contract that lets the lane kernel be the only production
+    /// path without perturbing goldens.
     #[test]
     fn simd_f64_kernel_is_bit_identical_to_scalar(
         cx in -20.0..220.0f64,
@@ -365,12 +364,8 @@ proptest! {
         let mut scalar = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
         let mut simd = scalar.clone();
         for _ in 0..2 {
-            let oa = scalar.apply_radial_constraint_with(
-                center, &profile, GridKernel::Scalar, GridPrecision::F64,
-            );
-            let ob = simd.apply_radial_constraint_with(
-                center, &profile, GridKernel::Simd, GridPrecision::F64,
-            );
+            let oa = scalar.apply_radial_constraint_reference(center, &profile);
+            let ob = simd.apply_radial_constraint(center, &profile);
             prop_assert_eq!(oa, ob);
             for (ix, (a, b)) in scalar.cells().iter().zip(simd.cells()).enumerate() {
                 prop_assert!(
@@ -378,143 +373,6 @@ proptest! {
                     "cell {}: scalar {:e} vs simd {:e}", ix, a, b
                 );
             }
-        }
-    }
-
-    /// The f32 lane kernel tracks the f64 posterior within the pinned
-    /// per-cell bound (scaled by the peak density — the constraint weight
-    /// error is relative to the profile's dynamic range).
-    #[test]
-    fn f32_kernel_tracks_f64_within_pinned_bound(
-        cx in 0.0..200.0f64,
-        cy in 0.0..200.0f64,
-        res in 1.0..8.0f64,
-        mean in 2.0..90.0f64,
-        sigma in 0.25..25.0f64,
-    ) {
-        let pdf = DistancePdf::Gaussian { mean, sigma };
-        let profile = pdf.radial_profile(0.05, 340.0).offset(CONSTRAINT_FLOOR);
-        let center = Point::new(cx, cy);
-        let mut wide = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
-        let mut narrow = wide.clone();
-        let oa = wide.apply_radial_constraint_with(
-            center, &profile, GridKernel::Simd, GridPrecision::F64,
-        );
-        let ob = narrow.apply_radial_constraint_with(
-            center, &profile, GridKernel::Simd, GridPrecision::F32,
-        );
-        prop_assert_eq!(oa, ob);
-        let peak = wide.cells().iter().cloned().fold(0.0f64, f64::max);
-        let bound = 4.0 * F32_KERNEL_REL_BOUND * peak;
-        for (ix, (a, b)) in wide.cells().iter().zip(narrow.cells()).enumerate() {
-            prop_assert!(
-                (a - b).abs() <= bound,
-                "cell {}: f64 {:e} vs f32 {:e} (bound {:e})", ix, a, b, bound
-            );
-        }
-    }
-
-    /// End-to-end: an f32-lane localizer's estimate lands within a pinned
-    /// distance of the f64 localizer's for the same beacon stream.
-    #[test]
-    fn f32_pipeline_estimate_delta_is_pinned(seed in 0u64..40) {
-        let ch = RfChannel::default();
-        let table = calibrate(
-            &ch,
-            &CalibrationConfig { samples_per_distance: 30, ..Default::default() },
-            &mut SeedSplitter::new(seed).stream("cal", 0),
-        );
-        let grid = GridConfig::new(Area::square(200.0), 2.0);
-        let f32_pipeline = GridPipeline {
-            precision: GridPrecision::F32,
-            ..GridPipeline::default()
-        };
-        let mut wide = BayesianLocalizer::with_pipeline(grid, GridPipeline::default());
-        let mut narrow = BayesianLocalizer::with_pipeline(grid, f32_pipeline);
-        let robot = Point::new(100.0, 100.0);
-        let beacons = [
-            Point::new(85.0, 100.0),
-            Point::new(112.0, 108.0),
-            Point::new(100.0, 86.0),
-            Point::new(90.0, 112.0),
-        ];
-        let mut rng = SeedSplitter::new(seed).stream("probe", 0);
-        for b in beacons {
-            let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            wide.observe_beacon(&table, b, rssi);
-            narrow.observe_beacon(&table, b, rssi);
-        }
-        match (wide.estimate(), narrow.estimate()) {
-            (Some(a), Some(b)) => prop_assert!(
-                a.distance_to(b) < 0.05,
-                "f64 {:?} vs f32 {:?}", a, b
-            ),
-            (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
-        }
-    }
-
-    /// The adaptive posterior conserves probability mass to 1e-9 under
-    /// arbitrary accepted constraint sequences, through refinement and
-    /// coarsening alike.
-    #[test]
-    fn adaptive_posterior_conserves_mass(
-        centers in proptest::collection::vec(arb_in_area(), 1..8),
-        means in proptest::collection::vec(5.0..80.0f64, 1..8),
-        factor in 2u32..6,
-    ) {
-        let mut grid = AdaptiveGrid::new(GridConfig::new(Area::square(200.0), 2.0), factor, 2.0);
-        for (c, m) in centers.iter().zip(means.iter().cycle()) {
-            let pdf = DistancePdf::Gaussian { mean: *m, sigma: 6.0 };
-            let profile = pdf.radial_profile(0.1, 340.0).offset(CONSTRAINT_FLOOR);
-            grid.apply_radial_constraint(*c, &profile);
-            prop_assert!(
-                (grid.total_mass() - 1.0).abs() < 1e-9,
-                "mass {} after constraint", grid.total_mass()
-            );
-        }
-    }
-
-    /// Refinement correctness: where the posterior concentrates, the
-    /// adaptive grid's mean tracks the dense grid's mean to within one
-    /// fine cell, despite touching a fraction of the cells.
-    #[test]
-    fn adaptive_mean_tracks_dense_grid(seed in 0u64..40) {
-        let area = Area::square(200.0);
-        let robot = Point::new(100.0, 100.0);
-        let beacons = [
-            Point::new(85.0, 100.0),
-            Point::new(112.0, 108.0),
-            Point::new(100.0, 86.0),
-            Point::new(90.0, 112.0),
-        ];
-        let ch = RfChannel::default();
-        let table = calibrate(
-            &ch,
-            &CalibrationConfig { samples_per_distance: 30, ..Default::default() },
-            &mut SeedSplitter::new(seed).stream("cal", 0),
-        );
-        let cfg = GridConfig::new(area, 2.0);
-        let radial = radial_constraints_for_grid(&table, &cfg);
-        let mut dense = PositionGrid::new(cfg);
-        let mut adaptive = AdaptiveGrid::new(cfg, 4, 2.0);
-        let mut rng = SeedSplitter::new(seed).stream("probe", 0);
-        let mut applied = 0u32;
-        for b in beacons {
-            let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            if let Some(profile) = radial.lookup(rssi) {
-                let oa = dense.apply_radial_constraint(b, profile);
-                let (ob, _) = adaptive.apply_radial_constraint(b, profile);
-                prop_assert_eq!(oa, ob);
-                if oa == ConstraintOutcome::Applied {
-                    applied += 1;
-                }
-            }
-        }
-        if applied >= 3 {
-            prop_assert!(
-                dense.mean().distance_to(adaptive.mean()) <= cfg.resolution_m,
-                "dense {:?} vs adaptive {:?}", dense.mean(), adaptive.mean()
-            );
         }
     }
 }

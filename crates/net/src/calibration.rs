@@ -335,61 +335,6 @@ impl LaneTable {
     pub fn lastf(&self) -> f64 {
         self.lastf
     }
-
-    /// The last real sample index.
-    #[inline]
-    pub fn last_index(&self) -> usize {
-        self.lastf as usize
-    }
-}
-
-/// f32 counterpart of [`LaneTable`]: samples and deltas narrowed from the
-/// f64 lattice (`del[k] = fl32(fl64(values[k+1] − values[k]))`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneTable32 {
-    val: Vec<f32>,
-    del: Vec<f32>,
-    lastf: f32,
-}
-
-impl LaneTable32 {
-    /// Builds the padded f32 table from f64 lattice samples (non-empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn from_values(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "lane table needs at least one sample");
-        let n = values.len();
-        let pad = n.next_power_of_two();
-        let mut val: Vec<f32> = values.iter().map(|&v| v as f32).collect();
-        val.resize(pad, values[n - 1] as f32);
-        let mut del: Vec<f32> = values.windows(2).map(|w| (w[1] - w[0]) as f32).collect();
-        del.resize(pad, 0.0);
-        LaneTable32 {
-            val,
-            del,
-            lastf: (n - 1) as f32,
-        }
-    }
-
-    /// Sample values, padded with the final sample.
-    #[inline]
-    pub fn val(&self) -> &[f32] {
-        &self.val
-    }
-
-    /// Forward differences with zero sentinel/padding.
-    #[inline]
-    pub fn del(&self) -> &[f32] {
-        &self.del
-    }
-
-    /// The last real sample index as a float.
-    #[inline]
-    pub fn lastf(&self) -> f32 {
-        self.lastf
-    }
 }
 
 /// A 1-D radial density profile: `f(d)` pre-sampled on a uniform distance
@@ -412,9 +357,6 @@ pub struct RadialProfile {
     /// kernel (see [`LaneTable`]).
     #[serde(skip)]
     lane64: OnceLock<LaneTable>,
-    /// f32 lane table for the half-precision kernel variant.
-    #[serde(skip)]
-    lane32: OnceLock<LaneTable32>,
 }
 
 // Derived caches carry no state of their own: profiles are equal iff their
@@ -447,7 +389,6 @@ impl RadialProfile {
             inv_step: 1.0 / step,
             values,
             lane64: OnceLock::new(),
-            lane32: OnceLock::new(),
         }
     }
 
@@ -491,9 +432,8 @@ impl RadialProfile {
         for v in &mut self.values {
             *v += floor;
         }
-        // The samples changed; drop any derived interpolation tables.
+        // The samples changed; drop the derived interpolation table.
         self.lane64 = OnceLock::new();
-        self.lane32 = OnceLock::new();
         self
     }
 
@@ -502,19 +442,6 @@ impl RadialProfile {
     pub fn lane_table(&self) -> &LaneTable {
         self.lane64
             .get_or_init(|| LaneTable::from_values(&self.values))
-    }
-
-    /// The f32 lane table for the half-precision kernel variant, narrowed
-    /// from the f64 lattice on first use and cached.
-    pub fn lane_table_f32(&self) -> &LaneTable32 {
-        self.lane32
-            .get_or_init(|| LaneTable32::from_values(&self.values))
-    }
-
-    /// `1 / step` narrowed to f32 for the half-precision kernel.
-    #[inline]
-    pub fn inv_step_f32(&self) -> f32 {
-        self.inv_step as f32
     }
 
     /// Distance between lattice points, metres.

@@ -57,8 +57,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// section's bytes changes; readers reject other versions outright rather
 /// than guessing. (v3: the telemetry section gained deterministic
 /// histogram state after the counters vector. v4: the estimator section
-/// became backend-tagged — Bayes, multilateration, or EKF payloads.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+/// became backend-tagged — Bayes, multilateration, or EKF payloads. v5:
+/// the scenario keeps one grid-update field, `grid_fused`, and the Bayes
+/// payload lost its adaptive tiles and four dead kernel counters.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
