@@ -17,66 +17,42 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use cocoa_core::executor::supervisor::{run_guarded, CaughtPanic};
+use cocoa_core::knobs::{self, Draft, KnobError};
 use cocoa_core::prelude::*;
 use cocoa_core::report;
 use cocoa_core::runner::SimRun;
-use cocoa_localization::estimator::RfAlgorithm;
 use cocoa_sim::snapshot::SnapshotError;
-use cocoa_sim::time::{SimDuration, SimTime};
+use cocoa_sim::time::SimTime;
 
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 
-const USAGE: &str = "\
+const USAGE_HEAD: &str = "\
 cocoa-run — simulate one CoCoA deployment
 
 USAGE:
     cocoa-run [OPTIONS]
 
-OPTIONS:
-    --seed N            master seed                       [default: 42]
-    --robots N          team size                         [default: 50]
-    --equipped N        robots with localization devices  [default: 25]
-    --duration SECS     simulated seconds                 [default: 1800]
-    --period SECS       beacon period T                   [default: 100]
-    --window SECS       transmit window t                 [default: 3]
-    --beacons K         beacons per robot per window      [default: 3]
-    --vmax M_PER_S      maximum robot speed               [default: 2.0]
-    --vmin M_PER_S      minimum robot speed               [default: 0.1]
-    --static            pin every robot in place (vmin = vmax = 0);
-                        requires --multicast flood or odmrp
-    --mode MODE         cocoa | rf-only | odometry        [default: cocoa]
-    --multicast PROTO   SYNC transport: flood | odmrp | mrmm
-                                                          [default: mrmm]
-    --estimator ALGO    bayes | multilateration | ekf     [default: bayes]
-    --algorithm ALGO    alias of --estimator
-    --grid METRES       Bayesian grid resolution          [default: 2.0]
-    --grid-fused        commit each transmit window's beacons as one
-                        fused grid pass (one renormalize per window)
-    --snapshot SECS     record a per-robot CDF snapshot (repeatable)
-    --no-coordination   radios idle instead of sleeping
-    --no-sync           disable the MRMM SYNC service
-    --relay             localized robots also beacon (Section 6 extension)
-    --faults NAME       inject a canned fault schedule:
-                        none | sync-crash | burst30 | corrupt | chaos
-    --snapshot-at SECS  serialize the full run state at this instant
-                        (the run then continues to completion)
-    --snapshot-out PATH where to write the --snapshot-at bytes
-                        [default: cocoa-run.csnp]
-    --resume PATH       restore a --snapshot-out file and run it to the
-                        horizon; scenario flags are ignored (the snapshot
-                        carries its own scenario)
-    --deadline SECS     wall-clock limit for the simulation itself; a
-                        hung run exits 6 instead of blocking forever
-    --csv PREFIX        write PREFIX-{errors,energy,mesh,snapshots,robustness,health}.csv
-    --telemetry LEVEL   off | counters | timeline | full    [default: off]
-    --trace-out PATH    write a JSONL trace (implies --telemetry full);
-                        inspect it with cocoa-trace
-    --metrics-out PATH  write the final counters, histograms and span
-                        totals in Prometheus text exposition format
-                        (implies at least --telemetry counters)
-    --sample-interval S per-robot timeline sample interval, seconds
-                        [default: the metrics interval]
-    -h, --help          print this help
+SCENARIO OPTIONS:
+";
+
+const USAGE_TAIL: &str = "
+OUTPUT OPTIONS:
+    --snapshot-at SECS       serialize the full run state at this instant
+                             (the run then continues to completion)
+    --snapshot-out PATH      where to write the --snapshot-at bytes
+                             [default: cocoa-run.csnp]
+    --resume PATH            restore a --snapshot-out file and run it to the
+                             horizon; scenario flags are ignored (the snapshot
+                             carries its own scenario)
+    --deadline SECS          wall-clock limit for the simulation itself; a
+                             hung run exits 6 instead of blocking forever
+    --csv PREFIX             write PREFIX-{errors,energy,mesh,snapshots,robustness,health}.csv
+    --trace-out PATH         write a JSONL trace (implies --telemetry full);
+                             inspect it with cocoa-trace
+    --metrics-out PATH       write the final counters, histograms and span
+                             totals in Prometheus text exposition format
+                             (implies at least --telemetry counters)
+    -h, --help               print this help
 
 With --telemetry at counters or above, --csv also writes
 PREFIX-counters.csv and PREFIX-spans.csv; at timeline or above,
@@ -93,6 +69,10 @@ EXIT CODES:
     6   wall-clock deadline exceeded (--deadline)
 ";
 
+fn usage() -> String {
+    format!("{USAGE_HEAD}{}{USAGE_TAIL}", knobs::cli_help(&[]))
+}
+
 /// Usage error (bad flags).
 const EXIT_USAGE: i32 = 2;
 /// The flags parsed but describe an invalid scenario.
@@ -105,241 +85,73 @@ const EXIT_SNAPSHOT: i32 = 5;
 const EXIT_DEADLINE: i32 = 6;
 
 struct Args {
-    scenario: Scenario,
+    request: ServeRequest,
     csv_prefix: Option<String>,
-    telemetry_level: TelemetryLevel,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    sample_interval: Option<SimDuration>,
     snapshot_at: Option<SimTime>,
     snapshot_out: String,
     resume: Option<String>,
     deadline: Option<Duration>,
 }
 
-/// Why argument handling failed — bad flags exit differently from a
-/// well-formed command line describing an impossible scenario.
-enum ArgError {
-    Usage(String),
-    Validation(String),
-}
-
-fn parse_args() -> Result<Args, ArgError> {
-    use ArgError::Usage;
-    let mut b = Scenario::builder();
+/// Parses the command line; a [`KnobError::Value`] is a usage error,
+/// a [`KnobError::Invalid`] a scenario validation failure.
+fn parse_args() -> Result<Args, KnobError> {
+    use KnobError::Value as Usage;
+    let mut draft = Draft::default();
     let mut csv_prefix = None;
-    let mut snapshots: Vec<SimTime> = Vec::new();
-    let mut faults_preset: Option<String> = None;
-    let mut telemetry_level = TelemetryLevel::Off;
     let mut trace_out = None;
     let mut metrics_out = None;
-    let mut sample_interval = None;
     let mut snapshot_at = None;
     let mut snapshot_out = String::from("cocoa-run.csnp");
     let mut resume = None;
     let mut deadline = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, ArgError> {
+        let mut value = |name: &str| -> Result<String, KnobError> {
             it.next()
                 .ok_or_else(|| Usage(format!("{name} needs a value")))
         };
         match flag.as_str() {
-            "--seed" => {
-                b.seed(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--seed: {e}")))?,
-                );
-            }
-            "--robots" => {
-                b.robots(
-                    value("--robots")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--robots: {e}")))?,
-                );
-            }
-            "--equipped" => {
-                b.equipped(
-                    value("--equipped")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--equipped: {e}")))?,
-                );
-            }
-            "--duration" => {
-                let s: u64 = value("--duration")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--duration: {e}")))?;
-                b.duration(SimDuration::from_secs(s));
-            }
-            "--period" => {
-                let s: u64 = value("--period")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--period: {e}")))?;
-                b.beacon_period(SimDuration::from_secs(s));
-            }
-            "--window" => {
-                let s: u64 = value("--window")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--window: {e}")))?;
-                b.transmit_window(SimDuration::from_secs(s));
-            }
-            "--beacons" => {
-                b.beacons_per_window(
-                    value("--beacons")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--beacons: {e}")))?,
-                );
-            }
-            "--vmax" => {
-                b.v_max(
-                    value("--vmax")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--vmax: {e}")))?,
-                );
-            }
-            "--vmin" => {
-                b.v_min(
-                    value("--vmin")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--vmin: {e}")))?,
-                );
-            }
-            "--static" => {
-                b.static_team();
-            }
-            "--multicast" => {
-                let v = value("--multicast")?;
-                let protocol = MulticastProtocol::parse(&v)
-                    .ok_or_else(|| Usage(format!("unknown multicast protocol '{v}'")))?;
-                b.multicast(protocol);
-            }
-            "--mode" => match value("--mode")?.as_str() {
-                "cocoa" => {
-                    b.mode(EstimatorMode::Cocoa);
-                }
-                "rf-only" => {
-                    b.mode(EstimatorMode::RfOnly);
-                }
-                "odometry" => {
-                    b.mode(EstimatorMode::OdometryOnly);
-                }
-                other => return Err(Usage(format!("unknown mode '{other}'"))),
-            },
-            "--estimator" | "--algorithm" => match value(&flag)?.as_str() {
-                "bayes" => {
-                    b.rf_algorithm(RfAlgorithm::Bayes);
-                }
-                "multilateration" => {
-                    b.rf_algorithm(RfAlgorithm::Multilateration);
-                }
-                "ekf" => {
-                    b.rf_algorithm(RfAlgorithm::Ekf);
-                }
-                other => return Err(Usage(format!("unknown estimator '{other}'"))),
-            },
-            "--grid" => {
-                b.grid_resolution(
-                    value("--grid")?
-                        .parse()
-                        .map_err(|e| Usage(format!("--grid: {e}")))?,
-                );
-            }
-            "--grid-fused" => {
-                b.grid_fused(true);
-            }
-            "--snapshot" => {
-                let s: f64 = value("--snapshot")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--snapshot: {e}")))?;
-                snapshots.push(SimTime::from_secs_f64(s));
-            }
-            "--no-coordination" => {
-                b.coordination(false);
-            }
-            "--no-sync" => {
-                b.sync_enabled(false);
-            }
-            "--relay" => {
-                b.relay_beaconing(true);
-            }
-            "--faults" => faults_preset = Some(value("--faults")?),
             "--snapshot-at" => {
-                let s: f64 = value("--snapshot-at")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--snapshot-at: {e}")))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err(Usage("--snapshot-at must be non-negative".into()));
-                }
-                snapshot_at = Some(SimTime::from_secs_f64(s));
+                let at = knobs::parse_secs(&flag, &value(&flag)?)?;
+                snapshot_at = Some(SimTime::ZERO + at);
             }
             "--snapshot-out" => snapshot_out = value("--snapshot-out")?,
             "--resume" => resume = Some(value("--resume")?),
-            "--deadline" => {
-                let s: f64 = value("--deadline")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--deadline: {e}")))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(Usage("--deadline must be positive".into()));
-                }
-                deadline = Some(Duration::from_secs_f64(s));
-            }
+            "--deadline" => match knobs::parse_secs(&flag, &value(&flag)?)? {
+                d if d.is_zero() => return Err(Usage("--deadline must be positive".into())),
+                d => deadline = Some(Duration::from_micros(d.as_micros())),
+            },
             "--csv" => csv_prefix = Some(value("--csv")?),
-            "--telemetry" => {
-                let v = value("--telemetry")?;
-                telemetry_level = TelemetryLevel::parse(&v)
-                    .ok_or_else(|| Usage(format!("unknown telemetry level '{v}'")))?;
-            }
             "--trace-out" => trace_out = Some(value("--trace-out")?),
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
-            "--sample-interval" => {
-                let s: f64 = value("--sample-interval")?
-                    .parse()
-                    .map_err(|e| Usage(format!("--sample-interval: {e}")))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(Usage("--sample-interval must be positive".into()));
-                }
-                sample_interval = Some(SimDuration::from_secs_f64(s));
-            }
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 std::process::exit(0);
             }
-            other => return Err(Usage(format!("unknown flag '{other}' (try --help)"))),
+            other => {
+                let knob = knobs::by_flag(other)
+                    .ok_or_else(|| Usage(format!("unknown flag '{other}' (try --help)")))?;
+                draft.apply_flag(knob, &mut it)?;
+            }
         }
     }
-    if !snapshots.is_empty() {
-        b.snapshots(snapshots);
-    }
-    let mut scenario = b.try_build().map_err(ArgError::Validation)?;
-    if let Some(name) = faults_preset {
-        // The preset needs the final duration/team size, so it is resolved
-        // after every other flag has been applied.
-        let plan =
-            FaultPlan::preset(&name, scenario.duration, scenario.num_robots).ok_or_else(|| {
-                Usage(format!(
-                    "unknown fault schedule '{name}' (available: {})",
-                    cocoa_sim::faults::PRESET_NAMES.join(", ")
-                ))
-            })?;
-        scenario.faults = plan;
-        scenario.validate().map_err(ArgError::Validation)?;
-    }
+    let mut request = draft.finish()?;
     if trace_out.is_some() {
         // A trace file is only useful with the complete event stream.
-        telemetry_level = TelemetryLevel::Full;
+        request.telemetry = TelemetryLevel::Full;
     }
-    if metrics_out.is_some() && telemetry_level < TelemetryLevel::Counters {
+    if metrics_out.is_some() && request.telemetry < TelemetryLevel::Counters {
         // Exposition output needs at least the counter registry.
-        telemetry_level = TelemetryLevel::Counters;
+        request.telemetry = TelemetryLevel::Counters;
     }
     Ok(Args {
-        scenario,
+        request,
         csv_prefix,
-        telemetry_level,
         trace_out,
         metrics_out,
-        sample_interval,
         snapshot_at,
         snapshot_out,
         resume,
@@ -359,18 +171,18 @@ fn main() {
 fn real_main() -> i32 {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(ArgError::Usage(e)) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+        Err(KnobError::Value(e)) => {
+            eprintln!("error: {e}\n\n{}", usage());
             return EXIT_USAGE;
         }
-        Err(ArgError::Validation(e)) => {
+        Err(KnobError::Invalid(e)) => {
             eprintln!("error: invalid scenario: {e}");
             return EXIT_VALIDATION;
         }
     };
     let start = std::time::Instant::now();
-    let mut telemetry = Telemetry::new(args.telemetry_level);
-    if let Some(interval) = args.sample_interval {
+    let mut telemetry = Telemetry::new(args.request.telemetry);
+    if let Some(interval) = args.request.sample_interval {
         telemetry.set_sample_interval(interval);
     }
 
@@ -390,7 +202,7 @@ fn real_main() -> i32 {
     // The simulation itself runs inside the hardened panic boundary —
     // and, under --deadline, on a watchdog-guarded thread.
     let resume_path = resume_input.as_ref().map(|(p, _)| p.clone());
-    let scenario_in = args.scenario.clone();
+    let scenario_in = args.request.scenario.clone();
     let snapshot_at = args.snapshot_at;
     let job = move || -> JobOutput {
         if let Some((path, bytes)) = resume_input {

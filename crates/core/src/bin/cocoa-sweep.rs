@@ -12,6 +12,9 @@
 //!     --periods 20,60,100 --manifest sweep.csnp --inflight 60
 //! ```
 //!
+//! Every `cocoa-run` scenario flag except `--period` (and the telemetry
+//! flags) sets the base scenario the points share.
+//!
 //! The `--inject-*` flags exist for the chaos tests in CI: they provoke
 //! panics and hangs at chosen points so the supervisor's behaviour can
 //! be exercised end to end from the command line.
@@ -24,6 +27,7 @@ use std::time::{Duration, Instant};
 use cocoa_core::executor::fleet::FleetStatus;
 use cocoa_core::executor::manifest::encode_metrics;
 use cocoa_core::executor::supervisor::JobEvent;
+use cocoa_core::knobs::{self, Draft, KnobInput};
 use cocoa_core::prelude::*;
 use cocoa_core::report;
 use cocoa_sim::snapshot::crc32;
@@ -31,19 +35,15 @@ use cocoa_sim::telemetry::export::MetricsSnapshot;
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 use cocoa_sim::time::SimDuration;
 
-const USAGE: &str = "\
+const USAGE_HEAD: &str = "\
 cocoa-sweep — supervised beacon-period sweep with checkpoint/auto-resume
 
 USAGE:
     cocoa-sweep [OPTIONS]
 
-OPTIONS:
+SWEEP OPTIONS:
     --periods LIST      comma-separated beacon periods, seconds
                                                      [default: 20,60,100]
-    --seed N            master seed                  [default: 42]
-    --robots N          team size                    [default: 50]
-    --equipped N        robots with devices          [default: 25]
-    --duration SECS     simulated seconds            [default: 1800]
     --manifest PATH     checkpoint the sweep here and auto-resume from
                         it on the next invocation
     --inflight SECS     simulated seconds between in-flight checkpoints
@@ -67,6 +67,10 @@ OPTIONS:
                         the start of every attempt
     -h, --help          print this help
 
+BASE SCENARIO OPTIONS (shared by every point):
+";
+
+const USAGE_TAIL: &str = "
 EXIT CODES:
     0   every point completed
     1   the sweep finished but at least one point failed terminally
@@ -74,16 +78,24 @@ EXIT CODES:
     5   the manifest file exists but is corrupt or unreadable
 ";
 
+/// Knobs a sweep does not take from the command line: `--periods` sets
+/// each point's period, and sweeps record no telemetry.
+const NOT_SWEEP_KNOBS: [&str; 3] = ["period_s", "telemetry", "sample_interval_s"];
+
+fn usage() -> String {
+    format!(
+        "{USAGE_HEAD}{}{USAGE_TAIL}",
+        knobs::cli_help(&NOT_SWEEP_KNOBS)
+    )
+}
+
 const EXIT_FAILURES: i32 = 1;
 const EXIT_USAGE: i32 = 2;
 const EXIT_MANIFEST: i32 = 5;
 
 struct Args {
     periods: Vec<u64>,
-    seed: u64,
-    robots: usize,
-    equipped: usize,
-    duration: Option<u64>,
+    base: Draft,
     manifest: Option<PathBuf>,
     inflight: Option<SimDuration>,
     deadline: Option<Duration>,
@@ -114,10 +126,7 @@ where
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         periods: vec![20, 60, 100],
-        seed: 42,
-        robots: 50,
-        equipped: 25,
-        duration: None,
+        base: Draft::default(),
         manifest: None,
         inflight: None,
         deadline: None,
@@ -147,44 +156,15 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--periods needs at least one period".into());
                 }
             }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--robots" => {
-                args.robots = value("--robots")?
-                    .parse()
-                    .map_err(|e| format!("--robots: {e}"))?;
-            }
-            "--equipped" => {
-                args.equipped = value("--equipped")?
-                    .parse()
-                    .map_err(|e| format!("--equipped: {e}"))?;
-            }
-            "--duration" => {
-                args.duration = Some(
-                    value("--duration")?
-                        .parse()
-                        .map_err(|e| format!("--duration: {e}"))?,
-                );
-            }
             "--manifest" => args.manifest = Some(PathBuf::from(value("--manifest")?)),
             "--inflight" => {
-                let s: u64 = value("--inflight")?
-                    .parse()
-                    .map_err(|e| format!("--inflight: {e}"))?;
-                args.inflight = Some(SimDuration::from_secs(s));
+                let every = knobs::parse_secs(&flag, &value(&flag)?);
+                args.inflight = Some(every.map_err(|e| e.to_string())?);
             }
-            "--deadline" => {
-                let s: f64 = value("--deadline")?
-                    .parse()
-                    .map_err(|e| format!("--deadline: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err("--deadline must be positive".into());
-                }
-                args.deadline = Some(Duration::from_secs_f64(s));
-            }
+            "--deadline" => match knobs::parse_secs(&flag, &value(&flag)?) {
+                Ok(d) if !d.is_zero() => args.deadline = Some(Duration::from_micros(d.as_micros())),
+                _ => return Err("--deadline must be a positive number of seconds".into()),
+            },
             "--attempts" => {
                 args.attempts = value("--attempts")?
                     .parse()
@@ -207,10 +187,17 @@ fn parse_args() -> Result<Args, String> {
                 args.inject_hang = Some(parse_pair("--inject-hang", &value("--inject-hang")?)?);
             }
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
+            other => {
+                let knob = knobs::by_flag(other)
+                    .filter(|k| !NOT_SWEEP_KNOBS.contains(&k.key))
+                    .ok_or_else(|| format!("unknown flag '{other}' (try --help)"))?;
+                args.base
+                    .apply_flag(knob, &mut it)
+                    .map_err(|e| e.to_string())?;
+            }
         }
     }
     Ok(args)
@@ -308,24 +295,21 @@ fn real_main() -> i32 {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return EXIT_USAGE;
         }
     };
 
     let scenarios: Vec<Scenario> = {
         let mut out = Vec::with_capacity(args.periods.len());
+        let period_knob = knobs::by_key("period_s").expect("the period knob");
         for period in &args.periods {
-            let mut b = Scenario::builder();
-            b.seed(args.seed)
-                .robots(args.robots)
-                .equipped(args.equipped)
-                .beacon_period(SimDuration::from_secs(*period));
-            if let Some(secs) = args.duration {
-                b.duration(SimDuration::from_secs(secs));
-            }
-            match b.try_build() {
-                Ok(s) => out.push(s),
+            let mut point = args.base.clone();
+            let built = point
+                .set(period_knob, KnobInput::Arg(&period.to_string()))
+                .and_then(|()| point.finish());
+            match built {
+                Ok(request) => out.push(request.scenario),
                 Err(e) => {
                     eprintln!("error: invalid scenario for period {period}: {e}");
                     return EXIT_USAGE;

@@ -14,6 +14,8 @@
 //!
 //! - [`scenario`]: the experiment configuration (defaults = the paper's
 //!   evaluation setup);
+//! - [`knobs`]: the one table of scenario knobs behind the CLI flags,
+//!   serve spec keys, `--help` and the spec template;
 //! - [`robot`]: the per-robot bundle (motion, radio, estimator, mesh,
 //!   clock) and its estimate logic;
 //! - [`sync`]: drifting clocks, SYNC messages and the escalating-guard
@@ -51,6 +53,7 @@
 pub mod executor;
 pub mod experiment;
 pub mod health;
+pub mod knobs;
 pub mod metrics;
 pub mod report;
 pub mod robot;

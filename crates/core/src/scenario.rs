@@ -189,6 +189,14 @@ impl Scenario {
                     .into(),
             );
         }
+        let side = self.area.width().min(self.area.height());
+        if !(self.grid_resolution_m > 0.0 && self.grid_resolution_m <= side) {
+            return Err(format!(
+                "grid resolution {} m must be positive and no coarser than the area's \
+                 shorter side ({side} m)",
+                self.grid_resolution_m
+            ));
+        }
         if self.beacons_per_window == 0 {
             return Err("k (beacons per window) must be at least 1".into());
         }
@@ -620,6 +628,24 @@ mod tests {
             .v_max(0.05)
             .try_build()
             .is_err());
+    }
+
+    #[test]
+    fn rejects_grid_resolutions_the_grid_cannot_hold() {
+        for metres in [0.0, -2.0, 500.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                Scenario::builder()
+                    .grid_resolution(metres)
+                    .try_build()
+                    .is_err(),
+                "{metres}"
+            );
+        }
+        // The area's shorter side is the coarsest grid that still fits.
+        assert!(Scenario::builder()
+            .grid_resolution(200.0)
+            .try_build()
+            .is_ok());
     }
 
     #[test]

@@ -1,28 +1,23 @@
 //! Request specs: the wire form of a scenario.
 //!
-//! A serve request is one flat JSON object whose keys mirror the
-//! `cocoa-run` command line (`robots`, `period_s`, `estimator`, …).
-//! Parsing is **fail-closed**: an unknown key, a mistyped value or a
+//! A serve request is one flat JSON object whose keys are the spec keys
+//! of the [`crate::knobs`] table — the same table behind the
+//! `cocoa-run` flags (`robots`, `period_s`, `estimator`, …). Parsing is
+//! **fail-closed**: an unknown or repeated key, a mistyped value or a
 //! contradictory combination rejects the whole request — a server must
 //! never silently run a different experiment than the client described.
-//!
-//! The parsed request reuses [`Scenario`]'s own builder and
-//! validation, so the wire path and the CLI path can never drift apart
-//! on what constitutes a valid experiment.
 
-use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
-use cocoa_multicast::protocol::MulticastProtocol;
-use cocoa_sim::faults::FaultPlan;
 use cocoa_sim::telemetry::TelemetryLevel;
-use cocoa_sim::time::{SimDuration, SimTime};
+use cocoa_sim::time::SimDuration;
 
+use crate::knobs::{self, Draft, KnobInput};
 use crate::runner::scenario_fingerprint;
 use crate::scenario::Scenario;
-use crate::tracefile::{parse_flat_object, JsonValue};
+use crate::tracefile::parse_flat_object;
 
 /// A fully validated run request: the scenario to simulate plus the
 /// observation knobs that shape the streamed response.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
     /// The validated experiment configuration.
     pub scenario: Scenario,
@@ -32,212 +27,44 @@ pub struct ServeRequest {
     pub sample_interval: Option<SimDuration>,
 }
 
-fn num(key: &str, value: &JsonValue) -> Result<f64, String> {
-    value
-        .as_f64()
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| format!("'{key}' must be a finite number"))
-}
-
-fn uint(key: &str, value: &JsonValue) -> Result<u64, String> {
-    value
-        .as_u64()
-        .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
-}
-
-fn text<'v>(key: &str, value: &'v JsonValue) -> Result<&'v str, String> {
-    value
-        .as_str()
-        .ok_or_else(|| format!("'{key}' must be a string"))
-}
-
-fn flag(key: &str, value: &JsonValue) -> Result<bool, String> {
-    match value {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(format!("'{key}' must be true or false")),
-    }
-}
-
 /// Parses one spec object into a validated [`ServeRequest`].
 ///
 /// # Errors
 ///
 /// A human-readable message naming the offending key: malformed JSON,
-/// an unknown key, a mistyped value, or a spec that parses but
-/// describes an invalid scenario (the same validation `cocoa-run`
+/// an unknown or repeated key, a mistyped value, or a spec that parses
+/// but describes an invalid scenario (the same validation `cocoa-run`
 /// applies to its flags).
 pub fn parse_spec(spec: &str) -> Result<ServeRequest, String> {
-    let object = parse_flat_object(spec)?;
-    let mut b = Scenario::builder();
-    let mut static_team = false;
-    let mut speed_keys = false;
-    let mut faults_preset: Option<String> = None;
-    let mut telemetry = TelemetryLevel::Off;
-    let mut sample_interval = None;
-    for (key, value) in &object {
-        match key.as_str() {
-            "seed" => {
-                b.seed(uint(key, value)?);
-            }
-            "robots" => {
-                b.robots(uint(key, value)? as usize);
-            }
-            "equipped" => {
-                b.equipped(uint(key, value)? as usize);
-            }
-            "duration_s" => {
-                b.duration(SimDuration::from_secs(uint(key, value)?));
-            }
-            "period_s" => {
-                b.beacon_period(SimDuration::from_secs(uint(key, value)?));
-            }
-            "window_s" => {
-                b.transmit_window(SimDuration::from_secs(uint(key, value)?));
-            }
-            "beacons" => {
-                let k = uint(key, value)?;
-                let k = u32::try_from(k).map_err(|_| format!("'{key}' too large"))?;
-                b.beacons_per_window(k);
-            }
-            "v_min" => {
-                speed_keys = true;
-                b.v_min(num(key, value)?);
-            }
-            "v_max" => {
-                speed_keys = true;
-                b.v_max(num(key, value)?);
-            }
-            "static" => static_team = flag(key, value)?,
-            "mode" => match text(key, value)? {
-                "cocoa" => {
-                    b.mode(EstimatorMode::Cocoa);
-                }
-                "rf-only" => {
-                    b.mode(EstimatorMode::RfOnly);
-                }
-                "odometry" => {
-                    b.mode(EstimatorMode::OdometryOnly);
-                }
-                other => return Err(format!("unknown mode '{other}'")),
-            },
-            "multicast" => {
-                let v = text(key, value)?;
-                let protocol = MulticastProtocol::parse(v)
-                    .ok_or_else(|| format!("unknown multicast protocol '{v}'"))?;
-                b.multicast(protocol);
-            }
-            "estimator" => match text(key, value)? {
-                "bayes" => {
-                    b.rf_algorithm(RfAlgorithm::Bayes);
-                }
-                "multilateration" => {
-                    b.rf_algorithm(RfAlgorithm::Multilateration);
-                }
-                "ekf" => {
-                    b.rf_algorithm(RfAlgorithm::Ekf);
-                }
-                other => return Err(format!("unknown estimator '{other}'")),
-            },
-            "grid_m" => {
-                b.grid_resolution(num(key, value)?);
-            }
-            "grid_fused" => {
-                b.grid_fused(flag(key, value)?);
-            }
-            "coordination" => {
-                b.coordination(flag(key, value)?);
-            }
-            "sync" => {
-                b.sync_enabled(flag(key, value)?);
-            }
-            "relay" => {
-                b.relay_beaconing(flag(key, value)?);
-            }
-            "packet_loss" => {
-                b.packet_loss(num(key, value)?);
-            }
-            "clock_skew_ppm" => {
-                b.clock_skew_ppm(num(key, value)?);
-            }
-            "guard_band_s" => {
-                b.guard_band(SimDuration::from_secs_f64(num(key, value)?));
-            }
-            "snapshot_s" => {
-                b.snapshots([SimTime::from_secs_f64(num(key, value)?)]);
-            }
-            "failover_missed_periods" => {
-                let k = uint(key, value)?;
-                let k = u32::try_from(k).map_err(|_| format!("'{key}' too large"))?;
-                b.failover_missed_periods(k);
-            }
-            "entropy_watchdog_frac" => {
-                b.entropy_watchdog_frac(num(key, value)?);
-            }
-            "outlier_gate_m" => {
-                b.outlier_gate_m(num(key, value)?);
-            }
-            "faults" => faults_preset = Some(text(key, value)?.to_string()),
-            "telemetry" => {
-                let v = text(key, value)?;
-                telemetry = TelemetryLevel::parse(v)
-                    .ok_or_else(|| format!("unknown telemetry level '{v}'"))?;
-            }
-            "sample_interval_s" => {
-                let s = num(key, value)?;
-                if s <= 0.0 {
-                    return Err("'sample_interval_s' must be positive".into());
-                }
-                sample_interval = Some(SimDuration::from_secs_f64(s));
-            }
-            other => return Err(format!("unknown spec key '{other}'")),
-        }
+    let mut draft = Draft::default();
+    for (key, value) in &parse_flat_object(spec)? {
+        let knob = knobs::by_key(key).ok_or_else(|| format!("unknown spec key '{key}'"))?;
+        draft
+            .set(knob, KnobInput::Json(value))
+            .map_err(|e| e.to_string())?;
     }
-    if static_team {
-        // `static` pins every speed; explicit speeds alongside it are a
-        // contradiction, not an ordering puzzle.
-        if speed_keys {
-            return Err("'static' conflicts with 'v_min'/'v_max'".into());
-        }
-        b.static_team();
-    }
-    let mut scenario = b.try_build()?;
-    if let Some(name) = faults_preset {
-        // The preset needs the final duration/team size, so it is
-        // resolved after every other key (mirrors the cocoa-run CLI).
-        let plan =
-            FaultPlan::preset(&name, scenario.duration, scenario.num_robots).ok_or_else(|| {
-                format!(
-                    "unknown fault schedule '{name}' (available: {})",
-                    cocoa_sim::faults::PRESET_NAMES.join(", ")
-                )
-            })?;
-        scenario.faults = plan;
-        scenario.validate()?;
-    }
-    Ok(ServeRequest {
-        scenario,
-        telemetry,
-        sample_interval,
-    })
+    draft.finish().map_err(|e| e.to_string())
 }
 
-/// A commented-free starter spec (every omitted key takes the paper's
-/// default, exactly like `cocoa-run` with no flags).
+/// The request behind [`example_spec`]: the paper's defaults at quick
+/// scale.
+fn template_request() -> ServeRequest {
+    let mut b = Scenario::builder();
+    b.robots(12)
+        .equipped(6)
+        .duration(SimDuration::from_secs(300));
+    ServeRequest {
+        scenario: b.build(),
+        telemetry: TelemetryLevel::Off,
+        sample_interval: None,
+    }
+}
+
+/// A quick-scale starter spec listing every knob with its value (every
+/// omitted key takes the paper's default, exactly like `cocoa-run` with
+/// no flags).
 pub fn example_spec() -> String {
-    concat!(
-        "{\n",
-        "  \"seed\": 42,\n",
-        "  \"robots\": 12,\n",
-        "  \"equipped\": 6,\n",
-        "  \"duration_s\": 300,\n",
-        "  \"period_s\": 100,\n",
-        "  \"mode\": \"cocoa\",\n",
-        "  \"estimator\": \"bayes\",\n",
-        "  \"grid_fused\": false,\n",
-        "  \"telemetry\": \"off\"\n",
-        "}\n"
-    )
-    .to_string()
+    knobs::render_spec(&template_request())
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -252,12 +79,8 @@ fn splitmix(mut x: u64) -> u64 {
 /// different telemetry levels must never share a cached body — their
 /// JSONL streams differ.
 pub fn request_fingerprint(request: &ServeRequest) -> u64 {
-    let level = match request.telemetry {
-        TelemetryLevel::Off => 0u64,
-        TelemetryLevel::Counters => 1,
-        TelemetryLevel::Timeline => 2,
-        TelemetryLevel::Full => 3,
-    };
+    // Off = 0 … Full = 3: declaration order, which `Ord` already fixes.
+    let level = request.telemetry as u64;
     let interval = request
         .sample_interval
         .map(|d| d.as_micros())
@@ -299,6 +122,10 @@ mod tests {
         assert!(parse_spec("{\"robots\": \"many\"}").is_err(), "mistyped");
         assert!(parse_spec("{\"robotz\": 5}").is_err(), "unknown key");
         assert!(parse_spec("{\"mode\": \"psychic\"}").is_err());
+        assert!(
+            parse_spec("{\"seed\": 1, \"seed\": 2}").is_err(),
+            "repeated key"
+        );
         for retired in [
             "{\"grid_kernel\": \"scalar\"}",
             "{\"grid_precision\": \"f32\"}",
@@ -316,10 +143,44 @@ mod tests {
         );
     }
 
+    /// The template lists every knob that has a value to show, parses
+    /// back to the request it was rendered from, and stays quick-scale.
     #[test]
     fn example_spec_round_trips() {
-        let req = parse_spec(&example_spec()).unwrap();
-        assert_eq!(req.scenario.num_robots, 12);
+        let text = example_spec();
+        let req = parse_spec(&text).unwrap();
+        assert_eq!(req, template_request());
+        assert!(req.scenario.num_robots <= 12);
+        assert!(req.scenario.duration <= SimDuration::from_secs(300));
+        for knob in knobs::KNOBS {
+            if !["snapshot_s", "sample_interval_s"].contains(&knob.key) {
+                assert!(
+                    text.contains(&format!("\n  \"{}\": ", knob.key)),
+                    "{}",
+                    knob.key
+                );
+            }
+        }
+        // CI edits this line in place.
+        assert!(text.contains("\"telemetry\": \"off\""));
+    }
+
+    /// Results persisted under `--state-dir` are keyed by these values.
+    #[test]
+    fn request_fingerprints_are_pinned() {
+        let off = parse_spec(&example_spec()).unwrap();
+        let full = ServeRequest {
+            telemetry: TelemetryLevel::Full,
+            ..off.clone()
+        };
+        assert_eq!(
+            format!("{:016x}", request_fingerprint(&off)),
+            "9cd7f5fa3495f7ac"
+        );
+        assert_eq!(
+            format!("{:016x}", request_fingerprint(&full)),
+            "5ce9b696933788eb"
+        );
     }
 
     #[test]

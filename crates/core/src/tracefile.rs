@@ -64,7 +64,9 @@ pub type JsonObject = BTreeMap<String, JsonValue>;
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed input.
+/// Returns a human-readable message on malformed input, including a key
+/// that appears twice (a map would silently keep only one of the
+/// values).
 pub fn parse_flat_object(line: &str) -> Result<JsonObject, String> {
     let mut p = Parser {
         bytes: line.as_bytes(),
@@ -84,6 +86,9 @@ pub fn parse_flat_object(line: &str) -> Result<JsonObject, String> {
             p.expect(b':')?;
             p.skip_ws();
             let value = p.parse_value()?;
+            if out.contains_key(&key) {
+                return Err(format!("repeated key {key:?}"));
+            }
             out.insert(key, value);
             p.skip_ws();
             match p.next() {
@@ -703,6 +708,10 @@ mod tests {
         assert!(parse_flat_object(r#"{"a":}"#).is_err());
         assert!(parse_flat_object(r#"{"a":1} trailing"#).is_err());
         assert!(parse_flat_object(r#"{"a":1,}"#).is_err());
+        assert!(
+            parse_flat_object(r#"{"a":1,"a":2}"#).is_err(),
+            "repeated key"
+        );
     }
 
     #[test]

@@ -350,13 +350,99 @@ fn read_gilbert(r: &mut SnapshotReader<'_>) -> Result<GilbertElliott, SnapshotEr
     })
 }
 
+/// Writes `value` as its index in `all`: an enum's `ALL` list is its
+/// codec-tag order (pinned by `codec_tag_orders_are_pinned`).
+fn put_tag<T: PartialEq>(buf: &mut Vec<u8>, all: &[T], value: &T) {
+    let tag = all.iter().position(|v| v == value);
+    put_u8(buf, tag.expect("ALL lists every variant") as u8);
+}
+
+fn read_tag<T: Copy>(
+    r: &mut SnapshotReader<'_>,
+    all: &[T],
+    what: &str,
+) -> Result<T, SnapshotError> {
+    let tag = r.u8()?;
+    all.get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| bad_tag(what, tag))
+}
+
+fn put_area(buf: &mut Vec<u8>, a: &Area) {
+    put_f64(buf, a.x_min);
+    put_f64(buf, a.x_max);
+    put_f64(buf, a.y_min);
+    put_f64(buf, a.y_max);
+}
+
+fn read_area(r: &mut SnapshotReader<'_>) -> Result<Area, SnapshotError> {
+    Ok(Area {
+        x_min: r.f64()?,
+        x_max: r.f64()?,
+        y_min: r.f64()?,
+        y_max: r.f64()?,
+    })
+}
+
+fn put_odometry(buf: &mut Vec<u8>, o: &OdometryConfig) {
+    put_f64(buf, o.displacement_sigma);
+    put_f64(buf, o.angular_sigma);
+    put_f64(buf, o.heading_drift_sigma);
+}
+
+fn read_odometry(r: &mut SnapshotReader<'_>) -> Result<OdometryConfig, SnapshotError> {
+    Ok(OdometryConfig {
+        displacement_sigma: r.f64()?,
+        angular_sigma: r.f64()?,
+        heading_drift_sigma: r.f64()?,
+    })
+}
+
+fn put_mesh(buf: &mut Vec<u8>, m: &OdmrpConfig) {
+    put_u8(
+        buf,
+        match m.mode {
+            MeshMode::Odmrp => 0,
+            MeshMode::Mrmm => 1,
+        },
+    );
+    put_u8(buf, m.max_hops);
+    put_dur(buf, m.fg_timeout);
+    put_dur(buf, m.reply_delay);
+    put_dur(buf, m.rebroadcast_jitter);
+    put_f64(buf, m.range_m);
+    put_f64(buf, m.lifetime_horizon_s);
+    put_f64(buf, m.prune.min_lifetime_s);
+    put_u32(buf, m.prune.redundancy_threshold);
+    put_dur(buf, m.dedup_retention);
+}
+
+fn read_mesh(r: &mut SnapshotReader<'_>) -> Result<OdmrpConfig, SnapshotError> {
+    let mode = match r.u8()? {
+        0 => MeshMode::Odmrp,
+        1 => MeshMode::Mrmm,
+        t => return Err(bad_tag("mesh mode", t)),
+    };
+    Ok(OdmrpConfig {
+        mode,
+        max_hops: r.u8()?,
+        fg_timeout: read_dur(r)?,
+        reply_delay: read_dur(r)?,
+        rebroadcast_jitter: read_dur(r)?,
+        range_m: r.f64()?,
+        lifetime_horizon_s: r.f64()?,
+        prune: cocoa_multicast::mrmm::PruneConfig {
+            min_lifetime_s: r.f64()?,
+            redundancy_threshold: r.u32()?,
+        },
+        dedup_retention: read_dur(r)?,
+    })
+}
+
 fn encode_scenario(s: &Scenario) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, s.seed);
-    put_f64(&mut buf, s.area.x_min);
-    put_f64(&mut buf, s.area.x_max);
-    put_f64(&mut buf, s.area.y_min);
-    put_f64(&mut buf, s.area.y_max);
+    put_area(&mut buf, &s.area);
     put_usize(&mut buf, s.num_robots);
     put_usize(&mut buf, s.num_equipped);
     put_dur(&mut buf, s.duration);
@@ -365,53 +451,15 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
     put_u32(&mut buf, s.beacons_per_window);
     put_f64(&mut buf, s.v_min);
     put_f64(&mut buf, s.v_max);
-    put_u8(
-        &mut buf,
-        match s.mode {
-            EstimatorMode::OdometryOnly => 0,
-            EstimatorMode::RfOnly => 1,
-            EstimatorMode::Cocoa => 2,
-        },
-    );
-    put_u8(
-        &mut buf,
-        match s.rf_algorithm {
-            RfAlgorithm::Bayes => 0,
-            RfAlgorithm::Multilateration => 1,
-            RfAlgorithm::Ekf => 2,
-        },
-    );
+    put_tag(&mut buf, &EstimatorMode::ALL, &s.mode);
+    put_tag(&mut buf, &RfAlgorithm::ALL, &s.rf_algorithm);
     put_bool(&mut buf, s.coordination);
     put_f64(&mut buf, s.grid_resolution_m);
     put_channel(&mut buf, &s.channel);
     put_energy(&mut buf, &s.energy);
-    put_f64(&mut buf, s.odometry.displacement_sigma);
-    put_f64(&mut buf, s.odometry.angular_sigma);
-    put_f64(&mut buf, s.odometry.heading_drift_sigma);
-    put_u8(
-        &mut buf,
-        match s.mesh.mode {
-            MeshMode::Odmrp => 0,
-            MeshMode::Mrmm => 1,
-        },
-    );
-    put_u8(&mut buf, s.mesh.max_hops);
-    put_dur(&mut buf, s.mesh.fg_timeout);
-    put_dur(&mut buf, s.mesh.reply_delay);
-    put_dur(&mut buf, s.mesh.rebroadcast_jitter);
-    put_f64(&mut buf, s.mesh.range_m);
-    put_f64(&mut buf, s.mesh.lifetime_horizon_s);
-    put_f64(&mut buf, s.mesh.prune.min_lifetime_s);
-    put_u32(&mut buf, s.mesh.prune.redundancy_threshold);
-    put_dur(&mut buf, s.mesh.dedup_retention);
-    put_u8(
-        &mut buf,
-        match s.multicast {
-            MulticastProtocol::Flood => 0,
-            MulticastProtocol::Odmrp => 1,
-            MulticastProtocol::Mrmm => 2,
-        },
-    );
+    put_odometry(&mut buf, &s.odometry);
+    put_mesh(&mut buf, &s.mesh);
+    put_tag(&mut buf, &MulticastProtocol::ALL, &s.multicast);
     put_bool(&mut buf, s.sync_enabled);
     put_f64(&mut buf, s.clock_skew_ppm);
     put_dur(&mut buf, s.guard_band);
@@ -446,63 +494,22 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
 fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, s.seed);
-    put_f64(&mut buf, s.area.x_min);
-    put_f64(&mut buf, s.area.x_max);
-    put_f64(&mut buf, s.area.y_min);
-    put_f64(&mut buf, s.area.y_max);
+    put_area(&mut buf, &s.area);
     put_usize(&mut buf, s.num_robots);
     put_usize(&mut buf, s.num_equipped);
     put_f64(&mut buf, s.v_min);
     put_f64(&mut buf, s.v_max);
-    put_u8(
-        &mut buf,
-        match s.mode {
-            EstimatorMode::OdometryOnly => 0,
-            EstimatorMode::RfOnly => 1,
-            EstimatorMode::Cocoa => 2,
-        },
-    );
-    put_u8(
-        &mut buf,
-        match s.rf_algorithm {
-            RfAlgorithm::Bayes => 0,
-            RfAlgorithm::Multilateration => 1,
-            RfAlgorithm::Ekf => 2,
-        },
-    );
+    put_tag(&mut buf, &EstimatorMode::ALL, &s.mode);
+    put_tag(&mut buf, &RfAlgorithm::ALL, &s.rf_algorithm);
     put_f64(&mut buf, s.grid_resolution_m);
     // Fusion decides how every robot's estimator is built at setup, so
     // the time-zero snapshot bakes it in.
     put_bool(&mut buf, s.grid_fused);
     put_channel(&mut buf, &s.channel);
     put_energy(&mut buf, &s.energy);
-    put_f64(&mut buf, s.odometry.displacement_sigma);
-    put_f64(&mut buf, s.odometry.angular_sigma);
-    put_f64(&mut buf, s.odometry.heading_drift_sigma);
-    put_u8(
-        &mut buf,
-        match s.mesh.mode {
-            MeshMode::Odmrp => 0,
-            MeshMode::Mrmm => 1,
-        },
-    );
-    put_u8(&mut buf, s.mesh.max_hops);
-    put_dur(&mut buf, s.mesh.fg_timeout);
-    put_dur(&mut buf, s.mesh.reply_delay);
-    put_dur(&mut buf, s.mesh.rebroadcast_jitter);
-    put_f64(&mut buf, s.mesh.range_m);
-    put_f64(&mut buf, s.mesh.lifetime_horizon_s);
-    put_f64(&mut buf, s.mesh.prune.min_lifetime_s);
-    put_u32(&mut buf, s.mesh.prune.redundancy_threshold);
-    put_dur(&mut buf, s.mesh.dedup_retention);
-    put_u8(
-        &mut buf,
-        match s.multicast {
-            MulticastProtocol::Flood => 0,
-            MulticastProtocol::Odmrp => 1,
-            MulticastProtocol::Mrmm => 2,
-        },
-    );
+    put_odometry(&mut buf, &s.odometry);
+    put_mesh(&mut buf, &s.mesh);
+    put_tag(&mut buf, &MulticastProtocol::ALL, &s.multicast);
     put_f64(&mut buf, s.clock_skew_ppm);
     buf
 }
@@ -556,12 +563,7 @@ pub fn warm_fingerprint(s: &Scenario) -> u64 {
 
 fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError> {
     let seed = r.u64()?;
-    let area = Area {
-        x_min: r.f64()?,
-        x_max: r.f64()?,
-        y_min: r.f64()?,
-        y_max: r.f64()?,
-    };
+    let area = read_area(r)?;
     let num_robots = r.usize_()?;
     let num_equipped = r.usize_()?;
     let duration = read_dur(r)?;
@@ -570,52 +572,15 @@ fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError
     let beacons_per_window = r.u32()?;
     let v_min = r.f64()?;
     let v_max = r.f64()?;
-    let mode = match r.u8()? {
-        0 => EstimatorMode::OdometryOnly,
-        1 => EstimatorMode::RfOnly,
-        2 => EstimatorMode::Cocoa,
-        t => return Err(bad_tag("estimator mode", t)),
-    };
-    let rf_algorithm = match r.u8()? {
-        0 => RfAlgorithm::Bayes,
-        1 => RfAlgorithm::Multilateration,
-        2 => RfAlgorithm::Ekf,
-        t => return Err(bad_tag("rf algorithm", t)),
-    };
+    let mode = read_tag(r, &EstimatorMode::ALL, "estimator mode")?;
+    let rf_algorithm = read_tag(r, &RfAlgorithm::ALL, "rf algorithm")?;
     let coordination = r.bool()?;
     let grid_resolution_m = r.f64()?;
     let channel = read_channel(r)?;
     let energy = read_energy(r)?;
-    let odometry = OdometryConfig {
-        displacement_sigma: r.f64()?,
-        angular_sigma: r.f64()?,
-        heading_drift_sigma: r.f64()?,
-    };
-    let mesh_mode = match r.u8()? {
-        0 => MeshMode::Odmrp,
-        1 => MeshMode::Mrmm,
-        t => return Err(bad_tag("mesh mode", t)),
-    };
-    let mesh = OdmrpConfig {
-        mode: mesh_mode,
-        max_hops: r.u8()?,
-        fg_timeout: read_dur(r)?,
-        reply_delay: read_dur(r)?,
-        rebroadcast_jitter: read_dur(r)?,
-        range_m: r.f64()?,
-        lifetime_horizon_s: r.f64()?,
-        prune: cocoa_multicast::mrmm::PruneConfig {
-            min_lifetime_s: r.f64()?,
-            redundancy_threshold: r.u32()?,
-        },
-        dedup_retention: read_dur(r)?,
-    };
-    let multicast = match r.u8()? {
-        0 => MulticastProtocol::Flood,
-        1 => MulticastProtocol::Odmrp,
-        2 => MulticastProtocol::Mrmm,
-        t => return Err(bad_tag("multicast protocol", t)),
-    };
+    let odometry = read_odometry(r)?;
+    let mesh = read_mesh(r)?;
+    let multicast = read_tag(r, &MulticastProtocol::ALL, "multicast protocol")?;
     let sync_enabled = r.bool()?;
     let clock_skew_ppm = r.f64()?;
     let guard_band = read_dur(r)?;
@@ -921,14 +886,7 @@ fn decode_medium(r: &mut SnapshotReader<'_>) -> Result<MediumState, SnapshotErro
 /// backend, then a backend tag and the tagged solver payload (mirroring
 /// [`BackendCheckpoint`]).
 fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
-    put_u8(
-        buf,
-        match c.algorithm() {
-            RfAlgorithm::Bayes => 0,
-            RfAlgorithm::Multilateration => 1,
-            RfAlgorithm::Ekf => 2,
-        },
-    );
+    put_tag(buf, &RfAlgorithm::ALL, &c.algorithm());
     put_opt(buf, c.last_fix, put_point);
     put_bool(buf, c.in_window);
     put_u32(buf, c.stats.windows);
@@ -984,12 +942,7 @@ fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
 }
 
 fn read_estimator(r: &mut SnapshotReader<'_>) -> Result<EstimatorCheckpoint, SnapshotError> {
-    let algorithm = match r.u8()? {
-        0 => RfAlgorithm::Bayes,
-        1 => RfAlgorithm::Multilateration,
-        2 => RfAlgorithm::Ekf,
-        t => return Err(bad_tag("rf algorithm", t)),
-    };
+    let algorithm = read_tag(r, &RfAlgorithm::ALL, "rf algorithm")?;
     let last_fix = read_opt(r, read_point)?;
     let in_window = r.bool()?;
     let stats = WindowStats {
@@ -2427,225 +2380,107 @@ mod tests {
 
     /// Every `ScenarioBuilder` field must perturb the fingerprint: a
     /// silently-unhashed field would let two different scenarios share a
-    /// cache slot and serve each other's results.
+    /// cache slot and serve each other's results. Knob fields are
+    /// perturbed by their table examples; the rest are listed here.
     #[test]
     fn every_builder_field_perturbs_the_fingerprint() {
+        use crate::knobs::{example_forms, KNOBS};
         use crate::scenario::ScenarioBuilder;
-        type Tweak = Box<dyn Fn(&mut ScenarioBuilder)>;
-        let default_duration = Scenario::builder().build().duration;
-        let perturbations: Vec<(&str, Tweak)> = vec![
-            (
-                "seed",
-                Box::new(|b| {
-                    b.seed(7);
-                }),
-            ),
-            (
-                "area",
-                Box::new(|b| {
-                    b.area(Area::square(300.0));
-                }),
-            ),
-            (
-                "robots",
-                Box::new(|b| {
-                    b.robots(40);
-                }),
-            ),
-            (
-                "equipped",
-                Box::new(|b| {
-                    b.equipped(10);
-                }),
-            ),
-            (
-                "duration",
-                Box::new(|b| {
-                    b.duration(SimDuration::from_secs(900));
-                }),
-            ),
-            (
-                "beacon_period",
-                Box::new(|b| {
-                    b.beacon_period(SimDuration::from_secs(50));
-                }),
-            ),
-            (
-                "transmit_window",
-                Box::new(|b| {
-                    b.transmit_window(SimDuration::from_secs(2));
-                }),
-            ),
-            (
-                "beacons_per_window",
-                Box::new(|b| {
-                    b.beacons_per_window(2);
-                }),
-            ),
-            (
-                "v_min",
-                Box::new(|b| {
-                    b.v_min(0.2);
-                }),
-            ),
-            (
-                "v_max",
-                Box::new(|b| {
-                    b.v_max(3.0);
-                }),
-            ),
-            (
-                "static_team",
-                Box::new(|b| {
-                    b.static_team().multicast(MulticastProtocol::Flood);
-                }),
-            ),
-            (
-                "mode",
-                Box::new(|b| {
-                    b.mode(EstimatorMode::OdometryOnly);
-                }),
-            ),
-            (
-                "rf_algorithm",
-                Box::new(|b| {
-                    b.rf_algorithm(RfAlgorithm::Ekf);
-                }),
-            ),
-            (
-                "coordination",
-                Box::new(|b| {
-                    b.coordination(false);
-                }),
-            ),
-            (
-                "grid_resolution",
-                Box::new(|b| {
-                    b.grid_resolution(4.0);
-                }),
-            ),
-            (
-                "channel",
-                Box::new(|b| {
-                    b.channel(ChannelParams {
-                        tx_power_dbm: 18.0,
-                        ..ChannelParams::default()
-                    });
-                }),
-            ),
-            (
-                "energy",
-                Box::new(|b| {
-                    b.energy(EnergyParams {
-                        idle_mw: 901.0,
-                        ..EnergyParams::default()
-                    });
-                }),
-            ),
-            (
-                "odometry",
-                Box::new(|b| {
-                    b.odometry(OdometryConfig {
-                        displacement_sigma: 0.17,
-                        ..OdometryConfig::default()
-                    });
-                }),
-            ),
-            (
-                "mesh",
-                Box::new(|b| {
-                    b.mesh(OdmrpConfig {
-                        max_hops: 9,
-                        ..OdmrpConfig::default()
-                    });
-                }),
-            ),
-            (
-                "multicast",
-                Box::new(|b| {
-                    b.multicast(MulticastProtocol::Odmrp);
-                }),
-            ),
-            (
-                "sync_enabled",
-                Box::new(|b| {
-                    b.sync_enabled(false);
-                }),
-            ),
-            (
-                "clock_skew_ppm",
-                Box::new(|b| {
-                    b.clock_skew_ppm(99.0);
-                }),
-            ),
-            (
-                "guard_band",
-                Box::new(|b| {
-                    b.guard_band(SimDuration::from_secs(2));
-                }),
-            ),
-            (
-                "snapshots",
-                Box::new(|b| {
-                    b.snapshots([SimTime::from_secs(100)]);
-                }),
-            ),
-            (
-                "relay_beaconing",
-                Box::new(|b| {
-                    b.relay_beaconing(true);
-                }),
-            ),
-            (
-                "packet_loss",
-                Box::new(|b| {
-                    b.packet_loss(0.1);
-                }),
-            ),
-            (
-                "faults",
-                Box::new(move |b| {
-                    let plan = FaultPlan::preset("burst30", default_duration, 50)
-                        .expect("burst30 is a canned preset");
-                    b.faults(plan);
-                }),
-            ),
-            (
-                "failover_missed_periods",
-                Box::new(|b| {
-                    b.failover_missed_periods(5);
-                }),
-            ),
-            (
-                "entropy_watchdog_frac",
-                Box::new(|b| {
-                    b.entropy_watchdog_frac(0.5);
-                }),
-            ),
-            (
-                "outlier_gate_m",
-                Box::new(|b| {
-                    b.outlier_gate_m(75.0);
-                }),
-            ),
-            (
-                "grid_fused",
-                Box::new(|b| {
-                    b.grid_fused(true);
-                }),
-            ),
+        use crate::serve::{parse_spec, request_fingerprint, ServeRequest};
+        // A new field breaks this destructure until it is classified:
+        // give it a knob row, or an explicit entry below.
+        let Scenario {
+            // Knob rows.
+            seed: _,
+            num_robots: _,
+            num_equipped: _,
+            duration: _,
+            beacon_period: _,
+            transmit_window: _,
+            beacons_per_window: _,
+            v_min: _,
+            v_max: _,
+            mode: _,
+            rf_algorithm: _,
+            coordination: _,
+            grid_resolution_m: _,
+            multicast: _,
+            sync_enabled: _,
+            clock_skew_ppm: _,
+            guard_band: _,
+            snapshot_times: _,
+            packet_loss: _,
+            relay_beaconing: _,
+            faults: _,
+            failover_missed_periods: _,
+            entropy_watchdog_frac: _,
+            outlier_gate_m: _,
+            grid_fused: _,
+            // Explicit entries.
+            area: _,
+            channel: _,
+            energy: _,
+            odometry: _,
+            mesh: _,
+            // Fixed by the builder: no setter can change them.
+            tick: _,
+            metrics_interval: _,
+            relay_max_fix_age_windows: _,
+        } = Scenario::builder().build();
+        type Tweak = fn(&mut ScenarioBuilder);
+        let explicit: [(&str, Tweak); 5] = [
+            ("area", |b| {
+                b.area(Area::square(300.0));
+            }),
+            ("channel", |b| {
+                b.channel(ChannelParams {
+                    tx_power_dbm: 18.0,
+                    ..ChannelParams::default()
+                });
+            }),
+            ("energy", |b| {
+                b.energy(EnergyParams {
+                    idle_mw: 901.0,
+                    ..EnergyParams::default()
+                });
+            }),
+            ("odometry", |b| {
+                b.odometry(OdometryConfig {
+                    displacement_sigma: 0.17,
+                    ..OdometryConfig::default()
+                });
+            }),
+            ("mesh", |b| {
+                b.mesh(OdmrpConfig {
+                    max_hops: 9,
+                    ..OdmrpConfig::default()
+                });
+            }),
         ];
-        let mut seen: Vec<(&str, u64)> = vec![(
-            "default",
-            scenario_fingerprint(&Scenario::builder().build()),
-        )];
-        for (name, tweak) in &perturbations {
+        let mut requests = vec![("default", parse_spec("{}").expect("empty spec"))];
+        for knob in KNOBS {
+            let (spec, _) = example_forms(knob);
+            let request = parse_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            requests.push((knob.key, request));
+        }
+        for (name, tweak) in explicit {
             let mut b = Scenario::builder();
             tweak(&mut b);
-            let s = b
+            let scenario = b
                 .try_build()
                 .unwrap_or_else(|e| panic!("perturbation '{name}' must stay valid: {e}"));
-            let fp = scenario_fingerprint(&s);
+            requests.push((
+                name,
+                ServeRequest {
+                    scenario,
+                    telemetry: TelemetryLevel::Off,
+                    sample_interval: None,
+                },
+            ));
+        }
+        let mut seen: Vec<(&str, u64)> = Vec::new();
+        for (name, request) in &requests {
+            let fp = request_fingerprint(request);
             for (other, other_fp) in &seen {
                 assert_ne!(
                     fp, *other_fp,
@@ -2654,6 +2489,44 @@ mod tests {
             }
             seen.push((name, fp));
         }
+    }
+
+    /// The `ALL` lists double as codec tags: reordering one would
+    /// silently reinterpret every stored snapshot.
+    #[test]
+    fn codec_tag_orders_are_pinned() {
+        use EstimatorMode::*;
+        use MulticastProtocol::*;
+        use RfAlgorithm::*;
+        assert_eq!(EstimatorMode::ALL, [OdometryOnly, RfOnly, Cocoa]);
+        assert_eq!(RfAlgorithm::ALL, [Bayes, Multilateration, Ekf]);
+        assert_eq!(MulticastProtocol::ALL, [Flood, Odmrp, Mrmm]);
+    }
+
+    /// Persisted `--state-dir` jobs and sweep manifests are keyed by these
+    /// fingerprints, so a codec refactor must not move them.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let default = Scenario::builder().build();
+        let template = crate::serve::parse_spec(&crate::serve::example_spec())
+            .expect("the template parses")
+            .scenario;
+        let pinned = [
+            scenario_fingerprint(&default),
+            warm_fingerprint(&default),
+            scenario_fingerprint(&template),
+            warm_fingerprint(&template),
+        ]
+        .map(|fp| format!("{fp:016x}"));
+        assert_eq!(
+            pinned,
+            [
+                "d6c66ec1000001a2",
+                "9572b99d00000137",
+                "c7509b99000001a2",
+                "6bb593b800000137"
+            ]
+        );
     }
 
     /// The codec version participates in the hash, so fingerprints from

@@ -257,11 +257,18 @@ fn invalid_specs_are_rejected_with_400() {
         quiet: true,
         ..ServeConfig::default()
     });
-    for bad in [
+    let bad_specs = [
         "not json at all",
         "{\"robotz\": 5}",
         "{\"robots\": 4, \"equipped\": 9}",
-    ] {
+        // Hostile values used to panic the handler thread (no response
+        // at all) or the run (500).
+        "{\"guard_band_s\": -1}",
+        "{\"period_s\": 9007199254740991}",
+        "{\"grid_m\": 0}",
+        "{\"seed\": 1, \"seed\": 2}",
+    ];
+    for bad in bad_specs {
         let response = client::submit(&addr, bad).expect("transport ok");
         assert_eq!(response.status, 400, "spec {bad:?}");
         assert!(
@@ -270,8 +277,10 @@ fn invalid_specs_are_rejected_with_400() {
             response.body_str()
         );
     }
-    assert_eq!(counter(&server, "serve.rejected"), 3);
+    assert_eq!(counter(&server, "serve.rejected"), bad_specs.len() as u64);
     assert_eq!(counter(&server, "serve.executed"), 0);
+    let health = client::get(&addr, "/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
 }
 
 #[test]

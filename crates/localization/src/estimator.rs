@@ -51,6 +51,28 @@ impl std::fmt::Display for EstimatorMode {
 }
 
 impl EstimatorMode {
+    /// Every mode, in snapshot codec-tag order.
+    pub const ALL: [EstimatorMode; 3] = [
+        EstimatorMode::OdometryOnly,
+        EstimatorMode::RfOnly,
+        EstimatorMode::Cocoa,
+    ];
+
+    /// The short name used by CLI flags and serve specs (the `Display`
+    /// form is the longer report label).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EstimatorMode::OdometryOnly => "odometry",
+            EstimatorMode::RfOnly => "rf-only",
+            EstimatorMode::Cocoa => "cocoa",
+        }
+    }
+
+    /// Parses a mode name (the inverse of [`EstimatorMode::as_str`]).
+    pub fn parse(s: &str) -> Option<EstimatorMode> {
+        Self::ALL.into_iter().find(|m| m.as_str() == s)
+    }
+
     /// Whether this mode listens for beacons.
     pub fn uses_rf(&self) -> bool {
         !matches!(self, EstimatorMode::OdometryOnly)
@@ -82,11 +104,7 @@ pub enum RfAlgorithm {
 
 impl std::fmt::Display for RfAlgorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RfAlgorithm::Bayes => f.write_str("bayes"),
-            RfAlgorithm::Multilateration => f.write_str("multilateration"),
-            RfAlgorithm::Ekf => f.write_str("ekf"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -97,6 +115,20 @@ impl RfAlgorithm {
         RfAlgorithm::Multilateration,
         RfAlgorithm::Ekf,
     ];
+
+    /// Stable lower-case name, used in CLI flags, specs and reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RfAlgorithm::Bayes => "bayes",
+            RfAlgorithm::Multilateration => "multilateration",
+            RfAlgorithm::Ekf => "ekf",
+        }
+    }
+
+    /// Parses an algorithm name (the inverse of [`RfAlgorithm::as_str`]).
+    pub fn parse(s: &str) -> Option<RfAlgorithm> {
+        Self::ALL.into_iter().find(|a| a.as_str() == s)
+    }
 }
 
 /// The concrete solver behind the lifecycle. An enum (rather than a boxed

@@ -26,7 +26,8 @@ pub enum MulticastProtocol {
 }
 
 impl MulticastProtocol {
-    /// All backends, in comparison order (baseline first).
+    /// All backends, in comparison order (baseline first); this is also
+    /// the snapshot codec-tag order.
     pub const ALL: [MulticastProtocol; 3] = [
         MulticastProtocol::Flood,
         MulticastProtocol::Odmrp,
