@@ -158,7 +158,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--manifest" => args.manifest = Some(PathBuf::from(value("--manifest")?)),
             "--inflight" => {
-                let every = knobs::parse_secs(&flag, &value(&flag)?);
+                let every = knobs::parse_whole_secs(&flag, &value(&flag)?);
                 args.inflight = Some(every.map_err(|e| e.to_string())?);
             }
             "--deadline" => match knobs::parse_secs(&flag, &value(&flag)?) {

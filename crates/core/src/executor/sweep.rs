@@ -211,8 +211,12 @@ fn run_point(
     };
     if let Some(every) = every {
         let end = SimTime::ZERO + scenario.duration;
+        // Step from the previous target, not from `run.now()`: the clock
+        // only moves when an event fires, so an interval with no event in
+        // it would otherwise repeat the same target forever.
+        let mut next = run.now();
         loop {
-            let next = run.now() + every;
+            next += every;
             if next >= end {
                 break;
             }

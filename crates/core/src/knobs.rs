@@ -213,6 +213,11 @@ const fn knob(key: &'static str, flag: &'static str, placeholder: &'static str,
     Knob { key, flag, placeholder, example, doc, set, show }
 }
 
+/// Succeeds, dropping a builder setter's `&mut ScenarioBuilder`.
+fn ok<T>(_: T) -> Result<(), String> {
+    Ok(())
+}
+
 fn lit(value: impl ToString) -> Option<String> {
     Some(value.to_string())
 }
@@ -231,58 +236,58 @@ fn secs(d: SimDuration) -> Option<String> {
 #[rustfmt::skip]
 pub static KNOBS: &[Knob] = &[
     knob("seed", "--seed", "N", "7", "master seed",
-        |d, v| { d.builder.seed(v.int()?); Ok(()) }, |r| lit(r.scenario.seed)),
+        |d, v| ok(d.builder.seed(v.int()?)), |r| lit(r.scenario.seed)),
     knob("robots", "--robots", "N", "40", "team size",
-        |d, v| { d.builder.robots(v.int()?); Ok(()) }, |r| lit(r.scenario.num_robots)),
+        |d, v| ok(d.builder.robots(v.int()?)), |r| lit(r.scenario.num_robots)),
     knob("equipped", "--equipped", "N", "10", "robots with localization devices",
-        |d, v| { d.builder.equipped(v.int()?); Ok(()) }, |r| lit(r.scenario.num_equipped)),
+        |d, v| ok(d.builder.equipped(v.int()?)), |r| lit(r.scenario.num_equipped)),
     knob("duration_s", "--duration", "SECS", "900", "simulated seconds",
-        |d, v| { d.builder.duration(v.whole_secs()?); Ok(()) }, |r| secs(r.scenario.duration)),
+        |d, v| ok(d.builder.duration(v.whole_secs()?)), |r| secs(r.scenario.duration)),
     knob("period_s", "--period", "SECS", "50", "beacon period T",
-        |d, v| { d.builder.beacon_period(v.whole_secs()?); Ok(()) },
+        |d, v| ok(d.builder.beacon_period(v.whole_secs()?)),
         |r| secs(r.scenario.beacon_period)),
     knob("window_s", "--window", "SECS", "2", "transmit window t",
-        |d, v| { d.builder.transmit_window(v.whole_secs()?); Ok(()) },
+        |d, v| ok(d.builder.transmit_window(v.whole_secs()?)),
         |r| secs(r.scenario.transmit_window)),
     knob("beacons", "--beacons", "K", "2", "beacons per robot per window",
-        |d, v| { d.builder.beacons_per_window(v.int()?); Ok(()) },
+        |d, v| ok(d.builder.beacons_per_window(v.int()?)),
         |r| lit(r.scenario.beacons_per_window)),
     knob("v_max", "--vmax", "M_PER_S", "3.0", "maximum robot speed",
-        |d, v| { d.explicit_speed = true; d.builder.v_max(v.num()?); Ok(()) },
+        |d, v| { d.explicit_speed = true; ok(d.builder.v_max(v.num()?)) },
         |r| lit(r.scenario.v_max).filter(|_| !r.scenario.is_static())),
     knob("v_min", "--vmin", "M_PER_S", "0.2", "minimum robot speed",
-        |d, v| { d.explicit_speed = true; d.builder.v_min(v.num()?); Ok(()) },
+        |d, v| { d.explicit_speed = true; ok(d.builder.v_min(v.num()?)) },
         |r| lit(r.scenario.v_min).filter(|_| !r.scenario.is_static())),
     knob("static", "--static", "", "true",
         "pin every robot in place; needs --multicast flood or odmrp",
         |d, v| { d.static_team = v.switch()?; Ok(()) }, |r| lit(r.scenario.is_static())),
     knob("mode", "--mode", "MODE", "\"odometry\"", "estimator mode: cocoa | rf-only | odometry",
-        |d, v| { d.builder.mode(v.named(EstimatorMode::parse)?); Ok(()) },
+        |d, v| ok(d.builder.mode(v.named(EstimatorMode::parse)?)),
         |r| quoted(r.scenario.mode.as_str())),
     knob("multicast", "--multicast", "PROTO", "\"odmrp\"", "SYNC transport: flood | odmrp | mrmm",
-        |d, v| { d.builder.multicast(v.named(MulticastProtocol::parse)?); Ok(()) },
+        |d, v| ok(d.builder.multicast(v.named(MulticastProtocol::parse)?)),
         |r| quoted(r.scenario.multicast.as_str())),
     knob("estimator", "--estimator", "ALGO", "\"ekf\"",
         "per-window RF solver: bayes | multilateration | ekf",
-        |d, v| { d.builder.rf_algorithm(v.named(RfAlgorithm::parse)?); Ok(()) },
+        |d, v| ok(d.builder.rf_algorithm(v.named(RfAlgorithm::parse)?)),
         |r| quoted(r.scenario.rf_algorithm.as_str())),
     knob("grid_m", "--grid", "METRES", "4.0", "Bayesian grid resolution",
-        |d, v| { d.builder.grid_resolution(v.num()?); Ok(()) },
+        |d, v| ok(d.builder.grid_resolution(v.num()?)),
         |r| lit(r.scenario.grid_resolution_m)),
     knob("grid_fused", "--grid-fused", "", "true",
         "commit each transmit window's beacons as one fused grid pass",
-        |d, v| { d.builder.grid_fused(v.switch()?); Ok(()) }, |r| lit(r.scenario.grid_fused)),
+        |d, v| ok(d.builder.grid_fused(v.switch()?)), |r| lit(r.scenario.grid_fused)),
     knob("snapshot_s", "--snapshot", "SECS", "100",
         "record a per-robot CDF snapshot (the flag repeats)",
         |d, v| { d.snapshots.push(SimTime::from_micros(v.micros()?)); Ok(()) },
         |r| match r.scenario.snapshot_times[..] { [t] => lit(t.as_secs_f64()), _ => None }),
     knob("coordination", "--no-coordination", "", "false",
         "radios idle instead of sleeping between windows",
-        |d, v| { d.builder.coordination(v.switch()?); Ok(()) }, |r| lit(r.scenario.coordination)),
+        |d, v| ok(d.builder.coordination(v.switch()?)), |r| lit(r.scenario.coordination)),
     knob("sync", "--no-sync", "", "false", "disable the MRMM SYNC service",
-        |d, v| { d.builder.sync_enabled(v.switch()?); Ok(()) }, |r| lit(r.scenario.sync_enabled)),
+        |d, v| ok(d.builder.sync_enabled(v.switch()?)), |r| lit(r.scenario.sync_enabled)),
     knob("relay", "--relay", "", "true", "localized robots also beacon (Section 6 extension)",
-        |d, v| { d.builder.relay_beaconing(v.switch()?); Ok(()) },
+        |d, v| ok(d.builder.relay_beaconing(v.switch()?)),
         |r| lit(r.scenario.relay_beaconing)),
     knob("faults", "--faults", "NAME", "\"burst30\"",
         "canned fault schedule: none | sync-crash | burst30 | corrupt | chaos",
@@ -292,22 +297,22 @@ pub static KNOBS: &[Knob] = &[
         },
         |r| quoted("none").filter(|_| r.scenario.faults.is_empty())),
     knob("packet_loss", "--packet-loss", "P", "0.1", "independent per-reception loss probability",
-        |d, v| { d.builder.packet_loss(v.num()?); Ok(()) }, |r| lit(r.scenario.packet_loss)),
+        |d, v| ok(d.builder.packet_loss(v.num()?)), |r| lit(r.scenario.packet_loss)),
     knob("clock_skew_ppm", "--clock-skew", "PPM", "99", "per-robot clock skew magnitude",
-        |d, v| { d.builder.clock_skew_ppm(v.num()?); Ok(()) }, |r| lit(r.scenario.clock_skew_ppm)),
+        |d, v| ok(d.builder.clock_skew_ppm(v.num()?)), |r| lit(r.scenario.clock_skew_ppm)),
     knob("guard_band_s", "--guard-band", "SECS", "2", "how early robots wake before a window",
-        |d, v| { d.builder.guard_band(SimDuration::from_micros(v.micros()?)); Ok(()) },
+        |d, v| ok(d.builder.guard_band(SimDuration::from_micros(v.micros()?))),
         |r| secs(r.scenario.guard_band)),
     knob("failover_missed_periods", "--failover-periods", "N", "5",
         "silent periods before the Sync timebase fails over",
-        |d, v| { d.builder.failover_missed_periods(v.int()?); Ok(()) },
+        |d, v| ok(d.builder.failover_missed_periods(v.int()?)),
         |r| lit(r.scenario.failover_missed_periods)),
     knob("entropy_watchdog_frac", "--entropy-watchdog", "FRAC", "0.5",
         "flat-posterior threshold, fraction of max entropy (>= 1 disables)",
-        |d, v| { d.builder.entropy_watchdog_frac(v.num()?); Ok(()) },
+        |d, v| ok(d.builder.entropy_watchdog_frac(v.num()?)),
         |r| lit(r.scenario.entropy_watchdog_frac)),
     knob("outlier_gate_m", "--outlier-gate", "METRES", "75", "beacon outlier gate (0 disables)",
-        |d, v| { d.builder.outlier_gate_m(v.num()?); Ok(()) }, |r| lit(r.scenario.outlier_gate_m)),
+        |d, v| ok(d.builder.outlier_gate_m(v.num()?)), |r| lit(r.scenario.outlier_gate_m)),
     knob("telemetry", "--telemetry", "LEVEL", "\"full\"",
         "telemetry detail: off | counters | timeline | full",
         |d, v| { d.telemetry = v.named(TelemetryLevel::parse)?; Ok(()) },
@@ -322,11 +327,17 @@ pub static KNOBS: &[Knob] = &[
 ];
 
 /// Parses seconds for a command-line flag outside the table
-/// (`--snapshot-at`, `--deadline`, `--inflight`) by the same rules as
-/// the seconds knobs.
+/// (`--snapshot-at`, `--deadline`) by the same rules as the seconds
+/// knobs.
 pub fn parse_secs(flag: &str, text: &str) -> Result<SimDuration, KnobError> {
     (KnobInput::Arg(text).micros().map(SimDuration::from_micros))
         .map_err(|msg| KnobError::Value(format!("{flag} {msg}")))
+}
+
+/// Parses whole seconds for a command-line flag outside the table
+/// (`cocoa-sweep --inflight`) by the same rules as `--period`.
+pub fn parse_whole_secs(flag: &str, text: &str) -> Result<SimDuration, KnobError> {
+    (KnobInput::Arg(text).whole_secs()).map_err(|msg| KnobError::Value(format!("{flag} {msg}")))
 }
 
 /// The row for spec key `key`.

@@ -17,6 +17,12 @@ use cocoa_net::geometry::Area;
 use cocoa_sim::faults::FaultPlan;
 use cocoa_sim::time::{SimDuration, SimTime};
 
+/// The most cells a robot's Bayesian grid may have: 1 m cells over a
+/// 1 km × 1 km area, 16 MB of posterior and scratch per robot. Every
+/// robot allocates its grid at setup, so a finer resolution would let a
+/// request ask for more memory than the host has.
+const MAX_GRID_CELLS: f64 = 1e6;
+
 /// A fully-specified simulation scenario.
 ///
 /// Construct via [`Scenario::builder`]; every field is also public for
@@ -194,6 +200,15 @@ impl Scenario {
             return Err(format!(
                 "grid resolution {} m must be positive and no coarser than the area's \
                  shorter side ({side} m)",
+                self.grid_resolution_m
+            ));
+        }
+        let cells = (self.area.width() / self.grid_resolution_m).ceil()
+            * (self.area.height() / self.grid_resolution_m).ceil();
+        if cells > MAX_GRID_CELLS {
+            return Err(format!(
+                "grid resolution {} m needs {cells} cells per robot; at most \
+                 {MAX_GRID_CELLS} are allowed",
                 self.grid_resolution_m
             ));
         }
@@ -632,7 +647,7 @@ mod tests {
 
     #[test]
     fn rejects_grid_resolutions_the_grid_cannot_hold() {
-        for metres in [0.0, -2.0, 500.0, f64::NAN, f64::INFINITY] {
+        for metres in [0.0, -2.0, 500.0, f64::NAN, f64::INFINITY, 0.1, 1e-3, 5e-324] {
             assert!(
                 Scenario::builder()
                     .grid_resolution(metres)

@@ -79,8 +79,12 @@ fn splitmix(mut x: u64) -> u64 {
 /// different telemetry levels must never share a cached body — their
 /// JSONL streams differ.
 pub fn request_fingerprint(request: &ServeRequest) -> u64 {
-    // Off = 0 … Full = 3: declaration order, which `Ord` already fixes.
-    let level = request.telemetry as u64;
+    let level = match request.telemetry {
+        TelemetryLevel::Off => 0u64,
+        TelemetryLevel::Counters => 1,
+        TelemetryLevel::Timeline => 2,
+        TelemetryLevel::Full => 3,
+    };
     let interval = request
         .sample_interval
         .map(|d| d.as_micros())
@@ -168,18 +172,23 @@ mod tests {
     /// Results persisted under `--state-dir` are keyed by these values.
     #[test]
     fn request_fingerprints_are_pinned() {
-        let off = parse_spec(&example_spec()).unwrap();
-        let full = ServeRequest {
-            telemetry: TelemetryLevel::Full,
-            ..off.clone()
-        };
+        use TelemetryLevel::*;
+        let template = parse_spec(&example_spec()).unwrap();
+        let pinned = [Off, Counters, Timeline, Full].map(|telemetry| {
+            let request = ServeRequest {
+                telemetry,
+                ..template.clone()
+            };
+            format!("{:016x}", request_fingerprint(&request))
+        });
         assert_eq!(
-            format!("{:016x}", request_fingerprint(&off)),
-            "9cd7f5fa3495f7ac"
-        );
-        assert_eq!(
-            format!("{:016x}", request_fingerprint(&full)),
-            "5ce9b696933788eb"
+            pinned,
+            [
+                "9cd7f5fa3495f7ac",
+                "11742ba8002c3776",
+                "67a2eb43fda3d9c7",
+                "5ce9b696933788eb"
+            ]
         );
     }
 

@@ -35,6 +35,9 @@ const HOSTILE: &[(&str, &str, i32)] = &[
     (r#"{"grid_m": 0}"#, "--grid 0", 3),
     (r#"{"grid_m": -2}"#, "--grid -2", 3),
     (r#"{"grid_m": 500}"#, "--grid 500", 3),
+    // A grid too fine to allocate used to abort the whole process.
+    (r#"{"grid_m": 1e-3}"#, "--grid 0.001", 3),
+    (r#"{"grid_m": 5e-324}"#, "--grid 5e-324", 3),
     // `static` with an explicit speed is a contradiction in either order.
     (
         r#"{"multicast": "odmrp", "static": true, "v_max": 3}"#,
@@ -68,6 +71,23 @@ fn hostile_values_are_rejected_by_both_front_ends() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// `--inflight` takes whole seconds, like `--period`: a fractional
+/// interval is a usage error.
+#[test]
+fn sweep_inflight_takes_whole_seconds() {
+    let out = Command::new(env!("CARGO_BIN_EXE_cocoa-sweep"))
+        .args(QUICK.split_whitespace())
+        .args(["--periods", "20", "--inflight", "0.5"])
+        .output()
+        .expect("cocoa-sweep starts");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

@@ -163,23 +163,26 @@ fn interrupted_sweep_resumes_byte_identical() {
 
 /// Periodic in-flight checkpointing must not perturb the run: a sweep
 /// that snapshots every 10 simulated seconds produces the same bytes as
-/// a straight run.
+/// a straight run. A sub-second interval, which can hold no event at
+/// all, still ends.
 #[test]
 fn inflight_checkpointing_does_not_perturb_metrics() {
-    let scenarios = vec![scenario(21, 10, MulticastProtocol::Mrmm)];
-    let golden = encode_metrics(&run(&scenarios[0]));
-    let path = temp_manifest("inflight");
-    std::fs::remove_file(&path).ok();
-    let cfg = SweepConfig {
-        manifest_path: Some(path.clone()),
-        inflight_interval: Some(SimDuration::from_secs(10)),
-        ..SweepConfig::default()
-    };
-    let report = run_supervised(scenarios, &cfg);
-    std::fs::remove_file(&path).ok();
-    let report = report.expect("fresh manifest");
-    assert!(report.counters.checkpoints_written > 0);
-    assert_eq!(metrics_of(&report, 0), golden);
+    for every in [SimDuration::from_secs(10), SimDuration::from_millis(500)] {
+        let scenarios = vec![scenario(21, 10, MulticastProtocol::Mrmm)];
+        let golden = encode_metrics(&run(&scenarios[0]));
+        let path = temp_manifest("inflight");
+        std::fs::remove_file(&path).ok();
+        let cfg = SweepConfig {
+            manifest_path: Some(path.clone()),
+            inflight_interval: Some(every),
+            ..SweepConfig::default()
+        };
+        let report = run_supervised(scenarios, &cfg);
+        std::fs::remove_file(&path).ok();
+        let report = report.expect("fresh manifest");
+        assert!(report.counters.checkpoints_written > 0);
+        assert_eq!(metrics_of(&report, 0), golden, "{every}");
+    }
 }
 
 /// A hung point is classified as a deadline failure after the configured
