@@ -131,6 +131,62 @@ fn resume_is_bit_identical_for_every_grid_kernel_variant() {
     }
 }
 
+/// The wire bytes are pinned: CRC-32 and length of a capture for every
+/// mesh × estimator pair at full telemetry, of one run's encoded
+/// metrics, and of a manifest holding a point in each state. A codec
+/// refactor must not move a single byte.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    use cocoa_core::executor::manifest::{encode_metrics, PointState, SweepManifest};
+    use cocoa_localization::estimator::RfAlgorithm;
+    use cocoa_sim::snapshot::crc32;
+    let pin = |bytes: &[u8]| format!("{:08x}/{}", crc32(bytes), bytes.len());
+    let mut got = Vec::new();
+    let mut captures = Vec::new();
+    for protocol in MulticastProtocol::ALL {
+        for algorithm in RfAlgorithm::ALL {
+            let mut s = scenario(42, protocol, "chaos");
+            s.rf_algorithm = algorithm;
+            let mut run = SimRun::new(&s, Telemetry::new(TelemetryLevel::Full));
+            run.run_until(SimTime::ZERO + SimDuration::from_secs(DURATION_S / 2));
+            let bytes = run.capture();
+            got.push(format!("{}/{algorithm} {}", protocol.as_str(), pin(&bytes)));
+            captures.push(bytes);
+        }
+    }
+    let (metrics, _) = SimRun::new(
+        &scenario(42, MulticastProtocol::Mrmm, "chaos"),
+        Telemetry::off(),
+    )
+    .finish();
+    got.push(format!("metrics {}", pin(&encode_metrics(&metrics))));
+    let manifest = SweepManifest {
+        fingerprints: vec![11, 22, 33],
+        states: vec![
+            PointState::Pending,
+            PointState::InFlight(captures.swap_remove(0)),
+            PointState::Completed(Box::new(metrics)),
+        ],
+    };
+    got.push(format!("manifest {}", pin(&manifest.encode())));
+    assert_eq!(
+        got,
+        [
+            "flood/bayes c2c56622/265336",
+            "flood/multilateration 35f950a6/24714",
+            "flood/ekf 0798843c/24729",
+            "odmrp/bayes c11e0ebc/265705",
+            "odmrp/multilateration b602ef51/24975",
+            "odmrp/ekf 942313f8/25219",
+            "mrmm/bayes 23e5ab15/265704",
+            "mrmm/multilateration a98757c5/24974",
+            "mrmm/ekf f7eff5c7/25218",
+            "metrics 63903f36/1862",
+            "manifest 050ddec2/267328",
+        ]
+    );
+}
+
 #[test]
 fn previous_schema_snapshots_are_rejected_with_a_typed_error() {
     let s = scenario(42, MulticastProtocol::Mrmm, "none");
