@@ -774,6 +774,25 @@ mod tests {
         assert_eq!(trace.replay_from(2.0, Some(1)).len(), 1);
     }
 
+    /// A prune line carries the stamp's `seq` and the round's `mesh_seq`:
+    /// one key each, so the strict parser accepts it.
+    #[test]
+    fn mesh_prune_lines_parse() {
+        let mut t = Telemetry::new(TelemetryLevel::Full);
+        t.emit(
+            SimTime::from_secs(1),
+            TelemetryEvent::MeshPrune {
+                robot: 2,
+                source: 0,
+                seq: 7,
+            },
+        );
+        let trace = TraceFile::parse(&t.to_jsonl(false)).unwrap();
+        assert_eq!(trace.events.len(), 1);
+        assert_eq!(trace.events[0].kind, "mesh_prune");
+        assert_eq!(trace.events[0].fields["mesh_seq"], JsonValue::Num(7.0));
+    }
+
     #[test]
     fn validation_rejects_schema_violations() {
         // Missing meta.

@@ -1049,7 +1049,12 @@ fn write_event_line(out: &mut String, e: &StampedEvent) {
             let _ = write!(out, ",\"new_sync\":{new_sync}");
         }
         TelemetryEvent::MeshPrune { robot, source, seq } => {
-            let _ = write!(out, ",\"robot\":{robot},\"source\":{source},\"seq\":{seq}");
+            // `seq` already names the line's stamp, so the round's
+            // sequence number travels as `mesh_seq`.
+            let _ = write!(
+                out,
+                ",\"robot\":{robot},\"source\":{source},\"mesh_seq\":{seq}"
+            );
         }
         TelemetryEvent::RadioState { robot, state } => {
             let _ = write!(out, ",\"robot\":{robot},\"state\":\"{state}\"");
