@@ -18,27 +18,18 @@
 use std::fmt;
 use std::path::Path;
 
-use cocoa_multicast::mesh::MeshStats;
-use cocoa_net::energy::EnergyLedger;
-use cocoa_net::geometry::Point;
 use cocoa_sim::jsonfmt::ObjectWriter;
-use cocoa_sim::snapshot::{
-    put_bytes, put_f64, put_u64, put_u8, put_usize, Snapshot, SnapshotError, SnapshotReader,
-    SnapshotWriter,
-};
-use cocoa_sim::time::SimTime;
+use cocoa_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotWriter};
 
-use crate::health::HealthLedger;
-use crate::metrics::{
-    EnergyReport, ErrorPoint, ErrorSnapshot, RobotFinalState, RobustnessStats, RunMetrics,
-    TrafficStats,
+use crate::metrics::RunMetrics;
+use crate::world::checkpoint::{
+    energy_ledger, error_point, error_snapshot, final_state, health_ledger, position_snapshot,
+    robustness, traffic,
 };
+use crate::world::mesh::mesh_stats;
 
 /// The `kind` tag stamped into every manifest's meta line.
 pub const MANIFEST_KIND: &str = "cocoa-sweep-manifest";
-
-/// Guard against absurd element counts from corrupt length prefixes.
-const CAP_GUARD: usize = 1 << 20;
 
 /// Why a manifest could not be loaded or stored.
 #[derive(Debug)]
@@ -79,9 +70,10 @@ impl From<std::io::Error> for ManifestError {
 }
 
 /// Where one sweep point stands.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum PointState {
     /// Not started (or restarted after a terminal failure).
+    #[default]
     Pending,
     /// Mid-run: the latest engine snapshot, resumable via
     /// [`SimRun::resume`](crate::runner::SimRun::resume).
@@ -138,25 +130,11 @@ impl SweepManifest {
         let mut meta = ObjectWriter::new();
         meta.str_field("kind", MANIFEST_KIND)
             .u64_field("points", self.fingerprints.len() as u64);
-        let meta = meta.finish();
-        let mut body = Vec::new();
-        put_usize(&mut body, self.fingerprints.len());
-        for (fp, state) in self.fingerprints.iter().zip(&self.states) {
-            put_u64(&mut body, *fp);
-            match state {
-                PointState::Pending => put_u8(&mut body, 0),
-                PointState::InFlight(snap) => {
-                    put_u8(&mut body, 1);
-                    put_bytes(&mut body, snap);
-                }
-                PointState::Completed(metrics) => {
-                    put_u8(&mut body, 2);
-                    put_bytes(&mut body, &encode_metrics(metrics));
-                }
-            }
-        }
-        let mut w = SnapshotWriter::new(meta);
-        w.push_section("sweep", body);
+        let mut points: Vec<(u64, PointState)> = (self.fingerprints.iter().copied())
+            .zip(self.states.iter().cloned())
+            .collect();
+        let mut w = SnapshotWriter::new(meta.finish());
+        w.push_section("sweep", snapshot::encode(|c| c.vec(&mut points, point)));
         w.finish()
     }
 
@@ -168,35 +146,9 @@ impl SweepManifest {
         if !snap.meta().contains(&wanted) {
             return Err(ManifestError::WrongKind(snap.meta().to_string()));
         }
-        let mut r = snap.section("sweep")?;
-        let n = r.usize_()?;
-        if n > CAP_GUARD {
-            return Err(SnapshotError::Malformed {
-                context: format!("manifest declares {n} points"),
-            }
-            .into());
-        }
-        let mut fingerprints = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        for i in 0..n {
-            fingerprints.push(r.u64()?);
-            let tag = r.u8()?;
-            states.push(match tag {
-                0 => PointState::Pending,
-                1 => PointState::InFlight(r.bytes()?.to_vec()),
-                2 => {
-                    let payload = r.bytes()?;
-                    PointState::Completed(Box::new(decode_metrics(payload)?))
-                }
-                other => {
-                    return Err(SnapshotError::Malformed {
-                        context: format!("point {i}: unknown state tag {other}"),
-                    }
-                    .into())
-                }
-            });
-        }
-        r.finish()?;
+        let mut points = Vec::new();
+        snap.decode("sweep", |c| c.vec(&mut points, point))?;
+        let (fingerprints, states) = points.into_iter().unzip();
         Ok(SweepManifest {
             fingerprints,
             states,
@@ -228,239 +180,65 @@ impl SweepManifest {
 }
 
 // ---------------------------------------------------------------------------
-// RunMetrics wire codec.
-//
-// serde in this tree is a vendored stub (no real serialization), so the
-// manifest carries metrics through the same hand-rolled little-endian
-// style as the engine snapshot codec. f64 fields travel as raw bit
-// patterns — byte-exact round-trips are the whole point.
+// Layouts. f64 fields travel as raw bit patterns, so decode → encode is
+// the identity on bytes.
 
-fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_usize(buf, items.len());
-    for item in items {
-        put(buf, item);
+/// The tag order of [`PointState`].
+fn point_states() -> [PointState; 3] {
+    [
+        PointState::Pending,
+        PointState::InFlight(Vec::new()),
+        PointState::Completed(Box::default()),
+    ]
+}
+
+/// One point of the "sweep" section: its fingerprint and state.
+fn point(c: &mut impl Codec, (fp, state): &mut (u64, PointState)) -> Result<(), SnapshotError> {
+    c.u64(fp)?;
+    c.tag(&point_states(), state, "point state")?;
+    match state {
+        PointState::Pending => Ok(()),
+        PointState::InFlight(snapshot) => c.bytes(snapshot),
+        PointState::Completed(metrics) => c.nested("run metrics", |c| run_metrics(c, metrics)),
     }
 }
 
-fn read_vec<T>(
-    r: &mut SnapshotReader<'_>,
-    what: &str,
-    mut read: impl FnMut(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let n = r.usize_()?;
-    if n > CAP_GUARD {
-        return Err(SnapshotError::Malformed {
-            context: format!("{what}: impossible length {n}"),
-        });
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(read(r)?);
-    }
-    Ok(out)
+fn run_metrics(c: &mut impl Codec, m: &mut RunMetrics) -> Result<(), SnapshotError> {
+    c.vec(&mut m.error_series, error_point)?;
+    c.vec(&mut m.snapshots, error_snapshot)?;
+    c.vec(&mut m.energy.per_robot, energy_ledger)?;
+    mesh_stats(c, &mut m.mesh)?;
+    traffic(c, &mut m.traffic)?;
+    c.vec(&mut m.final_states, final_state)?;
+    c.vec(&mut m.position_snapshots, position_snapshot)?;
+    robustness(c, &mut m.robustness)?;
+    c.vec(&mut m.health, health_ledger)?;
+    c.u64(&mut m.events_processed)
 }
 
-fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-    put_u64(buf, t.as_micros());
-}
-
-fn read_time(r: &mut SnapshotReader<'_>) -> Result<SimTime, SnapshotError> {
-    Ok(SimTime::from_micros(r.u64()?))
-}
-
-fn put_point(buf: &mut Vec<u8>, p: &Point) {
-    put_f64(buf, p.x);
-    put_f64(buf, p.y);
-}
-
-fn read_point(r: &mut SnapshotReader<'_>) -> Result<Point, SnapshotError> {
-    Ok(Point {
-        x: r.f64()?,
-        y: r.f64()?,
-    })
-}
-
-fn put_final_state(buf: &mut Vec<u8>, s: &RobotFinalState) {
-    put_point(buf, &s.true_position);
-    put_point(buf, &s.estimate);
-    cocoa_sim::snapshot::put_bool(buf, s.equipped);
-}
-
-fn read_final_state(r: &mut SnapshotReader<'_>) -> Result<RobotFinalState, SnapshotError> {
-    Ok(RobotFinalState {
-        true_position: read_point(r)?,
-        estimate: read_point(r)?,
-        equipped: r.bool()?,
-    })
-}
-
-/// Serializes metrics to the manifest wire form (f64s as raw bits, so
-/// decode → encode is the identity on bytes).
+/// Serializes metrics to the manifest wire form.
 pub fn encode_metrics(m: &RunMetrics) -> Vec<u8> {
-    let mut b = Vec::new();
-    put_vec(&mut b, &m.error_series, |b, p| {
-        put_f64(b, p.t_s);
-        put_f64(b, p.mean_error_m);
-        put_usize(b, p.robots);
-    });
-    put_vec(&mut b, &m.snapshots, |b, s| {
-        put_time(b, s.time);
-        put_vec(b, &s.errors_m, |b, &e| put_f64(b, e));
-    });
-    put_vec(&mut b, &m.energy.per_robot, |b, l| {
-        put_f64(b, l.tx_uj);
-        put_f64(b, l.rx_uj);
-        put_f64(b, l.idle_uj);
-        put_f64(b, l.sleep_uj);
-        put_f64(b, l.wake_uj);
-    });
-    for v in [
-        m.mesh.queries_originated,
-        m.mesh.queries_rebroadcast,
-        m.mesh.queries_suppressed,
-        m.mesh.replies_sent,
-        m.mesh.fg_activations,
-        m.mesh.data_originated,
-        m.mesh.data_forwarded,
-        m.mesh.data_delivered,
-        m.mesh.data_duplicates,
-        m.mesh.data_undecodable,
-    ] {
-        put_u64(&mut b, v);
-    }
-    for v in [
-        m.traffic.beacons_sent,
-        m.traffic.beacons_received,
-        m.traffic.collisions,
-        m.traffic.syncs_delivered,
-        m.traffic.syncs_missed,
-        m.traffic.fixes,
-        m.traffic.starved_windows,
-    ] {
-        put_u64(&mut b, v);
-    }
-    put_vec(&mut b, &m.final_states, put_final_state);
-    put_vec(&mut b, &m.position_snapshots, |b, (t, states)| {
-        put_time(b, *t);
-        put_vec(b, states, put_final_state);
-    });
-    for v in [
-        m.robustness.crashes,
-        m.robustness.reboots,
-        m.robustness.failovers,
-        m.robustness.burst_losses,
-        m.robustness.corrupt_frames_dropped,
-        m.robustness.garbled_frames_delivered,
-        m.robustness.outlier_beacons_rejected,
-        m.robustness.flat_posteriors,
-        m.robustness.stale_syncs_ignored,
-        m.robustness.malformed_sync_bodies,
-    ] {
-        put_u64(&mut b, v);
-    }
-    put_vec(&mut b, &m.health, |b, h| {
-        put_f64(b, h.healthy_s);
-        put_f64(b, h.degraded_s);
-        put_f64(b, h.dead_reckoning_s);
-        put_f64(b, h.down_s);
-    });
-    put_u64(&mut b, m.events_processed);
-    b
+    snapshot::encode(|c| run_metrics(c, &mut m.clone()))
 }
 
 /// Deserializes metrics from the manifest wire form.
 pub fn decode_metrics(bytes: &[u8]) -> Result<RunMetrics, SnapshotError> {
-    let mut r = SnapshotReader::new(bytes, "run metrics");
-    let error_series = read_vec(&mut r, "error series", |r| {
-        Ok(ErrorPoint {
-            t_s: r.f64()?,
-            mean_error_m: r.f64()?,
-            robots: r.usize_()?,
-        })
-    })?;
-    let snapshots = read_vec(&mut r, "error snapshots", |r| {
-        let time = read_time(r)?;
-        // Construct directly: the stored order is already sorted and
-        // `ErrorSnapshot::new` would re-sort (and so could perturb a
-        // byte-exact round-trip if NaNs are ever present).
-        let errors_m = read_vec(r, "snapshot errors", |r| r.f64())?;
-        Ok(ErrorSnapshot { time, errors_m })
-    })?;
-    let per_robot = read_vec(&mut r, "energy ledgers", |r| {
-        let mut l = EnergyLedger::new();
-        l.tx_uj = r.f64()?;
-        l.rx_uj = r.f64()?;
-        l.idle_uj = r.f64()?;
-        l.sleep_uj = r.f64()?;
-        l.wake_uj = r.f64()?;
-        Ok(l)
-    })?;
-    let mesh = MeshStats {
-        queries_originated: r.u64()?,
-        queries_rebroadcast: r.u64()?,
-        queries_suppressed: r.u64()?,
-        replies_sent: r.u64()?,
-        fg_activations: r.u64()?,
-        data_originated: r.u64()?,
-        data_forwarded: r.u64()?,
-        data_delivered: r.u64()?,
-        data_duplicates: r.u64()?,
-        data_undecodable: r.u64()?,
-    };
-    let traffic = TrafficStats {
-        beacons_sent: r.u64()?,
-        beacons_received: r.u64()?,
-        collisions: r.u64()?,
-        syncs_delivered: r.u64()?,
-        syncs_missed: r.u64()?,
-        fixes: r.u64()?,
-        starved_windows: r.u64()?,
-    };
-    let final_states = read_vec(&mut r, "final states", read_final_state)?;
-    let position_snapshots = read_vec(&mut r, "position snapshots", |r| {
-        let t = read_time(r)?;
-        let states = read_vec(r, "snapshot states", read_final_state)?;
-        Ok((t, states))
-    })?;
-    let robustness = RobustnessStats {
-        crashes: r.u64()?,
-        reboots: r.u64()?,
-        failovers: r.u64()?,
-        burst_losses: r.u64()?,
-        corrupt_frames_dropped: r.u64()?,
-        garbled_frames_delivered: r.u64()?,
-        outlier_beacons_rejected: r.u64()?,
-        flat_posteriors: r.u64()?,
-        stale_syncs_ignored: r.u64()?,
-        malformed_sync_bodies: r.u64()?,
-    };
-    let health = read_vec(&mut r, "health ledgers", |r| {
-        Ok(HealthLedger {
-            healthy_s: r.f64()?,
-            degraded_s: r.f64()?,
-            dead_reckoning_s: r.f64()?,
-            down_s: r.f64()?,
-        })
-    })?;
-    let events_processed = r.u64()?;
-    r.finish()?;
-    Ok(RunMetrics {
-        error_series,
-        snapshots,
-        energy: EnergyReport { per_robot },
-        mesh,
-        traffic,
-        final_states,
-        position_snapshots,
-        robustness,
-        health,
-        events_processed,
-    })
+    let mut m = RunMetrics::default();
+    snapshot::decode(bytes, "run metrics", |c| run_metrics(c, &mut m))?;
+    Ok(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::HealthLedger;
+    use crate::metrics::{
+        EnergyReport, ErrorPoint, ErrorSnapshot, RobotFinalState, RobustnessStats, TrafficStats,
+    };
+    use cocoa_multicast::mesh::MeshStats;
+    use cocoa_net::energy::EnergyLedger;
+    use cocoa_net::geometry::Point;
+    use cocoa_sim::time::SimTime;
 
     fn sample_metrics(salt: u64) -> RunMetrics {
         let f = salt as f64;

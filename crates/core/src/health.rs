@@ -11,9 +11,10 @@ use cocoa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// How healthy a robot's localization pipeline currently is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum DegradationState {
     /// Fresh RF fix this window (or ground-truth-equipped robot).
+    #[default]
     Healthy,
     /// Coasting on a recent fix plus odometry.
     Degraded,

@@ -16,7 +16,7 @@ use cocoa_sim::stats;
 use cocoa_sim::time::SimTime;
 
 /// One point of the per-second error series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ErrorPoint {
     /// Sample time, seconds.
     pub t_s: f64,
@@ -27,7 +27,7 @@ pub struct ErrorPoint {
 }
 
 /// An empirical CDF over per-robot errors at one instant (paper Fig. 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ErrorSnapshot {
     /// When the snapshot was taken.
     pub time: SimTime,
@@ -152,7 +152,7 @@ pub struct RobustnessStats {
 
 /// A robot's state at the end of the run: what downstream applications
 /// (e.g. geographic routing over CoCoA coordinates) consume.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RobotFinalState {
     /// Ground-truth position.
     pub true_position: Point,
@@ -163,7 +163,7 @@ pub struct RobotFinalState {
 }
 
 /// Everything a simulation run produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Per-second mean localization error.
     pub error_series: Vec<ErrorPoint>,

@@ -16,7 +16,7 @@ use crate::world::mesh::MeshBackend;
 /// displacement the odometer *integrated* against the displacement the
 /// *fixes* observed yields the accumulated heading error — an estimator a
 /// real robot can run, since both quantities are locally known.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FixAnchor {
     /// The RF fix position.
     pub fix: Point,

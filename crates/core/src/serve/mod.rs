@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cocoa_sim::jsonfmt::ObjectWriter;
-use cocoa_sim::snapshot::{crc32, put_bytes, Snapshot, SnapshotWriter};
+use cocoa_sim::snapshot::{self, crc32, Codec, Snapshot, SnapshotWriter};
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 
 use crate::executor::fleet::FleetStatus;
@@ -705,13 +705,10 @@ fn encode_job(result: &JobResult) -> Vec<u8> {
     // numbers only round-trip integers up to 2^53.
     meta.str_field("kind", JOB_KIND)
         .str_field("fingerprint", &format!("{:016x}", result.fingerprint));
-    let mut body = Vec::new();
-    put_bytes(&mut body, &result.body);
-    let mut metrics = Vec::new();
-    put_bytes(&mut metrics, &result.metrics);
     let mut w = SnapshotWriter::new(meta.finish());
-    w.push_section("body", body);
-    w.push_section("metrics", metrics);
+    for (tag, blob) in [("body", &result.body), ("metrics", &result.metrics)] {
+        w.push_section(tag, snapshot::encode(|c| c.bytes(&mut blob.clone())));
+    }
     w.finish()
 }
 
@@ -728,12 +725,10 @@ fn decode_job(bytes: &[u8]) -> Result<JobResult, String> {
         .and_then(|v| v.as_str())
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or_else(|| "job meta missing fingerprint".to_string())?;
-    let mut r = snap.section("body").map_err(|e| e.to_string())?;
-    let body = r.bytes().map_err(|e| e.to_string())?.to_vec();
-    r.finish().map_err(|e| e.to_string())?;
-    let mut r = snap.section("metrics").map_err(|e| e.to_string())?;
-    let metrics = r.bytes().map_err(|e| e.to_string())?.to_vec();
-    r.finish().map_err(|e| e.to_string())?;
+    let (mut body, mut metrics) = (Vec::new(), Vec::new());
+    snap.decode("body", |c| c.bytes(&mut body))
+        .and_then(|()| snap.decode("metrics", |c| c.bytes(&mut metrics)))
+        .map_err(|e| e.to_string())?;
     // The metrics must still decode — a job file that lies about its
     // payload must not enter the cache.
     decode_metrics(&metrics).map_err(|e| e.to_string())?;

@@ -13,6 +13,14 @@
 //! bit-identical to the uninterrupted run — the property the resume tests
 //! pin down.
 //!
+//! Every layout is one function generic over [`Codec`], run by the writer
+//! at capture and by the reader at restore, so the two directions cannot
+//! drift apart. The reader then checks what the CRCs cannot: that the
+//! snapshot is consistent with its own scenario (team size, grid,
+//! horizon, per-robot copies of scenario settings, robot indices, clock
+//! order), so a well-formed but edited file is a typed error instead of a
+//! panic mid-run.
+//!
 //! Three consumers build on this module:
 //!
 //! - `cocoa-run --snapshot-at/--resume`: operational save/restore;
@@ -31,34 +39,29 @@ use cocoa_localization::estimator::{
     EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
 };
 use cocoa_localization::grid::GridConfig;
-use cocoa_localization::multilateration::RangeObservation;
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
 use cocoa_mobility::pose::Pose;
 use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
-use cocoa_net::calibration::{calibrate, CalibrationConfig, PdfTable, RadialConstraintTable};
-use cocoa_net::channel::{ChannelParams, PathLossModel, RfChannel};
+use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
+use cocoa_net::channel::{ChannelParams, PathLossModel};
 use cocoa_net::energy::{EnergyLedger, EnergyParams, PowerState};
 use cocoa_net::geometry::{Area, Point};
-use cocoa_net::mac::{ActiveTxState, Medium, MediumState, TxId};
-use cocoa_net::packet::{NodeId, Packet};
+use cocoa_net::mac::{Medium, MediumState, TxId};
+use cocoa_net::packet::{NodeId, Packet, Payload};
 use cocoa_net::radio::{Radio, RadioCheckpoint};
-use cocoa_net::rssi::Dbm;
 use cocoa_net::rssi::RssiBin;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::event::EventQueue;
-use cocoa_sim::faults::{Fault, FaultPlan, GilbertElliott, GilbertElliottLink};
+use cocoa_sim::faults::{Fault, FaultEvent, FaultPlan, GilbertElliott, GilbertElliottLink};
 use cocoa_sim::jsonfmt::ObjectWriter;
-use cocoa_sim::rng::{DetRng, SeedSplitter};
-use cocoa_sim::snapshot::{
-    intern, put_bool, put_bytes, put_f64, put_str, put_u32, put_u64, put_u8, put_usize, Snapshot,
-    SnapshotError, SnapshotReader, SnapshotWriter,
-};
-use cocoa_sim::telemetry::hist::{HistSnapshot, Histogram, NUM_BUCKETS};
+use cocoa_sim::rng::DetRng;
+use cocoa_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotWriter};
+use cocoa_sim::telemetry::hist::{HistSnapshot, NUM_BUCKETS};
 use cocoa_sim::telemetry::{
-    SpanStart, StampedEvent, Telemetry, TelemetryCheckpoint, TelemetryEvent, TelemetryLevel,
+    SpanStart, Telemetry, TelemetryCheckpoint, TelemetryEvent, TelemetryLevel,
 };
 use cocoa_sim::time::{SimDuration, SimTime};
 use cocoa_sim::trace::TraceLevel;
@@ -67,7 +70,7 @@ use crate::health::{DegradationState, HealthLedger, HealthMonitor};
 use crate::metrics::{
     ErrorPoint, ErrorSnapshot, RobotFinalState, RobustnessStats, RunMetrics, TrafficStats,
 };
-use crate::robot::{FixAnchor, Robot};
+use crate::robot::Robot;
 use crate::scenario::Scenario;
 use crate::sync::DriftingClock;
 use crate::world::events::{Event, SpanIds, TxIntent};
@@ -84,11 +87,6 @@ const SECTIONS: [&str; 7] = [
     "telemetry",
 ];
 
-/// Upper bound on `Vec::with_capacity` pre-allocation while decoding
-/// length-prefixed collections: a corrupt length then costs a bounded
-/// allocation plus a clean `Truncated` error instead of an abort.
-const CAP_GUARD: usize = 4096;
-
 fn malformed(context: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed {
         context: context.into(),
@@ -96,388 +94,543 @@ fn malformed(context: impl Into<String>) -> SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// Small codec helpers shared by every section.
+// Codec tag orders: one ordered list per tagged enum. A list of data-
+// carrying variants holds placeholders; its order is the wire tag.
 // ---------------------------------------------------------------------------
 
-fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-    put_u64(buf, t.as_micros());
+const PATH_LOSS_MODELS: [PathLossModel; 2] = [
+    PathLossModel::LogDistance { exponent: 0.0 },
+    PathLossModel::TwoRayGround {
+        antenna_height_m: 0.0,
+        wavelength_m: 0.0,
+    },
+];
+const MESH_MODES: [MeshMode; 2] = [MeshMode::Odmrp, MeshMode::Mrmm];
+const POWER_STATES: [PowerState; 3] = [PowerState::Off, PowerState::Sleep, PowerState::Idle];
+const DEGRADATION_STATES: [DegradationState; 4] = [
+    DegradationState::Healthy,
+    DegradationState::Degraded,
+    DegradationState::DeadReckoning,
+    DegradationState::Down,
+];
+const TELEMETRY_LEVELS: [TelemetryLevel; 4] = [
+    TelemetryLevel::Off,
+    TelemetryLevel::Counters,
+    TelemetryLevel::Timeline,
+    TelemetryLevel::Full,
+];
+const TRACE_LEVELS: [TraceLevel; 3] = [TraceLevel::Debug, TraceLevel::Info, TraceLevel::Warn];
+
+const GILBERT: GilbertElliott = GilbertElliott {
+    p_enter_bad: 0.0,
+    p_exit_bad: 0.0,
+    loss_good: 0.0,
+    loss_bad: 0.0,
+};
+const FAULTS: [Fault; 9] = [
+    Fault::Crash { robot: 0 },
+    Fault::Reboot { robot: 0 },
+    Fault::ClockSkewStep {
+        robot: 0,
+        delta_ppm: 0.0,
+    },
+    Fault::GarbleTxStart { robot: 0 },
+    Fault::GarbleTxEnd { robot: 0 },
+    Fault::BeaconOffsetStart {
+        robot: 0,
+        dx_m: 0.0,
+        dy_m: 0.0,
+    },
+    Fault::BeaconOffsetEnd { robot: 0 },
+    Fault::BurstLossStart { model: GILBERT },
+    Fault::BurstLossEnd,
+];
+
+static TX_INTENTS: [TxIntent; 2] = [
+    TxIntent::Beacon,
+    TxIntent::Mesh(Packet {
+        src: NodeId(0),
+        seq: 0,
+        payload: Payload::Beacon {
+            position: Point { x: 0.0, y: 0.0 },
+        },
+    }),
+];
+static EVENTS: [Event; 12] = [
+    Event::MoveTick,
+    Event::MetricsSample,
+    Event::WindowStart { index: 0 },
+    Event::RobotWake {
+        robot: 0,
+        window: 0,
+        epoch: 0,
+    },
+    Event::RobotWindowEnd {
+        robot: 0,
+        window: 0,
+        epoch: 0,
+    },
+    Event::Transmit {
+        robot: 0,
+        intent: TxIntent::Beacon,
+    },
+    Event::TxEnd {
+        tx: TxId::from_raw(0),
+        receivers: Vec::new(),
+    },
+    Event::MeshReply {
+        robot: 0,
+        source: NodeId(0),
+    },
+    Event::MeshRebroadcast {
+        robot: 0,
+        source: NodeId(0),
+        seq: 0,
+    },
+    Event::MediumGc,
+    Event::Snapshot { index: 0 },
+    Event::Fault(Fault::BurstLossEnd),
+];
+
+/// Estimator backends in [`RfAlgorithm::ALL`] order.
+static BACKENDS: [BackendCheckpoint; 3] = [
+    BackendCheckpoint::Bayes {
+        posterior_cells: Vec::new(),
+        pending: Vec::new(),
+        grid_stats: GridStats {
+            kernel_simd: 0,
+            kernel_fused: 0,
+            fused_windows: 0,
+            cells_touched: 0,
+        },
+        beacons_applied: 0,
+        beacons_seen: 0,
+    },
+    BackendCheckpoint::Lateration { ranges: Vec::new() },
+    BackendCheckpoint::Ekf {
+        filter: EkfSnapshot {
+            x: 0.0,
+            y: 0.0,
+            p11: 0.0,
+            p12: 0.0,
+            p22: 0.0,
+            updates_applied: 0,
+            updates_gated: 0,
+            consecutive_gated: 0,
+        },
+        window_applied: 0,
+        last_odo: None,
+    },
+];
+
+static TELEMETRY_EVENTS: [TelemetryEvent; 19] = [
+    TelemetryEvent::WindowStart { window: 0 },
+    TelemetryEvent::BeaconTx {
+        robot: 0,
+        x_m: 0.0,
+        y_m: 0.0,
+    },
+    TelemetryEvent::BeaconRx {
+        robot: 0,
+        from: 0,
+        rssi_dbm: 0.0,
+        outcome: "",
+    },
+    TelemetryEvent::GridUpdate { robot: 0 },
+    TelemetryEvent::Fix {
+        robot: 0,
+        window: 0,
+        x_m: 0.0,
+        y_m: 0.0,
+        err_m: 0.0,
+    },
+    TelemetryEvent::FlatPosterior {
+        robot: 0,
+        window: 0,
+        entropy: 0.0,
+        threshold: 0.0,
+    },
+    TelemetryEvent::StarvedWindow {
+        robot: 0,
+        window: 0,
+    },
+    TelemetryEvent::SyncDelivered {
+        robot: 0,
+        window: 0,
+    },
+    TelemetryEvent::SyncMissed {
+        robot: 0,
+        window: 0,
+    },
+    TelemetryEvent::Failover { new_sync: 0 },
+    TelemetryEvent::MeshPrune {
+        robot: 0,
+        source: 0,
+        seq: 0,
+    },
+    TelemetryEvent::RadioState {
+        robot: 0,
+        state: "",
+    },
+    TelemetryEvent::FaultInjected {
+        kind: "",
+        robot: None,
+    },
+    TelemetryEvent::HealthTransition {
+        robot: 0,
+        state: "",
+    },
+    TelemetryEvent::RobotSample {
+        robot: 0,
+        true_x_m: 0.0,
+        true_y_m: 0.0,
+        est_x_m: 0.0,
+        est_y_m: 0.0,
+        err_m: 0.0,
+        entropy_frac: None,
+        energy_j: 0.0,
+        radio: "",
+        health: "",
+    },
+    TelemetryEvent::TeamSample {
+        mean_err_m: 0.0,
+        robots: 0,
+        energy_j: 0.0,
+    },
+    TelemetryEvent::SnapshotTaken {
+        bytes: 0,
+        sections: 0,
+    },
+    TelemetryEvent::SnapshotRestored { bytes: 0 },
+    TelemetryEvent::Legacy {
+        level: TraceLevel::Debug,
+        subsystem: "",
+        message: String::new(),
+    },
+];
+
+// ---------------------------------------------------------------------------
+// Layouts shared by every section, the sweep manifest and the mesh state.
+// ---------------------------------------------------------------------------
+
+/// An instant as whole microseconds.
+pub(crate) fn time(c: &mut impl Codec, t: &mut SimTime) -> Result<(), SnapshotError> {
+    c.via(
+        t,
+        |t| t.as_micros(),
+        Codec::u64,
+        |us| Ok(SimTime::from_micros(us)),
+    )
 }
 
-fn read_time(r: &mut SnapshotReader<'_>) -> Result<SimTime, SnapshotError> {
-    Ok(SimTime::from_micros(r.u64()?))
+fn dur(c: &mut impl Codec, d: &mut SimDuration) -> Result<(), SnapshotError> {
+    c.via(
+        d,
+        |d| d.as_micros(),
+        Codec::u64,
+        |us| Ok(SimDuration::from_micros(us)),
+    )
 }
 
-fn put_dur(buf: &mut Vec<u8>, d: SimDuration) {
-    put_u64(buf, d.as_micros());
+fn point(c: &mut impl Codec, p: &mut Point) -> Result<(), SnapshotError> {
+    c.f64(&mut p.x)?;
+    c.f64(&mut p.y)
 }
 
-fn read_dur(r: &mut SnapshotReader<'_>) -> Result<SimDuration, SnapshotError> {
-    Ok(SimDuration::from_micros(r.u64()?))
+fn pose(c: &mut impl Codec, p: &mut Pose) -> Result<(), SnapshotError> {
+    point(c, &mut p.position)?;
+    c.f64(&mut p.heading)
 }
 
-fn put_point(buf: &mut Vec<u8>, p: Point) {
-    put_f64(buf, p.x);
-    put_f64(buf, p.y);
+/// A node id as its `u32`.
+pub(crate) fn node(c: &mut impl Codec, n: &mut NodeId) -> Result<(), SnapshotError> {
+    c.u32(&mut n.0)
 }
 
-fn read_point(r: &mut SnapshotReader<'_>) -> Result<Point, SnapshotError> {
-    Ok(Point::new(r.f64()?, r.f64()?))
+fn tx_id(c: &mut impl Codec, t: &mut TxId) -> Result<(), SnapshotError> {
+    c.via(t, |t| t.raw(), Codec::u64, |raw| Ok(TxId::from_raw(raw)))
 }
 
-fn put_pose(buf: &mut Vec<u8>, p: Pose) {
-    put_point(buf, p.position);
-    put_f64(buf, p.heading);
+fn packet(c: &mut impl Codec, p: &mut Packet) -> Result<(), SnapshotError> {
+    c.via(
+        p,
+        |p| p.encode().to_vec(),
+        Codec::bytes,
+        |raw| {
+            Packet::decode(Bytes::from(raw))
+                .map_err(|e| malformed(format!("undecodable packet in snapshot: {e:?}")))
+        },
+    )
 }
 
-fn read_pose(r: &mut SnapshotReader<'_>) -> Result<Pose, SnapshotError> {
-    Ok(Pose {
-        position: read_point(r)?,
-        heading: r.f64()?,
-    })
+/// An RNG stream's four state words; the all-zero state is rejected.
+fn rng(c: &mut impl Codec, r: &mut DetRng) -> Result<(), SnapshotError> {
+    c.via(
+        r,
+        DetRng::state,
+        |c, words| words.iter_mut().try_for_each(|w| c.u64(w)),
+        |words| match words {
+            [0, 0, 0, 0] => Err(malformed("rng stream has the all-zero state")),
+            _ => Ok(DetRng::from_state(words)),
+        },
+    )
 }
 
-fn put_opt<T>(buf: &mut Vec<u8>, v: Option<T>, f: impl FnOnce(&mut Vec<u8>, T)) {
-    match v {
-        Some(v) => {
-            put_bool(buf, true);
-            f(buf, v);
-        }
-        None => put_bool(buf, false),
+pub(crate) fn energy_ledger(c: &mut impl Codec, l: &mut EnergyLedger) -> Result<(), SnapshotError> {
+    for v in [
+        &mut l.tx_uj,
+        &mut l.rx_uj,
+        &mut l.idle_uj,
+        &mut l.sleep_uj,
+        &mut l.wake_uj,
+    ] {
+        c.f64(v)?;
     }
+    Ok(())
 }
 
-fn read_opt<T>(
-    r: &mut SnapshotReader<'_>,
-    f: impl FnOnce(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Option<T>, SnapshotError> {
-    if r.bool()? {
-        Ok(Some(f(r)?))
-    } else {
-        Ok(None)
+pub(crate) fn health_ledger(c: &mut impl Codec, l: &mut HealthLedger) -> Result<(), SnapshotError> {
+    for v in [
+        &mut l.healthy_s,
+        &mut l.degraded_s,
+        &mut l.dead_reckoning_s,
+        &mut l.down_s,
+    ] {
+        c.f64(v)?;
     }
+    Ok(())
 }
 
-fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut f: impl FnMut(&mut Vec<u8>, &T)) {
-    put_usize(buf, items.len());
-    for item in items {
-        f(buf, item);
+pub(crate) fn traffic(c: &mut impl Codec, t: &mut TrafficStats) -> Result<(), SnapshotError> {
+    for v in [
+        &mut t.beacons_sent,
+        &mut t.beacons_received,
+        &mut t.collisions,
+        &mut t.syncs_delivered,
+        &mut t.syncs_missed,
+        &mut t.fixes,
+        &mut t.starved_windows,
+    ] {
+        c.u64(v)?;
     }
+    Ok(())
 }
 
-fn read_vec<T>(
-    r: &mut SnapshotReader<'_>,
-    mut f: impl FnMut(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let n = r.usize_()?;
-    let mut v = Vec::with_capacity(n.min(CAP_GUARD));
-    for _ in 0..n {
-        v.push(f(r)?);
+pub(crate) fn robustness(c: &mut impl Codec, r: &mut RobustnessStats) -> Result<(), SnapshotError> {
+    for v in [
+        &mut r.crashes,
+        &mut r.reboots,
+        &mut r.failovers,
+        &mut r.burst_losses,
+        &mut r.corrupt_frames_dropped,
+        &mut r.garbled_frames_delivered,
+        &mut r.outlier_beacons_rejected,
+        &mut r.flat_posteriors,
+        &mut r.stale_syncs_ignored,
+        &mut r.malformed_sync_bodies,
+    ] {
+        c.u64(v)?;
     }
-    Ok(v)
+    Ok(())
 }
 
-fn put_rng(buf: &mut Vec<u8>, rng: &DetRng) {
-    for word in rng.state() {
-        put_u64(buf, word);
-    }
+pub(crate) fn error_point(c: &mut impl Codec, p: &mut ErrorPoint) -> Result<(), SnapshotError> {
+    c.f64(&mut p.t_s)?;
+    c.f64(&mut p.mean_error_m)?;
+    c.usize(&mut p.robots)
 }
 
-fn read_rng(r: &mut SnapshotReader<'_>) -> Result<DetRng, SnapshotError> {
-    let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    if s == [0u64; 4] {
-        return Err(malformed("rng stream has the all-zero state"));
-    }
-    Ok(DetRng::from_state(s))
+/// Stored sorted, as an [`ErrorSnapshot`] keeps it, so the reader does
+/// not re-sort (a re-sort could reorder NaNs and break byte-exactness).
+pub(crate) fn error_snapshot(
+    c: &mut impl Codec,
+    s: &mut ErrorSnapshot,
+) -> Result<(), SnapshotError> {
+    time(c, &mut s.time)?;
+    c.vec(&mut s.errors_m, Codec::f64)
 }
 
-fn bad_tag(what: &str, tag: u8) -> SnapshotError {
-    malformed(format!("unknown {what} tag {tag}"))
+pub(crate) fn final_state(
+    c: &mut impl Codec,
+    s: &mut RobotFinalState,
+) -> Result<(), SnapshotError> {
+    point(c, &mut s.true_position)?;
+    point(c, &mut s.estimate)?;
+    c.bool(&mut s.equipped)
+}
+
+pub(crate) fn position_snapshot(
+    c: &mut impl Codec,
+    (t, states): &mut (SimTime, Vec<RobotFinalState>),
+) -> Result<(), SnapshotError> {
+    time(c, t)?;
+    c.vec(states, final_state)
 }
 
 // ---------------------------------------------------------------------------
 // Scenario section.
 // ---------------------------------------------------------------------------
 
-fn put_channel(buf: &mut Vec<u8>, c: &ChannelParams) {
-    put_f64(buf, c.tx_power_dbm);
-    put_f64(buf, c.path_loss_1m_db);
-    match c.path_loss {
-        PathLossModel::LogDistance { exponent } => {
-            put_u8(buf, 0);
-            put_f64(buf, exponent);
-        }
+fn channel(c: &mut impl Codec, p: &mut ChannelParams) -> Result<(), SnapshotError> {
+    c.f64(&mut p.tx_power_dbm)?;
+    c.f64(&mut p.path_loss_1m_db)?;
+    c.tag(&PATH_LOSS_MODELS, &mut p.path_loss, "path-loss model")?;
+    match &mut p.path_loss {
+        PathLossModel::LogDistance { exponent } => c.f64(exponent)?,
         PathLossModel::TwoRayGround {
             antenna_height_m,
             wavelength_m,
         } => {
-            put_u8(buf, 1);
-            put_f64(buf, antenna_height_m);
-            put_f64(buf, wavelength_m);
+            c.f64(antenna_height_m)?;
+            c.f64(wavelength_m)?;
         }
     }
-    put_f64(buf, c.shadowing_sigma_db);
-    put_f64(buf, c.shadowing_sigma_slope_db_per_m);
-    put_f64(buf, c.multipath_onset_m);
-    put_f64(buf, c.multipath_fade_prob);
-    put_f64(buf, c.multipath_fade_mean_db);
-    put_f64(buf, c.sensitivity_dbm);
+    for v in [
+        &mut p.shadowing_sigma_db,
+        &mut p.shadowing_sigma_slope_db_per_m,
+        &mut p.multipath_onset_m,
+        &mut p.multipath_fade_prob,
+        &mut p.multipath_fade_mean_db,
+        &mut p.sensitivity_dbm,
+    ] {
+        c.f64(v)?;
+    }
+    Ok(())
 }
 
-fn read_channel(r: &mut SnapshotReader<'_>) -> Result<ChannelParams, SnapshotError> {
-    let tx_power_dbm = r.f64()?;
-    let path_loss_1m_db = r.f64()?;
-    let path_loss = match r.u8()? {
-        0 => PathLossModel::LogDistance { exponent: r.f64()? },
-        1 => PathLossModel::TwoRayGround {
-            antenna_height_m: r.f64()?,
-            wavelength_m: r.f64()?,
-        },
-        t => return Err(bad_tag("path-loss model", t)),
-    };
-    Ok(ChannelParams {
-        tx_power_dbm,
-        path_loss_1m_db,
-        path_loss,
-        shadowing_sigma_db: r.f64()?,
-        shadowing_sigma_slope_db_per_m: r.f64()?,
-        multipath_onset_m: r.f64()?,
-        multipath_fade_prob: r.f64()?,
-        multipath_fade_mean_db: r.f64()?,
-        sensitivity_dbm: r.f64()?,
-    })
+fn energy(c: &mut impl Codec, e: &mut EnergyParams) -> Result<(), SnapshotError> {
+    for v in [
+        &mut e.idle_mw,
+        &mut e.sleep_mw,
+        &mut e.tx_uj_per_byte,
+        &mut e.tx_uj_fixed,
+        &mut e.rx_uj_per_byte,
+        &mut e.rx_uj_fixed,
+        &mut e.wake_uj,
+    ] {
+        c.f64(v)?;
+    }
+    Ok(())
 }
 
-fn put_energy(buf: &mut Vec<u8>, e: &EnergyParams) {
-    put_f64(buf, e.idle_mw);
-    put_f64(buf, e.sleep_mw);
-    put_f64(buf, e.tx_uj_per_byte);
-    put_f64(buf, e.tx_uj_fixed);
-    put_f64(buf, e.rx_uj_per_byte);
-    put_f64(buf, e.rx_uj_fixed);
-    put_f64(buf, e.wake_uj);
+fn gilbert(c: &mut impl Codec, m: &mut GilbertElliott) -> Result<(), SnapshotError> {
+    for v in [
+        &mut m.p_enter_bad,
+        &mut m.p_exit_bad,
+        &mut m.loss_good,
+        &mut m.loss_bad,
+    ] {
+        c.f64(v)?;
+    }
+    Ok(())
 }
 
-fn read_energy(r: &mut SnapshotReader<'_>) -> Result<EnergyParams, SnapshotError> {
-    Ok(EnergyParams {
-        idle_mw: r.f64()?,
-        sleep_mw: r.f64()?,
-        tx_uj_per_byte: r.f64()?,
-        tx_uj_fixed: r.f64()?,
-        rx_uj_per_byte: r.f64()?,
-        rx_uj_fixed: r.f64()?,
-        wake_uj: r.f64()?,
-    })
-}
-
-fn put_fault(buf: &mut Vec<u8>, f: &Fault) {
+fn fault(c: &mut impl Codec, f: &mut Fault) -> Result<(), SnapshotError> {
+    c.tag(&FAULTS, f, "fault")?;
     match f {
-        Fault::Crash { robot } => {
-            put_u8(buf, 0);
-            put_usize(buf, *robot);
-        }
-        Fault::Reboot { robot } => {
-            put_u8(buf, 1);
-            put_usize(buf, *robot);
-        }
+        Fault::Crash { robot }
+        | Fault::Reboot { robot }
+        | Fault::GarbleTxStart { robot }
+        | Fault::GarbleTxEnd { robot }
+        | Fault::BeaconOffsetEnd { robot } => c.usize(robot),
         Fault::ClockSkewStep { robot, delta_ppm } => {
-            put_u8(buf, 2);
-            put_usize(buf, *robot);
-            put_f64(buf, *delta_ppm);
-        }
-        Fault::GarbleTxStart { robot } => {
-            put_u8(buf, 3);
-            put_usize(buf, *robot);
-        }
-        Fault::GarbleTxEnd { robot } => {
-            put_u8(buf, 4);
-            put_usize(buf, *robot);
+            c.usize(robot)?;
+            c.f64(delta_ppm)
         }
         Fault::BeaconOffsetStart { robot, dx_m, dy_m } => {
-            put_u8(buf, 5);
-            put_usize(buf, *robot);
-            put_f64(buf, *dx_m);
-            put_f64(buf, *dy_m);
+            c.usize(robot)?;
+            c.f64(dx_m)?;
+            c.f64(dy_m)
         }
-        Fault::BeaconOffsetEnd { robot } => {
-            put_u8(buf, 6);
-            put_usize(buf, *robot);
-        }
-        Fault::BurstLossStart { model } => {
-            put_u8(buf, 7);
-            put_gilbert(buf, model);
-        }
-        Fault::BurstLossEnd => put_u8(buf, 8),
+        Fault::BurstLossStart { model } => gilbert(c, model),
+        Fault::BurstLossEnd => Ok(()),
     }
 }
 
-fn read_fault(r: &mut SnapshotReader<'_>) -> Result<Fault, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Fault::Crash { robot: r.usize_()? },
-        1 => Fault::Reboot { robot: r.usize_()? },
-        2 => Fault::ClockSkewStep {
-            robot: r.usize_()?,
-            delta_ppm: r.f64()?,
+fn fault_plan(c: &mut impl Codec, plan: &mut FaultPlan) -> Result<(), SnapshotError> {
+    c.via(
+        plan,
+        |plan| plan.events().to_vec(),
+        |c, events| {
+            c.vec(events, |c, e: &mut FaultEvent| {
+                time(c, &mut e.at)?;
+                fault(c, &mut e.fault)
+            })
         },
-        3 => Fault::GarbleTxStart { robot: r.usize_()? },
-        4 => Fault::GarbleTxEnd { robot: r.usize_()? },
-        5 => Fault::BeaconOffsetStart {
-            robot: r.usize_()?,
-            dx_m: r.f64()?,
-            dy_m: r.f64()?,
+        |events| {
+            let mut plan = FaultPlan::new();
+            for e in events {
+                plan.schedule(e.at, e.fault);
+            }
+            Ok(plan)
         },
-        6 => Fault::BeaconOffsetEnd { robot: r.usize_()? },
-        7 => Fault::BurstLossStart {
-            model: read_gilbert(r)?,
-        },
-        8 => Fault::BurstLossEnd,
-        t => return Err(bad_tag("fault", t)),
-    })
+    )
 }
 
-fn put_gilbert(buf: &mut Vec<u8>, m: &GilbertElliott) {
-    put_f64(buf, m.p_enter_bad);
-    put_f64(buf, m.p_exit_bad);
-    put_f64(buf, m.loss_good);
-    put_f64(buf, m.loss_bad);
+fn area(c: &mut impl Codec, a: &mut Area) -> Result<(), SnapshotError> {
+    for v in [&mut a.x_min, &mut a.x_max, &mut a.y_min, &mut a.y_max] {
+        c.f64(v)?;
+    }
+    Ok(())
 }
 
-fn read_gilbert(r: &mut SnapshotReader<'_>) -> Result<GilbertElliott, SnapshotError> {
-    Ok(GilbertElliott {
-        p_enter_bad: r.f64()?,
-        p_exit_bad: r.f64()?,
-        loss_good: r.f64()?,
-        loss_bad: r.f64()?,
-    })
+fn odometry(c: &mut impl Codec, o: &mut OdometryConfig) -> Result<(), SnapshotError> {
+    c.f64(&mut o.displacement_sigma)?;
+    c.f64(&mut o.angular_sigma)?;
+    c.f64(&mut o.heading_drift_sigma)
 }
 
-/// Writes `value` as its index in `all`: an enum's `ALL` list is its
-/// codec-tag order (pinned by `codec_tag_orders_are_pinned`).
-fn put_tag<T: PartialEq>(buf: &mut Vec<u8>, all: &[T], value: &T) {
-    let tag = all.iter().position(|v| v == value);
-    put_u8(buf, tag.expect("ALL lists every variant") as u8);
+fn mesh_config(c: &mut impl Codec, m: &mut OdmrpConfig) -> Result<(), SnapshotError> {
+    c.tag(&MESH_MODES, &mut m.mode, "mesh mode")?;
+    c.u8(&mut m.max_hops)?;
+    dur(c, &mut m.fg_timeout)?;
+    dur(c, &mut m.reply_delay)?;
+    dur(c, &mut m.rebroadcast_jitter)?;
+    c.f64(&mut m.range_m)?;
+    c.f64(&mut m.lifetime_horizon_s)?;
+    c.f64(&mut m.prune.min_lifetime_s)?;
+    c.u32(&mut m.prune.redundancy_threshold)?;
+    dur(c, &mut m.dedup_retention)
 }
 
-fn read_tag<T: Copy>(
-    r: &mut SnapshotReader<'_>,
-    all: &[T],
-    what: &str,
-) -> Result<T, SnapshotError> {
-    let tag = r.u8()?;
-    all.get(usize::from(tag))
-        .copied()
-        .ok_or_else(|| bad_tag(what, tag))
-}
-
-fn put_area(buf: &mut Vec<u8>, a: &Area) {
-    put_f64(buf, a.x_min);
-    put_f64(buf, a.x_max);
-    put_f64(buf, a.y_min);
-    put_f64(buf, a.y_max);
-}
-
-fn read_area(r: &mut SnapshotReader<'_>) -> Result<Area, SnapshotError> {
-    Ok(Area {
-        x_min: r.f64()?,
-        x_max: r.f64()?,
-        y_min: r.f64()?,
-        y_max: r.f64()?,
-    })
-}
-
-fn put_odometry(buf: &mut Vec<u8>, o: &OdometryConfig) {
-    put_f64(buf, o.displacement_sigma);
-    put_f64(buf, o.angular_sigma);
-    put_f64(buf, o.heading_drift_sigma);
-}
-
-fn read_odometry(r: &mut SnapshotReader<'_>) -> Result<OdometryConfig, SnapshotError> {
-    Ok(OdometryConfig {
-        displacement_sigma: r.f64()?,
-        angular_sigma: r.f64()?,
-        heading_drift_sigma: r.f64()?,
-    })
-}
-
-fn put_mesh(buf: &mut Vec<u8>, m: &OdmrpConfig) {
-    put_u8(
-        buf,
-        match m.mode {
-            MeshMode::Odmrp => 0,
-            MeshMode::Mrmm => 1,
-        },
-    );
-    put_u8(buf, m.max_hops);
-    put_dur(buf, m.fg_timeout);
-    put_dur(buf, m.reply_delay);
-    put_dur(buf, m.rebroadcast_jitter);
-    put_f64(buf, m.range_m);
-    put_f64(buf, m.lifetime_horizon_s);
-    put_f64(buf, m.prune.min_lifetime_s);
-    put_u32(buf, m.prune.redundancy_threshold);
-    put_dur(buf, m.dedup_retention);
-}
-
-fn read_mesh(r: &mut SnapshotReader<'_>) -> Result<OdmrpConfig, SnapshotError> {
-    let mode = match r.u8()? {
-        0 => MeshMode::Odmrp,
-        1 => MeshMode::Mrmm,
-        t => return Err(bad_tag("mesh mode", t)),
-    };
-    Ok(OdmrpConfig {
-        mode,
-        max_hops: r.u8()?,
-        fg_timeout: read_dur(r)?,
-        reply_delay: read_dur(r)?,
-        rebroadcast_jitter: read_dur(r)?,
-        range_m: r.f64()?,
-        lifetime_horizon_s: r.f64()?,
-        prune: cocoa_multicast::mrmm::PruneConfig {
-            min_lifetime_s: r.f64()?,
-            redundancy_threshold: r.u32()?,
-        },
-        dedup_retention: read_dur(r)?,
-    })
-}
-
-fn encode_scenario(s: &Scenario) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, s.seed);
-    put_area(&mut buf, &s.area);
-    put_usize(&mut buf, s.num_robots);
-    put_usize(&mut buf, s.num_equipped);
-    put_dur(&mut buf, s.duration);
-    put_dur(&mut buf, s.beacon_period);
-    put_dur(&mut buf, s.transmit_window);
-    put_u32(&mut buf, s.beacons_per_window);
-    put_f64(&mut buf, s.v_min);
-    put_f64(&mut buf, s.v_max);
-    put_tag(&mut buf, &EstimatorMode::ALL, &s.mode);
-    put_tag(&mut buf, &RfAlgorithm::ALL, &s.rf_algorithm);
-    put_bool(&mut buf, s.coordination);
-    put_f64(&mut buf, s.grid_resolution_m);
-    put_channel(&mut buf, &s.channel);
-    put_energy(&mut buf, &s.energy);
-    put_odometry(&mut buf, &s.odometry);
-    put_mesh(&mut buf, &s.mesh);
-    put_tag(&mut buf, &MulticastProtocol::ALL, &s.multicast);
-    put_bool(&mut buf, s.sync_enabled);
-    put_f64(&mut buf, s.clock_skew_ppm);
-    put_dur(&mut buf, s.guard_band);
-    put_dur(&mut buf, s.tick);
-    put_dur(&mut buf, s.metrics_interval);
-    put_vec(&mut buf, &s.snapshot_times, |b, &t| put_time(b, t));
-    put_f64(&mut buf, s.packet_loss);
-    put_bool(&mut buf, s.relay_beaconing);
-    put_u64(&mut buf, s.relay_max_fix_age_windows);
-    put_vec(&mut buf, s.faults.events(), |b, e| {
-        put_time(b, e.at);
-        put_fault(b, &e.fault);
-    });
-    put_u32(&mut buf, s.failover_missed_periods);
-    put_f64(&mut buf, s.entropy_watchdog_frac);
-    put_f64(&mut buf, s.outlier_gate_m);
-    put_bool(&mut buf, s.grid_fused);
-    buf
+fn scenario_section(c: &mut impl Codec, s: &mut Scenario) -> Result<(), SnapshotError> {
+    c.u64(&mut s.seed)?;
+    area(c, &mut s.area)?;
+    c.usize(&mut s.num_robots)?;
+    c.usize(&mut s.num_equipped)?;
+    dur(c, &mut s.duration)?;
+    dur(c, &mut s.beacon_period)?;
+    dur(c, &mut s.transmit_window)?;
+    c.u32(&mut s.beacons_per_window)?;
+    c.f64(&mut s.v_min)?;
+    c.f64(&mut s.v_max)?;
+    c.tag(&EstimatorMode::ALL, &mut s.mode, "estimator mode")?;
+    c.tag(&RfAlgorithm::ALL, &mut s.rf_algorithm, "rf algorithm")?;
+    c.bool(&mut s.coordination)?;
+    c.f64(&mut s.grid_resolution_m)?;
+    channel(c, &mut s.channel)?;
+    energy(c, &mut s.energy)?;
+    odometry(c, &mut s.odometry)?;
+    mesh_config(c, &mut s.mesh)?;
+    c.tag(
+        &MulticastProtocol::ALL,
+        &mut s.multicast,
+        "multicast protocol",
+    )?;
+    c.bool(&mut s.sync_enabled)?;
+    c.f64(&mut s.clock_skew_ppm)?;
+    dur(c, &mut s.guard_band)?;
+    dur(c, &mut s.tick)?;
+    dur(c, &mut s.metrics_interval)?;
+    c.vec(&mut s.snapshot_times, time)?;
+    c.f64(&mut s.packet_loss)?;
+    c.bool(&mut s.relay_beaconing)?;
+    c.u64(&mut s.relay_max_fix_age_windows)?;
+    fault_plan(c, &mut s.faults)?;
+    c.u32(&mut s.failover_missed_periods)?;
+    c.f64(&mut s.entropy_watchdog_frac)?;
+    c.f64(&mut s.outlier_gate_m)?;
+    c.bool(&mut s.grid_fused)
 }
 
 /// The setup-feeding subset of the scenario encoding: exactly the
@@ -487,31 +640,41 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
 /// odometry, mesh, multicast, clock skew). Two scenarios with identical
 /// immutable encodings are warm-fork compatible; everything else is
 /// schedule-side and may differ between a snapshot and its forks.
+/// Write-only: it feeds fingerprints, never a decoder.
 ///
 /// [`SimRun::warm_fork`] compares these bytes directly, so the
 /// compatibility check and the [`warm_fingerprint`] cache key can never
 /// drift apart.
 fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, s.seed);
-    put_area(&mut buf, &s.area);
-    put_usize(&mut buf, s.num_robots);
-    put_usize(&mut buf, s.num_equipped);
-    put_f64(&mut buf, s.v_min);
-    put_f64(&mut buf, s.v_max);
-    put_tag(&mut buf, &EstimatorMode::ALL, &s.mode);
-    put_tag(&mut buf, &RfAlgorithm::ALL, &s.rf_algorithm);
-    put_f64(&mut buf, s.grid_resolution_m);
-    // Fusion decides how every robot's estimator is built at setup, so
-    // the time-zero snapshot bakes it in.
-    put_bool(&mut buf, s.grid_fused);
-    put_channel(&mut buf, &s.channel);
-    put_energy(&mut buf, &s.energy);
-    put_odometry(&mut buf, &s.odometry);
-    put_mesh(&mut buf, &s.mesh);
-    put_tag(&mut buf, &MulticastProtocol::ALL, &s.multicast);
-    put_f64(&mut buf, s.clock_skew_ppm);
-    buf
+    let mut s = s.clone();
+    snapshot::encode(|c| {
+        c.u64(&mut s.seed)?;
+        area(c, &mut s.area)?;
+        c.usize(&mut s.num_robots)?;
+        c.usize(&mut s.num_equipped)?;
+        c.f64(&mut s.v_min)?;
+        c.f64(&mut s.v_max)?;
+        c.tag(&EstimatorMode::ALL, &mut s.mode, "estimator mode")?;
+        c.tag(&RfAlgorithm::ALL, &mut s.rf_algorithm, "rf algorithm")?;
+        c.f64(&mut s.grid_resolution_m)?;
+        // Fusion decides how every robot's estimator is built at setup, so
+        // the time-zero snapshot bakes it in.
+        c.bool(&mut s.grid_fused)?;
+        channel(c, &mut s.channel)?;
+        energy(c, &mut s.energy)?;
+        odometry(c, &mut s.odometry)?;
+        mesh_config(c, &mut s.mesh)?;
+        c.tag(
+            &MulticastProtocol::ALL,
+            &mut s.multicast,
+            "multicast protocol",
+        )?;
+        c.f64(&mut s.clock_skew_ppm)
+    })
+}
+
+fn encode_scenario(s: &Scenario) -> Vec<u8> {
+    snapshot::encode(|c| scenario_section(c, &mut s.clone()))
 }
 
 /// CRC-fingerprints `payload` under the given codec version: the high
@@ -522,9 +685,9 @@ fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
 /// cross-serve stale state after a codec bump.
 fn versioned_fingerprint(payload: &[u8], version: u32) -> u64 {
     let mut buf = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut buf, version);
+    buf.extend_from_slice(&version.to_le_bytes());
     buf.extend_from_slice(payload);
-    (u64::from(cocoa_sim::snapshot::crc32(&buf)) << 32) | buf.len() as u64
+    (u64::from(snapshot::crc32(&buf)) << 32) | buf.len() as u64
 }
 
 /// A 64-bit fingerprint of a scenario's full configuration, derived
@@ -539,10 +702,7 @@ fn versioned_fingerprint(payload: &[u8], version: u32) -> u64 {
 /// Cheap, stable across runs, and collision-resistant enough for
 /// sweep-shaped point counts.
 pub fn scenario_fingerprint(s: &Scenario) -> u64 {
-    versioned_fingerprint(
-        &encode_scenario(s),
-        cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION,
-    )
+    versioned_fingerprint(&encode_scenario(s), snapshot::SNAPSHOT_SCHEMA_VERSION)
 }
 
 /// A 64-bit fingerprint of only the scenario's *setup-feeding* fields
@@ -557,210 +717,62 @@ pub fn scenario_fingerprint(s: &Scenario) -> u64 {
 pub fn warm_fingerprint(s: &Scenario) -> u64 {
     versioned_fingerprint(
         &encode_scenario_immutable(s),
-        cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION,
+        snapshot::SNAPSHOT_SCHEMA_VERSION,
     )
-}
-
-fn decode_scenario(r: &mut SnapshotReader<'_>) -> Result<Scenario, SnapshotError> {
-    let seed = r.u64()?;
-    let area = read_area(r)?;
-    let num_robots = r.usize_()?;
-    let num_equipped = r.usize_()?;
-    let duration = read_dur(r)?;
-    let beacon_period = read_dur(r)?;
-    let transmit_window = read_dur(r)?;
-    let beacons_per_window = r.u32()?;
-    let v_min = r.f64()?;
-    let v_max = r.f64()?;
-    let mode = read_tag(r, &EstimatorMode::ALL, "estimator mode")?;
-    let rf_algorithm = read_tag(r, &RfAlgorithm::ALL, "rf algorithm")?;
-    let coordination = r.bool()?;
-    let grid_resolution_m = r.f64()?;
-    let channel = read_channel(r)?;
-    let energy = read_energy(r)?;
-    let odometry = read_odometry(r)?;
-    let mesh = read_mesh(r)?;
-    let multicast = read_tag(r, &MulticastProtocol::ALL, "multicast protocol")?;
-    let sync_enabled = r.bool()?;
-    let clock_skew_ppm = r.f64()?;
-    let guard_band = read_dur(r)?;
-    let tick = read_dur(r)?;
-    let metrics_interval = read_dur(r)?;
-    let snapshot_times = read_vec(r, read_time)?;
-    let packet_loss = r.f64()?;
-    let relay_beaconing = r.bool()?;
-    let relay_max_fix_age_windows = r.u64()?;
-    let fault_events = read_vec(r, |r| Ok((read_time(r)?, read_fault(r)?)))?;
-    let mut faults = FaultPlan::new();
-    for (at, fault) in fault_events {
-        faults.schedule(at, fault);
-    }
-    let failover_missed_periods = r.u32()?;
-    let entropy_watchdog_frac = r.f64()?;
-    let outlier_gate_m = r.f64()?;
-    let grid_fused = r.bool()?;
-    Ok(Scenario {
-        seed,
-        area,
-        num_robots,
-        num_equipped,
-        duration,
-        beacon_period,
-        transmit_window,
-        beacons_per_window,
-        v_min,
-        v_max,
-        mode,
-        rf_algorithm,
-        coordination,
-        grid_resolution_m,
-        channel,
-        energy,
-        odometry,
-        mesh,
-        multicast,
-        sync_enabled,
-        clock_skew_ppm,
-        guard_band,
-        tick,
-        metrics_interval,
-        snapshot_times,
-        packet_loss,
-        relay_beaconing,
-        relay_max_fix_age_windows,
-        faults,
-        failover_missed_periods,
-        entropy_watchdog_frac,
-        outlier_gate_m,
-        grid_fused,
-    })
 }
 
 // ---------------------------------------------------------------------------
 // Engine section (clock + pending event queue).
 // ---------------------------------------------------------------------------
 
-fn put_packet(buf: &mut Vec<u8>, p: &Packet) {
-    put_bytes(buf, &p.encode());
-}
-
-fn read_packet(r: &mut SnapshotReader<'_>) -> Result<Packet, SnapshotError> {
-    let raw = r.bytes()?;
-    Packet::decode(Bytes::from(raw))
-        .map_err(|e| malformed(format!("undecodable packet in snapshot: {e:?}")))
-}
-
-fn put_event(buf: &mut Vec<u8>, e: &Event) {
+fn event(c: &mut impl Codec, e: &mut Event) -> Result<(), SnapshotError> {
+    c.tag(&EVENTS, e, "event")?;
     match e {
-        Event::MoveTick => put_u8(buf, 0),
-        Event::MetricsSample => put_u8(buf, 1),
-        Event::WindowStart { index } => {
-            put_u8(buf, 2);
-            put_u64(buf, *index);
-        }
+        Event::MoveTick | Event::MetricsSample | Event::MediumGc => Ok(()),
+        Event::WindowStart { index } => c.u64(index),
         Event::RobotWake {
             robot,
             window,
             epoch,
-        } => {
-            put_u8(buf, 3);
-            put_usize(buf, *robot);
-            put_u64(buf, *window);
-            put_u32(buf, *epoch);
         }
-        Event::RobotWindowEnd {
+        | Event::RobotWindowEnd {
             robot,
             window,
             epoch,
         } => {
-            put_u8(buf, 4);
-            put_usize(buf, *robot);
-            put_u64(buf, *window);
-            put_u32(buf, *epoch);
+            c.usize(robot)?;
+            c.u64(window)?;
+            c.u32(epoch)
         }
         Event::Transmit { robot, intent } => {
-            put_u8(buf, 5);
-            put_usize(buf, *robot);
+            c.usize(robot)?;
+            c.tag(&TX_INTENTS, intent, "tx intent")?;
             match intent {
-                TxIntent::Beacon => put_u8(buf, 0),
-                TxIntent::Mesh(packet) => {
-                    put_u8(buf, 1);
-                    put_packet(buf, packet);
-                }
+                TxIntent::Beacon => Ok(()),
+                TxIntent::Mesh(p) => packet(c, p),
             }
         }
         Event::TxEnd { tx, receivers } => {
-            put_u8(buf, 6);
-            put_u64(buf, tx.raw());
-            put_vec(buf, receivers, |b, &i| put_usize(b, i));
+            tx_id(c, tx)?;
+            c.vec(receivers, Codec::usize)
         }
         Event::MeshReply { robot, source } => {
-            put_u8(buf, 7);
-            put_usize(buf, *robot);
-            put_u32(buf, source.0);
+            c.usize(robot)?;
+            node(c, source)
         }
         Event::MeshRebroadcast { robot, source, seq } => {
-            put_u8(buf, 8);
-            put_usize(buf, *robot);
-            put_u32(buf, source.0);
-            put_u32(buf, *seq);
+            c.usize(robot)?;
+            node(c, source)?;
+            c.u32(seq)
         }
-        Event::MediumGc => put_u8(buf, 9),
-        Event::Snapshot { index } => {
-            put_u8(buf, 10);
-            put_usize(buf, *index);
-        }
-        Event::Fault(f) => {
-            put_u8(buf, 11);
-            put_fault(buf, f);
-        }
+        Event::Snapshot { index } => c.usize(index),
+        Event::Fault(f) => fault(c, f),
     }
 }
 
-fn read_event(r: &mut SnapshotReader<'_>) -> Result<Event, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => Event::MoveTick,
-        1 => Event::MetricsSample,
-        2 => Event::WindowStart { index: r.u64()? },
-        3 => Event::RobotWake {
-            robot: r.usize_()?,
-            window: r.u64()?,
-            epoch: r.u32()?,
-        },
-        4 => Event::RobotWindowEnd {
-            robot: r.usize_()?,
-            window: r.u64()?,
-            epoch: r.u32()?,
-        },
-        5 => {
-            let robot = r.usize_()?;
-            let intent = match r.u8()? {
-                0 => TxIntent::Beacon,
-                1 => TxIntent::Mesh(read_packet(r)?),
-                t => return Err(bad_tag("tx intent", t)),
-            };
-            Event::Transmit { robot, intent }
-        }
-        6 => Event::TxEnd {
-            tx: TxId::from_raw(r.u64()?),
-            receivers: read_vec(r, |r| r.usize_())?,
-        },
-        7 => Event::MeshReply {
-            robot: r.usize_()?,
-            source: NodeId(r.u32()?),
-        },
-        8 => Event::MeshRebroadcast {
-            robot: r.usize_()?,
-            source: NodeId(r.u32()?),
-            seq: r.u32()?,
-        },
-        9 => Event::MediumGc,
-        10 => Event::Snapshot { index: r.usize_()? },
-        11 => Event::Fault(read_fault(r)?),
-        t => return Err(bad_tag("event", t)),
-    })
-}
-
+/// The engine's clock, counters and pending queue, moved out of the
+/// engine for the capture and back in afterwards.
+#[derive(Default)]
 struct EngineParts {
     now: SimTime,
     horizon: SimTime,
@@ -771,110 +783,136 @@ struct EngineParts {
     events: Vec<(SimTime, u64, Event)>,
 }
 
-fn encode_engine(parts: &EngineParts) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_time(&mut buf, parts.now);
-    put_time(&mut buf, parts.horizon);
-    put_bool(&mut buf, parts.stopped);
-    put_u64(&mut buf, parts.processed);
-    put_u64(&mut buf, parts.next_seq);
-    put_usize(&mut buf, parts.peak_len);
-    put_vec(&mut buf, &parts.events, |b, (t, seq, e)| {
-        put_time(b, *t);
-        put_u64(b, *seq);
-        put_event(b, e);
-    });
-    buf
-}
-
-fn decode_engine(r: &mut SnapshotReader<'_>) -> Result<EngineParts, SnapshotError> {
-    let now = read_time(r)?;
-    let horizon = read_time(r)?;
-    let stopped = r.bool()?;
-    let processed = r.u64()?;
-    let next_seq = r.u64()?;
-    let peak_len = r.usize_()?;
-    let events = read_vec(r, |r| Ok((read_time(r)?, r.u64()?, read_event(r)?)))?;
-    // Pre-validate what `EventQueue::from_parts` would otherwise assert,
-    // so a corrupt section surfaces as a typed error rather than a panic.
-    if peak_len < events.len() {
-        return Err(malformed(format!(
-            "queue peak_len {peak_len} below pending count {}",
-            events.len()
-        )));
-    }
-    for &(t, seq, _) in &events {
-        if seq >= next_seq {
-            return Err(malformed(format!(
-                "queued event seq {seq} not below next_seq {next_seq}"
-            )));
-        }
-        if t < now {
-            return Err(malformed(format!(
-                "queued event at {t} is before the engine clock {now}"
-            )));
-        }
-    }
-    Ok(EngineParts {
-        now,
-        horizon,
-        stopped,
-        processed,
-        next_seq,
-        peak_len,
-        events,
+fn engine_section(c: &mut impl Codec, p: &mut EngineParts) -> Result<(), SnapshotError> {
+    time(c, &mut p.now)?;
+    time(c, &mut p.horizon)?;
+    c.bool(&mut p.stopped)?;
+    c.u64(&mut p.processed)?;
+    c.u64(&mut p.next_seq)?;
+    c.usize(&mut p.peak_len)?;
+    c.vec(&mut p.events, |c, (t, seq, e)| {
+        time(c, t)?;
+        c.u64(seq)?;
+        event(c, e)
     })
 }
 
-// ---------------------------------------------------------------------------
-// Medium section.
-// ---------------------------------------------------------------------------
-
-fn encode_medium(state: &MediumState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_f64(&mut buf, state.capture_margin_db);
-    put_dur(&mut buf, state.retention);
-    put_u64(&mut buf, state.next_id);
-    put_u64(&mut buf, state.total_tx);
-    put_u64(&mut buf, state.total_collisions);
-    put_u64(&mut buf, state.total_half_duplex);
-    put_vec(&mut buf, &state.active, |b, tx| {
-        put_u64(b, tx.id.raw());
-        put_u32(b, tx.src.0);
-        put_point(b, tx.src_pos);
-        put_time(b, tx.start);
-        put_time(b, tx.end);
-        put_packet(b, &tx.packet);
-    });
-    put_vec(&mut buf, &state.rssi, |b, &(tx, rx, dbm)| {
-        put_u64(b, tx.raw());
-        put_u32(b, rx.0);
-        put_f64(b, dbm.0);
-    });
-    buf
+fn check_robot(robot: usize, s: &Scenario) -> Result<(), SnapshotError> {
+    if robot < s.num_robots {
+        Ok(())
+    } else {
+        Err(malformed(format!(
+            "robot index {robot} out of range for {} robots",
+            s.num_robots
+        )))
+    }
 }
 
-fn decode_medium(r: &mut SnapshotReader<'_>) -> Result<MediumState, SnapshotError> {
-    Ok(MediumState {
-        capture_margin_db: r.f64()?,
-        retention: read_dur(r)?,
-        next_id: r.u64()?,
-        total_tx: r.u64()?,
-        total_collisions: r.u64()?,
-        total_half_duplex: r.u64()?,
-        active: read_vec(r, |r| {
-            Ok(ActiveTxState {
-                id: TxId::from_raw(r.u64()?),
-                src: NodeId(r.u32()?),
-                src_pos: read_point(r)?,
-                start: read_time(r)?,
-                end: read_time(r)?,
-                packet: read_packet(r)?,
-            })
-        })?,
-        rssi: read_vec(r, |r| {
-            Ok((TxId::from_raw(r.u64()?), NodeId(r.u32()?), Dbm(r.f64()?)))
-        })?,
+/// What `EventQueue::from_parts` and the event handlers would otherwise
+/// assert or index, checked so a corrupt section is a typed error.
+fn check_engine(p: &EngineParts, s: &Scenario) -> Result<(), SnapshotError> {
+    if p.horizon != SimTime::ZERO + s.duration {
+        return Err(malformed(format!(
+            "engine horizon {} is not the scenario's end {}",
+            p.horizon,
+            SimTime::ZERO + s.duration
+        )));
+    }
+    if p.peak_len < p.events.len() {
+        return Err(malformed(format!(
+            "queue peak_len {} below pending count {}",
+            p.peak_len,
+            p.events.len()
+        )));
+    }
+    for (t, seq, e) in &p.events {
+        if *seq >= p.next_seq {
+            return Err(malformed(format!(
+                "queued event seq {seq} not below next_seq {}",
+                p.next_seq
+            )));
+        }
+        if *t < p.now {
+            return Err(malformed(format!(
+                "queued event at {t} is before the engine clock {}",
+                p.now
+            )));
+        }
+        match e {
+            Event::RobotWake { robot, .. }
+            | Event::RobotWindowEnd { robot, .. }
+            | Event::Transmit { robot, .. }
+            | Event::MeshReply { robot, .. }
+            | Event::MeshRebroadcast { robot, .. } => check_robot(*robot, s)?,
+            Event::TxEnd { receivers, .. } => {
+                receivers.iter().try_for_each(|&r| check_robot(r, s))?
+            }
+            Event::Fault(f) => f.robot().map_or(Ok(()), |r| check_robot(r, s))?,
+            Event::MoveTick
+            | Event::MetricsSample
+            | Event::WindowStart { .. }
+            | Event::MediumGc
+            | Event::Snapshot { .. } => {}
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Rngs and medium sections.
+// ---------------------------------------------------------------------------
+
+/// A stand-in stream the reader overwrites.
+fn blank_rng(_: usize) -> DetRng {
+    DetRng::from_state([1, 0, 0, 0])
+}
+
+fn rngs_section(c: &mut impl Codec, w: &mut WorldState) -> Result<(), SnapshotError> {
+    c.vec_with(&mut w.move_rngs, blank_rng, rng)?;
+    c.vec_with(&mut w.odo_rngs, blank_rng, rng)?;
+    rng(c, &mut w.channel_rng)?;
+    rng(c, &mut w.jitter_rng)?;
+    rng(c, &mut w.fault_rng)?;
+    let n = w.scenario.num_robots;
+    if w.move_rngs.len() != n || w.odo_rngs.len() != n {
+        return Err(malformed(format!(
+            "rng stream counts ({}, {}) do not match the {n}-robot scenario",
+            w.move_rngs.len(),
+            w.odo_rngs.len(),
+        )));
+    }
+    Ok(())
+}
+
+fn medium_state(c: &mut impl Codec, m: &mut MediumState) -> Result<(), SnapshotError> {
+    c.f64(&mut m.capture_margin_db)?;
+    dur(c, &mut m.retention)?;
+    for v in [
+        &mut m.next_id,
+        &mut m.total_tx,
+        &mut m.total_collisions,
+        &mut m.total_half_duplex,
+    ] {
+        c.u64(v)?;
+    }
+    c.vec(&mut m.active, |c, tx| {
+        tx_id(c, &mut tx.id)?;
+        node(c, &mut tx.src)?;
+        point(c, &mut tx.src_pos)?;
+        time(c, &mut tx.start)?;
+        time(c, &mut tx.end)?;
+        packet(c, &mut tx.packet)
+    })?;
+    c.vec(&mut m.rssi, |c, (tx, rx, dbm)| {
+        tx_id(c, tx)?;
+        node(c, rx)?;
+        c.f64(&mut dbm.0)
+    })
+}
+
+fn medium_section(c: &mut impl Codec, m: &mut Medium) -> Result<(), SnapshotError> {
+    c.via(m, Medium::state, medium_state, |s| {
+        Ok(Medium::from_state(s))
     })
 }
 
@@ -882,20 +920,25 @@ fn decode_medium(r: &mut SnapshotReader<'_>) -> Result<MediumState, SnapshotErro
 // Robots section.
 // ---------------------------------------------------------------------------
 
-/// Writes the estimator section: the lifecycle header shared by every
-/// backend, then a backend tag and the tagged solver payload (mirroring
-/// [`BackendCheckpoint`]).
-fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
-    put_tag(buf, &RfAlgorithm::ALL, &c.algorithm());
-    put_opt(buf, c.last_fix, put_point);
-    put_bool(buf, c.in_window);
-    put_u32(buf, c.stats.windows);
-    put_u32(buf, c.stats.fixes);
-    put_u32(buf, c.stats.flat_windows);
-    put_u64(buf, c.stats.beacons_seen);
-    put_u64(buf, c.stats.beacons_applied);
-    put_u64(buf, c.stats.beacons_rejected_outlier);
-    match &c.backend {
+fn window_stats(c: &mut impl Codec, s: &mut WindowStats) -> Result<(), SnapshotError> {
+    c.u32(&mut s.windows)?;
+    c.u32(&mut s.fixes)?;
+    c.u32(&mut s.flat_windows)?;
+    c.u64(&mut s.beacons_seen)?;
+    c.u64(&mut s.beacons_applied)?;
+    c.u64(&mut s.beacons_rejected_outlier)
+}
+
+/// The estimator section: the lifecycle header shared by every backend,
+/// then the backend-tagged solver payload (mirroring
+/// [`BackendCheckpoint`]). The tag leads the header, in
+/// [`RfAlgorithm::ALL`] order.
+fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), SnapshotError> {
+    c.tag(&BACKENDS, &mut e.backend, "rf algorithm")?;
+    c.opt(&mut e.last_fix, point)?;
+    c.bool(&mut e.in_window)?;
+    window_stats(c, &mut e.stats)?;
+    match &mut e.backend {
         BackendCheckpoint::Bayes {
             posterior_cells,
             pending,
@@ -903,522 +946,339 @@ fn put_estimator(buf: &mut Vec<u8>, c: &EstimatorCheckpoint) {
             beacons_applied,
             beacons_seen,
         } => {
-            put_vec(buf, posterior_cells, |b, &p| put_f64(b, p));
-            put_u32(buf, *beacons_applied);
-            put_u32(buf, *beacons_seen);
-            put_vec(buf, pending, |b, &(anchor, bin)| {
-                put_point(b, anchor);
-                put_u32(b, bin.0 as u16 as u32);
-            });
-            put_u64(buf, grid_stats.kernel_simd);
-            put_u64(buf, grid_stats.kernel_fused);
-            put_u64(buf, grid_stats.fused_windows);
-            put_u64(buf, grid_stats.cells_touched);
+            c.vec(posterior_cells, Codec::f64)?;
+            c.u32(beacons_applied)?;
+            c.u32(beacons_seen)?;
+            c.vec(pending, |c, (anchor, bin)| {
+                point(c, anchor)?;
+                c.via(
+                    bin,
+                    |b| b.0 as u16 as u32,
+                    Codec::u32,
+                    |v| Ok(RssiBin(v as u16 as i16)),
+                )
+            })?;
+            for v in [
+                &mut grid_stats.kernel_simd,
+                &mut grid_stats.kernel_fused,
+                &mut grid_stats.fused_windows,
+                &mut grid_stats.cells_touched,
+            ] {
+                c.u64(v)?;
+            }
+            Ok(())
         }
-        BackendCheckpoint::Lateration { ranges } => {
-            put_vec(buf, ranges, |b, obs| {
-                put_point(b, obs.anchor);
-                put_f64(b, obs.range);
-                put_f64(b, obs.weight);
-            });
-        }
+        BackendCheckpoint::Lateration { ranges } => c.vec(ranges, |c, obs| {
+            point(c, &mut obs.anchor)?;
+            c.f64(&mut obs.range)?;
+            c.f64(&mut obs.weight)
+        }),
         BackendCheckpoint::Ekf {
             filter,
             window_applied,
             last_odo,
         } => {
-            put_f64(buf, filter.x);
-            put_f64(buf, filter.y);
-            put_f64(buf, filter.p11);
-            put_f64(buf, filter.p12);
-            put_f64(buf, filter.p22);
-            put_u64(buf, filter.updates_applied);
-            put_u64(buf, filter.updates_gated);
-            put_u32(buf, filter.consecutive_gated);
-            put_u32(buf, *window_applied);
-            put_opt(buf, *last_odo, put_point);
-        }
-    }
-}
-
-fn read_estimator(r: &mut SnapshotReader<'_>) -> Result<EstimatorCheckpoint, SnapshotError> {
-    let algorithm = read_tag(r, &RfAlgorithm::ALL, "rf algorithm")?;
-    let last_fix = read_opt(r, read_point)?;
-    let in_window = r.bool()?;
-    let stats = WindowStats {
-        windows: r.u32()?,
-        fixes: r.u32()?,
-        flat_windows: r.u32()?,
-        beacons_seen: r.u64()?,
-        beacons_applied: r.u64()?,
-        beacons_rejected_outlier: r.u64()?,
-    };
-    let backend = match algorithm {
-        RfAlgorithm::Bayes => {
-            let posterior_cells = read_vec(r, |r| r.f64())?;
-            let beacons_applied = r.u32()?;
-            let beacons_seen = r.u32()?;
-            let pending = read_vec(r, |r| {
-                let anchor = read_point(r)?;
-                let bin = RssiBin(r.u32()? as u16 as i16);
-                Ok((anchor, bin))
-            })?;
-            let grid_stats = GridStats {
-                kernel_simd: r.u64()?,
-                kernel_fused: r.u64()?,
-                fused_windows: r.u64()?,
-                cells_touched: r.u64()?,
-            };
-            BackendCheckpoint::Bayes {
-                posterior_cells,
-                pending,
-                grid_stats,
-                beacons_applied,
-                beacons_seen,
+            for v in [
+                &mut filter.x,
+                &mut filter.y,
+                &mut filter.p11,
+                &mut filter.p12,
+                &mut filter.p22,
+            ] {
+                c.f64(v)?;
             }
+            c.u64(&mut filter.updates_applied)?;
+            c.u64(&mut filter.updates_gated)?;
+            c.u32(&mut filter.consecutive_gated)?;
+            c.u32(window_applied)?;
+            c.opt(last_odo, point)
         }
-        RfAlgorithm::Multilateration => BackendCheckpoint::Lateration {
-            ranges: read_vec(r, |r| {
-                Ok(RangeObservation {
-                    anchor: read_point(r)?,
-                    range: r.f64()?,
-                    weight: r.f64()?,
-                })
-            })?,
-        },
-        RfAlgorithm::Ekf => BackendCheckpoint::Ekf {
-            filter: EkfSnapshot {
-                x: r.f64()?,
-                y: r.f64()?,
-                p11: r.f64()?,
-                p12: r.f64()?,
-                p22: r.f64()?,
-                updates_applied: r.u64()?,
-                updates_gated: r.u64()?,
-                consecutive_gated: r.u32()?,
-            },
-            window_applied: r.u32()?,
-            last_odo: read_opt(r, read_point)?,
-        },
-    };
-    Ok(EstimatorCheckpoint {
-        last_fix,
-        in_window,
-        stats,
-        backend,
-    })
-}
-
-fn put_radio(buf: &mut Vec<u8>, c: &RadioCheckpoint) {
-    put_energy(buf, &c.params);
-    put_u64(buf, c.bitrate_bps);
-    put_u8(
-        buf,
-        match c.state {
-            PowerState::Off => 0,
-            PowerState::Sleep => 1,
-            PowerState::Idle => 2,
-        },
-    );
-    put_time(buf, c.since);
-    put_f64(buf, c.ledger.tx_uj);
-    put_f64(buf, c.ledger.rx_uj);
-    put_f64(buf, c.ledger.idle_uj);
-    put_f64(buf, c.ledger.sleep_uj);
-    put_f64(buf, c.ledger.wake_uj);
-    put_u32(buf, c.wakes);
-    put_u32(buf, c.packets_sent);
-    put_u32(buf, c.packets_received);
-}
-
-fn read_radio(r: &mut SnapshotReader<'_>) -> Result<RadioCheckpoint, SnapshotError> {
-    Ok(RadioCheckpoint {
-        params: read_energy(r)?,
-        bitrate_bps: r.u64()?,
-        state: match r.u8()? {
-            0 => PowerState::Off,
-            1 => PowerState::Sleep,
-            2 => PowerState::Idle,
-            t => return Err(bad_tag("power state", t)),
-        },
-        since: read_time(r)?,
-        ledger: EnergyLedger {
-            tx_uj: r.f64()?,
-            rx_uj: r.f64()?,
-            idle_uj: r.f64()?,
-            sleep_uj: r.f64()?,
-            wake_uj: r.f64()?,
-        },
-        wakes: r.u32()?,
-        packets_sent: r.u32()?,
-        packets_received: r.u32()?,
-    })
-}
-
-fn put_health_state(buf: &mut Vec<u8>, s: DegradationState) {
-    put_u8(
-        buf,
-        match s {
-            DegradationState::Healthy => 0,
-            DegradationState::Degraded => 1,
-            DegradationState::DeadReckoning => 2,
-            DegradationState::Down => 3,
-        },
-    );
-}
-
-fn read_health_state(r: &mut SnapshotReader<'_>) -> Result<DegradationState, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => DegradationState::Healthy,
-        1 => DegradationState::Degraded,
-        2 => DegradationState::DeadReckoning,
-        3 => DegradationState::Down,
-        t => return Err(bad_tag("degradation state", t)),
-    })
-}
-
-fn encode_robots(robots: &[Robot]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_usize(&mut buf, robots.len());
-    for robot in robots {
-        put_bool(&mut buf, robot.alive);
-        put_bool(&mut buf, robot.equipped);
-        put_u32(&mut buf, robot.epoch);
-        put_bool(&mut buf, robot.has_fix);
-        put_opt(&mut buf, robot.last_fix_window, put_u64);
-        put_bool(&mut buf, robot.synced_this_window);
-        put_bool(&mut buf, robot.garbled_tx);
-        put_opt(&mut buf, robot.beacon_offset, |b, (dx, dy)| {
-            put_f64(b, dx);
-            put_f64(b, dy);
-        });
-        put_opt(&mut buf, robot.fix_anchor, |b, a| {
-            put_point(b, a.fix);
-            put_point(b, a.odo_at_fix);
-        });
-        let wc = robot.motion.waypoints().checkpoint();
-        put_f64(&mut buf, wc.config.area.x_min);
-        put_f64(&mut buf, wc.config.area.x_max);
-        put_f64(&mut buf, wc.config.area.y_min);
-        put_f64(&mut buf, wc.config.area.y_max);
-        put_f64(&mut buf, wc.config.v_min);
-        put_f64(&mut buf, wc.config.v_max);
-        put_pose(&mut buf, wc.pose);
-        put_point(&mut buf, wc.destination);
-        put_f64(&mut buf, wc.speed);
-        put_u64(&mut buf, wc.legs_completed);
-        let oc = robot.motion.odometer().checkpoint();
-        put_f64(&mut buf, oc.config.displacement_sigma);
-        put_f64(&mut buf, oc.config.angular_sigma);
-        put_f64(&mut buf, oc.config.heading_drift_sigma);
-        put_pose(&mut buf, oc.estimate);
-        put_f64(&mut buf, oc.distance_integrated);
-        put_u64(&mut buf, oc.observations);
-        put_radio(&mut buf, &robot.radio.checkpoint());
-        let (skew, error_s, anchor, missed, stale) = robot.clock.checkpoint();
-        put_f64(&mut buf, skew);
-        put_f64(&mut buf, error_s);
-        put_time(&mut buf, anchor);
-        put_u32(&mut buf, missed);
-        put_u32(&mut buf, stale);
-        let (hstate, hsince, hledger) = robot.health.checkpoint();
-        put_health_state(&mut buf, hstate);
-        put_time(&mut buf, hsince);
-        put_f64(&mut buf, hledger.healthy_s);
-        put_f64(&mut buf, hledger.degraded_s);
-        put_f64(&mut buf, hledger.dead_reckoning_s);
-        put_f64(&mut buf, hledger.down_s);
-        put_opt(
-            &mut buf,
-            robot.rf.as_ref().map(|rf| rf.checkpoint()),
-            |b, c| put_estimator(b, &c),
-        );
-        put_bytes(&mut buf, &robot.mesh.save_state());
     }
-    buf
 }
 
-fn decode_robots(
-    r: &mut SnapshotReader<'_>,
-    scenario: &Scenario,
-) -> Result<Vec<Robot>, SnapshotError> {
-    let n = r.usize_()?;
-    if n != scenario.num_robots {
+fn radio(c: &mut impl Codec, r: &mut RadioCheckpoint) -> Result<(), SnapshotError> {
+    energy(c, &mut r.params)?;
+    c.u64(&mut r.bitrate_bps)?;
+    c.tag(&POWER_STATES, &mut r.state, "power state")?;
+    time(c, &mut r.since)?;
+    energy_ledger(c, &mut r.ledger)?;
+    c.u32(&mut r.wakes)?;
+    c.u32(&mut r.packets_sent)?;
+    c.u32(&mut r.packets_received)
+}
+
+fn motion(
+    c: &mut impl Codec,
+    (w, o): &mut (WaypointCheckpoint, OdometerCheckpoint),
+) -> Result<(), SnapshotError> {
+    area(c, &mut w.config.area)?;
+    c.f64(&mut w.config.v_min)?;
+    c.f64(&mut w.config.v_max)?;
+    pose(c, &mut w.pose)?;
+    point(c, &mut w.destination)?;
+    c.f64(&mut w.speed)?;
+    c.u64(&mut w.legs_completed)?;
+    odometry(c, &mut o.config)?;
+    pose(c, &mut o.estimate)?;
+    c.f64(&mut o.distance_integrated)?;
+    c.u64(&mut o.observations)
+}
+
+/// Rejects a robot's copy of a scenario setting that differs from the
+/// scenario, which is where setup built it from.
+fn same_setting<T: PartialEq>(what: &str, stored: T, scenario: T) -> Result<(), SnapshotError> {
+    if stored == scenario {
+        Ok(())
+    } else {
+        Err(malformed(format!(
+            "a robot's {what} differs from the scenario's"
+        )))
+    }
+}
+
+/// Rejects an instant after the engine clock: state accrues from it.
+fn not_after(what: &str, t: SimTime, now: SimTime) -> Result<(), SnapshotError> {
+    if t <= now {
+        Ok(())
+    } else {
+        Err(malformed(format!(
+            "{what} {t} is after the engine clock {now}"
+        )))
+    }
+}
+
+/// A robot the reader overwrites field by field.
+fn blank_robot(index: usize, s: &Scenario) -> Robot {
+    let id = NodeId(index as u32);
+    Robot {
+        id,
+        index,
+        equipped: false,
+        motion: RobotMotion::from_parts(
+            WaypointModel::from_checkpoint(WaypointCheckpoint::default()),
+            Odometer::from_checkpoint(OdometerCheckpoint::default()),
+        ),
+        radio: Radio::from_checkpoint(RadioCheckpoint::default()),
+        rf: None,
+        mesh: mesh::make_backend(s.multicast, id, SYNC_GROUP, true, s.mesh),
+        clock: DriftingClock::from_checkpoint(0.0, 0.0, SimTime::ZERO, 0, 0),
+        has_fix: false,
+        last_fix_window: None,
+        synced_this_window: false,
+        fix_anchor: None,
+        alive: false,
+        epoch: 0,
+        garbled_tx: false,
+        beacon_offset: None,
+        health: HealthMonitor::from_checkpoint(
+            DegradationState::default(),
+            SimTime::ZERO,
+            HealthLedger::default(),
+        ),
+    }
+}
+
+fn robot(
+    c: &mut impl Codec,
+    r: &mut Robot,
+    s: &Scenario,
+    now: SimTime,
+) -> Result<(), SnapshotError> {
+    c.bool(&mut r.alive)?;
+    c.bool(&mut r.equipped)?;
+    c.u32(&mut r.epoch)?;
+    c.bool(&mut r.has_fix)?;
+    c.opt(&mut r.last_fix_window, Codec::u64)?;
+    c.bool(&mut r.synced_this_window)?;
+    c.bool(&mut r.garbled_tx)?;
+    c.opt(&mut r.beacon_offset, |c, (dx, dy)| {
+        c.f64(dx)?;
+        c.f64(dy)
+    })?;
+    c.opt(&mut r.fix_anchor, |c, a| {
+        point(c, &mut a.fix)?;
+        point(c, &mut a.odo_at_fix)
+    })?;
+    c.via(
+        &mut r.motion,
+        |m| (m.waypoints().checkpoint(), m.odometer().checkpoint()),
+        motion,
+        |(w, o)| {
+            let config = WaypointConfig {
+                area: s.area,
+                v_min: s.v_min,
+                v_max: s.v_max,
+            };
+            same_setting("waypoint area and speed range", w.config, config)?;
+            same_setting("odometry config", o.config, s.odometry)?;
+            Ok(RobotMotion::from_parts(
+                WaypointModel::from_checkpoint(w),
+                Odometer::from_checkpoint(o),
+            ))
+        },
+    )?;
+    c.via(&mut r.radio, Radio::checkpoint, radio, |rc| {
+        same_setting("energy params", rc.params, s.energy)?;
+        not_after("radio state change", rc.since, now)?;
+        Ok(Radio::from_checkpoint(rc))
+    })?;
+    c.via(
+        &mut r.clock,
+        DriftingClock::checkpoint,
+        |c, (skew, error_s, anchor, missed, stale)| {
+            c.f64(skew)?;
+            c.f64(error_s)?;
+            time(c, anchor)?;
+            c.u32(missed)?;
+            c.u32(stale)
+        },
+        |(skew, error_s, anchor, missed, stale)| {
+            not_after("clock anchor", anchor, now)?;
+            Ok(DriftingClock::from_checkpoint(
+                skew, error_s, anchor, missed, stale,
+            ))
+        },
+    )?;
+    c.via(
+        &mut r.health,
+        HealthMonitor::checkpoint,
+        |c, (state, since, ledger)| {
+            c.tag(&DEGRADATION_STATES, state, "degradation state")?;
+            time(c, since)?;
+            health_ledger(c, ledger)
+        },
+        |(state, since, ledger)| {
+            not_after("health state change", since, now)?;
+            Ok(HealthMonitor::from_checkpoint(state, since, ledger))
+        },
+    )?;
+    c.via(
+        &mut r.rf,
+        |rf| rf.as_ref().map(WindowedRfEstimator::checkpoint),
+        |c, e| c.opt(e, estimator),
+        |e| e.map(|e| restore_estimator(e, s)).transpose(),
+    )?;
+    let id = r.id;
+    c.via(
+        &mut r.mesh,
+        |m| m.save_state(),
+        Codec::bytes,
+        |state| {
+            let mut mesh = mesh::make_backend(s.multicast, id, SYNC_GROUP, true, s.mesh);
+            mesh.load_state(&state)?;
+            Ok(mesh)
+        },
+    )
+}
+
+fn restore_estimator(
+    e: EstimatorCheckpoint,
+    s: &Scenario,
+) -> Result<WindowedRfEstimator, SnapshotError> {
+    same_setting("estimator backend", e.backend.algorithm(), s.rf_algorithm)?;
+    let grid = GridConfig::new(s.area, s.grid_resolution_m);
+    if let BackendCheckpoint::Bayes {
+        posterior_cells, ..
+    } = &e.backend
+    {
+        let (nx, ny) = grid.dims();
+        if posterior_cells.len() != nx * ny {
+            return Err(malformed(format!(
+                "posterior holds {} cells but the scenario's grid has {}",
+                posterior_cells.len(),
+                nx * ny
+            )));
+        }
+    }
+    Ok(WindowedRfEstimator::from_checkpoint_fused(
+        grid,
+        s.grid_fused,
+        e,
+    ))
+}
+
+fn robots_section(
+    c: &mut impl Codec,
+    w: &mut WorldState,
+    now: SimTime,
+) -> Result<(), SnapshotError> {
+    let s = &w.scenario;
+    c.vec_with(
+        &mut w.robots,
+        |i| blank_robot(i, s),
+        |c, r| robot(c, r, s, now),
+    )?;
+    if w.robots.len() != s.num_robots {
         return Err(malformed(format!(
-            "snapshot holds {n} robots but the scenario declares {}",
-            scenario.num_robots
+            "snapshot holds {} robots but the scenario declares {}",
+            w.robots.len(),
+            s.num_robots
         )));
     }
-    let grid = GridConfig::new(scenario.area, scenario.grid_resolution_m);
-    let mut robots = Vec::with_capacity(n.min(CAP_GUARD));
-    for i in 0..n {
-        let alive = r.bool()?;
-        let equipped = r.bool()?;
-        let epoch = r.u32()?;
-        let has_fix = r.bool()?;
-        let last_fix_window = read_opt(r, |r| r.u64())?;
-        let synced_this_window = r.bool()?;
-        let garbled_tx = r.bool()?;
-        let beacon_offset = read_opt(r, |r| Ok((r.f64()?, r.f64()?)))?;
-        let fix_anchor = read_opt(r, |r| {
-            Ok(FixAnchor {
-                fix: read_point(r)?,
-                odo_at_fix: read_point(r)?,
-            })
-        })?;
-        let waypoints = WaypointModel::from_checkpoint(WaypointCheckpoint {
-            config: WaypointConfig {
-                area: Area {
-                    x_min: r.f64()?,
-                    x_max: r.f64()?,
-                    y_min: r.f64()?,
-                    y_max: r.f64()?,
-                },
-                v_min: r.f64()?,
-                v_max: r.f64()?,
-            },
-            pose: read_pose(r)?,
-            destination: read_point(r)?,
-            speed: r.f64()?,
-            legs_completed: r.u64()?,
-        });
-        let odometer = Odometer::from_checkpoint(OdometerCheckpoint {
-            config: OdometryConfig {
-                displacement_sigma: r.f64()?,
-                angular_sigma: r.f64()?,
-                heading_drift_sigma: r.f64()?,
-            },
-            estimate: read_pose(r)?,
-            distance_integrated: r.f64()?,
-            observations: r.u64()?,
-        });
-        let radio = Radio::from_checkpoint(read_radio(r)?);
-        let clock = {
-            let skew = r.f64()?;
-            let error_s = r.f64()?;
-            let anchor = read_time(r)?;
-            let missed = r.u32()?;
-            let stale = r.u32()?;
-            DriftingClock::from_checkpoint(skew, error_s, anchor, missed, stale)
-        };
-        let health = {
-            let state = read_health_state(r)?;
-            let since = read_time(r)?;
-            let ledger = HealthLedger {
-                healthy_s: r.f64()?,
-                degraded_s: r.f64()?,
-                dead_reckoning_s: r.f64()?,
-                down_s: r.f64()?,
-            };
-            HealthMonitor::from_checkpoint(state, since, ledger)
-        };
-        let rf = read_opt(r, read_estimator)?
-            .map(|c| WindowedRfEstimator::from_checkpoint_fused(grid, scenario.grid_fused, c));
-        let mesh_bytes = r.bytes()?;
-        let mut mesh = mesh::make_backend(
-            scenario.multicast,
-            NodeId(i as u32),
-            SYNC_GROUP,
-            true,
-            scenario.mesh,
-        );
-        mesh.load_state(mesh_bytes)?;
-        robots.push(Robot {
-            id: NodeId(i as u32),
-            index: i,
-            equipped,
-            motion: RobotMotion::from_parts(waypoints, odometer),
-            radio,
-            rf,
-            mesh,
-            clock,
-            has_fix,
-            last_fix_window,
-            synced_this_window,
-            fix_anchor,
-            alive,
-            epoch,
-            garbled_tx,
-            beacon_offset,
-            health,
-        });
-    }
-    Ok(robots)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // World section (accumulators, fault overlays).
 // ---------------------------------------------------------------------------
 
-fn encode_world(world: &WorldState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_usize(&mut buf, world.sync_robot);
-    put_u32(&mut buf, world.sync_dead_windows);
-    put_dur(&mut buf, world.max_guard);
-    put_opt(&mut buf, world.next_robot_sample, put_time);
-    let t = &world.traffic;
-    for v in [
-        t.beacons_sent,
-        t.beacons_received,
-        t.collisions,
-        t.syncs_delivered,
-        t.syncs_missed,
-        t.fixes,
-        t.starved_windows,
-    ] {
-        put_u64(&mut buf, v);
+fn world_section(c: &mut impl Codec, w: &mut WorldState) -> Result<(), SnapshotError> {
+    c.usize(&mut w.sync_robot)?;
+    c.u32(&mut w.sync_dead_windows)?;
+    dur(c, &mut w.max_guard)?;
+    c.opt(&mut w.next_robot_sample, time)?;
+    traffic(c, &mut w.traffic)?;
+    robustness(c, &mut w.robustness)?;
+    c.vec(&mut w.error_series, error_point)?;
+    c.vec(&mut w.snapshots, error_snapshot)?;
+    c.vec(&mut w.position_snapshots, position_snapshot)?;
+    c.opt(&mut w.burst, |c, links| {
+        c.vec(links, |c, link| {
+            c.via(
+                link,
+                |l| (l.model(), l.in_bad()),
+                |c, (model, in_bad)| {
+                    gilbert(c, model)?;
+                    c.bool(in_bad)
+                },
+                |(model, in_bad)| Ok(GilbertElliottLink::with_state(model, in_bad)),
+            )
+        })
+    })?;
+    // Stored sorted so the bytes do not depend on hash order.
+    c.via(
+        &mut w.corrupt_txs,
+        |txs| {
+            let mut raw: Vec<u64> = txs.iter().map(|tx| tx.raw()).collect();
+            raw.sort_unstable();
+            raw
+        },
+        |c, raw| c.vec(raw, Codec::u64),
+        |raw| Ok(raw.into_iter().map(TxId::from_raw).collect()),
+    )?;
+    check_robot(w.sync_robot, &w.scenario)?;
+    match &w.burst {
+        Some(links) if links.len() != w.scenario.num_robots => Err(malformed(format!(
+            "burst overlay holds {} links for {} robots",
+            links.len(),
+            w.scenario.num_robots
+        ))),
+        _ => Ok(()),
     }
-    let ro = &world.robustness;
-    for v in [
-        ro.crashes,
-        ro.reboots,
-        ro.failovers,
-        ro.burst_losses,
-        ro.corrupt_frames_dropped,
-        ro.garbled_frames_delivered,
-        ro.outlier_beacons_rejected,
-        ro.flat_posteriors,
-        ro.stale_syncs_ignored,
-        ro.malformed_sync_bodies,
-    ] {
-        put_u64(&mut buf, v);
-    }
-    put_vec(&mut buf, &world.error_series, |b, p| {
-        put_f64(b, p.t_s);
-        put_f64(b, p.mean_error_m);
-        put_usize(b, p.robots);
-    });
-    put_vec(&mut buf, &world.snapshots, |b, s| {
-        put_time(b, s.time);
-        put_vec(b, &s.errors_m, |b, &e| put_f64(b, e));
-    });
-    put_vec(&mut buf, &world.position_snapshots, |b, (t, states)| {
-        put_time(b, *t);
-        put_vec(b, states, |b, s| {
-            put_point(b, s.true_position);
-            put_point(b, s.estimate);
-            put_bool(b, s.equipped);
-        });
-    });
-    put_opt(&mut buf, world.burst.as_deref(), |b, links| {
-        put_vec(b, links, |b, link| {
-            put_gilbert(b, &link.model());
-            put_bool(b, link.in_bad());
-        });
-    });
-    let mut corrupt: Vec<u64> = world.corrupt_txs.iter().map(|tx| tx.raw()).collect();
-    corrupt.sort_unstable();
-    put_vec(&mut buf, &corrupt, |b, &v| put_u64(b, v));
-    buf
-}
-
-struct WorldExtras {
-    sync_robot: usize,
-    sync_dead_windows: u32,
-    max_guard: SimDuration,
-    next_robot_sample: Option<SimTime>,
-    traffic: TrafficStats,
-    robustness: RobustnessStats,
-    error_series: Vec<ErrorPoint>,
-    snapshots: Vec<ErrorSnapshot>,
-    position_snapshots: Vec<(SimTime, Vec<RobotFinalState>)>,
-    burst: Option<Vec<GilbertElliottLink>>,
-    corrupt_txs: std::collections::HashSet<TxId>,
-}
-
-fn decode_world(r: &mut SnapshotReader<'_>) -> Result<WorldExtras, SnapshotError> {
-    let sync_robot = r.usize_()?;
-    let sync_dead_windows = r.u32()?;
-    let max_guard = read_dur(r)?;
-    let next_robot_sample = read_opt(r, read_time)?;
-    let traffic = TrafficStats {
-        beacons_sent: r.u64()?,
-        beacons_received: r.u64()?,
-        collisions: r.u64()?,
-        syncs_delivered: r.u64()?,
-        syncs_missed: r.u64()?,
-        fixes: r.u64()?,
-        starved_windows: r.u64()?,
-    };
-    let robustness = RobustnessStats {
-        crashes: r.u64()?,
-        reboots: r.u64()?,
-        failovers: r.u64()?,
-        burst_losses: r.u64()?,
-        corrupt_frames_dropped: r.u64()?,
-        garbled_frames_delivered: r.u64()?,
-        outlier_beacons_rejected: r.u64()?,
-        flat_posteriors: r.u64()?,
-        stale_syncs_ignored: r.u64()?,
-        malformed_sync_bodies: r.u64()?,
-    };
-    let error_series = read_vec(r, |r| {
-        Ok(ErrorPoint {
-            t_s: r.f64()?,
-            mean_error_m: r.f64()?,
-            robots: r.usize_()?,
-        })
-    })?;
-    let snapshots = read_vec(r, |r| {
-        Ok(ErrorSnapshot {
-            time: read_time(r)?,
-            // Written from an `ErrorSnapshot`, so already sorted; the
-            // struct literal skips the re-sort of `ErrorSnapshot::new`.
-            errors_m: read_vec(r, |r| r.f64())?,
-        })
-    })?;
-    let position_snapshots = read_vec(r, |r| {
-        Ok((
-            read_time(r)?,
-            read_vec(r, |r| {
-                Ok(RobotFinalState {
-                    true_position: read_point(r)?,
-                    estimate: read_point(r)?,
-                    equipped: r.bool()?,
-                })
-            })?,
-        ))
-    })?;
-    let burst = read_opt(r, |r| {
-        read_vec(r, |r| {
-            let model = read_gilbert(r)?;
-            let in_bad = r.bool()?;
-            Ok(GilbertElliottLink::with_state(model, in_bad))
-        })
-    })?;
-    let corrupt_txs = read_vec(r, |r| Ok(TxId::from_raw(r.u64()?)))?
-        .into_iter()
-        .collect();
-    Ok(WorldExtras {
-        sync_robot,
-        sync_dead_windows,
-        max_guard,
-        next_robot_sample,
-        traffic,
-        robustness,
-        error_series,
-        snapshots,
-        position_snapshots,
-        burst,
-        corrupt_txs,
-    })
 }
 
 // ---------------------------------------------------------------------------
 // Telemetry section.
 // ---------------------------------------------------------------------------
 
-fn put_telemetry_event(buf: &mut Vec<u8>, e: &TelemetryEvent) {
+fn telemetry_event(c: &mut impl Codec, e: &mut TelemetryEvent) -> Result<(), SnapshotError> {
+    c.tag(&TELEMETRY_EVENTS, e, "telemetry event")?;
     match e {
-        TelemetryEvent::WindowStart { window } => {
-            put_u8(buf, 0);
-            put_u64(buf, *window);
-        }
+        TelemetryEvent::WindowStart { window } => c.u64(window),
         TelemetryEvent::BeaconTx { robot, x_m, y_m } => {
-            put_u8(buf, 1);
-            put_u32(buf, *robot);
-            put_f64(buf, *x_m);
-            put_f64(buf, *y_m);
+            c.u32(robot)?;
+            c.f64(x_m)?;
+            c.f64(y_m)
         }
         TelemetryEvent::BeaconRx {
             robot,
@@ -1426,16 +1286,12 @@ fn put_telemetry_event(buf: &mut Vec<u8>, e: &TelemetryEvent) {
             rssi_dbm,
             outcome,
         } => {
-            put_u8(buf, 2);
-            put_u32(buf, *robot);
-            put_u32(buf, *from);
-            put_f64(buf, *rssi_dbm);
-            put_str(buf, outcome);
+            c.u32(robot)?;
+            c.u32(from)?;
+            c.f64(rssi_dbm)?;
+            c.name(outcome)
         }
-        TelemetryEvent::GridUpdate { robot } => {
-            put_u8(buf, 3);
-            put_u32(buf, *robot);
-        }
+        TelemetryEvent::GridUpdate { robot } => c.u32(robot),
         TelemetryEvent::Fix {
             robot,
             window,
@@ -1443,12 +1299,11 @@ fn put_telemetry_event(buf: &mut Vec<u8>, e: &TelemetryEvent) {
             y_m,
             err_m,
         } => {
-            put_u8(buf, 4);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-            put_f64(buf, *x_m);
-            put_f64(buf, *y_m);
-            put_f64(buf, *err_m);
+            c.u32(robot)?;
+            c.u64(window)?;
+            c.f64(x_m)?;
+            c.f64(y_m)?;
+            c.f64(err_m)
         }
         TelemetryEvent::FlatPosterior {
             robot,
@@ -1456,51 +1311,31 @@ fn put_telemetry_event(buf: &mut Vec<u8>, e: &TelemetryEvent) {
             entropy,
             threshold,
         } => {
-            put_u8(buf, 5);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-            put_f64(buf, *entropy);
-            put_f64(buf, *threshold);
+            c.u32(robot)?;
+            c.u64(window)?;
+            c.f64(entropy)?;
+            c.f64(threshold)
         }
-        TelemetryEvent::StarvedWindow { robot, window } => {
-            put_u8(buf, 6);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
+        TelemetryEvent::StarvedWindow { robot, window }
+        | TelemetryEvent::SyncDelivered { robot, window }
+        | TelemetryEvent::SyncMissed { robot, window } => {
+            c.u32(robot)?;
+            c.u64(window)
         }
-        TelemetryEvent::SyncDelivered { robot, window } => {
-            put_u8(buf, 7);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-        }
-        TelemetryEvent::SyncMissed { robot, window } => {
-            put_u8(buf, 8);
-            put_u32(buf, *robot);
-            put_u64(buf, *window);
-        }
-        TelemetryEvent::Failover { new_sync } => {
-            put_u8(buf, 9);
-            put_u32(buf, *new_sync);
-        }
+        TelemetryEvent::Failover { new_sync } => c.u32(new_sync),
         TelemetryEvent::MeshPrune { robot, source, seq } => {
-            put_u8(buf, 10);
-            put_u32(buf, *robot);
-            put_u32(buf, *source);
-            put_u32(buf, *seq);
+            c.u32(robot)?;
+            c.u32(source)?;
+            c.u32(seq)
         }
-        TelemetryEvent::RadioState { robot, state } => {
-            put_u8(buf, 11);
-            put_u32(buf, *robot);
-            put_str(buf, state);
+        TelemetryEvent::RadioState { robot, state }
+        | TelemetryEvent::HealthTransition { robot, state } => {
+            c.u32(robot)?;
+            c.name(state)
         }
         TelemetryEvent::FaultInjected { kind, robot } => {
-            put_u8(buf, 12);
-            put_str(buf, kind);
-            put_opt(buf, *robot, put_u32);
-        }
-        TelemetryEvent::HealthTransition { robot, state } => {
-            put_u8(buf, 13);
-            put_u32(buf, *robot);
-            put_str(buf, state);
+            c.name(kind)?;
+            c.opt(robot, Codec::u32)
         }
         TelemetryEvent::RobotSample {
             robot,
@@ -1514,283 +1349,121 @@ fn put_telemetry_event(buf: &mut Vec<u8>, e: &TelemetryEvent) {
             radio,
             health,
         } => {
-            put_u8(buf, 14);
-            put_u32(buf, *robot);
-            put_f64(buf, *true_x_m);
-            put_f64(buf, *true_y_m);
-            put_f64(buf, *est_x_m);
-            put_f64(buf, *est_y_m);
-            put_f64(buf, *err_m);
-            put_opt(buf, *entropy_frac, put_f64);
-            put_f64(buf, *energy_j);
-            put_str(buf, radio);
-            put_str(buf, health);
+            c.u32(robot)?;
+            for v in [true_x_m, true_y_m, est_x_m, est_y_m, err_m] {
+                c.f64(v)?;
+            }
+            c.opt(entropy_frac, Codec::f64)?;
+            c.f64(energy_j)?;
+            c.name(radio)?;
+            c.name(health)
         }
         TelemetryEvent::TeamSample {
             mean_err_m,
             robots,
             energy_j,
         } => {
-            put_u8(buf, 15);
-            put_f64(buf, *mean_err_m);
-            put_u32(buf, *robots);
-            put_f64(buf, *energy_j);
+            c.f64(mean_err_m)?;
+            c.u32(robots)?;
+            c.f64(energy_j)
         }
         TelemetryEvent::SnapshotTaken { bytes, sections } => {
-            put_u8(buf, 16);
-            put_u64(buf, *bytes);
-            put_u32(buf, *sections);
+            c.u64(bytes)?;
+            c.u32(sections)
         }
-        TelemetryEvent::SnapshotRestored { bytes } => {
-            put_u8(buf, 17);
-            put_u64(buf, *bytes);
-        }
+        TelemetryEvent::SnapshotRestored { bytes } => c.u64(bytes),
         TelemetryEvent::Legacy {
             level,
             subsystem,
             message,
         } => {
-            put_u8(buf, 18);
-            put_u8(
-                buf,
-                match level {
-                    TraceLevel::Debug => 0,
-                    TraceLevel::Info => 1,
-                    TraceLevel::Warn => 2,
-                },
-            );
-            put_str(buf, subsystem);
-            put_str(buf, message);
+            c.tag(&TRACE_LEVELS, level, "trace level")?;
+            c.name(subsystem)?;
+            c.string(message)
         }
     }
 }
 
-fn read_telemetry_event(r: &mut SnapshotReader<'_>) -> Result<TelemetryEvent, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => TelemetryEvent::WindowStart { window: r.u64()? },
-        1 => TelemetryEvent::BeaconTx {
-            robot: r.u32()?,
-            x_m: r.f64()?,
-            y_m: r.f64()?,
-        },
-        2 => TelemetryEvent::BeaconRx {
-            robot: r.u32()?,
-            from: r.u32()?,
-            rssi_dbm: r.f64()?,
-            outcome: intern(r.str_()?),
-        },
-        3 => TelemetryEvent::GridUpdate { robot: r.u32()? },
-        4 => TelemetryEvent::Fix {
-            robot: r.u32()?,
-            window: r.u64()?,
-            x_m: r.f64()?,
-            y_m: r.f64()?,
-            err_m: r.f64()?,
-        },
-        5 => TelemetryEvent::FlatPosterior {
-            robot: r.u32()?,
-            window: r.u64()?,
-            entropy: r.f64()?,
-            threshold: r.f64()?,
-        },
-        6 => TelemetryEvent::StarvedWindow {
-            robot: r.u32()?,
-            window: r.u64()?,
-        },
-        7 => TelemetryEvent::SyncDelivered {
-            robot: r.u32()?,
-            window: r.u64()?,
-        },
-        8 => TelemetryEvent::SyncMissed {
-            robot: r.u32()?,
-            window: r.u64()?,
-        },
-        9 => TelemetryEvent::Failover { new_sync: r.u32()? },
-        10 => TelemetryEvent::MeshPrune {
-            robot: r.u32()?,
-            source: r.u32()?,
-            seq: r.u32()?,
-        },
-        11 => TelemetryEvent::RadioState {
-            robot: r.u32()?,
-            state: intern(r.str_()?),
-        },
-        12 => TelemetryEvent::FaultInjected {
-            kind: intern(r.str_()?),
-            robot: read_opt(r, |r| r.u32())?,
-        },
-        13 => TelemetryEvent::HealthTransition {
-            robot: r.u32()?,
-            state: intern(r.str_()?),
-        },
-        14 => TelemetryEvent::RobotSample {
-            robot: r.u32()?,
-            true_x_m: r.f64()?,
-            true_y_m: r.f64()?,
-            est_x_m: r.f64()?,
-            est_y_m: r.f64()?,
-            err_m: r.f64()?,
-            entropy_frac: read_opt(r, |r| r.f64())?,
-            energy_j: r.f64()?,
-            radio: intern(r.str_()?),
-            health: intern(r.str_()?),
-        },
-        15 => TelemetryEvent::TeamSample {
-            mean_err_m: r.f64()?,
-            robots: r.u32()?,
-            energy_j: r.f64()?,
-        },
-        16 => TelemetryEvent::SnapshotTaken {
-            bytes: r.u64()?,
-            sections: r.u32()?,
-        },
-        17 => TelemetryEvent::SnapshotRestored { bytes: r.u64()? },
-        18 => TelemetryEvent::Legacy {
-            level: match r.u8()? {
-                0 => TraceLevel::Debug,
-                1 => TraceLevel::Info,
-                2 => TraceLevel::Warn,
-                t => return Err(bad_tag("trace level", t)),
-            },
-            subsystem: intern(r.str_()?),
-            message: r.str_()?.to_owned(),
-        },
-        t => return Err(bad_tag("telemetry event", t)),
+fn hist(c: &mut impl Codec, h: &mut HistSnapshot) -> Result<(), SnapshotError> {
+    c.u64(&mut h.count)?;
+    c.f64(&mut h.sum)?;
+    c.f64(&mut h.min)?;
+    c.f64(&mut h.max)?;
+    c.vec(&mut h.buckets, |c, (index, count)| {
+        c.u32(index)?;
+        c.u64(count)
     })
 }
 
-fn encode_telemetry(t: &Telemetry) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u8(
-        &mut buf,
-        match t.level() {
-            TelemetryLevel::Off => 0,
-            TelemetryLevel::Counters => 1,
-            TelemetryLevel::Timeline => 2,
-            TelemetryLevel::Full => 3,
-        },
-    );
-    put_opt(&mut buf, t.capacity(), put_usize);
-    put_u64(&mut buf, t.events_emitted());
-    put_u64(&mut buf, t.dropped_events());
-    put_opt(&mut buf, t.sample_interval(), put_dur);
-    let events: Vec<&StampedEvent> = t.events().collect();
-    put_usize(&mut buf, events.len());
-    for e in events {
-        put_u64(&mut buf, e.t_us);
-        put_u64(&mut buf, e.seq);
-        put_telemetry_event(&mut buf, &e.event);
-    }
-    put_vec(&mut buf, &t.counters().sorted(), |b, &(name, value)| {
-        put_str(b, name);
-        put_u64(b, value);
-    });
+fn telemetry_state(c: &mut impl Codec, t: &mut TelemetryCheckpoint) -> Result<(), SnapshotError> {
+    c.tag(&TELEMETRY_LEVELS, &mut t.level, "telemetry level")?;
+    c.opt(&mut t.capacity, Codec::usize)?;
+    c.u64(&mut t.seq)?;
+    c.u64(&mut t.dropped)?;
+    c.opt(&mut t.sample_interval, dur)?;
+    c.vec(&mut t.events, |c, e| {
+        c.u64(&mut e.t_us)?;
+        c.u64(&mut e.seq)?;
+        telemetry_event(c, &mut e.event)
+    })?;
+    c.vec(&mut t.counters, |c, (name, value)| {
+        c.name(name)?;
+        c.u64(value)
+    })?;
     // Deterministic histogram state (wall-clock histograms restart at
     // zero on resume, exactly like span timers).
-    put_vec(
-        &mut buf,
-        &t.histograms().deterministic_sorted(),
-        |b, &(name, hist)| {
-            put_str(b, name);
-            put_hist(b, hist);
-        },
-    );
-    buf
+    c.vec(&mut t.hists, |c, (name, h)| {
+        c.name(name)?;
+        hist(c, h)
+    })
 }
 
-fn put_hist(buf: &mut Vec<u8>, h: &Histogram) {
-    let snap = h.snapshot();
-    put_u64(buf, snap.count);
-    put_f64(buf, snap.sum);
-    put_f64(buf, snap.min);
-    put_f64(buf, snap.max);
-    put_vec(buf, &snap.buckets, |b, &(idx, c)| {
-        put_u32(b, idx);
-        put_u64(b, c);
-    });
-}
-
-fn read_hist(r: &mut SnapshotReader<'_>) -> Result<Histogram, SnapshotError> {
-    let count = r.u64()?;
-    let sum = r.f64()?;
-    let min = r.f64()?;
-    let max = r.f64()?;
-    let buckets = read_vec(r, |r| Ok((r.u32()?, r.u64()?)))?;
-    for &(idx, _) in &buckets {
-        if idx as usize >= NUM_BUCKETS {
-            return Err(malformed(format!("histogram bucket index {idx}")));
+fn telemetry_section(c: &mut impl Codec, t: &mut Telemetry) -> Result<(), SnapshotError> {
+    c.via(t, Telemetry::checkpoint, telemetry_state, |state| {
+        for (_, h) in &state.hists {
+            if let Some(&(index, _)) = h.buckets.iter().find(|(i, _)| *i as usize >= NUM_BUCKETS) {
+                return Err(malformed(format!("histogram bucket index {index}")));
+            }
+            if h.sum.is_nan() || h.min.is_nan() || h.max.is_nan() {
+                return Err(malformed("histogram NaN aggregate"));
+            }
         }
-    }
-    if sum.is_nan() || min.is_nan() || max.is_nan() {
-        return Err(malformed("histogram NaN aggregate"));
-    }
-    Ok(Histogram::from_snapshot(&HistSnapshot {
-        buckets,
-        count,
-        sum,
-        min,
-        max,
-    }))
-}
-
-fn decode_telemetry(r: &mut SnapshotReader<'_>) -> Result<Telemetry, SnapshotError> {
-    let level = match r.u8()? {
-        0 => TelemetryLevel::Off,
-        1 => TelemetryLevel::Counters,
-        2 => TelemetryLevel::Timeline,
-        3 => TelemetryLevel::Full,
-        t => return Err(bad_tag("telemetry level", t)),
-    };
-    let capacity = read_opt(r, |r| r.usize_())?;
-    let seq = r.u64()?;
-    let dropped = r.u64()?;
-    let sample_interval = read_opt(r, read_dur)?;
-    let events = read_vec(r, |r| {
-        Ok(StampedEvent {
-            t_us: r.u64()?,
-            seq: r.u64()?,
-            event: read_telemetry_event(r)?,
-        })
-    })?;
-    let counters = read_vec(r, |r| Ok((intern(r.str_()?), r.u64()?)))?;
-    let hists = read_vec(r, |r| Ok((intern(r.str_()?), read_hist(r)?)))?;
-    Ok(Telemetry::from_checkpoint(TelemetryCheckpoint {
-        level,
-        capacity,
-        seq,
-        dropped,
-        sample_interval,
-        events,
-        counters,
-        hists,
-    }))
+        Ok(Telemetry::from_checkpoint(state))
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Top-level encode / decode.
+// Top-level encode / decode: the container's section order.
 // ---------------------------------------------------------------------------
 
-fn encode_all(world: &WorldState, parts: &EngineParts) -> Vec<u8> {
+fn encode_all(world: &mut WorldState, parts: &mut EngineParts) -> Vec<u8> {
     let mut meta = ObjectWriter::new();
     meta.str_field("kind", "cocoa-run-snapshot")
         .u64_field("t_us", parts.now.as_micros())
         .u64_field("seed", world.scenario.seed)
         .u64_field("robots", world.scenario.num_robots as u64)
         .str_field("multicast", world.scenario.multicast.as_str());
+    let now = parts.now;
     let mut w = SnapshotWriter::new(meta.finish());
-    w.push_section("scenario", encode_scenario(&world.scenario));
-    w.push_section("engine", encode_engine(parts));
-    let mut rngs = Vec::new();
-    put_vec(&mut rngs, &world.move_rngs, put_rng);
-    put_vec(&mut rngs, &world.odo_rngs, put_rng);
-    put_rng(&mut rngs, &world.channel_rng);
-    put_rng(&mut rngs, &world.jitter_rng);
-    put_rng(&mut rngs, &world.fault_rng);
-    w.push_section("rngs", rngs);
-    w.push_section("medium", encode_medium(&world.medium.state()));
-    w.push_section("robots", encode_robots(&world.robots));
-    w.push_section("world", encode_world(world));
-    w.push_section("telemetry", encode_telemetry(&world.telemetry));
+    w.push_section(
+        "scenario",
+        snapshot::encode(|c| scenario_section(c, &mut world.scenario)),
+    );
+    w.push_section("engine", snapshot::encode(|c| engine_section(c, parts)));
+    w.push_section("rngs", snapshot::encode(|c| rngs_section(c, world)));
+    w.push_section(
+        "medium",
+        snapshot::encode(|c| medium_section(c, &mut world.medium)),
+    );
+    w.push_section(
+        "robots",
+        snapshot::encode(|c| robots_section(c, world, now)),
+    );
+    w.push_section("world", snapshot::encode(|c| world_section(c, world)));
+    w.push_section(
+        "telemetry",
+        snapshot::encode(|c| telemetry_section(c, &mut world.telemetry)),
+    );
     debug_assert_eq!(w.section_count(), SECTIONS.len());
     w.finish()
 }
@@ -1807,132 +1480,25 @@ fn decode(
     tables: Option<(PdfTable, RadialConstraintTable)>,
 ) -> Result<(WorldState, Engine<Event>), SnapshotError> {
     let snap = Snapshot::parse(bytes)?;
-    let scenario = {
-        let mut r = snap.section("scenario")?;
-        let s = decode_scenario(&mut r)?;
-        r.finish()?;
-        s
-    };
+    let mut scenario = Scenario::builder().build();
+    snap.decode("scenario", |c| scenario_section(c, &mut scenario))?;
     scenario
         .validate()
         .map_err(|e| malformed(format!("snapshot scenario fails validation: {e}")))?;
+    let (table, radial) = tables.unwrap_or_else(|| world::calibration(&scenario));
+    let mut world = WorldState::new(&scenario, Telemetry::off(), table, radial);
 
-    let channel = RfChannel::new(scenario.channel);
-    let (table, radial) = match tables {
-        Some(t) => t,
-        None => {
-            let split = SeedSplitter::new(scenario.seed);
-            let table = calibrate(
-                &channel,
-                &CalibrationConfig::default(),
-                &mut split.stream("calibration", 0),
-            );
-            let radial = cocoa_localization::bayes::radial_constraints_for_grid(
-                &table,
-                &GridConfig::new(scenario.area, scenario.grid_resolution_m),
-            );
-            (table, radial)
-        }
-    };
+    let mut parts = EngineParts::default();
+    snap.decode("engine", |c| engine_section(c, &mut parts))?;
+    check_engine(&parts, &scenario)?;
+    snap.decode("rngs", |c| rngs_section(c, &mut world))?;
+    snap.decode("medium", |c| medium_section(c, &mut world.medium))?;
+    snap.decode("robots", |c| robots_section(c, &mut world, parts.now))?;
+    snap.decode("world", |c| world_section(c, &mut world))?;
+    snap.decode("telemetry", |c| telemetry_section(c, &mut world.telemetry))?;
+    world.spans = SpanIds::register(&mut world.telemetry);
+    world.hists = events::HistIds::register(&mut world.telemetry);
 
-    let parts = {
-        let mut r = snap.section("engine")?;
-        let p = decode_engine(&mut r)?;
-        r.finish()?;
-        p
-    };
-
-    let (move_rngs, odo_rngs, channel_rng, jitter_rng, fault_rng) = {
-        let mut r = snap.section("rngs")?;
-        let move_rngs = read_vec(&mut r, read_rng)?;
-        let odo_rngs = read_vec(&mut r, read_rng)?;
-        let channel_rng = read_rng(&mut r)?;
-        let jitter_rng = read_rng(&mut r)?;
-        let fault_rng = read_rng(&mut r)?;
-        r.finish()?;
-        if move_rngs.len() != scenario.num_robots || odo_rngs.len() != scenario.num_robots {
-            return Err(malformed(format!(
-                "rng stream counts ({}, {}) do not match the {}-robot scenario",
-                move_rngs.len(),
-                odo_rngs.len(),
-                scenario.num_robots
-            )));
-        }
-        (move_rngs, odo_rngs, channel_rng, jitter_rng, fault_rng)
-    };
-
-    let medium = {
-        let mut r = snap.section("medium")?;
-        let state = decode_medium(&mut r)?;
-        r.finish()?;
-        Medium::from_state(state)
-    };
-
-    let robots = {
-        let mut r = snap.section("robots")?;
-        let robots = decode_robots(&mut r, &scenario)?;
-        r.finish()?;
-        robots
-    };
-
-    let extras = {
-        let mut r = snap.section("world")?;
-        let e = decode_world(&mut r)?;
-        r.finish()?;
-        e
-    };
-    if extras.sync_robot >= scenario.num_robots {
-        return Err(malformed(format!(
-            "sync robot {} out of range for {} robots",
-            extras.sync_robot, scenario.num_robots
-        )));
-    }
-    if let Some(links) = &extras.burst {
-        if links.len() != scenario.num_robots {
-            return Err(malformed(format!(
-                "burst overlay holds {} links for {} robots",
-                links.len(),
-                scenario.num_robots
-            )));
-        }
-    }
-
-    let mut telemetry = {
-        let mut r = snap.section("telemetry")?;
-        let t = decode_telemetry(&mut r)?;
-        r.finish()?;
-        t
-    };
-    let spans = SpanIds::register(&mut telemetry);
-    let hists = events::HistIds::register(&mut telemetry);
-
-    let world = WorldState {
-        scenario,
-        channel,
-        table,
-        radial,
-        medium,
-        robots,
-        move_rngs,
-        odo_rngs,
-        channel_rng,
-        jitter_rng,
-        error_series: extras.error_series,
-        snapshots: extras.snapshots,
-        position_snapshots: extras.position_snapshots,
-        traffic: extras.traffic,
-        sync_robot: extras.sync_robot,
-        max_guard: extras.max_guard,
-        telemetry,
-        spans,
-        hists,
-        next_robot_sample: extras.next_robot_sample,
-        fault_rng,
-        burst: extras.burst,
-        corrupt_txs: extras.corrupt_txs,
-        robustness: extras.robustness,
-        sync_dead_windows: extras.sync_dead_windows,
-    };
     let queue = EventQueue::from_parts(parts.events, parts.next_seq, parts.peak_len);
     let engine = Engine::from_parts(
         queue,
@@ -2035,7 +1601,7 @@ impl SimRun {
         let next_seq = queue.next_seq();
         let peak_len = queue.peak_len();
         let events = queue.drain_sorted();
-        let parts = EngineParts {
+        let mut parts = EngineParts {
             now: self.engine.now(),
             horizon: self.engine.horizon(),
             stopped: self.engine.is_stopped(),
@@ -2044,7 +1610,7 @@ impl SimRun {
             peak_len,
             events,
         };
-        let bytes = encode_all(&self.world, &parts);
+        let bytes = encode_all(&mut self.world, &mut parts);
         let rebuilt = EventQueue::from_parts(parts.events, next_seq, peak_len);
         let _ = self.engine.replace_queue(rebuilt);
 
@@ -2271,6 +1837,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocoa_localization::multilateration::RangeObservation;
     use proptest::prelude::*;
 
     fn arb_point() -> impl Strategy<Value = Point> {
@@ -2366,14 +1933,13 @@ mod tests {
                 stats,
                 backend,
             };
-            let mut bytes = Vec::new();
-            put_estimator(&mut bytes, &checkpoint);
-            let mut reader = SnapshotReader::new(&bytes, "test");
-            let decoded = read_estimator(&mut reader).expect("own bytes must decode");
-            prop_assert_eq!(reader.remaining(), 0, "decoder must consume the section");
+            let bytes = snapshot::encode(|c| estimator(c, &mut checkpoint.clone()));
+            let mut decoded = EstimatorCheckpoint::default();
+            // `decode` also rejects bytes the layout leaves unread.
+            snapshot::decode(&bytes, "test", |c| estimator(c, &mut decoded))
+                .expect("own bytes must decode");
             prop_assert_eq!(&decoded, &checkpoint);
-            let mut again = Vec::new();
-            put_estimator(&mut again, &decoded);
+            let again = snapshot::encode(|c| estimator(c, &mut decoded.clone()));
             prop_assert_eq!(again, bytes, "re-encode must be byte-identical");
         }
     }
@@ -2501,6 +2067,34 @@ mod tests {
         assert_eq!(EstimatorMode::ALL, [OdometryOnly, RfOnly, Cocoa]);
         assert_eq!(RfAlgorithm::ALL, [Bayes, Multilateration, Ekf]);
         assert_eq!(MulticastProtocol::ALL, [Flood, Odmrp, Mrmm]);
+        assert_eq!(BACKENDS.each_ref().map(|b| b.algorithm()), RfAlgorithm::ALL);
+        assert_eq!(MESH_MODES, [MeshMode::Odmrp, MeshMode::Mrmm]);
+        assert_eq!(
+            POWER_STATES,
+            [PowerState::Off, PowerState::Sleep, PowerState::Idle]
+        );
+        assert_eq!(
+            DEGRADATION_STATES,
+            [
+                DegradationState::Healthy,
+                DegradationState::Degraded,
+                DegradationState::DeadReckoning,
+                DegradationState::Down
+            ]
+        );
+        assert_eq!(
+            TELEMETRY_LEVELS,
+            [
+                TelemetryLevel::Off,
+                TelemetryLevel::Counters,
+                TelemetryLevel::Timeline,
+                TelemetryLevel::Full
+            ]
+        );
+        assert_eq!(
+            TRACE_LEVELS,
+            [TraceLevel::Debug, TraceLevel::Info, TraceLevel::Warn]
+        );
     }
 
     /// Persisted `--state-dir` jobs and sweep manifests are keyed by these

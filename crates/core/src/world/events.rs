@@ -20,9 +20,10 @@ pub(crate) enum TxIntent {
     Mesh(Packet),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) enum Event {
     /// Advance all robots' motion by one tick.
+    #[default]
     MoveTick,
     /// Sample the error series.
     MetricsSample,

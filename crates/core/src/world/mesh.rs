@@ -22,22 +22,19 @@
 use bytes::Bytes;
 use cocoa_multicast::flood::{FloodCheckpoint, FloodNode};
 use cocoa_multicast::mesh::MeshStats;
-use cocoa_multicast::mrmm::{MobilityInfo, PathScore};
-use cocoa_multicast::odmrp::{
-    OdmrpCheckpoint, OdmrpConfig, OdmrpNode, ProtocolAction, RoundCheckpoint, RouteCheckpoint,
-};
+use cocoa_multicast::mrmm::MobilityInfo;
+use cocoa_multicast::odmrp::{OdmrpCheckpoint, OdmrpConfig, OdmrpNode, ProtocolAction};
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_net::packet::{GroupId, NodeId, Packet};
 use cocoa_sim::dist::uniform;
 use cocoa_sim::engine::Engine;
-use cocoa_sim::snapshot::{
-    put_bool, put_f64, put_u32, put_u64, put_u8, put_usize, SnapshotError, SnapshotReader,
-};
+use cocoa_sim::snapshot::{self, Codec, SnapshotError};
 use cocoa_sim::telemetry::TelemetryEvent;
 use cocoa_sim::time::{SimDuration, SimTime};
 
 use crate::sync::SyncMessage;
 
+use super::checkpoint::{node, time};
 use super::events::{Event, TxIntent};
 use super::WorldState;
 
@@ -98,50 +95,66 @@ pub trait MeshBackend: Send {
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError>;
 }
 
-/// A dedup-cache entry: `((source, seq), expiry)`, the shape
-/// [`DedupCache::entries`] yields.
-type DedupEntry = ((NodeId, u32), SimTime);
-
-fn put_dedup_entries(buf: &mut Vec<u8>, entries: &[DedupEntry]) {
-    put_usize(buf, entries.len());
-    for &((node, seq), t) in entries {
-        put_u32(buf, node.0);
-        put_u32(buf, seq);
-        put_u64(buf, t.as_micros());
-    }
+fn dedup_entry(
+    c: &mut impl Codec,
+    ((source, seq), expiry): &mut ((NodeId, u32), SimTime),
+) -> Result<(), SnapshotError> {
+    node(c, source)?;
+    c.u32(seq)?;
+    time(c, expiry)
 }
 
-fn read_dedup_entries(r: &mut SnapshotReader<'_>) -> Result<Vec<DedupEntry>, SnapshotError> {
-    let n = r.usize_()?;
-    let mut entries = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let node = NodeId(r.u32()?);
-        let seq = r.u32()?;
-        let t = SimTime::from_micros(r.u64()?);
-        entries.push(((node, seq), t));
+/// Lifetime protocol counters, in [`MeshStats::counters`] order; the run
+/// metrics reuse this layout.
+pub(crate) fn mesh_stats(c: &mut impl Codec, s: &mut MeshStats) -> Result<(), SnapshotError> {
+    for v in [
+        &mut s.queries_originated,
+        &mut s.queries_rebroadcast,
+        &mut s.queries_suppressed,
+        &mut s.replies_sent,
+        &mut s.fg_activations,
+        &mut s.data_originated,
+        &mut s.data_forwarded,
+        &mut s.data_delivered,
+        &mut s.data_duplicates,
+        &mut s.data_undecodable,
+    ] {
+        c.u64(v)?;
     }
-    Ok(entries)
+    Ok(())
 }
 
-fn put_mesh_stats(buf: &mut Vec<u8>, stats: &MeshStats) {
-    for (_, value) in stats.counters() {
-        put_u64(buf, value);
-    }
+fn odmrp_state(c: &mut impl Codec, s: &mut OdmrpCheckpoint) -> Result<(), SnapshotError> {
+    c.opt(&mut s.fg_until, time)?;
+    c.vec(&mut s.routes, |c, r| {
+        node(c, &mut r.source)?;
+        node(c, &mut r.prev_hop)?;
+        c.u8(&mut r.hops)?;
+        c.f64(&mut r.score.lifetime)?;
+        c.u8(&mut r.score.hops)?;
+        c.u32(&mut r.seq)
+    })?;
+    c.vec(&mut s.rounds, |c, r| {
+        node(c, &mut r.source)?;
+        c.u32(&mut r.seq)?;
+        c.u32(&mut r.copies)?;
+        c.bool(&mut r.reply_scheduled)?;
+        c.bool(&mut r.rebroadcast_scheduled)
+    })?;
+    c.vec(&mut s.seen_queries, dedup_entry)?;
+    c.vec(&mut s.seen_data, dedup_entry)?;
+    c.vec(&mut s.last_reply_propagated, |c, (n, t)| {
+        node(c, n)?;
+        time(c, t)
+    })?;
+    c.u32(&mut s.next_seq)?;
+    mesh_stats(c, &mut s.stats)
 }
 
-fn read_mesh_stats(r: &mut SnapshotReader<'_>) -> Result<MeshStats, SnapshotError> {
-    Ok(MeshStats {
-        queries_originated: r.u64()?,
-        queries_rebroadcast: r.u64()?,
-        queries_suppressed: r.u64()?,
-        replies_sent: r.u64()?,
-        fg_activations: r.u64()?,
-        data_originated: r.u64()?,
-        data_forwarded: r.u64()?,
-        data_delivered: r.u64()?,
-        data_duplicates: r.u64()?,
-        data_undecodable: r.u64()?,
-    })
+fn flood_state(c: &mut impl Codec, s: &mut FloodCheckpoint) -> Result<(), SnapshotError> {
+    c.vec(&mut s.seen, dedup_entry)?;
+    c.u32(&mut s.next_seq)?;
+    mesh_stats(c, &mut s.stats)
 }
 
 /// ODMRP or MRMM, depending on the config's [`MeshMode`].
@@ -197,98 +210,13 @@ impl MeshBackend for OdmrpBackend {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let c = self.node.checkpoint();
-        let mut buf = Vec::new();
-        match c.fg_until {
-            Some(t) => {
-                put_bool(&mut buf, true);
-                put_u64(&mut buf, t.as_micros());
-            }
-            None => put_bool(&mut buf, false),
-        }
-        put_usize(&mut buf, c.routes.len());
-        for route in &c.routes {
-            put_u32(&mut buf, route.source.0);
-            put_u32(&mut buf, route.prev_hop.0);
-            put_u8(&mut buf, route.hops);
-            put_f64(&mut buf, route.score.lifetime);
-            put_u8(&mut buf, route.score.hops);
-            put_u32(&mut buf, route.seq);
-        }
-        put_usize(&mut buf, c.rounds.len());
-        for round in &c.rounds {
-            put_u32(&mut buf, round.source.0);
-            put_u32(&mut buf, round.seq);
-            put_u32(&mut buf, round.copies);
-            put_bool(&mut buf, round.reply_scheduled);
-            put_bool(&mut buf, round.rebroadcast_scheduled);
-        }
-        put_dedup_entries(&mut buf, &c.seen_queries);
-        put_dedup_entries(&mut buf, &c.seen_data);
-        put_usize(&mut buf, c.last_reply_propagated.len());
-        for &(node, t) in &c.last_reply_propagated {
-            put_u32(&mut buf, node.0);
-            put_u64(&mut buf, t.as_micros());
-        }
-        put_u32(&mut buf, c.next_seq);
-        put_mesh_stats(&mut buf, &c.stats);
-        buf
+        snapshot::encode(|c| odmrp_state(c, &mut self.node.checkpoint()))
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::new(bytes, "mesh.odmrp");
-        let fg_until = if r.bool()? {
-            Some(SimTime::from_micros(r.u64()?))
-        } else {
-            None
-        };
-        let n_routes = r.usize_()?;
-        let mut routes = Vec::with_capacity(n_routes.min(4096));
-        for _ in 0..n_routes {
-            routes.push(RouteCheckpoint {
-                source: NodeId(r.u32()?),
-                prev_hop: NodeId(r.u32()?),
-                hops: r.u8()?,
-                score: PathScore {
-                    lifetime: r.f64()?,
-                    hops: r.u8()?,
-                },
-                seq: r.u32()?,
-            });
-        }
-        let n_rounds = r.usize_()?;
-        let mut rounds = Vec::with_capacity(n_rounds.min(4096));
-        for _ in 0..n_rounds {
-            rounds.push(RoundCheckpoint {
-                source: NodeId(r.u32()?),
-                seq: r.u32()?,
-                copies: r.u32()?,
-                reply_scheduled: r.bool()?,
-                rebroadcast_scheduled: r.bool()?,
-            });
-        }
-        let seen_queries = read_dedup_entries(&mut r)?;
-        let seen_data = read_dedup_entries(&mut r)?;
-        let n_replies = r.usize_()?;
-        let mut last_reply_propagated = Vec::with_capacity(n_replies.min(4096));
-        for _ in 0..n_replies {
-            let node = NodeId(r.u32()?);
-            let t = SimTime::from_micros(r.u64()?);
-            last_reply_propagated.push((node, t));
-        }
-        let next_seq = r.u32()?;
-        let stats = read_mesh_stats(&mut r)?;
-        r.finish()?;
-        self.node.restore(OdmrpCheckpoint {
-            fg_until,
-            routes,
-            rounds,
-            seen_queries,
-            seen_data,
-            last_reply_propagated,
-            next_seq,
-            stats,
-        });
+        let mut state = OdmrpCheckpoint::default();
+        snapshot::decode(bytes, "mesh.odmrp", |c| odmrp_state(c, &mut state))?;
+        self.node.restore(state);
         Ok(())
     }
 }
@@ -343,25 +271,13 @@ impl MeshBackend for FloodBackend {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        let c = self.node.checkpoint();
-        let mut buf = Vec::new();
-        put_dedup_entries(&mut buf, &c.seen);
-        put_u32(&mut buf, c.next_seq);
-        put_mesh_stats(&mut buf, &c.stats);
-        buf
+        snapshot::encode(|c| flood_state(c, &mut self.node.checkpoint()))
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::new(bytes, "mesh.flood");
-        let seen = read_dedup_entries(&mut r)?;
-        let next_seq = r.u32()?;
-        let stats = read_mesh_stats(&mut r)?;
-        r.finish()?;
-        self.node.restore(FloodCheckpoint {
-            seen,
-            next_seq,
-            stats,
-        });
+        let mut state = FloodCheckpoint::default();
+        snapshot::decode(bytes, "mesh.flood", |c| flood_state(c, &mut state))?;
+        self.node.restore(state);
         Ok(())
     }
 }

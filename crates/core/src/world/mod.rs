@@ -209,29 +209,17 @@ pub fn run_with_telemetry(scenario: &Scenario, telemetry: Telemetry) -> (RunMetr
 /// the checkpoint warm-fork path. Does not schedule any events.
 pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> WorldState {
     let spans = SpanIds::register(&mut telemetry);
-    let hists = HistIds::register(&mut telemetry);
     let t_calibrate = telemetry.span_start();
     scenario
         .validate()
         .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-    let split = SeedSplitter::new(scenario.seed);
-
-    // --- Offline calibration phase (paper Section 2.2). ---
-    let channel = RfChannel::new(scenario.channel);
-    let table = calibrate(
-        &channel,
-        &CalibrationConfig::default(),
-        &mut split.stream("calibration", 0),
-    );
-    // One radial constraint cache per run, shared by every robot.
-    let radial = radial_constraints_for_grid(
-        &table,
-        &GridConfig::new(scenario.area, scenario.grid_resolution_m),
-    );
+    let (table, radial) = calibration(scenario);
     telemetry.span_end(spans.run_calibrate, t_calibrate);
     let t_setup = telemetry.span_start();
+    let mut world = WorldState::new(scenario, telemetry, table, radial);
 
     // --- Team construction. ---
+    let split = SeedSplitter::new(scenario.seed);
     let mut placement_rng = split.stream("placement", 0);
     let mut clock_rng = split.stream("clock", 0);
     let num_equipped = if scenario.mode.uses_rf() {
@@ -239,9 +227,6 @@ pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> Worl
     } else {
         0
     };
-    let mut robots = Vec::with_capacity(scenario.num_robots);
-    let mut move_rngs = Vec::with_capacity(scenario.num_robots);
-    let mut odo_rngs = Vec::with_capacity(scenario.num_robots);
     for i in 0..scenario.num_robots {
         let start = Point::new(
             uniform(scenario.area.x_min, scenario.area.x_max, &mut placement_rng),
@@ -290,7 +275,7 @@ pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> Worl
         } else {
             DegradationState::DeadReckoning
         };
-        robots.push(Robot {
+        world.robots.push(Robot {
             id: NodeId(i as u32),
             index: i,
             equipped,
@@ -315,40 +300,71 @@ pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> Worl
             beacon_offset: None,
             health: HealthMonitor::new(initial_health, SimTime::ZERO),
         });
-        move_rngs.push(move_rng);
-        odo_rngs.push(odo_rng);
+        world.move_rngs.push(move_rng);
+        world.odo_rngs.push(odo_rng);
     }
-
-    let max_guard = (scenario.beacon_period / 4).max(scenario.guard_band);
-    let mut world = WorldState {
-        scenario: scenario.clone(),
-        channel,
-        table,
-        radial,
-        medium: Medium::new(),
-        robots,
-        move_rngs,
-        odo_rngs,
-        channel_rng: split.stream("channel", 0),
-        jitter_rng: split.stream("jitter", 0),
-        error_series: Vec::new(),
-        snapshots: Vec::new(),
-        position_snapshots: Vec::new(),
-        traffic: TrafficStats::default(),
-        sync_robot: 0,
-        max_guard,
-        telemetry,
-        spans,
-        hists,
-        next_robot_sample: None,
-        fault_rng: split.stream("faults", 0),
-        burst: None,
-        corrupt_txs: std::collections::HashSet::new(),
-        robustness: RobustnessStats::default(),
-        sync_dead_windows: 0,
-    };
     world.telemetry.span_end(spans.run_setup, t_setup);
     world
+}
+
+/// The offline calibration phase (paper Section 2.2): the RSSI PDF table
+/// and the radial constraint profiles every robot's Bayesian update
+/// shares. Deterministic: it draws from a stream derived only from the
+/// seed.
+pub(crate) fn calibration(scenario: &Scenario) -> (PdfTable, RadialConstraintTable) {
+    let table = calibrate(
+        &RfChannel::new(scenario.channel),
+        &CalibrationConfig::default(),
+        &mut SeedSplitter::new(scenario.seed).stream("calibration", 0),
+    );
+    let radial = radial_constraints_for_grid(
+        &table,
+        &GridConfig::new(scenario.area, scenario.grid_resolution_m),
+    );
+    (table, radial)
+}
+
+impl WorldState {
+    /// A world for `scenario` with no team yet: empty accumulators, the
+    /// shared RNG streams split from the seed, span and histogram ids
+    /// registered on `telemetry`.
+    pub(crate) fn new(
+        scenario: &Scenario,
+        mut telemetry: Telemetry,
+        table: PdfTable,
+        radial: RadialConstraintTable,
+    ) -> WorldState {
+        let split = SeedSplitter::new(scenario.seed);
+        let spans = SpanIds::register(&mut telemetry);
+        let hists = HistIds::register(&mut telemetry);
+        WorldState {
+            scenario: scenario.clone(),
+            channel: RfChannel::new(scenario.channel),
+            table,
+            radial,
+            medium: Medium::new(),
+            robots: Vec::new(),
+            move_rngs: Vec::new(),
+            odo_rngs: Vec::new(),
+            channel_rng: split.stream("channel", 0),
+            jitter_rng: split.stream("jitter", 0),
+            error_series: Vec::new(),
+            snapshots: Vec::new(),
+            position_snapshots: Vec::new(),
+            traffic: TrafficStats::default(),
+            sync_robot: 0,
+            max_guard: (scenario.beacon_period / 4).max(scenario.guard_band),
+            telemetry,
+            spans,
+            hists,
+            next_robot_sample: None,
+            fault_rng: split.stream("faults", 0),
+            burst: None,
+            corrupt_txs: std::collections::HashSet::new(),
+            robustness: RobustnessStats::default(),
+            sync_dead_windows: 0,
+        }
+    }
 }
 
 /// Builds the initial event schedule for a freshly constructed (or

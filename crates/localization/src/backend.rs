@@ -155,6 +155,13 @@ pub enum BackendCheckpoint {
     },
 }
 
+/// A placeholder decoders overwrite: an empty range set.
+impl Default for BackendCheckpoint {
+    fn default() -> Self {
+        BackendCheckpoint::Lateration { ranges: Vec::new() }
+    }
+}
+
 impl BackendCheckpoint {
     /// Which algorithm produced this checkpoint.
     pub fn algorithm(&self) -> RfAlgorithm {

@@ -284,7 +284,7 @@ impl EkfLocalizer {
 
 /// The filter's internal state — position, covariance and gate counters —
 /// as checkpoint data (see [`EkfLocalizer::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EkfSnapshot {
     /// Believed x position, metres.
     pub x: f64,

@@ -592,7 +592,7 @@ impl WindowedRfEstimator {
 /// The windowed estimator's complete state as checkpoint data (see
 /// [`WindowedRfEstimator::checkpoint`]): the lifecycle header shared by
 /// every backend, plus the backend-tagged solver state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EstimatorCheckpoint {
     /// The most recent trusted fix, if any.
     pub last_fix: Option<Point>,

@@ -42,6 +42,13 @@ impl GridConfig {
         );
         GridConfig { area, resolution_m }
     }
+
+    /// Grid width and height in cells.
+    pub fn dims(&self) -> (usize, usize) {
+        let nx = (self.area.width() / self.resolution_m).ceil() as usize;
+        let ny = (self.area.height() / self.resolution_m).ceil() as usize;
+        (nx, ny)
+    }
 }
 
 /// Outcome of multiplying a constraint into the posterior.
@@ -132,8 +139,7 @@ impl PositionGrid {
     /// Creates a grid initialized to the uniform prior — "in the beginning,
     /// a robot is equally likely to be in any position" (paper Section 2.2).
     pub fn new(config: GridConfig) -> Self {
-        let nx = (config.area.width() / config.resolution_m).ceil() as usize;
-        let ny = (config.area.height() / config.resolution_m).ceil() as usize;
+        let (nx, ny) = config.dims();
         let n = nx * ny;
         let r = config.resolution_m;
         let xs = (0..nx)

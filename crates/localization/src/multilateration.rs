@@ -19,7 +19,7 @@ use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
 
 /// One range observation derived from a beacon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RangeObservation {
     /// Beacon (landmark) position.
     pub anchor: Point,

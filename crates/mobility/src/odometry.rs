@@ -173,7 +173,7 @@ impl Odometer {
 
 /// The odometer's complete state as checkpoint data (see
 /// [`Odometer::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OdometerCheckpoint {
     /// Odometry noise parameters.
     pub config: OdometryConfig,

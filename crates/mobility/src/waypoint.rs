@@ -23,7 +23,7 @@ use cocoa_sim::dist::uniform;
 use crate::pose::{normalize_angle, Pose};
 
 /// Configuration of the random-task movement model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct WaypointConfig {
     /// The deployment area destinations are drawn from.
     pub area: Area,
@@ -242,7 +242,7 @@ impl WaypointModel {
 
 /// The waypoint model's complete state as checkpoint data (see
 /// [`WaypointModel::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WaypointCheckpoint {
     /// Movement-model configuration.
     pub config: WaypointConfig,

@@ -130,7 +130,7 @@ impl FloodNode {
 }
 
 /// A [`FloodNode`]'s mutable state as checkpoint data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FloodCheckpoint {
     /// Duplicate-suppression entries in insertion order.
     pub seen: Vec<((NodeId, u32), SimTime)>,

@@ -131,7 +131,7 @@ pub fn link_lifetime(a: &MobilityInfo, b: &MobilityInfo, range: f64, horizon: f6
 /// MRMM's scoring of a candidate reverse-path predecessor: prefer links
 /// that will live longer, tie-breaking on shorter paths. Lifetimes beyond
 /// the mesh refresh interval are equivalent (the mesh is rebuilt anyway).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PathScore {
     /// Predicted residual link lifetime, seconds (clamped to refresh).
     pub lifetime: f64,

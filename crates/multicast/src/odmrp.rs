@@ -583,7 +583,7 @@ impl OdmrpNode {
 }
 
 /// One reverse-path route as checkpoint data.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RouteCheckpoint {
     /// The mesh source the route leads to.
     pub source: NodeId,
@@ -598,7 +598,7 @@ pub struct RouteCheckpoint {
 }
 
 /// One query round's bookkeeping as checkpoint data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundCheckpoint {
     /// Query source.
     pub source: NodeId,
@@ -614,7 +614,7 @@ pub struct RoundCheckpoint {
 
 /// An [`OdmrpNode`]'s mutable state as checkpoint data (see
 /// [`OdmrpNode::checkpoint`]). Map-backed fields are sorted by key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OdmrpCheckpoint {
     /// Forwarding-group flag expiry, if set.
     pub fg_until: Option<SimTime>,

@@ -66,9 +66,10 @@ impl EnergyParams {
 }
 
 /// Where time-proportional energy is being accrued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize, Deserialize)]
 pub enum PowerState {
     /// Radio fully off: no power draw, cannot receive.
+    #[default]
     Off,
     /// Radio sleeping: minimal draw, cannot receive.
     Sleep,

@@ -167,7 +167,7 @@ impl fmt::Display for Point {
 /// The paper's evaluation uses a 40 000 m² (200 m × 200 m) field; the
 /// bounding coordinates `x_min..x_max × y_min..y_max` appear directly in the
 /// Bayesian constraint (paper Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Area {
     /// Western bound, metres.
     pub x_min: f64,

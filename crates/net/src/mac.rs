@@ -25,7 +25,7 @@ use crate::packet::{NodeId, Packet};
 use crate::rssi::Dbm;
 
 /// Identifier of one transmission on the medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, PartialOrd, Ord, Hash)]
 pub struct TxId(u64);
 
 impl TxId {
@@ -36,7 +36,7 @@ impl TxId {
 
     /// Rebuilds an id from [`TxId::raw`]. Only meaningful against the
     /// medium that originally allocated it.
-    pub fn from_raw(v: u64) -> Self {
+    pub const fn from_raw(v: u64) -> Self {
         TxId(v)
     }
 }
@@ -345,7 +345,7 @@ impl Medium {
 }
 
 /// One in-flight transmission as checkpoint data.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ActiveTxState {
     /// The transmission's id.
     pub id: TxId,
@@ -362,7 +362,7 @@ pub struct ActiveTxState {
 }
 
 /// The medium's complete state as checkpoint data (see [`Medium::state`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MediumState {
     /// In-flight transmissions, in registration order.
     pub active: Vec<ActiveTxState>,

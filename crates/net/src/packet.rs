@@ -22,7 +22,9 @@ pub const IP_HEADER_BYTES: usize = 20;
 pub const UDP_HEADER_BYTES: usize = 20;
 
 /// Identifier of a robot (network node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Default, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -93,6 +95,15 @@ pub enum Payload {
     },
 }
 
+/// A placeholder decoders overwrite: a beacon from the origin.
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Beacon {
+            position: Point::default(),
+        }
+    }
+}
+
 impl Payload {
     /// A compact discriminant for tracing/metrics.
     pub fn kind_name(&self) -> &'static str {
@@ -107,7 +118,7 @@ impl Payload {
 }
 
 /// A fully-formed packet as handed to the MAC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Packet {
     /// Originating node (not necessarily the last forwarder).
     pub src: NodeId,

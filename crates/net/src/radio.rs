@@ -211,7 +211,7 @@ impl Radio {
 
 /// The radio's complete state as checkpoint data (see
 /// [`Radio::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RadioCheckpoint {
     /// Energy model parameters.
     pub params: EnergyParams,

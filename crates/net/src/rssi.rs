@@ -93,7 +93,9 @@ impl fmt::Display for Dbm {
 }
 
 /// An integer-dBm RSSI bin: the key of the calibration PDF table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Default, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct RssiBin(pub i16);
 
 impl RssiBin {

@@ -25,7 +25,7 @@ use crate::time::{SimDuration, SimTime};
 /// Robot indices refer to positions in the team vector. Start/end pairs
 /// bracket an interval during which the fault condition holds; an interval
 /// left open simply lasts until the end of the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum Fault {
     /// The robot halts: radio off, motion frozen, no beacons, no mesh.
     Crash {
@@ -77,6 +77,7 @@ pub enum Fault {
         model: GilbertElliott,
     },
     /// Remove the burst-loss overlay.
+    #[default]
     BurstLossEnd,
 }
 
@@ -97,7 +98,7 @@ impl Fault {
 }
 
 /// A fault with its injection time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
@@ -280,7 +281,7 @@ impl FaultPlan {
 /// assert!((ge.mean_loss() - 0.3).abs() < 1e-9);
 /// assert!(ge.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct GilbertElliott {
     /// Probability of transitioning good → bad at each attempt.
     pub p_enter_bad: f64,
@@ -360,7 +361,7 @@ impl GilbertElliott {
 /// The evolving state of one Gilbert–Elliott link.
 ///
 /// Stepped once per reception attempt; starts in the good state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GilbertElliottLink {
     model: GilbertElliott,
     in_bad: bool,

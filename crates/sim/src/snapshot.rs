@@ -24,26 +24,29 @@
 //! within a schema version while *reinterpreting* one requires a version
 //! bump.
 //!
+//! A section's payload is written and read by one layout function
+//! generic over [`Codec`], so its two directions cannot drift apart.
 //! Every decode error is a typed [`SnapshotError`]; feeding this module
 //! truncated or corrupted bytes must never panic.
 //!
 //! # Examples
 //!
 //! ```
-//! use cocoa_sim::snapshot::{self, Snapshot, SnapshotWriter};
+//! use cocoa_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotWriter};
+//!
+//! fn demo(c: &mut impl Codec, (n, s): &mut (u64, String)) -> Result<(), SnapshotError> {
+//!     c.u64(n)?;
+//!     c.string(s)
+//! }
 //!
 //! let mut w = SnapshotWriter::new("{\"kind\":\"snapshot\"}".to_string());
-//! let mut payload = Vec::new();
-//! snapshot::put_u64(&mut payload, 42);
-//! snapshot::put_str(&mut payload, "hello");
-//! w.push_section("demo", payload);
+//! w.push_section("demo", snapshot::encode(|c| demo(c, &mut (42, "hello".into()))));
 //! let bytes = w.finish();
 //!
 //! let snap = Snapshot::parse(&bytes).unwrap();
-//! let mut r = snap.section("demo").unwrap();
-//! assert_eq!(r.u64().unwrap(), 42);
-//! assert_eq!(r.str_().unwrap(), "hello");
-//! r.finish().unwrap();
+//! let mut back = (0, String::new());
+//! snap.decode("demo", |c| demo(c, &mut back)).unwrap();
+//! assert_eq!(back, (42, "hello".to_string()));
 //! ```
 
 use std::collections::BTreeMap;
@@ -163,64 +166,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoders: little-endian, length-prefixed strings and blobs.
+// Reader cursor.
 
-/// Appends one byte.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-/// Appends a `u32`, little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64`, little-endian.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `i64`, little-endian two's complement.
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f64` as its exact IEEE-754 bit pattern (bit-identical
-/// round trips, NaN payloads included).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// Appends a `bool` as one byte (0 or 1).
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-/// Appends a `usize` widened to `u64` (portable across word sizes).
-pub fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-/// Appends a string as `u32` length + UTF-8 bytes.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, u32::try_from(s.len()).expect("string over 4 GiB"));
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Appends a byte blob as `u64` length + raw bytes.
-pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
-}
-
-// ---------------------------------------------------------------------------
-// Reader.
-
-/// A bounds-checked typed cursor over one section's payload.
+/// A bounds-checked cursor over one payload.
 ///
-/// Every read returns [`SnapshotError::Truncated`] instead of panicking
-/// when the bytes run out; [`SnapshotReader::finish`] rejects unread
-/// trailing bytes so shape drift between writer and reader is caught.
+/// Reading past the end is [`SnapshotError::Truncated`] instead of a
+/// panic; [`SnapshotReader::finish`] rejects unread trailing bytes so
+/// shape drift between writer and reader is caught.
 #[derive(Debug, Clone)]
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
@@ -243,7 +195,8 @@ impl<'a> SnapshotReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated {
                 context: self.context,
@@ -252,78 +205,6 @@ impl<'a> SnapshotReader<'a> {
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads an `f64` from its exact bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool`, rejecting any byte other than 0 or 1.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Malformed {
-                context: format!("bool byte {other} in {}", self.context),
-            }),
-        }
-    }
-
-    /// Reads a `usize` (stored as `u64`), rejecting values that overflow
-    /// this platform's word size.
-    pub fn usize_(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapshotError::Malformed {
-            context: format!("usize {v} overflows platform word in {}", self.context),
-        })
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str_(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| SnapshotError::Malformed {
-            context: format!("non-UTF-8 string in {}", self.context),
-        })
-    }
-
-    /// Reads a length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len).map_err(|_| SnapshotError::Malformed {
-            context: format!(
-                "blob length {len} overflows platform word in {}",
-                self.context
-            ),
-        })?;
-        self.take(len)
     }
 
     /// Asserts the payload was consumed exactly.
@@ -336,6 +217,391 @@ impl<'a> SnapshotReader<'a> {
             })
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Symmetric codec: little-endian numbers, `f64`s as exact bit patterns
+// (NaN payloads included), length-prefixed strings and blobs.
+
+/// One direction of the symmetric wire codec.
+///
+/// A wire layout is written once, as a function generic over `Codec`
+/// that visits every field of a value through `&mut`. The writer (a
+/// `Vec<u8>`) reads each value and appends it; the reader ([`Decoder`])
+/// overwrites each value with what it decodes. Because both directions
+/// run the same function, they cannot drift apart.
+///
+/// Collections follow one length rule ([`Codec::count`]): a count larger
+/// than the bytes left to decode is [`SnapshotError::Truncated`] before
+/// anything is allocated.
+///
+/// # Examples
+///
+/// ```
+/// use cocoa_sim::snapshot::{self, Codec, SnapshotError};
+///
+/// #[derive(Debug, Default, PartialEq)]
+/// struct Reading {
+///     id: u32,
+///     samples: Vec<f64>,
+///     label: Option<u64>,
+/// }
+///
+/// fn reading(c: &mut impl Codec, v: &mut Reading) -> Result<(), SnapshotError> {
+///     c.u32(&mut v.id)?;
+///     c.vec(&mut v.samples, Codec::f64)?;
+///     c.opt(&mut v.label, Codec::u64)
+/// }
+///
+/// let mut original = Reading { id: 7, samples: vec![0.5, -1.0], label: Some(3) };
+/// let bytes = snapshot::encode(|c| reading(c, &mut original));
+/// let mut back = Reading::default();
+/// snapshot::decode(&bytes, "reading", |c| reading(c, &mut back)).unwrap();
+/// assert_eq!(back, original);
+/// ```
+pub trait Codec: Sized {
+    /// Whether this side decodes (overwrites values) rather than encodes.
+    /// Only the combinators below need to ask; layouts never do.
+    fn reading(&self) -> bool;
+
+    /// `N` raw bytes, the base of every fixed-width number.
+    fn raw<const N: usize>(&mut self, v: &mut [u8; N]) -> Result<(), SnapshotError>;
+
+    /// A collection's element count, stored like a `usize`. The reader
+    /// applies the length rule: a count above the bytes left is
+    /// [`SnapshotError::Truncated`].
+    fn count(&mut self, n: &mut usize) -> Result<(), SnapshotError>;
+
+    /// A byte blob: `u64` length, then the bytes.
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError>;
+
+    /// A string: `u32` length, then UTF-8.
+    fn string(&mut self, v: &mut String) -> Result<(), SnapshotError>;
+
+    /// A `'static` name, laid out like [`Codec::string`]; the reader
+    /// [`intern`]s it.
+    fn name(&mut self, v: &mut &'static str) -> Result<(), SnapshotError>;
+
+    /// A nested layout stored as a blob (laid out like [`Codec::bytes`]).
+    /// The reader decodes the blob with its own cursor labelled
+    /// `context` and rejects bytes the layout leaves unread.
+    fn nested(
+        &mut self,
+        context: &'static str,
+        layout: impl FnOnce(&mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError>;
+
+    /// One byte.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapshotError> {
+        let mut b = [*v];
+        self.raw(&mut b)?;
+        *v = b[0];
+        Ok(())
+    }
+
+    /// A little-endian `u32`.
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapshotError> {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u32::from_le_bytes(b);
+        Ok(())
+    }
+
+    /// A little-endian `u64`.
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u64::from_le_bytes(b);
+        Ok(())
+    }
+
+    /// An `f64` as its exact bit pattern.
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapshotError> {
+        let mut bits = v.to_bits();
+        self.u64(&mut bits)?;
+        *v = f64::from_bits(bits);
+        Ok(())
+    }
+
+    /// A `bool` as one byte; anything but 0 or 1 is malformed.
+    fn bool(&mut self, v: &mut bool) -> Result<(), SnapshotError> {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        *v = match b {
+            0 => false,
+            1 => true,
+            other => return Err(malformed(format!("bool byte {other}"))),
+        };
+        Ok(())
+    }
+
+    /// A `usize` as a `u64` (portable across word sizes); a value over
+    /// this platform's word is malformed.
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapshotError> {
+        let mut wide = *v as u64;
+        self.u64(&mut wide)?;
+        *v = usize::try_from(wide)
+            .map_err(|_| malformed(format!("usize {wide} overflows the platform word")))?;
+        Ok(())
+    }
+
+    /// An optional value: a [`Codec::bool`] presence flag, then the value.
+    fn opt<T: Default>(
+        &mut self,
+        v: &mut Option<T>,
+        layout: impl FnOnce(&mut Self, &mut T) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut present = v.is_some();
+        self.bool(&mut present)?;
+        if self.reading() {
+            *v = present.then(T::default);
+        }
+        match v {
+            Some(x) => layout(self, x),
+            None => Ok(()),
+        }
+    }
+
+    /// A vector: [`Codec::count`], then each element. The reader starts
+    /// every element from `T::default()`.
+    fn vec<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        layout: impl FnMut(&mut Self, &mut T) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        self.vec_with(v, |_| T::default(), layout)
+    }
+
+    /// A vector whose elements the reader starts from `blank(index)`,
+    /// for element types without a useful `Default`.
+    fn vec_with<T>(
+        &mut self,
+        v: &mut Vec<T>,
+        mut blank: impl FnMut(usize) -> T,
+        mut layout: impl FnMut(&mut Self, &mut T) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut n = v.len();
+        self.count(&mut n)?;
+        if !self.reading() {
+            return v.iter_mut().try_for_each(|x| layout(self, x));
+        }
+        // Grow as elements decode: memory tracks the bytes actually read.
+        v.clear();
+        for i in 0..n {
+            let mut x = blank(i);
+            layout(self, &mut x)?;
+            v.push(x);
+        }
+        Ok(())
+    }
+
+    /// Which variant of an enum `v` is, stored as one byte: its index in
+    /// `variants`, one placeholder per variant in tag order (an enum's
+    /// `ALL` list when it carries no data). The reader replaces `v` with
+    /// the indexed placeholder, whose fields the caller then codes.
+    ///
+    /// # Panics
+    ///
+    /// The writer panics if `variants` misses `v`'s variant.
+    fn tag<T: Clone>(
+        &mut self,
+        variants: &[T],
+        v: &mut T,
+        what: &'static str,
+    ) -> Result<(), SnapshotError> {
+        let mut tag = 0u8;
+        if !self.reading() {
+            let kind = std::mem::discriminant(v);
+            let index = variants
+                .iter()
+                .position(|p| std::mem::discriminant(p) == kind);
+            tag = u8::try_from(index.expect("the variant list names every variant"))
+                .expect("at most 256 variants");
+        }
+        self.u8(&mut tag)?;
+        if self.reading() {
+            *v = variants
+                .get(usize::from(tag))
+                .cloned()
+                .ok_or_else(|| malformed(format!("unknown {what} tag {tag}")))?;
+        }
+        Ok(())
+    }
+
+    /// A value kept behind a save/restore pair (private state, foreign
+    /// types): the writer codes `save(v)`; the reader codes into
+    /// `S::default()` and replaces `v` with `load` of the result, which
+    /// is where decode-side consistency checks go.
+    fn via<T, S: Default>(
+        &mut self,
+        v: &mut T,
+        save: impl FnOnce(&T) -> S,
+        layout: impl FnOnce(&mut Self, &mut S) -> Result<(), SnapshotError>,
+        load: impl FnOnce(S) -> Result<T, SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        if !self.reading() {
+            return layout(self, &mut save(v));
+        }
+        let mut state = S::default();
+        layout(self, &mut state)?;
+        *v = load(state)?;
+        Ok(())
+    }
+}
+
+fn malformed(context: String) -> SnapshotError {
+    SnapshotError::Malformed { context }
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    let len = u32::try_from(s.len()).expect("string over 4 GiB");
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    buf.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    buf.extend_from_slice(bytes);
+}
+
+/// The writer: appends each value to the buffer.
+impl Codec for Vec<u8> {
+    fn reading(&self) -> bool {
+        false
+    }
+
+    fn raw<const N: usize>(&mut self, v: &mut [u8; N]) -> Result<(), SnapshotError> {
+        self.extend_from_slice(v);
+        Ok(())
+    }
+
+    fn count(&mut self, n: &mut usize) -> Result<(), SnapshotError> {
+        self.usize(n)
+    }
+
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        put_bytes(self, v);
+        Ok(())
+    }
+
+    fn string(&mut self, v: &mut String) -> Result<(), SnapshotError> {
+        put_str(self, v);
+        Ok(())
+    }
+
+    fn name(&mut self, v: &mut &'static str) -> Result<(), SnapshotError> {
+        put_str(self, v);
+        Ok(())
+    }
+
+    fn nested(
+        &mut self,
+        _context: &'static str,
+        layout: impl FnOnce(&mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut blob = Vec::new();
+        layout(&mut blob)?;
+        put_bytes(self, &blob);
+        Ok(())
+    }
+}
+
+/// The reader: overwrites each value with what it decodes from a
+/// [`SnapshotReader`].
+#[derive(Debug, Clone)]
+pub struct Decoder<'a> {
+    r: SnapshotReader<'a>,
+}
+
+impl<'a> Decoder<'a> {
+    /// Decodes `buf`; `context` labels errors.
+    pub fn new(buf: &'a [u8], context: &'static str) -> Self {
+        Decoder {
+            r: SnapshotReader::new(buf, context),
+        }
+    }
+
+    /// Rejects bytes left unread (see [`SnapshotReader::finish`]).
+    pub fn finish(self) -> Result<(), SnapshotError> {
+        self.r.finish()
+    }
+
+    fn blob(&mut self) -> Result<&'a [u8], SnapshotError> {
+        let mut len = 0;
+        self.count(&mut len)?;
+        self.r.take(len)
+    }
+
+    fn str(&mut self) -> Result<&'a str, SnapshotError> {
+        let mut len = 0u32;
+        self.u32(&mut len)?;
+        let bytes = self.r.take(len as usize)?;
+        std::str::from_utf8(bytes)
+            .map_err(|_| malformed(format!("non-UTF-8 string in {}", self.r.context)))
+    }
+}
+
+impl Codec for Decoder<'_> {
+    fn reading(&self) -> bool {
+        true
+    }
+
+    fn raw<const N: usize>(&mut self, v: &mut [u8; N]) -> Result<(), SnapshotError> {
+        v.copy_from_slice(self.r.take(N)?);
+        Ok(())
+    }
+
+    fn count(&mut self, n: &mut usize) -> Result<(), SnapshotError> {
+        self.usize(n)?;
+        if *n > self.r.remaining() {
+            return Err(SnapshotError::Truncated {
+                context: self.r.context,
+            });
+        }
+        Ok(())
+    }
+
+    fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        *v = self.blob()?.to_vec();
+        Ok(())
+    }
+
+    fn string(&mut self, v: &mut String) -> Result<(), SnapshotError> {
+        *v = self.str()?.to_owned();
+        Ok(())
+    }
+
+    fn name(&mut self, v: &mut &'static str) -> Result<(), SnapshotError> {
+        *v = intern(self.str()?);
+        Ok(())
+    }
+
+    fn nested(
+        &mut self,
+        context: &'static str,
+        layout: impl FnOnce(&mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        decode(self.blob()?, context, layout)
+    }
+}
+
+/// Encodes with `layout` into a fresh buffer.
+pub fn encode(layout: impl FnOnce(&mut Vec<u8>) -> Result<(), SnapshotError>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    layout(&mut buf).expect("encoding into a Vec cannot fail");
+    buf
+}
+
+/// Decodes all of `buf` with `layout`: bytes it leaves unread are
+/// [`SnapshotError::TrailingBytes`].
+pub fn decode<'a>(
+    buf: &'a [u8],
+    context: &'static str,
+    layout: impl FnOnce(&mut Decoder<'a>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut d = Decoder::new(buf, context);
+    layout(&mut d)?;
+    d.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -388,16 +654,14 @@ impl SnapshotWriter {
             .sum();
         let mut out = Vec::with_capacity(4 + 4 + 4 + self.meta.len() + 4 + payload_total);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
-        put_u32(&mut out, SNAPSHOT_SCHEMA_VERSION);
+        out.extend_from_slice(&SNAPSHOT_SCHEMA_VERSION.to_le_bytes());
         put_str(&mut out, &self.meta);
-        put_u32(
-            &mut out,
-            u32::try_from(self.sections.len()).expect("section count"),
-        );
+        let count = u32::try_from(self.sections.len()).expect("section count");
+        out.extend_from_slice(&count.to_le_bytes());
         for (tag, payload) in &self.sections {
             put_str(&mut out, tag);
             put_bytes(&mut out, payload);
-            put_u32(&mut out, crc32(payload));
+            out.extend_from_slice(&crc32(payload).to_le_bytes());
         }
         out
     }
@@ -426,35 +690,35 @@ impl Snapshot {
     /// Parses and validates `bytes`: magic, version, structure and every
     /// section CRC. Corrupted input yields a typed error, never a panic.
     pub fn parse(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut r = SnapshotReader::new(bytes, "snapshot header");
-        let magic = r.take(4)?;
+        let mut d = Decoder::new(bytes, "snapshot header");
+        let mut magic = [0u8; 4];
+        d.raw(&mut magic)?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r.u32()?;
+        let mut version = 0;
+        d.u32(&mut version)?;
         if version != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
-        let meta = r.str_()?.to_string();
-        let count = r.u32()?;
-        let mut sections = Vec::with_capacity(count.min(1024) as usize);
+        let mut meta = String::new();
+        d.string(&mut meta)?;
+        let mut count = 0u32;
+        d.u32(&mut count)?;
+        d.r.context = "section table";
+        let mut sections = Vec::new();
         for _ in 0..count {
-            r.context = "section table";
-            let tag = r.str_()?.to_string();
-            let payload = r.bytes()?.to_vec();
-            let stored = r.u32()?;
-            let actual = crc32(&payload);
-            if stored != actual {
+            let mut tag = String::new();
+            let (mut payload, mut crc) = (Vec::new(), 0);
+            d.string(&mut tag)?;
+            d.bytes(&mut payload)?;
+            d.u32(&mut crc)?;
+            if crc != crc32(&payload) {
                 return Err(SnapshotError::CrcMismatch { section: tag });
             }
-            sections.push(SnapshotSection {
-                tag,
-                payload,
-                crc: stored,
-            });
+            sections.push(SnapshotSection { tag, payload, crc });
         }
-        r.context = "section table";
-        r.finish()?;
+        d.finish()?;
         Ok(Snapshot {
             version,
             meta,
@@ -477,15 +741,17 @@ impl Snapshot {
         &self.sections
     }
 
-    /// A typed reader over the payload of section `tag`.
-    pub fn section(&self, tag: &'static str) -> Result<SnapshotReader<'_>, SnapshotError> {
-        self.sections
-            .iter()
-            .find(|s| s.tag == tag)
-            .map(|s| SnapshotReader::new(&s.payload, tag))
-            .ok_or(SnapshotError::MissingSection {
-                section: tag.to_string(),
-            })
+    /// Decodes all of section `tag` with `layout` (see [`decode`]).
+    pub fn decode<'a>(
+        &'a self,
+        tag: &'static str,
+        layout: impl FnOnce(&mut Decoder<'a>) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let section = self.sections.iter().find(|s| s.tag == tag);
+        let section = section.ok_or(SnapshotError::MissingSection {
+            section: tag.to_string(),
+        })?;
+        decode(&section.payload, tag, layout)
     }
 
     /// Compares two snapshots section by section.
@@ -631,19 +897,35 @@ pub fn intern(s: &str) -> &'static str {
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<u8> {
+    type Engine = (u64, f64, bool, String);
+    type Rngs = (Vec<u8>, u32, Option<usize>);
+
+    fn engine(c: &mut impl Codec, v: &mut Engine) -> Result<(), SnapshotError> {
+        c.u64(&mut v.0)?;
+        c.f64(&mut v.1)?;
+        c.bool(&mut v.2)?;
+        c.string(&mut v.3)
+    }
+
+    fn rngs(c: &mut impl Codec, v: &mut Rngs) -> Result<(), SnapshotError> {
+        c.bytes(&mut v.0)?;
+        c.u32(&mut v.1)?;
+        c.opt(&mut v.2, Codec::usize)
+    }
+
+    fn sample_with(first: u64) -> Vec<u8> {
         let mut w = SnapshotWriter::new("{\"kind\":\"snapshot\",\"seed\":42}".to_string());
-        let mut a = Vec::new();
-        put_u64(&mut a, 7);
-        put_f64(&mut a, -0.25);
-        put_bool(&mut a, true);
-        put_str(&mut a, "name");
-        w.push_section("engine", a);
-        let mut b = Vec::new();
-        put_bytes(&mut b, &[1, 2, 3]);
-        put_i64(&mut b, -5);
-        w.push_section("rngs", b);
+        let mut e = (first, -0.25, true, "name".to_string());
+        w.push_section("engine", encode(|c| engine(c, &mut e)));
+        w.push_section(
+            "rngs",
+            encode(|c| rngs(c, &mut (vec![1, 2, 3], 5, Some(9)))),
+        );
         w.finish()
+    }
+
+    fn sample() -> Vec<u8> {
+        sample_with(7)
     }
 
     #[test]
@@ -651,24 +933,20 @@ mod tests {
         let snap = Snapshot::parse(&sample()).unwrap();
         assert_eq!(snap.version(), SNAPSHOT_SCHEMA_VERSION);
         assert_eq!(snap.meta(), "{\"kind\":\"snapshot\",\"seed\":42}");
-        let mut r = snap.section("engine").unwrap();
-        assert_eq!(r.u64().unwrap(), 7);
-        assert_eq!(r.f64().unwrap(), -0.25);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.str_().unwrap(), "name");
-        r.finish().unwrap();
-        let mut r = snap.section("rngs").unwrap();
-        assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
-        assert_eq!(r.i64().unwrap(), -5);
-        r.finish().unwrap();
+        let mut e = Engine::default();
+        snap.decode("engine", |c| engine(c, &mut e)).unwrap();
+        assert_eq!(e, (7, -0.25, true, "name".to_string()));
+        let mut r = Rngs::default();
+        snap.decode("rngs", |c| rngs(c, &mut r)).unwrap();
+        assert_eq!(r, (vec![1, 2, 3], 5, Some(9)));
     }
 
     #[test]
     fn f64_round_trip_is_bit_exact() {
-        for v in [0.0, -0.0, f64::INFINITY, f64::NAN, 1.0e-308, 0.1 + 0.2] {
-            let mut buf = Vec::new();
-            put_f64(&mut buf, v);
-            let got = SnapshotReader::new(&buf, "t").f64().unwrap();
+        for mut v in [0.0, -0.0, f64::INFINITY, f64::NAN, 1.0e-308, 0.1 + 0.2] {
+            let buf = encode(|c| c.f64(&mut v));
+            let mut got = 0.0;
+            decode(&buf, "t", |c| c.f64(&mut got)).unwrap();
             assert_eq!(got.to_bits(), v.to_bits());
         }
     }
@@ -721,16 +999,28 @@ mod tests {
     fn missing_section_and_trailing_bytes_are_typed() {
         let snap = Snapshot::parse(&sample()).unwrap();
         assert_eq!(
-            snap.section("robots").unwrap_err(),
+            snap.decode("robots", |_| Ok(())).unwrap_err(),
             SnapshotError::MissingSection {
                 section: "robots".to_string()
             }
         );
-        let mut r = snap.section("engine").unwrap();
-        let _ = r.u64().unwrap();
         assert!(matches!(
-            r.finish(),
+            snap.decode("engine", |c| c.u64(&mut 0)),
             Err(SnapshotError::TrailingBytes { .. })
+        ));
+    }
+
+    #[test]
+    fn counts_beyond_the_payload_are_truncated_before_allocating() {
+        let bytes = encode(|c| c.count(&mut { usize::MAX }));
+        let mut v: Vec<u64> = Vec::new();
+        assert!(matches!(
+            decode(&bytes, "t", |c| c.vec(&mut v, Codec::u64)),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        assert!(matches!(
+            decode(&[2], "t", |c| c.bool(&mut false)),
+            Err(SnapshotError::Malformed { .. })
         ));
     }
 
@@ -747,18 +1037,7 @@ mod tests {
     #[test]
     fn diff_pinpoints_the_changed_section_and_offset() {
         let a = Snapshot::parse(&sample()).unwrap();
-        let mut w = SnapshotWriter::new("{\"kind\":\"snapshot\",\"seed\":42}".to_string());
-        let mut s1 = Vec::new();
-        put_u64(&mut s1, 8); // differs from 7 at byte 0
-        put_f64(&mut s1, -0.25);
-        put_bool(&mut s1, true);
-        put_str(&mut s1, "name");
-        w.push_section("engine", s1);
-        let mut s2 = Vec::new();
-        put_bytes(&mut s2, &[1, 2, 3]);
-        put_i64(&mut s2, -5);
-        w.push_section("rngs", s2);
-        let b = Snapshot::parse(&w.finish()).unwrap();
+        let b = Snapshot::parse(&sample_with(8)).unwrap(); // differs at byte 0
         let diff = a.diff(&b);
         assert!(!diff.is_empty());
         assert_eq!(diff.sections.len(), 1);

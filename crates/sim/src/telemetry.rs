@@ -60,7 +60,7 @@ use crate::trace::{Trace, TraceLevel};
 pub mod export;
 pub mod hist;
 
-use hist::{HistId, Histogram, HistogramRegistry};
+use hist::{HistId, HistSnapshot, Histogram, HistogramRegistry};
 
 /// Version of the JSONL trace schema emitted by [`Telemetry::to_jsonl`].
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
@@ -291,6 +291,13 @@ pub enum TelemetryEvent {
     },
 }
 
+/// A placeholder decoders overwrite.
+impl Default for TelemetryEvent {
+    fn default() -> Self {
+        TelemetryEvent::WindowStart { window: 0 }
+    }
+}
+
 impl TelemetryEvent {
     /// The stable machine name of this event kind (the JSONL `kind` field).
     pub fn kind(&self) -> &'static str {
@@ -319,7 +326,7 @@ impl TelemetryEvent {
 }
 
 /// An event stamped with simulation time and a stable sequence number.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StampedEvent {
     /// Simulation time of emission, microseconds.
     pub t_us: u64,
@@ -329,10 +336,11 @@ pub struct StampedEvent {
     pub event: TelemetryEvent,
 }
 
-/// Checkpointed bus state for [`Telemetry::from_checkpoint`]: everything
-/// deterministic the bus carries — wall-clock span timers and wall
-/// histograms are deliberately absent.
-#[derive(Debug)]
+/// Checkpointed bus state ([`Telemetry::checkpoint`],
+/// [`Telemetry::from_checkpoint`]): everything deterministic the bus
+/// carries — wall-clock span timers and wall histograms are deliberately
+/// absent.
+#[derive(Debug, Default)]
 pub struct TelemetryCheckpoint {
     /// The recording level.
     pub level: TelemetryLevel,
@@ -349,7 +357,7 @@ pub struct TelemetryCheckpoint {
     /// Counter values by name.
     pub counters: Vec<(&'static str, u64)>,
     /// Deterministic histogram states by name.
-    pub hists: Vec<(&'static str, Histogram)>,
+    pub hists: Vec<(&'static str, HistSnapshot)>,
 }
 
 /// Handle to one registered counter (index into the registry, `Copy`).
@@ -644,6 +652,24 @@ impl Telemetry {
         self.capacity
     }
 
+    /// The bus's deterministic state as checkpoint data: the retained
+    /// event window, the emission/drop totals, the counters and the
+    /// deterministic histograms, both sorted by name.
+    pub fn checkpoint(&self) -> TelemetryCheckpoint {
+        TelemetryCheckpoint {
+            level: self.level,
+            capacity: self.capacity,
+            seq: self.seq,
+            dropped: self.dropped,
+            sample_interval: self.sample_interval,
+            events: self.events.iter().cloned().collect(),
+            counters: self.counters.sorted(),
+            hists: (self.hists.deterministic_sorted().into_iter())
+                .map(|(name, h)| (name, h.snapshot()))
+                .collect(),
+        }
+    }
+
     /// Rebuilds a bus from checkpointed state: the retained event window,
     /// the emission/drop totals, the counter values and the deterministic
     /// histogram states, exactly as captured.
@@ -653,6 +679,10 @@ impl Telemetry {
     /// non-deterministic quantity the bus records, and are excluded from
     /// snapshots by design. Any legacy [`Trace`] attachment is likewise not
     /// part of a checkpoint; reattach one after restoring if needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a histogram bucket index is out of range.
     pub fn from_checkpoint(c: TelemetryCheckpoint) -> Self {
         let mut t = Telemetry::new(c.level);
         t.capacity = c.capacity;
@@ -663,8 +693,8 @@ impl Telemetry {
         for (name, value) in c.counters {
             t.counters.set(name, value);
         }
-        for (name, hist) in c.hists {
-            t.hists.restore(name, hist);
+        for (name, hist) in &c.hists {
+            t.hists.restore(name, Histogram::from_snapshot(hist));
         }
         t
     }

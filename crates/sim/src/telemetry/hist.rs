@@ -294,7 +294,7 @@ impl Histogram {
 }
 
 /// A sparse, serializable view of one histogram: only non-empty buckets.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistSnapshot {
     /// `(global bucket index, count)` pairs, index-ascending.
     pub buckets: Vec<(u32, u64)>,
