@@ -133,8 +133,10 @@ impl SweepManifest {
         let mut points: Vec<(u64, PointState)> = (self.fingerprints.iter().copied())
             .zip(self.states.iter().cloned())
             .collect();
+        let body = snapshot::encode(|c| c.vec(&mut points, point));
+        drop(points); // free the snapshot copies before the container copies the body
         let mut w = SnapshotWriter::new(meta.finish());
-        w.push_section("sweep", snapshot::encode(|c| c.vec(&mut points, point)));
+        w.push_section("sweep", body);
         w.finish()
     }
 

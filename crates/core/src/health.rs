@@ -88,9 +88,9 @@ impl HealthLedger {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthMonitor {
-    state: DegradationState,
-    since: SimTime,
-    ledger: HealthLedger,
+    pub(crate) state: DegradationState,
+    pub(crate) since: SimTime,
+    pub(crate) ledger: HealthLedger,
 }
 
 impl HealthMonitor {
@@ -121,21 +121,6 @@ impl HealthMonitor {
         self.state = next;
         self.since = now;
         true
-    }
-
-    /// The monitor's complete state as checkpoint data:
-    /// `(state, since, partial ledger)`.
-    pub fn checkpoint(&self) -> (DegradationState, SimTime, HealthLedger) {
-        (self.state, self.since, self.ledger)
-    }
-
-    /// Rebuilds a monitor from [`HealthMonitor::checkpoint`] data.
-    pub fn from_checkpoint(state: DegradationState, since: SimTime, ledger: HealthLedger) -> Self {
-        HealthMonitor {
-            state,
-            since,
-            ledger,
-        }
     }
 
     /// Closes the final interval at `end` and returns the completed ledger.

@@ -11,7 +11,8 @@ use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
 use cocoa_mobility::odometry::OdometryConfig;
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
-use cocoa_net::channel::ChannelParams;
+use cocoa_net::calibration::CalibrationConfig;
+use cocoa_net::channel::{ChannelParams, RfChannel};
 use cocoa_net::energy::EnergyParams;
 use cocoa_net::geometry::Area;
 use cocoa_sim::faults::FaultPlan;
@@ -22,6 +23,14 @@ use cocoa_sim::time::{SimDuration, SimTime};
 /// robot allocates its grid at setup, so a finer resolution would let a
 /// request ask for more memory than the host has.
 const MAX_GRID_CELLS: f64 = 1e6;
+
+/// The longest nominal radio range ([`RfChannel::max_range`]) a scenario
+/// may have: 10 km, about 60 times the default channel's 158 m.
+/// Calibration draws 200 samples every 0.5 m out to that range and keeps
+/// each detectable one, so at the cap it holds at most 4·10⁶ samples
+/// (32 MB) and runs in well under a second; an uncapped range let one
+/// edited channel field allocate without bound.
+const MAX_RADIO_RANGE_M: f64 = 10_000.0;
 
 /// A fully-specified simulation scenario.
 ///
@@ -212,10 +221,11 @@ impl Scenario {
                 self.grid_resolution_m
             ));
         }
+        self.validate_channel()?;
         if self.beacons_per_window == 0 {
             return Err("k (beacons per window) must be at least 1".into());
         }
-        if self.guard_band * 2 >= self.beacon_period {
+        if self.guard_band.as_micros().saturating_mul(2) >= self.beacon_period.as_micros() {
             return Err("guard band too large for the beacon period".into());
         }
         if !(0.0..1.0).contains(&self.packet_loss) {
@@ -241,6 +251,28 @@ impl Scenario {
             ));
         }
         Ok(())
+    }
+
+    /// Rejects a channel that calibration or sampling cannot handle:
+    /// parameters out of their physical range, a radio range outside
+    /// calibration's sweep (0.5 m up to [`MAX_RADIO_RANGE_M`]), or a mean
+    /// RSSI or shadowing spread that overflows within that sweep.
+    fn validate_channel(&self) -> Result<(), String> {
+        self.channel.validate()?;
+        let channel = RfChannel::new(self.channel);
+        let range = channel.max_range();
+        let d_min = CalibrationConfig::default().d_min;
+        let finite = |d: f64| {
+            channel.mean_rssi(d).value().is_finite() && channel.shadowing_sigma(d).is_finite()
+        };
+        if range > d_min && range <= MAX_RADIO_RANGE_M && finite(d_min) && finite(range) {
+            Ok(())
+        } else {
+            Err(format!(
+                "radio range {range} m must be above {d_min} m and at most \
+                 {MAX_RADIO_RANGE_M} m"
+            ))
+        }
     }
 }
 

@@ -34,15 +34,15 @@ use cocoa_sim::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DriftingClock {
     /// Skew as a fraction (100 ppm = 100e-6). May be negative.
-    skew: f64,
+    pub(crate) skew: f64,
     /// Accumulated scheduling error at `anchor`, seconds.
-    error_s: f64,
+    pub(crate) error_s: f64,
     /// When `error_s` was last materialized.
-    anchor: SimTime,
+    pub(crate) anchor: SimTime,
     /// Consecutive beacon periods without a SYNC.
-    missed_syncs: u32,
+    pub(crate) missed_syncs: u32,
     /// SYNCs ignored because they were older than the current anchor.
-    stale_syncs: u32,
+    pub(crate) stale_syncs: u32,
 }
 
 impl DriftingClock {
@@ -117,35 +117,6 @@ impl DriftingClock {
         let shifted = intended.as_secs_f64() + err;
         let t = SimTime::from_secs_f64(shifted.max(0.0));
         t.max(now)
-    }
-
-    /// The clock's complete state as checkpoint data:
-    /// `(skew, error_s, anchor, missed_syncs, stale_syncs)`.
-    pub fn checkpoint(&self) -> (f64, f64, SimTime, u32, u32) {
-        (
-            self.skew,
-            self.error_s,
-            self.anchor,
-            self.missed_syncs,
-            self.stale_syncs,
-        )
-    }
-
-    /// Rebuilds a clock from [`DriftingClock::checkpoint`] data.
-    pub fn from_checkpoint(
-        skew: f64,
-        error_s: f64,
-        anchor: SimTime,
-        missed_syncs: u32,
-        stale_syncs: u32,
-    ) -> Self {
-        DriftingClock {
-            skew,
-            error_s,
-            anchor,
-            missed_syncs,
-            stale_syncs,
-        }
     }
 
     /// The guard band to use given the current desynchronization: doubles

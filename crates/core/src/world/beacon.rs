@@ -107,7 +107,8 @@ pub(crate) fn transmit(
             continue;
         }
         let d = src_pos.distance_to(world.robots[j].motion.true_position());
-        if d <= 0.0 || d > detect_horizon {
+        // Written to also skip a NaN distance (a corrupt restored pose).
+        if !(d > 0.0 && d <= detect_horizon) {
             continue;
         }
         let rssi = world.channel.sample_rssi(d, &mut world.channel_rng);

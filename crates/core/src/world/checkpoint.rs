@@ -66,13 +66,12 @@ use cocoa_sim::telemetry::{
 use cocoa_sim::time::{SimDuration, SimTime};
 use cocoa_sim::trace::TraceLevel;
 
-use crate::health::{DegradationState, HealthLedger, HealthMonitor};
+use crate::health::{DegradationState, HealthLedger};
 use crate::metrics::{
     ErrorPoint, ErrorSnapshot, RobotFinalState, RobustnessStats, RunMetrics, TrafficStats,
 };
 use crate::robot::Robot;
 use crate::scenario::Scenario;
-use crate::sync::DriftingClock;
 use crate::world::events::{Event, SpanIds, TxIntent};
 use crate::world::{self, events, mesh, metrics_hook, WorldState, SYNC_GROUP};
 
@@ -377,32 +376,26 @@ fn rng(c: &mut impl Codec, r: &mut DetRng) -> Result<(), SnapshotError> {
 }
 
 pub(crate) fn energy_ledger(c: &mut impl Codec, l: &mut EnergyLedger) -> Result<(), SnapshotError> {
-    for v in [
+    c.f64s([
         &mut l.tx_uj,
         &mut l.rx_uj,
         &mut l.idle_uj,
         &mut l.sleep_uj,
         &mut l.wake_uj,
-    ] {
-        c.f64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 pub(crate) fn health_ledger(c: &mut impl Codec, l: &mut HealthLedger) -> Result<(), SnapshotError> {
-    for v in [
+    c.f64s([
         &mut l.healthy_s,
         &mut l.degraded_s,
         &mut l.dead_reckoning_s,
         &mut l.down_s,
-    ] {
-        c.f64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 pub(crate) fn traffic(c: &mut impl Codec, t: &mut TrafficStats) -> Result<(), SnapshotError> {
-    for v in [
+    c.u64s([
         &mut t.beacons_sent,
         &mut t.beacons_received,
         &mut t.collisions,
@@ -410,14 +403,11 @@ pub(crate) fn traffic(c: &mut impl Codec, t: &mut TrafficStats) -> Result<(), Sn
         &mut t.syncs_missed,
         &mut t.fixes,
         &mut t.starved_windows,
-    ] {
-        c.u64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 pub(crate) fn robustness(c: &mut impl Codec, r: &mut RobustnessStats) -> Result<(), SnapshotError> {
-    for v in [
+    c.u64s([
         &mut r.crashes,
         &mut r.reboots,
         &mut r.failovers,
@@ -428,10 +418,7 @@ pub(crate) fn robustness(c: &mut impl Codec, r: &mut RobustnessStats) -> Result<
         &mut r.flat_posteriors,
         &mut r.stale_syncs_ignored,
         &mut r.malformed_sync_bodies,
-    ] {
-        c.u64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 pub(crate) fn error_point(c: &mut impl Codec, p: &mut ErrorPoint) -> Result<(), SnapshotError> {
@@ -485,21 +472,18 @@ fn channel(c: &mut impl Codec, p: &mut ChannelParams) -> Result<(), SnapshotErro
             c.f64(wavelength_m)?;
         }
     }
-    for v in [
+    c.f64s([
         &mut p.shadowing_sigma_db,
         &mut p.shadowing_sigma_slope_db_per_m,
         &mut p.multipath_onset_m,
         &mut p.multipath_fade_prob,
         &mut p.multipath_fade_mean_db,
         &mut p.sensitivity_dbm,
-    ] {
-        c.f64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 fn energy(c: &mut impl Codec, e: &mut EnergyParams) -> Result<(), SnapshotError> {
-    for v in [
+    c.f64s([
         &mut e.idle_mw,
         &mut e.sleep_mw,
         &mut e.tx_uj_per_byte,
@@ -507,22 +491,16 @@ fn energy(c: &mut impl Codec, e: &mut EnergyParams) -> Result<(), SnapshotError>
         &mut e.rx_uj_per_byte,
         &mut e.rx_uj_fixed,
         &mut e.wake_uj,
-    ] {
-        c.f64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 fn gilbert(c: &mut impl Codec, m: &mut GilbertElliott) -> Result<(), SnapshotError> {
-    for v in [
+    c.f64s([
         &mut m.p_enter_bad,
         &mut m.p_exit_bad,
         &mut m.loss_good,
         &mut m.loss_bad,
-    ] {
-        c.f64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 fn fault(c: &mut impl Codec, f: &mut Fault) -> Result<(), SnapshotError> {
@@ -568,10 +546,7 @@ fn fault_plan(c: &mut impl Codec, plan: &mut FaultPlan) -> Result<(), SnapshotEr
 }
 
 fn area(c: &mut impl Codec, a: &mut Area) -> Result<(), SnapshotError> {
-    for v in [&mut a.x_min, &mut a.x_max, &mut a.y_min, &mut a.y_max] {
-        c.f64(v)?;
-    }
-    Ok(())
+    c.f64s([&mut a.x_min, &mut a.x_max, &mut a.y_min, &mut a.y_max])
 }
 
 fn odometry(c: &mut impl Codec, o: &mut OdometryConfig) -> Result<(), SnapshotError> {
@@ -612,11 +587,7 @@ fn scenario_section(c: &mut impl Codec, s: &mut Scenario) -> Result<(), Snapshot
     energy(c, &mut s.energy)?;
     odometry(c, &mut s.odometry)?;
     mesh_config(c, &mut s.mesh)?;
-    c.tag(
-        &MulticastProtocol::ALL,
-        &mut s.multicast,
-        "multicast protocol",
-    )?;
+    c.tag(&MulticastProtocol::ALL, &mut s.multicast, "multicast")?;
     c.bool(&mut s.sync_enabled)?;
     c.f64(&mut s.clock_skew_ppm)?;
     dur(c, &mut s.guard_band)?;
@@ -664,11 +635,7 @@ fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
         energy(c, &mut s.energy)?;
         odometry(c, &mut s.odometry)?;
         mesh_config(c, &mut s.mesh)?;
-        c.tag(
-            &MulticastProtocol::ALL,
-            &mut s.multicast,
-            "multicast protocol",
-        )?;
+        c.tag(&MulticastProtocol::ALL, &mut s.multicast, "multicast")?;
         c.f64(&mut s.clock_skew_ppm)
     })
 }
@@ -797,65 +764,66 @@ fn engine_section(c: &mut impl Codec, p: &mut EngineParts) -> Result<(), Snapsho
     })
 }
 
-fn check_robot(robot: usize, s: &Scenario) -> Result<(), SnapshotError> {
-    if robot < s.num_robots {
-        Ok(())
-    } else {
-        Err(malformed(format!(
-            "robot index {robot} out of range for {} robots",
-            s.num_robots
-        )))
+/// What `EventQueue::from_parts` and the event handlers would otherwise
+/// assert, index or overflow on, checked so an edited section is a typed
+/// error: the horizon is the scenario's end, and every queued event is
+/// due at or after the clock and names a robot of the team, a window of
+/// the run (a window start exactly at its boundary) or a scheduled
+/// snapshot.
+fn check_engine(p: &EngineParts, s: &Scenario) -> Result<(), SnapshotError> {
+    let n = s.num_robots;
+    let period = s.beacon_period.as_micros();
+    let last_window = (s.duration.as_micros() / period).saturating_add(1);
+    let bad_event = p.events.iter().find(|(t, seq, e)| {
+        let consistent = match e {
+            Event::WindowStart { index } => period.checked_mul(*index) == Some(t.as_micros()),
+            Event::RobotWake { robot, window, .. }
+            | Event::RobotWindowEnd { robot, window, .. } => *robot < n && *window <= last_window,
+            Event::Transmit { robot, .. }
+            | Event::MeshReply { robot, .. }
+            | Event::MeshRebroadcast { robot, .. } => *robot < n,
+            Event::TxEnd { receivers, .. } => receivers.iter().all(|&r| r < n),
+            Event::Fault(f) => f.robot().is_none_or(|r| r < n),
+            Event::Snapshot { index } => *index < s.snapshot_times.len(),
+            Event::MoveTick | Event::MetricsSample | Event::MediumGc => true,
+        };
+        !consistent || *seq >= p.next_seq || *t < p.now
+    });
+    if p.horizon == SimTime::ZERO + s.duration
+        && p.peak_len >= p.events.len()
+        && bad_event.is_none()
+    {
+        return Ok(());
     }
+    Err(malformed(format!(
+        "engine state inconsistent with the {n}-robot scenario ending at {}: horizon {}, \
+         clock {}, next seq {}, queue peak {} for {} events, first bad event {bad_event:?}",
+        SimTime::ZERO + s.duration,
+        p.horizon,
+        p.now,
+        p.next_seq,
+        p.peak_len,
+        p.events.len()
+    )))
 }
 
-/// What `EventQueue::from_parts` and the event handlers would otherwise
-/// assert or index, checked so a corrupt section is a typed error.
-fn check_engine(p: &EngineParts, s: &Scenario) -> Result<(), SnapshotError> {
-    if p.horizon != SimTime::ZERO + s.duration {
-        return Err(malformed(format!(
-            "engine horizon {} is not the scenario's end {}",
-            p.horizon,
-            SimTime::ZERO + s.duration
-        )));
+/// The team-size consistency no single section can check: one robot, two
+/// RNG streams and (while a burst overlay is active) one link per team
+/// member, a sync robot of the team, one error snapshot per snapshot time.
+fn check_world(w: &WorldState) -> Result<(), SnapshotError> {
+    let s = &w.scenario;
+    let n = s.num_robots;
+    let burst = w.burst.as_ref().map_or(n, Vec::len);
+    let counts = [w.robots.len(), w.move_rngs.len(), w.odo_rngs.len(), burst];
+    if counts == [n; 4] && w.sync_robot < n && w.snapshots.len() == s.snapshot_times.len() {
+        return Ok(());
     }
-    if p.peak_len < p.events.len() {
-        return Err(malformed(format!(
-            "queue peak_len {} below pending count {}",
-            p.peak_len,
-            p.events.len()
-        )));
-    }
-    for (t, seq, e) in &p.events {
-        if *seq >= p.next_seq {
-            return Err(malformed(format!(
-                "queued event seq {seq} not below next_seq {}",
-                p.next_seq
-            )));
-        }
-        if *t < p.now {
-            return Err(malformed(format!(
-                "queued event at {t} is before the engine clock {}",
-                p.now
-            )));
-        }
-        match e {
-            Event::RobotWake { robot, .. }
-            | Event::RobotWindowEnd { robot, .. }
-            | Event::Transmit { robot, .. }
-            | Event::MeshReply { robot, .. }
-            | Event::MeshRebroadcast { robot, .. } => check_robot(*robot, s)?,
-            Event::TxEnd { receivers, .. } => {
-                receivers.iter().try_for_each(|&r| check_robot(r, s))?
-            }
-            Event::Fault(f) => f.robot().map_or(Ok(()), |r| check_robot(r, s))?,
-            Event::MoveTick
-            | Event::MetricsSample
-            | Event::WindowStart { .. }
-            | Event::MediumGc
-            | Event::Snapshot { .. } => {}
-        }
-    }
-    Ok(())
+    Err(malformed(format!(
+        "robots, rng streams and burst links {counts:?}, sync robot {} or {} error \
+         snapshots do not match the {n}-robot scenario",
+        w.sync_robot,
+        w.snapshots.len()
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -872,29 +840,18 @@ fn rngs_section(c: &mut impl Codec, w: &mut WorldState) -> Result<(), SnapshotEr
     c.vec_with(&mut w.odo_rngs, blank_rng, rng)?;
     rng(c, &mut w.channel_rng)?;
     rng(c, &mut w.jitter_rng)?;
-    rng(c, &mut w.fault_rng)?;
-    let n = w.scenario.num_robots;
-    if w.move_rngs.len() != n || w.odo_rngs.len() != n {
-        return Err(malformed(format!(
-            "rng stream counts ({}, {}) do not match the {n}-robot scenario",
-            w.move_rngs.len(),
-            w.odo_rngs.len(),
-        )));
-    }
-    Ok(())
+    rng(c, &mut w.fault_rng)
 }
 
 fn medium_state(c: &mut impl Codec, m: &mut MediumState) -> Result<(), SnapshotError> {
     c.f64(&mut m.capture_margin_db)?;
     dur(c, &mut m.retention)?;
-    for v in [
+    c.u64s([
         &mut m.next_id,
         &mut m.total_tx,
         &mut m.total_collisions,
         &mut m.total_half_duplex,
-    ] {
-        c.u64(v)?;
-    }
+    ])?;
     c.vec(&mut m.active, |c, tx| {
         tx_id(c, &mut tx.id)?;
         node(c, &mut tx.src)?;
@@ -924,9 +881,11 @@ fn window_stats(c: &mut impl Codec, s: &mut WindowStats) -> Result<(), SnapshotE
     c.u32(&mut s.windows)?;
     c.u32(&mut s.fixes)?;
     c.u32(&mut s.flat_windows)?;
-    c.u64(&mut s.beacons_seen)?;
-    c.u64(&mut s.beacons_applied)?;
-    c.u64(&mut s.beacons_rejected_outlier)
+    c.u64s([
+        &mut s.beacons_seen,
+        &mut s.beacons_applied,
+        &mut s.beacons_rejected_outlier,
+    ])
 }
 
 /// The estimator section: the lifecycle header shared by every backend,
@@ -958,15 +917,12 @@ fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), Snap
                     |v| Ok(RssiBin(v as u16 as i16)),
                 )
             })?;
-            for v in [
+            c.u64s([
                 &mut grid_stats.kernel_simd,
                 &mut grid_stats.kernel_fused,
                 &mut grid_stats.fused_windows,
                 &mut grid_stats.cells_touched,
-            ] {
-                c.u64(v)?;
-            }
-            Ok(())
+            ])
         }
         BackendCheckpoint::Lateration { ranges } => c.vec(ranges, |c, obs| {
             point(c, &mut obs.anchor)?;
@@ -978,15 +934,13 @@ fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), Snap
             window_applied,
             last_odo,
         } => {
-            for v in [
+            c.f64s([
                 &mut filter.x,
                 &mut filter.y,
                 &mut filter.p11,
                 &mut filter.p12,
                 &mut filter.p22,
-            ] {
-                c.f64(v)?;
-            }
+            ])?;
             c.u64(&mut filter.updates_applied)?;
             c.u64(&mut filter.updates_gated)?;
             c.u32(&mut filter.consecutive_gated)?;
@@ -1047,37 +1001,6 @@ fn not_after(what: &str, t: SimTime, now: SimTime) -> Result<(), SnapshotError> 
     }
 }
 
-/// A robot the reader overwrites field by field.
-fn blank_robot(index: usize, s: &Scenario) -> Robot {
-    let id = NodeId(index as u32);
-    Robot {
-        id,
-        index,
-        equipped: false,
-        motion: RobotMotion::from_parts(
-            WaypointModel::from_checkpoint(WaypointCheckpoint::default()),
-            Odometer::from_checkpoint(OdometerCheckpoint::default()),
-        ),
-        radio: Radio::from_checkpoint(RadioCheckpoint::default()),
-        rf: None,
-        mesh: mesh::make_backend(s.multicast, id, SYNC_GROUP, true, s.mesh),
-        clock: DriftingClock::from_checkpoint(0.0, 0.0, SimTime::ZERO, 0, 0),
-        has_fix: false,
-        last_fix_window: None,
-        synced_this_window: false,
-        fix_anchor: None,
-        alive: false,
-        epoch: 0,
-        garbled_tx: false,
-        beacon_offset: None,
-        health: HealthMonitor::from_checkpoint(
-            DegradationState::default(),
-            SimTime::ZERO,
-            HealthLedger::default(),
-        ),
-    }
-}
-
 fn robot(
     c: &mut impl Codec,
     r: &mut Robot,
@@ -1122,36 +1045,21 @@ fn robot(
         not_after("radio state change", rc.since, now)?;
         Ok(Radio::from_checkpoint(rc))
     })?;
-    c.via(
-        &mut r.clock,
-        DriftingClock::checkpoint,
-        |c, (skew, error_s, anchor, missed, stale)| {
-            c.f64(skew)?;
-            c.f64(error_s)?;
-            time(c, anchor)?;
-            c.u32(missed)?;
-            c.u32(stale)
-        },
-        |(skew, error_s, anchor, missed, stale)| {
-            not_after("clock anchor", anchor, now)?;
-            Ok(DriftingClock::from_checkpoint(
-                skew, error_s, anchor, missed, stale,
-            ))
-        },
-    )?;
-    c.via(
-        &mut r.health,
-        HealthMonitor::checkpoint,
-        |c, (state, since, ledger)| {
-            c.tag(&DEGRADATION_STATES, state, "degradation state")?;
-            time(c, since)?;
-            health_ledger(c, ledger)
-        },
-        |(state, since, ledger)| {
-            not_after("health state change", since, now)?;
-            Ok(HealthMonitor::from_checkpoint(state, since, ledger))
-        },
-    )?;
+    let clock = &mut r.clock;
+    c.f64(&mut clock.skew)?;
+    c.f64(&mut clock.error_s)?;
+    time(c, &mut clock.anchor)?;
+    c.u32(&mut clock.missed_syncs)?;
+    c.u32(&mut clock.stale_syncs)?;
+    if !(clock.skew.abs() < 0.01 && clock.error_s.is_finite()) {
+        return Err(malformed(format!("unphysical clock skew {}", clock.skew)));
+    }
+    not_after("clock anchor", clock.anchor, now)?;
+    let health = &mut r.health;
+    c.tag(&DEGRADATION_STATES, &mut health.state, "degradation state")?;
+    time(c, &mut health.since)?;
+    health_ledger(c, &mut health.ledger)?;
+    not_after("health state change", health.since, now)?;
     c.via(
         &mut r.rf,
         |rf| rf.as_ref().map(WindowedRfEstimator::checkpoint),
@@ -1175,21 +1083,16 @@ fn restore_estimator(
     e: EstimatorCheckpoint,
     s: &Scenario,
 ) -> Result<WindowedRfEstimator, SnapshotError> {
-    same_setting("estimator backend", e.backend.algorithm(), s.rf_algorithm)?;
     let grid = GridConfig::new(s.area, s.grid_resolution_m);
-    if let BackendCheckpoint::Bayes {
-        posterior_cells, ..
-    } = &e.backend
-    {
-        let (nx, ny) = grid.dims();
-        if posterior_cells.len() != nx * ny {
-            return Err(malformed(format!(
-                "posterior holds {} cells but the scenario's grid has {}",
-                posterior_cells.len(),
-                nx * ny
-            )));
-        }
-    }
+    let (nx, ny) = grid.dims();
+    let cells = match &e.backend {
+        BackendCheckpoint::Bayes {
+            posterior_cells, ..
+        } => posterior_cells.len(),
+        _ => nx * ny,
+    };
+    same_setting("estimator backend", e.backend.algorithm(), s.rf_algorithm)?;
+    same_setting("posterior cell count", cells, nx * ny)?;
     Ok(WindowedRfEstimator::from_checkpoint_fused(
         grid,
         s.grid_fused,
@@ -1205,17 +1108,9 @@ fn robots_section(
     let s = &w.scenario;
     c.vec_with(
         &mut w.robots,
-        |i| blank_robot(i, s),
+        |i| world::blank_robot(i, s),
         |c, r| robot(c, r, s, now),
-    )?;
-    if w.robots.len() != s.num_robots {
-        return Err(malformed(format!(
-            "snapshot holds {} robots but the scenario declares {}",
-            w.robots.len(),
-            s.num_robots
-        )));
-    }
-    Ok(())
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1255,16 +1150,7 @@ fn world_section(c: &mut impl Codec, w: &mut WorldState) -> Result<(), SnapshotE
         },
         |c, raw| c.vec(raw, Codec::u64),
         |raw| Ok(raw.into_iter().map(TxId::from_raw).collect()),
-    )?;
-    check_robot(w.sync_robot, &w.scenario)?;
-    match &w.burst {
-        Some(links) if links.len() != w.scenario.num_robots => Err(malformed(format!(
-            "burst overlay holds {} links for {} robots",
-            links.len(),
-            w.scenario.num_robots
-        ))),
-        _ => Ok(()),
-    }
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1301,9 +1187,7 @@ fn telemetry_event(c: &mut impl Codec, e: &mut TelemetryEvent) -> Result<(), Sna
         } => {
             c.u32(robot)?;
             c.u64(window)?;
-            c.f64(x_m)?;
-            c.f64(y_m)?;
-            c.f64(err_m)
+            c.f64s([x_m, y_m, err_m])
         }
         TelemetryEvent::FlatPosterior {
             robot,
@@ -1350,9 +1234,7 @@ fn telemetry_event(c: &mut impl Codec, e: &mut TelemetryEvent) -> Result<(), Sna
             health,
         } => {
             c.u32(robot)?;
-            for v in [true_x_m, true_y_m, est_x_m, est_y_m, err_m] {
-                c.f64(v)?;
-            }
+            c.f64s([true_x_m, true_y_m, est_x_m, est_y_m, err_m])?;
             c.opt(entropy_frac, Codec::f64)?;
             c.f64(energy_j)?;
             c.name(radio)?;
@@ -1386,9 +1268,7 @@ fn telemetry_event(c: &mut impl Codec, e: &mut TelemetryEvent) -> Result<(), Sna
 
 fn hist(c: &mut impl Codec, h: &mut HistSnapshot) -> Result<(), SnapshotError> {
     c.u64(&mut h.count)?;
-    c.f64(&mut h.sum)?;
-    c.f64(&mut h.min)?;
-    c.f64(&mut h.max)?;
+    c.f64s([&mut h.sum, &mut h.min, &mut h.max])?;
     c.vec(&mut h.buckets, |c, (index, count)| {
         c.u32(index)?;
         c.u64(count)
@@ -1496,6 +1376,7 @@ fn decode(
     snap.decode("robots", |c| robots_section(c, &mut world, parts.now))?;
     snap.decode("world", |c| world_section(c, &mut world))?;
     snap.decode("telemetry", |c| telemetry_section(c, &mut world.telemetry))?;
+    check_world(&world)?;
     world.spans = SpanIds::register(&mut world.telemetry);
     world.hists = events::HistIds::register(&mut world.telemetry);
 

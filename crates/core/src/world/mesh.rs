@@ -107,7 +107,7 @@ fn dedup_entry(
 /// Lifetime protocol counters, in [`MeshStats::counters`] order; the run
 /// metrics reuse this layout.
 pub(crate) fn mesh_stats(c: &mut impl Codec, s: &mut MeshStats) -> Result<(), SnapshotError> {
-    for v in [
+    c.u64s([
         &mut s.queries_originated,
         &mut s.queries_rebroadcast,
         &mut s.queries_suppressed,
@@ -118,10 +118,7 @@ pub(crate) fn mesh_stats(c: &mut impl Codec, s: &mut MeshStats) -> Result<(), Sn
         &mut s.data_delivered,
         &mut s.data_duplicates,
         &mut s.data_undecodable,
-    ] {
-        c.u64(v)?;
-    }
-    Ok(())
+    ])
 }
 
 fn odmrp_state(c: &mut impl Codec, s: &mut OdmrpCheckpoint) -> Result<(), SnapshotError> {

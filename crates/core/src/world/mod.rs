@@ -39,14 +39,15 @@ use cocoa_localization::estimator::EstimatorMode;
 use cocoa_localization::estimator::WindowedRfEstimator;
 use cocoa_localization::grid::GridConfig;
 use cocoa_mobility::motion::RobotMotion;
-use cocoa_mobility::waypoint::WaypointConfig;
+use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint};
+use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
 use cocoa_net::calibration::{calibrate, CalibrationConfig, PdfTable, RadialConstraintTable};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::energy::PowerState;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{Medium, TxId};
 use cocoa_net::packet::{GroupId, NodeId};
-use cocoa_net::radio::Radio;
+use cocoa_net::radio::{Radio, RadioCheckpoint};
 use cocoa_sim::dist::uniform;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::faults::GilbertElliottLink;
@@ -276,35 +277,48 @@ pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> Worl
             DegradationState::DeadReckoning
         };
         world.robots.push(Robot {
-            id: NodeId(i as u32),
-            index: i,
             equipped,
             motion,
             radio,
             rf,
-            mesh: mesh::make_backend(
-                scenario.multicast,
-                NodeId(i as u32),
-                SYNC_GROUP,
-                true,
-                scenario.mesh,
-            ),
             clock: DriftingClock::new(skew),
-            has_fix: false,
-            last_fix_window: None,
-            synced_this_window: false,
-            fix_anchor: None,
-            alive: true,
-            epoch: 0,
-            garbled_tx: false,
-            beacon_offset: None,
             health: HealthMonitor::new(initial_health, SimTime::ZERO),
+            ..blank_robot(i, scenario)
         });
         world.move_rngs.push(move_rng);
         world.odo_rngs.push(odo_rng);
     }
     world.telemetry.span_end(spans.run_setup, t_setup);
     world
+}
+
+/// Robot `index` of `scenario` before setup or a snapshot gives it its
+/// state: alive, unequipped, at rest at the origin, no estimator, a
+/// fresh clock, health monitor and mesh node.
+pub(crate) fn blank_robot(index: usize, scenario: &Scenario) -> Robot {
+    let id = NodeId(index as u32);
+    Robot {
+        id,
+        index,
+        equipped: false,
+        motion: RobotMotion::from_parts(
+            WaypointModel::from_checkpoint(WaypointCheckpoint::default()),
+            Odometer::from_checkpoint(OdometerCheckpoint::default()),
+        ),
+        radio: Radio::from_checkpoint(RadioCheckpoint::default()),
+        rf: None,
+        mesh: mesh::make_backend(scenario.multicast, id, SYNC_GROUP, true, scenario.mesh),
+        clock: DriftingClock::new(0.0),
+        has_fix: false,
+        last_fix_window: None,
+        synced_this_window: false,
+        fix_anchor: None,
+        alive: true,
+        epoch: 0,
+        garbled_tx: false,
+        beacon_offset: None,
+        health: HealthMonitor::new(DegradationState::Healthy, SimTime::ZERO),
+    }
 }
 
 /// The offline calibration phase (paper Section 2.2): the RSSI PDF table

@@ -14,7 +14,7 @@ use cocoa_core::runner::SimRun;
 use cocoa_core::scenario::Scenario;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::faults::FaultPlan;
-use cocoa_sim::snapshot::{SnapshotError, SNAPSHOT_SCHEMA_VERSION};
+use cocoa_sim::snapshot::{Snapshot, SnapshotError, SnapshotWriter, SNAPSHOT_SCHEMA_VERSION};
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
 use cocoa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -335,5 +335,169 @@ proptest! {
         let bytes = pristine();
         let cut = (cut_seed as usize) % bytes.len();
         prop_assert!(SimRun::resume(&bytes[..cut]).is_err());
+    }
+}
+
+/// Section tags in container order.
+const SECTIONS: [&str; 7] = [
+    "scenario",
+    "engine",
+    "rngs",
+    "medium",
+    "robots",
+    "world",
+    "telemetry",
+];
+
+/// `pristine()` with `edit` applied to section `tag` and that section's
+/// CRC rewritten, as a tool that edits a snapshot would: every CRC is
+/// valid, only the content is inconsistent.
+fn edited(tag: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let snap = Snapshot::parse(pristine()).expect("pristine parses");
+    let mut edit = Some(edit);
+    let mut w = SnapshotWriter::new(snap.meta().to_string());
+    for name in SECTIONS {
+        let section = snap.sections().iter().find(|s| s.tag == name);
+        let mut payload = section.expect("every section present").payload.clone();
+        if name == tag {
+            (edit.take().expect("one edit"))(&mut payload);
+        }
+        w.push_section(name, payload);
+    }
+    w.finish()
+}
+
+/// Resuming `bytes` must fail with a consistency error mentioning `what`.
+fn assert_inconsistent(bytes: &[u8], what: &str) {
+    match SimRun::resume(bytes).err() {
+        Some(SnapshotError::Malformed { context }) => {
+            assert!(context.contains(what), "expected '{what}' in: {context}")
+        }
+        Some(other) => panic!("expected a consistency error about {what}, got: {other}"),
+        None => panic!("an edited snapshot ({what}) resumed"),
+    }
+}
+
+/// Offset of the first occurrence of `needle` in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> usize {
+    haystack
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("pattern present")
+}
+
+fn le_bytes(values: &[f64]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+#[test]
+fn a_scenario_grid_that_does_not_fit_the_posterior_is_a_typed_error() {
+    let bytes = edited("scenario", |p| {
+        // grid_resolution_m sits at byte 103 of the fingerprint-pinned
+        // scenario layout.
+        assert_eq!(p[103..111], 2.0f64.to_le_bytes());
+        p[103..111].copy_from_slice(&8.0f64.to_le_bytes());
+    });
+    assert_inconsistent(&bytes, "posterior cell count");
+}
+
+#[test]
+fn a_queued_event_naming_a_robot_outside_the_team_is_a_typed_error() {
+    let mut robot = 0;
+    let bytes = edited("engine", |p| {
+        // Byte 65 is the first queued event's tag (a beacon `Transmit`),
+        // byte 66 the low byte of its robot index: 128 + robot.
+        assert_eq!(p[65], 5, "first queued event is a Transmit");
+        p[66] ^= 0x80;
+        robot = u64::from_le_bytes(p[66..74].try_into().unwrap());
+    });
+    assert!(robot >= 128);
+    assert_inconsistent(&bytes, &format!("Transmit {{ robot: {robot},"));
+}
+
+#[test]
+fn an_engine_horizon_past_the_scenario_end_is_a_typed_error() {
+    // The horizon is bytes 8..16; a high bit would run for ~2^62 us.
+    let bytes = edited("engine", |p| p[15] ^= 0x40);
+    assert_inconsistent(&bytes, "engine state inconsistent")
+}
+
+#[test]
+fn a_robot_copy_of_a_scenario_setting_that_differs_is_a_typed_error() {
+    let area = scenario(7, MulticastProtocol::Odmrp, "chaos").area;
+    let bytes = edited("robots", |p| {
+        // Robot 0's waypoint area: flip the sign of x_max.
+        let at = find(
+            p,
+            &le_bytes(&[area.x_min, area.x_max, area.y_min, area.y_max]),
+        );
+        p[at + 15] ^= 0x80;
+    });
+    assert_inconsistent(&bytes, "waypoint area");
+}
+
+#[test]
+fn a_robot_instant_after_the_engine_clock_is_a_typed_error() {
+    use cocoa_net::energy::EnergyParams;
+    let e = EnergyParams::default();
+    let bytes = edited("robots", |p| {
+        // Robot 0's radio: energy params, bitrate, power state, then the
+        // instant of its last state change.
+        let params = [
+            e.idle_mw,
+            e.sleep_mw,
+            e.tx_uj_per_byte,
+            e.tx_uj_fixed,
+            e.rx_uj_per_byte,
+            e.rx_uj_fixed,
+            e.wake_uj,
+        ];
+        let since = find(p, &le_bytes(&params)) + 56 + 8 + 1;
+        let later = SimTime::ZERO + SimDuration::from_secs(DURATION_S);
+        p[since..since + 8].copy_from_slice(&later.as_micros().to_le_bytes());
+    });
+    assert_inconsistent(&bytes, "after the engine clock");
+}
+
+#[test]
+fn a_channel_with_an_unbounded_radio_range_fails_validation() {
+    use cocoa_net::channel::ChannelParams;
+    let mut s = scenario(7, MulticastProtocol::Odmrp, "chaos");
+    // Bit 7 of scenario byte 117: tx_power_dbm 15 dBm becomes 3840 dBm,
+    // a radio range of ~10^129 m that calibration would sweep forever.
+    s.channel.tx_power_dbm = f64::from_bits(s.channel.tx_power_dbm.to_bits() ^ (1 << 55));
+    let err = s.validate().expect_err("unbounded range must be rejected");
+    assert!(err.contains("radio range"), "{err}");
+    for bad in [f64::NAN, f64::INFINITY] {
+        s.channel = ChannelParams {
+            path_loss_1m_db: bad,
+            ..ChannelParams::default()
+        };
+        assert!(s.validate().is_err(), "non-finite channel must be rejected");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One flipped bit with the section CRC rewritten never panics the
+    /// decoder, and a snapshot that still resumes runs to the end without
+    /// panicking — except after a scenario edit, which may legitimately
+    /// ask for a different (valid) run.
+    #[test]
+    fn re_crc_bit_flips_never_panic(
+        section in 0usize..SECTIONS.len(),
+        bit_seed in any::<u64>(),
+    ) {
+        let tag = SECTIONS[section];
+        let bytes = edited(tag, |p| {
+            let bit = (bit_seed % (p.len() as u64 * 8)) as usize;
+            p[bit / 8] ^= 1 << (bit % 8);
+        });
+        if let Ok(run) = SimRun::resume(&bytes) {
+            if tag != "scenario" {
+                let _ = run.finish();
+            }
+        }
     }
 }

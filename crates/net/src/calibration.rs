@@ -222,9 +222,9 @@ impl PdfTable {
                 }
             }
         };
-        let mut slots = vec![None; (max_bin - min_bin) as usize + 1];
+        let mut slots = vec![None; bin_offset(max_bin, min_bin) as usize + 1];
         for (k, pdf) in bins {
-            slots[(k - min_bin) as usize] = Some(pdf);
+            slots[bin_offset(k, min_bin) as usize] = Some(pdf);
         }
         PdfTable {
             min_bin,
@@ -236,7 +236,7 @@ impl PdfTable {
     /// The PDF stored for exactly `bin`, with no fallback.
     #[inline]
     pub fn get(&self, bin: RssiBin) -> Option<&DistancePdf> {
-        let idx = usize::try_from(bin.0 - self.min_bin).ok()?;
+        let idx = usize::try_from(bin_offset(bin.0, self.min_bin)).ok()?;
         self.slots.get(idx)?.as_ref()
     }
 
@@ -266,10 +266,10 @@ impl PdfTable {
 
     /// Iterates over `(bin, pdf)` in increasing RSSI order.
     pub fn entries(&self) -> impl Iterator<Item = (RssiBin, &DistancePdf)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|p| (RssiBin(self.min_bin + i as i16), p)))
+        self.slots.iter().enumerate().filter_map(move |(i, s)| {
+            let bin = (i32::from(self.min_bin) + i as i32) as i16;
+            s.as_ref().map(|p| (RssiBin(bin), p))
+        })
     }
 
     /// The RSSI below which bins are empirical rather than Gaussian.
@@ -493,9 +493,9 @@ impl RadialConstraintTable {
     pub fn new(table: &PdfTable, step: f64, max_d: f64, floor: f64) -> Self {
         let min_bin = table.entries().next().map_or(0, |(b, _)| b.0);
         let max_bin = table.entries().last().map_or(0, |(b, _)| b.0);
-        let mut profiles = vec![None; (max_bin - min_bin) as usize + 1];
+        let mut profiles = vec![None; bin_offset(max_bin, min_bin) as usize + 1];
         for (bin, pdf) in table.entries() {
-            profiles[(bin.0 - min_bin) as usize] =
+            profiles[bin_offset(bin.0, min_bin) as usize] =
                 Some(pdf.radial_profile(step, max_d).offset(floor));
         }
         RadialConstraintTable { min_bin, profiles }
@@ -504,7 +504,7 @@ impl RadialConstraintTable {
     /// The profile stored for exactly `bin`, with no fallback.
     #[inline]
     pub fn get(&self, bin: RssiBin) -> Option<&RadialProfile> {
-        let idx = usize::try_from(bin.0 - self.min_bin).ok()?;
+        let idx = usize::try_from(bin_offset(bin.0, self.min_bin)).ok()?;
         self.profiles.get(idx)?.as_ref()
     }
 
@@ -543,6 +543,12 @@ impl RadialConstraintTable {
     pub fn is_empty(&self) -> bool {
         self.profiles.iter().all(Option::is_none)
     }
+}
+
+/// How far `bin` lies above `min_bin`, without the `i16` overflow of a
+/// plain subtraction across the whole dBm range.
+fn bin_offset(bin: i16, min_bin: i16) -> i32 {
+    i32::from(bin) - i32::from(min_bin)
 }
 
 /// Runs the calibration campaign against `channel`.

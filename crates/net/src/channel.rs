@@ -110,6 +110,55 @@ pub struct ChannelParams {
     pub sensitivity_dbm: f64,
 }
 
+impl ChannelParams {
+    /// Checks that every parameter is finite and within its physical
+    /// range: positive path-loss parameters, multipath onset and fade
+    /// mean; non-negative shadowing; a fade probability within `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        let (a, b, what) = match self.path_loss {
+            PathLossModel::LogDistance { exponent } => (exponent, 1.0, "path-loss exponent"),
+            PathLossModel::TwoRayGround {
+                antenna_height_m,
+                wavelength_m,
+            } => (
+                antenna_height_m,
+                wavelength_m,
+                "antenna height and wavelength",
+            ),
+        };
+        let finite = [
+            self.tx_power_dbm,
+            self.path_loss_1m_db,
+            a,
+            b,
+            self.shadowing_sigma_db,
+            self.shadowing_sigma_slope_db_per_m,
+            self.multipath_onset_m,
+            self.multipath_fade_mean_db,
+            self.sensitivity_dbm,
+        ];
+        let checks = [
+            (finite.iter().all(|v| v.is_finite()), "must be finite"),
+            (a > 0.0 && b > 0.0, what),
+            (self.shadowing_sigma_db >= 0.0, "shadowing sigma"),
+            (
+                self.shadowing_sigma_slope_db_per_m >= 0.0,
+                "shadowing slope",
+            ),
+            (
+                (0.0..=1.0).contains(&self.multipath_fade_prob),
+                "fade probability",
+            ),
+            (self.multipath_onset_m > 0.0, "multipath onset"),
+            (self.multipath_fade_mean_db > 0.0, "fade mean"),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, what)) => Err(format!("channel parameter out of range: {what}")),
+            None => Ok(()),
+        }
+    }
+}
+
 impl Default for ChannelParams {
     /// Defaults calibrated against the paper's anchors: mean RSSI at 40 m
     /// is ≈ −80 dBm, the detection range exceeds 150 m, and the shadowing
@@ -169,38 +218,9 @@ impl RfChannel {
     /// Panics if parameters are out of their physical ranges (non-positive
     /// exponent, negative sigmas, fade probability outside `[0, 1]`, …).
     pub fn new(params: ChannelParams) -> Self {
-        match params.path_loss {
-            PathLossModel::LogDistance { exponent } => {
-                assert!(exponent > 0.0, "path-loss exponent must be positive");
-            }
-            PathLossModel::TwoRayGround {
-                antenna_height_m,
-                wavelength_m,
-            } => {
-                assert!(antenna_height_m > 0.0, "antenna height must be positive");
-                assert!(wavelength_m > 0.0, "wavelength must be positive");
-            }
+        if let Err(e) = params.validate() {
+            panic!("{e}");
         }
-        assert!(
-            params.shadowing_sigma_db >= 0.0,
-            "shadowing sigma must be non-negative"
-        );
-        assert!(
-            params.shadowing_sigma_slope_db_per_m >= 0.0,
-            "shadowing slope must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&params.multipath_fade_prob),
-            "fade probability must be within [0, 1]"
-        );
-        assert!(
-            params.multipath_onset_m > 0.0,
-            "multipath onset must be positive"
-        );
-        assert!(
-            params.multipath_fade_mean_db > 0.0,
-            "fade mean must be positive"
-        );
         RfChannel { params }
     }
 

@@ -34,19 +34,30 @@
 //! ```
 //! use cocoa_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotWriter};
 //!
-//! fn demo(c: &mut impl Codec, (n, s): &mut (u64, String)) -> Result<(), SnapshotError> {
-//!     c.u64(n)?;
-//!     c.string(s)
+//! #[derive(Debug, Default, PartialEq)]
+//! struct Reading {
+//!     id: u32,
+//!     samples: Vec<f64>,
+//!     label: Option<String>,
 //! }
 //!
+//! // The one layout: it encodes `v` on a `Vec<u8>` and overwrites it on
+//! // a decoder.
+//! fn reading(c: &mut impl Codec, v: &mut Reading) -> Result<(), SnapshotError> {
+//!     c.u32(&mut v.id)?;
+//!     c.vec(&mut v.samples, Codec::f64)?;
+//!     c.opt(&mut v.label, Codec::string)
+//! }
+//!
+//! let mut original = Reading { id: 7, samples: vec![0.5, -1.0], label: Some("a".into()) };
 //! let mut w = SnapshotWriter::new("{\"kind\":\"snapshot\"}".to_string());
-//! w.push_section("demo", snapshot::encode(|c| demo(c, &mut (42, "hello".into()))));
+//! w.push_section("demo", snapshot::encode(|c| reading(c, &mut original)));
 //! let bytes = w.finish();
 //!
 //! let snap = Snapshot::parse(&bytes).unwrap();
-//! let mut back = (0, String::new());
-//! snap.decode("demo", |c| demo(c, &mut back)).unwrap();
-//! assert_eq!(back, (42, "hello".to_string()));
+//! let mut back = Reading::default();
+//! snap.decode("demo", |c| reading(c, &mut back)).unwrap();
+//! assert_eq!(back, original);
 //! ```
 
 use std::collections::BTreeMap;
@@ -195,8 +206,7 @@ impl<'a> SnapshotReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// The next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated {
                 context: self.context,
@@ -233,32 +243,7 @@ impl<'a> SnapshotReader<'a> {
 ///
 /// Collections follow one length rule ([`Codec::count`]): a count larger
 /// than the bytes left to decode is [`SnapshotError::Truncated`] before
-/// anything is allocated.
-///
-/// # Examples
-///
-/// ```
-/// use cocoa_sim::snapshot::{self, Codec, SnapshotError};
-///
-/// #[derive(Debug, Default, PartialEq)]
-/// struct Reading {
-///     id: u32,
-///     samples: Vec<f64>,
-///     label: Option<u64>,
-/// }
-///
-/// fn reading(c: &mut impl Codec, v: &mut Reading) -> Result<(), SnapshotError> {
-///     c.u32(&mut v.id)?;
-///     c.vec(&mut v.samples, Codec::f64)?;
-///     c.opt(&mut v.label, Codec::u64)
-/// }
-///
-/// let mut original = Reading { id: 7, samples: vec![0.5, -1.0], label: Some(3) };
-/// let bytes = snapshot::encode(|c| reading(c, &mut original));
-/// let mut back = Reading::default();
-/// snapshot::decode(&bytes, "reading", |c| reading(c, &mut back)).unwrap();
-/// assert_eq!(back, original);
-/// ```
+/// anything is allocated. See the [module example](self).
 pub trait Codec: Sized {
     /// Whether this side decodes (overwrites values) rather than encodes.
     /// Only the combinators below need to ask; layouts never do.
@@ -343,6 +328,16 @@ pub trait Codec: Sized {
         *v = usize::try_from(wide)
             .map_err(|_| malformed(format!("usize {wide} overflows the platform word")))?;
         Ok(())
+    }
+
+    /// Several `f64`s in order.
+    fn f64s<const N: usize>(&mut self, vs: [&mut f64; N]) -> Result<(), SnapshotError> {
+        vs.into_iter().try_for_each(|v| self.f64(v))
+    }
+
+    /// Several `u64`s in order.
+    fn u64s<const N: usize>(&mut self, vs: [&mut u64; N]) -> Result<(), SnapshotError> {
+        vs.into_iter().try_for_each(|v| self.u64(v))
     }
 
     /// An optional value: a [`Codec::bool`] presence flag, then the value.
