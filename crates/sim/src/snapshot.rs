@@ -509,16 +509,10 @@ pub struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    /// Decodes `buf`; `context` labels errors.
-    pub fn new(buf: &'a [u8], context: &'static str) -> Self {
+    fn new(buf: &'a [u8], context: &'static str) -> Self {
         Decoder {
             r: SnapshotReader::new(buf, context),
         }
-    }
-
-    /// Rejects bytes left unread (see [`SnapshotReader::finish`]).
-    pub fn finish(self) -> Result<(), SnapshotError> {
-        self.r.finish()
     }
 
     fn blob(&mut self) -> Result<&'a [u8], SnapshotError> {
@@ -596,7 +590,7 @@ pub fn decode<'a>(
 ) -> Result<(), SnapshotError> {
     let mut d = Decoder::new(buf, context);
     layout(&mut d)?;
-    d.finish()
+    d.r.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -713,7 +707,7 @@ impl Snapshot {
             }
             sections.push(SnapshotSection { tag, payload, crc });
         }
-        d.finish()?;
+        d.r.finish()?;
         Ok(Snapshot {
             version,
             meta,
