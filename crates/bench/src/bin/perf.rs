@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cocoa_bench::regress;
@@ -33,7 +34,7 @@ use cocoa_core::experiment::{
     ablation_estimator, fig7_comparison, fig9_scenarios, ExperimentScale,
 };
 use cocoa_core::metrics::RunMetrics;
-use cocoa_core::runner::{run, WarmArtifacts};
+use cocoa_core::runner::{run, Calibration, SimRun};
 use cocoa_core::serve::{client, ServeConfig, Server};
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 use cocoa_localization::grid::{ConstraintOutcome, GridConfig, PositionGrid};
@@ -254,15 +255,15 @@ fn main() -> ExitCode {
     let est_ekf = est("ekf", "none");
     let est_ekf_chaos = est("ekf", "chaos");
 
-    // Warm-start sweep: the default beacon-period family (Fig. 9, paper
-    // periods 10/50/100/300 s) executed point by point, cold vs forked
-    // from a shared time-zero snapshot. Both paths run serially so the
-    // numbers measure the work saved per point (calibration, radial
-    // table, team setup), independent of the machine's core count. The
-    // sweep uses a small team at full mission length — the setup-bound
-    // shard shape that distributed sweep workers run — because that is
-    // the regime warm-starting targets; per-run setup is fixed, so its
-    // share (and the speedup) shrinks as team size grows.
+    // Shared-calibration sweep: the default beacon-period family (Fig. 9,
+    // paper periods 10/50/100/300 s) executed point by point, cold vs on
+    // one shared calibration. Both paths run serially so the numbers
+    // measure the calibration campaign saved per point, independent of
+    // the machine's core count. The sweep uses a small team at full
+    // mission length — the setup-bound shard shape that distributed sweep
+    // workers run — because per-run setup is fixed, so its share (and the
+    // speedup) shrinks as team size grows. `snapshot_bytes` records the
+    // size of point 0's time-zero capture.
     let snap_scale = ExperimentScale {
         seed: 42,
         duration: SimDuration::from_secs(400),
@@ -274,29 +275,30 @@ fn main() -> ExitCode {
     let cold: Vec<RunMetrics> = scenarios.iter().map(run).collect();
     let snap_cold_secs = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let artifacts = WarmArtifacts::build(&scenarios[0]);
+    let calibration = Arc::new(Calibration::new(&scenarios[0]));
     let snap_setup_secs = t0.elapsed().as_secs_f64();
     let warm: Vec<RunMetrics> = scenarios
         .iter()
         .map(|s| {
-            artifacts
-                .fork(s, Telemetry::off())
-                .expect("fig9 points are fork-compatible")
+            SimRun::with_calibration(s, Telemetry::off(), Arc::clone(&calibration))
                 .finish()
                 .0
         })
         .collect();
     let snap_warm_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(cold, warm, "warm forks must be bit-identical to cold runs");
+    assert_eq!(
+        cold, warm,
+        "runs on a shared calibration must be bit-identical to cold runs"
+    );
     let snap_speedup = snap_cold_secs / snap_warm_secs;
-    let snapshot_bytes = artifacts.snapshot_bytes().len();
+    let snapshot_bytes = SimRun::new(&scenarios[0], Telemetry::off()).capture().len();
 
     // Serve round trip: an in-process `cocoa-serve` server on an
     // ephemeral port, timed through the bundled HTTP client (the exact
     // `--submit` code path). Cold executes the run; an identical
     // resubmission must come from the results cache with a byte-identical
-    // body; a same-family spec at a different beacon period forks from
-    // the warm-artifact cache instead of cold-starting. The ≥5× floor on
+    // body; a spec with the same seed at a different beacon period reuses
+    // the cached calibration instead of cold-starting. The ≥5× floor on
     // the cold/cached ratio is deliberately loose — a cache hit skips the
     // whole simulation, so anything near the floor means the cache broke.
     let serve_spec = "{\"seed\": 42, \"robots\": 10, \"equipped\": 5, \
@@ -327,7 +329,7 @@ fn main() -> ExitCode {
         .into_iter()
         .find(|(name, _)| *name == "serve.warm_forks")
         .map_or(0, |(_, v)| v);
-    assert_eq!(serve_warm_forks, 1, "warm spec must fork cached artifacts");
+    assert_eq!(serve_warm_forks, 1, "warm spec must reuse the calibration");
     let serve_bit_identical = serve_cold.body == serve_cached.body;
     assert!(serve_bit_identical, "cached body must be byte-identical");
     let serve_cache_speedup = serve_cold_secs / serve_cached_secs.max(1e-9);
@@ -369,12 +371,12 @@ fn main() -> ExitCode {
         est_ekf_chaos.outliers_rejected,
     );
     println!(
-        "warm-start sweep:      cold {snap_cold_secs:.2} s, warm {snap_warm_secs:.2} s \
+        "shared calibration:    cold {snap_cold_secs:.2} s, warm {snap_warm_secs:.2} s \
          ({snap_speedup:.2}x, setup {snap_setup_secs:.3} s, snapshot {snapshot_bytes} B)"
     );
     println!(
         "serve round trip:      cold {serve_cold_secs:.3} s, cached {serve_cached_secs:.4} s \
-         ({serve_cache_speedup:.0}x), warm fork {serve_warm_secs:.3} s"
+         ({serve_cache_speedup:.0}x), warm {serve_warm_secs:.3} s"
     );
 
     let json = format!(

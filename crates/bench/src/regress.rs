@@ -93,14 +93,15 @@ pub const SPECS: &[MetricSpec] = &[
     spec("estimator_ekf_chaos_error_m", Informational, 0.0),
     spec("estimator_ekf_chaos_outliers_rejected", Informational, 0.0),
     spec("estimator_quick_wall_secs", LowerIsBetter, 1.0),
-    // --- BENCH_snapshot.json ---
+    // --- BENCH_snapshot.json: the Fig. 9 family cold vs on one shared
+    // calibration, and the size of a time-zero capture ---
     spec("snapshot_bytes", LowerIsBetter, 0.02),
     spec("cold_wall_secs", LowerIsBetter, 1.0),
     spec("warm_wall_secs", LowerIsBetter, 1.0),
     spec("warm_speedup", HigherIsBetter, 0.35),
     // Booleans map to 1.0/0.0; zero tolerance means any `false` against a
-    // `true` baseline fails — bit-identical warm resume is an invariant,
-    // not a performance number.
+    // `true` baseline fails — runs on a shared calibration matching cold
+    // runs bit for bit is an invariant, not a performance number.
     spec("bit_identical", HigherIsBetter, 0.0),
     // --- BENCH_serve.json: the cocoa-serve round trip. The cold leg is
     // one full run plus HTTP overhead; the cached leg must be served

@@ -9,7 +9,7 @@
 //!   against a different sweep),
 //! - its **state**: still pending, in flight (carrying the latest
 //!   [`SimRun::capture`](crate::runner::SimRun::capture) snapshot so a
-//!   restart warm-forks mid-run instead of starting cold), or
+//!   restart resumes mid-run instead of starting cold), or
 //!   completed (carrying the full [`RunMetrics`], byte-exact).
 //!
 //! Writes are atomic (temp file + rename), so a `SIGKILL` mid-write

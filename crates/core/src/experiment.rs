@@ -18,10 +18,8 @@ use cocoa_sim::rng::SeedSplitter;
 use cocoa_sim::stats;
 use cocoa_sim::time::{SimDuration, SimTime};
 
-use cocoa_sim::telemetry::Telemetry;
-
 use crate::metrics::RunMetrics;
-use crate::runner::{run, WarmArtifacts};
+use crate::runner::run;
 use crate::scenario::{Scenario, ScenarioBuilder};
 
 /// How big to run an experiment.
@@ -75,37 +73,12 @@ fn run_parallel(scenarios: Vec<Scenario>) -> Vec<RunMetrics> {
     crate::executor::map_bounded(scenarios, run)
 }
 
-/// Runs a sweep family on the bounded executor, warm-starting every
-/// point from a shared time-zero snapshot of the first scenario.
-///
-/// The base scenario's setup — validation, RF calibration, team
-/// placement, RNG stream splits — is performed once; each point then
-/// forks the captured state under its own schedule-side parameters via
-/// [`WarmArtifacts::fork`], reusing the calibration tables instead of
-/// recomputing them per run. A point that changes a setup-feeding field
-/// (and is therefore not fork-compatible with the base) falls back to a
-/// cold [`run`], so the output is always identical to what
-/// the cold path would produce: warm starting is purely a wall-clock
-/// optimization, measured by the perf harness in `BENCH_snapshot.json`.
-pub fn run_warm_parallel(scenarios: Vec<Scenario>) -> Vec<RunMetrics> {
-    let Some(first) = scenarios.first() else {
-        return Vec::new();
-    };
-    let artifacts = std::sync::Arc::new(WarmArtifacts::build(first));
-    crate::executor::map_bounded(scenarios, move |s| {
-        match artifacts.fork(s, Telemetry::off()) {
-            Ok(fork) => fork.finish().0,
-            Err(_) => run(s),
-        }
-    })
-}
-
 /// Runs a sweep under full supervision: panic isolation, per-point
 /// deadlines, deterministic retry, and (when
 /// [`SweepConfig::manifest_path`](crate::executor::sweep::SweepConfig)
 /// is set) checkpointed auto-resume of interrupted sweeps.
 ///
-/// Unlike [`run_warm_parallel`], one crashing or hanging point does not
+/// Unlike an unsupervised sweep, one crashing or hanging point does not
 /// abort the sweep: every other point still completes and the failure
 /// comes back classified inside the
 /// [`SweepReport`](crate::executor::supervisor::SweepReport).
@@ -556,9 +529,11 @@ pub struct Fig9Period {
 }
 
 /// Builds the Fig. 9 scenario family: `periods × {coordinated, not}`.
+/// Every point shares the scale's seed and the default channel, so one
+/// [`Calibration`](crate::runner::Calibration) fits them all.
 ///
-/// Public so the perf harness can time the exact same family through the
-/// cold and warm sweep paths.
+/// Public so the perf harness can time the exact same family on cold
+/// runs and on one shared calibration.
 pub fn fig9_scenarios(scale: ExperimentScale, periods_s: &[u64]) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     for &t in periods_s {
@@ -580,21 +555,7 @@ pub fn fig9_scenarios(scale: ExperimentScale, periods_s: &[u64]) -> Vec<Scenario
 /// vs without sleep coordination (b) across beacon periods (paper:
 /// 10/50/100/300 s).
 pub fn fig9_period(scale: ExperimentScale, periods_s: &[u64]) -> Fig9Period {
-    fig9_assemble(periods_s, run_parallel(fig9_scenarios(scale, periods_s)))
-}
-
-/// [`fig9_period`] on the warm-start path: the seed's setup is captured
-/// once as a time-zero snapshot and every `(period, coordination)` point
-/// forks it via [`WarmArtifacts::fork`]. Produces bit-identical figures to
-/// [`fig9_period`] (pinned by test) in less wall-clock time.
-pub fn fig9_period_warm(scale: ExperimentScale, periods_s: &[u64]) -> Fig9Period {
-    fig9_assemble(
-        periods_s,
-        run_warm_parallel(fig9_scenarios(scale, periods_s)),
-    )
-}
-
-fn fig9_assemble(periods_s: &[u64], results: Vec<RunMetrics>) -> Fig9Period {
+    let results = run_parallel(fig9_scenarios(scale, periods_s));
     let warmup_s = periods_s.iter().copied().max().unwrap_or(0) as f64 + 10.0;
     let points = periods_s
         .iter()
@@ -1276,23 +1237,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_fork_sweep_matches_cold_runs() {
-        // The warm-start path must be a pure wall-clock optimization:
-        // every sweep point forked from the shared time-zero snapshot
-        // produces bit-identical RunMetrics to a cold run of the same
-        // scenario.
+    fn shared_calibration_sweep_matches_cold_runs() {
+        // Sharing a calibration only saves wall-clock time: every sweep
+        // point run on one shared table produces bit-identical RunMetrics
+        // to a cold run of the same scenario.
+        use crate::runner::{Calibration, SimRun};
+        use cocoa_sim::telemetry::Telemetry;
+        use std::sync::Arc;
         let scenarios = fig9_scenarios(tiny(), &[20, 60]);
-        let cold = run_parallel(scenarios.clone());
-        let warm = run_warm_parallel(scenarios);
-        assert_eq!(cold.len(), warm.len());
-        for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
-            assert_eq!(c, w, "point {i}: warm fork diverged from cold run");
+        let calibration = Arc::new(Calibration::new(&scenarios[0]));
+        for (i, s) in scenarios.iter().enumerate() {
+            let (shared, _) =
+                SimRun::with_calibration(s, Telemetry::off(), Arc::clone(&calibration)).finish();
+            assert_eq!(
+                shared,
+                run(s),
+                "point {i}: shared calibration diverged from cold run"
+            );
         }
-    }
-
-    #[test]
-    fn warm_sweep_of_empty_family_is_empty() {
-        assert!(run_warm_parallel(Vec::new()).is_empty());
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! - [`tracefile`]: the read side of the telemetry bus — JSONL trace
 //!   parsing, validation and the queries behind `cocoa-trace`;
 //! - [`serve`]: sweep-as-a-service — the `cocoa-serve` batch server with
-//!   single-flight scenario dedup and a warm-artifact cache.
+//!   single-flight scenario dedup, a results cache and a calibration
+//!   cache.
 //!
 //! # Examples
 //!

@@ -5,5 +5,5 @@
 //! physical layer, mesh backends, fault hooks and metrics finalization —
 //! lives in [`crate::world`]; see that module's docs for the map.
 
-pub use crate::world::checkpoint::{scenario_fingerprint, warm_fingerprint, SimRun, WarmArtifacts};
-pub use crate::world::{run, run_traced, run_with_telemetry};
+pub use crate::world::checkpoint::{scenario_fingerprint, SimRun};
+pub use crate::world::{run, run_traced, run_with_telemetry, Calibration};

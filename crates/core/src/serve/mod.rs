@@ -11,16 +11,14 @@
 //!   run; every caller receives the byte-identical body. Completed
 //!   fingerprints are served from a bounded results cache without
 //!   touching the simulator.
-//! - **Warm-artifact reuse.** Untraced requests in a known scenario
-//!   family fork from cached time-zero
-//!   [`WarmArtifacts`] — calibration
-//!   PDFs, radial tables, snapshot bytes — instead of cold-starting
-//!   setup. Determinism makes this invisible: a warm fork's metrics
-//!   are bit-identical to a cold run's.
+//! - **Calibration reuse.** An untraced request whose seed and channel
+//!   match a cached [`Calibration`] runs on its PDF table instead of
+//!   rerunning the calibration campaign. Determinism makes this
+//!   invisible: the metrics are bit-identical to a cold run's.
 //! - **Zero observer effect.** A traced request runs through exactly
-//!   the local `cocoa-run` path (`SimRun::new`, never a warm fork, so
-//!   setup spans are present) and the streamed JSONL is byte-for-byte
-//!   what `--trace-out` would have written.
+//!   the local `cocoa-run` path (`SimRun::new`, which calibrates for
+//!   itself, so every setup span is present) and the streamed JSONL is
+//!   byte-for-byte what `--trace-out` would have written.
 //!
 //! ## Protocol
 //!
@@ -71,8 +69,7 @@ use crate::executor::supervisor::{
     JobEvent, JobObserver, Supervisor, SupervisorConfig, SupervisorCounters,
 };
 use crate::metrics::RunMetrics;
-use crate::runner::{warm_fingerprint, SimRun};
-use crate::world::checkpoint::WarmArtifacts;
+use crate::runner::{Calibration, SimRun};
 
 use registry::{Admission, JobError, JobResult, Registry};
 
@@ -640,31 +637,27 @@ fn remap_event(event: JobEvent, fleet_index: usize) -> JobEvent {
 /// Runs one request to completion, choosing the cheapest faithful
 /// path.
 ///
-/// Untraced requests go through the warm-artifact cache: fork from the
-/// family's time-zero snapshot when cached, build-and-cache the
-/// artifacts otherwise. Traced requests always run the exact local
-/// `cocoa-run` path — a warm fork skips calibration/setup spans, which
-/// would make the streamed trace differ from `--trace-out`, and zero
-/// observer effect outranks speed.
+/// Untraced requests go through the calibration cache: run on the
+/// cached calibration for the request's seed and channel, or calibrate
+/// and cache the result. Traced requests always run the exact local
+/// `cocoa-run` path — a reused calibration skips the `run.calibrate`
+/// span, which would make the streamed trace differ from `--trace-out`,
+/// and zero observer effect outranks speed.
 fn execute(shared: &Arc<Shared>, request: &ServeRequest) -> (RunMetrics, Telemetry) {
     if request.telemetry == TelemetryLevel::Off {
-        let family = warm_fingerprint(&request.scenario);
-        if let Some(artifacts) = shared.registry.warm_get(family) {
-            if let Ok(run) = artifacts.fork(&request.scenario, Telemetry::off()) {
+        let calibration = match shared.registry.calibration(&request.scenario) {
+            Some(calibration) => {
                 ServeCounters::bump(&shared.counters.warm_forks);
-                return run.finish();
+                calibration
             }
-        }
-        ServeCounters::bump(&shared.counters.cold_starts);
-        let artifacts = WarmArtifacts::build(&request.scenario);
-        let forked = artifacts.fork(&request.scenario, Telemetry::off());
-        shared.registry.warm_put(family, Arc::new(artifacts));
-        if let Ok(run) = forked {
-            return run.finish();
-        }
-        // Unreachable in practice (fresh artifacts always match their
-        // own scenario), but a cold run is always a correct answer.
-        return SimRun::new(&request.scenario, Telemetry::off()).finish();
+            None => {
+                ServeCounters::bump(&shared.counters.cold_starts);
+                let calibration = Arc::new(Calibration::new(&request.scenario));
+                shared.registry.keep_calibration(Arc::clone(&calibration));
+                calibration
+            }
+        };
+        return SimRun::with_calibration(&request.scenario, Telemetry::off(), calibration).finish();
     }
     ServeCounters::bump(&shared.counters.cold_starts);
     let mut telemetry = Telemetry::new(request.telemetry);

@@ -10,21 +10,21 @@
 //!   then forgotten — a failed fingerprint may be retried.
 //! - **Results cache.** Completed bodies, bounded FIFO. A later
 //!   identical request is served without touching the simulator.
-//! - **Warm-artifact cache.** [`WarmArtifacts`] keyed by the
-//!   scenario-immutable [`warm_fingerprint`](crate::runner::warm_fingerprint):
-//!   repeat traffic in the same scenario *family* (same team, RF
-//!   environment and calibration; different horizon/schedule) forks
-//!   from a time-zero snapshot instead of cold-starting setup.
+//! - **Calibration cache.** Bounded FIFO of [`Calibration`]s, at most
+//!   one per seed and channel: any request with the same seed and
+//!   channel, whatever else it changes, reuses the PDF table instead of
+//!   rerunning the calibration campaign.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::runner::WarmArtifacts;
+use crate::runner::Calibration;
+use crate::scenario::Scenario;
 
 /// How many completed bodies the results cache retains (FIFO).
 pub const RESULTS_CAP: usize = 256;
-/// How many scenario families the warm-artifact cache retains (FIFO).
+/// How many calibrations the calibration cache retains (FIFO).
 pub const WARM_CAP: usize = 32;
 
 /// Monotonic serve-layer counters, exported as `serve.*` pairs.
@@ -42,9 +42,9 @@ pub struct ServeCounters {
     pub joined: AtomicU64,
     /// Runs actually executed to completion.
     pub executed: AtomicU64,
-    /// Executions forked from cached warm artifacts.
+    /// Untraced executions that reused a cached calibration.
     pub warm_forks: AtomicU64,
-    /// Executions that built state from scratch.
+    /// Executions that ran their own calibration.
     pub cold_starts: AtomicU64,
     /// Executions that terminally failed.
     pub failed: AtomicU64,
@@ -151,8 +151,23 @@ pub enum Admission {
 struct Inner {
     entries: HashMap<u64, Entry>,
     done_order: VecDeque<u64>,
-    warm: HashMap<u64, Arc<WarmArtifacts>>,
-    warm_order: VecDeque<u64>,
+    calibrations: VecDeque<Arc<Calibration>>,
+}
+
+impl Inner {
+    /// Enters a completed result into the results cache, evicting the
+    /// oldest results beyond `cap`.
+    fn push_done(&mut self, fingerprint: u64, result: Arc<JobResult>, cap: usize) {
+        self.entries.insert(fingerprint, Entry::Done(result));
+        self.done_order.push_back(fingerprint);
+        while self.done_order.len() > cap {
+            if let Some(oldest) = self.done_order.pop_front() {
+                if matches!(self.entries.get(&oldest), Some(Entry::Done(_))) {
+                    self.entries.remove(&oldest);
+                }
+            }
+        }
+    }
 }
 
 /// The shared registry (interior-mutex; every method is `&self`).
@@ -169,8 +184,7 @@ impl Registry {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 done_order: VecDeque::new(),
-                warm: HashMap::new(),
-                warm_order: VecDeque::new(),
+                calibrations: VecDeque::new(),
             }),
             results_cap,
             warm_cap,
@@ -215,17 +229,7 @@ impl Registry {
         let outcome = match result {
             Ok(result) => {
                 let result = Arc::new(result);
-                inner
-                    .entries
-                    .insert(fingerprint, Entry::Done(Arc::clone(&result)));
-                inner.done_order.push_back(fingerprint);
-                while inner.done_order.len() > self.results_cap {
-                    if let Some(oldest) = inner.done_order.pop_front() {
-                        if matches!(inner.entries.get(&oldest), Some(Entry::Done(_))) {
-                            inner.entries.remove(&oldest);
-                        }
-                    }
-                }
+                inner.push_done(fingerprint, Arc::clone(&result), self.results_cap);
                 Ok(result)
             }
             Err(error) => {
@@ -240,18 +244,15 @@ impl Registry {
         outcome
     }
 
-    /// Seeds the results cache directly (the restore-from-disk path).
-    /// A fingerprint already present is left untouched.
+    /// Seeds the results cache directly (the restore-from-disk path),
+    /// under the same FIFO bound as completed runs. A fingerprint
+    /// already present is left untouched.
     pub fn insert_done(&self, result: JobResult) -> bool {
         let mut inner = self.lock();
         if inner.entries.contains_key(&result.fingerprint) {
             return false;
         }
-        let fingerprint = result.fingerprint;
-        inner
-            .entries
-            .insert(fingerprint, Entry::Done(Arc::new(result)));
-        inner.done_order.push_back(fingerprint);
+        inner.push_done(result.fingerprint, Arc::new(result), self.results_cap);
         true
     }
 
@@ -260,27 +261,32 @@ impl Registry {
         self.lock().done_order.iter().copied().collect()
     }
 
-    /// Cached warm artifacts for a scenario family, if any.
-    pub fn warm_get(&self, warm_fingerprint: u64) -> Option<Arc<WarmArtifacts>> {
-        self.lock().warm.get(&warm_fingerprint).cloned()
+    /// The cached calibration that fits `scenario`, if any.
+    pub fn calibration(&self, scenario: &Scenario) -> Option<Arc<Calibration>> {
+        let inner = self.lock();
+        inner
+            .calibrations
+            .iter()
+            .find(|c| c.fits(scenario))
+            .cloned()
     }
 
-    /// Caches warm artifacts for a scenario family (FIFO-bounded).
-    pub fn warm_put(&self, warm_fingerprint: u64, artifacts: Arc<WarmArtifacts>) {
+    /// Caches `calibration` (FIFO-bounded). An equal one already cached
+    /// is kept in its place.
+    pub fn keep_calibration(&self, calibration: Arc<Calibration>) {
         let mut inner = self.lock();
-        if inner.warm.insert(warm_fingerprint, artifacts).is_none() {
-            inner.warm_order.push_back(warm_fingerprint);
+        if inner.calibrations.iter().any(|c| **c == *calibration) {
+            return;
         }
-        while inner.warm_order.len() > self.warm_cap {
-            if let Some(oldest) = inner.warm_order.pop_front() {
-                inner.warm.remove(&oldest);
-            }
+        inner.calibrations.push_back(calibration);
+        if inner.calibrations.len() > self.warm_cap {
+            inner.calibrations.pop_front();
         }
     }
 
-    /// Number of warm scenario families currently cached.
+    /// Number of calibrations currently cached.
     pub fn warm_len(&self) -> usize {
-        self.lock().warm.len()
+        self.lock().calibrations.len()
     }
 }
 
@@ -353,5 +359,42 @@ mod tests {
         assert!(registry.insert_done(result(5)));
         assert!(!registry.insert_done(result(5)));
         assert!(matches!(registry.admit(5), Admission::Cached(_)));
+    }
+
+    #[test]
+    fn restored_results_are_bounded_like_completed_ones() {
+        let registry = Registry::new(2, 2);
+        for fp in 1..=3u64 {
+            assert!(registry.insert_done(result(fp)));
+        }
+        assert_eq!(registry.done_fingerprints(), vec![2, 3]);
+        assert!(matches!(registry.admit(1), Admission::Fresh(_)), "evicted");
+    }
+
+    #[test]
+    fn calibration_cache_evicts_fifo_and_keeps_one_per_seed() {
+        let registry = Registry::new(0, WARM_CAP);
+        let scenario = |seed| Scenario::builder().seed(seed).build();
+        for seed in 0..=WARM_CAP as u64 {
+            registry.keep_calibration(Arc::new(Calibration::new(&scenario(seed))));
+        }
+        assert_eq!(registry.warm_len(), WARM_CAP);
+        assert!(
+            registry.calibration(&scenario(0)).is_none(),
+            "oldest evicted"
+        );
+        let newest = scenario(WARM_CAP as u64);
+        let cached = registry.calibration(&newest).expect("newest kept");
+        assert!(cached.fits(&newest));
+        registry.keep_calibration(Arc::new(Calibration::new(&newest)));
+        assert_eq!(
+            registry.warm_len(),
+            WARM_CAP,
+            "an equal calibration does not grow the cache"
+        );
+        assert!(
+            registry.calibration(&scenario(1)).is_some(),
+            "and evicts nothing"
+        );
     }
 }

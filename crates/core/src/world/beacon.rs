@@ -196,7 +196,7 @@ fn dispatch(
                 world.traffic.beacons_received += 1;
                 let sp = world.telemetry.span_start();
                 let result = rf.observe_beacon_checked(
-                    &world.table,
+                    &world.calibration.table,
                     &world.radial,
                     *position,
                     rssi,

@@ -1,5 +1,5 @@
-//! Deterministic run snapshots: capture a run at any event boundary,
-//! restore it bit-identically, or fork it under a patched scenario.
+//! Deterministic run snapshots: capture a run at any event boundary and
+//! restore it bit-identically.
 //!
 //! The serialized form is the dependency-free sectioned container of
 //! [`cocoa_sim::snapshot`]: a JSON metadata header (human-greppable) plus
@@ -21,14 +21,14 @@
 //! order), so a well-formed but edited file is a typed error instead of a
 //! panic mid-run.
 //!
-//! Three consumers build on this module:
+//! Two consumers build on this module:
 //!
-//! - `cocoa-run --snapshot-at/--resume`: operational save/restore;
-//! - [`SimRun::warm_fork`]: sweep acceleration — capture the shared
-//!   time-zero state (calibration done, team placed) once per seed, then
-//!   fork it under each sweep point's patched scenario;
+//! - `cocoa-run --snapshot-at/--resume` and checkpointed sweeps:
+//!   operational save/restore;
 //! - `cocoa-trace bisect` + [`cocoa_sim::snapshot::Snapshot::diff`]:
 //!   divergence localization between two runs.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -45,7 +45,6 @@ use cocoa_mobility::pose::Pose;
 use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
 use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use cocoa_multicast::protocol::MulticastProtocol;
-use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::channel::{ChannelParams, PathLossModel};
 use cocoa_net::energy::{EnergyLedger, EnergyParams, PowerState};
 use cocoa_net::geometry::{Area, Point};
@@ -73,7 +72,7 @@ use crate::metrics::{
 use crate::robot::Robot;
 use crate::scenario::Scenario;
 use crate::world::events::{Event, SpanIds, TxIntent};
-use crate::world::{self, events, mesh, metrics_hook, WorldState, SYNC_GROUP};
+use crate::world::{self, events, mesh, metrics_hook, Calibration, WorldState, SYNC_GROUP};
 
 /// Section tags, in the order they are written.
 const SECTIONS: [&str; 7] = [
@@ -604,42 +603,6 @@ fn scenario_section(c: &mut impl Codec, s: &mut Scenario) -> Result<(), Snapshot
     c.bool(&mut s.grid_fused)
 }
 
-/// The setup-feeding subset of the scenario encoding: exactly the
-/// fields whose effects are baked into a time-zero snapshot during
-/// [`world::setup_world`] (seed, arena, team size and composition,
-/// speed range, estimator, grid resolution and fusion, channel, energy,
-/// odometry, mesh, multicast, clock skew). Two scenarios with identical
-/// immutable encodings are warm-fork compatible; everything else is
-/// schedule-side and may differ between a snapshot and its forks.
-/// Write-only: it feeds fingerprints, never a decoder.
-///
-/// [`SimRun::warm_fork`] compares these bytes directly, so the
-/// compatibility check and the [`warm_fingerprint`] cache key can never
-/// drift apart.
-fn encode_scenario_immutable(s: &Scenario) -> Vec<u8> {
-    let mut s = s.clone();
-    snapshot::encode(|c| {
-        c.u64(&mut s.seed)?;
-        area(c, &mut s.area)?;
-        c.usize(&mut s.num_robots)?;
-        c.usize(&mut s.num_equipped)?;
-        c.f64(&mut s.v_min)?;
-        c.f64(&mut s.v_max)?;
-        c.tag(&EstimatorMode::ALL, &mut s.mode, "estimator mode")?;
-        c.tag(&RfAlgorithm::ALL, &mut s.rf_algorithm, "rf algorithm")?;
-        c.f64(&mut s.grid_resolution_m)?;
-        // Fusion decides how every robot's estimator is built at setup, so
-        // the time-zero snapshot bakes it in.
-        c.bool(&mut s.grid_fused)?;
-        channel(c, &mut s.channel)?;
-        energy(c, &mut s.energy)?;
-        odometry(c, &mut s.odometry)?;
-        mesh_config(c, &mut s.mesh)?;
-        c.tag(&MulticastProtocol::ALL, &mut s.multicast, "multicast")?;
-        c.f64(&mut s.clock_skew_ppm)
-    })
-}
-
 fn encode_scenario(s: &Scenario) -> Vec<u8> {
     snapshot::encode(|c| scenario_section(c, &mut s.clone()))
 }
@@ -648,8 +611,8 @@ fn encode_scenario(s: &Scenario) -> Vec<u8> {
 /// 32 bits are the CRC-32 of the version-prefixed payload, the low 32
 /// bits its length. Prefixing the version means fingerprints computed
 /// by different snapshot schemas never collide, so caches keyed by a
-/// fingerprint (serve results, warm artifacts, sweep manifests) cannot
-/// cross-serve stale state after a codec bump.
+/// fingerprint (serve results, sweep manifests) cannot cross-serve stale
+/// state after a codec bump.
 fn versioned_fingerprint(payload: &[u8], version: u32) -> u64 {
     let mut buf = Vec::with_capacity(payload.len() + 4);
     buf.extend_from_slice(&version.to_le_bytes());
@@ -670,22 +633,6 @@ fn versioned_fingerprint(payload: &[u8], version: u32) -> u64 {
 /// sweep-shaped point counts.
 pub fn scenario_fingerprint(s: &Scenario) -> u64 {
     versioned_fingerprint(&encode_scenario(s), snapshot::SNAPSHOT_SCHEMA_VERSION)
-}
-
-/// A 64-bit fingerprint of only the scenario's *setup-feeding* fields
-/// (see [`SimRun::warm_fork`] for the list), version-prefixed like
-/// [`scenario_fingerprint`].
-///
-/// Two scenarios with equal warm fingerprints share calibration tables,
-/// radial constraint tables and the time-zero snapshot: any of them can
-/// be served by forking the same [`WarmArtifacts`]. Schedule-side
-/// fields (beacon period, windowing, faults, duration…) deliberately do
-/// not participate.
-pub fn warm_fingerprint(s: &Scenario) -> u64 {
-    versioned_fingerprint(
-        &encode_scenario_immutable(s),
-        snapshot::SNAPSHOT_SCHEMA_VERSION,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1348,25 +1295,18 @@ fn encode_all(world: &mut WorldState, parts: &mut EngineParts) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes snapshot bytes into a world and engine, ready to run.
-///
-/// When `tables` is `None` the calibration tables are recomputed from the
-/// serialized scenario (deterministic: calibration consumes a dedicated
-/// RNG stream derived only from the seed). Warm forks pass precomputed
-/// tables instead — skipping calibration is where the sweep speedup
-/// comes from.
-fn decode(
-    bytes: &[u8],
-    tables: Option<(PdfTable, RadialConstraintTable)>,
-) -> Result<(WorldState, Engine<Event>), SnapshotError> {
+/// Decodes snapshot bytes into a world and engine, ready to run. The
+/// calibration is recomputed from the serialized scenario (deterministic:
+/// it consumes a dedicated RNG stream derived only from the seed).
+fn decode(bytes: &[u8]) -> Result<(WorldState, Engine<Event>), SnapshotError> {
     let snap = Snapshot::parse(bytes)?;
     let mut scenario = Scenario::builder().build();
     snap.decode("scenario", |c| scenario_section(c, &mut scenario))?;
     scenario
         .validate()
         .map_err(|e| malformed(format!("snapshot scenario fails validation: {e}")))?;
-    let (table, radial) = tables.unwrap_or_else(|| world::calibration(&scenario));
-    let mut world = WorldState::new(&scenario, Telemetry::off(), table, radial);
+    let calibration = Arc::new(Calibration::new(&scenario));
+    let mut world = WorldState::new(&scenario, Telemetry::off(), calibration);
 
     let mut parts = EngineParts::default();
     snap.decode("engine", |c| engine_section(c, &mut parts))?;
@@ -1395,12 +1335,12 @@ fn decode(
 // SimRun: the resumable run handle.
 // ---------------------------------------------------------------------------
 
-/// A simulation run that can be paused, serialized, restored and forked.
+/// A simulation run that can be paused, serialized and restored.
 ///
 /// [`crate::runner::run`] is sugar for `SimRun::new(..).finish()`; the
 /// extra surface here — [`SimRun::run_until`], [`SimRun::capture`],
-/// [`SimRun::resume`], [`SimRun::warm_fork`] — is what the snapshot
-/// subsystem adds.
+/// [`SimRun::resume`] — is what the snapshot subsystem adds, and
+/// [`SimRun::with_calibration`] starts a run on a shared [`Calibration`].
 pub struct SimRun {
     world: WorldState,
     engine: Engine<Event>,
@@ -1414,9 +1354,34 @@ impl SimRun {
     /// # Panics
     ///
     /// Panics if the scenario fails validation.
-    pub fn new(scenario: &Scenario, telemetry: Telemetry) -> SimRun {
+    pub fn new(scenario: &Scenario, mut telemetry: Telemetry) -> SimRun {
         let t_total = telemetry.span_start();
-        let mut world = world::setup_world(scenario, telemetry);
+        let spans = SpanIds::register(&mut telemetry);
+        let t_calibrate = telemetry.span_start();
+        world::validate(scenario);
+        let calibration = Arc::new(Calibration::new(scenario));
+        telemetry.span_end(spans.run_calibrate, t_calibrate);
+        SimRun {
+            t_total,
+            ..SimRun::with_calibration(scenario, telemetry, calibration)
+        }
+    }
+
+    /// Like [`SimRun::new`], but on a calibration the caller already
+    /// holds, so runs of one seed and channel can share its table.
+    /// Results are bit-identical to [`SimRun::new`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario fails validation, or if `calibration` was
+    /// run for another seed or channel ([`Calibration::fits`]).
+    pub fn with_calibration(
+        scenario: &Scenario,
+        telemetry: Telemetry,
+        calibration: Arc<Calibration>,
+    ) -> SimRun {
+        let t_total = telemetry.span_start();
+        let mut world = world::setup_world(scenario, telemetry, calibration);
         let engine = world::build_initial_schedule(&mut world);
         SimRun {
             world,
@@ -1519,11 +1484,10 @@ impl SimRun {
 
     /// Restores a run from [`SimRun::capture`] bytes, quietly: the
     /// telemetry bus comes back exactly as captured, with no restore
-    /// marker. This is the path resume-equivalence tests and warm-start
-    /// forks use, so the resumed trace is byte-identical to the
-    /// uninterrupted one.
+    /// marker. This is the path resume-equivalence tests use, so the
+    /// resumed trace is byte-identical to the uninterrupted one.
     pub fn resume(bytes: &[u8]) -> Result<SimRun, SnapshotError> {
-        let (world, engine) = decode(bytes, None)?;
+        let (world, engine) = decode(bytes)?;
         let t_total = world.telemetry.span_start();
         Ok(SimRun {
             world,
@@ -1556,163 +1520,13 @@ impl SimRun {
         );
         Ok(run)
     }
-
-    /// Clones this run's calibration tables for reuse by
-    /// [`SimRun::warm_fork`].
-    pub fn calibration(&self) -> (PdfTable, RadialConstraintTable) {
-        (self.world.table.clone(), self.world.radial.clone())
-    }
-
-    /// Forks a *time-zero* snapshot under a patched scenario.
-    ///
-    /// Sweeps capture the shared warm-up prefix — calibration done, team
-    /// placed, RNG streams split — once per seed, then fork it for each
-    /// sweep point instead of redoing that setup. Only fields that do not
-    /// feed setup may differ from the snapshot's scenario: the beacon
-    /// period, windowing, coordination flag, fault plan and similar
-    /// schedule-side knobs. Setup-feeding fields (seed, area, team size,
-    /// channel, energy, odometry, estimator, grid resolution and fusion,
-    /// multicast, mesh config, clock skew, speed range) must match,
-    /// because their effects are already baked into the captured state.
-    ///
-    /// The snapshot must have been captured at time zero with no events
-    /// processed; anything later has already consumed schedule-dependent
-    /// state and cannot be re-scheduled consistently.
-    pub fn warm_fork(
-        bytes: &[u8],
-        scenario: &Scenario,
-        table: PdfTable,
-        radial: RadialConstraintTable,
-        telemetry: Telemetry,
-    ) -> Result<SimRun, SnapshotError> {
-        let (mut world, engine) = decode(bytes, Some((table, radial)))?;
-        if engine.now() != SimTime::ZERO || engine.events_processed() != 0 {
-            return Err(malformed(
-                "warm fork requires a snapshot captured at time zero with no events processed",
-            ));
-        }
-        drop(engine);
-        // Byte-compare the canonical immutable encodings instead of a
-        // field-by-field check so this gate and the warm-artifact cache
-        // key (`warm_fingerprint`) can never disagree about what counts
-        // as setup-feeding.
-        let compatible =
-            encode_scenario_immutable(&world.scenario) == encode_scenario_immutable(scenario);
-        if !compatible {
-            return Err(malformed(
-                "warm fork scenario changes a setup-feeding field (seed, area, team, \
-                 channel, energy, odometry, estimator, grid, multicast, mesh or clock skew)",
-            ));
-        }
-        scenario
-            .validate()
-            .map_err(|e| malformed(format!("warm fork scenario fails validation: {e}")))?;
-
-        let mut telemetry = telemetry;
-        let spans = SpanIds::register(&mut telemetry);
-        let hists = events::HistIds::register(&mut telemetry);
-        let t_total = telemetry.span_start();
-        world.scenario = scenario.clone();
-        world.max_guard = (scenario.beacon_period / 4).max(scenario.guard_band);
-        world.telemetry = telemetry;
-        world.spans = spans;
-        world.hists = hists;
-        world.next_robot_sample = None;
-        let engine = world::build_initial_schedule(&mut world);
-        Ok(SimRun {
-            world,
-            engine,
-            t_total,
-        })
-    }
 }
 
-/// The scenario-immutable artifacts of one warm-fork family: the
-/// calibration PDF table, the radial constraint table and the time-zero
-/// snapshot bytes, split out of the per-run [`SimRun`] state so a
-/// single build can be shared (`Arc<WarmArtifacts>`) across worker
-/// threads and forked once per sweep point or served request.
-///
-/// The artifacts are keyed by [`warm_fingerprint`]: every scenario with
-/// the same setup-feeding fields forks the same artifacts regardless of
-/// its schedule-side knobs. `WarmArtifacts` is `Send + Sync` (asserted
-/// below), which is what lets the serve layer and `run_warm_parallel`
-/// hand one copy to many workers without cloning megabytes of tables.
-#[derive(Clone)]
-pub struct WarmArtifacts {
-    snapshot: Vec<u8>,
-    table: PdfTable,
-    radial: RadialConstraintTable,
-    fingerprint: u64,
-}
-
-impl WarmArtifacts {
-    /// Builds the artifacts for `base`'s warm-fork family: runs the
-    /// full setup (validation, RF calibration, team placement, RNG
-    /// stream splits), captures the time-zero snapshot, and extracts
-    /// the calibration tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` fails validation (same contract as
-    /// [`SimRun::new`]).
-    pub fn build(base: &Scenario) -> WarmArtifacts {
-        let mut run = SimRun::new(base, Telemetry::off());
-        let snapshot = run.capture();
-        let (table, radial) = run.calibration();
-        WarmArtifacts {
-            snapshot,
-            table,
-            radial,
-            fingerprint: warm_fingerprint(base),
-        }
-    }
-
-    /// The [`warm_fingerprint`] of the base scenario — the cache key
-    /// under which these artifacts serve repeat traffic.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The captured time-zero snapshot bytes.
-    pub fn snapshot_bytes(&self) -> &[u8] {
-        &self.snapshot
-    }
-
-    /// Whether `scenario` belongs to this artifact family (equal
-    /// [`warm_fingerprint`]), i.e. whether [`WarmArtifacts::fork`] can
-    /// serve it.
-    pub fn compatible_with(&self, scenario: &Scenario) -> bool {
-        self.fingerprint == warm_fingerprint(scenario)
-    }
-
-    /// Forks a run for `scenario` from the shared time-zero state,
-    /// cloning the calibration tables instead of recomputing them. See
-    /// [`SimRun::warm_fork`] for the compatibility contract.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `scenario` changes a setup-feeding field or fails
-    /// validation.
-    pub fn fork(&self, scenario: &Scenario, telemetry: Telemetry) -> Result<SimRun, SnapshotError> {
-        SimRun::warm_fork(
-            &self.snapshot,
-            scenario,
-            self.table.clone(),
-            self.radial.clone(),
-            telemetry,
-        )
-    }
-}
-
-// The whole point of the artifact split: runs and artifacts must hand
-// off cleanly across worker threads. Compile-time, not a test, so a
-// regression (e.g. an Rc sneaking into WorldState) fails every build.
+// Runs hand off cleanly across worker threads. Compile-time, not a test,
+// so a regression (e.g. an Rc sneaking into WorldState) fails every build.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    const fn assert_send_sync<T: Send + Sync>() {}
     assert_send::<SimRun>();
-    assert_send_sync::<WarmArtifacts>();
 };
 
 #[cfg(test)]
@@ -1988,89 +1802,74 @@ mod tests {
             .scenario;
         let pinned = [
             scenario_fingerprint(&default),
-            warm_fingerprint(&default),
             scenario_fingerprint(&template),
-            warm_fingerprint(&template),
         ]
         .map(|fp| format!("{fp:016x}"));
-        assert_eq!(
-            pinned,
-            [
-                "d6c66ec1000001a2",
-                "9572b99d00000137",
-                "c7509b99000001a2",
-                "6bb593b800000137"
-            ]
-        );
+        assert_eq!(pinned, ["d6c66ec1000001a2", "c7509b99000001a2"]);
     }
 
     /// The codec version participates in the hash, so fingerprints from
-    /// one snapshot schema never match another's: an artifact cache
-    /// built under one schema cannot serve a request under the next.
+    /// one snapshot schema never match another's: a results cache built
+    /// under one schema cannot serve a request under the next.
     #[test]
     fn fingerprints_are_schema_versioned() {
         use cocoa_sim::snapshot::SNAPSHOT_SCHEMA_VERSION;
         let s = Scenario::builder().build();
         let full = encode_scenario(&s);
-        let immutable = encode_scenario_immutable(&s);
         assert_eq!(
             scenario_fingerprint(&s),
             versioned_fingerprint(&full, SNAPSHOT_SCHEMA_VERSION)
-        );
-        assert_eq!(
-            warm_fingerprint(&s),
-            versioned_fingerprint(&immutable, SNAPSHOT_SCHEMA_VERSION)
         );
         assert_ne!(
             versioned_fingerprint(&full, SNAPSHOT_SCHEMA_VERSION),
             versioned_fingerprint(&full, SNAPSHOT_SCHEMA_VERSION + 1),
             "a codec bump must change every scenario fingerprint"
         );
-        assert_ne!(
-            versioned_fingerprint(&immutable, SNAPSHOT_SCHEMA_VERSION),
-            versioned_fingerprint(&immutable, SNAPSHOT_SCHEMA_VERSION + 1),
-            "a codec bump must change every warm fingerprint"
-        );
     }
 
-    /// The warm fingerprint tracks only setup-feeding fields: schedule
-    /// knobs fork the same artifacts, setup knobs do not.
+    /// A channel other than the default one.
+    fn louder_channel() -> ChannelParams {
+        ChannelParams {
+            tx_power_dbm: 18.0,
+            ..ChannelParams::default()
+        }
+    }
+
+    /// A calibration fits every scenario with its seed and channel,
+    /// whatever else differs, and no other.
     #[test]
-    fn warm_fingerprint_ignores_schedule_side_fields() {
+    fn calibration_fits_only_its_seed_and_channel() {
         let base = Scenario::builder().build();
-        let schedule = Scenario::builder()
+        let calibration = Calibration::new(&base);
+        let same_inputs = Scenario::builder()
             .beacon_period(SimDuration::from_secs(50))
             .duration(SimDuration::from_secs(600))
-            .coordination(false)
+            .robots(8)
+            .equipped(4)
+            .grid_resolution(4.0)
+            .grid_fused(true)
             .build();
-        assert_eq!(
-            warm_fingerprint(&base),
-            warm_fingerprint(&schedule),
-            "schedule-side fields must not split the warm-artifact family"
-        );
-        assert_ne!(
-            scenario_fingerprint(&base),
-            scenario_fingerprint(&schedule),
-            "the full fingerprint must still tell the requests apart"
-        );
-        let setup = Scenario::builder().seed(7).build();
-        // Fusion picks how each robot's estimator is built at setup, so a
-        // fork cannot switch it on a snapshot taken without it.
-        let fused = Scenario::builder().grid_fused(true).build();
-        for (name, other) in [("seed", &setup), ("grid_fused", &fused)] {
-            assert_ne!(
-                warm_fingerprint(&base),
-                warm_fingerprint(other),
-                "setup-feeding field '{name}' must split the family"
-            );
-        }
-        // The compatibility gate agrees with the cache key, both ways.
-        let artifacts = WarmArtifacts::build(&base);
-        assert!(artifacts.compatible_with(&schedule));
-        assert!(artifacts.fork(&schedule, Telemetry::off()).is_ok());
-        for other in [&setup, &fused] {
-            assert!(!artifacts.compatible_with(other));
-            assert!(artifacts.fork(other, Telemetry::off()).is_err());
-        }
+        assert!(calibration.fits(&base));
+        assert!(calibration.fits(&same_inputs));
+        assert!(!calibration.fits(&Scenario::builder().seed(7).build()));
+        assert!(!calibration.fits(&Scenario::builder().channel(louder_channel()).build()));
+    }
+
+    /// Starts `scenario` on the default scenario's calibration.
+    fn start_on_default_calibration(scenario: &Scenario) -> SimRun {
+        let calibration = Arc::new(Calibration::new(&Scenario::builder().build()));
+        SimRun::with_calibration(scenario, Telemetry::off(), calibration)
+    }
+
+    #[test]
+    #[should_panic(expected = "another seed or channel")]
+    fn with_calibration_rejects_another_seed() {
+        start_on_default_calibration(&Scenario::builder().seed(7).build());
+    }
+
+    #[test]
+    #[should_panic(expected = "another seed or channel")]
+    fn with_calibration_rejects_another_channel() {
+        start_on_default_calibration(&Scenario::builder().channel(louder_channel()).build());
     }
 }

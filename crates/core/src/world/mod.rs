@@ -22,9 +22,9 @@
 //! - `metrics_hook`: metric sampling, snapshots and the end-of-run
 //!   finalization into [`RunMetrics`].
 //!
-//! This file owns setup and teardown: scenario validation, calibration,
-//! team construction, the initial schedule, and the public entry points
-//! [`run`], [`run_traced`] and [`run_with_telemetry`].
+//! This file owns setup and teardown: scenario validation, the shared
+//! [`Calibration`], team construction, the initial schedule, and the
+//! public entry points [`run`], [`run_traced`] and [`run_with_telemetry`].
 
 pub(crate) mod beacon;
 pub mod checkpoint;
@@ -34,6 +34,8 @@ pub mod mesh;
 pub(crate) mod metrics_hook;
 pub(crate) mod window;
 
+use std::sync::Arc;
+
 use cocoa_localization::bayes::radial_constraints_for_grid;
 use cocoa_localization::estimator::EstimatorMode;
 use cocoa_localization::estimator::WindowedRfEstimator;
@@ -42,7 +44,7 @@ use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint};
 use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
 use cocoa_net::calibration::{calibrate, CalibrationConfig, PdfTable, RadialConstraintTable};
-use cocoa_net::channel::RfChannel;
+use cocoa_net::channel::{ChannelParams, RfChannel};
 use cocoa_net::energy::PowerState;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{Medium, TxId};
@@ -81,7 +83,7 @@ pub(crate) const BEACON_LEAD_IN: SimDuration = SimDuration::from_millis(700);
 pub(crate) struct WorldState {
     pub(crate) scenario: Scenario,
     pub(crate) channel: RfChannel,
-    pub(crate) table: PdfTable,
+    pub(crate) calibration: Arc<Calibration>,
     /// Pre-sampled radial constraint profiles (one per calibrated RSSI
     /// bin, floor baked in), shared by every robot's Bayesian update.
     pub(crate) radial: RadialConstraintTable,
@@ -204,20 +206,34 @@ pub fn run_with_telemetry(scenario: &Scenario, telemetry: Telemetry) -> (RunMetr
     checkpoint::SimRun::new(scenario, telemetry).finish()
 }
 
-/// Validates the scenario, runs calibration and constructs the complete
-/// [`WorldState`] — team, channel, RNG streams, accumulators — with span
-/// ids registered on `telemetry`. Shared by the normal entry points and
-/// the checkpoint warm-fork path. Does not schedule any events.
-pub(crate) fn setup_world(scenario: &Scenario, mut telemetry: Telemetry) -> WorldState {
-    let spans = SpanIds::register(&mut telemetry);
-    let t_calibrate = telemetry.span_start();
+/// Panics with the validation error unless `scenario` is valid.
+pub(crate) fn validate(scenario: &Scenario) {
     scenario
         .validate()
         .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-    let (table, radial) = calibration(scenario);
-    telemetry.span_end(spans.run_calibrate, t_calibrate);
+}
+
+/// Validates the scenario and constructs the complete [`WorldState`] on
+/// `calibration` — team, channel, RNG streams, accumulators — with span
+/// ids registered on `telemetry`. Does not schedule any events.
+///
+/// # Panics
+///
+/// Panics if the scenario fails validation or `calibration` was run for
+/// another seed or channel.
+pub(crate) fn setup_world(
+    scenario: &Scenario,
+    mut telemetry: Telemetry,
+    calibration: Arc<Calibration>,
+) -> WorldState {
+    let spans = SpanIds::register(&mut telemetry);
+    validate(scenario);
+    assert!(
+        calibration.fits(scenario),
+        "the calibration was run for another seed or channel than the scenario's"
+    );
     let t_setup = telemetry.span_start();
-    let mut world = WorldState::new(scenario, telemetry, table, radial);
+    let mut world = WorldState::new(scenario, telemetry, calibration);
 
     // --- Team construction. ---
     let split = SeedSplitter::new(scenario.seed);
@@ -321,40 +337,67 @@ pub(crate) fn blank_robot(index: usize, scenario: &Scenario) -> Robot {
     }
 }
 
-/// The offline calibration phase (paper Section 2.2): the RSSI PDF table
-/// and the radial constraint profiles every robot's Bayesian update
-/// shares. Deterministic: it draws from a stream derived only from the
-/// seed.
-pub(crate) fn calibration(scenario: &Scenario) -> (PdfTable, RadialConstraintTable) {
-    let table = calibrate(
-        &RfChannel::new(scenario.channel),
-        &CalibrationConfig::default(),
-        &mut SeedSplitter::new(scenario.seed).stream("calibration", 0),
-    );
-    let radial = radial_constraints_for_grid(
-        &table,
-        &GridConfig::new(scenario.area, scenario.grid_resolution_m),
-    );
-    (table, radial)
+/// The offline calibration phase (paper Section 2.2): the RSSI→distance
+/// PDF table every robot's estimator shares. It depends only on the seed
+/// (it draws from a stream derived from it alone) and the channel, so
+/// runs that agree on both can share one value behind an `Arc`.
+#[derive(PartialEq)]
+pub struct Calibration {
+    seed: u64,
+    channel: ChannelParams,
+    table: PdfTable,
 }
 
+impl Calibration {
+    /// Runs the calibration campaign for `scenario`'s seed and channel.
+    /// The scenario must be valid: the campaign trusts its channel.
+    pub fn new(scenario: &Scenario) -> Calibration {
+        let table = calibrate(
+            &RfChannel::new(scenario.channel),
+            &CalibrationConfig::default(),
+            &mut SeedSplitter::new(scenario.seed).stream("calibration", 0),
+        );
+        Calibration {
+            seed: scenario.seed,
+            channel: scenario.channel,
+            table,
+        }
+    }
+
+    /// Whether this calibration is the one `scenario` would run: same
+    /// seed, same channel.
+    pub fn fits(&self, scenario: &Scenario) -> bool {
+        self.seed == scenario.seed && self.channel == scenario.channel
+    }
+}
+
+// Serve shares one calibration across its worker threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Calibration>();
+};
+
 impl WorldState {
-    /// A world for `scenario` with no team yet: empty accumulators, the
+    /// A world for `scenario` with no team yet: the radial table built
+    /// from `calibration` for the scenario's grid, empty accumulators, the
     /// shared RNG streams split from the seed, span and histogram ids
     /// registered on `telemetry`.
     pub(crate) fn new(
         scenario: &Scenario,
         mut telemetry: Telemetry,
-        table: PdfTable,
-        radial: RadialConstraintTable,
+        calibration: Arc<Calibration>,
     ) -> WorldState {
         let split = SeedSplitter::new(scenario.seed);
         let spans = SpanIds::register(&mut telemetry);
         let hists = HistIds::register(&mut telemetry);
+        let radial = radial_constraints_for_grid(
+            &calibration.table,
+            &GridConfig::new(scenario.area, scenario.grid_resolution_m),
+        );
         WorldState {
             scenario: scenario.clone(),
             channel: RfChannel::new(scenario.channel),
-            table,
+            calibration,
             radial,
             medium: Medium::new(),
             robots: Vec::new(),
@@ -381,8 +424,8 @@ impl WorldState {
     }
 }
 
-/// Builds the initial event schedule for a freshly constructed (or
-/// warm-forked) world and returns an engine positioned at time zero.
+/// Builds the initial event schedule for a freshly constructed world and
+/// returns an engine positioned at time zero.
 /// Also sizes `world.snapshots` to match the scheduled snapshot times.
 pub(crate) fn build_initial_schedule(world: &mut WorldState) -> Engine<Event> {
     let scenario = &world.scenario;

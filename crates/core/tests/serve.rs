@@ -160,17 +160,19 @@ fn concurrent_identical_submissions_execute_once() {
 }
 
 #[test]
-fn warm_fork_results_match_a_cold_local_run() {
+fn reused_calibration_results_match_a_cold_local_run() {
     let (server, addr) = start(ServeConfig {
         quiet: true,
         ..ServeConfig::default()
     });
-    // Two specs in the same scenario family: identical team, RF
-    // environment and calibration; different beacon schedule.
+    // Three specs with one seed and channel, hence one calibration: the
+    // second changes the beacon schedule, the third the team size.
     let cold_spec = "{\"seed\": 11, \"robots\": 6, \"equipped\": 3, \"duration_s\": 120, \
                      \"period_s\": 50}";
     let warm_spec = "{\"seed\": 11, \"robots\": 6, \"equipped\": 3, \"duration_s\": 120, \
                      \"period_s\": 30}";
+    let larger_spec = "{\"seed\": 11, \"robots\": 8, \"equipped\": 3, \"duration_s\": 120, \
+                       \"period_s\": 50}";
     let first = client::submit(&addr, cold_spec).expect("cold submit");
     let second = client::submit(&addr, warm_spec).expect("warm submit");
     assert_eq!(first.status, 200);
@@ -179,17 +181,28 @@ fn warm_fork_results_match_a_cold_local_run() {
     assert_eq!(
         counter(&server, "serve.warm_forks"),
         1,
-        "second run forks from the cached family artifacts"
+        "second run reuses the cached calibration"
     );
-    // Determinism makes warm reuse invisible: the warm-forked result is
-    // byte-identical to running the second scenario cold and locally.
-    let request = parse_spec(warm_spec).expect("spec parses");
-    let (local_metrics, _) = SimRun::new(&request.scenario, Telemetry::off()).finish();
-    let wire_metrics = second.metrics().expect("metrics decode");
+    let third = client::submit(&addr, larger_spec).expect("larger submit");
+    assert_eq!(third.status, 200);
+    assert_eq!(counter(&server, "serve.cold_starts"), 1);
     assert_eq!(
-        encode_metrics(&wire_metrics),
-        encode_metrics(&local_metrics)
+        counter(&server, "serve.warm_forks"),
+        2,
+        "the team size does not feed the calibration"
     );
+    // Determinism makes the reuse invisible: each result is
+    // byte-identical to running its scenario cold and locally.
+    for (spec, response) in [(warm_spec, &second), (larger_spec, &third)] {
+        let request = parse_spec(spec).expect("spec parses");
+        let (local_metrics, _) = SimRun::new(&request.scenario, Telemetry::off()).finish();
+        let wire_metrics = response.metrics().expect("metrics decode");
+        assert_eq!(
+            encode_metrics(&wire_metrics),
+            encode_metrics(&local_metrics),
+            "{spec}"
+        );
+    }
 }
 
 #[test]
@@ -198,8 +211,9 @@ fn fused_request_is_not_forked_from_its_unfused_family() {
         quiet: true,
         ..ServeConfig::default()
     });
-    // Fusion is fixed when each robot's estimator is built, so the fused
-    // request cannot reuse the unfused request's time-zero artifacts.
+    // Fusion is fixed when each robot's estimator is built, which happens
+    // per run, after the calibration: the fused request reuses the
+    // unfused request's calibration and must still match a local run.
     let fused_spec = "{\"seed\": 11, \"robots\": 6, \"equipped\": 3, \"duration_s\": 120, \
                       \"period_s\": 50, \"grid_fused\": true}";
     let unfused = client::submit(&addr, SMALL_SPEC).expect("unfused submit");
@@ -213,7 +227,7 @@ fn fused_request_is_not_forked_from_its_unfused_family() {
         encode_metrics(&wire_metrics),
         encode_metrics(&local_metrics)
     );
-    assert_eq!(counter(&server, "serve.warm_forks"), 0);
+    assert_eq!(counter(&server, "serve.warm_forks"), 1);
 }
 
 #[test]

@@ -275,7 +275,7 @@ pub enum TelemetryEvent {
     },
     /// The run was restored from a snapshot at this instant (only the
     /// marked resume path emits this; the quiet path used by equivalence
-    /// tests and warm-start forks leaves the restored bus untouched).
+    /// tests leaves the restored bus untouched).
     SnapshotRestored {
         /// Size of the snapshot the run was restored from.
         bytes: u64,
