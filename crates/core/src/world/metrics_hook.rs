@@ -28,7 +28,9 @@ pub(crate) fn metrics_sample(engine: &mut Engine<Event>, world: &mut WorldState,
             sum += err;
             n += 1;
         }
-        if r.alive {
+        // The entropy is a pass over the posterior, so it is computed
+        // only when the histogram keeps it.
+        if r.alive && world.telemetry.wants_hists() {
             if let Some(frac) = r.rf.as_ref().and_then(|rf| rf.entropy_fraction()) {
                 world.telemetry.hist_record(world.hists.entropy_frac, frac);
             }

@@ -266,6 +266,44 @@ fn bounded_telemetry_counts_what_it_drops() {
     assert_eq!(dropped, Some(t.dropped_events()));
 }
 
+#[test]
+fn posterior_entropy_is_computed_only_when_recorded() {
+    use cocoa_localization::grid::entropy_passes;
+    // With the watchdog disarmed, only telemetry reads a posterior's
+    // entropy: the `run.entropy_frac` histogram and the timeline samples.
+    let mut s = scenario(42);
+    s.entropy_watchdog_frac = 1.0;
+    s.validate().expect("valid scenario");
+
+    let before = entropy_passes();
+    run_with_telemetry(&s, Telemetry::off());
+    assert_eq!(
+        entropy_passes() - before,
+        0,
+        "a run that records nothing evaluated a posterior's entropy"
+    );
+
+    let before = entropy_passes();
+    let (_, t) = run_with_telemetry(&s, Telemetry::new(TelemetryLevel::Full));
+    let passes = entropy_passes() - before;
+    let counter = |name: &str| {
+        t.counters()
+            .get(name)
+            .unwrap_or_else(|| panic!("counter {name}"))
+    };
+    // A posterior state begins at an RF robot's uniform prior, at each
+    // window's reset and at each applied beacon; nothing else writes the
+    // cells in a fault-free run.
+    let rf_robots = (s.num_robots - s.num_equipped) as u64;
+    let states =
+        counter("estimator.bayes.beacons_applied") + counter("estimator.bayes.windows") + rf_robots;
+    assert!(passes > 0, "a Full run records the entropy");
+    assert!(
+        passes <= states,
+        "{passes} entropy passes for at most {states} posterior states"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Golden-seed regression: the `world/` refactor must leave the pinned-seed
 // ODMRP path bit-identical — both the `RunMetrics` value and the full-level
@@ -383,6 +421,60 @@ fn golden_odmrp_metrics_and_trace_survive_the_world_refactor() {
         "odmrp_seed42_trace.jsonl",
         &strip_backend_counters(&t.to_jsonl(false)),
         "ODMRP full trace",
+    );
+}
+
+#[test]
+fn golden_odmrp_entropy_histogram_is_pinned() {
+    // The goldens hold no `hist` lines, so this pins one whole run's
+    // `run.entropy_frac` histogram. The literals were captured from the
+    // implementation that recomputed the entropy on every read; caching it
+    // per posterior state must not move a bit.
+    let (_, t) = run_with_telemetry(
+        &golden_odmrp_scenario(),
+        Telemetry::new(TelemetryLevel::Full),
+    );
+    let h = t
+        .histograms()
+        .get("run.entropy_frac")
+        .expect("registered histogram");
+    assert_eq!(h.count(), 600);
+    assert_eq!(h.min().to_bits(), 0x3e23_4715_1052_9f10);
+    assert_eq!(h.max().to_bits(), 0x3fef_ffff_ffff_ffca);
+    assert_eq!(h.sum().to_bits(), 0x4067_4427_61e6_d7c6);
+    let buckets: Vec<(usize, u64)> = h.nonzero_buckets().collect();
+    assert_eq!(
+        buckets,
+        [
+            (1, 27),
+            (18, 1),
+            (130, 28),
+            (132, 54),
+            (133, 2),
+            (134, 27),
+            (136, 1),
+            (137, 29),
+            (138, 55),
+            (139, 27),
+            (141, 1),
+            (142, 3),
+            (145, 82),
+            (146, 2),
+            (147, 27),
+            (148, 1),
+            (149, 30),
+            (150, 55),
+            (151, 29),
+            (152, 2),
+            (153, 30),
+            (154, 29),
+            (155, 28),
+            (156, 6),
+            (157, 2),
+            (158, 1),
+            (159, 6),
+            (160, 15),
+        ]
     );
 }
 

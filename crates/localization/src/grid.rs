@@ -7,6 +7,8 @@
 //! the distribution's mean as the position estimate. Like every Bayesian /
 //! Markov localization implementation, we discretize the area into a grid.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::RadialProfile;
@@ -105,6 +107,23 @@ pub struct PositionGrid {
     /// reference loop only — the lane kernel fuses this stage away).
     #[serde(skip)]
     row_t: Vec<f64>,
+    /// [`entropy`](Self::entropy) of `cells`, filled on first read and
+    /// cleared by every write to `cells`. Derived state: never encoded,
+    /// so a decoded or restored grid starts without it.
+    #[serde(skip)]
+    entropy: Cell<Option<f64>>,
+}
+
+thread_local! {
+    static ENTROPY_PASSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many full entropy passes over a posterior this thread has made —
+/// the misses of [`PositionGrid::entropy`]'s cache. Tests read it to pin
+/// that the entropy is computed only when something records it.
+#[doc(hidden)]
+pub fn entropy_passes() -> u64 {
+    ENTROPY_PASSES.with(Cell::get)
 }
 
 /// Sums with four independent accumulators so the reduction is not one
@@ -124,8 +143,8 @@ fn sum_4lane(xs: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + rem.iter().sum::<f64>()
 }
 
-/// Equality is over the posterior itself; scratch buffers and the derived
-/// axis tables are excluded.
+/// Equality is over the posterior itself; scratch buffers, the derived
+/// axis tables and the cached entropy are excluded.
 impl PartialEq for PositionGrid {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -158,6 +177,7 @@ impl PositionGrid {
             scratch: Vec::with_capacity(n),
             dx2: Vec::with_capacity(nx),
             row_t: Vec::with_capacity(nx),
+            entropy: Cell::new(None),
         }
     }
 
@@ -180,6 +200,7 @@ impl PositionGrid {
     pub fn reset_uniform(&mut self) {
         let v = 1.0 / self.cells.len() as f64;
         self.cells.fill(v);
+        self.entropy.set(None);
     }
 
     /// Centre of cell `(ix, iy)`.
@@ -198,6 +219,7 @@ impl PositionGrid {
         for (dst, &v) in self.cells.iter_mut().zip(scratch) {
             *dst = v * inv_total;
         }
+        self.entropy.set(None);
         ConstraintOutcome::Applied
     }
 
@@ -448,13 +470,23 @@ impl PositionGrid {
 
     /// Shannon entropy of the posterior, nats. The uniform prior maximizes
     /// it; a confident fix approaches zero.
+    ///
+    /// A pass over every cell, made once per posterior state: the value is
+    /// cached until the cells next change, so repeated reads between
+    /// updates (the watchdog, histograms, timeline samples) are free.
     pub fn entropy(&self) -> f64 {
-        -self
+        if let Some(h) = self.entropy.get() {
+            return h;
+        }
+        ENTROPY_PASSES.with(|n| n.set(n.get() + 1));
+        let h = -self
             .cells
             .iter()
             .filter(|&&p| p > 0.0)
             .map(|&p| p * p.ln())
-            .sum::<f64>()
+            .sum::<f64>();
+        self.entropy.set(Some(h));
+        h
     }
 
     /// Total probability mass (1.0 up to rounding; exposed for tests).
@@ -479,6 +511,7 @@ impl PositionGrid {
             "checkpointed posterior has wrong cell count"
         );
         self.cells.copy_from_slice(cells);
+        self.entropy.set(None);
     }
 
     /// Probability of the cell containing `p` (0 outside the area).
@@ -666,8 +699,75 @@ mod tests {
         let fresh = grid(2.0);
         let mut used = grid(2.0);
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
-        // A rejected update leaves the posterior alone but dirties scratch.
+        // A rejected update leaves the posterior alone but dirties scratch,
+        // and reading the entropy fills the cache.
         used.apply_radial_constraint(Point::new(10.0, 10.0), &zero);
+        used.entropy();
         assert_eq!(fresh, used);
+    }
+
+    /// `entropy`'s sum, recomputed from the cells without the cache.
+    fn entropy_from_cells(g: &PositionGrid) -> f64 {
+        -g.cells()
+            .iter()
+            .filter(|&&p| p > 0.0)
+            .map(|&p| p * p.ln())
+            .sum::<f64>()
+    }
+
+    /// Reads `g`'s entropy twice after a write: the first read is one pass
+    /// that equals the from-scratch sum bit for bit, the second is free.
+    fn assert_entropy_fresh(g: &PositionGrid, after: &str) {
+        let passes = entropy_passes();
+        let h = g.entropy();
+        assert_eq!(
+            h.to_bits(),
+            entropy_from_cells(g).to_bits(),
+            "stale entropy after {after}"
+        );
+        assert_eq!(entropy_passes(), passes + 1, "one pass after {after}");
+        assert_eq!(g.entropy().to_bits(), h.to_bits());
+        assert_eq!(entropy_passes(), passes + 1, "cached after {after}");
+    }
+
+    #[test]
+    fn cached_entropy_follows_every_write() {
+        use cocoa_net::calibration::RadialProfile;
+        let profile = RadialProfile::from_fn(0.25, 300.0, |d| (-((d - 30.0) / 8.0).powi(2)).exp())
+            .offset(1e-6);
+        // Each write below changes the cells, and the read before it has
+        // filled the cache, so a writer that kept the cache would fail.
+        let mut g = grid(2.0);
+        assert_entropy_fresh(&g, "new");
+        g.apply_radial_constraint(Point::new(63.0, 141.0), &profile);
+        assert_entropy_fresh(&g, "apply_radial_constraint");
+        g.apply_fused_radial_constraints(&[
+            (Point::new(120.0, 80.0), &profile),
+            (Point::new(60.0, 60.0), &profile),
+        ]);
+        assert_entropy_fresh(&g, "apply_fused_radial_constraints");
+        g.apply_constraint(|p| (-(p.distance_to(Point::new(90.0, 110.0)) / 40.0).powi(2)).exp());
+        assert_entropy_fresh(&g, "apply_constraint");
+        let cells = g.cells().to_vec();
+        g.reset_uniform();
+        assert_entropy_fresh(&g, "reset_uniform");
+        g.restore_cells(&cells);
+        assert_entropy_fresh(&g, "restore_cells");
+
+        // A rejected constraint writes nothing, so the cached value stands.
+        let cached = g.entropy();
+        let passes = entropy_passes();
+        let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
+        assert_eq!(
+            g.apply_radial_constraint(Point::new(10.0, 10.0), &zero),
+            ConstraintOutcome::Rejected
+        );
+        assert_eq!(
+            g.apply_fused_radial_constraints(&[(Point::new(10.0, 10.0), &zero)]),
+            ConstraintOutcome::Rejected
+        );
+        assert_eq!(g.apply_constraint(|_| 0.0), ConstraintOutcome::Rejected);
+        assert_eq!(g.entropy().to_bits(), cached.to_bits());
+        assert_eq!(entropy_passes(), passes, "rejections cost no entropy pass");
     }
 }
