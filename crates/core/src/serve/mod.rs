@@ -87,6 +87,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// every handler. A spec is a few hundred bytes; honest clients send it
 /// in well under a millisecond.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long one write of a response may make no progress. A peer that
+/// stops reading fills the socket buffers and would block its handler
+/// for good — and with it the drain. A traced paper-scale body is about
+/// 30 MiB; a reading client drains any one write in milliseconds.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server configuration. `Default` binds an ephemeral localhost port
 /// with no deadline and no persistence.
@@ -347,7 +352,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
         return;
     }
     let request = match http::read_request(&mut stream) {

@@ -4,10 +4,10 @@
 //! ephemeral localhost port and talks to it through the bundled
 //! client — the same code path `cocoa-serve --submit` uses.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cocoa_core::executor::manifest::encode_metrics;
 use cocoa_core::runner::SimRun;
@@ -263,6 +263,44 @@ fn silent_client_cannot_stall_shutdown_drain() {
         answer.starts_with("HTTP/1.1 408 "),
         "silent client gets a timeout answer: {answer:?}"
     );
+}
+
+#[test]
+fn unread_response_cannot_stall_shutdown_drain() {
+    let (server, addr) = start(ServeConfig {
+        quiet: true,
+        ..ServeConfig::default()
+    });
+    // A traced run whose response (about 18 MiB) outgrows the socket
+    // buffers of a client that never reads it.
+    let spec = "{\"seed\": 3, \"robots\": 8, \"equipped\": 4, \"duration_s\": 7200, \
+                \"grid_m\": 20, \"telemetry\": \"full\"}";
+    let mut deaf = TcpStream::connect(&addr).expect("connect");
+    write!(
+        deaf,
+        "POST /v1/runs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{spec}",
+        spec.len()
+    )
+    .expect("send request");
+    let started = Instant::now();
+    while counter(&server, "serve.executed") < 1 {
+        assert!(
+            started.elapsed() < Duration::from_secs(300),
+            "the run never finished"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    client::shutdown(&addr).expect("shutdown accepted");
+    let (done, drained) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        server.wait();
+        let _ = done.send(());
+    });
+    drained
+        .recv_timeout(Duration::from_secs(60))
+        .expect("drain must finish while the client still ignores its response");
+    waiter.join().expect("drain waiter");
+    drop(deaf);
 }
 
 #[test]
