@@ -143,10 +143,14 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial), table generated at compile time.
+// CRC-32 (IEEE 802.3 polynomial, zlib's values), slicing-by-16 over
+// tables generated at compile time.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Table 0 is the classic bytewise table. Table k holds the CRC of byte
+/// b followed by k zero bytes, so each byte of a 16-byte block folds in
+/// through its own lookup instead of a chain of sixteen.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -159,20 +163,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+/// One bytewise CRC step on table 0.
+fn crc32_byte(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+}
 
 /// The IEEE CRC-32 of `bytes` (the checksum guarding each section).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut b: [u8; 16] = block.try_into().expect("chunks_exact yields 16 bytes");
+        // The running CRC folds into bytes 0–3; byte k is then followed by
+        // 15 − k more bytes of the block, so it looks up table 15 − k.
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        b[..4].copy_from_slice(&head.to_le_bytes());
+        c = b
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&byte, table)| acc ^ table[usize::from(byte)]);
     }
+    c = blocks.remainder().iter().fold(c, |c, &b| crc32_byte(c, b));
     c ^ 0xFFFF_FFFF
 }
 
@@ -619,7 +648,7 @@ impl SnapshotWriter {
     /// # Panics
     ///
     /// Panics if `tag` was already pushed — duplicate tags would make
-    /// [`Snapshot::section`] ambiguous.
+    /// [`Snapshot::decode`]'s lookup by tag ambiguous.
     pub fn push_section(&mut self, tag: &'static str, payload: Vec<u8>) {
         assert!(
             self.sections.iter().all(|(t, _)| *t != tag),
@@ -884,6 +913,8 @@ pub fn intern(s: &str) -> &'static str {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     type Engine = (u64, f64, bool, String);
@@ -1046,11 +1077,47 @@ mod tests {
         assert!(a.diff(&a).to_string().contains("identical"));
     }
 
+    /// The bytewise loop the slicing kernel replaced: the reference it
+    /// must match on every length and alignment.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_byte(c, b)) ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
-        // The classic IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        // Check values from zlib's crc32 (the classic IEEE check value is
+        // "123456789"). The long inputs cross the 16-byte blocks.
+        let ramp: Vec<u8> = (0..4).flat_map(|_| 0..=255u8).collect();
+        let cases: [(&[u8], u32); 7] = [
+            (b"", 0),
+            (b"a", 0xE8B7_BE43),
+            (b"123456789", 0xCBF4_3926),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+            (&[0; 32], 0x190A_55AD),
+            (&[0xFF; 32], 0xFF6C_AB0B),
+            (&ramp, 0xB70B_4C26),
+        ];
+        for (input, want) in cases {
+            assert_eq!(crc32(input), want, "{} bytes", input.len());
+            assert_eq!(crc32_bytewise(input), want, "{} bytes", input.len());
+        }
+    }
+
+    proptest! {
+        /// The slicing kernel equals the bytewise reference at every
+        /// start offset within a block and every length up to 300, so
+        /// every tail length and unaligned start is covered.
+        #[test]
+        fn crc32_matches_bytewise_reference(
+            buf in proptest::collection::vec(any::<u8>(), 316),
+        ) {
+            for start in 0..16 {
+                for len in 0..=300 {
+                    let bytes = &buf[start..start + len];
+                    prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+                }
+            }
+        }
     }
 
     #[test]
