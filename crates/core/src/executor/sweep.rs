@@ -25,6 +25,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use cocoa_sim::snapshot::SnapshotError;
 use cocoa_sim::telemetry::Telemetry;
 use cocoa_sim::time::{SimDuration, SimTime};
 
@@ -84,8 +85,10 @@ struct Checkpointer {
 }
 
 impl Checkpointer {
-    fn state_of(&self, index: usize) -> PointState {
-        self.manifest.lock().expect("manifest lock poisoned").states[index].clone()
+    /// The point's fingerprint and current state.
+    fn point(&self, index: usize) -> (u64, PointState) {
+        let m = self.manifest.lock().expect("manifest lock poisoned");
+        (m.fingerprints[index], m.states[index].clone())
     }
 
     fn inflight(&self, index: usize, snapshot: Vec<u8>) {
@@ -192,21 +195,39 @@ fn run_point(
     if let Err(detail) = scenario.validate() {
         return Err(JobFailure::Validation { detail });
     }
-    let mut run = match ckpt.state_of(index) {
+    let (fingerprint, state) = ckpt.point(index);
+    let mut run = match state {
         PointState::Completed(metrics) => {
             ckpt.points_skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(*metrics);
         }
-        PointState::InFlight(snapshot) => match SimRun::resume(&snapshot) {
-            Ok(run) => run,
-            Err(e) => {
-                // Degrade, don't die: a torn in-flight snapshot costs a
-                // cold restart of this one point, not the sweep.
-                ckpt.snapshots_corrupt.fetch_add(1, Ordering::Relaxed);
-                eprintln!("warning: point {index}: in-flight snapshot unusable ({e}); restarting");
-                SimRun::new(scenario, Telemetry::off())
+        PointState::InFlight(snapshot) => {
+            // The manifest's fingerprints guard its list of points, not
+            // the snapshots inside it: the resumed run must hold this
+            // point's scenario, not another's.
+            let resumed = SimRun::resume(&snapshot).and_then(|run| {
+                if scenario_fingerprint(run.scenario()) == fingerprint {
+                    Ok(run)
+                } else {
+                    Err(SnapshotError::Malformed {
+                        context: "snapshot holds another point's scenario".to_string(),
+                    })
+                }
+            });
+            match resumed {
+                Ok(run) => run,
+                Err(e) => {
+                    // Degrade, don't die: a torn or foreign in-flight
+                    // snapshot costs a cold restart of this one point, not
+                    // the sweep.
+                    ckpt.snapshots_corrupt.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "warning: point {index}: in-flight snapshot unusable ({e}); restarting"
+                    );
+                    SimRun::new(scenario, Telemetry::off())
+                }
             }
-        },
+        }
         PointState::Pending => SimRun::new(scenario, Telemetry::off()),
     };
     if let Some(every) = every {

@@ -21,6 +21,7 @@ use cocoa_core::runner::{run, SimRun};
 use cocoa_core::scenario::Scenario;
 use cocoa_core::world::checkpoint::scenario_fingerprint;
 use cocoa_multicast::protocol::MulticastProtocol;
+use cocoa_sim::snapshot::Snapshot;
 use cocoa_sim::telemetry::Telemetry;
 use cocoa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -161,6 +162,41 @@ fn interrupted_sweep_resumes_byte_identical() {
     }
 }
 
+/// The manifest's fingerprints guard its list of points, not the
+/// snapshots inside it. An in-flight snapshot holding another point's
+/// scenario is unusable: the point restarts cold instead of returning
+/// the other point's metrics as its own.
+#[test]
+fn foreign_inflight_snapshot_restarts_cold() {
+    let scenarios = vec![
+        scenario(11, 10, MulticastProtocol::Mrmm),
+        scenario(12, 15, MulticastProtocol::Mrmm),
+    ];
+    let golden: Vec<RunMetrics> = scenarios.iter().map(run).collect();
+
+    let fingerprints: Vec<u64> = scenarios.iter().map(scenario_fingerprint).collect();
+    let mut manifest = SweepManifest::new(fingerprints);
+    let mut foreign = SimRun::new(&scenarios[0], Telemetry::off());
+    foreign.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+    manifest.states[1] = PointState::InFlight(foreign.capture());
+    drop(foreign);
+    let path = temp_manifest("foreign");
+    manifest.store(&path).expect("manifest store");
+
+    let cfg = SweepConfig {
+        manifest_path: Some(path.clone()),
+        ..SweepConfig::default()
+    };
+    let report = run_supervised(scenarios, &cfg);
+    std::fs::remove_file(&path).ok();
+    let report = report.expect("manifest should load");
+    assert!(report.is_clean());
+    assert_eq!(report.counters.snapshots_corrupt, 1);
+    for (i, golden) in golden.iter().enumerate() {
+        assert_eq!(metrics_of(&report, i), encode_metrics(golden), "point {i}");
+    }
+}
+
 /// Periodic in-flight checkpointing must not perturb the run: a sweep
 /// that snapshots every 10 simulated seconds produces the same bytes as
 /// a straight run. A sub-second interval, which can hold no event at
@@ -237,20 +273,26 @@ proptest! {
         prop_assert_eq!(decoded.encode(), bytes);
     }
 
-    /// Any bit flip in the CRC-guarded tail (section payload or checksum)
-    /// is rejected with a typed error, never a panic or silent corruption.
+    /// Any bit flip in the CRC-guarded tail (every byte of the `sweep`
+    /// section's payload and its checksum) is rejected with a typed
+    /// error, never a panic or silent corruption. The meta line before
+    /// it has no CRC.
     #[test]
     fn manifest_tail_bit_flips_are_rejected(
         fingerprints in proptest::collection::vec(any::<u64>(), 1..4),
         payload in proptest::collection::vec(any::<u8>(), 64..128),
-        back in 1usize..48,
         bit in 0u8..8,
     ) {
         let mut manifest = SweepManifest::new(fingerprints);
         manifest.states[0] = PointState::InFlight(payload);
-        let mut bytes = manifest.encode();
-        let pos = bytes.len() - back;
-        bytes[pos] ^= 1 << bit;
-        prop_assert!(SweepManifest::decode(&bytes).is_err());
+        let bytes = manifest.encode();
+        let snap = Snapshot::parse(&bytes).expect("own bytes parse");
+        prop_assert_eq!(snap.sections().len(), 1);
+        let guarded = snap.sections()[0].payload.len() + 4;
+        for pos in bytes.len() - guarded..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 1 << bit;
+            prop_assert!(SweepManifest::decode(&flipped).is_err(), "flip at {pos}");
+        }
     }
 }
