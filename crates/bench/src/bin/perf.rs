@@ -9,8 +9,9 @@
 //! Unlike the Criterion microbenchmarks this is a single fast pass (a few
 //! seconds end to end), intended as a regression tripwire: the JSON records
 //! ops/s for the naive and radial Bayesian grid updates (and their ratio),
-//! the dense and probing PDF-table lookups, and the wall time of the
-//! quick-scale Figure 7 comparison.
+//! the dense and probing PDF-table lookups, the wall time of the
+//! quick-scale Figure 7 comparison, and (in `BENCH_snapshot.json`) the
+//! snapshot CRC-32's throughput.
 //!
 //! The tripwire is armed by the regression gate
 //! (see [`cocoa_bench::regress`]):
@@ -43,6 +44,7 @@ use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
 use cocoa_sim::rng::SeedSplitter;
+use cocoa_sim::snapshot::crc32;
 use cocoa_sim::telemetry::Telemetry;
 use cocoa_sim::time::SimDuration;
 
@@ -293,6 +295,22 @@ fn main() -> ExitCode {
     let snap_speedup = snap_cold_secs / snap_warm_secs;
     let snapshot_bytes = SimRun::new(&scenarios[0], Telemetry::off()).capture().len();
 
+    // The section checksum behind every capture, manifest store and load:
+    // the median of nine passes over a fixed, deterministically filled
+    // 4 MiB buffer.
+    let crc_buf: Vec<u8> = (0u32..4 << 20)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect();
+    let mut crc_secs: Vec<f64> = (0..9)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(crc32(std::hint::black_box(&crc_buf)));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    crc_secs.sort_by(f64::total_cmp);
+    let crc32_mb_per_sec = crc_buf.len() as f64 / crc_secs[crc_secs.len() / 2] / 1e6;
+
     // Serve round trip: an in-process `cocoa-serve` server on an
     // ephemeral port, timed through the bundled HTTP client (the exact
     // `--submit` code path). Cold executes the run; an identical
@@ -374,6 +392,7 @@ fn main() -> ExitCode {
         "shared calibration:    cold {snap_cold_secs:.2} s, warm {snap_warm_secs:.2} s \
          ({snap_speedup:.2}x, setup {snap_setup_secs:.3} s, snapshot {snapshot_bytes} B)"
     );
+    println!("crc32 (4 MiB):         {crc32_mb_per_sec:.0} MB/s");
     println!(
         "serve round trip:      cold {serve_cold_secs:.3} s, cached {serve_cached_secs:.4} s \
          ({serve_cache_speedup:.0}x), warm {serve_warm_secs:.3} s"
@@ -406,6 +425,7 @@ fn main() -> ExitCode {
          \"cold_wall_secs\": {snap_cold_secs:.3},\n  \
          \"warm_wall_secs\": {snap_warm_secs:.3},\n  \
          \"warm_speedup\": {snap_speedup:.2},\n  \
+         \"crc32_mb_per_sec\": {crc32_mb_per_sec:.1},\n  \
          \"bit_identical\": true\n}}\n",
         scenarios.len(),
         snap_scale.duration.as_secs_f64(),

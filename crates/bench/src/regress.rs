@@ -94,11 +94,13 @@ pub const SPECS: &[MetricSpec] = &[
     spec("estimator_ekf_chaos_outliers_rejected", Informational, 0.0),
     spec("estimator_quick_wall_secs", LowerIsBetter, 1.0),
     // --- BENCH_snapshot.json: the Fig. 9 family cold vs on one shared
-    // calibration, and the size of a time-zero capture ---
+    // calibration, the size of a time-zero capture, and the section
+    // CRC's throughput (a return to a bytewise loop is −80%) ---
     spec("snapshot_bytes", LowerIsBetter, 0.02),
     spec("cold_wall_secs", LowerIsBetter, 1.0),
     spec("warm_wall_secs", LowerIsBetter, 1.0),
     spec("warm_speedup", HigherIsBetter, 0.35),
+    spec("crc32_mb_per_sec", HigherIsBetter, 0.5),
     // Booleans map to 1.0/0.0; zero tolerance means any `false` against a
     // `true` baseline fails — runs on a shared calibration matching cold
     // runs bit for bit is an invariant, not a performance number.
