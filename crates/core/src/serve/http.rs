@@ -41,7 +41,7 @@ impl From<String> for ReadError {
 
 /// One `read` call, with an expired read timeout (`WouldBlock` on Unix,
 /// `TimedOut` on Windows) told apart from every other failure.
-fn read_some(stream: &mut TcpStream, chunk: &mut [u8], what: &str) -> Result<usize, ReadError> {
+fn read_some(stream: &mut impl Read, chunk: &mut [u8], what: &str) -> Result<usize, ReadError> {
     stream.read(chunk).map_err(|e| match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => ReadError::TimedOut,
         _ => ReadError::Malformed(format!("{what}: {e}")),
@@ -55,9 +55,11 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Reads one request off the stream. Blocking; the caller owns
-/// timeouts via `TcpStream::set_read_timeout`, and an expired one
-/// surfaces as [`ReadError::TimedOut`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
+/// timeouts (via `TcpStream::set_read_timeout` in the server), and an
+/// expired one surfaces as [`ReadError::TimedOut`]. A head is refused
+/// once it passes `MAX_HEAD` (at most one 4 KiB chunk later), and a
+/// `Content-Length` above `MAX_BODY` before any body is read.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, ReadError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_len = loop {
@@ -173,6 +175,8 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io;
 
     #[test]
     fn hex_round_trips() {
@@ -187,5 +191,157 @@ mod tests {
     fn head_end_finds_the_terminator() {
         assert_eq!(head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
         assert_eq!(head_end(b"GET / HTTP/1.1\r\n"), None);
+    }
+
+    /// Counts the bytes and `read` calls that pass through to `inner`.
+    struct Counted<R> {
+        inner: R,
+        bytes: usize,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes += n;
+            self.reads += 1;
+            Ok(n)
+        }
+    }
+
+    fn counted<R: Read>(inner: R) -> Counted<R> {
+        Counted {
+            inner,
+            bytes: 0,
+            reads: 0,
+        }
+    }
+
+    fn post_head(content_length: &str) -> Vec<u8> {
+        format!("POST /v1/runs HTTP/1.1\r\nHost: x\r\nContent-Length: {content_length}\r\n\r\n")
+            .into_bytes()
+    }
+
+    fn malformed(result: Result<Request, ReadError>) -> String {
+        match result.err() {
+            Some(ReadError::Malformed(detail)) => detail,
+            other => panic!("expected a malformed request, got {other:?}"),
+        }
+    }
+
+    /// Pieces a request head is made of, plus arbitrary bytes between them.
+    fn fragment() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 1..8),
+            Just(b" ".to_vec()),
+            Just(b":".to_vec()),
+            Just(b"\r\n".to_vec()),
+            Just(b"\r\n\r\n".to_vec()),
+            Just(b"GET /v1/stats HTTP/1.1".to_vec()),
+            Just(b"Content-Length: ".to_vec()),
+            Just(b"content-length:".to_vec()),
+            (0u32..40).prop_map(|n| n.to_string().into_bytes()),
+        ]
+    }
+
+    fn content_length() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0usize..64).prop_map(|n| n.to_string()),
+            Just((MAX_BODY + 1).to_string()),
+            Just("18446744073709551616".to_string()),
+            Just("-1".to_string()),
+            Just("12abc".to_string()),
+            Just(String::new()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            pieces in proptest::collection::vec(fragment(), 0..24),
+        ) {
+            let wire = pieces.concat();
+            if let Ok(request) = read_request(&mut wire.as_slice()) {
+                prop_assert!(!request.method.is_empty() && !request.path.is_empty());
+                let head_len = head_end(&wire).expect("a request has a head");
+                prop_assert!(wire[head_len + 4..].starts_with(&request.body));
+            }
+        }
+
+        #[test]
+        fn a_request_carries_exactly_its_content_length(
+            length in content_length(),
+            body in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let mut wire = post_head(&length);
+            wire.extend_from_slice(&body);
+            match (read_request(&mut wire.as_slice()), length.parse::<usize>()) {
+                (Ok(request), Ok(n)) => {
+                    prop_assert_eq!(request.method.as_str(), "POST");
+                    prop_assert_eq!(request.path.as_str(), "/v1/runs");
+                    prop_assert_eq!(request.body.as_slice(), &body[..n]);
+                }
+                (Ok(_), Err(_)) => panic!("Content-Length {length:?} was accepted"),
+                (Err(_), Ok(n)) => prop_assert!(n > MAX_BODY || n > body.len()),
+                (Err(_), Err(_)) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn an_endless_head_is_refused_within_its_bound() {
+        let mut endless = counted(io::repeat(b'a'));
+        let detail = malformed(read_request(&mut endless));
+        assert_eq!(detail, "request head too large");
+        assert!(
+            endless.bytes <= MAX_HEAD + 4096,
+            "read {} bytes",
+            endless.bytes
+        );
+    }
+
+    #[test]
+    fn an_oversized_content_length_is_refused_before_the_body() {
+        let head = post_head(&(MAX_BODY + 1).to_string());
+        let mut wire = counted(io::Cursor::new(head.clone()).chain(io::repeat(b'x')));
+        let detail = malformed(read_request(&mut wire));
+        assert!(detail.contains("too large"), "{detail}");
+        assert_eq!((wire.reads, wire.bytes), (1, head.len()));
+    }
+
+    #[test]
+    fn an_endless_body_yields_exactly_its_content_length() {
+        let head = post_head("10000");
+        let mut wire = counted(io::Cursor::new(head.clone()).chain(io::repeat(b'x')));
+        let Ok(request) = read_request(&mut wire) else {
+            panic!("the request must read");
+        };
+        assert_eq!(request.body, vec![b'x'; 10_000]);
+        assert!(
+            wire.bytes <= head.len() + 10_000 + 4096,
+            "read {} bytes",
+            wire.bytes
+        );
+    }
+
+    #[test]
+    fn a_stalled_peer_times_out() {
+        struct Stalled;
+        impl Read for Stalled {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::from(ErrorKind::WouldBlock))
+            }
+        }
+        assert!(matches!(
+            read_request(&mut Stalled),
+            Err(ReadError::TimedOut)
+        ));
+        let mut mid_body = io::Cursor::new(post_head("5")).chain(Stalled);
+        assert!(matches!(
+            read_request(&mut mid_body),
+            Err(ReadError::TimedOut)
+        ));
     }
 }
