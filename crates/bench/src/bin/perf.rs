@@ -192,9 +192,7 @@ fn main() -> ExitCode {
     let simd_speedup = kernel_simd / kernel_scalar;
 
     // Window-level: 4 beacons applied sequentially (one posterior
-    // load/store + renormalize each) vs one fused batch.
-    let constraints: Vec<(Point, &RadialProfile)> =
-        beacons.iter().map(|&b| (b, &profile)).collect();
+    // load/store + renormalize each).
     let mut g_seq = PositionGrid::new(grid_cfg);
     let window_sequential = ops_per_sec(|| {
         g_seq.reset_uniform();
@@ -202,12 +200,6 @@ fn main() -> ExitCode {
             g_seq.apply_radial_constraint(b, &profile);
         }
     });
-    let mut g_fused = PositionGrid::new(grid_cfg);
-    let window_fused = ops_per_sec(|| {
-        g_fused.reset_uniform();
-        g_fused.apply_fused_radial_constraints(&constraints);
-    });
-    let fused_speedup = window_fused / window_sequential;
 
     let dense_cells_per_window = 4 * PositionGrid::new(grid_cfg).num_cells();
 
@@ -368,11 +360,7 @@ fn main() -> ExitCode {
         "grid kernel (simd):    {}  ({simd_speedup:.2}x)",
         fmt_ops(kernel_simd)
     );
-    println!(
-        "grid window (fused):   {} vs sequential {}  ({fused_speedup:.2}x)",
-        fmt_ops(window_fused),
-        fmt_ops(window_sequential)
-    );
+    println!("grid window (4 seq):   {}", fmt_ops(window_sequential));
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
     println!("pdf lookup (probing):  {}", fmt_ops(lookup_probing));
     println!("fig7 quick scale:      {fig7_secs:.2} s");
@@ -406,8 +394,6 @@ fn main() -> ExitCode {
          \"grid_kernel_simd_ops_per_sec\": {kernel_simd:.1},\n  \
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
-         \"grid_window_fused_ops_per_sec\": {window_fused:.1},\n  \
-         \"grid_update_fused_speedup\": {fused_speedup:.2},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
          \"pdf_lookup_dense_ops_per_sec\": {lookup_dense:.1},\n  \
          \"pdf_lookup_probing_ops_per_sec\": {lookup_probing:.1},\n  \

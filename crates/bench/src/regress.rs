@@ -70,14 +70,12 @@ pub const SPECS: &[MetricSpec] = &[
     spec("grid_kernel_scalar_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_kernel_simd_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_window_sequential_ops_per_sec", HigherIsBetter, 0.5),
-    spec("grid_window_fused_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_dense_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_probing_ops_per_sec", HigherIsBetter, 0.5),
     // --- BENCH_grid.json: relative speedups (ratios of two timings taken
     // back to back on the same machine, so noise partially cancels) ---
     spec("grid_update_radial_speedup", HigherIsBetter, 0.35),
     spec("grid_update_simd_speedup", HigherIsBetter, 0.35),
-    spec("grid_update_fused_speedup", HigherIsBetter, 0.35),
     // --- BENCH_grid.json: deterministic shape ---
     spec("grid_dense_cells_per_window", LowerIsBetter, 0.01),
     spec("fig7_quick_wall_secs", LowerIsBetter, 1.0),

@@ -145,7 +145,7 @@ fn summary(trace: &TraceFile) {
     println!("counters        {}", trace.counters.len());
     println!("spans           {}", trace.spans.len());
     println!("histograms      {}", trace.hists.len());
-    // One-line grid-kernel digest: single vs fused updates and their cost.
+    // One-line grid-kernel digest: lane-kernel updates and their cost.
     let grid = |name: &str| {
         trace
             .counters
@@ -153,20 +153,10 @@ fn summary(trace: &TraceFile) {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
-    let variants: Vec<String> = [("simd", "grid.kernel.simd"), ("fused", "grid.kernel.fused")]
-        .iter()
-        .filter_map(|(short, name)| {
-            let v = grid(name);
-            (v > 0).then(|| format!("{short}={v}"))
-        })
-        .collect();
-    if !variants.is_empty() {
-        println!("grid kernels    {}", variants.join(" "));
+    let simd = grid("grid.kernel.simd");
+    if simd > 0 {
+        println!("grid kernels    simd={simd}");
         println!("grid cells      {}", grid("grid.cells_touched"));
-        let fused = grid("grid.fused_windows");
-        if fused > 0 {
-            println!("grid fused wins {fused}");
-        }
     }
     // One-line estimator digest: which RF backend ran and how its windows
     // resolved (`estimator.<backend>.*` is emitted by every counter run).

@@ -274,9 +274,6 @@ pub static KNOBS: &[Knob] = &[
     knob("grid_m", "--grid", "METRES", "4.0", "Bayesian grid resolution",
         |d, v| ok(d.builder.grid_resolution(v.num()?)),
         |r| lit(r.scenario.grid_resolution_m)),
-    knob("grid_fused", "--grid-fused", "", "true",
-        "commit each transmit window's beacons as one fused grid pass",
-        |d, v| ok(d.builder.grid_fused(v.switch()?)), |r| lit(r.scenario.grid_fused)),
     knob("snapshot_s", "--snapshot", "SECS", "100",
         "record a per-robot CDF snapshot (the flag repeats)",
         |d, v| { d.snapshots.push(SimTime::from_micros(v.micros()?)); Ok(()) },

@@ -79,7 +79,7 @@ pub mod prelude {
         TrafficStats,
     };
     pub use crate::robot::Robot;
-    pub use crate::runner::{run, run_traced, run_with_telemetry};
+    pub use crate::runner::{run, run_with_telemetry};
     pub use crate::scenario::{Scenario, ScenarioBuilder};
     pub use crate::serve::{parse_spec, request_fingerprint, ServeConfig, ServeRequest, Server};
     pub use crate::sync::{DriftingClock, SyncMessage};

@@ -6,4 +6,4 @@
 //! lives in [`crate::world`]; see that module's docs for the map.
 
 pub use crate::world::checkpoint::{scenario_fingerprint, SimRun};
-pub use crate::world::{run, run_traced, run_with_telemetry, Calibration};
+pub use crate::world::{run, run_with_telemetry, Calibration};

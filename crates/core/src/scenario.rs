@@ -125,12 +125,6 @@ pub struct Scenario {
     /// from our reference estimate disagrees with the RSSI-implied
     /// distance by more than this. `0.0` disables the gate.
     pub outlier_gate_m: f64,
-    /// Batch every beacon of a transmit window into one pass over the
-    /// Bayesian posterior (one renormalize per window instead of one per
-    /// beacon). Off by default; the unfused update reproduces the
-    /// reference posterior bit for bit.
-    #[serde(default)]
-    pub grid_fused: bool,
 }
 
 impl Scenario {
@@ -318,7 +312,6 @@ impl Default for ScenarioBuilder {
                 failover_missed_periods: 3,
                 entropy_watchdog_frac: 0.98,
                 outlier_gate_m: 80.0,
-                grid_fused: false,
             },
         }
     }
@@ -510,12 +503,6 @@ impl ScenarioBuilder {
     /// Sets the outlier beacon gate in metres (`0.0` disables).
     pub fn outlier_gate_m(&mut self, gate: f64) -> &mut Self {
         self.scenario.outlier_gate_m = gate;
-        self
-    }
-
-    /// Enables/disables fused (whole-window) beacon batching.
-    pub fn grid_fused(&mut self, fused: bool) -> &mut Self {
-        self.scenario.grid_fused = fused;
         self
     }
 

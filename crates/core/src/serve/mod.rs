@@ -2,7 +2,7 @@
 //!
 //! A long-lived process that accepts scenario specs over a tiny
 //! dependency-free HTTP/1.1 subset (see [`http`](self)), runs each one
-//! under the supervised executor, and streams the full schema-v1
+//! under the supervised executor, and streams the full schema-v2
 //! telemetry JSONL plus the final byte-exact metrics back. Three
 //! properties shape the design:
 //!

@@ -134,6 +134,7 @@ mod tests {
             "{\"grid_kernel\": \"scalar\"}",
             "{\"grid_precision\": \"f32\"}",
             "{\"grid_adaptive\": true}",
+            "{\"grid_fused\": true}",
         ] {
             assert!(parse_spec(retired).is_err(), "{retired} is no longer a key");
         }
@@ -184,10 +185,10 @@ mod tests {
         assert_eq!(
             pinned,
             [
-                "9cd7f5fa3495f7ac",
-                "11742ba8002c3776",
-                "67a2eb43fda3d9c7",
-                "5ce9b696933788eb"
+                "9d0ad312443e887a",
+                "74fa3793d1328d2d",
+                "3b9d695e4ee1b266",
+                "424f98bba04c16c2"
             ]
         );
     }

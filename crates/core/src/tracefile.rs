@@ -303,7 +303,6 @@ pub const KNOWN_EVENT_KINDS: &[&str] = &[
     "team_sample",
     "snapshot_taken",
     "snapshot_restored",
-    "legacy",
 ];
 
 /// A fully parsed telemetry trace.
@@ -801,24 +800,30 @@ mod tests {
         assert!(err.contains("before meta"), "{err}");
         // Unknown kind.
         let err = TraceFile::parse(
-            "{\"kind\":\"meta\",\"schema\":1,\"level\":\"full\",\"events\":0,\"dropped\":0}\n{\"kind\":\"bogus\",\"seq\":0,\"t_us\":0}\n",
+            "{\"kind\":\"meta\",\"schema\":2,\"level\":\"full\",\"events\":0,\"dropped\":0}\n{\"kind\":\"bogus\",\"seq\":0,\"t_us\":0}\n",
         )
         .unwrap_err();
         assert!(err.contains("unknown kind"), "{err}");
         // Decreasing seq.
         let err = TraceFile::parse(
-            "{\"kind\":\"meta\",\"schema\":1,\"level\":\"full\",\"events\":2,\"dropped\":0}\n\
+            "{\"kind\":\"meta\",\"schema\":2,\"level\":\"full\",\"events\":2,\"dropped\":0}\n\
              {\"kind\":\"window_start\",\"seq\":1,\"t_us\":0,\"window\":0}\n\
              {\"kind\":\"window_start\",\"seq\":0,\"t_us\":0,\"window\":1}\n",
         )
         .unwrap_err();
         assert!(err.contains("not increasing"), "{err}");
-        // Unsupported schema.
-        let err = TraceFile::parse(
-            "{\"kind\":\"meta\",\"schema\":99,\"level\":\"full\",\"events\":0,\"dropped\":0}\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("unsupported schema"), "{err}");
+        // Unsupported schemas: a future one, and schema 1, whose traces
+        // carried `legacy` string events.
+        for schema in [99, 1] {
+            let err = TraceFile::parse(&format!(
+                "{{\"kind\":\"meta\",\"schema\":{schema},\"level\":\"full\",\"events\":0,\"dropped\":0}}\n"
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported schema {schema}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -857,7 +862,7 @@ mod tests {
 
     #[test]
     fn malformed_hist_buckets_are_rejected() {
-        let text = "{\"kind\":\"meta\",\"schema\":1,\"level\":\"counters\",\"events\":0,\"dropped\":0}\n\
+        let text = "{\"kind\":\"meta\",\"schema\":2,\"level\":\"counters\",\"events\":0,\"dropped\":0}\n\
                     {\"kind\":\"hist\",\"name\":\"x\",\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"wall\":false,\"buckets\":\"7\"}\n";
         let err = TraceFile::parse(text).unwrap_err();
         assert!(err.contains("malformed bucket pair"), "{err}");

@@ -51,7 +51,6 @@ use cocoa_net::geometry::{Area, Point};
 use cocoa_net::mac::{Medium, MediumState, TxId};
 use cocoa_net::packet::{NodeId, Packet, Payload};
 use cocoa_net::radio::{Radio, RadioCheckpoint};
-use cocoa_net::rssi::RssiBin;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::event::EventQueue;
 use cocoa_sim::faults::{Fault, FaultEvent, FaultPlan, GilbertElliott, GilbertElliottLink};
@@ -63,7 +62,6 @@ use cocoa_sim::telemetry::{
     SpanStart, Telemetry, TelemetryCheckpoint, TelemetryEvent, TelemetryLevel,
 };
 use cocoa_sim::time::{SimDuration, SimTime};
-use cocoa_sim::trace::TraceLevel;
 
 use crate::health::{DegradationState, HealthLedger};
 use crate::metrics::{
@@ -117,7 +115,6 @@ const TELEMETRY_LEVELS: [TelemetryLevel; 4] = [
     TelemetryLevel::Timeline,
     TelemetryLevel::Full,
 ];
-const TRACE_LEVELS: [TraceLevel; 3] = [TraceLevel::Debug, TraceLevel::Info, TraceLevel::Warn];
 
 const GILBERT: GilbertElliott = GilbertElliott {
     p_enter_bad: 0.0,
@@ -194,11 +191,8 @@ static EVENTS: [Event; 12] = [
 static BACKENDS: [BackendCheckpoint; 3] = [
     BackendCheckpoint::Bayes {
         posterior_cells: Vec::new(),
-        pending: Vec::new(),
         grid_stats: GridStats {
             kernel_simd: 0,
-            kernel_fused: 0,
-            fused_windows: 0,
             cells_touched: 0,
         },
         beacons_applied: 0,
@@ -221,7 +215,7 @@ static BACKENDS: [BackendCheckpoint; 3] = [
     },
 ];
 
-static TELEMETRY_EVENTS: [TelemetryEvent; 19] = [
+static TELEMETRY_EVENTS: [TelemetryEvent; 18] = [
     TelemetryEvent::WindowStart { window: 0 },
     TelemetryEvent::BeaconTx {
         robot: 0,
@@ -300,11 +294,6 @@ static TELEMETRY_EVENTS: [TelemetryEvent; 19] = [
         sections: 0,
     },
     TelemetryEvent::SnapshotRestored { bytes: 0 },
-    TelemetryEvent::Legacy {
-        level: TraceLevel::Debug,
-        subsystem: "",
-        message: String::new(),
-    },
 ];
 
 // ---------------------------------------------------------------------------
@@ -599,8 +588,7 @@ fn scenario_section(c: &mut impl Codec, s: &mut Scenario) -> Result<(), Snapshot
     fault_plan(c, &mut s.faults)?;
     c.u32(&mut s.failover_missed_periods)?;
     c.f64(&mut s.entropy_watchdog_frac)?;
-    c.f64(&mut s.outlier_gate_m)?;
-    c.bool(&mut s.grid_fused)
+    c.f64(&mut s.outlier_gate_m)
 }
 
 fn encode_scenario(s: &Scenario) -> Vec<u8> {
@@ -847,7 +835,6 @@ fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), Snap
     match &mut e.backend {
         BackendCheckpoint::Bayes {
             posterior_cells,
-            pending,
             grid_stats,
             beacons_applied,
             beacons_seen,
@@ -855,21 +842,7 @@ fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), Snap
             c.vec(posterior_cells, Codec::f64)?;
             c.u32(beacons_applied)?;
             c.u32(beacons_seen)?;
-            c.vec(pending, |c, (anchor, bin)| {
-                point(c, anchor)?;
-                c.via(
-                    bin,
-                    |b| b.0 as u16 as u32,
-                    Codec::u32,
-                    |v| Ok(RssiBin(v as u16 as i16)),
-                )
-            })?;
-            c.u64s([
-                &mut grid_stats.kernel_simd,
-                &mut grid_stats.kernel_fused,
-                &mut grid_stats.fused_windows,
-                &mut grid_stats.cells_touched,
-            ])
+            c.u64s([&mut grid_stats.kernel_simd, &mut grid_stats.cells_touched])
         }
         BackendCheckpoint::Lateration { ranges } => c.vec(ranges, |c, obs| {
             point(c, &mut obs.anchor)?;
@@ -1040,11 +1013,7 @@ fn restore_estimator(
     };
     same_setting("estimator backend", e.backend.algorithm(), s.rf_algorithm)?;
     same_setting("posterior cell count", cells, nx * ny)?;
-    Ok(WindowedRfEstimator::from_checkpoint_fused(
-        grid,
-        s.grid_fused,
-        e,
-    ))
+    Ok(WindowedRfEstimator::from_checkpoint(grid, e))
 }
 
 fn robots_section(
@@ -1201,15 +1170,6 @@ fn telemetry_event(c: &mut impl Codec, e: &mut TelemetryEvent) -> Result<(), Sna
             c.u32(sections)
         }
         TelemetryEvent::SnapshotRestored { bytes } => c.u64(bytes),
-        TelemetryEvent::Legacy {
-            level,
-            subsystem,
-            message,
-        } => {
-            c.tag(&TRACE_LEVELS, level, "trace level")?;
-            c.name(subsystem)?;
-            c.string(message)
-        }
     }
 }
 
@@ -1561,16 +1521,11 @@ mod tests {
     fn arb_backend() -> impl Strategy<Value = BackendCheckpoint> {
         let bayes = (
             proptest::collection::vec(0.0f64..1.0, 0..64),
-            proptest::collection::vec(
-                (arb_point(), -120i16..0).prop_map(|(p, b)| (p, RssiBin(b))),
-                0..4,
-            ),
             any::<u8>(),
             any::<u8>(),
         )
-            .prop_map(|(cells, pending, applied, seen)| BackendCheckpoint::Bayes {
+            .prop_map(|(cells, applied, seen)| BackendCheckpoint::Bayes {
                 posterior_cells: cells,
-                pending,
                 grid_stats: GridStats::default(),
                 beacons_applied: u32::from(applied),
                 beacons_seen: u32::from(seen),
@@ -1676,7 +1631,6 @@ mod tests {
             failover_missed_periods: _,
             entropy_watchdog_frac: _,
             outlier_gate_m: _,
-            grid_fused: _,
             // Explicit entries.
             area: _,
             channel: _,
@@ -1786,10 +1740,6 @@ mod tests {
                 TelemetryLevel::Full
             ]
         );
-        assert_eq!(
-            TRACE_LEVELS,
-            [TraceLevel::Debug, TraceLevel::Info, TraceLevel::Warn]
-        );
     }
 
     /// Persisted `--state-dir` jobs and sweep manifests are keyed by these
@@ -1805,7 +1755,7 @@ mod tests {
             scenario_fingerprint(&template),
         ]
         .map(|fp| format!("{fp:016x}"));
-        assert_eq!(pinned, ["d6c66ec1000001a2", "c7509b99000001a2"]);
+        assert_eq!(pinned, ["ac1cb3b7000001a1", "3be2b76c000001a1"]);
     }
 
     /// The codec version participates in the hash, so fingerprints from
@@ -1847,7 +1797,6 @@ mod tests {
             .robots(8)
             .equipped(4)
             .grid_resolution(4.0)
-            .grid_fused(true)
             .build();
         assert!(calibration.fits(&base));
         assert!(calibration.fits(&same_inputs));

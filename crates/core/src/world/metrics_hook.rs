@@ -263,7 +263,7 @@ pub(crate) fn finalize(
         );
         t.absorb("robustness.flat_posteriors", ro.flat_posteriors);
         // Grid kernel accounting: only counters that actually fired are
-        // emitted, so an unfused run carries no `grid.*fused*` rows.
+        // emitted, so a gridless run carries no `grid.*` rows.
         let mut gs = cocoa_localization::bayes::GridStats::default();
         for r in &world.robots {
             if let Some(rf) = r.rf.as_ref() {
@@ -272,8 +272,6 @@ pub(crate) fn finalize(
         }
         for (name, value) in [
             ("grid.kernel.simd", gs.kernel_simd),
-            ("grid.kernel.fused", gs.kernel_fused),
-            ("grid.fused_windows", gs.fused_windows),
             ("grid.cells_touched", gs.cells_touched),
         ] {
             if value > 0 {
@@ -337,13 +335,6 @@ pub(crate) fn finalize(
         t.absorb("radio.wakes", wakes);
         t.absorb("radio.packets_sent", sent);
         t.absorb("radio.packets_received", received);
-        // The legacy string trace reports its ring-buffer drops here too,
-        // so a bounded trace never evicts silently.
-        if let Some(trace) = t.legacy_trace() {
-            let (emitted, dropped) = (trace.emitted(), trace.dropped());
-            t.absorb("trace.emitted", emitted);
-            t.absorb("trace.dropped", dropped);
-        }
         let (emitted, dropped) = (t.events_emitted(), t.dropped_events());
         t.absorb("telemetry.events_emitted", emitted);
         t.absorb("telemetry.events_dropped", dropped);

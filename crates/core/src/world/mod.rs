@@ -24,7 +24,7 @@
 //!
 //! This file owns setup and teardown: scenario validation, the shared
 //! [`Calibration`], team construction, the initial schedule, and the
-//! public entry points [`run`], [`run_traced`] and [`run_with_telemetry`].
+//! public entry points [`run`] and [`run_with_telemetry`].
 
 pub(crate) mod beacon;
 pub mod checkpoint;
@@ -56,7 +56,6 @@ use cocoa_sim::faults::GilbertElliottLink;
 use cocoa_sim::rng::{DetRng, SeedSplitter};
 use cocoa_sim::telemetry::Telemetry;
 use cocoa_sim::time::{SimDuration, SimTime};
-use cocoa_sim::trace::Trace;
 
 use crate::health::{DegradationState, HealthMonitor};
 use crate::metrics::{ErrorPoint, ErrorSnapshot, RobustnessStats, RunMetrics, TrafficStats};
@@ -169,28 +168,6 @@ pub fn run(scenario: &Scenario) -> RunMetrics {
     run_with_telemetry(scenario, Telemetry::off()).0
 }
 
-/// Like [`run`], but records protocol milestones (window starts, fixes,
-/// starved windows, lost syncs) into the supplied [`Trace`] and returns it
-/// alongside the metrics. Use [`Trace::with_capacity`] to bound memory on
-/// long runs.
-///
-/// The string trace is the legacy observability surface; it now rides on
-/// the typed telemetry bus (see [`run_with_telemetry`]) as its legacy sink,
-/// so existing callers keep working unchanged.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-pub fn run_traced(scenario: &Scenario, trace: Trace) -> (RunMetrics, Trace) {
-    let mut telemetry = Telemetry::off();
-    telemetry.attach_legacy(trace);
-    let (metrics, mut telemetry) = run_with_telemetry(scenario, telemetry);
-    let trace = telemetry
-        .take_legacy()
-        .expect("legacy trace survives the run");
-    (metrics, trace)
-}
-
 /// Like [`run`], but records typed events, counters and span timings into
 /// the supplied [`Telemetry`] bus and returns it alongside the metrics.
 ///
@@ -276,10 +253,9 @@ pub(crate) fn setup_world(
             radio.set_state(SimTime::ZERO, PowerState::Off);
         }
         let rf = if !equipped && scenario.mode.uses_rf() {
-            Some(WindowedRfEstimator::with_fused(
+            Some(WindowedRfEstimator::with_algorithm(
                 GridConfig::new(scenario.area, scenario.grid_resolution_m),
                 scenario.rf_algorithm,
-                scenario.grid_fused,
             ))
         } else {
             None

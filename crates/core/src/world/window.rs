@@ -9,7 +9,6 @@ use cocoa_sim::dist::uniform;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::telemetry::TelemetryEvent;
 use cocoa_sim::time::{SimDuration, SimTime};
-use cocoa_sim::trace::TraceLevel;
 
 use crate::health::DegradationState;
 use crate::robot::FixAnchor;
@@ -30,11 +29,6 @@ pub(crate) fn window_start(
     world
         .telemetry
         .emit(now, TelemetryEvent::WindowStart { window: index });
-    world
-        .telemetry
-        .legacy(now, TraceLevel::Info, "coordinator", || {
-            format!("beacon period {index} starts")
-        });
     // Schedule the next period on the reference timeline.
     let next = world.window_start_time(index + 1);
     if next < engine.horizon() {
@@ -68,9 +62,6 @@ pub(crate) fn window_start(
                             new_sync: new_sync as u32,
                         },
                     );
-                    world.telemetry.legacy(now, TraceLevel::Info, "sync", || {
-                        format!("failover: robot {new_sync} elected as timebase")
-                    });
                 }
             }
         }
@@ -214,7 +205,7 @@ pub(crate) fn robot_window_end(
         if let Some(rf) = r.rf.as_mut() {
             let had_window = rf.in_window();
             let sp = world.telemetry.span_start();
-            let outcome = rf.end_window_guarded_with(watchdog, Some(&world.radial));
+            let outcome = rf.end_window_guarded(watchdog);
             world.telemetry.span_end(world.spans.grid_fix, sp);
             match outcome {
                 WindowOutcome::Fix(fix) => {
@@ -235,11 +226,6 @@ pub(crate) fn robot_window_end(
                             err_m: r.motion.true_position().distance_to(fix),
                         },
                     );
-                    world
-                        .telemetry
-                        .legacy(now, TraceLevel::Debug, "localization", || {
-                            format!("robot {} fixed at {} in window {window}", robot, fix)
-                        });
                     if mode == EstimatorMode::Cocoa {
                         // RF fixes position; heading is re-anchored from the
                         // displacement observed between consecutive fixes.
@@ -279,14 +265,6 @@ pub(crate) fn robot_window_end(
                             threshold,
                         },
                     );
-                    world
-                        .telemetry
-                        .legacy(now, TraceLevel::Warn, "localization", || {
-                            format!(
-                                "robot {robot} posterior too flat in window {window} \
-                                 (entropy {entropy:.2} > {threshold:.2}); keeping estimate"
-                            )
-                        });
                 }
                 WindowOutcome::NoFix => {
                     if had_window {
@@ -300,11 +278,6 @@ pub(crate) fn robot_window_end(
                                 window,
                             },
                         );
-                        world
-                            .telemetry
-                            .legacy(now, TraceLevel::Warn, "localization", || {
-                                format!("robot {robot} starved in window {window}")
-                            });
                     }
                 }
             }
@@ -349,9 +322,6 @@ pub(crate) fn robot_window_end(
                         window,
                     },
                 );
-                world.telemetry.legacy(now, TraceLevel::Warn, "sync", || {
-                    format!("robot {robot} missed SYNC in window {window}")
-                });
             }
         }
         // Sleep until the next window.

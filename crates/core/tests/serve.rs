@@ -206,31 +206,6 @@ fn reused_calibration_results_match_a_cold_local_run() {
 }
 
 #[test]
-fn fused_request_is_not_forked_from_its_unfused_family() {
-    let (server, addr) = start(ServeConfig {
-        quiet: true,
-        ..ServeConfig::default()
-    });
-    // Fusion is fixed when each robot's estimator is built, which happens
-    // per run, after the calibration: the fused request reuses the
-    // unfused request's calibration and must still match a local run.
-    let fused_spec = "{\"seed\": 11, \"robots\": 6, \"equipped\": 3, \"duration_s\": 120, \
-                      \"period_s\": 50, \"grid_fused\": true}";
-    let unfused = client::submit(&addr, SMALL_SPEC).expect("unfused submit");
-    let fused = client::submit(&addr, fused_spec).expect("fused submit");
-    assert_eq!(unfused.status, 200);
-    assert_eq!(fused.status, 200, "{}", fused.body_str());
-    let request = parse_spec(fused_spec).expect("spec parses");
-    let local_metrics = cocoa_core::runner::run(&request.scenario);
-    let wire_metrics = fused.metrics().expect("metrics decode");
-    assert_eq!(
-        encode_metrics(&wire_metrics),
-        encode_metrics(&local_metrics)
-    );
-    assert_eq!(counter(&server, "serve.warm_forks"), 1);
-}
-
-#[test]
 fn silent_client_cannot_stall_shutdown_drain() {
     let (server, addr) = start(ServeConfig {
         quiet: true,

@@ -491,20 +491,3 @@ fn golden_default_metrics_survive_the_world_refactor() {
         "default-path RunMetrics",
     );
 }
-
-#[test]
-fn legacy_trace_rides_the_bus_unchanged() {
-    // `run_traced` must keep producing the same string records whether or
-    // not it is re-routed through the telemetry bus internally.
-    use cocoa_sim::trace::{Trace, TraceLevel};
-    let s = faulty_scenario(13);
-    let trace_a = run_traced(&s, Trace::new(TraceLevel::Debug)).1;
-    let trace_b = run_traced(&s, Trace::new(TraceLevel::Debug)).1;
-    let lines = |tr: &Trace| -> Vec<String> {
-        tr.records()
-            .map(|r| format!("{} {} {}", r.time, r.subsystem, r.message))
-            .collect()
-    };
-    assert!(trace_a.emitted() > 0, "debug trace captures records");
-    assert_eq!(lines(&trace_a), lines(&trace_b));
-}

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
-use cocoa_net::rssi::{Dbm, RssiBin};
+use cocoa_net::rssi::Dbm;
 
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE};
 use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
@@ -68,10 +68,6 @@ pub trait RfBackend {
         rssi: Dbm,
     ) -> ObservationResult;
 
-    /// Commits beacons a fused backend recorded during the window in one
-    /// batched pass. A no-op for backends that apply beacons as they come.
-    fn flush_pending(&mut self, _radial: &RadialConstraintTable) {}
-
     /// The solver's position estimate at window end, if this window
     /// gathered enough evidence for one.
     fn estimate(&self) -> Option<Point>;
@@ -112,7 +108,7 @@ pub trait RfBackend {
         None
     }
 
-    /// Kernel and fusion accounting (the `grid.*` telemetry counters).
+    /// Kernel accounting (the `grid.*` telemetry counters).
     /// Zero for gridless backends.
     fn grid_stats(&self) -> GridStats {
         GridStats::default()
@@ -130,9 +126,7 @@ pub enum BackendCheckpoint {
     Bayes {
         /// Posterior cell probabilities.
         posterior_cells: Vec<f64>,
-        /// Recorded-but-unflushed fused beacons.
-        pending: Vec<(Point, RssiBin)>,
-        /// Kernel and fusion accounting.
+        /// Kernel accounting.
         grid_stats: GridStats,
         /// Beacons applied since the last window reset.
         beacons_applied: u32,
@@ -201,10 +195,6 @@ impl RfBackend for BayesianLocalizer {
         BayesianLocalizer::observe_beacon_radial(self, radial, beacon_pos, rssi)
     }
 
-    fn flush_pending(&mut self, radial: &RadialConstraintTable) {
-        BayesianLocalizer::flush_pending(self, radial);
-    }
-
     fn estimate(&self) -> Option<Point> {
         BayesianLocalizer::estimate(self)
     }
@@ -233,7 +223,6 @@ impl RfBackend for BayesianLocalizer {
     fn checkpoint(&self) -> BackendCheckpoint {
         BackendCheckpoint::Bayes {
             posterior_cells: self.grid().cells().to_vec(),
-            pending: self.pending().to_vec(),
             grid_stats: *BayesianLocalizer::grid_stats(self),
             beacons_applied: self.beacons_applied(),
             beacons_seen: self.beacons_seen(),

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
-use cocoa_net::rssi::{Dbm, RssiBin};
+use cocoa_net::rssi::Dbm;
 
 use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
 
@@ -84,16 +84,8 @@ pub enum ObservationResult {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BayesianLocalizer {
     grid: PositionGrid,
-    /// Batch every beacon of a transmit window into one pass over the
-    /// posterior (one renormalize per window instead of one per beacon).
-    fused: bool,
     beacons_applied: u32,
     beacons_seen: u32,
-    /// Beacons resolved but not yet multiplied in (fused mode only): the
-    /// claimed position and the already-resolved RSSI bin of each beacon of
-    /// the current window, flushed in one grid pass by
-    /// [`flush_pending`](Self::flush_pending).
-    pending: Vec<(Point, RssiBin)>,
     stats: GridStats,
 }
 
@@ -104,10 +96,6 @@ pub struct BayesianLocalizer {
 pub struct GridStats {
     /// Radial constraints applied one at a time through the lane kernel.
     pub kernel_simd: u64,
-    /// Radial constraints folded through fused window batches.
-    pub kernel_fused: u64,
-    /// Windows whose beacons were committed as one fused grid pass.
-    pub fused_windows: u64,
     /// Cells whose constraint weight was evaluated.
     pub cells_touched: u64,
 }
@@ -117,8 +105,6 @@ impl GridStats {
     /// per-robot stats into run-level counters).
     pub fn absorb(&mut self, other: &GridStats) {
         self.kernel_simd += other.kernel_simd;
-        self.kernel_fused += other.kernel_fused;
-        self.fused_windows += other.fused_windows;
         self.cells_touched += other.cells_touched;
     }
 }
@@ -127,19 +113,10 @@ impl BayesianLocalizer {
     /// Creates a localizer with a uniform prior over the area that applies
     /// each beacon as it arrives.
     pub fn new(config: GridConfig) -> Self {
-        Self::with_fused(config, false)
-    }
-
-    /// Creates a localizer that, when `fused`, batches each window's
-    /// beacons into one grid pass at
-    /// [`flush_pending`](Self::flush_pending).
-    pub fn with_fused(config: GridConfig, fused: bool) -> Self {
         BayesianLocalizer {
             grid: PositionGrid::new(config),
-            fused,
             beacons_applied: 0,
             beacons_seen: 0,
-            pending: Vec::new(),
             stats: GridStats::default(),
         }
     }
@@ -153,8 +130,7 @@ impl BayesianLocalizer {
     /// was heard at `rssi`.
     ///
     /// This is the generic (closure) path: the constraint is evaluated per
-    /// cell from the PDF table, and it is applied immediately even in fused
-    /// mode.
+    /// cell from the PDF table.
     pub fn observe_beacon(
         &mut self,
         table: &PdfTable,
@@ -175,13 +151,6 @@ impl BayesianLocalizer {
     /// comes from `radial`'s pre-sampled profile for the observed RSSI
     /// (same bin-fallback rule as [`PdfTable::lookup`]) and is applied
     /// through the lane kernel — no per-cell `exp`, no allocation.
-    ///
-    /// In **fused** mode the observation is only *recorded* (position +
-    /// resolved bin); the grid work happens in one batched pass at
-    /// [`flush_pending`](Self::flush_pending). `Applied` is then reported
-    /// optimistically — with the constraint floor baked into every profile
-    /// a fused batch cannot reject in practice, and the beacon counters
-    /// that gate [`estimate`](Self::estimate) are only advanced at flush.
     pub fn observe_beacon_radial(
         &mut self,
         radial: &RadialConstraintTable,
@@ -189,71 +158,13 @@ impl BayesianLocalizer {
         rssi: Dbm,
     ) -> ObservationResult {
         self.beacons_seen += 1;
-        if self.fused {
-            let Some(bin) = radial.resolve(rssi) else {
-                return ObservationResult::NoPdf;
-            };
-            self.pending.push((beacon_pos, bin));
-            return ObservationResult::Applied;
-        }
         let Some(profile) = radial.lookup(rssi) else {
             return ObservationResult::NoPdf;
         };
-        let outcome = self.apply_radial(beacon_pos, profile);
-        self.record(outcome)
-    }
-
-    /// Applies one radial constraint through the lane kernel, updating the
-    /// cost accounting.
-    fn apply_radial(
-        &mut self,
-        beacon_pos: Point,
-        profile: &cocoa_net::calibration::RadialProfile,
-    ) -> ConstraintOutcome {
         self.stats.cells_touched += self.grid.num_cells() as u64;
         self.stats.kernel_simd += 1;
-        self.grid.apply_radial_constraint(beacon_pos, profile)
-    }
-
-    /// Commits all recorded-but-unapplied beacons of a fused window in one
-    /// grid pass (one posterior load/store and one renormalize for the
-    /// whole batch), advancing the beacon counters. Returns the number of
-    /// beacons committed. A no-op outside fused mode or with nothing
-    /// pending.
-    ///
-    /// If the *batch* product is degenerate (requires non-finite profile
-    /// values — the floor rules out a zero total) the batch falls back to
-    /// sequential application so a single poisoned beacon cannot veto its
-    /// whole window.
-    pub fn flush_pending(&mut self, radial: &RadialConstraintTable) -> u32 {
-        if self.pending.is_empty() {
-            return 0;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let constraints: Vec<(Point, &cocoa_net::calibration::RadialProfile)> = pending
-            .iter()
-            .filter_map(|&(pos, bin)| radial.get(bin).map(|p| (pos, p)))
-            .collect();
-        let n = constraints.len() as u32;
-        match self.grid.apply_fused_radial_constraints(&constraints) {
-            ConstraintOutcome::Applied => {
-                self.stats.fused_windows += 1;
-                self.stats.kernel_fused += u64::from(n);
-                self.stats.cells_touched += u64::from(n) * self.grid.num_cells() as u64;
-                self.beacons_applied += n;
-                n
-            }
-            ConstraintOutcome::Rejected => {
-                let mut applied = 0;
-                for (pos, profile) in constraints {
-                    if self.apply_radial(pos, profile) == ConstraintOutcome::Applied {
-                        self.beacons_applied += 1;
-                        applied += 1;
-                    }
-                }
-                applied
-            }
-        }
+        let outcome = self.grid.apply_radial_constraint(beacon_pos, profile);
+        self.record(outcome)
     }
 
     fn record(&mut self, outcome: ConstraintOutcome) -> ObservationResult {
@@ -268,9 +179,6 @@ impl BayesianLocalizer {
 
     /// The position estimate: the posterior mean, available once at least
     /// [`MIN_BEACONS_FOR_ESTIMATE`] beacons were applied (paper Section 2.2).
-    ///
-    /// In fused mode, call [`flush_pending`](Self::flush_pending) first —
-    /// recorded-but-unflushed beacons do not count.
     pub fn estimate(&self) -> Option<Point> {
         (self.beacons_applied >= MIN_BEACONS_FOR_ESTIMATE).then(|| self.grid.mean())
     }
@@ -298,11 +206,9 @@ impl BayesianLocalizer {
     }
 
     /// Resets to the uniform prior — the paper's robots "throw away their
-    /// currently estimated positions" at each transmit period. Also drops
-    /// any unflushed fused beacons (their window is over).
+    /// currently estimated positions" at each transmit period.
     pub fn reset(&mut self) {
         self.grid.reset_uniform();
-        self.pending.clear();
         self.beacons_applied = 0;
         self.beacons_seen = 0;
     }
@@ -312,7 +218,7 @@ impl BayesianLocalizer {
         &self.grid
     }
 
-    /// Rebuilds an unfused localizer from checkpointed state: the posterior
+    /// Rebuilds a localizer from checkpointed state: the posterior
     /// cells (see [`PositionGrid::cells`]) plus the beacon counters.
     ///
     /// # Panics
@@ -340,24 +246,12 @@ impl BayesianLocalizer {
         self.grid.restore_cells(cells);
     }
 
-    /// Restores checkpointed beacon counters, pending fused beacons and
-    /// kernel accounting (checkpoint plumbing).
-    pub fn restore_counters(
-        &mut self,
-        beacons_applied: u32,
-        beacons_seen: u32,
-        pending: Vec<(Point, RssiBin)>,
-        stats: GridStats,
-    ) {
+    /// Restores checkpointed beacon counters and kernel accounting
+    /// (checkpoint plumbing).
+    pub fn restore_counters(&mut self, beacons_applied: u32, beacons_seen: u32, stats: GridStats) {
         self.beacons_applied = beacons_applied;
         self.beacons_seen = beacons_seen;
-        self.pending = pending;
         self.stats = stats;
-    }
-
-    /// The recorded-but-unflushed fused beacons (checkpoint plumbing).
-    pub fn pending(&self) -> &[(Point, RssiBin)] {
-        &self.pending
     }
 }
 

@@ -99,8 +99,7 @@ pub struct PositionGrid {
     #[serde(skip)]
     scratch: Vec<f64>,
     /// Reusable buffer of per-column squared x-distances to the current
-    /// constraint centre. In a fused multi-beacon pass it holds one row of
-    /// squared x-distances per beacon, concatenated.
+    /// constraint centre.
     #[serde(skip)]
     dx2: Vec<f64>,
     /// Reusable per-row buffer of pre-scaled profile coordinates (scalar
@@ -260,9 +259,9 @@ impl PositionGrid {
         scratch.resize(n, 0.0);
     }
 
-    /// Scratch preparation for the lane-kernel paths, which overwrite every
-    /// element (their row loops tile the buffer exactly): only the length
-    /// is established; no zero-fill pass is paid.
+    /// Scratch preparation for the lane-kernel path, which overwrites every
+    /// element (its row loop tiles the buffer exactly): only the length is
+    /// established; no zero-fill pass is paid.
     fn ensure_scratch(scratch: &mut Vec<f64>, n: usize) {
         if scratch.len() != n {
             Self::reset_scratch(scratch, n);
@@ -352,76 +351,6 @@ impl PositionGrid {
             let dx = x - cx;
             dx * dx
         }));
-    }
-
-    /// Multiplies a whole window's worth of radial constraints into the
-    /// posterior in **one** pass and renormalizes **once**.
-    ///
-    /// Where the sequential path loads and stores the posterior (and
-    /// renormalizes) once per beacon, the fused path seeds each scratch row
-    /// from the posterior with the first beacon's kernel and folds the
-    /// remaining beacons in place while the row is hot in cache. Because
-    /// renormalization is a scalar rescale, fusing k constraints and
-    /// renormalizing once is mathematically identical to k
-    /// multiply-renormalize rounds — only float rounding differs.
-    ///
-    /// Rejection is batch-level: if the *combined* product annihilates the
-    /// posterior the whole batch is rejected and the posterior left
-    /// untouched (with floored profiles this requires a non-finite value,
-    /// same as the sequential path in practice).
-    ///
-    /// An empty batch is a no-op `Applied`.
-    pub fn apply_fused_radial_constraints(
-        &mut self,
-        constraints: &[(Point, &RadialProfile)],
-    ) -> ConstraintOutcome {
-        if constraints.is_empty() {
-            return ConstraintOutcome::Applied;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // The first beacon's kernel seeds every scratch row from the
-        // posterior, so no zero-fill is needed.
-        Self::ensure_scratch(&mut scratch, self.cells.len());
-        // One dx² row per beacon, concatenated into the dx2 buffer.
-        let mut dx2 = std::mem::take(&mut self.dx2);
-        dx2.clear();
-        for &(center, _) in constraints {
-            for &x in &self.xs {
-                let dx = x - center.x;
-                dx2.push(dx * dx);
-            }
-        }
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-            let y = self.ys[iy];
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            for (b, &(center, profile)) in constraints.iter().enumerate() {
-                let dy = y - center.y;
-                let bdx2 = &dx2[b * self.nx..(b + 1) * self.nx];
-                if b == 0 {
-                    kernel::radial_product_row(
-                        out,
-                        row,
-                        bdx2,
-                        dy * dy,
-                        profile.inv_step(),
-                        profile.lane_table(),
-                    );
-                } else {
-                    kernel::radial_product_row_mul(
-                        out,
-                        bdx2,
-                        dy * dy,
-                        profile.inv_step(),
-                        profile.lane_table(),
-                    );
-                }
-            }
-        }
-        self.dx2 = dx2;
-        let total = sum_4lane(&scratch);
-        let outcome = self.commit(&scratch, total);
-        self.scratch = scratch;
-        outcome
     }
 
     /// The posterior mean (paper Eq. 3) — the position estimate.
@@ -741,11 +670,6 @@ mod tests {
         assert_entropy_fresh(&g, "new");
         g.apply_radial_constraint(Point::new(63.0, 141.0), &profile);
         assert_entropy_fresh(&g, "apply_radial_constraint");
-        g.apply_fused_radial_constraints(&[
-            (Point::new(120.0, 80.0), &profile),
-            (Point::new(60.0, 60.0), &profile),
-        ]);
-        assert_entropy_fresh(&g, "apply_fused_radial_constraints");
         g.apply_constraint(|p| (-(p.distance_to(Point::new(90.0, 110.0)) / 40.0).powi(2)).exp());
         assert_entropy_fresh(&g, "apply_constraint");
         let cells = g.cells().to_vec();
@@ -760,10 +684,6 @@ mod tests {
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         assert_eq!(
             g.apply_radial_constraint(Point::new(10.0, 10.0), &zero),
-            ConstraintOutcome::Rejected
-        );
-        assert_eq!(
-            g.apply_fused_radial_constraints(&[(Point::new(10.0, 10.0), &zero)]),
             ConstraintOutcome::Rejected
         );
         assert_eq!(g.apply_constraint(|_| 0.0), ConstraintOutcome::Rejected);

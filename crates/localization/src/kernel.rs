@@ -1,4 +1,4 @@
-//! Lane-packed grid-update kernels.
+//! The lane-packed grid-update kernel.
 //!
 //! The Bayesian grid update is the per-robot hot path: every beacon
 //! multiplies a radial constraint into a 10⁴-cell posterior. This module
@@ -90,47 +90,13 @@ pub fn radial_product_row(
     }
 }
 
-/// One grid row of a *fused* radial update: multiplies one beacon's
-/// constraint into an already-initialized scratch row
-/// (`out[i] *= lerp(table, √(dx2[i] + dy2) · inv_step)`). The fused window
-/// pass seeds scratch with the posterior once, then folds every beacon of
-/// the window through this kernel row by row — the posterior itself is
-/// loaded and stored once per window.
-///
-/// # Panics
-///
-/// Panics if `dx2` is shorter than `out`.
-#[inline(never)]
-pub fn radial_product_row_mul(
-    out: &mut [f64],
-    dx2: &[f64],
-    dy2: f64,
-    inv_step: f64,
-    table: &LaneTable,
-) {
-    let n = out.len();
-    let dx2 = &dx2[..n];
-    let val = table.val();
-    let del = table.del();
-    let lastf = table.lastf();
-    assert!(val.len().is_power_of_two());
-    assert_eq!(val.len(), del.len());
-    let mask = val.len() - 1;
-    for (o, &d) in out.iter_mut().zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
-        let tf = t.trunc();
-        let j = ((tf + P52).to_bits() as usize) & mask;
-        *o *= val[j] + del[j] * (t - tf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Scalar linear interpolation into a [`LaneTable`] at the pre-scaled
     /// lattice coordinate `t = d / step` — the reference expression the
-    /// lane kernels reproduce. Clamping is an index `min`; the zero
+    /// lane kernel reproduces. Clamping is an index `min`; the zero
     /// sentinel delta makes clamped lookups return the final sample
     /// exactly.
     fn lerp_table(table: &LaneTable, t: f64) -> f64 {
@@ -189,25 +155,6 @@ mod tests {
         for (i, &o) in out.iter().enumerate() {
             let expected = 0.125 * values[values.len() - 1];
             assert_eq!(o.to_bits(), expected.to_bits(), "cell {i}");
-        }
-    }
-
-    #[test]
-    fn mul_kernel_composes_like_two_products() {
-        let values: Vec<f64> = (0..32).map(|k| 1.0 / (k as f64 + 1.0)).collect();
-        let table = LaneTable::from_values(&values);
-        let inv_step = 2.0;
-        let n = 10;
-        let cells = vec![0.01; n];
-        let dx2: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut a = vec![0.0; n];
-        radial_product_row(&mut a, &cells, &dx2, 1.0, inv_step, &table);
-        radial_product_row_mul(&mut a, &dx2, 4.0, inv_step, &table);
-        for i in 0..n {
-            let w1 = a[i] / cells[i];
-            let direct = lerp_table(&table, (dx2[i] + 1.0).sqrt() * inv_step)
-                * lerp_table(&table, (dx2[i] + 4.0).sqrt() * inv_step);
-            assert!((w1 - direct).abs() <= 1e-15 * direct.abs() + f64::MIN_POSITIVE);
         }
     }
 }

@@ -516,24 +516,6 @@ impl RadialConstraintTable {
             .and_then(|k| self.get(RssiBin(k)))
     }
 
-    /// Resolves an observed RSSI to the bin that would serve it (same
-    /// fallback rule as [`lookup`](Self::lookup)), without borrowing the
-    /// profile — the fused grid path records resolved bins at observe time
-    /// and fetches the profiles in one batch at window end.
-    pub fn resolve(&self, rssi: Dbm) -> Option<RssiBin> {
-        nearest_present_bin(rssi, |k| self.get(RssiBin(k)).is_some()).map(RssiBin)
-    }
-
-    /// Batch lookup for a fused multi-beacon window: maps each resolved bin
-    /// to its profile, preserving order and skipping bins that (can only
-    /// under table rebuilds) no longer resolve.
-    pub fn profiles_for<'a>(
-        &'a self,
-        bins: impl IntoIterator<Item = RssiBin> + 'a,
-    ) -> impl Iterator<Item = &'a RadialProfile> + 'a {
-        bins.into_iter().filter_map(|b| self.get(b))
-    }
-
     /// Number of cached profiles.
     pub fn len(&self) -> usize {
         self.profiles.iter().flatten().count()

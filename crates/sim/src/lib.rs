@@ -10,7 +10,6 @@
 //! - a generic run loop, [`engine::Engine`], that dispatches events to a
 //!   caller-supplied handler,
 //! - reproducible per-subsystem random streams via [`rng::SeedSplitter`],
-//! - per-run structured tracing in [`trace::Trace`],
 //! - a typed observability bus — events, counters, span timers — in
 //!   [`telemetry::Telemetry`],
 //! - a versioned, CRC-checked binary checkpoint codec in [`snapshot`],
@@ -48,7 +47,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob-import of the types nearly every consumer needs.
 pub mod prelude {
@@ -63,5 +61,4 @@ pub mod prelude {
         TelemetryLevel,
     };
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceLevel};
 }

@@ -73,8 +73,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// histogram state after the counters vector. v4: the estimator section
 /// became backend-tagged — Bayes, multilateration, or EKF payloads. v5:
 /// the scenario keeps one grid-update field, `grid_fused`, and the Bayes
-/// payload lost its adaptive tiles and four dead kernel counters.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+/// payload lost its adaptive tiles and four dead kernel counters. v6: the
+/// scenario lost `grid_fused`, the Bayes payload its pending beacons and
+/// two fused-window counters, and telemetry events their `Legacy` tag.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -53,9 +53,8 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::jsonfmt::{escape_json, write_opt_f64};
+use crate::jsonfmt::write_opt_f64;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceLevel};
 
 pub mod export;
 pub mod hist;
@@ -63,7 +62,7 @@ pub mod hist;
 use hist::{HistId, HistSnapshot, Histogram, HistogramRegistry};
 
 /// Version of the JSONL trace schema emitted by [`Telemetry::to_jsonl`].
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// How much the bus records. Ordered: each level includes everything the
 /// previous one records.
@@ -113,8 +112,7 @@ impl std::fmt::Display for TelemetryLevel {
 ///
 /// Robot indices are `u32` and subsystem states are `&'static str` so the
 /// simulation kernel stays decoupled from the protocol crates that define
-/// the richer types. Every variant except [`TelemetryEvent::Legacy`] is
-/// allocation-free.
+/// the richer types. Every variant is allocation-free.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A beacon period starts on the coordinator's reference timeline.
@@ -280,15 +278,6 @@ pub enum TelemetryEvent {
         /// Size of the snapshot the run was restored from.
         bytes: u64,
     },
-    /// A record routed through from the legacy string [`Trace`].
-    Legacy {
-        /// Severity.
-        level: TraceLevel,
-        /// Emitting subsystem.
-        subsystem: &'static str,
-        /// Human-readable message.
-        message: String,
-    },
 }
 
 /// A placeholder decoders overwrite.
@@ -320,7 +309,6 @@ impl TelemetryEvent {
             TelemetryEvent::TeamSample { .. } => "team_sample",
             TelemetryEvent::SnapshotTaken { .. } => "snapshot_taken",
             TelemetryEvent::SnapshotRestored { .. } => "snapshot_restored",
-            TelemetryEvent::Legacy { .. } => "legacy",
         }
     }
 }
@@ -600,7 +588,6 @@ pub struct Telemetry {
     hists: HistogramRegistry,
     hist_enabled: bool,
     span_dur_hist: HistId,
-    legacy: Option<Trace>,
     sample_interval: Option<SimDuration>,
 }
 
@@ -622,7 +609,6 @@ impl Telemetry {
             hists,
             hist_enabled: true,
             span_dur_hist,
-            legacy: None,
             sample_interval: None,
         }
     }
@@ -677,8 +663,7 @@ impl Telemetry {
     /// Span timers (and wall-clock histograms such as `span.duration_us`)
     /// restart at zero — span durations are wall-clock, the one
     /// non-deterministic quantity the bus records, and are excluded from
-    /// snapshots by design. Any legacy [`Trace`] attachment is likewise not
-    /// part of a checkpoint; reattach one after restoring if needed.
+    /// snapshots by design.
     ///
     /// # Panics
     ///
@@ -708,22 +693,6 @@ impl Telemetry {
     /// The configured timeline sampling interval, if any.
     pub fn sample_interval(&self) -> Option<SimDuration> {
         self.sample_interval
-    }
-
-    /// Attaches a legacy string [`Trace`] that
-    /// [`Telemetry::legacy`] emissions are mirrored into.
-    pub fn attach_legacy(&mut self, trace: Trace) {
-        self.legacy = Some(trace);
-    }
-
-    /// Detaches and returns the legacy trace, if one was attached.
-    pub fn take_legacy(&mut self) -> Option<Trace> {
-        self.legacy.take()
-    }
-
-    /// A read-only view of the attached legacy trace.
-    pub fn legacy_trace(&self) -> Option<&Trace> {
-        self.legacy.as_ref()
     }
 
     /// Whether protocol events and timeline samples are recorded.
@@ -779,45 +748,6 @@ impl Telemetry {
     pub fn emit_full(&mut self, now: SimTime, event: impl FnOnce() -> TelemetryEvent) {
         if self.level >= TelemetryLevel::Full {
             self.push(now.as_micros(), event());
-        }
-    }
-
-    /// Routes a legacy string record: mirrors it into the attached
-    /// [`Trace`] (if any) and, at `Full`, also records it as a
-    /// [`TelemetryEvent::Legacy`] event so nothing is lost mid-migration.
-    pub fn legacy(
-        &mut self,
-        now: SimTime,
-        level: TraceLevel,
-        subsystem: &'static str,
-        message: impl FnOnce() -> String,
-    ) {
-        match (&mut self.legacy, self.level >= TelemetryLevel::Full) {
-            (Some(trace), true) => {
-                let msg = message();
-                trace.emit(now, level, subsystem, || msg.clone());
-                self.push(
-                    now.as_micros(),
-                    TelemetryEvent::Legacy {
-                        level,
-                        subsystem,
-                        message: msg,
-                    },
-                );
-            }
-            (Some(trace), false) => trace.emit(now, level, subsystem, message),
-            (None, true) => {
-                let msg = message();
-                self.push(
-                    now.as_micros(),
-                    TelemetryEvent::Legacy {
-                        level,
-                        subsystem,
-                        message: msg,
-                    },
-                );
-            }
-            (None, false) => {}
         }
     }
 
@@ -1152,16 +1082,6 @@ fn write_event_line(out: &mut String, e: &StampedEvent) {
         TelemetryEvent::SnapshotRestored { bytes } => {
             let _ = write!(out, ",\"bytes\":{bytes}");
         }
-        TelemetryEvent::Legacy {
-            level,
-            subsystem,
-            message,
-        } => {
-            let _ = write!(out, ",\"level\":\"{level}\",\"subsystem\":\"{subsystem}\"");
-            out.push_str(",\"message\":\"");
-            escape_json(message, out);
-            out.push('"');
-        }
     }
     out.push_str("}\n");
 }
@@ -1310,33 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_routes_to_trace_and_full_event() {
-        let mut t = Telemetry::new(TelemetryLevel::Full);
-        t.attach_legacy(Trace::new(TraceLevel::Debug));
-        t.legacy(at(1), TraceLevel::Info, "sync", || "hello".into());
-        assert_eq!(t.legacy_trace().unwrap().records().count(), 1);
-        assert_eq!(t.events().count(), 1);
-        match &t.events().next().unwrap().event {
-            TelemetryEvent::Legacy {
-                subsystem, message, ..
-            } => {
-                assert_eq!(*subsystem, "sync");
-                assert_eq!(message, "hello");
-            }
-            other => panic!("expected legacy event, got {other:?}"),
-        }
-        // Below Full the trace still gets the record, the bus does not.
-        let mut t = Telemetry::new(TelemetryLevel::Timeline);
-        t.attach_legacy(Trace::new(TraceLevel::Debug));
-        t.legacy(at(1), TraceLevel::Info, "sync", || "hi".into());
-        assert_eq!(t.legacy_trace().unwrap().records().count(), 1);
-        assert_eq!(t.events().count(), 0);
-        let trace = t.take_legacy().unwrap();
-        assert_eq!(trace.records().count(), 1);
-        assert!(t.take_legacy().is_none());
-    }
-
-    #[test]
     fn jsonl_lines_are_well_formed() {
         let mut t = Telemetry::new(TelemetryLevel::Full);
         t.emit(at(1), TelemetryEvent::WindowStart { window: 0 });
@@ -1357,10 +1250,9 @@ mod tests {
         );
         t.emit(
             at(3),
-            TelemetryEvent::Legacy {
-                level: TraceLevel::Warn,
-                subsystem: "mac",
-                message: "quote \" and\nnewline".into(),
+            TelemetryEvent::FaultInjected {
+                kind: "burst_loss_start",
+                robot: None,
             },
         );
         t.absorb("traffic.fixes", 9);
@@ -1371,7 +1263,7 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
         assert!(jsonl.contains("\"entropy_frac\":null"));
-        assert!(jsonl.contains("\\\" and\\nnewline"));
+        assert!(jsonl.contains("\"fault\":\"burst_loss_start\",\"robot\":null"));
         assert!(jsonl.contains("{\"kind\":\"counter\",\"name\":\"traffic.fixes\",\"value\":9}"));
     }
 

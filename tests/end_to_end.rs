@@ -248,23 +248,19 @@ fn packet_loss_degrades_gracefully() {
 
 #[test]
 fn traced_runs_record_protocol_milestones() {
-    use cocoa_suite::sim::trace::{Trace, TraceLevel};
+    use cocoa_suite::sim::telemetry::{Telemetry, TelemetryLevel};
     let s = quick(21).build();
-    let (metrics, trace) = run_traced(&s, Trace::with_capacity(TraceLevel::Debug, 50_000));
-    // One Info record per beacon period.
-    let windows: Vec<_> = trace
-        .by_subsystem("coordinator")
-        .filter(|r| r.level == TraceLevel::Info)
-        .collect();
-    assert_eq!(windows.len() as u64, s.num_windows());
-    // One Debug fix record per fresh fix.
-    let fixes = trace.by_subsystem("localization").count() as u64;
-    assert!(
-        fixes >= metrics.traffic.fixes,
-        "trace must record every fix (and any starvations): {} vs {}",
-        fixes,
-        metrics.traffic.fixes
-    );
+    let (metrics, telemetry) = run_with_telemetry(&s, Telemetry::new(TelemetryLevel::Timeline));
+    let count = |kind: &str| {
+        telemetry
+            .events()
+            .filter(|e| e.event.kind() == kind)
+            .count() as u64
+    };
+    // One window start per beacon period.
+    assert_eq!(count("window_start"), s.num_windows());
+    // One fix event per fresh fix.
+    assert_eq!(count("fix"), metrics.traffic.fixes);
     // Tracing never perturbs the simulation itself.
     let untraced = run(&s);
     assert_eq!(untraced, metrics);
