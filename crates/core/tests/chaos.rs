@@ -122,6 +122,8 @@ fn degradation_is_graceful_at_30pct_burst_loss_plus_sync_crash() {
 
 #[test]
 fn reboot_restores_the_robot_and_ledgers_add_up() {
+    use cocoa_localization::estimator::RfAlgorithm;
+    use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
     // Crash an unequipped robot for the middle third of the run.
     let mut plan = FaultPlan::new();
     plan.schedule(
@@ -132,24 +134,37 @@ fn reboot_restores_the_robot_and_ledgers_add_up() {
         SimTime::ZERO + (DURATION * 2) / 3,
         cocoa_sim::faults::Fault::Reboot { robot: 7 },
     );
-    let m = run(&quick().faults(plan).build());
-    finite(&m);
-    assert_eq!(m.robustness.crashes, 1);
-    assert_eq!(m.robustness.reboots, 1);
-    let third = DURATION.as_secs_f64() / 3.0;
-    let l = &m.health[7];
-    assert!(
-        (l.down_s - third).abs() < 1.0,
-        "down time should be one third of the run, got {:.0} s",
-        l.down_s
-    );
-    assert!(
-        (l.total_s() - DURATION.as_secs_f64()).abs() < 1e-6,
-        "the ledger must cover the whole run"
-    );
-    // After the reboot the robot re-enters the window cycle and can fix
-    // again; at minimum it reports an estimate and stays finite.
-    assert!(m.error_series.last().is_some());
+    for algorithm in RfAlgorithm::ALL {
+        let s = quick().faults(plan.clone()).rf_algorithm(algorithm).build();
+        let (m, telemetry) = run_with_telemetry(&s, Telemetry::new(TelemetryLevel::Counters));
+        finite(&m);
+        assert_eq!(m.robustness.crashes, 1);
+        assert_eq!(m.robustness.reboots, 1);
+        let third = DURATION.as_secs_f64() / 3.0;
+        let l = &m.health[7];
+        assert!(
+            (l.down_s - third).abs() < 1.0,
+            "{algorithm}: down time should be one third of the run, got {:.0} s",
+            l.down_s
+        );
+        assert!(
+            (l.total_s() - DURATION.as_secs_f64()).abs() < 1e-6,
+            "{algorithm}: the ledger must cover the whole run"
+        );
+        // After the reboot the robot re-enters the window cycle and can fix
+        // again; at minimum it reports an estimate and stays finite.
+        assert!(m.error_series.last().is_some());
+        // The reboot resets the estimator but keeps its lifetime counters,
+        // so the estimator's telemetry still counts the fixes made before
+        // the crash.
+        assert_eq!(
+            telemetry
+                .counters()
+                .get(&format!("estimator.{algorithm}.fixes")),
+            Some(m.traffic.fixes),
+            "{algorithm}: estimator fixes must match the run's fixes"
+        );
+    }
 }
 
 #[test]
