@@ -9,7 +9,7 @@
 //! Unlike the Criterion microbenchmarks this is a single fast pass (a few
 //! seconds end to end), intended as a regression tripwire: the JSON records
 //! ops/s for the naive and radial Bayesian grid updates (and their ratio),
-//! the dense and probing PDF-table lookups, the wall time of the
+//! the dense PDF-table lookup, the wall time of the
 //! quick-scale Figure 7 comparison, and (in `BENCH_snapshot.json`) the
 //! snapshot CRC-32's throughput.
 //!
@@ -23,7 +23,6 @@
 //!   gated metric regressed beyond its per-metric tolerance;
 //! - `--history DIR` overrides the history directory for both.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -39,7 +38,7 @@ use cocoa_core::runner::{run, Calibration, SimRun};
 use cocoa_core::serve::{client, ServeConfig, Server};
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 use cocoa_localization::grid::{ConstraintOutcome, GridConfig, PositionGrid};
-use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, RadialProfile};
+use cocoa_net::calibration::{calibrate, CalibrationConfig, RadialProfile};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
@@ -203,25 +202,10 @@ fn main() -> ExitCode {
 
     let dense_cells_per_window = 4 * PositionGrid::new(grid_cfg).num_cells();
 
-    // PDF-table lookup over a 64-value RSSI ramp: dense vector vs the
-    // seed's BTreeMap-with-probing layout rebuilt from the same entries.
+    // PDF-table lookup over a 64-value RSSI ramp.
     let rssis: Vec<Dbm> = (0..64).map(|i| Dbm::new(-95.0 + f64::from(i))).collect();
     let lookup_dense = ops_per_sec(|| {
         let hits = rssis.iter().filter(|&&r| table.lookup(r).is_some()).count();
-        assert!(hits > 0);
-    }) * rssis.len() as f64;
-    let probing: BTreeMap<i16, DistancePdf> =
-        table.entries().map(|(b, p)| (b.0, p.clone())).collect();
-    let probe_lookup = |rssi: Dbm| -> Option<&DistancePdf> {
-        let key = rssi.bin().0;
-        probing.get(&key).or_else(|| {
-            (1..=3)
-                .flat_map(|delta| [key - delta, key + delta])
-                .find_map(|k| probing.get(&k))
-        })
-    };
-    let lookup_probing = ops_per_sec(|| {
-        let hits = rssis.iter().filter(|&&r| probe_lookup(r).is_some()).count();
         assert!(hits > 0);
     }) * rssis.len() as f64;
 
@@ -362,7 +346,6 @@ fn main() -> ExitCode {
     );
     println!("grid window (4 seq):   {}", fmt_ops(window_sequential));
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
-    println!("pdf lookup (probing):  {}", fmt_ops(lookup_probing));
     println!("fig7 quick scale:      {fig7_secs:.2} s");
     if let Some((cocoa, rf)) = fig7_headline {
         println!("fig7 headline @ 2 m/s: CoCoA {cocoa:.1} m vs RF-only {rf:.1} m");
@@ -396,7 +379,6 @@ fn main() -> ExitCode {
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
          \"pdf_lookup_dense_ops_per_sec\": {lookup_dense:.1},\n  \
-         \"pdf_lookup_probing_ops_per_sec\": {lookup_probing:.1},\n  \
          \"fig7_quick_wall_secs\": {fig7_secs:.3}\n}}\n"
     );
     std::fs::write("BENCH_grid.json", &json).expect("write BENCH_grid.json");

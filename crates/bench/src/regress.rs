@@ -71,7 +71,6 @@ pub const SPECS: &[MetricSpec] = &[
     spec("grid_kernel_simd_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_window_sequential_ops_per_sec", HigherIsBetter, 0.5),
     spec("pdf_lookup_dense_ops_per_sec", HigherIsBetter, 0.5),
-    spec("pdf_lookup_probing_ops_per_sec", HigherIsBetter, 0.5),
     // --- BENCH_grid.json: relative speedups (ratios of two timings taken
     // back to back on the same machine, so noise partially cancels) ---
     spec("grid_update_radial_speedup", HigherIsBetter, 0.35),

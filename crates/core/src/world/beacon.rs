@@ -8,6 +8,7 @@ use cocoa_localization::bayes::ObservationResult;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{ReceptionOutcome, TxId};
 use cocoa_net::packet::{Packet, Payload};
+use cocoa_net::rssi::Dbm;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::faults::garble_bytes;
 use cocoa_sim::telemetry::TelemetryEvent;
@@ -93,13 +94,8 @@ pub(crate) fn transmit(
     let src_id = world.robots[robot].id;
     world.robots[robot].radio.record_tx(now, bytes);
     let duration = world.robots[robot].radio.tx_duration(bytes);
-    let tx = world
-        .medium
-        .begin_tx(src_id, src_pos, packet, now, duration);
-    if corrupt {
-        world.corrupt_txs.insert(tx);
-    }
-    let mut receivers = Vec::new();
+    let heard = &mut world.rx_buffers.heard;
+    heard.clear();
     let detect_horizon = world.channel.max_range() * 1.5;
     let sp = world.telemetry.span_start();
     for j in 0..world.robots.len() {
@@ -128,14 +124,27 @@ pub(crate) fn transmit(
                 continue;
             }
         }
-        world.medium.record_rssi(tx, world.robots[j].id, rssi);
-        receivers.push(j);
+        heard.push((j, rssi));
     }
     world.telemetry.span_end(scan_span, sp);
+    let robots = &world.robots;
+    let tx = world.medium.begin_tx(
+        src_id,
+        src_pos,
+        packet,
+        now,
+        duration,
+        heard.iter().map(|&(j, rssi)| (robots[j].id, rssi)),
+    );
+    if corrupt {
+        world.corrupt_txs.insert(tx);
+    }
+    let receivers = heard.iter().map(|&(j, _)| j).collect();
     engine.schedule_at(now + duration, Event::TxEnd { tx, receivers });
 }
 
-/// Judges every reception of frame `tx` and dispatches delivered packets.
+/// Judges every reception of frame `tx` in one pass over the medium and
+/// dispatches delivered packets.
 pub(crate) fn deliver(
     engine: &mut Engine<Event>,
     world: &mut WorldState,
@@ -144,27 +153,40 @@ pub(crate) fn deliver(
     now: SimTime,
 ) {
     let corrupt = world.corrupt_txs.remove(&tx);
-    for &j in receivers {
-        let id = world.robots[j].id;
-        match world.medium.outcome(tx, id) {
-            ReceptionOutcome::Delivered { rssi, packet } => {
-                if !world.robots[j].radio.can_receive() {
-                    continue; // fell asleep mid-frame
-                }
-                world.robots[j].radio.record_rx(now, packet.wire_size());
-                if corrupt {
-                    // The frame arrived but its bytes no longer parse: the
-                    // receiver paid the energy and drops it at the decoder.
-                    world.robustness.corrupt_frames_dropped += 1;
-                    continue;
-                }
-                dispatch(engine, world, j, packet, rssi, now);
+    let mut verdicts = std::mem::take(&mut world.rx_buffers.verdicts);
+    let robots = &world.robots;
+    let ids = receivers.iter().map(|&j| robots[j].id);
+    if let Some(packet) = world.medium.judge(tx, ids, &mut verdicts).cloned() {
+        let bytes = packet.wire_size();
+        for (&j, &verdict) in receivers.iter().zip(&verdicts) {
+            let ReceptionOutcome::Delivered { rssi } = verdict else {
+                continue; // collided, half-duplex or not receivable
+            };
+            if !world.robots[j].radio.can_receive() {
+                continue; // fell asleep mid-frame
             }
-            ReceptionOutcome::Collided { .. } | ReceptionOutcome::HalfDuplex => {}
-            ReceptionOutcome::NotReceivable => {}
-            ReceptionOutcome::Expired => {}
+            world.robots[j].radio.record_rx(now, bytes);
+            if corrupt {
+                // The frame arrived but its bytes no longer parse: the
+                // receiver paid the energy and drops it at the decoder.
+                world.robustness.corrupt_frames_dropped += 1;
+                continue;
+            }
+            dispatch(engine, world, j, &packet, rssi, now);
         }
     }
+    world.rx_buffers.verdicts = verdicts;
+}
+
+/// Buffers the reception path reuses from frame to frame. They hold
+/// nothing between events, so snapshots do not store them.
+#[derive(Default)]
+pub(crate) struct RxBuffers {
+    /// The robots that heard the frame going on the air, with its RSSI
+    /// at each.
+    heard: Vec<(usize, Dbm)>,
+    /// One verdict per receiver of the frame being judged.
+    verdicts: Vec<ReceptionOutcome>,
 }
 
 /// Routes a delivered packet to the localizer or the mesh node.
@@ -172,8 +194,8 @@ fn dispatch(
     engine: &mut Engine<Event>,
     world: &mut WorldState,
     robot: usize,
-    packet: Packet,
-    rssi: cocoa_net::rssi::Dbm,
+    packet: &Packet,
+    rssi: Dbm,
     now: SimTime,
 ) {
     match &packet.payload {
@@ -234,7 +256,7 @@ fn dispatch(
             // as mesh data) but remain valid protocol traffic.
         }
         _ => {
-            super::mesh::handle_mesh_packet(engine, world, robot, &packet, now);
+            super::mesh::handle_mesh_packet(engine, world, robot, packet, now);
         }
     }
 }

@@ -804,8 +804,47 @@ fn medium_state(c: &mut impl Codec, m: &mut MediumState) -> Result<(), SnapshotE
 
 fn medium_section(c: &mut impl Codec, m: &mut Medium) -> Result<(), SnapshotError> {
     c.via(m, Medium::state, medium_state, |s| {
+        check_medium(&s)?;
         Ok(Medium::from_state(s))
     })
+}
+
+/// The orders [`Medium::from_state`] relies on to find frames and
+/// receivers by binary search: frame ids strictly increasing and below
+/// the next id to allocate, RSSI records strictly increasing by
+/// `(tx, rx)`, each naming a frame on the air.
+fn check_medium(m: &MediumState) -> Result<(), SnapshotError> {
+    let ids: Vec<u64> = m.active.iter().map(|t| t.id.raw()).collect();
+    if let Some(pair) = ids.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(malformed(format!(
+            "medium frame ids are not strictly increasing: {} then {}",
+            pair[0], pair[1]
+        )));
+    }
+    if let Some(&last) = ids.last().filter(|&&id| id >= m.next_id) {
+        return Err(malformed(format!(
+            "medium frame id {last} is not below the next id {}",
+            m.next_id
+        )));
+    }
+    let keys: Vec<(u64, u32)> = m.rssi.iter().map(|(tx, rx, _)| (tx.raw(), rx.0)).collect();
+    if let Some(pair) = keys.windows(2).find(|w| w[0] >= w[1]) {
+        let what = if pair[0] == pair[1] {
+            "duplicated"
+        } else {
+            "out of order"
+        };
+        return Err(malformed(format!(
+            "medium RSSI records {what}: (frame, receiver) {:?} then {:?}",
+            pair[0], pair[1]
+        )));
+    }
+    if let Some(&(tx, rx)) = keys.iter().find(|(tx, _)| ids.binary_search(tx).is_err()) {
+        return Err(malformed(format!(
+            "medium RSSI record for frame {tx} at receiver {rx} names no frame on the air"
+        )));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

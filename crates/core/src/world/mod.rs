@@ -87,6 +87,7 @@ pub(crate) struct WorldState {
     /// bin, floor baked in), shared by every robot's Bayesian update.
     pub(crate) radial: RadialConstraintTable,
     pub(crate) medium: Medium,
+    pub(crate) rx_buffers: beacon::RxBuffers,
     pub(crate) robots: Vec<Robot>,
     pub(crate) move_rngs: Vec<DetRng>,
     pub(crate) odo_rngs: Vec<DetRng>,
@@ -376,6 +377,7 @@ impl WorldState {
             calibration,
             radial,
             medium: Medium::new(),
+            rx_buffers: beacon::RxBuffers::default(),
             robots: Vec::new(),
             move_rngs: Vec::new(),
             odo_rngs: Vec::new(),

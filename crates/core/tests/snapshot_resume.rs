@@ -331,7 +331,12 @@ const SECTIONS: [&str; 7] = [
 /// CRC rewritten, as a tool that edits a snapshot would: every CRC is
 /// valid, only the content is inconsistent.
 fn edited(tag: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let snap = Snapshot::parse(pristine()).expect("pristine parses");
+    edited_from(pristine(), tag, edit)
+}
+
+/// [`edited`] on the snapshot `bytes`.
+fn edited_from(bytes: &[u8], tag: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let snap = Snapshot::parse(bytes).expect("a valid snapshot parses");
     let mut edit = Some(edit);
     let mut w = SnapshotWriter::new(snap.meta().to_string());
     for name in SECTIONS {
@@ -435,6 +440,112 @@ fn a_robot_instant_after_the_engine_clock_is_a_typed_error() {
         p[since..since + 8].copy_from_slice(&later.as_micros().to_le_bytes());
     });
     assert_inconsistent(&bytes, "after the engine clock");
+}
+
+/// A capture while the frames of the 10 s window are still held on the
+/// medium (the next garbage collection is at 20 s), taken once for the
+/// whole test binary.
+fn frames_on_the_air() -> &'static Vec<u8> {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let s = scenario(7, MulticastProtocol::Odmrp, "chaos");
+        let mut run = SimRun::new(&s, Telemetry::off());
+        run.run_until(SimTime::ZERO + SimDuration::from_secs(15));
+        run.capture()
+    })
+}
+
+/// Byte offsets in a medium section: its next id, each frame's id and
+/// each RSSI record (a `u64` frame id, a `u32` receiver, an `f64` dBm).
+struct MediumLayout {
+    next_id: usize,
+    frame_ids: Vec<usize>,
+    records: Vec<usize>,
+}
+
+const RECORD_BYTES: usize = 20;
+
+fn medium_layout(p: &[u8]) -> MediumLayout {
+    let u64_at = |at: usize| u64::from_le_bytes(p[at..at + 8].try_into().unwrap()) as usize;
+    // Capture margin and retention, then next id, transmissions,
+    // collisions and half-duplex losses, then the frame count.
+    let mut at = 48;
+    let frames = u64_at(at);
+    at += 8;
+    let mut frame_ids = Vec::new();
+    for _ in 0..frames {
+        frame_ids.push(at);
+        // Id, source, source position, start and end, then the packet
+        // as a length-prefixed blob.
+        at += 8 + 4 + 16 + 8 + 8;
+        at += 8 + u64_at(at);
+    }
+    let records = u64_at(at);
+    at += 8;
+    assert_eq!(at + records * RECORD_BYTES, p.len(), "medium layout");
+    MediumLayout {
+        next_id: 16,
+        frame_ids,
+        records: (0..records).map(|i| at + i * RECORD_BYTES).collect(),
+    }
+}
+
+/// `frames_on_the_air()` with `edit` applied to its medium section, which
+/// holds at least two frames and two RSSI records.
+fn medium_edited(edit: impl FnOnce(&mut Vec<u8>, &MediumLayout)) -> Vec<u8> {
+    edited_from(frames_on_the_air(), "medium", |p| {
+        let layout = medium_layout(p);
+        assert!(layout.frame_ids.len() >= 2 && layout.records.len() >= 2);
+        edit(p, &layout)
+    })
+}
+
+#[test]
+fn medium_frame_ids_out_of_order_are_a_typed_error() {
+    let bytes = medium_edited(|p, m| {
+        let first = m.frame_ids[0];
+        p.copy_within(first..first + 8, m.frame_ids[1]);
+    });
+    assert_inconsistent(&bytes, "frame ids are not strictly increasing");
+}
+
+#[test]
+fn a_medium_frame_id_not_below_the_next_id_is_a_typed_error() {
+    let bytes = medium_edited(|p, m| {
+        let last = *m.frame_ids.last().unwrap();
+        p.copy_within(last..last + 8, m.next_id);
+    });
+    assert_inconsistent(&bytes, "is not below the next id");
+}
+
+#[test]
+fn unsorted_medium_rssi_records_are_a_typed_error() {
+    let bytes = medium_edited(|p, m| {
+        let (a, b) = (m.records[0], m.records[1]);
+        let first: Vec<u8> = p[a..a + RECORD_BYTES].to_vec();
+        p.copy_within(b..b + RECORD_BYTES, a);
+        p[b..b + RECORD_BYTES].copy_from_slice(&first);
+    });
+    assert_inconsistent(&bytes, "RSSI records out of order");
+}
+
+#[test]
+fn duplicated_medium_rssi_records_are_a_typed_error() {
+    let bytes = medium_edited(|p, m| {
+        let first = m.records[0];
+        p.copy_within(first..first + RECORD_BYTES, m.records[1]);
+    });
+    assert_inconsistent(&bytes, "RSSI records duplicated");
+}
+
+#[test]
+fn an_rssi_record_for_a_frame_off_the_air_is_a_typed_error() {
+    let bytes = medium_edited(|p, m| {
+        // The next id, past every frame, keeps the records sorted.
+        let last = *m.records.last().unwrap();
+        p.copy_within(m.next_id..m.next_id + 8, last);
+    });
+    assert_inconsistent(&bytes, "names no frame on the air");
 }
 
 #[test]

@@ -57,10 +57,8 @@ impl RobotMotion {
         move_rng: &mut R1,
         odo_rng: &mut R2,
     ) {
-        let (_, segments) = self.waypoints.step(dt, move_rng);
-        for s in &segments {
-            self.odometer.observe(s, odo_rng);
-        }
+        self.waypoints
+            .step(dt, move_rng, |s| self.odometer.observe(s, odo_rng));
     }
 
     /// Ground-truth pose.

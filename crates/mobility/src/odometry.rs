@@ -200,10 +200,7 @@ mod tests {
         let mut odo = Odometer::new(OdometryConfig::noiseless(), model.pose());
         let mut odo_rng = SeedSplitter::new(1).stream("odo", 0);
         for _ in 0..600 {
-            let (pose, segments) = model.step(1.0, &mut rng);
-            for s in &segments {
-                odo.observe(s, &mut odo_rng);
-            }
+            let pose = model.step(1.0, &mut rng, |s| odo.observe(s, &mut odo_rng));
             let err = pose.position.distance_to(odo.estimated_pose().position);
             assert!(err < 1e-6, "noiseless odometry drifted by {err} m");
         }
@@ -224,10 +221,7 @@ mod tests {
             let mut odo = Odometer::new(OdometryConfig::default(), model.pose());
             let mut early = 0.0;
             for tick in 0..1800 {
-                let (pose, segments) = model.step(1.0, &mut rng);
-                for s in &segments {
-                    odo.observe(s, &mut odo_rng);
-                }
+                let pose = model.step(1.0, &mut rng, |s| odo.observe(s, &mut odo_rng));
                 if tick == 59 {
                     early = pose.position.distance_to(odo.estimated_pose().position);
                 }
@@ -256,10 +250,7 @@ mod tests {
         let mut model = WaypointModel::new(cfg, Point::new(100.0, 100.0), &mut rng);
         let mut odo = Odometer::new(OdometryConfig::default(), model.pose());
         for _ in 0..300 {
-            let (_, segments) = model.step(1.0, &mut rng);
-            for s in &segments {
-                odo.observe(s, &mut odo_rng);
-            }
+            model.step(1.0, &mut rng, |s| odo.observe(s, &mut odo_rng));
         }
         odo.reset_to(model.pose());
         let err = model

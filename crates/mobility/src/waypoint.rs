@@ -74,7 +74,8 @@ pub struct Segment {
 /// let cfg = WaypointConfig::paper(Area::square(200.0), 2.0);
 /// let mut rng = SeedSplitter::new(9).stream("mobility", 0);
 /// let mut model = WaypointModel::new(cfg, Point::new(100.0, 100.0), &mut rng);
-/// let (pose, segments) = model.step(1.0, &mut rng);
+/// let mut segments = Vec::new();
+/// let pose = model.step(1.0, &mut rng, |s| segments.push(*s));
 /// assert!(cfg.area.contains(pose.position));
 /// assert!(!segments.is_empty());
 /// ```
@@ -191,17 +192,22 @@ impl WaypointModel {
         }
     }
 
-    /// Advances the robot by `dt` seconds, returning the new true pose and
-    /// the turn+run segments performed (one per leg touched during the
-    /// step; two or more when a destination is reached mid-step).
+    /// Advances the robot by `dt` seconds and returns the new true pose.
+    /// Each turn+run segment performed is handed to `on_segment` as it is
+    /// done: one per leg touched during the step, two or more when a
+    /// destination is reached mid-step.
     ///
     /// # Panics
     ///
     /// Panics if `dt` is not strictly positive and finite.
-    pub fn step<R: Rng + ?Sized>(&mut self, dt: f64, rng: &mut R) -> (Pose, Vec<Segment>) {
+    pub fn step<R: Rng + ?Sized>(
+        &mut self,
+        dt: f64,
+        rng: &mut R,
+        mut on_segment: impl FnMut(&Segment),
+    ) -> Pose {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive, got {dt}");
         let mut remaining = dt;
-        let mut segments = Vec::with_capacity(1);
         while remaining > 1e-12 {
             let to_dest = self.d_rest();
             let desired_heading = if to_dest > 1e-9 {
@@ -220,7 +226,7 @@ impl WaypointModel {
             self.pose = Pose::new(self.pose.position, self.pose.heading + turn).advanced(distance);
             // Numerical guard: never leave the deployment area.
             self.pose.position = self.config.area.clamp(self.pose.position);
-            segments.push(Segment {
+            on_segment(&Segment {
                 turn,
                 distance,
                 duration: seg_time,
@@ -236,7 +242,7 @@ impl WaypointModel {
                 break;
             }
         }
-        (self.pose, segments)
+        self.pose
     }
 }
 
@@ -272,7 +278,7 @@ mod tests {
     fn stays_inside_area() {
         let (mut m, mut rng) = model(1, 2.0);
         for _ in 0..5_000 {
-            let (pose, _) = m.step(1.0, &mut rng);
+            let pose = m.step(1.0, &mut rng, |_| {});
             assert!(
                 Area::square(200.0).contains(pose.position),
                 "escaped at {}",
@@ -285,7 +291,7 @@ mod tests {
     fn speed_respects_bounds() {
         let (mut m, mut rng) = model(2, 0.5);
         for _ in 0..2_000 {
-            m.step(1.0, &mut rng);
+            m.step(1.0, &mut rng, |_| {});
             assert!(
                 (0.1..=0.5).contains(&m.speed()),
                 "speed {} out of bounds",
@@ -299,7 +305,7 @@ mod tests {
         let (mut m, mut rng) = model(3, 2.0);
         for _ in 0..1_000 {
             let before = m.position();
-            let (pose, _) = m.step(1.0, &mut rng);
+            let pose = m.step(1.0, &mut rng, |_| {});
             let moved = before.distance_to(pose.position);
             assert!(moved <= 2.0 + 1e-9, "moved {moved} m in 1 s at v_max=2");
         }
@@ -309,7 +315,7 @@ mod tests {
     fn eventually_completes_legs() {
         let (mut m, mut rng) = model(4, 2.0);
         for _ in 0..1_800 {
-            m.step(1.0, &mut rng);
+            m.step(1.0, &mut rng, |_| {});
         }
         assert!(
             m.legs_completed() >= 5,
@@ -322,8 +328,8 @@ mod tests {
     fn segments_account_for_step_duration() {
         let (mut m, mut rng) = model(5, 2.0);
         for _ in 0..500 {
-            let (_, segments) = m.step(1.0, &mut rng);
-            let total: f64 = segments.iter().map(|s| s.duration).sum();
+            let mut total = 0.0;
+            m.step(1.0, &mut rng, |s| total += s.duration);
             assert!(
                 (total - 1.0).abs() < 1e-9,
                 "segment durations sum to {total}"
@@ -336,7 +342,8 @@ mod tests {
         let (mut m, mut rng) = model(6, 1.0);
         for _ in 0..200 {
             let before = m.position();
-            let (pose, segments) = m.step(1.0, &mut rng);
+            let mut segments = Vec::new();
+            let pose = m.step(1.0, &mut rng, |s| segments.push(*s));
             if segments.len() == 1 {
                 let direct = before.distance_to(pose.position);
                 assert!((segments[0].distance - direct).abs() < 1e-6);
@@ -350,7 +357,7 @@ mod tests {
         let mut last = m.d_rest();
         for _ in 0..20 {
             let legs_before = m.legs_completed();
-            m.step(0.5, &mut rng);
+            m.step(0.5, &mut rng, |_| {});
             if m.legs_completed() == legs_before {
                 assert!(m.d_rest() < last + 1e-9);
             }
@@ -372,8 +379,8 @@ mod tests {
         let (mut a, mut rng_a) = model(9, 2.0);
         let (mut b, mut rng_b) = model(9, 2.0);
         for _ in 0..100 {
-            let (pa, _) = a.step(1.0, &mut rng_a);
-            let (pb, _) = b.step(1.0, &mut rng_b);
+            let pa = a.step(1.0, &mut rng_a, |_| {});
+            let pb = b.step(1.0, &mut rng_b, |_| {});
             assert_eq!(pa, pb);
         }
     }
@@ -389,9 +396,9 @@ mod tests {
         let start = Point::new(50.0, 60.0);
         let mut m = WaypointModel::new(cfg, start, &mut rng);
         for _ in 0..100 {
-            let (pose, segments) = m.step(1.0, &mut rng);
+            let mut total = 0.0;
+            let pose = m.step(1.0, &mut rng, |s| total += s.distance);
             assert_eq!(pose.position, start, "static robot drifted");
-            let total: f64 = segments.iter().map(|s| s.distance).sum();
             assert_eq!(total, 0.0);
         }
         assert_eq!(m.velocity(), Vec2::ZERO);
@@ -408,7 +415,7 @@ mod tests {
         };
         let mut m = WaypointModel::new(cfg, Point::new(100.0, 100.0), &mut rng);
         for _ in 0..500 {
-            m.step(1.0, &mut rng);
+            m.step(1.0, &mut rng, |_| {});
             assert_eq!(m.speed(), 1.5);
         }
     }

@@ -17,7 +17,7 @@ proptest! {
             &mut rng,
         );
         for _ in 0..steps {
-            let (pose, _) = m.step(1.0, &mut rng);
+            let pose = m.step(1.0, &mut rng, |_| {});
             prop_assert!(area.contains(pose.position), "escaped to {}", pose.position);
         }
     }
@@ -33,7 +33,7 @@ proptest! {
             &mut rng,
         );
         for _ in 0..100 {
-            m.step(1.0, &mut rng);
+            m.step(1.0, &mut rng, |_| {});
             prop_assert!(m.speed() >= 0.1 - 1e-12 && m.speed() <= v_max + 1e-12);
         }
     }
@@ -49,7 +49,8 @@ proptest! {
             &mut rng,
         );
         for _ in 0..30 {
-            let (_, segments) = m.step(dt, &mut rng);
+            let mut segments = Vec::new();
+            m.step(dt, &mut rng, |s| segments.push(*s));
             let total: f64 = segments.iter().map(|s| s.duration).sum();
             prop_assert!((total - dt).abs() < 1e-9, "covered {total} of {dt}");
             for s in &segments {
@@ -72,10 +73,7 @@ proptest! {
         let mut odo = Odometer::new(OdometryConfig::noiseless(), m.pose());
         let mut odo_rng = SeedSplitter::new(seed).stream("odo", 3);
         for _ in 0..120 {
-            let (pose, segments) = m.step(1.0, &mut rng);
-            for s in &segments {
-                odo.observe(s, &mut odo_rng);
-            }
+            let pose = m.step(1.0, &mut rng, |s| odo.observe(s, &mut odo_rng));
             let err = pose.position.distance_to(odo.estimated_pose().position);
             prop_assert!(err < 1e-6, "drifted {err}");
         }

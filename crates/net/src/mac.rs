@@ -13,10 +13,13 @@
 //!
 //! Senders use randomized jitter inside the CoCoA transmit window (the
 //! paper sends k = 3 beacons for reliability precisely because collisions
-//! and fades happen); a [`Medium::next_clear_time`] helper supports
-//! carrier-sense deferral.
-
-use std::collections::HashMap;
+//! and fades happen).
+//!
+//! Each frame carries the RSSI sampled at every receiver that heard it,
+//! sorted by receiver. A frame is judged once, at its end time, for all of
+//! its receivers together: one scan of the medium collects the frames
+//! that overlap its airtime, and each receiver is then judged against
+//! those alone, its RSSI in each found by binary search.
 
 use cocoa_sim::time::{SimDuration, SimTime};
 
@@ -53,17 +56,30 @@ struct ActiveTx {
     start: SimTime,
     end: SimTime,
     packet: Packet,
+    /// The sampled RSSI at each receiver that heard the frame, strictly
+    /// increasing by receiver.
+    heard: Vec<(NodeId, Dbm)>,
 }
 
-/// Outcome of a reception attempt, as judged at the frame's end time.
-#[derive(Debug, Clone, PartialEq)]
+impl ActiveTx {
+    /// Whether this frame is on the air during part of `[start, end)`.
+    fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
+        self.start < end && self.end > start
+    }
+
+    fn rssi_at(&self, rx: NodeId) -> Option<Dbm> {
+        let at = self.heard.binary_search_by_key(&rx, |&(r, _)| r).ok()?;
+        Some(self.heard[at].1)
+    }
+}
+
+/// Outcome of one reception of a frame, as judged at the frame's end time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReceptionOutcome {
-    /// Frame decoded; carries the sampled RSSI and the packet.
+    /// Frame decoded.
     Delivered {
         /// Received signal strength of the decoded frame.
         rssi: Dbm,
-        /// The decoded packet.
-        packet: Packet,
     },
     /// Destroyed by an overlapping transmission within the capture margin.
     Collided {
@@ -72,26 +88,20 @@ pub enum ReceptionOutcome {
     },
     /// The receiver itself was transmitting during the frame (half-duplex).
     HalfDuplex,
-    /// No RSSI was recorded for this `(tx, rx)` pair — the frame was below
+    /// No RSSI was recorded for this receiver — the frame was below
     /// sensitivity or the receiver was asleep at frame start.
     NotReceivable,
-    /// The transmission was already garbage-collected when the outcome was
-    /// queried — the reception attempt is simply dropped. A model that
-    /// queries on time never sees this, but a late query (a fault-injected
-    /// or rebooted node replaying stale state) degrades to a lost frame
-    /// instead of a panic.
-    Expired,
 }
 
 /// The shared broadcast medium.
 ///
 /// The simulation runner drives it in two phases per frame:
 ///
-/// 1. at frame start, [`Medium::begin_tx`] registers the transmission and
-///    [`Medium::record_rssi`] stores the sampled RSSI for each awake,
-///    in-range receiver;
-/// 2. at frame end, [`Medium::outcome`] judges delivery against every
-///    overlapping transmission.
+/// 1. at frame start, [`Medium::begin_tx`] registers the transmission with
+///    the RSSI sampled at each awake, in-range receiver;
+/// 2. at frame end, [`Medium::judge`] judges every receiver of the frame
+///    against the transmissions that overlap it. Every overlapping frame
+///    has started by then, which is what makes the verdict final.
 ///
 /// # Examples
 ///
@@ -105,23 +115,29 @@ pub enum ReceptionOutcome {
 /// let mut medium = Medium::new();
 /// let pkt = Packet::new(NodeId(1), 0, Payload::Beacon { position: Point::ORIGIN });
 /// let tx = medium.begin_tx(NodeId(1), Point::ORIGIN, pkt, SimTime::ZERO,
-///                          SimDuration::from_micros(260));
-/// medium.record_rssi(tx, NodeId(2), Dbm::new(-60.0));
-/// match medium.outcome(tx, NodeId(2)) {
-///     ReceptionOutcome::Delivered { rssi, .. } => assert_eq!(rssi.value(), -60.0),
-///     other => panic!("unexpected {other:?}"),
-/// }
+///                          SimDuration::from_micros(260), [(NodeId(2), Dbm::new(-60.0))]);
+/// let mut verdicts = Vec::new();
+/// let packet = medium.judge(tx, [NodeId(2), NodeId(3)], &mut verdicts);
+/// assert_eq!(packet.map(|p| p.src), Some(NodeId(1)));
+/// assert_eq!(verdicts, [
+///     ReceptionOutcome::Delivered { rssi: Dbm::new(-60.0) },
+///     ReceptionOutcome::NotReceivable,
+/// ]);
 /// ```
 #[derive(Debug)]
 pub struct Medium {
+    /// Frames on the air or recently ended, in strictly increasing id
+    /// order: ids are allocated in increasing order, and `gc` keeps it.
     active: Vec<ActiveTx>,
-    rssi: HashMap<(TxId, NodeId), Dbm>,
     capture_margin_db: f64,
     retention: SimDuration,
     next_id: u64,
     total_tx: u64,
     total_collisions: u64,
     total_half_duplex: u64,
+    /// Indices into `active` of the frames overlapping the one being
+    /// judged. A buffer reused across judgements, not state.
+    overlapping: Vec<usize>,
 }
 
 impl Default for Medium {
@@ -145,17 +161,24 @@ impl Medium {
         assert!(margin_db >= 0.0, "capture margin must be non-negative");
         Medium {
             active: Vec::new(),
-            rssi: HashMap::new(),
             capture_margin_db: margin_db,
             retention: SimDuration::from_millis(10),
             next_id: 0,
             total_tx: 0,
             total_collisions: 0,
             total_half_duplex: 0,
+            overlapping: Vec::new(),
         }
     }
 
-    /// Registers a transmission occupying `[start, start + duration)`.
+    /// Registers a transmission occupying `[start, start + duration)`,
+    /// heard with the sampled RSSI at each receiver in `heard`. List only
+    /// receivers that were awake and above sensitivity, in increasing
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heard` names a receiver twice or out of order.
     pub fn begin_tx(
         &mut self,
         src: NodeId,
@@ -163,7 +186,13 @@ impl Medium {
         packet: Packet,
         start: SimTime,
         duration: SimDuration,
+        heard: impl IntoIterator<Item = (NodeId, Dbm)>,
     ) -> TxId {
+        let heard: Vec<(NodeId, Dbm)> = heard.into_iter().collect();
+        assert!(
+            heard.windows(2).all(|w| w[0].0 < w[1].0),
+            "a frame's receivers must be listed once each, in increasing order"
+        );
         let id = TxId(self.next_id);
         self.next_id += 1;
         self.total_tx += 1;
@@ -174,80 +203,81 @@ impl Medium {
             start,
             end: start + duration,
             packet,
+            heard,
         });
         id
     }
 
-    /// Records the sampled RSSI of transmission `tx` at receiver `rx`.
-    /// Call only for receivers that were awake and above sensitivity.
-    pub fn record_rssi(&mut self, tx: TxId, rx: NodeId, rssi: Dbm) {
-        self.rssi.insert((tx, rx), rssi);
-    }
-
-    fn find(&self, tx: TxId) -> Option<&ActiveTx> {
-        self.active.iter().find(|t| t.id == tx)
-    }
-
-    /// Judges the reception of `tx` at `rx`. Meant to be called at the
-    /// frame's end time, after all overlapping frames have started. A `tx`
-    /// that was already garbage-collected yields
-    /// [`ReceptionOutcome::Expired`] — the attempt is dropped, never a
-    /// panic.
-    pub fn outcome(&mut self, tx: TxId, rx: NodeId) -> ReceptionOutcome {
-        let Some(frame) = self.find(tx).cloned() else {
-            return ReceptionOutcome::Expired;
-        };
-        let Some(&rssi) = self.rssi.get(&(tx, rx)) else {
-            return ReceptionOutcome::NotReceivable;
-        };
-        // Half-duplex: the receiver transmitting during any overlap kills it.
-        let rx_was_txing = self
-            .active
-            .iter()
-            .any(|t| t.src == rx && t.start < frame.end && t.end > frame.start);
-        if rx_was_txing {
-            self.total_collisions += 1;
-            self.total_half_duplex += 1;
-            return ReceptionOutcome::HalfDuplex;
-        }
-        // Strongest overlapping interferer that this receiver could hear.
-        let mut worst: Option<(Dbm, NodeId)> = None;
-        for other in &self.active {
-            if other.id == tx || other.end <= frame.start || other.start >= frame.end {
-                continue;
+    /// Judges frame `tx` at each of `receivers`: one verdict per receiver,
+    /// in order, into `verdicts` (cleared first). Returns the frame's
+    /// packet for the receivers that decoded it. Meant to be called at the
+    /// frame's end time, after all overlapping frames have started.
+    ///
+    /// A `tx` that was already garbage-collected returns `None` and leaves
+    /// `verdicts` empty: its reception attempts are dropped, never a
+    /// panic. A model that judges on time never sees this, but a late
+    /// judgement (a fault-injected or rebooted node replaying stale state)
+    /// degrades to lost frames.
+    pub fn judge(
+        &mut self,
+        tx: TxId,
+        receivers: impl IntoIterator<Item = NodeId>,
+        verdicts: &mut Vec<ReceptionOutcome>,
+    ) -> Option<&Packet> {
+        verdicts.clear();
+        let Medium {
+            active,
+            overlapping,
+            capture_margin_db,
+            total_collisions,
+            total_half_duplex,
+            ..
+        } = self;
+        let at = active.binary_search_by_key(&tx, |t| t.id).ok()?;
+        let frame = &active[at];
+        overlapping.clear();
+        overlapping.extend(
+            active
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.overlaps(frame.start, frame.end))
+                .map(|(i, _)| i),
+        );
+        verdicts.extend(receivers.into_iter().map(|rx| {
+            let Some(rssi) = frame.rssi_at(rx) else {
+                return ReceptionOutcome::NotReceivable;
+            };
+            // Half-duplex: the receiver transmitting during any overlap
+            // (this frame included) kills it.
+            if overlapping.iter().any(|&i| active[i].src == rx) {
+                *total_collisions += 1;
+                *total_half_duplex += 1;
+                return ReceptionOutcome::HalfDuplex;
             }
-            if let Some(&irssi) = self.rssi.get(&(other.id, rx)) {
-                if worst.is_none_or(|(w, _)| irssi > w) {
-                    worst = Some((irssi, other.src));
+            // Strongest overlapping interferer that this receiver could
+            // hear; the earliest registered wins a tie.
+            let mut worst: Option<(Dbm, NodeId)> = None;
+            for &i in overlapping.iter().filter(|&&i| i != at) {
+                if let Some(irssi) = active[i].rssi_at(rx) {
+                    if worst.is_none_or(|(w, _)| irssi > w) {
+                        worst = Some((irssi, active[i].src));
+                    }
                 }
             }
-        }
-        if let Some((irssi, interferer)) = worst {
-            if rssi.value() < irssi.value() + self.capture_margin_db {
-                self.total_collisions += 1;
-                return ReceptionOutcome::Collided { interferer };
+            if let Some((irssi, interferer)) = worst {
+                if rssi.value() < irssi.value() + *capture_margin_db {
+                    *total_collisions += 1;
+                    return ReceptionOutcome::Collided { interferer };
+                }
             }
-        }
-        ReceptionOutcome::Delivered {
-            rssi,
-            packet: frame.packet,
-        }
-    }
-
-    /// Earliest time at or after `now` at which the medium is clear within
-    /// `cs_range` metres of `pos` (simple carrier-sense helper).
-    pub fn next_clear_time(&self, pos: Point, cs_range: f64, now: SimTime) -> SimTime {
-        let mut clear = now;
-        for t in &self.active {
-            if t.end > clear && t.start <= clear && t.src_pos.distance_to(pos) <= cs_range {
-                clear = t.end;
-            }
-        }
-        clear
+            ReceptionOutcome::Delivered { rssi }
+        }));
+        Some(&frame.packet)
     }
 
     /// Drops transmissions that ended more than the retention window before
-    /// `now`. Outcomes must be queried before their frame ages out.
+    /// `now`, with their RSSI records. Frames must be judged before they
+    /// age out.
     pub fn gc(&mut self, now: SimTime) {
         let cutoff = now.saturating_since(SimTime::ZERO); // now as duration
         let retention = self.retention;
@@ -256,12 +286,7 @@ impl Medium {
         } else {
             SimTime::ZERO
         };
-        let before = self.active.len();
         self.active.retain(|t| t.end >= keep_after);
-        if self.active.len() != before {
-            let live: std::collections::HashSet<TxId> = self.active.iter().map(|t| t.id).collect();
-            self.rssi.retain(|(tx, _), _| live.contains(tx));
-        }
     }
 
     /// Number of transmissions ever registered.
@@ -281,16 +306,9 @@ impl Medium {
     }
 
     /// The medium's complete state as checkpoint data. Active frames keep
-    /// their registration order (delivery judgement iterates them in
-    /// order); RSSI records are sorted by `(tx, rx)` so serialized bytes
-    /// never depend on hash-map iteration order.
+    /// their registration order; walking them in that order, each with its
+    /// receivers in order, lists the RSSI records sorted by `(tx, rx)`.
     pub fn state(&self) -> MediumState {
-        let mut rssi: Vec<(TxId, NodeId, Dbm)> = self
-            .rssi
-            .iter()
-            .map(|(&(tx, rx), &dbm)| (tx, rx, dbm))
-            .collect();
-        rssi.sort_by_key(|&(tx, rx, _)| (tx, rx));
         MediumState {
             active: self
                 .active
@@ -304,7 +322,11 @@ impl Medium {
                     packet: t.packet.clone(),
                 })
                 .collect(),
-            rssi,
+            rssi: self
+                .active
+                .iter()
+                .flat_map(|t| t.heard.iter().map(|&(rx, dbm)| (t.id, rx, dbm)))
+                .collect(),
             capture_margin_db: self.capture_margin_db,
             retention: self.retention,
             next_id: self.next_id,
@@ -314,32 +336,38 @@ impl Medium {
         }
     }
 
-    /// Rebuilds a medium from checkpointed state.
+    /// Rebuilds a medium from checkpointed state. `state` must keep the
+    /// orders [`MediumState`] documents, as [`Medium::state`] writes them;
+    /// snapshot decoding rejects a state that does not. An RSSI record
+    /// naming no frame of `state.active` is dropped.
     pub fn from_state(state: MediumState) -> Self {
+        let mut active: Vec<ActiveTx> = state
+            .active
+            .into_iter()
+            .map(|t| ActiveTx {
+                id: t.id,
+                src: t.src,
+                src_pos: t.src_pos,
+                start: t.start,
+                end: t.end,
+                packet: t.packet,
+                heard: Vec::new(),
+            })
+            .collect();
+        for (tx, rx, dbm) in state.rssi {
+            if let Ok(at) = active.binary_search_by_key(&tx, |t| t.id) {
+                active[at].heard.push((rx, dbm));
+            }
+        }
         Medium {
-            active: state
-                .active
-                .into_iter()
-                .map(|t| ActiveTx {
-                    id: t.id,
-                    src: t.src,
-                    src_pos: t.src_pos,
-                    start: t.start,
-                    end: t.end,
-                    packet: t.packet,
-                })
-                .collect(),
-            rssi: state
-                .rssi
-                .into_iter()
-                .map(|(tx, rx, dbm)| ((tx, rx), dbm))
-                .collect(),
+            active,
             capture_margin_db: state.capture_margin_db,
             retention: state.retention,
             next_id: state.next_id,
             total_tx: state.total_tx,
             total_collisions: state.total_collisions,
             total_half_duplex: state.total_half_duplex,
+            overlapping: Vec::new(),
         }
     }
 }
@@ -364,13 +392,15 @@ pub struct ActiveTxState {
 /// The medium's complete state as checkpoint data (see [`Medium::state`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MediumState {
-    /// In-flight transmissions, in registration order.
+    /// In-flight transmissions, in registration order: ids strictly
+    /// increasing, each below `next_id`.
     pub active: Vec<ActiveTxState>,
-    /// Recorded RSSI samples, sorted by `(tx, rx)`.
+    /// Recorded RSSI samples, strictly increasing by `(tx, rx)`, each
+    /// naming a transmission in `active`.
     pub rssi: Vec<(TxId, NodeId, Dbm)>,
     /// Capture margin, dB.
     pub capture_margin_db: f64,
-    /// How long ended frames are retained for late outcome queries.
+    /// How long ended frames are retained for late judgements.
     pub retention: SimDuration,
     /// Next [`TxId`] to allocate.
     pub next_id: u64,
@@ -405,49 +435,66 @@ mod tests {
         SimTime::from_micros(v)
     }
 
+    /// `src` transmits a beacon over `[start, start + 260 µs)`, heard at
+    /// each `(receiver, dBm)` of `heard`.
+    fn send(m: &mut Medium, src: u32, start: u64, heard: &[(u32, f64)]) -> TxId {
+        m.begin_tx(
+            NodeId(src),
+            Point::new(f64::from(src), 0.0),
+            beacon(src, 0),
+            at(start),
+            us(260),
+            heard.iter().map(|&(rx, dbm)| (NodeId(rx), Dbm::new(dbm))),
+        )
+    }
+
+    /// Judges `tx` at the single receiver `rx`; `None` once it expired.
+    fn judge_at(m: &mut Medium, tx: TxId, rx: u32) -> Option<ReceptionOutcome> {
+        let mut verdicts = Vec::new();
+        m.judge(tx, [NodeId(rx)], &mut verdicts)?;
+        Some(verdicts[0])
+    }
+
+    fn delivered(dbm: f64) -> Option<ReceptionOutcome> {
+        Some(ReceptionOutcome::Delivered {
+            rssi: Dbm::new(dbm),
+        })
+    }
+
     #[test]
     fn lone_frame_is_delivered() {
         let mut m = Medium::new();
-        let tx = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        m.record_rssi(tx, NodeId(2), Dbm::new(-55.0));
-        assert!(matches!(
-            m.outcome(tx, NodeId(2)),
-            ReceptionOutcome::Delivered { .. }
-        ));
+        let tx = send(&mut m, 1, 0, &[(2, -55.0)]);
+        assert_eq!(judge_at(&mut m, tx, 2), delivered(-55.0));
         assert_eq!(m.collisions(), 0);
     }
 
     #[test]
     fn unrecorded_receiver_is_not_receivable() {
         let mut m = Medium::new();
-        let tx = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        assert_eq!(m.outcome(tx, NodeId(9)), ReceptionOutcome::NotReceivable);
+        let tx = send(&mut m, 1, 0, &[]);
+        assert_eq!(
+            judge_at(&mut m, tx, 9),
+            Some(ReceptionOutcome::NotReceivable)
+        );
     }
 
     #[test]
     fn comparable_overlapping_frames_collide() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        let b = m.begin_tx(
-            NodeId(2),
-            Point::new(5.0, 0.0),
-            beacon(2, 0),
-            at(100),
-            us(260),
-        );
-        m.record_rssi(a, NodeId(3), Dbm::new(-60.0));
-        m.record_rssi(b, NodeId(3), Dbm::new(-62.0)); // within 10 dB
+        let a = send(&mut m, 1, 0, &[(3, -60.0)]);
+        let b = send(&mut m, 2, 100, &[(3, -62.0)]); // within 10 dB
         assert_eq!(
-            m.outcome(a, NodeId(3)),
-            ReceptionOutcome::Collided {
+            judge_at(&mut m, a, 3),
+            Some(ReceptionOutcome::Collided {
                 interferer: NodeId(2)
-            }
+            })
         );
         assert_eq!(
-            m.outcome(b, NodeId(3)),
-            ReceptionOutcome::Collided {
+            judge_at(&mut m, b, 3),
+            Some(ReceptionOutcome::Collided {
                 interferer: NodeId(1)
-            }
+            })
         );
         assert_eq!(m.collisions(), 2);
     }
@@ -455,57 +502,31 @@ mod tests {
     #[test]
     fn much_stronger_frame_captures() {
         let mut m = Medium::new();
-        let strong = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        let weak = m.begin_tx(
-            NodeId(2),
-            Point::new(50.0, 0.0),
-            beacon(2, 0),
-            at(50),
-            us(260),
-        );
-        m.record_rssi(strong, NodeId(3), Dbm::new(-50.0));
-        m.record_rssi(weak, NodeId(3), Dbm::new(-75.0));
+        let strong = send(&mut m, 1, 0, &[(3, -50.0)]);
+        let weak = send(&mut m, 2, 50, &[(3, -75.0)]);
+        assert_eq!(judge_at(&mut m, strong, 3), delivered(-50.0));
         assert!(matches!(
-            m.outcome(strong, NodeId(3)),
-            ReceptionOutcome::Delivered { .. }
-        ));
-        assert!(matches!(
-            m.outcome(weak, NodeId(3)),
-            ReceptionOutcome::Collided { .. }
+            judge_at(&mut m, weak, 3),
+            Some(ReceptionOutcome::Collided { .. })
         ));
     }
 
     #[test]
     fn non_overlapping_frames_do_not_interfere() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        let b = m.begin_tx(NodeId(2), Point::ORIGIN, beacon(2, 0), at(260), us(260));
-        m.record_rssi(a, NodeId(3), Dbm::new(-60.0));
-        m.record_rssi(b, NodeId(3), Dbm::new(-60.0));
-        assert!(matches!(
-            m.outcome(a, NodeId(3)),
-            ReceptionOutcome::Delivered { .. }
-        ));
-        assert!(matches!(
-            m.outcome(b, NodeId(3)),
-            ReceptionOutcome::Delivered { .. }
-        ));
+        let a = send(&mut m, 1, 0, &[(3, -60.0)]);
+        let b = send(&mut m, 2, 260, &[(3, -60.0)]);
+        assert_eq!(judge_at(&mut m, a, 3), delivered(-60.0));
+        assert_eq!(judge_at(&mut m, b, 3), delivered(-60.0));
     }
 
     #[test]
     fn half_duplex_receiver_drops_frame() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
+        let a = send(&mut m, 1, 0, &[(2, -40.0)]);
         // Node 2 transmits overlapping with a's airtime.
-        let _b = m.begin_tx(
-            NodeId(2),
-            Point::new(5.0, 0.0),
-            beacon(2, 0),
-            at(100),
-            us(260),
-        );
-        m.record_rssi(a, NodeId(2), Dbm::new(-40.0));
-        assert_eq!(m.outcome(a, NodeId(2)), ReceptionOutcome::HalfDuplex);
+        let _b = send(&mut m, 2, 100, &[]);
+        assert_eq!(judge_at(&mut m, a, 2), Some(ReceptionOutcome::HalfDuplex));
         assert_eq!(m.half_duplex(), 1);
         assert_eq!(m.collisions(), 1);
     }
@@ -513,72 +534,72 @@ mod tests {
     #[test]
     fn interferer_unheard_by_receiver_is_harmless() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        // Far-away node transmits concurrently but below this receiver's
-        // sensitivity: no RSSI recorded for it.
-        let _b = m.begin_tx(
-            NodeId(2),
-            Point::new(500.0, 0.0),
-            beacon(2, 0),
-            at(0),
-            us(260),
-        );
-        m.record_rssi(a, NodeId(3), Dbm::new(-60.0));
-        assert!(matches!(
-            m.outcome(a, NodeId(3)),
-            ReceptionOutcome::Delivered { .. }
-        ));
+        let a = send(&mut m, 1, 0, &[(3, -60.0)]);
+        // A far-away node transmits concurrently but below this receiver's
+        // sensitivity: it heard nothing.
+        let _b = send(&mut m, 2, 0, &[]);
+        assert_eq!(judge_at(&mut m, a, 3), delivered(-60.0));
     }
 
     #[test]
-    fn carrier_sense_reports_busy_medium() {
+    fn one_judgement_covers_every_receiver_in_order() {
         let mut m = Medium::new();
-        m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(1000));
-        // Within carrier-sense range: must wait for the frame to end.
+        let a = send(&mut m, 1, 0, &[(2, -40.0), (3, -60.0), (4, -50.0)]);
+        let _b = send(&mut m, 2, 100, &[(3, -62.0), (4, -70.0)]);
+        let mut verdicts = vec![ReceptionOutcome::NotReceivable; 7];
+        let packet = m.judge(a, [4, 9, 3, 2].map(NodeId), &mut verdicts);
+        assert_eq!(packet, Some(&beacon(1, 0)));
         assert_eq!(
-            m.next_clear_time(Point::new(10.0, 0.0), 100.0, at(500)),
-            at(1000)
+            verdicts,
+            [
+                ReceptionOutcome::Delivered {
+                    rssi: Dbm::new(-50.0)
+                },
+                ReceptionOutcome::NotReceivable,
+                ReceptionOutcome::Collided {
+                    interferer: NodeId(2)
+                },
+                ReceptionOutcome::HalfDuplex,
+            ]
         );
-        // Out of range: clear immediately.
-        assert_eq!(
-            m.next_clear_time(Point::new(500.0, 0.0), 100.0, at(500)),
-            at(500)
-        );
+        assert_eq!((m.collisions(), m.half_duplex()), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "in increasing order")]
+    fn receivers_out_of_order_are_refused() {
+        send(&mut Medium::new(), 1, 0, &[(3, -60.0), (2, -60.0)]);
     }
 
     #[test]
     fn gc_reclaims_old_frames() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        m.record_rssi(a, NodeId(2), Dbm::new(-60.0));
+        let a = send(&mut m, 1, 0, &[(2, -60.0)]);
         m.gc(at(100_000_000)); // 100 s later
         assert_eq!(m.transmissions(), 1);
         // The frame and its RSSI records are gone: the attempt expires
         // gracefully instead of panicking.
-        assert_eq!(m.outcome(a, NodeId(2)), ReceptionOutcome::Expired);
+        let mut verdicts = vec![ReceptionOutcome::NotReceivable];
+        assert_eq!(m.judge(a, [NodeId(2)], &mut verdicts), None);
+        assert!(verdicts.is_empty());
+        assert!(m.state().rssi.is_empty());
     }
 
     #[test]
     fn state_round_trip_preserves_outcomes_and_ids() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        let b = m.begin_tx(
-            NodeId(2),
-            Point::new(5.0, 0.0),
-            beacon(2, 0),
-            at(100),
-            us(260),
-        );
-        m.record_rssi(a, NodeId(3), Dbm::new(-60.0));
-        m.record_rssi(b, NodeId(3), Dbm::new(-62.0));
+        let a = send(&mut m, 1, 0, &[(3, -60.0), (5, -70.0)]);
+        let b = send(&mut m, 2, 100, &[(3, -62.0)]);
         let mut r = Medium::from_state(m.state());
-        assert_eq!(m.outcome(a, NodeId(3)), r.outcome(a, NodeId(3)));
-        assert_eq!(m.outcome(b, NodeId(3)), r.outcome(b, NodeId(3)));
+        assert_eq!(r.state(), m.state());
+        for (tx, rx) in [(a, 3), (a, 5), (b, 3)] {
+            assert_eq!(judge_at(&mut m, tx, rx), judge_at(&mut r, tx, rx));
+        }
         assert_eq!(m.transmissions(), r.transmissions());
         assert_eq!(m.collisions(), r.collisions());
         // Id allocation continues where the original left off.
-        let next_m = m.begin_tx(NodeId(4), Point::ORIGIN, beacon(4, 0), at(600), us(260));
-        let next_r = r.begin_tx(NodeId(4), Point::ORIGIN, beacon(4, 0), at(600), us(260));
+        let next_m = send(&mut m, 4, 600, &[]);
+        let next_r = send(&mut r, 4, 600, &[]);
         assert_eq!(next_m, next_r);
         assert_eq!(TxId::from_raw(next_m.raw()), next_m);
     }
@@ -586,12 +607,8 @@ mod tests {
     #[test]
     fn gc_keeps_recent_frames() {
         let mut m = Medium::new();
-        let a = m.begin_tx(NodeId(1), Point::ORIGIN, beacon(1, 0), at(0), us(260));
-        m.record_rssi(a, NodeId(2), Dbm::new(-60.0));
+        let a = send(&mut m, 1, 0, &[(2, -60.0)]);
         m.gc(at(5_000)); // within retention
-        assert!(matches!(
-            m.outcome(a, NodeId(2)),
-            ReceptionOutcome::Delivered { .. }
-        ));
+        assert_eq!(judge_at(&mut m, a, 2), delivered(-60.0));
     }
 }

@@ -1,5 +1,7 @@
 //! Property-based tests for the wireless substrate.
 
+use std::collections::{BTreeMap, HashMap, HashSet};
+
 use bytes::Bytes;
 use cocoa_net::prelude::*;
 use cocoa_sim::rng::SeedSplitter;
@@ -51,6 +53,172 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
             }
         }),
     ]
+}
+
+/// The medium's reception judgement as it was before frames carried their
+/// own RSSI: one call per (frame, receiver), a linear search for the
+/// frame, two scans over every retained frame and a map of every RSSI
+/// sample. Kept as the reference [`Medium::judge`] must match.
+struct OracleMedium {
+    active: Vec<OracleTx>,
+    rssi: HashMap<(TxId, NodeId), Dbm>,
+    capture_margin_db: f64,
+    retention: SimDuration,
+    next_id: u64,
+    total_collisions: u64,
+    total_half_duplex: u64,
+}
+
+#[derive(Clone)]
+struct OracleTx {
+    id: TxId,
+    src: NodeId,
+    start: SimTime,
+    end: SimTime,
+}
+
+impl OracleMedium {
+    fn new(capture_margin_db: f64) -> Self {
+        OracleMedium {
+            active: Vec::new(),
+            rssi: HashMap::new(),
+            capture_margin_db,
+            retention: SimDuration::from_millis(10),
+            next_id: 0,
+            total_collisions: 0,
+            total_half_duplex: 0,
+        }
+    }
+
+    fn begin_tx(&mut self, src: NodeId, start: SimTime, end: SimTime, heard: &[(NodeId, Dbm)]) {
+        let id = TxId::from_raw(self.next_id);
+        self.next_id += 1;
+        self.active.push(OracleTx {
+            id,
+            src,
+            start,
+            end,
+        });
+        for &(rx, rssi) in heard {
+            self.rssi.insert((id, rx), rssi);
+        }
+    }
+
+    /// `None` when the frame was already garbage-collected.
+    fn outcome(&mut self, tx: TxId, rx: NodeId) -> Option<ReceptionOutcome> {
+        let frame = self.active.iter().find(|t| t.id == tx).cloned()?;
+        let Some(&rssi) = self.rssi.get(&(tx, rx)) else {
+            return Some(ReceptionOutcome::NotReceivable);
+        };
+        let rx_was_txing = self
+            .active
+            .iter()
+            .any(|t| t.src == rx && t.start < frame.end && t.end > frame.start);
+        if rx_was_txing {
+            self.total_collisions += 1;
+            self.total_half_duplex += 1;
+            return Some(ReceptionOutcome::HalfDuplex);
+        }
+        let mut worst: Option<(Dbm, NodeId)> = None;
+        for other in &self.active {
+            if other.id == tx || other.end <= frame.start || other.start >= frame.end {
+                continue;
+            }
+            if let Some(&irssi) = self.rssi.get(&(other.id, rx)) {
+                if worst.is_none_or(|(w, _)| irssi > w) {
+                    worst = Some((irssi, other.src));
+                }
+            }
+        }
+        if let Some((irssi, interferer)) = worst {
+            if rssi.value() < irssi.value() + self.capture_margin_db {
+                self.total_collisions += 1;
+                return Some(ReceptionOutcome::Collided { interferer });
+            }
+        }
+        Some(ReceptionOutcome::Delivered { rssi })
+    }
+
+    fn gc(&mut self, now: SimTime) {
+        let cutoff = now.saturating_since(SimTime::ZERO);
+        let keep_after = if cutoff > self.retention {
+            SimTime::ZERO + (cutoff - self.retention)
+        } else {
+            SimTime::ZERO
+        };
+        let before = self.active.len();
+        self.active.retain(|t| t.end >= keep_after);
+        if self.active.len() != before {
+            let live: HashSet<TxId> = self.active.iter().map(|t| t.id).collect();
+            self.rssi.retain(|(tx, _), _| live.contains(tx));
+        }
+    }
+
+    /// Every frame as `(id, src, start, end)`, the part of a
+    /// `MediumState`'s frames it models.
+    fn frames(&self) -> Vec<(TxId, NodeId, SimTime, SimTime)> {
+        self.active
+            .iter()
+            .map(|t| (t.id, t.src, t.start, t.end))
+            .collect()
+    }
+
+    /// Every RSSI record, sorted by `(tx, rx)` as a `MediumState` lists
+    /// them.
+    fn rssi_records(&self) -> Vec<(TxId, NodeId, Dbm)> {
+        let mut rssi: Vec<_> = self
+            .rssi
+            .iter()
+            .map(|(&(tx, rx), &dbm)| (tx, rx, dbm))
+            .collect();
+        rssi.sort_by_key(|&(tx, rx, _)| (tx, rx));
+        rssi
+    }
+}
+
+/// One step of a random medium workload. Times sit on a 130 µs grid so
+/// airtimes overlap, abut or miss; RSSI comes in 5 dB steps, so values
+/// tie and land exactly on the capture margin; nodes both send and
+/// receive, and receivers are judged whether or not they heard.
+#[derive(Debug, Clone)]
+enum MediumOp {
+    Send {
+        src: u32,
+        start_us: u64,
+        airtime_us: u64,
+        heard: BTreeMap<u32, u8>,
+    },
+    Judge {
+        pick: usize,
+        receivers: Vec<u32>,
+    },
+    Gc {
+        now_us: u64,
+    },
+}
+
+fn arb_medium_op() -> impl Strategy<Value = MediumOp> {
+    let send = || {
+        (
+            0u32..6,
+            0u64..20,
+            0u64..4,
+            proptest::collection::vec((0u32..6, 0u8..5), 0..6),
+        )
+            .prop_map(|(src, slot, slots, heard)| MediumOp::Send {
+                src,
+                start_us: slot * 130,
+                airtime_us: slots * 130,
+                heard: heard.into_iter().collect(),
+            })
+    };
+    let judge = || {
+        (any::<usize>(), proptest::collection::vec(0u32..8, 0..8))
+            .prop_map(|(pick, receivers)| MediumOp::Judge { pick, receivers })
+    };
+    let gc = (0u64..16_000).prop_map(|now_us| MediumOp::Gc { now_us });
+    // Three sends and three judgements to each collection.
+    prop_oneof![send(), send(), send(), judge(), judge(), judge(), gc]
 }
 
 proptest! {
@@ -191,13 +359,93 @@ proptest! {
             pkt,
             SimTime::from_micros(start_us),
             SimDuration::from_micros(260),
+            [(NodeId(2), Dbm::new(rssi))],
         );
-        m.record_rssi(tx, NodeId(2), Dbm::new(rssi));
-        let delivered = matches!(
-            m.outcome(tx, NodeId(2)),
-            ReceptionOutcome::Delivered { .. }
-        );
+        let mut verdicts = Vec::new();
+        m.judge(tx, [NodeId(2)], &mut verdicts);
+        let delivered = verdicts == [ReceptionOutcome::Delivered { rssi: Dbm::new(rssi) }];
         prop_assert!(delivered);
+    }
+
+    /// Judging each frame once, for all its receivers, matches the
+    /// per-receiver oracle: the same outcomes, packets, collision and
+    /// half-duplex counts, and state, through garbage collection.
+    #[test]
+    fn per_frame_judgement_matches_the_per_receiver_oracle(
+        margin in 0usize..3,
+        ops in proptest::collection::vec(arb_medium_op(), 1..48),
+    ) {
+        let margin_db = [0.0, 5.0, 10.0][margin];
+        let mut m = Medium::with_capture_margin(margin_db);
+        let mut oracle = OracleMedium::new(margin_db);
+        let mut sent: Vec<(TxId, Packet)> = Vec::new();
+        let mut verdicts = Vec::new();
+        for op in ops {
+            match op {
+                MediumOp::Send { src, start_us, airtime_us, heard } => {
+                    let heard: Vec<(NodeId, Dbm)> = heard
+                        .into_iter()
+                        .map(|(rx, step)| {
+                            (NodeId(rx), Dbm::new(-60.0 - 5.0 * f64::from(step)))
+                        })
+                        .collect();
+                    let start = SimTime::from_micros(start_us);
+                    let airtime = SimDuration::from_micros(airtime_us);
+                    let packet = Packet::new(
+                        NodeId(src),
+                        sent.len() as u32,
+                        Payload::Beacon { position: Point::ORIGIN },
+                    );
+                    oracle.begin_tx(NodeId(src), start, start + airtime, &heard);
+                    let tx = m.begin_tx(
+                        NodeId(src),
+                        Point::ORIGIN,
+                        packet.clone(),
+                        start,
+                        airtime,
+                        heard,
+                    );
+                    sent.push((tx, packet));
+                }
+                MediumOp::Judge { pick, receivers } => {
+                    // One pick past the frames sent names a frame never sent.
+                    let pick = pick % (sent.len() + 1);
+                    let tx = sent.get(pick).map_or(TxId::from_raw(pick as u64), |s| s.0);
+                    let receivers: Vec<NodeId> = receivers.into_iter().map(NodeId).collect();
+                    let judged = m.judge(tx, receivers.iter().copied(), &mut verdicts).cloned();
+                    if oracle.active.iter().any(|t| t.id == tx) {
+                        let expected: Vec<ReceptionOutcome> = receivers
+                            .iter()
+                            .map(|&rx| oracle.outcome(tx, rx).expect("the frame is retained"))
+                            .collect();
+                        prop_assert_eq!(judged.as_ref(), Some(&sent[pick].1));
+                        prop_assert_eq!(&verdicts, &expected);
+                    } else {
+                        // Collected or never sent: every attempt is dropped.
+                        prop_assert!(receivers.iter().all(|&rx| oracle.outcome(tx, rx).is_none()));
+                        prop_assert_eq!(judged, None);
+                        prop_assert!(verdicts.is_empty());
+                    }
+                }
+                MediumOp::Gc { now_us } => {
+                    m.gc(SimTime::from_micros(now_us));
+                    oracle.gc(SimTime::from_micros(now_us));
+                }
+            }
+            prop_assert_eq!(m.collisions(), oracle.total_collisions);
+            prop_assert_eq!(m.half_duplex(), oracle.total_half_duplex);
+            let state = m.state();
+            let frames: Vec<_> = state
+                .active
+                .iter()
+                .map(|t| (t.id, t.src, t.start, t.end))
+                .collect();
+            prop_assert_eq!(frames, oracle.frames());
+            prop_assert_eq!(&state.rssi, &oracle.rssi_records());
+            prop_assert_eq!(state.next_id, oracle.next_id);
+            // A restored medium carries the same state on.
+            prop_assert_eq!(Medium::from_state(state.clone()).state(), state);
+        }
     }
 
     /// Calibration PDFs are non-negative everywhere and have positive
