@@ -6,12 +6,11 @@
 //! cargo run --release -p cocoa-bench --bin perf
 //! ```
 //!
-//! Unlike the Criterion microbenchmarks this is a single fast pass (a few
-//! seconds end to end), intended as a regression tripwire: the JSON records
-//! ops/s for the naive and radial Bayesian grid updates (and their ratio),
-//! the dense PDF-table lookup, the wall time of the
-//! quick-scale Figure 7 comparison, and (in `BENCH_snapshot.json`) the
-//! snapshot CRC-32's throughput.
+//! A single fast pass (a few seconds end to end), intended as a regression
+//! tripwire: the JSON records ops/s for the Bayesian grid update, the lane
+//! kernel against its scalar reference, the dense PDF-table lookup, the
+//! wall time of the quick-scale Figure 7 comparison, and (in
+//! `BENCH_snapshot.json`) the snapshot CRC-32's throughput.
 //!
 //! The tripwire is armed by the regression gate
 //! (see [`cocoa_bench::regress`]):
@@ -144,21 +143,13 @@ fn main() -> ExitCode {
     let radial = radial_constraints_for_grid(&table, &grid_cfg);
     let beacon = Point::new(90.0, 110.0);
 
-    // Bayesian grid update, 100x100 cells: generic closure path vs radial
-    // fast path, fed the same RSSI stream.
+    // Bayesian grid update, 100x100 cells, one beacon per call.
     let mut loc = BayesianLocalizer::new(grid_cfg);
     let mut rng = SeedSplitter::new(2).stream("bench", 0);
-    let grid_naive = ops_per_sec(|| {
-        let rssi = channel.sample_rssi(20.0, &mut rng);
-        loc.observe_beacon(&table, beacon, rssi);
-    });
-    let mut loc_radial = BayesianLocalizer::new(grid_cfg);
-    let mut rng_radial = SeedSplitter::new(2).stream("bench", 0);
     let grid_radial = ops_per_sec(|| {
-        let rssi = channel.sample_rssi(20.0, &mut rng_radial);
-        loc_radial.observe_beacon_radial(&radial, beacon, rssi);
+        let rssi = channel.sample_rssi(20.0, &mut rng);
+        loc.observe_beacon(&radial, beacon, rssi);
     });
-    let speedup = grid_radial / grid_naive;
 
     // The lane kernel against the scalar reference loop it must match bit
     // for bit, isolated at the grid level (100×100 cells, one
@@ -334,11 +325,7 @@ fn main() -> ExitCode {
     );
     drop(server);
 
-    println!("grid update (naive):   {}", fmt_ops(grid_naive));
-    println!(
-        "grid update (radial):  {}  ({speedup:.1}x)",
-        fmt_ops(grid_radial)
-    );
+    println!("grid update (radial):  {}", fmt_ops(grid_radial));
     println!("grid kernel (scalar):  {}", fmt_ops(kernel_scalar));
     println!(
         "grid kernel (simd):    {}  ({simd_speedup:.2}x)",
@@ -370,9 +357,7 @@ fn main() -> ExitCode {
     );
 
     let json = format!(
-        "{{\n  \"grid_update_naive_ops_per_sec\": {grid_naive:.1},\n  \
-         \"grid_update_radial_ops_per_sec\": {grid_radial:.1},\n  \
-         \"grid_update_radial_speedup\": {speedup:.2},\n  \
+        "{{\n  \"grid_update_radial_ops_per_sec\": {grid_radial:.1},\n  \
          \"grid_kernel_scalar_ops_per_sec\": {kernel_scalar:.1},\n  \
          \"grid_kernel_simd_ops_per_sec\": {kernel_simd:.1},\n  \
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \

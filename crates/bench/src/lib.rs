@@ -1,15 +1,12 @@
-//! Shared plumbing for the figure-regeneration benches.
+//! Shared plumbing for the figure-regeneration and perf binaries.
 //!
-//! Every bench target in this crate does two things:
-//!
-//! 1. **regenerates its paper figure at full scale** (50 robots, 30
-//!    simulated minutes — the paper's setup) and prints the same
-//!    rows/series the paper reports, and
-//! 2. registers a Criterion benchmark of the underlying simulation at a
-//!    downsized scale, so `cargo bench` also yields stable timing numbers.
+//! `figures` regenerates every paper figure at full scale (50 robots, 30
+//! simulated minutes — the paper's setup) and prints the same rows/series
+//! the paper reports; `perf` times the hot kernels and gates them against
+//! [`regress`]'s history ring.
 //!
 //! The `COCOA_BENCH_QUICK=1` environment variable downsizes the figure
-//! regeneration too (useful on laptops / CI).
+//! regeneration (useful on laptops / CI).
 
 pub mod regress;
 
@@ -28,22 +25,4 @@ pub fn figure_scale() -> ExperimentScale {
     } else {
         ExperimentScale::default()
     }
-}
-
-/// The scale used for Criterion timing: small enough for tens of
-/// iterations.
-pub fn timing_scale() -> ExperimentScale {
-    ExperimentScale {
-        seed: 42,
-        duration: SimDuration::from_secs(60),
-        num_robots: 20,
-    }
-}
-
-/// Prints a figure banner so the bench output doubles as the experiment
-/// record.
-pub fn banner(figure: &str) {
-    println!("\n==================================================================");
-    println!("== Regenerating {figure} (set COCOA_BENCH_QUICK=1 to downsize) ==");
-    println!("==================================================================");
 }

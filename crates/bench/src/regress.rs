@@ -65,7 +65,6 @@ use Direction::{HigherIsBetter, Informational, LowerIsBetter};
 /// metrics (cell counts, accuracy deltas, `bit_identical`) are tight.
 pub const SPECS: &[MetricSpec] = &[
     // --- BENCH_grid.json: throughput ---
-    spec("grid_update_naive_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_update_radial_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_kernel_scalar_ops_per_sec", HigherIsBetter, 0.5),
     spec("grid_kernel_simd_ops_per_sec", HigherIsBetter, 0.5),
@@ -73,7 +72,6 @@ pub const SPECS: &[MetricSpec] = &[
     spec("pdf_lookup_dense_ops_per_sec", HigherIsBetter, 0.5),
     // --- BENCH_grid.json: relative speedups (ratios of two timings taken
     // back to back on the same machine, so noise partially cancels) ---
-    spec("grid_update_radial_speedup", HigherIsBetter, 0.35),
     spec("grid_update_simd_speedup", HigherIsBetter, 0.35),
     // --- BENCH_grid.json: deterministic shape ---
     spec("grid_dense_cells_per_window", LowerIsBetter, 0.01),

@@ -938,6 +938,10 @@ pub struct MulticastRow {
     pub sync_delivery_rate: f64,
     /// Data transmissions on the air (originated + forwarded).
     pub data_transmissions: u64,
+    /// Data payloads delivered to members.
+    pub data_delivered: u64,
+    /// Deliveries per data transmission.
+    pub forwarding_efficiency: f64,
     /// Control transmissions on the air (queries + rebroadcasts + replies).
     pub control_transmissions: u64,
     /// JOIN QUERY rebroadcasts pruned (MRMM's redundancy suppression).
@@ -1015,6 +1019,8 @@ pub fn ablation_multicast(scale: ExperimentScale) -> Vec<MulticastRow> {
                     tr.syncs_delivered as f64 / windows as f64
                 },
                 data_transmissions: m.mesh.data_originated + m.mesh.data_forwarded,
+                data_delivered: m.mesh.data_delivered,
+                forwarding_efficiency: m.mesh.forwarding_efficiency(),
                 control_transmissions: m.mesh.control_overhead(),
                 prunes: m.mesh.queries_suppressed,
                 mean_error_m: m.mean_error_over_time(),
@@ -1029,14 +1035,16 @@ pub fn ablation_multicast(scale: ExperimentScale) -> Vec<MulticastRow> {
 pub fn render_multicast_ablation(rows: &[MulticastRow]) -> String {
     let mut out = String::from(
         "# Ablation — SYNC multicast backend (flood vs ODMRP vs MRMM)\n\
-         backend  sync del.  data tx  ctrl tx  pruned  error [m]  energy [J]  geo del.\n",
+         backend  sync del.  data tx  delivered  fwd effic.  ctrl tx  pruned  error [m]  energy [J]  geo del.\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<7}  {:>8.1}%  {:>7}  {:>7}  {:>6}  {:>9.2}  {:>10.1}  {:>7.1}%\n",
+            "{:<7}  {:>8.1}%  {:>7}  {:>9}  {:>10.2}  {:>7}  {:>6}  {:>9.2}  {:>10.1}  {:>7.1}%\n",
             r.backend.as_str(),
             r.sync_delivery_rate * 100.0,
             r.data_transmissions,
+            r.data_delivered,
+            r.forwarding_efficiency,
             r.control_transmissions,
             r.prunes,
             r.mean_error_m,
@@ -1307,6 +1315,7 @@ mod tests {
                 "{}: no data on the air",
                 p.as_str()
             );
+            assert!(r.data_delivered > 0 && r.forwarding_efficiency > 0.0);
             assert!(r.mean_error_m.is_finite() && r.energy_j > 0.0);
         }
         // Flooding pays no control traffic; the mesh protocols do.
@@ -1326,6 +1335,7 @@ mod tests {
         assert!(mrmm.sync_delivery_rate >= odmrp.sync_delivery_rate);
         let rendered = render_multicast_ablation(&rows);
         assert!(rendered.contains("mrmm") && rendered.contains("headline:"));
+        assert!(rendered.contains("fwd effic."));
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn dispatch(
             if let Some(rf) = r.rf.as_mut() {
                 world.traffic.beacons_received += 1;
                 let sp = world.telemetry.span_start();
-                let result = rf.observe_beacon_checked(
+                let result = rf.observe_beacon(
                     &world.calibration.table,
                     &world.radial,
                     *position,

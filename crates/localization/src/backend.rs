@@ -36,7 +36,7 @@ use crate::multilateration::{Multilaterator, RangeObservation};
 /// | Method | Bayes | Multilateration | EKF |
 /// |---|---|---|---|
 /// | `begin_window` | discard posterior | discard ranges | reset window count only |
-/// | `observe_beacon*` | grid constraint | collect range | gated IEKF range update |
+/// | `observe_beacon` | grid constraint | collect range | gated IEKF range update |
 /// | `estimate` | posterior mean (≥ 3 beacons) | WLS solution (≥ 3 ranges) | filter state (≥ 3 applied this window) |
 /// | `end_window_confidence` | entropy vs maximum | none | none |
 /// | `note_odometry` | — | — | covariance-growing predict |
@@ -48,19 +48,11 @@ pub trait RfBackend {
     /// Called at every transmit-window start, before beacons arrive.
     fn begin_window(&mut self);
 
-    /// Offers one received beacon through the PDF-table path.
+    /// Offers one received beacon. The Bayesian backend applies `radial`'s
+    /// pre-sampled constraint (the zero-allocation lane kernel); the
+    /// gridless backends read the PDF table, so the two arguments must
+    /// describe the same calibration.
     fn observe_beacon(
-        &mut self,
-        table: &PdfTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult;
-
-    /// Offers one received beacon through the precomputed radial constraint
-    /// cache (the zero-allocation fast path). Backends without a radial
-    /// form fall back to the PDF table, so the two arguments must describe
-    /// the same calibration.
-    fn observe_beacon_radial(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
@@ -77,12 +69,6 @@ pub trait RfBackend {
     /// watchdog never fires.
     fn end_window_confidence(&self) -> Option<(f64, f64)> {
         None
-    }
-
-    /// Posterior entropy (confidence proxy for the relay-beaconing guard);
-    /// infinity for backends without a posterior.
-    fn entropy(&self) -> f64 {
-        f64::INFINITY
     }
 
     /// Posterior entropy as a fraction of the uniform maximum, in `[0, 1]`;
@@ -178,21 +164,12 @@ impl RfBackend for BayesianLocalizer {
 
     fn observe_beacon(
         &mut self,
-        table: &PdfTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult {
-        BayesianLocalizer::observe_beacon(self, table, beacon_pos, rssi)
-    }
-
-    fn observe_beacon_radial(
-        &mut self,
         _table: &PdfTable,
         radial: &RadialConstraintTable,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
-        BayesianLocalizer::observe_beacon_radial(self, radial, beacon_pos, rssi)
+        BayesianLocalizer::observe_beacon(self, radial, beacon_pos, rssi)
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -201,10 +178,6 @@ impl RfBackend for BayesianLocalizer {
 
     fn end_window_confidence(&self) -> Option<(f64, f64)> {
         Some((BayesianLocalizer::entropy(self), self.max_entropy()))
-    }
-
-    fn entropy(&self) -> f64 {
-        BayesianLocalizer::entropy(self)
     }
 
     fn entropy_fraction(&self) -> Option<f64> {
@@ -242,6 +215,7 @@ impl RfBackend for Multilaterator {
     fn observe_beacon(
         &mut self,
         table: &PdfTable,
+        _radial: &RadialConstraintTable,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
@@ -250,16 +224,6 @@ impl RfBackend for Multilaterator {
         } else {
             ObservationResult::NoPdf
         }
-    }
-
-    fn observe_beacon_radial(
-        &mut self,
-        table: &PdfTable,
-        _radial: &RadialConstraintTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult {
-        RfBackend::observe_beacon(self, table, beacon_pos, rssi)
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -329,17 +293,6 @@ impl EkfBackend {
             window_applied,
         }
     }
-
-    fn fuse(&mut self, table: &PdfTable, beacon_pos: Point, rssi: Dbm) -> ObservationResult {
-        match self.ekf.update_from_beacon(table, beacon_pos, rssi) {
-            EkfUpdate::Applied => {
-                self.window_applied += 1;
-                ObservationResult::Applied
-            }
-            EkfUpdate::Gated => ObservationResult::Outlier,
-            EkfUpdate::NoPdf => ObservationResult::NoPdf,
-        }
-    }
 }
 
 impl RfBackend for EkfBackend {
@@ -356,20 +309,18 @@ impl RfBackend for EkfBackend {
     fn observe_beacon(
         &mut self,
         table: &PdfTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult {
-        self.fuse(table, beacon_pos, rssi)
-    }
-
-    fn observe_beacon_radial(
-        &mut self,
-        table: &PdfTable,
         _radial: &RadialConstraintTable,
         beacon_pos: Point,
         rssi: Dbm,
     ) -> ObservationResult {
-        self.fuse(table, beacon_pos, rssi)
+        match self.ekf.update_from_beacon(table, beacon_pos, rssi) {
+            EkfUpdate::Applied => {
+                self.window_applied += 1;
+                ObservationResult::Applied
+            }
+            EkfUpdate::Gated => ObservationResult::Outlier,
+            EkfUpdate::NoPdf => ObservationResult::NoPdf,
+        }
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -403,21 +354,24 @@ impl RfBackend for EkfBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bayes::radial_constraints_for_grid;
     use cocoa_net::calibration::{calibrate, CalibrationConfig};
     use cocoa_net::channel::RfChannel;
     use cocoa_net::geometry::{Area, Vec2};
     use cocoa_sim::rng::SeedSplitter;
 
-    fn table() -> (RfChannel, PdfTable) {
+    fn table() -> (RfChannel, PdfTable, RadialConstraintTable) {
         let ch = RfChannel::default();
         let mut rng = SeedSplitter::new(1).stream("cal", 0);
         let table = calibrate(&ch, &CalibrationConfig::default(), &mut rng);
-        (ch, table)
+        let radial =
+            radial_constraints_for_grid(&table, &GridConfig::new(Area::square(200.0), 2.0));
+        (ch, table, radial)
     }
 
     #[test]
     fn ekf_backend_persists_state_across_windows() {
-        let (ch, table) = table();
+        let (ch, table, radial) = table();
         let mut rng = SeedSplitter::new(4).stream("b", 0);
         let grid = GridConfig::new(Area::square(200.0), 2.0);
         let mut b = EkfBackend::new(grid);
@@ -431,7 +385,7 @@ mod tests {
             RfBackend::begin_window(&mut b);
             for p in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-                RfBackend::observe_beacon(&mut b, &table, p, rssi);
+                RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
             }
         }
         // Window resets did not throw the filter away: nine updates fused.
@@ -449,19 +403,19 @@ mod tests {
 
     #[test]
     fn ekf_backend_requires_three_applied_updates_per_window() {
-        let (ch, table) = table();
+        let (ch, table, radial) = table();
         let mut rng = SeedSplitter::new(5).stream("b", 0);
         let mut b = EkfBackend::new(GridConfig::new(Area::square(200.0), 2.0));
         let robot = Point::new(100.0, 100.0);
         RfBackend::begin_window(&mut b);
         for p in [Point::new(92.0, 100.0), Point::new(108.0, 104.0)] {
             let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-            RfBackend::observe_beacon(&mut b, &table, p, rssi);
+            RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
         }
         assert_eq!(RfBackend::estimate(&b), None, "two beacons are not enough");
         let p = Point::new(100.0, 92.0);
         let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-        RfBackend::observe_beacon(&mut b, &table, p, rssi);
+        RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
         assert!(RfBackend::estimate(&b).is_some());
     }
 
@@ -487,7 +441,7 @@ mod tests {
 
     #[test]
     fn ekf_gated_update_reports_outlier() {
-        let (ch, table) = table();
+        let (ch, table, radial) = table();
         let mut rng = SeedSplitter::new(6).stream("b", 0);
         let mut b = EkfBackend::new(GridConfig::new(Area::square(200.0), 2.0));
         let robot = Point::new(100.0, 100.0);
@@ -500,13 +454,13 @@ mod tests {
         for _ in 0..3 {
             for p in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-                RfBackend::observe_beacon(&mut b, &table, p, rssi);
+                RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
             }
         }
         // A beacon whose RSSI says "far away" while standing next to the
         // converged filter fails the innovation gate.
         let ghost = ch.mean_rssi(150.0);
-        let r = RfBackend::observe_beacon(&mut b, &table, Point::new(101.0, 100.0), ghost);
+        let r = RfBackend::observe_beacon(&mut b, &table, &radial, Point::new(101.0, 100.0), ghost);
         assert_eq!(r, ObservationResult::Outlier);
         assert!(b.filter().updates_gated() >= 1);
     }

@@ -1,9 +1,9 @@
 //! The beacon-driven Bayesian localizer (paper Section 2.2).
 //!
 //! For every received beacon the robot looks the observed RSSI up in the
-//! calibration PDF table, turns the resulting distance PDF into a
-//! positional constraint (Eq. 1), multiplies it into its posterior and
-//! renormalizes (Eq. 2). Once at least **three** beacons have been
+//! calibration table, turns the resulting distance PDF (pre-sampled as a
+//! radial profile) into a positional constraint (Eq. 1), multiplies it
+//! into its posterior and renormalizes (Eq. 2). Once at least **three** beacons have been
 //! incorporated, the posterior mean (Eq. 3) is reported as the position
 //! estimate.
 
@@ -61,7 +61,7 @@ pub enum ObservationResult {
 /// # Examples
 ///
 /// ```
-/// use cocoa_localization::bayes::BayesianLocalizer;
+/// use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 /// use cocoa_localization::grid::GridConfig;
 /// use cocoa_net::calibration::{calibrate, CalibrationConfig};
 /// use cocoa_net::channel::RfChannel;
@@ -71,12 +71,14 @@ pub enum ObservationResult {
 /// let channel = RfChannel::default();
 /// let mut rng = SeedSplitter::new(5).stream("cal", 0);
 /// let table = calibrate(&channel, &CalibrationConfig::default(), &mut rng);
+/// let grid = GridConfig::new(Area::square(200.0), 2.0);
+/// let radial = radial_constraints_for_grid(&table, &grid);
 ///
-/// let mut loc = BayesianLocalizer::new(GridConfig::new(Area::square(200.0), 2.0));
+/// let mut loc = BayesianLocalizer::new(grid);
 /// let robot = Point::new(100.0, 100.0);
 /// for beacon in [Point::new(90.0, 100.0), Point::new(110.0, 95.0), Point::new(100.0, 112.0)] {
 ///     let rssi = channel.sample_rssi(robot.distance_to(beacon), &mut rng);
-///     loc.observe_beacon(&table, beacon, rssi);
+///     loc.observe_beacon(&radial, beacon, rssi);
 /// }
 /// let est = loc.estimate().expect("three beacons received");
 /// assert!(est.distance_to(robot) < 15.0);
@@ -127,31 +129,11 @@ impl BayesianLocalizer {
     }
 
     /// Incorporates one beacon: the sender claims to be at `beacon_pos` and
-    /// was heard at `rssi`.
-    ///
-    /// This is the generic (closure) path: the constraint is evaluated per
-    /// cell from the PDF table.
+    /// was heard at `rssi`. The constraint comes from `radial`'s
+    /// pre-sampled profile for the observed RSSI (same bin-fallback rule as
+    /// [`PdfTable::lookup`]) and is applied through the lane kernel — no
+    /// per-cell `exp`, no allocation.
     pub fn observe_beacon(
-        &mut self,
-        table: &PdfTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult {
-        self.beacons_seen += 1;
-        let Some(pdf) = table.lookup(rssi) else {
-            return ObservationResult::NoPdf;
-        };
-        let outcome = self
-            .grid
-            .apply_constraint(|cell| pdf.density(cell.distance_to(beacon_pos)) + CONSTRAINT_FLOOR);
-        self.record(outcome)
-    }
-
-    /// Incorporates one beacon through the radial fast path: the constraint
-    /// comes from `radial`'s pre-sampled profile for the observed RSSI
-    /// (same bin-fallback rule as [`PdfTable::lookup`]) and is applied
-    /// through the lane kernel — no per-cell `exp`, no allocation.
-    pub fn observe_beacon_radial(
         &mut self,
         radial: &RadialConstraintTable,
         beacon_pos: Point,
@@ -163,12 +145,7 @@ impl BayesianLocalizer {
         };
         self.stats.cells_touched += self.grid.num_cells() as u64;
         self.stats.kernel_simd += 1;
-        let outcome = self.grid.apply_radial_constraint(beacon_pos, profile);
-        self.record(outcome)
-    }
-
-    fn record(&mut self, outcome: ConstraintOutcome) -> ObservationResult {
-        match outcome {
+        match self.grid.apply_radial_constraint(beacon_pos, profile) {
             ConstraintOutcome::Applied => {
                 self.beacons_applied += 1;
                 ObservationResult::Applied
@@ -193,8 +170,8 @@ impl BayesianLocalizer {
         self.beacons_seen
     }
 
-    /// Posterior entropy, nats (confidence proxy; exposed for the relay-
-    /// beaconing extension's goodness guard).
+    /// Posterior entropy, nats — what the entropy watchdog and the
+    /// entropy histograms read.
     pub fn entropy(&self) -> f64 {
         self.grid.entropy()
     }
@@ -216,25 +193,6 @@ impl BayesianLocalizer {
     /// Read-only access to the posterior grid.
     pub fn grid(&self) -> &PositionGrid {
         &self.grid
-    }
-
-    /// Rebuilds a localizer from checkpointed state: the posterior
-    /// cells (see [`PositionGrid::cells`]) plus the beacon counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` does not match the grid implied by `config`.
-    pub fn from_checkpoint(
-        config: GridConfig,
-        cells: &[f64],
-        beacons_applied: u32,
-        beacons_seen: u32,
-    ) -> Self {
-        let mut loc = Self::new(config);
-        loc.restore_posterior_cells(cells);
-        loc.beacons_applied = beacons_applied;
-        loc.beacons_seen = beacons_seen;
-        loc
     }
 
     /// Restores checkpointed posterior cells (checkpoint plumbing).
@@ -264,20 +222,25 @@ mod tests {
     use cocoa_net::rssi::RssiBin;
     use cocoa_sim::rng::SeedSplitter;
 
-    fn setup() -> (RfChannel, PdfTable) {
+    fn config() -> GridConfig {
+        GridConfig::new(Area::square(200.0), 2.0)
+    }
+
+    fn setup() -> (RfChannel, RadialConstraintTable) {
         let ch = RfChannel::default();
         let mut rng = SeedSplitter::new(77).stream("cal", 0);
         let table = calibrate(&ch, &CalibrationConfig::default(), &mut rng);
-        (ch, table)
+        let radial = radial_constraints_for_grid(&table, &config());
+        (ch, radial)
     }
 
     fn localizer() -> BayesianLocalizer {
-        BayesianLocalizer::new(GridConfig::new(Area::square(200.0), 2.0))
+        BayesianLocalizer::new(config())
     }
 
     #[test]
     fn no_estimate_before_three_beacons() {
-        let (ch, table) = setup();
+        let (ch, radial) = setup();
         let mut rng = SeedSplitter::new(78).stream("t", 0);
         let mut loc = localizer();
         let robot = Point::new(100.0, 100.0);
@@ -287,18 +250,18 @@ mod tests {
         {
             assert!(loc.estimate().is_none(), "no estimate after {i} beacons");
             let rssi = ch.sample_rssi(robot.distance_to(beacon), &mut rng);
-            loc.observe_beacon(&table, beacon, rssi);
+            loc.observe_beacon(&radial, beacon, rssi);
         }
         assert!(loc.estimate().is_none());
         let third = Point::new(104.0, 96.0);
         let rssi = ch.sample_rssi(robot.distance_to(third), &mut rng);
-        loc.observe_beacon(&table, third, rssi);
+        loc.observe_beacon(&radial, third, rssi);
         assert!(loc.estimate().is_some());
     }
 
     #[test]
     fn close_beacons_localize_well() {
-        let (ch, table) = setup();
+        let (ch, radial) = setup();
         let robot = Point::new(120.0, 80.0);
         let beacons = [
             Point::new(110.0, 80.0),
@@ -313,7 +276,7 @@ mod tests {
             let mut loc = localizer();
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&table, b, rssi);
+                loc.observe_beacon(&radial, b, rssi);
             }
             errs.push(loc.estimate().unwrap().distance_to(robot));
         }
@@ -323,7 +286,7 @@ mod tests {
 
     #[test]
     fn far_beacons_localize_poorly() {
-        let (ch, table) = setup();
+        let (ch, radial) = setup();
         let robot = Point::new(100.0, 100.0);
         let near_err = {
             let mut rng = SeedSplitter::new(300).stream("t", 0);
@@ -334,7 +297,7 @@ mod tests {
                 Point::new(100.0, 90.0),
             ] {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&table, b, rssi);
+                loc.observe_beacon(&radial, b, rssi);
             }
             loc.estimate().unwrap().distance_to(robot)
         };
@@ -348,7 +311,7 @@ mod tests {
                 Point::new(100.0, 5.0),
             ] {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&table, b, rssi);
+                loc.observe_beacon(&radial, b, rssi);
             }
             loc.estimate()
                 .map_or(f64::INFINITY, |e| e.distance_to(robot))
@@ -361,10 +324,10 @@ mod tests {
 
     #[test]
     fn unusable_rssi_reports_no_pdf() {
-        let (_, table) = setup();
+        let (_, radial) = setup();
         let mut loc = localizer();
         // Absurdly strong: no bin within fallback range.
-        let r = loc.observe_beacon(&table, Point::new(1.0, 1.0), Dbm::new(20.0));
+        let r = loc.observe_beacon(&radial, Point::new(1.0, 1.0), Dbm::new(20.0));
         assert_eq!(r, ObservationResult::NoPdf);
         assert_eq!(loc.beacons_applied(), 0);
         assert_eq!(loc.beacons_seen(), 1);
@@ -372,7 +335,7 @@ mod tests {
 
     #[test]
     fn reset_requires_three_fresh_beacons() {
-        let (ch, table) = setup();
+        let (ch, radial) = setup();
         let mut rng = SeedSplitter::new(400).stream("t", 0);
         let mut loc = localizer();
         let robot = Point::new(100.0, 100.0);
@@ -383,7 +346,7 @@ mod tests {
         ];
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            loc.observe_beacon(&table, b, rssi);
+            loc.observe_beacon(&radial, b, rssi);
         }
         assert!(loc.estimate().is_some());
         loc.reset();
@@ -393,42 +356,15 @@ mod tests {
 
     #[test]
     fn entropy_falls_with_information() {
-        let (ch, table) = setup();
+        let (ch, radial) = setup();
         let mut rng = SeedSplitter::new(500).stream("t", 0);
         let mut loc = localizer();
         let initial = loc.entropy();
         let robot = Point::new(100.0, 100.0);
         let b = Point::new(95.0, 100.0);
         let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-        loc.observe_beacon(&table, b, rssi);
+        loc.observe_beacon(&radial, b, rssi);
         assert!(loc.entropy() < initial);
-    }
-
-    #[test]
-    fn radial_path_tracks_generic_path() {
-        let (ch, table) = setup();
-        let grid_cfg = GridConfig::new(Area::square(200.0), 2.0);
-        let radial = radial_constraints_for_grid(&table, &grid_cfg);
-        let mut rng = SeedSplitter::new(900).stream("t", 0);
-        let robot = Point::new(120.0, 80.0);
-        let mut generic = BayesianLocalizer::new(grid_cfg);
-        let mut fast = BayesianLocalizer::new(grid_cfg);
-        for b in [
-            Point::new(110.0, 80.0),
-            Point::new(126.0, 90.0),
-            Point::new(120.0, 68.0),
-            Point::new(40.0, 170.0),
-        ] {
-            let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            let a = generic.observe_beacon(&table, b, rssi);
-            let r = fast.observe_beacon_radial(&radial, b, rssi);
-            assert_eq!(a, r, "paths disagree on outcome for beacon {b}");
-        }
-        let (ea, er) = (generic.estimate().unwrap(), fast.estimate().unwrap());
-        assert!(
-            ea.distance_to(er) < 0.25,
-            "estimates diverged: generic {ea} vs radial {er}"
-        );
     }
 
     #[test]
@@ -444,10 +380,11 @@ mod tests {
             )],
             -80.0,
         );
+        let radial = radial_constraints_for_grid(&table, &config());
         let mut loc = localizer();
         // Two contradictory beacons claiming 5 m from opposite corners.
-        let a = loc.observe_beacon(&table, Point::new(0.0, 0.0), Dbm::new(-50.0));
-        let b = loc.observe_beacon(&table, Point::new(200.0, 200.0), Dbm::new(-50.0));
+        let a = loc.observe_beacon(&radial, Point::new(0.0, 0.0), Dbm::new(-50.0));
+        let b = loc.observe_beacon(&radial, Point::new(200.0, 200.0), Dbm::new(-50.0));
         assert_eq!(a, ObservationResult::Applied);
         // Thanks to the density floor the second is still applicable.
         assert_eq!(b, ObservationResult::Applied);

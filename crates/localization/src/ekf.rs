@@ -242,7 +242,7 @@ impl EkfLocalizer {
     /// This is the raw filter interface: it applies only the filter's own
     /// innovation gate. The *shared* beacon outlier gate (claimed distance
     /// vs RSSI-implied distance) is enforced one layer up, by
-    /// [`crate::estimator::WindowedRfEstimator::observe_beacon_checked`],
+    /// [`crate::estimator::WindowedRfEstimator::observe_beacon`],
     /// which screens beacons before any backend — this one included — sees
     /// them.
     pub fn update_from_beacon(&mut self, table: &PdfTable, anchor: Point, rssi: Dbm) -> EkfUpdate {

@@ -236,6 +236,7 @@ pub enum WindowOutcome {
 /// # Examples
 ///
 /// ```
+/// use cocoa_localization::bayes::radial_constraints_for_grid;
 /// use cocoa_localization::estimator::WindowedRfEstimator;
 /// use cocoa_localization::grid::GridConfig;
 /// use cocoa_net::calibration::{calibrate, CalibrationConfig};
@@ -246,13 +247,16 @@ pub enum WindowOutcome {
 /// let channel = RfChannel::default();
 /// let mut rng = SeedSplitter::new(2).stream("cal", 0);
 /// let table = calibrate(&channel, &CalibrationConfig::default(), &mut rng);
-/// let mut est = WindowedRfEstimator::new(GridConfig::new(Area::square(200.0), 2.0));
+/// let grid = GridConfig::new(Area::square(200.0), 2.0);
+/// let radial = radial_constraints_for_grid(&table, &grid);
+/// let mut est = WindowedRfEstimator::new(grid);
 ///
 /// est.begin_window();
 /// let robot = Point::new(50.0, 50.0);
 /// for b in [Point::new(42.0, 50.0), Point::new(55.0, 58.0), Point::new(50.0, 40.0)] {
 ///     let rssi = channel.sample_rssi(robot.distance_to(b), &mut rng);
-///     est.observe_beacon(&table, b, rssi);
+///     // No reference position yet, so the outlier gate is off.
+///     est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
 /// }
 /// let fix = est.end_window().expect("enough beacons");
 /// assert!(fix.distance_to(robot) < 15.0);
@@ -326,67 +330,8 @@ impl WindowedRfEstimator {
         self.backend.as_dyn_mut().reanchor_odometry(fix);
     }
 
-    /// Offers one received beacon to the open window.
-    ///
-    /// Beacons arriving outside a window (e.g. stale deliveries right after
-    /// the radio slept) are counted but ignored.
-    pub fn observe_beacon(
-        &mut self,
-        table: &PdfTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult {
-        self.stats.beacons_seen += 1;
-        if !self.in_window {
-            return ObservationResult::Rejected;
-        }
-        let r = self
-            .backend
-            .as_dyn_mut()
-            .observe_beacon(table, beacon_pos, rssi);
-        self.account(r);
-        r
-    }
-
-    /// Offers one received beacon, using the precomputed radial constraint
-    /// cache for the Bayesian backend (the zero-allocation fast path).
-    ///
-    /// The gridless backends have no radial form and fall back to the PDF
-    /// table, so the two arguments must describe the same calibration.
-    pub fn observe_beacon_radial(
-        &mut self,
-        table: &PdfTable,
-        radial: &RadialConstraintTable,
-        beacon_pos: Point,
-        rssi: Dbm,
-    ) -> ObservationResult {
-        self.stats.beacons_seen += 1;
-        if !self.in_window {
-            return ObservationResult::Rejected;
-        }
-        let r = self
-            .backend
-            .as_dyn_mut()
-            .observe_beacon_radial(table, radial, beacon_pos, rssi);
-        self.account(r);
-        r
-    }
-
-    /// Folds one backend verdict into the lifetime statistics. Only the
-    /// EKF backend ever returns [`ObservationResult::Outlier`] (its
-    /// innovation gate); the shared claimed-distance gate accounts for its
-    /// own rejections in
-    /// [`observe_beacon_checked`](Self::observe_beacon_checked).
-    fn account(&mut self, r: ObservationResult) {
-        match r {
-            ObservationResult::Applied => self.stats.beacons_applied += 1,
-            ObservationResult::Outlier => self.stats.beacons_rejected_outlier += 1,
-            ObservationResult::NoPdf | ObservationResult::Rejected => {}
-        }
-    }
-
-    /// Offers one received beacon through the radial fast path, first
-    /// screening it against an outlier gate.
+    /// Offers one received beacon to the open window, first screening it
+    /// against the outlier gate.
     ///
     /// If `reference` is the robot's current position belief, the beacon's
     /// claimed position implies a distance to us; the observed RSSI implies
@@ -394,9 +339,14 @@ impl WindowedRfEstimator {
     /// than `gate_m` metres the beacon is almost certainly corrupt or lying
     /// and is refused before any backend can be distorted by it. A `gate_m`
     /// of `0.0`, a missing reference, or an uncalibrated RSSI disables the
-    /// check and the beacon flows through
-    /// [`WindowedRfEstimator::observe_beacon_radial`] unchanged.
-    pub fn observe_beacon_checked(
+    /// check.
+    ///
+    /// Beacons arriving outside a window (e.g. stale deliveries right after
+    /// the radio slept) are counted but ignored. The Bayesian backend
+    /// applies `radial`'s pre-sampled constraint; the gridless backends
+    /// read `table`, so the two arguments must describe the same
+    /// calibration.
+    pub fn observe_beacon(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
@@ -405,17 +355,30 @@ impl WindowedRfEstimator {
         reference: Option<Point>,
         gate_m: f64,
     ) -> ObservationResult {
+        self.stats.beacons_seen += 1;
         if gate_m > 0.0 {
             if let (Some(refp), Some(pdf)) = (reference, table.lookup(rssi)) {
                 let claimed = refp.distance_to(beacon_pos);
                 if !claimed.is_finite() || (claimed - pdf.mean()).abs() > gate_m {
-                    self.stats.beacons_seen += 1;
                     self.stats.beacons_rejected_outlier += 1;
                     return ObservationResult::Outlier;
                 }
             }
         }
-        self.observe_beacon_radial(table, radial, beacon_pos, rssi)
+        if !self.in_window {
+            return ObservationResult::Rejected;
+        }
+        let r = self
+            .backend
+            .as_dyn_mut()
+            .observe_beacon(table, radial, beacon_pos, rssi);
+        // Only the EKF backend returns `Outlier` (its innovation gate).
+        match r {
+            ObservationResult::Applied => self.stats.beacons_applied += 1,
+            ObservationResult::Outlier => self.stats.beacons_rejected_outlier += 1,
+            ObservationResult::NoPdf | ObservationResult::Rejected => {}
+        }
+        r
     }
 
     /// Closes the window. Returns the fresh fix if the window produced one
@@ -463,12 +426,6 @@ impl WindowedRfEstimator {
     /// The most recent fix, if any window ever produced one.
     pub fn last_fix(&self) -> Option<Point> {
         self.last_fix
-    }
-
-    /// Posterior entropy (confidence proxy for the relay-beaconing guard).
-    /// Backends without a posterior report infinity.
-    pub fn entropy(&self) -> f64 {
-        self.backend.as_dyn().entropy()
     }
 
     /// Posterior entropy as a fraction of the uniform-grid maximum, in
@@ -601,17 +558,26 @@ mod tests {
     use cocoa_net::geometry::Area;
     use cocoa_sim::rng::SeedSplitter;
 
-    fn setup() -> (RfChannel, PdfTable, WindowedRfEstimator) {
+    fn grid() -> GridConfig {
+        GridConfig::new(Area::square(200.0), 2.0)
+    }
+
+    fn setup() -> (
+        RfChannel,
+        PdfTable,
+        RadialConstraintTable,
+        WindowedRfEstimator,
+    ) {
         let ch = RfChannel::default();
         let mut rng = SeedSplitter::new(1).stream("cal", 0);
         let table = calibrate(&ch, &CalibrationConfig::default(), &mut rng);
-        let est = WindowedRfEstimator::new(GridConfig::new(Area::square(200.0), 2.0));
-        (ch, table, est)
+        let radial = crate::bayes::radial_constraints_for_grid(&table, &grid());
+        (ch, table, radial, WindowedRfEstimator::new(grid()))
     }
 
     #[test]
     fn window_with_too_few_beacons_keeps_old_fix() {
-        let (ch, table, mut est) = setup();
+        let (ch, table, radial, mut est) = setup();
         let mut rng = SeedSplitter::new(2).stream("t", 0);
         let robot = Point::new(100.0, 100.0);
         // First window: 3 beacons, get a fix.
@@ -622,13 +588,13 @@ mod tests {
             Point::new(100.0, 92.0),
         ] {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, b, rssi);
+            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
         }
         let fix1 = est.end_window().expect("fix");
         // Second window: only 1 beacon — no new fix, old one kept.
         est.begin_window();
         let rssi = ch.sample_rssi(10.0, &mut rng);
-        est.observe_beacon(&table, Point::new(90.0, 100.0), rssi);
+        est.observe_beacon(&table, &radial, Point::new(90.0, 100.0), rssi, None, 0.0);
         assert_eq!(est.end_window(), None);
         assert_eq!(est.last_fix(), Some(fix1));
         assert_eq!(est.stats().windows, 2);
@@ -637,10 +603,10 @@ mod tests {
 
     #[test]
     fn beacons_outside_window_are_ignored() {
-        let (ch, table, mut est) = setup();
+        let (ch, table, radial, mut est) = setup();
         let mut rng = SeedSplitter::new(3).stream("t", 0);
         let rssi = ch.sample_rssi(10.0, &mut rng);
-        let r = est.observe_beacon(&table, Point::new(90.0, 100.0), rssi);
+        let r = est.observe_beacon(&table, &radial, Point::new(90.0, 100.0), rssi, None, 0.0);
         assert_eq!(r, ObservationResult::Rejected);
         assert_eq!(est.stats().beacons_seen, 1);
         assert_eq!(est.stats().beacons_applied, 0);
@@ -649,7 +615,7 @@ mod tests {
 
     #[test]
     fn each_window_starts_fresh() {
-        let (ch, table, mut est) = setup();
+        let (ch, table, radial, mut est) = setup();
         let mut rng = SeedSplitter::new(4).stream("t", 0);
         let robot = Point::new(60.0, 60.0);
         let beacons = [
@@ -660,7 +626,7 @@ mod tests {
         est.begin_window();
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, b, rssi);
+            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
         }
         est.end_window().expect("fix 1");
         // Next window near a different location converges there, not to a
@@ -674,7 +640,7 @@ mod tests {
         est.begin_window();
         for b in beacons2 {
             let rssi = ch.sample_rssi(robot2.distance_to(b), &mut rng);
-            est.observe_beacon(&table, b, rssi);
+            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
         }
         let fix2 = est.end_window().expect("fix 2");
         assert!(fix2.distance_to(robot2) < 20.0, "fix2 {fix2}");
@@ -682,17 +648,13 @@ mod tests {
 
     #[test]
     fn outlier_gate_refuses_inconsistent_beacons() {
-        let (ch, table, mut est) = setup();
-        let radial = crate::bayes::radial_constraints_for_grid(
-            &table,
-            &GridConfig::new(Area::square(200.0), 2.0),
-        );
+        let (ch, table, radial, mut est) = setup();
         est.begin_window();
         let reference = Some(Point::new(100.0, 100.0));
         // The beacon claims to be 5 m away, but its RSSI says ~80 m: a
         // corrupted coordinate field.
         let lying_rssi = ch.mean_rssi(80.0);
-        let r = est.observe_beacon_checked(
+        let r = est.observe_beacon(
             &table,
             &radial,
             Point::new(105.0, 100.0),
@@ -705,7 +667,7 @@ mod tests {
         assert_eq!(est.stats().beacons_applied, 0);
         // A consistent beacon passes the gate.
         let honest_rssi = ch.mean_rssi(5.0);
-        let r = est.observe_beacon_checked(
+        let r = est.observe_beacon(
             &table,
             &radial,
             Point::new(105.0, 100.0),
@@ -715,7 +677,7 @@ mod tests {
         );
         assert_eq!(r, ObservationResult::Applied);
         // Gate 0.0 disables the check entirely.
-        let r = est.observe_beacon_checked(
+        let r = est.observe_beacon(
             &table,
             &radial,
             Point::new(105.0, 100.0),
@@ -733,15 +695,13 @@ mod tests {
         // the EKF's innovation machinery (whose own gate would otherwise
         // be the only line of defence, and which a vague filter leaves
         // wide open).
-        let (ch, table, _) = setup();
-        let grid = GridConfig::new(Area::square(200.0), 2.0);
-        let radial = crate::bayes::radial_constraints_for_grid(&table, &grid);
-        let mut est = WindowedRfEstimator::with_algorithm(grid, RfAlgorithm::Ekf);
+        let (ch, table, radial, _) = setup();
+        let mut est = WindowedRfEstimator::with_algorithm(grid(), RfAlgorithm::Ekf);
         assert_eq!(est.algorithm(), RfAlgorithm::Ekf);
         est.begin_window();
         let reference = Some(Point::new(100.0, 100.0));
         let lying_rssi = ch.mean_rssi(80.0);
-        let r = est.observe_beacon_checked(
+        let r = est.observe_beacon(
             &table,
             &radial,
             Point::new(105.0, 100.0),
@@ -755,7 +715,7 @@ mod tests {
         assert_eq!(est.ekf_counters(), Some((0, 0)));
         // An honest beacon passes the gate and reaches the filter.
         let honest_rssi = ch.mean_rssi(5.0);
-        let r = est.observe_beacon_checked(
+        let r = est.observe_beacon(
             &table,
             &radial,
             Point::new(105.0, 100.0),
@@ -769,8 +729,8 @@ mod tests {
 
     #[test]
     fn ekf_estimator_produces_fixes_and_carries_state() {
-        let (ch, table, _) = setup();
-        let grid = GridConfig::new(Area::square(200.0), 2.0);
+        let (ch, table, radial, _) = setup();
+        let grid = grid();
         let mut est = WindowedRfEstimator::with_algorithm(grid, RfAlgorithm::Ekf);
         let mut rng = SeedSplitter::new(7).stream("t", 0);
         let robot = Point::new(100.0, 100.0);
@@ -786,22 +746,21 @@ mod tests {
             est.begin_window();
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                est.observe_beacon(&table, b, rssi);
+                est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
             }
             fix = est.end_window().or(fix);
         }
         let fix = fix.expect("four windows of four beacons must fix");
         assert!(fix.distance_to(robot) < 25.0, "fix {fix}");
         assert!(est.stats().fixes >= 1);
-        // The EKF has no posterior: entropy is the no-confidence sentinel.
-        assert_eq!(est.entropy(), f64::INFINITY);
+        // The EKF has no posterior, so it reports no entropy fraction.
         assert_eq!(est.entropy_fraction(), None);
     }
 
     #[test]
     fn checkpoints_round_trip_for_every_algorithm() {
-        let (ch, table, _) = setup();
-        let grid = GridConfig::new(Area::square(200.0), 2.0);
+        let (ch, table, radial, _) = setup();
+        let grid = grid();
         let mut rng = SeedSplitter::new(8).stream("t", 0);
         let robot = Point::new(80.0, 120.0);
         for algorithm in RfAlgorithm::ALL {
@@ -814,7 +773,7 @@ mod tests {
                 Point::new(80.0, 112.0),
             ] {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                est.observe_beacon(&table, b, rssi);
+                est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
             }
             est.end_window();
             est.begin_window(); // leave a window open: in_window must survive
@@ -827,7 +786,7 @@ mod tests {
 
     #[test]
     fn entropy_watchdog_vetoes_flat_posteriors() {
-        let (ch, table, mut est) = setup();
+        let (ch, table, radial, mut est) = setup();
         let mut rng = SeedSplitter::new(9).stream("t", 0);
         let robot = Point::new(100.0, 100.0);
         let beacons = [
@@ -838,7 +797,7 @@ mod tests {
         est.begin_window();
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, b, rssi);
+            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
         }
         // An absurdly strict watchdog treats even a good posterior as flat:
         // the fix is vetoed and the previous (absent) fix kept.
@@ -855,7 +814,7 @@ mod tests {
         est.begin_window();
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, b, rssi);
+            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
         }
         assert!(matches!(est.end_window_guarded(1.0), WindowOutcome::Fix(_)));
         assert_eq!(est.stats().fixes, 1);

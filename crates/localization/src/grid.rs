@@ -71,6 +71,7 @@ pub enum ConstraintOutcome {
 ///
 /// ```
 /// use cocoa_localization::grid::{GridConfig, PositionGrid};
+/// use cocoa_net::calibration::RadialProfile;
 /// use cocoa_net::geometry::{Area, Point};
 ///
 /// let mut grid = PositionGrid::new(GridConfig::new(Area::square(200.0), 2.0));
@@ -78,7 +79,8 @@ pub enum ConstraintOutcome {
 /// let c = grid.mean();
 /// assert!((c.x - 100.0).abs() < 1e-9 && (c.y - 100.0).abs() < 1e-9);
 /// // Concentrate mass near (50, 50).
-/// grid.apply_constraint(|p| (-(p.distance_to(Point::new(50.0, 50.0))).powi(2) / 50.0).exp());
+/// let near = RadialProfile::from_fn(0.25, 300.0, |d| (-d * d / 50.0).exp());
+/// grid.apply_radial_constraint(Point::new(50.0, 50.0), &near);
 /// assert!(grid.mean().distance_to(Point::new(50.0, 50.0)) < 2.0);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -222,38 +224,9 @@ impl PositionGrid {
         ConstraintOutcome::Applied
     }
 
-    /// Multiplies `constraint(cell_center)` into every cell and
-    /// renormalizes (paper Eq. 2).
-    ///
-    /// This is the generic (reference) path: it evaluates the closure at
-    /// every cell centre. Constraints that depend on the cell only through
-    /// its distance to a point should go through
-    /// [`apply_radial_constraint`](Self::apply_radial_constraint).
-    ///
-    /// Returns [`ConstraintOutcome::Rejected`] — leaving the posterior
-    /// untouched — if the product has (near-)zero total mass or is not
-    /// finite.
-    pub fn apply_constraint(&mut self, constraint: impl Fn(Point) -> f64) -> ConstraintOutcome {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::reset_scratch(&mut scratch, self.cells.len());
-        let mut total = 0.0;
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-            let y = self.ys[iy];
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            for ((dst, &cell), &x) in out.iter_mut().zip(row).zip(&self.xs) {
-                let v = cell * constraint(Point::new(x, y));
-                *dst = v;
-                total += v;
-            }
-        }
-        let outcome = self.commit(&scratch, total);
-        self.scratch = scratch;
-        outcome
-    }
-
-    /// The one scratch-preparation idiom shared by every update path:
-    /// `clear` + `resize` (zero-fill), which the allocator-free hot paths
-    /// amortize to a `memset` after the first call.
+    /// The scratch-preparation idiom of the reference loop: `clear` +
+    /// `resize` (zero-fill), which amortizes to a `memset` after the first
+    /// call.
     fn reset_scratch(scratch: &mut Vec<f64>, n: usize) {
         scratch.clear();
         scratch.resize(n, 0.0);
@@ -269,19 +242,18 @@ impl PositionGrid {
     }
 
     /// Multiplies a radial constraint — `profile.density(‖cell − center‖)`
-    /// — into every cell and renormalizes.
+    /// — into every cell and renormalizes (paper Eq. 2).
     ///
-    /// The fast path of the Bayesian update: squared x-offsets are computed
+    /// The Bayesian update's one path: squared x-offsets are computed
     /// once per column, squared y-offsets once per row, and the density
     /// comes from a pre-sampled 1-D [`RadialProfile`] lookup through the
     /// lane-packed [`kernel::radial_product_row`] instead of a per-cell
     /// `exp`/histogram evaluation. All buffers are persistent, so a beacon
     /// update allocates nothing.
     ///
-    /// Equivalent (within float rounding) to
-    /// `apply_constraint(|p| profile.density(p.distance_to(center)))`,
-    /// including the [`ConstraintOutcome::Rejected`] behaviour, and
-    /// bit-identical to
+    /// Returns [`ConstraintOutcome::Rejected`] — leaving the posterior
+    /// untouched — if the product has (near-)zero total mass or is not
+    /// finite. Bit-identical to
     /// [`apply_radial_constraint_reference`](Self::apply_radial_constraint_reference)
     /// (see [`kernel`] for the contract).
     pub fn apply_radial_constraint(
@@ -463,6 +435,25 @@ mod tests {
         PositionGrid::new(GridConfig::new(Area::square(200.0), res))
     }
 
+    /// A Gaussian bump `exp(−(d / width)²)` around the constraint centre.
+    fn bump(width: f64) -> RadialProfile {
+        RadialProfile::from_fn(0.25, 300.0, |d| (-(d / width).powi(2)).exp())
+    }
+
+    /// The posterior after one radial constraint, computed cell by cell:
+    /// each cell times `profile.density(‖cell − center‖)`, renormalized.
+    fn per_cell_product(g: &PositionGrid, center: Point, profile: &RadialProfile) -> Vec<f64> {
+        let nx = g.nx();
+        let product: Vec<f64> = g
+            .cells()
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| p * profile.density(g.cell_center(i % nx, i / nx).distance_to(center)))
+            .collect();
+        let total: f64 = product.iter().sum();
+        product.into_iter().map(|v| v / total).collect()
+    }
+
     #[test]
     fn uniform_prior_sums_to_one_and_centres() {
         let g = grid(2.0);
@@ -477,7 +468,7 @@ mod tests {
         let mut g = grid(2.0);
         let target = Point::new(60.0, 140.0);
         let before = g.entropy();
-        let out = g.apply_constraint(|p| (-(p.distance_to(target) / 10.0).powi(2)).exp());
+        let out = g.apply_radial_constraint(target, &bump(10.0));
         assert_eq!(out, ConstraintOutcome::Applied);
         assert!((g.total_mass() - 1.0).abs() < 1e-9, "renormalized");
         assert!(g.entropy() < before, "entropy decreased");
@@ -489,9 +480,10 @@ mod tests {
     fn repeated_constraints_sharpen_the_posterior() {
         let mut g = grid(2.0);
         let target = Point::new(100.0, 100.0);
+        let profile = bump(20.0);
         let mut last_entropy = g.entropy();
         for _ in 0..3 {
-            g.apply_constraint(|p| (-(p.distance_to(target) / 20.0).powi(2)).exp());
+            g.apply_radial_constraint(target, &profile);
             let e = g.entropy();
             assert!(e < last_entropy);
             last_entropy = e;
@@ -502,10 +494,16 @@ mod tests {
     fn annihilating_constraint_is_rejected() {
         let mut g = grid(2.0);
         let before = g.clone();
-        assert_eq!(g.apply_constraint(|_| 0.0), ConstraintOutcome::Rejected);
-        assert_eq!(g, before, "posterior untouched after rejection");
+        let center = Point::new(100.0, 100.0);
+        let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         assert_eq!(
-            g.apply_constraint(|_| f64::NAN),
+            g.apply_radial_constraint(center, &zero),
+            ConstraintOutcome::Rejected
+        );
+        assert_eq!(g, before, "posterior untouched after rejection");
+        let nan = RadialProfile::from_fn(1.0, 300.0, |_| f64::NAN);
+        assert_eq!(
+            g.apply_radial_constraint(center, &nan),
             ConstraintOutcome::Rejected
         );
         assert_eq!(g, before);
@@ -514,7 +512,7 @@ mod tests {
     #[test]
     fn reset_restores_uniform() {
         let mut g = grid(2.0);
-        g.apply_constraint(|p| p.x);
+        g.apply_radial_constraint(Point::new(30.0, 170.0), &bump(40.0));
         g.reset_uniform();
         assert!(g.mean().distance_to(Point::new(100.0, 100.0)) < 1e-9);
         let max_entropy = (g.nx() as f64 * g.ny() as f64).ln();
@@ -536,7 +534,7 @@ mod tests {
     fn density_at_reads_back_cells() {
         let mut g = grid(2.0);
         let target = Point::new(50.0, 50.0);
-        g.apply_constraint(|p| (-(p.distance_to(target) / 5.0).powi(2)).exp());
+        g.apply_radial_constraint(target, &bump(5.0));
         assert!(g.density_at(target) > g.density_at(Point::new(150.0, 150.0)));
         assert_eq!(g.density_at(Point::new(-1.0, 0.0)), 0.0);
     }
@@ -546,19 +544,13 @@ mod tests {
         // Two beacons at known positions, each constraining distance:
         // the posterior mean should land near an intersection point.
         let mut g = grid(1.0);
-        let b1 = Point::new(80.0, 100.0);
-        let b2 = Point::new(120.0, 100.0);
-        let ring = |center: Point, radius: f64| {
-            move |p: Point| {
-                let d = p.distance_to(center);
-                (-((d - radius) / 3.0).powi(2)).exp()
-            }
+        let ring = |radius: f64| {
+            RadialProfile::from_fn(0.1, 300.0, |d| (-((d - radius) / 3.0).powi(2)).exp())
         };
-        g.apply_constraint(ring(b1, 25.0));
-        g.apply_constraint(ring(b2, 25.0));
+        g.apply_radial_constraint(Point::new(80.0, 100.0), &ring(25.0));
+        g.apply_radial_constraint(Point::new(120.0, 100.0), &ring(25.0));
         // Intersections are near (100, 100 ± 15); a third beacon breaks the tie.
-        let b3 = Point::new(100.0, 130.0);
-        g.apply_constraint(ring(b3, 15.0));
+        g.apply_radial_constraint(Point::new(100.0, 130.0), &ring(15.0));
         let est = g.mean();
         let expected = Point::new(100.0, 115.0);
         assert!(
@@ -575,27 +567,20 @@ mod tests {
 
     #[test]
     fn radial_constraint_matches_generic_per_cell() {
-        use cocoa_net::calibration::RadialProfile;
         let center = Point::new(63.0, 141.0);
         let profile = RadialProfile::from_fn(0.25, 300.0, |d| (-((d - 30.0) / 8.0).powi(2)).exp())
             .offset(1e-6);
-        let mut generic = grid(2.0);
         let mut radial = grid(2.0);
         // Two rounds so the scratch-buffer reuse is also exercised.
         for _ in 0..2 {
-            let a = generic.apply_constraint(|p| profile.density(p.distance_to(center)));
-            let b = radial.apply_radial_constraint(center, &profile);
-            assert_eq!(a, b);
-            assert_eq!(a, ConstraintOutcome::Applied);
-            for iy in 0..generic.ny() {
-                for ix in 0..generic.nx() {
-                    let pa = generic.density_at(generic.cell_center(ix, iy));
-                    let pb = radial.density_at(radial.cell_center(ix, iy));
-                    assert!(
-                        (pa - pb).abs() < 1e-9,
-                        "cell ({ix},{iy}): generic {pa} vs radial {pb}"
-                    );
-                }
+            let expected = per_cell_product(&radial, center, &profile);
+            let outcome = radial.apply_radial_constraint(center, &profile);
+            assert_eq!(outcome, ConstraintOutcome::Applied);
+            for (i, (&pa, &pb)) in expected.iter().zip(radial.cells()).enumerate() {
+                assert!(
+                    (pa - pb).abs() < 1e-9,
+                    "cell {i}: per-cell product {pa} vs radial {pb}"
+                );
             }
         }
         assert!((radial.total_mass() - 1.0).abs() < 1e-9);
@@ -603,10 +588,9 @@ mod tests {
 
     #[test]
     fn radial_rejection_leaves_posterior_untouched() {
-        use cocoa_net::calibration::RadialProfile;
         let mut g = grid(2.0);
         let target = Point::new(60.0, 140.0);
-        g.apply_constraint(|p| (-(p.distance_to(target) / 10.0).powi(2)).exp());
+        g.apply_radial_constraint(target, &bump(10.0));
         let before = g.clone();
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         assert_eq!(
@@ -624,7 +608,6 @@ mod tests {
 
     #[test]
     fn equality_ignores_scratch_state() {
-        use cocoa_net::calibration::RadialProfile;
         let fresh = grid(2.0);
         let mut used = grid(2.0);
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
@@ -661,7 +644,6 @@ mod tests {
 
     #[test]
     fn cached_entropy_follows_every_write() {
-        use cocoa_net::calibration::RadialProfile;
         let profile = RadialProfile::from_fn(0.25, 300.0, |d| (-((d - 30.0) / 8.0).powi(2)).exp())
             .offset(1e-6);
         // Each write below changes the cells, and the read before it has
@@ -670,8 +652,8 @@ mod tests {
         assert_entropy_fresh(&g, "new");
         g.apply_radial_constraint(Point::new(63.0, 141.0), &profile);
         assert_entropy_fresh(&g, "apply_radial_constraint");
-        g.apply_constraint(|p| (-(p.distance_to(Point::new(90.0, 110.0)) / 40.0).powi(2)).exp());
-        assert_entropy_fresh(&g, "apply_constraint");
+        g.apply_radial_constraint_reference(Point::new(90.0, 110.0), &profile);
+        assert_entropy_fresh(&g, "apply_radial_constraint_reference");
         let cells = g.cells().to_vec();
         g.reset_uniform();
         assert_entropy_fresh(&g, "reset_uniform");
@@ -686,7 +668,10 @@ mod tests {
             g.apply_radial_constraint(Point::new(10.0, 10.0), &zero),
             ConstraintOutcome::Rejected
         );
-        assert_eq!(g.apply_constraint(|_| 0.0), ConstraintOutcome::Rejected);
+        assert_eq!(
+            g.apply_radial_constraint_reference(Point::new(10.0, 10.0), &zero),
+            ConstraintOutcome::Rejected
+        );
         assert_eq!(g.entropy().to_bits(), cached.to_bits());
         assert_eq!(entropy_passes(), passes, "rejections cost no entropy pass");
     }

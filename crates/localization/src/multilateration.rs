@@ -296,7 +296,7 @@ mod tests {
     fn far_anchor_noise_hurts_multilateration_more_than_bayes() {
         // The paper's Section 5 claim: naive multilateration suffers under
         // noisy RF ranges. Compare both algorithms on far anchors.
-        use crate::bayes::BayesianLocalizer;
+        use crate::bayes::{radial_constraints_for_grid, BayesianLocalizer};
         use crate::grid::GridConfig;
         let ch = RfChannel::default();
         let table = calibrate(
@@ -304,6 +304,8 @@ mod tests {
             &CalibrationConfig::default(),
             &mut SeedSplitter::new(5).stream("cal", 0),
         );
+        let grid = GridConfig::new(Area::square(200.0), 2.0);
+        let radial = radial_constraints_for_grid(&table, &grid);
         let robot = Point::new(100.0, 100.0);
         // Anchors 60-90 m away: deep-fade territory.
         let anchors = [
@@ -317,11 +319,11 @@ mod tests {
         let mut lateration_total = 0.0;
         for t in 0..trials {
             let mut rng = SeedSplitter::new(100 + t).stream("probe", 0);
-            let mut bayes = BayesianLocalizer::new(GridConfig::new(Area::square(200.0), 2.0));
+            let mut bayes = BayesianLocalizer::new(grid);
             let mut lateration = solver();
             for &a in &anchors {
                 let rssi = ch.sample_rssi(robot.distance_to(a), &mut rng);
-                bayes.observe_beacon(&table, a, rssi);
+                bayes.observe_beacon(&radial, a, rssi);
                 lateration.observe_beacon(&table, a, rssi);
             }
             bayes_total += bayes.estimate().map_or(150.0, |e| e.distance_to(robot));

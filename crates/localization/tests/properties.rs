@@ -1,7 +1,7 @@
 //! Property-based tests for the Bayesian localization invariants, the EKF
 //! backend's covariance health, and backend checkpoint round-trips.
 
-use cocoa_localization::bayes::CONSTRAINT_FLOOR;
+use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
 use cocoa_localization::grid::ConstraintOutcome;
 use cocoa_localization::prelude::*;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialProfile};
@@ -15,6 +15,41 @@ fn arb_in_area() -> impl Strategy<Value = Point> {
     (0.0..200.0f64, 0.0..200.0f64).prop_map(|(x, y)| Point::new(x, y))
 }
 
+/// A Gaussian bump `exp(−(d / width)²) + floor` around the constraint
+/// centre, sampled out past the 200 m area's diagonal.
+fn bump(width: f64, floor: f64) -> RadialProfile {
+    RadialProfile::from_fn(0.25, 300.0, |d| (-(d / width).powi(2)).exp() + floor)
+}
+
+/// The unnormalized posterior after one radial constraint, computed cell
+/// by cell: each cell times `profile.density(‖cell − center‖)`.
+fn per_cell_product(g: &PositionGrid, center: Point, profile: &RadialProfile) -> Vec<f64> {
+    let nx = g.nx();
+    g.cells()
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| p * profile.density(g.cell_center(i % nx, i / nx).distance_to(center)))
+        .collect()
+}
+
+/// Applies `profile` at `center` through the radial path and checks every
+/// cell against the renormalized per-cell product at 1e-9.
+fn assert_matches_per_cell_product(g: &mut PositionGrid, center: Point, profile: &RadialProfile) {
+    let product = per_cell_product(g, center, profile);
+    let total: f64 = product.iter().sum();
+    assert_eq!(
+        g.apply_radial_constraint(center, profile),
+        ConstraintOutcome::Applied
+    );
+    for (i, (&pa, &pb)) in product.iter().zip(g.cells()).enumerate() {
+        let pa = pa / total;
+        assert!(
+            (pa - pb).abs() < 1e-9,
+            "cell {i}: per-cell product {pa} vs radial {pb}"
+        );
+    }
+}
+
 proptest! {
     /// The posterior always stays a probability distribution (mass 1,
     /// non-negative) under arbitrary constraint sequences.
@@ -25,9 +60,7 @@ proptest! {
     ) {
         let mut grid = PositionGrid::new(GridConfig::new(Area::square(200.0), 4.0));
         for (c, w) in centers.iter().zip(widths.iter().cycle()) {
-            let c = *c;
-            let w = *w;
-            grid.apply_constraint(|p| (-(p.distance_to(c) / w).powi(2)).exp() + 1e-9);
+            grid.apply_radial_constraint(*c, &bump(*w, 1e-9));
             prop_assert!((grid.total_mass() - 1.0).abs() < 1e-6);
         }
     }
@@ -39,9 +72,9 @@ proptest! {
     ) {
         let area = Area::square(200.0);
         let mut grid = PositionGrid::new(GridConfig::new(area, 4.0));
+        let profile = bump(15.0, 1e-9);
         for c in &centers {
-            let c = *c;
-            grid.apply_constraint(|p| (-(p.distance_to(c) / 15.0).powi(2)).exp() + 1e-9);
+            grid.apply_radial_constraint(*c, &profile);
         }
         prop_assert!(area.contains(grid.mean()));
         prop_assert!(area.contains(grid.map_estimate()));
@@ -53,7 +86,7 @@ proptest! {
     fn entropy_monotone_under_information(c in arb_in_area(), w in 2.0..40.0f64) {
         let mut grid = PositionGrid::new(GridConfig::new(Area::square(200.0), 4.0));
         let max_entropy = grid.entropy();
-        grid.apply_constraint(|p| (-(p.distance_to(c) / w).powi(2)).exp() + 1e-12);
+        grid.apply_radial_constraint(c, &bump(w, 1e-12));
         prop_assert!(grid.entropy() <= max_entropy + 1e-9);
         grid.reset_uniform();
         prop_assert!((grid.entropy() - max_entropy).abs() < 1e-9);
@@ -69,9 +102,11 @@ proptest! {
             &CalibrationConfig { samples_per_distance: 30, ..Default::default() },
             &mut SeedSplitter::new(5).stream("cal", 0),
         );
-        let mut loc = BayesianLocalizer::new(GridConfig::new(Area::square(200.0), 4.0));
+        let grid = GridConfig::new(Area::square(200.0), 4.0);
+        let radial = radial_constraints_for_grid(&table, &grid);
+        let mut loc = BayesianLocalizer::new(grid);
         for (pos, rssi) in &beacons {
-            loc.observe_beacon(&table, *pos, cocoa_net::rssi::Dbm::new(*rssi));
+            loc.observe_beacon(&radial, *pos, Dbm::new(*rssi));
         }
         prop_assert!(loc.beacons_applied() <= beacons.len() as u32);
         if loc.beacons_applied() < 3 {
@@ -83,7 +118,7 @@ proptest! {
     /// the same beacon geometry (statistical, averaged over seeds).
     #[test]
     fn sharper_pdfs_do_not_hurt(seed in 0u64..30) {
-        let area = Area::square(200.0);
+        let grid = GridConfig::new(Area::square(200.0), 2.0);
         let robot = Point::new(100.0, 100.0);
         let beacons = [
             Point::new(85.0, 100.0),
@@ -100,12 +135,13 @@ proptest! {
                 }),
                 -80.0,
             );
+            let radial = radial_constraints_for_grid(&table, &grid);
             let ch = RfChannel::default();
             let mut rng = SeedSplitter::new(seed).stream("probe", 0);
-            let mut loc = BayesianLocalizer::new(GridConfig::new(area, 2.0));
+            let mut loc = BayesianLocalizer::new(grid);
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&table, b, rssi);
+                loc.observe_beacon(&radial, b, rssi);
             }
             loc.estimate().map(|e| e.distance_to(robot))
         };
@@ -116,10 +152,9 @@ proptest! {
         }
     }
 
-    /// The radial fast path computes exactly the posterior the generic
-    /// closure path computes, cell for cell, for arbitrary beacon
-    /// positions (including outside the area), profile shapes and grid
-    /// resolutions.
+    /// The radial path computes the posterior a per-cell product computes,
+    /// cell for cell at 1e-9, for arbitrary beacon positions (including
+    /// outside the area), profile shapes and grid resolutions.
     #[test]
     fn radial_constraint_equals_generic_per_cell(
         cx in -20.0..220.0f64,
@@ -132,29 +167,16 @@ proptest! {
         let pdf = DistancePdf::Gaussian { mean, sigma };
         let profile = pdf.radial_profile(step, 340.0).offset(CONSTRAINT_FLOOR);
         let center = Point::new(cx, cy);
-        let mut generic = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
-        let mut radial = generic.clone();
+        let mut radial = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
         // Two applications so scratch-buffer reuse is in play.
         for _ in 0..2 {
-            let oa = generic.apply_constraint(|p| profile.density(p.distance_to(center)));
-            let ob = radial.apply_radial_constraint(center, &profile);
-            prop_assert_eq!(oa, ob);
-            for iy in 0..generic.ny() {
-                for ix in 0..generic.nx() {
-                    let pa = generic.density_at(generic.cell_center(ix, iy));
-                    let pb = radial.density_at(radial.cell_center(ix, iy));
-                    prop_assert!(
-                        (pa - pb).abs() < 1e-9,
-                        "cell ({},{}): generic {} vs radial {}", ix, iy, pa, pb
-                    );
-                }
-            }
+            assert_matches_per_cell_product(&mut radial, center, &profile);
         }
     }
 
     /// Same equivalence through a *calibrated* PDF table: whatever bin an
     /// observed RSSI resolves to, its sampled profile drives the radial
-    /// path to the generic path's posterior.
+    /// path to the per-cell product's posterior.
     #[test]
     fn radial_matches_generic_for_calibrated_bins(
         rssi in -95.0..-40.0f64,
@@ -171,23 +193,12 @@ proptest! {
         prop_assume!(table.lookup(Dbm::new(rssi)).is_some());
         let pdf = table.lookup(Dbm::new(rssi)).unwrap();
         let profile = pdf.radial_profile(0.05, 340.0).offset(CONSTRAINT_FLOOR);
-        let center = Point::new(cx, cy);
-        let mut generic = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
-        let mut radial = generic.clone();
-        let oa = generic.apply_constraint(|p| profile.density(p.distance_to(center)));
-        let ob = radial.apply_radial_constraint(center, &profile);
-        prop_assert_eq!(oa, ob);
-        for iy in 0..generic.ny() {
-            for ix in 0..generic.nx() {
-                let pa = generic.density_at(generic.cell_center(ix, iy));
-                let pb = radial.density_at(radial.cell_center(ix, iy));
-                prop_assert!((pa - pb).abs() < 1e-9);
-            }
-        }
+        let mut radial = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
+        assert_matches_per_cell_product(&mut radial, Point::new(cx, cy), &profile);
     }
 
-    /// Degenerate constraints are rejected identically by both paths and
-    /// leave the posterior bit-for-bit untouched.
+    /// A constraint whose per-cell product has no mass is rejected and
+    /// leaves the posterior bit-for-bit untouched.
     #[test]
     fn radial_rejection_behaviour_identical(
         cx in 0.0..200.0f64,
@@ -196,47 +207,64 @@ proptest! {
         informative in any::<bool>(),
     ) {
         let center = Point::new(cx, cy);
-        let mut generic = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
+        let mut radial = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
         if informative {
-            generic.apply_constraint(|p| (-(p.distance_to(center) / 20.0).powi(2)).exp() + 1e-9);
+            radial.apply_radial_constraint(center, &bump(20.0, 1e-9));
         }
-        let mut radial = generic.clone();
-        let before = generic.clone();
+        let before = radial.clone();
         let zero = RadialProfile::from_fn(0.5, 340.0, |_| 0.0);
-        let oa = generic.apply_constraint(|p| zero.density(p.distance_to(center)));
-        let ob = radial.apply_radial_constraint(center, &zero);
-        prop_assert_eq!(oa, ConstraintOutcome::Rejected);
-        prop_assert_eq!(ob, ConstraintOutcome::Rejected);
-        prop_assert_eq!(&generic, &before);
+        prop_assert_eq!(per_cell_product(&radial, center, &zero).iter().sum::<f64>(), 0.0);
+        prop_assert_eq!(
+            radial.apply_radial_constraint(center, &zero),
+            ConstraintOutcome::Rejected
+        );
         prop_assert_eq!(&radial, &before);
     }
 
-    /// The windowed estimator's stats are internally consistent.
+    /// The windowed estimator's stats are internally consistent for every
+    /// backend, with the outlier gate off and with an 80 m gate around an
+    /// arbitrary reference position.
     #[test]
-    fn window_stats_consistent(windows in 1u32..6, beacons_per in 0usize..6) {
+    fn window_stats_consistent(
+        windows in 1u32..6,
+        beacons_per in 0usize..6,
+        gated in any::<bool>(),
+        reference in arb_in_area(),
+    ) {
         let ch = RfChannel::default();
         let table = calibrate(
             &ch,
             &CalibrationConfig { samples_per_distance: 30, ..Default::default() },
             &mut SeedSplitter::new(9).stream("cal", 0),
         );
-        let mut est = WindowedRfEstimator::new(GridConfig::new(Area::square(200.0), 4.0));
-        let mut rng = SeedSplitter::new(10).stream("b", 0);
-        use rand::Rng;
-        for _ in 0..windows {
-            est.begin_window();
-            for _ in 0..beacons_per {
-                let b = Point::new(rng.gen::<f64>() * 200.0, rng.gen::<f64>() * 200.0);
-                let rssi = ch.sample_rssi(b.distance_to(Point::new(100.0, 100.0)).max(0.5), &mut rng);
-                est.observe_beacon(&table, b, rssi);
+        let grid = GridConfig::new(Area::square(200.0), 4.0);
+        let radial = radial_constraints_for_grid(&table, &grid);
+        let gate_m = if gated { 80.0 } else { 0.0 };
+        for algorithm in RfAlgorithm::ALL {
+            let mut est = WindowedRfEstimator::with_algorithm(grid, algorithm);
+            let mut rng = SeedSplitter::new(10).stream("b", 0);
+            use rand::Rng;
+            for _ in 0..windows {
+                est.begin_window();
+                for _ in 0..beacons_per {
+                    let b = Point::new(rng.gen::<f64>() * 200.0, rng.gen::<f64>() * 200.0);
+                    let rssi = ch.sample_rssi(b.distance_to(Point::new(100.0, 100.0)).max(0.5), &mut rng);
+                    est.observe_beacon(&table, &radial, b, rssi, Some(reference), gate_m);
+                }
+                est.end_window();
             }
-            est.end_window();
+            let stats = est.stats();
+            prop_assert_eq!(stats.windows, windows);
+            prop_assert!(stats.fixes <= stats.windows);
+            prop_assert!(
+                stats.beacons_applied + stats.beacons_rejected_outlier <= stats.beacons_seen,
+                "{}: {:?}", algorithm, stats
+            );
+            prop_assert_eq!(stats.beacons_seen, u64::from(windows) * beacons_per as u64);
+            if !gated && algorithm != RfAlgorithm::Ekf {
+                prop_assert_eq!(stats.beacons_rejected_outlier, 0);
+            }
         }
-        let stats = est.stats();
-        prop_assert_eq!(stats.windows, windows);
-        prop_assert!(stats.fixes <= u64::from(stats.windows) as u32);
-        prop_assert!(stats.beacons_applied <= stats.beacons_seen);
-        prop_assert_eq!(stats.beacons_seen, u64::from(windows) * beacons_per as u64);
     }
 }
 
@@ -317,6 +345,7 @@ proptest! {
             &mut SeedSplitter::new(seed).stream("cal", 0),
         );
         let grid = GridConfig::new(Area::square(200.0), 4.0);
+        let radial = radial_constraints_for_grid(&table, &grid);
         let robot = Point::new(100.0, 100.0);
         for algorithm in RfAlgorithm::ALL {
             let mut est = WindowedRfEstimator::with_algorithm(grid, algorithm);
@@ -328,7 +357,10 @@ proptest! {
                 for _ in 0..beacons_per {
                     let b = Point::new(rng.gen::<f64>() * 200.0, rng.gen::<f64>() * 200.0);
                     let rssi = ch.sample_rssi(b.distance_to(robot).max(0.5), &mut rng);
-                    est.observe_beacon(&table, b, rssi);
+                    // The production gate: 80 m around the last fix, off
+                    // before the first.
+                    let reference = est.last_fix();
+                    est.observe_beacon(&table, &radial, b, rssi, reference, 80.0);
                 }
                 if w + 1 < windows || !open {
                     est.end_window();

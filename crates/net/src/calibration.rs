@@ -340,7 +340,7 @@ impl LaneTable {
 /// A 1-D radial density profile: `f(d)` pre-sampled on a uniform distance
 /// lattice, evaluated by linear interpolation.
 ///
-/// This is the engine behind the radial fast path of the Bayesian grid:
+/// This is the engine behind the Bayesian grid update:
 /// a beacon constraint depends on the cell only through its distance to
 /// the beacon, so the per-cell transcendental work (`exp`, histogram
 /// indexing) collapses into one profile lookup. Distances beyond the last
@@ -405,7 +405,7 @@ impl RadialProfile {
     /// The profile value at the pre-scaled lattice coordinate `t = d / step`
     /// (i.e. `density(t * step)`, without re-dividing by the step).
     ///
-    /// The grid fast path computes `t` for a whole row in a vectorizable
+    /// The grid update computes `t` for a whole row in a vectorizable
     /// pass (`t = ‖cell − center‖ · inv_step`) and then resolves densities
     /// through this entry point; for any `t ≥ 0` the result is identical to
     /// [`density`](Self::density) of the corresponding distance.

@@ -7,8 +7,10 @@
 //! [`UDP_HEADER_BYTES`].
 //!
 //! All payloads have an explicit binary encoding (via [`bytes`]) so that
-//! sizes fed to the MAC and energy models come from real serialization, not
-//! hand-waved constants.
+//! sizes fed to the MAC and energy models are those of a real
+//! serialization, not hand-waved constants: [`Packet::wire_size`] counts
+//! the layout [`Packet::encode`] writes, and a property test pins the two
+//! together.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -300,9 +302,18 @@ impl Packet {
     }
 
     /// Total bytes this packet occupies on the air: encoded payload plus the
-    /// IP and UDP headers the paper charges.
+    /// IP and UDP headers the paper charges. Counted from the layout
+    /// [`Packet::encode`] writes (source, sequence and tag, then the
+    /// payload's fields), without encoding.
     pub fn wire_size(&self) -> usize {
-        IP_HEADER_BYTES + UDP_HEADER_BYTES + self.encode().len()
+        let fields = match &self.payload {
+            Payload::Beacon { .. } => 16,
+            Payload::Sync { .. } => 24,
+            Payload::JoinQuery { .. } => 2 + 1 + 4 + 40,
+            Payload::JoinReply { .. } => 10,
+            Payload::Data { body, .. } => 4 + body.len().min(MAX_DATA_BODY),
+        };
+        IP_HEADER_BYTES + UDP_HEADER_BYTES + 9 + fields
     }
 }
 
@@ -394,6 +405,7 @@ mod tests {
                 body: Bytes::from(vec![0xABu8; MAX_DATA_BODY + 100]),
             },
         );
+        assert_eq!(p.wire_size(), 40 + p.encode().len());
         let decoded = Packet::decode(p.encode()).expect("decode");
         match decoded.payload {
             Payload::Data { body, .. } => assert_eq!(body.len(), MAX_DATA_BODY),

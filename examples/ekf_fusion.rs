@@ -17,7 +17,7 @@
 //! One robot wanders the paper's field for 15 minutes; 25 static anchors
 //! beacon every T = 100 s for 3 s.
 
-use cocoa_suite::localization::bayes::BayesianLocalizer;
+use cocoa_suite::localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 use cocoa_suite::localization::ekf::{EkfConfig, EkfLocalizer};
 use cocoa_suite::localization::grid::GridConfig;
 use cocoa_suite::mobility::prelude::*;
@@ -61,7 +61,9 @@ fn main() {
     );
 
     // CoCoA-style state.
-    let mut bayes = BayesianLocalizer::new(GridConfig::new(area, 2.0));
+    let grid = GridConfig::new(area, 2.0);
+    let radial = radial_constraints_for_grid(&table, &grid);
+    let mut bayes = BayesianLocalizer::new(grid);
     let mut cocoa_fix: Option<Point> = None;
     let mut odo_at_fix = robot.odometry_pose().position;
 
@@ -93,7 +95,7 @@ fn main() {
                 if !channel.is_detectable(rssi) {
                     continue;
                 }
-                bayes.observe_beacon(&table, a, rssi);
+                bayes.observe_beacon(&radial, a, rssi);
                 if let Some(f) = ekf.as_mut() {
                     f.update_from_beacon(&table, a, rssi);
                 }
