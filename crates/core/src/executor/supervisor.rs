@@ -31,8 +31,8 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 use cocoa_sim::rng::SeedSplitter;
@@ -423,41 +423,21 @@ impl Supervisor {
         &self.cfg
     }
 
-    /// Supervised map over `items` with backoff jitter keyed by job
-    /// index. See [`Supervisor::map_seeded`].
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> SweepReport<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &T) -> Result<R, JobFailure> + Send + Sync + 'static,
-    {
-        self.map_seeded(items, |_| 0, f)
-    }
-
-    /// Applies `f` to every item on the bounded worker pool, each call
-    /// supervised: panics are caught and classified, attempts are
-    /// deadline-bounded when configured, and retryable failures re-run
-    /// with exponential backoff whose jitter comes from the stream
+    /// Applies `f` to every item on the bounded worker pool of
+    /// [`super::try_map_bounded`], each call supervised: panics are caught
+    /// and classified, attempts are deadline-bounded when configured, and
+    /// retryable failures re-run with exponential backoff whose jitter
+    /// comes from the stream
     /// `SeedSplitter::new(seed_of(item)).seed_for("supervisor.backoff", …)`
-    /// — the job's own RNG universe, so reruns sleep identically.
+    /// — the job's own RNG universe, so reruns sleep identically. Every
+    /// attempt-level state change is reported to `observer`, if any, as it
+    /// happens — the seam behind live fleet displays (see
+    /// [`super::fleet::FleetStatus`]).
     ///
     /// Results come back in input order. The `'static` bounds exist
     /// because a deadline-exceeding attempt is abandoned on a detached
     /// thread that may outlive this call; inputs are therefore shared
     /// via `Arc` rather than borrowed.
-    pub fn map_seeded<T, R, F, S>(&self, items: Vec<T>, seed_of: S, f: F) -> SweepReport<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &T) -> Result<R, JobFailure> + Send + Sync + 'static,
-        S: Fn(&T) -> u64 + Sync,
-    {
-        self.map_seeded_observed(items, seed_of, f, None)
-    }
-
-    /// Like [`Supervisor::map_seeded`], but every attempt-level state
-    /// change is reported to `observer` as it happens — the seam behind
-    /// live fleet displays (see [`super::fleet::FleetStatus`]).
     pub fn map_seeded_observed<T, R, F, S>(
         &self,
         items: Vec<T>,
@@ -471,40 +451,19 @@ impl Supervisor {
         F: Fn(usize, &T) -> Result<R, JobFailure> + Send + Sync + 'static,
         S: Fn(&T) -> u64 + Sync,
     {
-        let n = items.len();
-        if n == 0 {
-            return SweepReport {
-                outcomes: Vec::new(),
-                counters: SupervisorCounters::default(),
-            };
-        }
+        let indices: Vec<usize> = (0..items.len()).collect();
         let items = Arc::new(items);
         let f = Arc::new(f);
-        let next = AtomicUsize::new(0);
         let counters = AtomicCounters::default();
-        let slots: Vec<Mutex<Option<JobOutcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = super::max_workers().min(n);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let seed = seed_of(&items[i]);
-                    let outcome = self.run_job(&counters, &items, &f, i, seed, observer.as_deref());
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                });
-            }
+        let outcomes = super::try_map_bounded(indices, |&i| {
+            let seed = seed_of(&items[i]);
+            self.run_job(&counters, &items, &f, i, seed, observer.as_deref())
         });
         SweepReport {
-            outcomes: slots
+            // `run_job` runs every attempt inside its own panic boundary.
+            outcomes: outcomes
                 .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every index was claimed exactly once")
-                })
+                .map(|outcome| outcome.unwrap_or_else(|p| p.resume()))
                 .collect(),
             counters: SupervisorCounters {
                 retries: counters.retries.load(Ordering::Relaxed),
@@ -654,11 +613,22 @@ fn backoff_delay(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Mutex;
+
+    /// A supervised map with no observer, every job's backoff seeded 0.
+    fn map<T, R, F>(sup: &Supervisor, items: Vec<T>, f: F) -> SweepReport<R>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &T) -> Result<R, JobFailure> + Send + Sync + 'static,
+    {
+        sup.map_seeded_observed(items, |_| 0, f, None)
+    }
 
     #[test]
     fn all_jobs_succeed_first_try() {
         let sup = Supervisor::new(SupervisorConfig::default());
-        let report = sup.map((0..10u64).collect(), |_, &x| Ok(x * 2));
+        let report = map(&sup, (0..10u64).collect(), |_, &x| Ok(x * 2));
         assert!(report.is_clean());
         assert_eq!(report.completed(), 10);
         assert_eq!(
@@ -675,7 +645,7 @@ mod tests {
             max_attempts: 2,
             ..SupervisorConfig::default()
         });
-        let report = sup.map((0..8usize).collect(), |_, &x| {
+        let report = map(&sup, (0..8usize).collect(), |_, &x| {
             assert!(x != 5, "boom {x}");
             Ok(x)
         });
@@ -708,7 +678,7 @@ mod tests {
             max_attempts: 3,
             ..SupervisorConfig::default()
         });
-        let report = sup.map(vec![7u64], move |_, &x| {
+        let report = map(&sup, vec![7u64], move |_, &x| {
             if fl
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
                 .is_ok()
@@ -729,7 +699,7 @@ mod tests {
             max_attempts: 5,
             ..SupervisorConfig::default()
         });
-        let report = sup.map(vec![1u64], |_, _| -> Result<u64, JobFailure> {
+        let report = map(&sup, vec![1u64], |_, _| -> Result<u64, JobFailure> {
             Err(JobFailure::Validation {
                 detail: "bad input".into(),
             })
@@ -746,7 +716,7 @@ mod tests {
             deadline: Some(Duration::from_millis(50)),
             ..SupervisorConfig::default()
         });
-        let report = sup.map(vec![0u64, 1], |i, &x| {
+        let report = map(&sup, vec![0u64, 1], |i, &x| {
             if i == 0 {
                 // Far past the deadline; the attempt thread is abandoned.
                 std::thread::sleep(Duration::from_secs(5));
@@ -801,7 +771,7 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_report() {
         let sup = Supervisor::default();
-        let report = sup.map(Vec::<u64>::new(), |_, &x| Ok(x));
+        let report = map(&sup, Vec::<u64>::new(), |_, &x| Ok(x));
         assert!(report.outcomes.is_empty());
         assert!(report.is_clean());
     }

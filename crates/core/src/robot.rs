@@ -43,9 +43,8 @@ pub struct Robot {
     pub mesh: Box<dyn MeshBackend>,
     /// The drifting local clock.
     pub clock: DriftingClock,
-    /// Whether an RF fix has ever been obtained.
-    pub has_fix: bool,
-    /// Window index of the last fresh fix.
+    /// Window index of the last fresh fix; `None` until the first fix
+    /// (and again after a reboot).
     pub last_fix_window: Option<u64>,
     /// Whether a SYNC arrived during the current window.
     pub synced_this_window: bool,
@@ -70,7 +69,7 @@ impl std::fmt::Debug for Robot {
         f.debug_struct("Robot")
             .field("id", &self.id)
             .field("equipped", &self.equipped)
-            .field("has_fix", &self.has_fix)
+            .field("last_fix_window", &self.last_fix_window)
             .field("alive", &self.alive)
             .finish()
     }
@@ -96,7 +95,7 @@ impl Robot {
                 .and_then(|rf| rf.last_fix())
                 .unwrap_or_else(|| area.center()),
             EstimatorMode::Cocoa => {
-                if self.has_fix {
+                if self.last_fix_window.is_some() {
                     self.motion.odometry_pose().position
                 } else {
                     area.center()
@@ -179,7 +178,6 @@ mod tests {
                 OdmrpConfig::default(),
             ),
             clock: DriftingClock::new(0.0),
-            has_fix: false,
             last_fix_window: None,
             synced_this_window: false,
             fix_anchor: None,
@@ -221,7 +219,7 @@ mod tests {
     fn cocoa_robot_with_fix_uses_odometry_pose() {
         let mut r = robot(false);
         let area = Area::square(200.0);
-        r.has_fix = true;
+        r.last_fix_window = Some(0);
         assert_eq!(
             r.estimate(EstimatorMode::Cocoa, &area),
             r.motion.odometry_pose().position

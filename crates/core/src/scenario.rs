@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
 use cocoa_mobility::odometry::OdometryConfig;
-use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
+use cocoa_multicast::odmrp::OdmrpConfig;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_net::calibration::CalibrationConfig;
 use cocoa_net::channel::{ChannelParams, RfChannel};
@@ -79,8 +79,7 @@ pub struct Scenario {
     /// Odometry noise parameters.
     pub odometry: OdometryConfig,
     /// Mesh multicast (MRMM/ODMRP) timing/range parameters. The backend
-    /// actually run is selected by [`Scenario::multicast`], which
-    /// overrides this block's `mode`.
+    /// that runs is [`Scenario::multicast`].
     pub mesh: OdmrpConfig,
     /// Which mesh multicast backend disseminates SYNC (flood baseline,
     /// plain ODMRP, or the paper's MRMM extension — the default).
@@ -428,14 +427,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the mesh multicast parameters. The parameter block's
-    /// `mode` also selects the matching backend, so pre-existing callers
-    /// that switched modes through here keep their meaning.
+    /// Overrides the mesh multicast parameters. The backend stays what
+    /// [`ScenarioBuilder::multicast`] selects.
     pub fn mesh(&mut self, params: OdmrpConfig) -> &mut Self {
-        self.scenario.multicast = match params.mode {
-            MeshMode::Odmrp => MulticastProtocol::Odmrp,
-            MeshMode::Mrmm => MulticastProtocol::Mrmm,
-        };
         self.scenario.mesh = params;
         self
     }
@@ -616,14 +610,16 @@ mod tests {
     }
 
     #[test]
-    fn mesh_mode_selects_the_matching_backend() {
+    fn mesh_parameters_leave_the_backend_alone() {
         let s = Scenario::builder()
+            .multicast(MulticastProtocol::Odmrp)
             .mesh(OdmrpConfig {
-                mode: MeshMode::Odmrp,
+                max_hops: 4,
                 ..OdmrpConfig::default()
             })
             .build();
         assert_eq!(s.multicast, MulticastProtocol::Odmrp);
+        assert_eq!(s.mesh.max_hops, 4);
         assert_eq!(
             Scenario::builder().build().multicast,
             MulticastProtocol::Mrmm

@@ -185,10 +185,10 @@ mod tests {
         assert_eq!(
             pinned,
             [
-                "9d0ad312443e887a",
-                "74fa3793d1328d2d",
-                "3b9d695e4ee1b266",
-                "424f98bba04c16c2"
+                "f6756e15412847d3",
+                "41b637151804553c",
+                "f611c90db5a7de13",
+                "dea87e1fee1edbee"
             ]
         );
     }

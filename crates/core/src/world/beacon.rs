@@ -7,7 +7,7 @@ use bytes::Bytes;
 use cocoa_localization::bayes::ObservationResult;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{ReceptionOutcome, TxId};
-use cocoa_net::packet::{Packet, Payload};
+use cocoa_net::packet::{NodeId, Packet, Payload};
 use cocoa_net::rssi::Dbm;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::faults::garble_bytes;
@@ -124,44 +124,36 @@ pub(crate) fn transmit(
                 continue;
             }
         }
-        heard.push((j, rssi));
+        heard.push((world.robots[j].id, rssi));
     }
     world.telemetry.span_end(scan_span, sp);
-    let robots = &world.robots;
     let tx = world.medium.begin_tx(
         src_id,
         src_pos,
         packet,
         now,
         duration,
-        heard.iter().map(|&(j, rssi)| (robots[j].id, rssi)),
+        heard.iter().copied(),
     );
     if corrupt {
         world.corrupt_txs.insert(tx);
     }
-    let receivers = heard.iter().map(|&(j, _)| j).collect();
-    engine.schedule_at(now + duration, Event::TxEnd { tx, receivers });
+    engine.schedule_at(now + duration, Event::TxEnd { tx });
 }
 
 /// Judges every reception of frame `tx` in one pass over the medium and
-/// dispatches delivered packets.
-pub(crate) fn deliver(
-    engine: &mut Engine<Event>,
-    world: &mut WorldState,
-    tx: TxId,
-    receivers: &[usize],
-    now: SimTime,
-) {
+/// dispatches delivered packets. A robot's node id is its index in the
+/// team, so a receiver names its robot.
+pub(crate) fn deliver(engine: &mut Engine<Event>, world: &mut WorldState, tx: TxId, now: SimTime) {
     let corrupt = world.corrupt_txs.remove(&tx);
     let mut verdicts = std::mem::take(&mut world.rx_buffers.verdicts);
-    let robots = &world.robots;
-    let ids = receivers.iter().map(|&j| robots[j].id);
-    if let Some(packet) = world.medium.judge(tx, ids, &mut verdicts).cloned() {
+    if let Some(packet) = world.medium.judge(tx, &mut verdicts).cloned() {
         let bytes = packet.wire_size();
-        for (&j, &verdict) in receivers.iter().zip(&verdicts) {
+        for &(rx, verdict) in &verdicts {
             let ReceptionOutcome::Delivered { rssi } = verdict else {
-                continue; // collided, half-duplex or not receivable
+                continue; // collided or half-duplex
             };
+            let j = rx.0 as usize;
             if !world.robots[j].radio.can_receive() {
                 continue; // fell asleep mid-frame
             }
@@ -184,9 +176,9 @@ pub(crate) fn deliver(
 pub(crate) struct RxBuffers {
     /// The robots that heard the frame going on the air, with its RSSI
     /// at each.
-    heard: Vec<(usize, Dbm)>,
+    heard: Vec<(NodeId, Dbm)>,
     /// One verdict per receiver of the frame being judged.
-    verdicts: Vec<ReceptionOutcome>,
+    verdicts: Vec<(NodeId, ReceptionOutcome)>,
 }
 
 /// Routes a delivered packet to the localizer or the mesh node.
@@ -208,7 +200,7 @@ fn dispatch(
             // the RSSI-implied range is rejected as an outlier.
             let reference = {
                 let r = &world.robots[robot];
-                r.has_fix.then(|| r.estimate(mode, &area))
+                r.last_fix_window.is_some().then(|| r.estimate(mode, &area))
             };
             world
                 .telemetry

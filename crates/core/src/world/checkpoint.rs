@@ -15,11 +15,13 @@
 //!
 //! Every layout is one function generic over [`Codec`], run by the writer
 //! at capture and by the reader at restore, so the two directions cannot
-//! drift apart. The reader then checks what the CRCs cannot: that the
-//! snapshot is consistent with its own scenario (team size, grid,
-//! horizon, per-robot copies of scenario settings, robot indices, clock
-//! order), so a well-formed but edited file is a typed error instead of a
-//! panic mid-run.
+//! drift apart. A value the reader can rebuild from the scenario, a code
+//! constant or the medium is not stored: the reader starts each robot
+//! from `world::blank_robot`, which sets everything the scenario fixes,
+//! and decodes the rest onto it. The reader then checks what the CRCs
+//! cannot: that the snapshot is consistent with its own scenario (team
+//! size, grid, robot indices, clock order), so a well-formed but edited
+//! file is a typed error instead of a panic mid-run.
 //!
 //! Two consumers build on this module:
 //!
@@ -33,8 +35,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use cocoa_localization::backend::BackendCheckpoint;
-use cocoa_localization::bayes::GridStats;
-use cocoa_localization::ekf::EkfSnapshot;
 use cocoa_localization::estimator::{
     EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
 };
@@ -42,13 +42,13 @@ use cocoa_localization::grid::GridConfig;
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
 use cocoa_mobility::pose::Pose;
-use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
-use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
+use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointModel};
+use cocoa_multicast::odmrp::OdmrpConfig;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_net::channel::{ChannelParams, PathLossModel};
 use cocoa_net::energy::{EnergyLedger, EnergyParams, PowerState};
 use cocoa_net::geometry::{Area, Point};
-use cocoa_net::mac::{Medium, MediumState, TxId};
+use cocoa_net::mac::{Frame, Medium, MediumState, TxId};
 use cocoa_net::packet::{NodeId, Packet, Payload};
 use cocoa_net::radio::{Radio, RadioCheckpoint};
 use cocoa_sim::engine::Engine;
@@ -101,7 +101,6 @@ const PATH_LOSS_MODELS: [PathLossModel; 2] = [
         wavelength_m: 0.0,
     },
 ];
-const MESH_MODES: [MeshMode; 2] = [MeshMode::Odmrp, MeshMode::Mrmm];
 const POWER_STATES: [PowerState; 3] = [PowerState::Off, PowerState::Sleep, PowerState::Idle];
 const DEGRADATION_STATES: [DegradationState; 4] = [
     DegradationState::Healthy,
@@ -171,7 +170,6 @@ static EVENTS: [Event; 12] = [
     },
     Event::TxEnd {
         tx: TxId::from_raw(0),
-        receivers: Vec::new(),
     },
     Event::MeshReply {
         robot: 0,
@@ -185,34 +183,6 @@ static EVENTS: [Event; 12] = [
     Event::MediumGc,
     Event::Snapshot { index: 0 },
     Event::Fault(Fault::BurstLossEnd),
-];
-
-/// Estimator backends in [`RfAlgorithm::ALL`] order.
-static BACKENDS: [BackendCheckpoint; 3] = [
-    BackendCheckpoint::Bayes {
-        posterior_cells: Vec::new(),
-        grid_stats: GridStats {
-            kernel_simd: 0,
-            cells_touched: 0,
-        },
-        beacons_applied: 0,
-        beacons_seen: 0,
-    },
-    BackendCheckpoint::Lateration { ranges: Vec::new() },
-    BackendCheckpoint::Ekf {
-        filter: EkfSnapshot {
-            x: 0.0,
-            y: 0.0,
-            p11: 0.0,
-            p12: 0.0,
-            p22: 0.0,
-            updates_applied: 0,
-            updates_gated: 0,
-            consecutive_gated: 0,
-        },
-        window_applied: 0,
-        last_odo: None,
-    },
 ];
 
 static TELEMETRY_EVENTS: [TelemetryEvent; 18] = [
@@ -544,7 +514,6 @@ fn odometry(c: &mut impl Codec, o: &mut OdometryConfig) -> Result<(), SnapshotEr
 }
 
 fn mesh_config(c: &mut impl Codec, m: &mut OdmrpConfig) -> Result<(), SnapshotError> {
-    c.tag(&MESH_MODES, &mut m.mode, "mesh mode")?;
     c.u8(&mut m.max_hops)?;
     dur(c, &mut m.fg_timeout)?;
     dur(c, &mut m.reply_delay)?;
@@ -654,10 +623,7 @@ fn event(c: &mut impl Codec, e: &mut Event) -> Result<(), SnapshotError> {
                 TxIntent::Mesh(p) => packet(c, p),
             }
         }
-        Event::TxEnd { tx, receivers } => {
-            tx_id(c, tx)?;
-            c.vec(receivers, Codec::usize)
-        }
+        Event::TxEnd { tx } => tx_id(c, tx),
         Event::MeshReply { robot, source } => {
             c.usize(robot)?;
             node(c, source)
@@ -673,11 +639,11 @@ fn event(c: &mut impl Codec, e: &mut Event) -> Result<(), SnapshotError> {
 }
 
 /// The engine's clock, counters and pending queue, moved out of the
-/// engine for the capture and back in afterwards.
+/// engine for the capture and back in afterwards. The horizon is the
+/// scenario's end, so it is not stored.
 #[derive(Default)]
 struct EngineParts {
     now: SimTime,
-    horizon: SimTime,
     stopped: bool,
     processed: u64,
     next_seq: u64,
@@ -687,7 +653,6 @@ struct EngineParts {
 
 fn engine_section(c: &mut impl Codec, p: &mut EngineParts) -> Result<(), SnapshotError> {
     time(c, &mut p.now)?;
-    time(c, &mut p.horizon)?;
     c.bool(&mut p.stopped)?;
     c.u64(&mut p.processed)?;
     c.u64(&mut p.next_seq)?;
@@ -701,10 +666,9 @@ fn engine_section(c: &mut impl Codec, p: &mut EngineParts) -> Result<(), Snapsho
 
 /// What `EventQueue::from_parts` and the event handlers would otherwise
 /// assert, index or overflow on, checked so an edited section is a typed
-/// error: the horizon is the scenario's end, and every queued event is
-/// due at or after the clock and names a robot of the team, a window of
-/// the run (a window start exactly at its boundary) or a scheduled
-/// snapshot.
+/// error: every queued event is due at or after the clock and names a
+/// robot of the team, a window of the run (a window start exactly at its
+/// boundary) or a scheduled snapshot.
 fn check_engine(p: &EngineParts, s: &Scenario) -> Result<(), SnapshotError> {
     let n = s.num_robots;
     let period = s.beacon_period.as_micros();
@@ -717,24 +681,19 @@ fn check_engine(p: &EngineParts, s: &Scenario) -> Result<(), SnapshotError> {
             Event::Transmit { robot, .. }
             | Event::MeshReply { robot, .. }
             | Event::MeshRebroadcast { robot, .. } => *robot < n,
-            Event::TxEnd { receivers, .. } => receivers.iter().all(|&r| r < n),
             Event::Fault(f) => f.robot().is_none_or(|r| r < n),
             Event::Snapshot { index } => *index < s.snapshot_times.len(),
-            Event::MoveTick | Event::MetricsSample | Event::MediumGc => true,
+            Event::MoveTick | Event::MetricsSample | Event::MediumGc | Event::TxEnd { .. } => true,
         };
         !consistent || *seq >= p.next_seq || *t < p.now
     });
-    if p.horizon == SimTime::ZERO + s.duration
-        && p.peak_len >= p.events.len()
-        && bad_event.is_none()
-    {
+    if p.peak_len >= p.events.len() && bad_event.is_none() {
         return Ok(());
     }
     Err(malformed(format!(
-        "engine state inconsistent with the {n}-robot scenario ending at {}: horizon {}, \
+        "engine state inconsistent with the {n}-robot scenario ending at {}: \
          clock {}, next seq {}, queue peak {} for {} events, first bad event {bad_event:?}",
         SimTime::ZERO + s.duration,
-        p.horizon,
         p.now,
         p.next_seq,
         p.peak_len,
@@ -787,62 +746,66 @@ fn medium_state(c: &mut impl Codec, m: &mut MediumState) -> Result<(), SnapshotE
         &mut m.total_collisions,
         &mut m.total_half_duplex,
     ])?;
-    c.vec(&mut m.active, |c, tx| {
-        tx_id(c, &mut tx.id)?;
-        node(c, &mut tx.src)?;
-        point(c, &mut tx.src_pos)?;
-        time(c, &mut tx.start)?;
-        time(c, &mut tx.end)?;
-        packet(c, &mut tx.packet)
-    })?;
-    c.vec(&mut m.rssi, |c, (tx, rx, dbm)| {
-        tx_id(c, tx)?;
-        node(c, rx)?;
-        c.f64(&mut dbm.0)
+    c.vec(&mut m.active, |c, frame: &mut Frame| {
+        tx_id(c, &mut frame.id)?;
+        node(c, &mut frame.src)?;
+        point(c, &mut frame.src_pos)?;
+        time(c, &mut frame.start)?;
+        time(c, &mut frame.end)?;
+        packet(c, &mut frame.packet)?;
+        c.vec(&mut frame.heard, |c, (rx, dbm)| {
+            node(c, rx)?;
+            c.f64(&mut dbm.0)
+        })
     })
 }
 
-fn medium_section(c: &mut impl Codec, m: &mut Medium) -> Result<(), SnapshotError> {
+fn medium_section(c: &mut impl Codec, m: &mut Medium, team: usize) -> Result<(), SnapshotError> {
     c.via(m, Medium::state, medium_state, |s| {
-        check_medium(&s)?;
+        check_medium(&s, team)?;
         Ok(Medium::from_state(s))
     })
 }
 
 /// The orders [`Medium::from_state`] relies on to find frames and
-/// receivers by binary search: frame ids strictly increasing and below
-/// the next id to allocate, RSSI records strictly increasing by
-/// `(tx, rx)`, each naming a frame on the air.
-fn check_medium(m: &MediumState) -> Result<(), SnapshotError> {
-    let ids: Vec<u64> = m.active.iter().map(|t| t.id.raw()).collect();
-    if let Some(pair) = ids.windows(2).find(|w| w[0] >= w[1]) {
+/// receivers by binary search — frame ids strictly increasing and below
+/// the next id to allocate, each frame's receivers strictly increasing —
+/// and the bound reception relies on to find a receiver's robot: every
+/// receiver is a robot of the `team`.
+fn check_medium(m: &MediumState, team: usize) -> Result<(), SnapshotError> {
+    if let Some(pair) = m.active.windows(2).find(|w| w[0].id >= w[1].id) {
         return Err(malformed(format!(
             "medium frame ids are not strictly increasing: {} then {}",
-            pair[0], pair[1]
+            pair[0].id.raw(),
+            pair[1].id.raw()
         )));
     }
-    if let Some(&last) = ids.last().filter(|&&id| id >= m.next_id) {
+    if let Some(last) = m.active.last().filter(|f| f.id.raw() >= m.next_id) {
         return Err(malformed(format!(
-            "medium frame id {last} is not below the next id {}",
+            "medium frame id {} is not below the next id {}",
+            last.id.raw(),
             m.next_id
         )));
     }
-    let keys: Vec<(u64, u32)> = m.rssi.iter().map(|(tx, rx, _)| (tx.raw(), rx.0)).collect();
-    if let Some(pair) = keys.windows(2).find(|w| w[0] >= w[1]) {
-        let what = if pair[0] == pair[1] {
-            "duplicated"
-        } else {
-            "out of order"
-        };
-        return Err(malformed(format!(
-            "medium RSSI records {what}: (frame, receiver) {:?} then {:?}",
-            pair[0], pair[1]
-        )));
-    }
-    if let Some(&(tx, rx)) = keys.iter().find(|(tx, _)| ids.binary_search(tx).is_err()) {
-        return Err(malformed(format!(
-            "medium RSSI record for frame {tx} at receiver {rx} names no frame on the air"
-        )));
+    for frame in &m.active {
+        let id = frame.id.raw();
+        if let Some(pair) = frame.heard.windows(2).find(|w| w[0].0 >= w[1].0) {
+            let what = if pair[0].0 == pair[1].0 {
+                "duplicated"
+            } else {
+                "out of order"
+            };
+            return Err(malformed(format!(
+                "medium frame {id} RSSI records {what}: receiver {} then {}",
+                pair[0].0 .0, pair[1].0 .0
+            )));
+        }
+        if let Some((rx, _)) = frame.heard.last().filter(|(rx, _)| rx.0 as usize >= team) {
+            return Err(malformed(format!(
+                "medium frame {id} names receiver {} outside the {team}-robot team",
+                rx.0
+            )));
+        }
     }
     Ok(())
 }
@@ -863,11 +826,10 @@ fn window_stats(c: &mut impl Codec, s: &mut WindowStats) -> Result<(), SnapshotE
 }
 
 /// The estimator section: the lifecycle header shared by every backend,
-/// then the backend-tagged solver payload (mirroring
-/// [`BackendCheckpoint`]). The tag leads the header, in
-/// [`RfAlgorithm::ALL`] order.
+/// then the solver payload (mirroring [`BackendCheckpoint`]). The backend
+/// is the scenario's, so no tag names it: the reader decodes onto a
+/// checkpoint of the scenario's backend.
 fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), SnapshotError> {
-    c.tag(&BACKENDS, &mut e.backend, "rf algorithm")?;
     c.opt(&mut e.last_fix, point)?;
     c.bool(&mut e.in_window)?;
     window_stats(c, &mut e.stats)?;
@@ -909,9 +871,8 @@ fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), Snap
     }
 }
 
+/// A radio's state; its energy parameters are the scenario's.
 fn radio(c: &mut impl Codec, r: &mut RadioCheckpoint) -> Result<(), SnapshotError> {
-    energy(c, &mut r.params)?;
-    c.u64(&mut r.bitrate_bps)?;
     c.tag(&POWER_STATES, &mut r.state, "power state")?;
     time(c, &mut r.since)?;
     energy_ledger(c, &mut r.ledger)?;
@@ -920,33 +881,19 @@ fn radio(c: &mut impl Codec, r: &mut RadioCheckpoint) -> Result<(), SnapshotErro
     c.u32(&mut r.packets_received)
 }
 
+/// A robot's motion; its waypoint and odometry settings are the
+/// scenario's.
 fn motion(
     c: &mut impl Codec,
     (w, o): &mut (WaypointCheckpoint, OdometerCheckpoint),
 ) -> Result<(), SnapshotError> {
-    area(c, &mut w.config.area)?;
-    c.f64(&mut w.config.v_min)?;
-    c.f64(&mut w.config.v_max)?;
     pose(c, &mut w.pose)?;
     point(c, &mut w.destination)?;
     c.f64(&mut w.speed)?;
     c.u64(&mut w.legs_completed)?;
-    odometry(c, &mut o.config)?;
     pose(c, &mut o.estimate)?;
     c.f64(&mut o.distance_integrated)?;
     c.u64(&mut o.observations)
-}
-
-/// Rejects a robot's copy of a scenario setting that differs from the
-/// scenario, which is where setup built it from.
-fn same_setting<T: PartialEq>(what: &str, stored: T, scenario: T) -> Result<(), SnapshotError> {
-    if stored == scenario {
-        Ok(())
-    } else {
-        Err(malformed(format!(
-            "a robot's {what} differs from the scenario's"
-        )))
-    }
 }
 
 /// Rejects an instant after the engine clock: state accrues from it.
@@ -960,6 +907,9 @@ fn not_after(what: &str, t: SimTime, now: SimTime) -> Result<(), SnapshotError> 
     }
 }
 
+/// One robot, decoded onto [`world::blank_robot`]: what the scenario
+/// fixes (equipment, estimator presence and backend, settings) is not
+/// stored.
 fn robot(
     c: &mut impl Codec,
     r: &mut Robot,
@@ -967,9 +917,7 @@ fn robot(
     now: SimTime,
 ) -> Result<(), SnapshotError> {
     c.bool(&mut r.alive)?;
-    c.bool(&mut r.equipped)?;
     c.u32(&mut r.epoch)?;
-    c.bool(&mut r.has_fix)?;
     c.opt(&mut r.last_fix_window, Codec::u64)?;
     c.bool(&mut r.synced_this_window)?;
     c.bool(&mut r.garbled_tx)?;
@@ -986,13 +934,6 @@ fn robot(
         |m| (m.waypoints().checkpoint(), m.odometer().checkpoint()),
         motion,
         |(w, o)| {
-            let config = WaypointConfig {
-                area: s.area,
-                v_min: s.v_min,
-                v_max: s.v_max,
-            };
-            same_setting("waypoint area and speed range", w.config, config)?;
-            same_setting("odometry config", o.config, s.odometry)?;
             Ok(RobotMotion::from_parts(
                 WaypointModel::from_checkpoint(w),
                 Odometer::from_checkpoint(o),
@@ -1000,7 +941,6 @@ fn robot(
         },
     )?;
     c.via(&mut r.radio, Radio::checkpoint, radio, |rc| {
-        same_setting("energy params", rc.params, s.energy)?;
         not_after("radio state change", rc.since, now)?;
         Ok(Radio::from_checkpoint(rc))
     })?;
@@ -1019,12 +959,11 @@ fn robot(
     time(c, &mut health.since)?;
     health_ledger(c, &mut health.ledger)?;
     not_after("health state change", health.since, now)?;
-    c.via(
-        &mut r.rf,
-        |rf| rf.as_ref().map(WindowedRfEstimator::checkpoint),
-        |c, e| c.opt(e, estimator),
-        |e| e.map(|e| restore_estimator(e, s)).transpose(),
-    )?;
+    if let Some(rf) = r.rf.as_mut() {
+        c.via(rf, WindowedRfEstimator::checkpoint, estimator, |e| {
+            restore_estimator(e, s)
+        })?;
+    }
     let id = r.id;
     c.via(
         &mut r.mesh,
@@ -1044,14 +983,17 @@ fn restore_estimator(
 ) -> Result<WindowedRfEstimator, SnapshotError> {
     let grid = GridConfig::new(s.area, s.grid_resolution_m);
     let (nx, ny) = grid.dims();
-    let cells = match &e.backend {
-        BackendCheckpoint::Bayes {
-            posterior_cells, ..
-        } => posterior_cells.len(),
-        _ => nx * ny,
-    };
-    same_setting("estimator backend", e.backend.algorithm(), s.rf_algorithm)?;
-    same_setting("posterior cell count", cells, nx * ny)?;
+    if let BackendCheckpoint::Bayes {
+        posterior_cells, ..
+    } = &e.backend
+    {
+        if posterior_cells.len() != nx * ny {
+            return Err(malformed(format!(
+                "posterior cell count {} does not fit the scenario's {nx} x {ny} grid",
+                posterior_cells.len()
+            )));
+        }
+    }
     Ok(WindowedRfEstimator::from_checkpoint(grid, e))
 }
 
@@ -1075,7 +1017,6 @@ fn robots_section(
 fn world_section(c: &mut impl Codec, w: &mut WorldState) -> Result<(), SnapshotError> {
     c.usize(&mut w.sync_robot)?;
     c.u32(&mut w.sync_dead_windows)?;
-    dur(c, &mut w.max_guard)?;
     c.opt(&mut w.next_robot_sample, time)?;
     traffic(c, &mut w.traffic)?;
     robustness(c, &mut w.robustness)?;
@@ -1277,9 +1218,10 @@ fn encode_all(world: &mut WorldState, parts: &mut EngineParts) -> Vec<u8> {
     );
     w.push_section("engine", snapshot::encode(|c| engine_section(c, parts)));
     w.push_section("rngs", snapshot::encode(|c| rngs_section(c, world)));
+    let team = world.scenario.num_robots;
     w.push_section(
         "medium",
-        snapshot::encode(|c| medium_section(c, &mut world.medium)),
+        snapshot::encode(|c| medium_section(c, &mut world.medium, team)),
     );
     w.push_section(
         "robots",
@@ -1311,7 +1253,9 @@ fn decode(bytes: &[u8]) -> Result<(WorldState, Engine<Event>), SnapshotError> {
     snap.decode("engine", |c| engine_section(c, &mut parts))?;
     check_engine(&parts, &scenario)?;
     snap.decode("rngs", |c| rngs_section(c, &mut world))?;
-    snap.decode("medium", |c| medium_section(c, &mut world.medium))?;
+    snap.decode("medium", |c| {
+        medium_section(c, &mut world.medium, scenario.num_robots)
+    })?;
     snap.decode("robots", |c| robots_section(c, &mut world, parts.now))?;
     snap.decode("world", |c| world_section(c, &mut world))?;
     snap.decode("telemetry", |c| telemetry_section(c, &mut world.telemetry))?;
@@ -1323,7 +1267,7 @@ fn decode(bytes: &[u8]) -> Result<(WorldState, Engine<Event>), SnapshotError> {
     let engine = Engine::from_parts(
         queue,
         parts.now,
-        parts.horizon,
+        SimTime::ZERO + scenario.duration,
         parts.stopped,
         parts.processed,
     );
@@ -1448,7 +1392,6 @@ impl SimRun {
         let events = queue.drain_sorted();
         let mut parts = EngineParts {
             now: self.engine.now(),
-            horizon: self.engine.horizon(),
             stopped: self.engine.is_stopped(),
             processed: self.engine.events_processed(),
             next_seq,
@@ -1531,6 +1474,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocoa_localization::bayes::GridStats;
+    use cocoa_localization::ekf::EkfSnapshot;
     use cocoa_localization::multilateration::RangeObservation;
     use proptest::prelude::*;
 
@@ -1607,8 +1552,9 @@ mod tests {
 
     proptest! {
         /// The estimator section round-trips byte-exactly for every
-        /// backend variant: encode → decode → re-encode reproduces both
-        /// the checkpoint struct and the original bytes.
+        /// backend variant: encode → decode onto a blank estimator of the
+        /// same backend, as a robot's reader does → re-encode reproduces
+        /// both the checkpoint struct and the original bytes.
         #[test]
         fn estimator_section_round_trips_byte_exactly(
             backend in arb_backend(),
@@ -1623,7 +1569,9 @@ mod tests {
                 backend,
             };
             let bytes = snapshot::encode(|c| estimator(c, &mut checkpoint.clone()));
-            let mut decoded = EstimatorCheckpoint::default();
+            let grid = GridConfig::new(Area::square(16.0), 2.0);
+            let mut decoded =
+                WindowedRfEstimator::with_algorithm(grid, checkpoint.algorithm()).checkpoint();
             // `decode` also rejects bytes the layout leaves unread.
             snapshot::decode(&bytes, "test", |c| estimator(c, &mut decoded))
                 .expect("own bytes must decode");
@@ -1755,8 +1703,6 @@ mod tests {
         assert_eq!(EstimatorMode::ALL, [OdometryOnly, RfOnly, Cocoa]);
         assert_eq!(RfAlgorithm::ALL, [Bayes, Multilateration, Ekf]);
         assert_eq!(MulticastProtocol::ALL, [Flood, Odmrp, Mrmm]);
-        assert_eq!(BACKENDS.each_ref().map(|b| b.algorithm()), RfAlgorithm::ALL);
-        assert_eq!(MESH_MODES, [MeshMode::Odmrp, MeshMode::Mrmm]);
         assert_eq!(
             POWER_STATES,
             [PowerState::Off, PowerState::Sleep, PowerState::Idle]
@@ -1794,7 +1740,7 @@ mod tests {
             scenario_fingerprint(&template),
         ]
         .map(|fp| format!("{fp:016x}"));
-        assert_eq!(pinned, ["ac1cb3b7000001a1", "3be2b76c000001a1"]);
+        assert_eq!(pinned, ["ae4ec873000001a0", "82939b78000001a0"]);
     }
 
     /// The codec version participates in the hash, so fingerprints from

@@ -45,8 +45,9 @@ pub(crate) enum Event {
     },
     /// A deferred transmission fires.
     Transmit { robot: usize, intent: TxIntent },
-    /// A frame's airtime ends; judge receptions.
-    TxEnd { tx: TxId, receivers: Vec<usize> },
+    /// A frame's airtime ends; judge receptions at the receivers the
+    /// medium holds for it.
+    TxEnd { tx: TxId },
     /// A member's deferred JOIN REPLY.
     MeshReply { robot: usize, source: NodeId },
     /// A node's deferred JOIN QUERY rebroadcast decision.
@@ -241,8 +242,8 @@ fn dispatch_event(engine: &mut Engine<Event>, world: &mut WorldState, event: Eve
             super::beacon::transmit_intent(engine, world, robot, intent, now);
         }
 
-        Event::TxEnd { tx, receivers } => {
-            super::beacon::deliver(engine, world, tx, &receivers, now);
+        Event::TxEnd { tx } => {
+            super::beacon::deliver(engine, world, tx, now);
         }
 
         Event::MeshReply { robot, source } => {

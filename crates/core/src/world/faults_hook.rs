@@ -84,7 +84,6 @@ pub(crate) fn apply_fault(
             // the heading anchor all restart from scratch. The estimator's
             // lifetime counters survive, so its telemetry keeps the work
             // done before the crash.
-            r.has_fix = false;
             r.last_fix_window = None;
             r.fix_anchor = None;
             r.synced_this_window = false;

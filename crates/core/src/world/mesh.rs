@@ -6,14 +6,13 @@
 //!
 //! - **flood** — blind flooding ([`cocoa_multicast::flood::FloodNode`]):
 //!   no control plane, every node rebroadcasts every data packet once;
-//! - **odmrp** — classic ODMRP ([`cocoa_multicast::odmrp::OdmrpNode`] with
-//!   [`cocoa_multicast::odmrp::MeshMode::Odmrp`]): JOIN QUERY flood, JOIN
-//!   REPLY aggregation, only forwarding-group members rebroadcast data;
-//! - **mrmm** — the paper's mobility-aware variant (same node type with
-//!   [`cocoa_multicast::odmrp::MeshMode::Mrmm`]): queries piggyback
-//!   position/velocity, routes are
-//!   scored by predicted link lifetime, and redundant query rebroadcasts
-//!   are pruned.
+//! - **odmrp** — classic ODMRP ([`OdmrpNode::odmrp`]): JOIN QUERY flood,
+//!   JOIN REPLY aggregation, only forwarding-group members rebroadcast
+//!   data;
+//! - **mrmm** — the paper's mobility-aware variant (the same node type,
+//!   built by [`OdmrpNode::mrmm`]): queries piggyback position/velocity,
+//!   routes are scored by predicted link lifetime, and redundant query
+//!   rebroadcasts are pruned.
 //!
 //! This module also owns the mesh-side event handling (deferred replies,
 //! rebroadcast decisions, and delivered mesh packets), so all calls into
@@ -154,9 +153,7 @@ fn flood_state(c: &mut impl Codec, s: &mut FloodCheckpoint) -> Result<(), Snapsh
     mesh_stats(c, &mut s.stats)
 }
 
-/// ODMRP or MRMM, depending on the config's [`MeshMode`].
-///
-/// [`MeshMode`]: cocoa_multicast::odmrp::MeshMode
+/// ODMRP or MRMM, whichever constructor built the node.
 struct OdmrpBackend {
     node: OdmrpNode,
     name: &'static str,
@@ -279,11 +276,8 @@ impl MeshBackend for FloodBackend {
     }
 }
 
-/// Builds the mesh backend for `protocol`.
-///
-/// For the ODMRP-family backends the scenario's mesh parameters are kept
-/// except for the mode, which the protocol dictates — so one scenario can
-/// sweep backends without touching its `OdmrpConfig`.
+/// Builds the mesh backend for `protocol`. The ODMRP-family backends
+/// share the scenario's mesh parameters; flooding has none.
 pub fn make_backend(
     protocol: MulticastProtocol,
     id: NodeId,
@@ -291,15 +285,19 @@ pub fn make_backend(
     member: bool,
     params: OdmrpConfig,
 ) -> Box<dyn MeshBackend> {
-    match protocol.mesh_mode() {
-        None => Box::new(FloodBackend {
-            node: FloodNode::new(id, group, member),
-        }),
-        Some(mode) => Box::new(OdmrpBackend {
-            node: OdmrpNode::new(id, group, member, OdmrpConfig { mode, ..params }),
-            name: protocol.as_str(),
-        }),
-    }
+    let node = match protocol {
+        MulticastProtocol::Flood => {
+            return Box::new(FloodBackend {
+                node: FloodNode::new(id, group, member),
+            })
+        }
+        MulticastProtocol::Odmrp => OdmrpNode::odmrp(id, group, member, params),
+        MulticastProtocol::Mrmm => OdmrpNode::mrmm(id, group, member, params),
+    };
+    Box::new(OdmrpBackend {
+        node,
+        name: protocol.as_str(),
+    })
 }
 
 /// Handles a deferred JOIN REPLY for `robot` toward `source`.

@@ -49,7 +49,7 @@ use cocoa_net::energy::PowerState;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{Medium, TxId};
 use cocoa_net::packet::{GroupId, NodeId};
-use cocoa_net::radio::{Radio, RadioCheckpoint};
+use cocoa_net::radio::Radio;
 use cocoa_sim::dist::uniform;
 use cocoa_sim::engine::Engine;
 use cocoa_sim::faults::GilbertElliottLink;
@@ -99,7 +99,6 @@ pub(crate) struct WorldState {
     pub(crate) position_snapshots: Vec<(SimTime, Vec<crate::metrics::RobotFinalState>)>,
     pub(crate) traffic: TrafficStats,
     pub(crate) sync_robot: usize,
-    pub(crate) max_guard: SimDuration,
     pub(crate) telemetry: Telemetry,
     pub(crate) spans: SpanIds,
     pub(crate) hists: HistIds,
@@ -135,14 +134,11 @@ impl WorldState {
     /// relayers when their fix is fresh enough).
     pub(crate) fn beacons_in_window(&self, robot: usize, window: u64) -> bool {
         let r = &self.robots[robot];
-        if r.equipped {
-            return true;
-        }
-        if !self.scenario.relay_beaconing || !r.has_fix {
-            return false;
-        }
-        r.last_fix_window
-            .is_some_and(|w| window.saturating_sub(w) <= self.scenario.relay_max_fix_age_windows)
+        r.equipped
+            || self.scenario.relay_beaconing
+                && r.last_fix_window.is_some_and(|w| {
+                    window.saturating_sub(w) <= self.scenario.relay_max_fix_age_windows
+                })
     }
 }
 
@@ -217,11 +213,6 @@ pub(crate) fn setup_world(
     let split = SeedSplitter::new(scenario.seed);
     let mut placement_rng = split.stream("placement", 0);
     let mut clock_rng = split.stream("clock", 0);
-    let num_equipped = if scenario.mode.uses_rf() {
-        scenario.num_equipped
-    } else {
-        0
-    };
     for i in 0..scenario.num_robots {
         let start = Point::new(
             uniform(scenario.area.x_min, scenario.area.x_max, &mut placement_rng),
@@ -229,7 +220,6 @@ pub(crate) fn setup_world(
         );
         let mut move_rng = split.stream("move", i as u64);
         let odo_rng = split.stream("odo", i as u64);
-        let equipped = i < num_equipped;
         let skew = if i == 0 {
             0.0 // the Sync robot is the timebase
         } else {
@@ -239,45 +229,24 @@ pub(crate) fn setup_world(
                 &mut clock_rng,
             )
         };
-        let motion = RobotMotion::new(
-            WaypointConfig {
-                area: scenario.area,
-                v_min: scenario.v_min,
-                v_max: scenario.v_max,
-            },
+        let mut robot = blank_robot(i, scenario);
+        robot.motion = RobotMotion::new(
+            waypoint_config(scenario),
             scenario.odometry,
             start,
             &mut move_rng,
         );
-        let mut radio = Radio::new(scenario.energy, SimTime::ZERO);
         if !scenario.mode.uses_rf() {
-            radio.set_state(SimTime::ZERO, PowerState::Off);
+            robot.radio.set_state(SimTime::ZERO, PowerState::Off);
         }
-        let rf = if !equipped && scenario.mode.uses_rf() {
-            Some(WindowedRfEstimator::with_algorithm(
-                GridConfig::new(scenario.area, scenario.grid_resolution_m),
-                scenario.rf_algorithm,
-            ))
-        } else {
-            None
-        };
+        robot.clock = DriftingClock::new(skew);
         // Equipped robots are healthy by construction; everyone else starts
         // dead-reckoning (no fix yet — the RF estimator has not run, and
         // odometry-only robots never get one).
-        let initial_health = if equipped && scenario.mode.uses_rf() {
-            DegradationState::Healthy
-        } else {
-            DegradationState::DeadReckoning
-        };
-        world.robots.push(Robot {
-            equipped,
-            motion,
-            radio,
-            rf,
-            clock: DriftingClock::new(skew),
-            health: HealthMonitor::new(initial_health, SimTime::ZERO),
-            ..blank_robot(i, scenario)
-        });
+        if !robot.equipped {
+            robot.health = HealthMonitor::new(DegradationState::DeadReckoning, SimTime::ZERO);
+        }
+        world.robots.push(robot);
         world.move_rngs.push(move_rng);
         world.odo_rngs.push(odo_rng);
     }
@@ -286,23 +255,40 @@ pub(crate) fn setup_world(
 }
 
 /// Robot `index` of `scenario` before setup or a snapshot gives it its
-/// state: alive, unequipped, at rest at the origin, no estimator, a
-/// fresh clock, health monitor and mesh node.
+/// state: alive, at rest at the origin, a fresh radio, clock, health
+/// monitor and mesh node. Everything the scenario fixes is set here and
+/// nowhere else, and snapshots do not store it: whether the robot is
+/// equipped (in RF modes, the first `num_equipped` robots are), whether
+/// it runs an estimator (the unequipped ones, with the scenario's
+/// backend and grid), and its waypoint, odometry, energy and mesh
+/// settings.
 pub(crate) fn blank_robot(index: usize, scenario: &Scenario) -> Robot {
     let id = NodeId(index as u32);
+    let equipped = scenario.mode.uses_rf() && index < scenario.num_equipped;
+    let rf = (scenario.mode.uses_rf() && !equipped).then(|| {
+        WindowedRfEstimator::with_algorithm(
+            GridConfig::new(scenario.area, scenario.grid_resolution_m),
+            scenario.rf_algorithm,
+        )
+    });
     Robot {
         id,
         index,
-        equipped: false,
+        equipped,
         motion: RobotMotion::from_parts(
-            WaypointModel::from_checkpoint(WaypointCheckpoint::default()),
-            Odometer::from_checkpoint(OdometerCheckpoint::default()),
+            WaypointModel::from_checkpoint(WaypointCheckpoint {
+                config: waypoint_config(scenario),
+                ..WaypointCheckpoint::default()
+            }),
+            Odometer::from_checkpoint(OdometerCheckpoint {
+                config: scenario.odometry,
+                ..OdometerCheckpoint::default()
+            }),
         ),
-        radio: Radio::from_checkpoint(RadioCheckpoint::default()),
-        rf: None,
+        radio: Radio::new(scenario.energy, SimTime::ZERO),
+        rf,
         mesh: mesh::make_backend(scenario.multicast, id, SYNC_GROUP, true, scenario.mesh),
         clock: DriftingClock::new(0.0),
-        has_fix: false,
         last_fix_window: None,
         synced_this_window: false,
         fix_anchor: None,
@@ -311,6 +297,14 @@ pub(crate) fn blank_robot(index: usize, scenario: &Scenario) -> Robot {
         garbled_tx: false,
         beacon_offset: None,
         health: HealthMonitor::new(DegradationState::Healthy, SimTime::ZERO),
+    }
+}
+
+fn waypoint_config(scenario: &Scenario) -> WaypointConfig {
+    WaypointConfig {
+        area: scenario.area,
+        v_min: scenario.v_min,
+        v_max: scenario.v_max,
     }
 }
 
@@ -388,7 +382,6 @@ impl WorldState {
             position_snapshots: Vec::new(),
             traffic: TrafficStats::default(),
             sync_robot: 0,
-            max_guard: (scenario.beacon_period / 4).max(scenario.guard_band),
             telemetry,
             spans,
             hists,

@@ -209,7 +209,6 @@ pub(crate) fn robot_window_end(
             world.telemetry.span_end(world.spans.grid_fix, sp);
             match outcome {
                 WindowOutcome::Fix(fix) => {
-                    r.has_fix = true;
                     r.last_fix_window = Some(window);
                     world.traffic.fixes += 1;
                     world.telemetry.hist_record(
@@ -342,9 +341,11 @@ pub(crate) fn robot_window_end(
     if next_start >= engine.horizon() {
         return;
     }
+    let s = &world.scenario;
+    let max_guard = (s.beacon_period / 4).max(s.guard_band);
     let guard = world.robots[robot]
         .clock
-        .effective_guard(world.scenario.guard_band, world.max_guard);
+        .effective_guard(s.guard_band, max_guard);
     let intended = next_start - guard.min(next_start.saturating_since(SimTime::ZERO));
     let fire = world.robots[robot].clock.actual_fire_time(intended, now);
     engine.schedule_at(

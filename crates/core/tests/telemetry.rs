@@ -319,16 +319,14 @@ fn posterior_entropy_is_computed_only_when_recorded() {
 // trace comparison: the per-backend counter export is additive telemetry
 // introduced by the refactor itself and carries no simulation state.
 
-use cocoa_multicast::odmrp::{MeshMode, OdmrpConfig};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// The pinned scenario: the standard telemetry test scenario forced into
-/// plain-ODMRP mesh mode (reachable both before and after the refactor via
-/// the mesh parameter block).
+/// The pinned scenario: the standard telemetry test scenario run over
+/// plain ODMRP.
 fn golden_odmrp_scenario() -> Scenario {
     Scenario::builder()
         .seed(42)
@@ -337,10 +335,7 @@ fn golden_odmrp_scenario() -> Scenario {
         .duration(SimDuration::from_secs(120))
         .beacon_period(SimDuration::from_secs(30))
         .grid_resolution(6.0)
-        .mesh(OdmrpConfig {
-            mode: MeshMode::Odmrp,
-            ..OdmrpConfig::default()
-        })
+        .multicast(MulticastProtocol::Odmrp)
         .build()
 }
 

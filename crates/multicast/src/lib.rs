@@ -7,7 +7,7 @@
 //!
 //! - [`odmrp`]: the per-node protocol state machine (JOIN QUERY flooding,
 //!   JOIN REPLY reverse-path recruitment, forwarding-group data delivery),
-//!   switchable between plain ODMRP and the MRMM extension;
+//!   built as plain ODMRP or as the MRMM extension;
 //! - [`mrmm`]: MRMM's mobility-aware machinery — residual link-lifetime
 //!   prediction from `(position, velocity, d_rest)` and the pruning policy
 //!   that thins short-lived redundant forwarders out of the mesh;
@@ -35,6 +35,6 @@ pub mod prelude {
     pub use crate::flood::FloodNode;
     pub use crate::mesh::{DedupCache, MeshStats};
     pub use crate::mrmm::{link_lifetime, MobilityInfo, PathScore, PruneConfig};
-    pub use crate::odmrp::{MeshMode, OdmrpConfig, OdmrpNode, ProtocolAction};
+    pub use crate::odmrp::{OdmrpConfig, OdmrpNode, ProtocolAction};
     pub use crate::protocol::MulticastProtocol;
 }

@@ -31,20 +31,11 @@ use cocoa_sim::time::{SimDuration, SimTime};
 use crate::mesh::{DedupCache, MeshStats};
 use crate::mrmm::{link_lifetime, MobilityInfo, PathScore, PruneConfig};
 
-/// Whether the node runs plain ODMRP or the MRMM extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MeshMode {
-    /// Plain ODMRP: hop-count routes, flood rebroadcasts.
-    Odmrp,
-    /// MRMM: lifetime-scored routes, redundancy-aware pruning.
-    Mrmm,
-}
-
-/// Protocol configuration.
+/// Protocol configuration, shared by plain ODMRP and MRMM nodes (the
+/// variant is chosen by the constructor, [`OdmrpNode::odmrp`] or
+/// [`OdmrpNode::mrmm`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OdmrpConfig {
-    /// Protocol variant.
-    pub mode: MeshMode,
     /// Queries stop propagating after this many hops.
     pub max_hops: u8,
     /// How long a forwarding-group flag stays set after being refreshed.
@@ -68,7 +59,6 @@ pub struct OdmrpConfig {
 impl Default for OdmrpConfig {
     fn default() -> Self {
         OdmrpConfig {
-            mode: MeshMode::Mrmm,
             max_hops: 8,
             fg_timeout: SimDuration::from_secs(360),
             // Wide enough that a 50-node query flood does not collapse
@@ -140,6 +130,9 @@ pub struct OdmrpNode {
     id: NodeId,
     group: GroupId,
     member: bool,
+    /// MRMM (lifetime-scored routes, redundancy-aware pruning) rather than
+    /// plain ODMRP (hop-count routes, every first query copy rebroadcast).
+    mrmm: bool,
     config: OdmrpConfig,
     fg_until: Option<SimTime>,
     routes: HashMap<NodeId, RouteEntry>,
@@ -156,6 +149,7 @@ impl std::fmt::Debug for OdmrpNode {
         f.debug_struct("OdmrpNode")
             .field("id", &self.id)
             .field("member", &self.member)
+            .field("mrmm", &self.mrmm)
             .field("fg_until", &self.fg_until)
             .field("routes", &self.routes.len())
             .finish()
@@ -163,13 +157,25 @@ impl std::fmt::Debug for OdmrpNode {
 }
 
 impl OdmrpNode {
-    /// Creates a node. `member` nodes deliver data and answer queries; in
-    /// CoCoA every robot is a member of the SYNC group.
-    pub fn new(id: NodeId, group: GroupId, member: bool, config: OdmrpConfig) -> Self {
+    /// Creates a plain ODMRP node: hop-count routes, every first query
+    /// copy rebroadcast. `member` nodes deliver data and answer queries;
+    /// in CoCoA every robot is a member of the SYNC group.
+    pub fn odmrp(id: NodeId, group: GroupId, member: bool, config: OdmrpConfig) -> Self {
+        OdmrpNode::new(id, group, member, false, config)
+    }
+
+    /// Creates an MRMM node: routes scored by predicted link lifetime,
+    /// short-lived redundant query rebroadcasts pruned.
+    pub fn mrmm(id: NodeId, group: GroupId, member: bool, config: OdmrpConfig) -> Self {
+        OdmrpNode::new(id, group, member, true, config)
+    }
+
+    fn new(id: NodeId, group: GroupId, member: bool, mrmm: bool, config: OdmrpConfig) -> Self {
         OdmrpNode {
             id,
             group,
             member,
+            mrmm,
             config,
             fg_until: None,
             routes: HashMap::new(),
@@ -288,7 +294,7 @@ impl OdmrpNode {
     }
 
     /// Restores checkpointed mutable state onto a freshly created node
-    /// (identity and configuration come from [`OdmrpNode::new`]).
+    /// (identity, variant and configuration come from its constructor).
     pub fn restore(&mut self, c: OdmrpCheckpoint) {
         self.fg_until = c.fg_until;
         self.routes = c
@@ -378,21 +384,17 @@ impl OdmrpNode {
     }
 
     fn score_link(&self, my: &MobilityInfo, sender: &MobilityInfo, hops: u8) -> PathScore {
-        match self.config.mode {
-            MeshMode::Odmrp => PathScore {
-                lifetime: 0.0,
-                hops,
-            },
-            MeshMode::Mrmm => PathScore {
-                lifetime: link_lifetime(
-                    my,
-                    sender,
-                    self.config.range_m,
-                    self.config.lifetime_horizon_s,
-                ),
-                hops,
-            },
-        }
+        let lifetime = if self.mrmm {
+            link_lifetime(
+                my,
+                sender,
+                self.config.range_m,
+                self.config.lifetime_horizon_s,
+            )
+        } else {
+            0.0
+        };
+        PathScore { lifetime, hops }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -474,9 +476,7 @@ impl OdmrpNode {
         if route.seq != seq {
             return None; // a newer round superseded this one
         }
-        if self.config.mode == MeshMode::Mrmm
-            && self.config.prune.should_prune(route.score.lifetime, copies)
-        {
+        if self.mrmm && self.config.prune.should_prune(route.score.lifetime, copies) {
             self.stats.queries_suppressed += 1;
             return None;
         }
@@ -655,20 +655,19 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    fn node(id: u32, member: bool, mode: MeshMode) -> OdmrpNode {
-        let config = OdmrpConfig {
-            mode,
-            ..OdmrpConfig::default()
-        };
-        OdmrpNode::new(NodeId(id), GroupId(1), member, config)
+    /// [`OdmrpNode::odmrp`] or [`OdmrpNode::mrmm`].
+    type Variant = fn(NodeId, GroupId, bool, OdmrpConfig) -> OdmrpNode;
+
+    fn node(id: u32, member: bool, variant: Variant) -> OdmrpNode {
+        variant(NodeId(id), GroupId(1), member, OdmrpConfig::default())
     }
 
     /// Drives a query from `src` through `relay` to `member` and returns
     /// the member's reply chain.
-    fn build_small_mesh(mode: MeshMode) -> (OdmrpNode, OdmrpNode, OdmrpNode) {
-        let mut src = node(0, true, mode);
-        let mut relay = node(1, false, mode);
-        let mut member = node(2, true, mode);
+    fn build_small_mesh(variant: Variant) -> (OdmrpNode, OdmrpNode, OdmrpNode) {
+        let mut src = node(0, true, variant);
+        let mut relay = node(1, false, variant);
+        let mut member = node(2, true, variant);
 
         let query = src.originate_query(t(0), &mob(0.0));
         // Relay hears the query and schedules a rebroadcast.
@@ -703,17 +702,17 @@ mod tests {
 
     #[test]
     fn mesh_construction_odmrp() {
-        build_small_mesh(MeshMode::Odmrp);
+        build_small_mesh(OdmrpNode::odmrp);
     }
 
     #[test]
     fn mesh_construction_mrmm() {
-        build_small_mesh(MeshMode::Mrmm);
+        build_small_mesh(OdmrpNode::mrmm);
     }
 
     #[test]
     fn data_flows_down_the_mesh() {
-        let (mut src, mut relay, mut member) = build_small_mesh(MeshMode::Mrmm);
+        let (mut src, mut relay, mut member) = build_small_mesh(OdmrpNode::mrmm);
         let data = src.originate_data(t(1), Bytes::from_static(b"sync"));
         let acts = relay.handle_packet(t(1), &data, &mob(75.0));
         // Relay is FG but not a member: forwards, does not deliver.
@@ -732,7 +731,7 @@ mod tests {
 
     #[test]
     fn duplicate_data_is_discarded() {
-        let (mut src, _, mut member) = build_small_mesh(MeshMode::Mrmm);
+        let (mut src, _, mut member) = build_small_mesh(OdmrpNode::mrmm);
         let data = src.originate_data(t(1), Bytes::from_static(b"sync"));
         let first = member.handle_packet(t(1), &data, &mob(150.0));
         assert!(!first.is_empty());
@@ -743,8 +742,8 @@ mod tests {
 
     #[test]
     fn duplicate_query_copies_do_not_reschedule() {
-        let mut relay = node(1, false, MeshMode::Mrmm);
-        let mut src = node(0, true, MeshMode::Mrmm);
+        let mut relay = node(1, false, OdmrpNode::mrmm);
+        let mut src = node(0, true, OdmrpNode::mrmm);
         let query = src.originate_query(t(0), &mob(0.0));
         let first = relay.handle_packet(t(0), &query, &mob(75.0));
         assert_eq!(first.len(), 1);
@@ -767,8 +766,8 @@ mod tests {
 
     #[test]
     fn mrmm_prefers_longer_lived_reverse_path() {
-        let mut relay = node(1, true, MeshMode::Mrmm);
-        let mut src = node(0, true, MeshMode::Mrmm);
+        let mut relay = node(1, true, OdmrpNode::mrmm);
+        let mut src = node(0, true, OdmrpNode::mrmm);
         let my = mob(75.0);
         // First copy arrives via a neighbour about to drive out of range.
         let q = src.originate_query(t(0), &mob(0.0));
@@ -810,8 +809,8 @@ mod tests {
 
     #[test]
     fn odmrp_keeps_first_path_regardless_of_lifetime() {
-        let mut relay = node(1, true, MeshMode::Odmrp);
-        let mut src = node(0, true, MeshMode::Odmrp);
+        let mut relay = node(1, true, OdmrpNode::odmrp);
+        let mut src = node(0, true, OdmrpNode::odmrp);
         let my = mob(75.0);
         let q = src.originate_query(t(0), &mob(0.0));
         let via_flaky = Packet::new(
@@ -851,8 +850,8 @@ mod tests {
 
     #[test]
     fn mrmm_prunes_redundant_short_lived_forwarder() {
-        let mut relay = node(1, false, MeshMode::Mrmm);
-        let mut src = node(0, true, MeshMode::Mrmm);
+        let mut relay = node(1, false, OdmrpNode::mrmm);
+        let mut src = node(0, true, OdmrpNode::mrmm);
         // Relay is driving away from everything: links die in ~5 s.
         let my = moving(75.0, 2.0, 1000.0);
         let q = src.originate_query(t(0), &moving(0.0, -2.0, 1000.0));
@@ -886,8 +885,8 @@ mod tests {
 
     #[test]
     fn sole_path_node_never_prunes() {
-        let mut relay = node(1, false, MeshMode::Mrmm);
-        let mut src = node(0, true, MeshMode::Mrmm);
+        let mut relay = node(1, false, OdmrpNode::mrmm);
+        let mut src = node(0, true, OdmrpNode::mrmm);
         let my = moving(75.0, 2.0, 1000.0);
         let q = src.originate_query(t(0), &moving(0.0, -2.0, 1000.0));
         relay.handle_packet(t(0), &q, &my); // exactly one copy
@@ -898,7 +897,7 @@ mod tests {
 
     #[test]
     fn fg_flag_expires() {
-        let (_, relay, member) = build_small_mesh(MeshMode::Mrmm);
+        let (_, relay, member) = build_small_mesh(OdmrpNode::mrmm);
         assert!(relay.is_forwarding(t(1)));
         assert!(!relay.is_forwarding(t(10_000)));
         let _ = member;
@@ -906,8 +905,8 @@ mod tests {
 
     #[test]
     fn newer_round_supersedes_rebroadcast() {
-        let mut relay = node(1, false, MeshMode::Mrmm);
-        let mut src = node(0, true, MeshMode::Mrmm);
+        let mut relay = node(1, false, OdmrpNode::mrmm);
+        let mut src = node(0, true, OdmrpNode::mrmm);
         let q1 = src.originate_query(t(0), &mob(0.0));
         relay.handle_packet(t(0), &q1, &mob(75.0));
         let q2 = src.originate_query(t(10), &mob(0.0));
@@ -923,7 +922,7 @@ mod tests {
 
     #[test]
     fn non_member_does_not_deliver() {
-        let (mut src, mut relay, _) = build_small_mesh(MeshMode::Mrmm);
+        let (mut src, mut relay, _) = build_small_mesh(OdmrpNode::mrmm);
         let data = src.originate_data(t(2), Bytes::from_static(b"x"));
         let acts = relay.handle_packet(t(2), &data, &mob(75.0));
         assert!(!acts
@@ -933,7 +932,7 @@ mod tests {
 
     #[test]
     fn source_ignores_its_own_flooded_query() {
-        let mut src = node(0, true, MeshMode::Mrmm);
+        let mut src = node(0, true, OdmrpNode::mrmm);
         let q = src.originate_query(t(0), &mob(0.0));
         let echo = Packet::new(
             NodeId(0),

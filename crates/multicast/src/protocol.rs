@@ -9,8 +9,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::odmrp::MeshMode;
-
 /// The mesh multicast backend driving SYNC dissemination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MulticastProtocol {
@@ -52,16 +50,6 @@ impl MulticastProtocol {
             _ => None,
         }
     }
-
-    /// The ODMRP-family mode this backend forces, if it is one (`Flood`
-    /// runs a different node type entirely).
-    pub fn mesh_mode(self) -> Option<MeshMode> {
-        match self {
-            MulticastProtocol::Flood => None,
-            MulticastProtocol::Odmrp => Some(MeshMode::Odmrp),
-            MulticastProtocol::Mrmm => Some(MeshMode::Mrmm),
-        }
-    }
 }
 
 impl Default for MulticastProtocol {
@@ -94,12 +82,5 @@ mod tests {
     #[test]
     fn default_is_mrmm() {
         assert_eq!(MulticastProtocol::default(), MulticastProtocol::Mrmm);
-    }
-
-    #[test]
-    fn mesh_mode_mapping() {
-        assert_eq!(MulticastProtocol::Flood.mesh_mode(), None);
-        assert_eq!(MulticastProtocol::Odmrp.mesh_mode(), Some(MeshMode::Odmrp));
-        assert_eq!(MulticastProtocol::Mrmm.mesh_mode(), Some(MeshMode::Mrmm));
     }
 }

@@ -16,7 +16,8 @@
 //! and fades happen).
 //!
 //! Each frame carries the RSSI sampled at every receiver that heard it,
-//! sorted by receiver. A frame is judged once, at its end time, for all of
+//! sorted by receiver, and that list is the frame's only list of
+//! receivers. A frame is judged once, at its end time, for all of
 //! its receivers together: one scan of the medium collects the frames
 //! that overlap its airtime, and each receiver is then judged against
 //! those alone, its RSSI in each found by binary search.
@@ -48,20 +49,29 @@ impl TxId {
 /// presence of an overlapping frame only if it is this much stronger.
 pub const DEFAULT_CAPTURE_MARGIN_DB: f64 = 10.0;
 
-#[derive(Debug, Clone)]
-struct ActiveTx {
-    id: TxId,
-    src: NodeId,
-    src_pos: Point,
-    start: SimTime,
-    end: SimTime,
-    packet: Packet,
+/// One frame on the medium: its airtime, its packet and the RSSI sampled
+/// at each receiver that heard it. The frame's receivers are exactly the
+/// receivers in `heard`, so it is also the medium's checkpoint data.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Frame {
+    /// The transmission's id.
+    pub id: TxId,
+    /// Transmitting node.
+    pub src: NodeId,
+    /// Transmitter position at frame start.
+    pub src_pos: Point,
+    /// Airtime start.
+    pub start: SimTime,
+    /// Airtime end.
+    pub end: SimTime,
+    /// The frame on the air.
+    pub packet: Packet,
     /// The sampled RSSI at each receiver that heard the frame, strictly
     /// increasing by receiver.
-    heard: Vec<(NodeId, Dbm)>,
+    pub heard: Vec<(NodeId, Dbm)>,
 }
 
-impl ActiveTx {
+impl Frame {
     /// Whether this frame is on the air during part of `[start, end)`.
     fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.start < end && self.end > start
@@ -88,9 +98,6 @@ pub enum ReceptionOutcome {
     },
     /// The receiver itself was transmitting during the frame (half-duplex).
     HalfDuplex,
-    /// No RSSI was recorded for this receiver — the frame was below
-    /// sensitivity or the receiver was asleep at frame start.
-    NotReceivable,
 }
 
 /// The shared broadcast medium.
@@ -117,18 +124,15 @@ pub enum ReceptionOutcome {
 /// let tx = medium.begin_tx(NodeId(1), Point::ORIGIN, pkt, SimTime::ZERO,
 ///                          SimDuration::from_micros(260), [(NodeId(2), Dbm::new(-60.0))]);
 /// let mut verdicts = Vec::new();
-/// let packet = medium.judge(tx, [NodeId(2), NodeId(3)], &mut verdicts);
+/// let packet = medium.judge(tx, &mut verdicts);
 /// assert_eq!(packet.map(|p| p.src), Some(NodeId(1)));
-/// assert_eq!(verdicts, [
-///     ReceptionOutcome::Delivered { rssi: Dbm::new(-60.0) },
-///     ReceptionOutcome::NotReceivable,
-/// ]);
+/// assert_eq!(verdicts, [(NodeId(2), ReceptionOutcome::Delivered { rssi: Dbm::new(-60.0) })]);
 /// ```
 #[derive(Debug)]
 pub struct Medium {
     /// Frames on the air or recently ended, in strictly increasing id
     /// order: ids are allocated in increasing order, and `gc` keeps it.
-    active: Vec<ActiveTx>,
+    active: Vec<Frame>,
     capture_margin_db: f64,
     retention: SimDuration,
     next_id: u64,
@@ -196,7 +200,7 @@ impl Medium {
         let id = TxId(self.next_id);
         self.next_id += 1;
         self.total_tx += 1;
-        self.active.push(ActiveTx {
+        self.active.push(Frame {
             id,
             src,
             src_pos,
@@ -208,10 +212,11 @@ impl Medium {
         id
     }
 
-    /// Judges frame `tx` at each of `receivers`: one verdict per receiver,
-    /// in order, into `verdicts` (cleared first). Returns the frame's
-    /// packet for the receivers that decoded it. Meant to be called at the
-    /// frame's end time, after all overlapping frames have started.
+    /// Judges frame `tx` at each receiver that heard it: one
+    /// `(receiver, verdict)` per receiver, in increasing receiver order,
+    /// into `verdicts` (cleared first). Returns the frame's packet for the
+    /// receivers that decoded it. Meant to be called at the frame's end
+    /// time, after all overlapping frames have started.
     ///
     /// A `tx` that was already garbage-collected returns `None` and leaves
     /// `verdicts` empty: its reception attempts are dropped, never a
@@ -221,8 +226,7 @@ impl Medium {
     pub fn judge(
         &mut self,
         tx: TxId,
-        receivers: impl IntoIterator<Item = NodeId>,
-        verdicts: &mut Vec<ReceptionOutcome>,
+        verdicts: &mut Vec<(NodeId, ReceptionOutcome)>,
     ) -> Option<&Packet> {
         verdicts.clear();
         let Medium {
@@ -243,16 +247,13 @@ impl Medium {
                 .filter(|(_, t)| t.overlaps(frame.start, frame.end))
                 .map(|(i, _)| i),
         );
-        verdicts.extend(receivers.into_iter().map(|rx| {
-            let Some(rssi) = frame.rssi_at(rx) else {
-                return ReceptionOutcome::NotReceivable;
-            };
+        verdicts.extend(frame.heard.iter().map(|&(rx, rssi)| {
             // Half-duplex: the receiver transmitting during any overlap
             // (this frame included) kills it.
             if overlapping.iter().any(|&i| active[i].src == rx) {
                 *total_collisions += 1;
                 *total_half_duplex += 1;
-                return ReceptionOutcome::HalfDuplex;
+                return (rx, ReceptionOutcome::HalfDuplex);
             }
             // Strongest overlapping interferer that this receiver could
             // hear; the earliest registered wins a tie.
@@ -267,10 +268,10 @@ impl Medium {
             if let Some((irssi, interferer)) = worst {
                 if rssi.value() < irssi.value() + *capture_margin_db {
                     *total_collisions += 1;
-                    return ReceptionOutcome::Collided { interferer };
+                    return (rx, ReceptionOutcome::Collided { interferer });
                 }
             }
-            ReceptionOutcome::Delivered { rssi }
+            (rx, ReceptionOutcome::Delivered { rssi })
         }));
         Some(&frame.packet)
     }
@@ -305,28 +306,10 @@ impl Medium {
         self.total_half_duplex
     }
 
-    /// The medium's complete state as checkpoint data. Active frames keep
-    /// their registration order; walking them in that order, each with its
-    /// receivers in order, lists the RSSI records sorted by `(tx, rx)`.
+    /// The medium's complete state as checkpoint data.
     pub fn state(&self) -> MediumState {
         MediumState {
-            active: self
-                .active
-                .iter()
-                .map(|t| ActiveTxState {
-                    id: t.id,
-                    src: t.src,
-                    src_pos: t.src_pos,
-                    start: t.start,
-                    end: t.end,
-                    packet: t.packet.clone(),
-                })
-                .collect(),
-            rssi: self
-                .active
-                .iter()
-                .flat_map(|t| t.heard.iter().map(|&(rx, dbm)| (t.id, rx, dbm)))
-                .collect(),
+            active: self.active.clone(),
             capture_margin_db: self.capture_margin_db,
             retention: self.retention,
             next_id: self.next_id,
@@ -338,29 +321,10 @@ impl Medium {
 
     /// Rebuilds a medium from checkpointed state. `state` must keep the
     /// orders [`MediumState`] documents, as [`Medium::state`] writes them;
-    /// snapshot decoding rejects a state that does not. An RSSI record
-    /// naming no frame of `state.active` is dropped.
+    /// snapshot decoding rejects a state that does not.
     pub fn from_state(state: MediumState) -> Self {
-        let mut active: Vec<ActiveTx> = state
-            .active
-            .into_iter()
-            .map(|t| ActiveTx {
-                id: t.id,
-                src: t.src,
-                src_pos: t.src_pos,
-                start: t.start,
-                end: t.end,
-                packet: t.packet,
-                heard: Vec::new(),
-            })
-            .collect();
-        for (tx, rx, dbm) in state.rssi {
-            if let Ok(at) = active.binary_search_by_key(&tx, |t| t.id) {
-                active[at].heard.push((rx, dbm));
-            }
-        }
         Medium {
-            active,
+            active: state.active,
             capture_margin_db: state.capture_margin_db,
             retention: state.retention,
             next_id: state.next_id,
@@ -372,32 +336,13 @@ impl Medium {
     }
 }
 
-/// One in-flight transmission as checkpoint data.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ActiveTxState {
-    /// The transmission's id.
-    pub id: TxId,
-    /// Transmitting node.
-    pub src: NodeId,
-    /// Transmitter position at frame start.
-    pub src_pos: Point,
-    /// Airtime start.
-    pub start: SimTime,
-    /// Airtime end.
-    pub end: SimTime,
-    /// The frame on the air.
-    pub packet: Packet,
-}
-
 /// The medium's complete state as checkpoint data (see [`Medium::state`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MediumState {
-    /// In-flight transmissions, in registration order: ids strictly
-    /// increasing, each below `next_id`.
-    pub active: Vec<ActiveTxState>,
-    /// Recorded RSSI samples, strictly increasing by `(tx, rx)`, each
-    /// naming a transmission in `active`.
-    pub rssi: Vec<(TxId, NodeId, Dbm)>,
+    /// Frames on the air or recently ended, in registration order: ids
+    /// strictly increasing, each below `next_id`, and each frame's
+    /// receivers strictly increasing.
+    pub active: Vec<Frame>,
     /// Capture margin, dB.
     pub capture_margin_db: f64,
     /// How long ended frames are retained for late judgements.
@@ -448,11 +393,15 @@ mod tests {
         )
     }
 
-    /// Judges `tx` at the single receiver `rx`; `None` once it expired.
+    /// Judges `tx` and returns its verdict at receiver `rx`; `None` once
+    /// it expired or if `rx` did not hear it.
     fn judge_at(m: &mut Medium, tx: TxId, rx: u32) -> Option<ReceptionOutcome> {
         let mut verdicts = Vec::new();
-        m.judge(tx, [NodeId(rx)], &mut verdicts)?;
-        Some(verdicts[0])
+        m.judge(tx, &mut verdicts)?;
+        verdicts
+            .iter()
+            .find(|&&(r, _)| r == NodeId(rx))
+            .map(|&(_, v)| v)
     }
 
     fn delivered(dbm: f64) -> Option<ReceptionOutcome> {
@@ -467,16 +416,6 @@ mod tests {
         let tx = send(&mut m, 1, 0, &[(2, -55.0)]);
         assert_eq!(judge_at(&mut m, tx, 2), delivered(-55.0));
         assert_eq!(m.collisions(), 0);
-    }
-
-    #[test]
-    fn unrecorded_receiver_is_not_receivable() {
-        let mut m = Medium::new();
-        let tx = send(&mut m, 1, 0, &[]);
-        assert_eq!(
-            judge_at(&mut m, tx, 9),
-            Some(ReceptionOutcome::NotReceivable)
-        );
     }
 
     #[test]
@@ -546,20 +485,26 @@ mod tests {
         let mut m = Medium::new();
         let a = send(&mut m, 1, 0, &[(2, -40.0), (3, -60.0), (4, -50.0)]);
         let _b = send(&mut m, 2, 100, &[(3, -62.0), (4, -70.0)]);
-        let mut verdicts = vec![ReceptionOutcome::NotReceivable; 7];
-        let packet = m.judge(a, [4, 9, 3, 2].map(NodeId), &mut verdicts);
+        let mut verdicts = vec![(NodeId(9), ReceptionOutcome::HalfDuplex); 7];
+        let packet = m.judge(a, &mut verdicts);
         assert_eq!(packet, Some(&beacon(1, 0)));
+        // Only the receivers that heard the frame are judged.
         assert_eq!(
             verdicts,
             [
-                ReceptionOutcome::Delivered {
-                    rssi: Dbm::new(-50.0)
-                },
-                ReceptionOutcome::NotReceivable,
-                ReceptionOutcome::Collided {
-                    interferer: NodeId(2)
-                },
-                ReceptionOutcome::HalfDuplex,
+                (NodeId(2), ReceptionOutcome::HalfDuplex),
+                (
+                    NodeId(3),
+                    ReceptionOutcome::Collided {
+                        interferer: NodeId(2)
+                    }
+                ),
+                (
+                    NodeId(4),
+                    ReceptionOutcome::Delivered {
+                        rssi: Dbm::new(-50.0)
+                    }
+                ),
             ]
         );
         assert_eq!((m.collisions(), m.half_duplex()), (2, 1));
@@ -579,10 +524,10 @@ mod tests {
         assert_eq!(m.transmissions(), 1);
         // The frame and its RSSI records are gone: the attempt expires
         // gracefully instead of panicking.
-        let mut verdicts = vec![ReceptionOutcome::NotReceivable];
-        assert_eq!(m.judge(a, [NodeId(2)], &mut verdicts), None);
+        let mut verdicts = vec![(NodeId(2), ReceptionOutcome::HalfDuplex)];
+        assert_eq!(m.judge(a, &mut verdicts), None);
         assert!(verdicts.is_empty());
-        assert!(m.state().rssi.is_empty());
+        assert!(m.state().active.is_empty());
     }
 
     #[test]

@@ -13,8 +13,8 @@ use cocoa_sim::time::{SimDuration, SimTime};
 
 use crate::energy::{EnergyLedger, EnergyParams, PowerState};
 
-/// Default link rate: the paper simulates a 2 Mbps 802.11b interface.
-pub const DEFAULT_BITRATE_BPS: u64 = 2_000_000;
+/// Link rate: the paper simulates a 2 Mbps 802.11b interface.
+pub const BITRATE_BPS: u64 = 2_000_000;
 
 /// A radio with explicit power management.
 ///
@@ -35,7 +35,6 @@ pub const DEFAULT_BITRATE_BPS: u64 = 2_000_000;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Radio {
     params: EnergyParams,
-    bitrate_bps: u64,
     state: PowerState,
     since: SimTime,
     ledger: EnergyLedger,
@@ -47,19 +46,8 @@ pub struct Radio {
 impl Radio {
     /// Creates a radio that starts **idle** at `t0`, at the paper's 2 Mbps.
     pub fn new(params: EnergyParams, t0: SimTime) -> Self {
-        Radio::with_bitrate(params, t0, DEFAULT_BITRATE_BPS)
-    }
-
-    /// Creates a radio with an explicit link rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bitrate_bps` is zero.
-    pub fn with_bitrate(params: EnergyParams, t0: SimTime, bitrate_bps: u64) -> Self {
-        assert!(bitrate_bps > 0, "bitrate must be positive");
         Radio {
             params,
-            bitrate_bps,
             state: PowerState::Idle,
             since: t0,
             ledger: EnergyLedger::new(),
@@ -79,9 +67,9 @@ impl Radio {
         self.state == PowerState::Idle
     }
 
-    /// The time a packet of `bytes` occupies the air at this bitrate.
+    /// The time a packet of `bytes` occupies the air at [`BITRATE_BPS`].
     pub fn tx_duration(&self, bytes: usize) -> SimDuration {
-        let micros = (bytes as u64 * 8).saturating_mul(1_000_000) / self.bitrate_bps;
+        let micros = (bytes as u64 * 8).saturating_mul(1_000_000) / BITRATE_BPS;
         SimDuration::from_micros(micros.max(1))
     }
 
@@ -182,7 +170,6 @@ impl Radio {
     pub fn checkpoint(&self) -> RadioCheckpoint {
         RadioCheckpoint {
             params: self.params,
-            bitrate_bps: self.bitrate_bps,
             state: self.state,
             since: self.since,
             ledger: self.ledger,
@@ -198,7 +185,6 @@ impl Radio {
     pub fn from_checkpoint(c: RadioCheckpoint) -> Self {
         Radio {
             params: c.params,
-            bitrate_bps: c.bitrate_bps,
             state: c.state,
             since: c.since,
             ledger: c.ledger,
@@ -215,8 +201,6 @@ impl Radio {
 pub struct RadioCheckpoint {
     /// Energy model parameters.
     pub params: EnergyParams,
-    /// Link rate, bits per second.
-    pub bitrate_bps: u64,
     /// Current power state.
     pub state: PowerState,
     /// Time of the last state transition (accrual anchor).

@@ -104,12 +104,23 @@ impl OracleMedium {
         }
     }
 
-    /// `None` when the frame was already garbage-collected.
+    /// The receivers with an RSSI sample for `tx`, in increasing order.
+    fn receivers(&self, tx: TxId) -> Vec<NodeId> {
+        let mut receivers: Vec<NodeId> = self
+            .rssi
+            .keys()
+            .filter(|(t, _)| *t == tx)
+            .map(|&(_, rx)| rx)
+            .collect();
+        receivers.sort();
+        receivers
+    }
+
+    /// The verdict at `rx`, one of `tx`'s receivers; `None` when the frame
+    /// was already garbage-collected.
     fn outcome(&mut self, tx: TxId, rx: NodeId) -> Option<ReceptionOutcome> {
         let frame = self.active.iter().find(|t| t.id == tx).cloned()?;
-        let Some(&rssi) = self.rssi.get(&(tx, rx)) else {
-            return Some(ReceptionOutcome::NotReceivable);
-        };
+        let rssi = self.rssi[&(tx, rx)];
         let rx_was_txing = self
             .active
             .iter()
@@ -163,8 +174,8 @@ impl OracleMedium {
             .collect()
     }
 
-    /// Every RSSI record, sorted by `(tx, rx)` as a `MediumState` lists
-    /// them.
+    /// Every RSSI record, sorted by `(tx, rx)` as walking a `MediumState`'s
+    /// frames and their receivers lists them.
     fn rssi_records(&self) -> Vec<(TxId, NodeId, Dbm)> {
         let mut rssi: Vec<_> = self
             .rssi
@@ -179,7 +190,7 @@ impl OracleMedium {
 /// One step of a random medium workload. Times sit on a 130 µs grid so
 /// airtimes overlap, abut or miss; RSSI comes in 5 dB steps, so values
 /// tie and land exactly on the capture margin; nodes both send and
-/// receive, and receivers are judged whether or not they heard.
+/// receive.
 #[derive(Debug, Clone)]
 enum MediumOp {
     Send {
@@ -190,7 +201,6 @@ enum MediumOp {
     },
     Judge {
         pick: usize,
-        receivers: Vec<u32>,
     },
     Gc {
         now_us: u64,
@@ -212,10 +222,7 @@ fn arb_medium_op() -> impl Strategy<Value = MediumOp> {
                 heard: heard.into_iter().collect(),
             })
     };
-    let judge = || {
-        (any::<usize>(), proptest::collection::vec(0u32..8, 0..8))
-            .prop_map(|(pick, receivers)| MediumOp::Judge { pick, receivers })
-    };
+    let judge = || any::<usize>().prop_map(|pick| MediumOp::Judge { pick });
     let gc = (0u64..16_000).prop_map(|now_us| MediumOp::Gc { now_us });
     // Three sends and three judgements to each collection.
     prop_oneof![send(), send(), send(), judge(), judge(), judge(), gc]
@@ -362,14 +369,16 @@ proptest! {
             [(NodeId(2), Dbm::new(rssi))],
         );
         let mut verdicts = Vec::new();
-        m.judge(tx, [NodeId(2)], &mut verdicts);
-        let delivered = verdicts == [ReceptionOutcome::Delivered { rssi: Dbm::new(rssi) }];
+        m.judge(tx, &mut verdicts);
+        let delivered =
+            verdicts == [(NodeId(2), ReceptionOutcome::Delivered { rssi: Dbm::new(rssi) })];
         prop_assert!(delivered);
     }
 
-    /// Judging each frame once, for all its receivers, matches the
-    /// per-receiver oracle: the same outcomes, packets, collision and
-    /// half-duplex counts, and state, through garbage collection.
+    /// Judging each frame once, for the receivers it carries, matches the
+    /// per-receiver oracle asked about every receiver it holds an RSSI
+    /// sample for: the same outcomes, packets, collision and half-duplex
+    /// counts, and state, through garbage collection.
     #[test]
     fn per_frame_judgement_matches_the_per_receiver_oracle(
         margin in 0usize..3,
@@ -407,22 +416,22 @@ proptest! {
                     );
                     sent.push((tx, packet));
                 }
-                MediumOp::Judge { pick, receivers } => {
+                MediumOp::Judge { pick } => {
                     // One pick past the frames sent names a frame never sent.
                     let pick = pick % (sent.len() + 1);
                     let tx = sent.get(pick).map_or(TxId::from_raw(pick as u64), |s| s.0);
-                    let receivers: Vec<NodeId> = receivers.into_iter().map(NodeId).collect();
-                    let judged = m.judge(tx, receivers.iter().copied(), &mut verdicts).cloned();
+                    let judged = m.judge(tx, &mut verdicts).cloned();
                     if oracle.active.iter().any(|t| t.id == tx) {
-                        let expected: Vec<ReceptionOutcome> = receivers
-                            .iter()
-                            .map(|&rx| oracle.outcome(tx, rx).expect("the frame is retained"))
+                        let expected: Vec<(NodeId, ReceptionOutcome)> = oracle
+                            .receivers(tx)
+                            .into_iter()
+                            .map(|rx| (rx, oracle.outcome(tx, rx).expect("the frame is retained")))
                             .collect();
                         prop_assert_eq!(judged.as_ref(), Some(&sent[pick].1));
                         prop_assert_eq!(&verdicts, &expected);
                     } else {
                         // Collected or never sent: every attempt is dropped.
-                        prop_assert!(receivers.iter().all(|&rx| oracle.outcome(tx, rx).is_none()));
+                        prop_assert!(oracle.receivers(tx).is_empty());
                         prop_assert_eq!(judged, None);
                         prop_assert!(verdicts.is_empty());
                     }
@@ -441,7 +450,12 @@ proptest! {
                 .map(|t| (t.id, t.src, t.start, t.end))
                 .collect();
             prop_assert_eq!(frames, oracle.frames());
-            prop_assert_eq!(&state.rssi, &oracle.rssi_records());
+            let rssi: Vec<_> = state
+                .active
+                .iter()
+                .flat_map(|t| t.heard.iter().map(|&(rx, dbm)| (t.id, rx, dbm)))
+                .collect();
+            prop_assert_eq!(rssi, oracle.rssi_records());
             prop_assert_eq!(state.next_id, oracle.next_id);
             // A restored medium carries the same state on.
             prop_assert_eq!(Medium::from_state(state.clone()).state(), state);

@@ -75,8 +75,14 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// the scenario keeps one grid-update field, `grid_fused`, and the Bayes
 /// payload lost its adaptive tiles and four dead kernel counters. v6: the
 /// scenario lost `grid_fused`, the Bayes payload its pending beacons and
-/// two fused-window counters, and telemetry events their `Legacy` tag.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
+/// two fused-window counters, and telemetry events their `Legacy` tag.
+/// v7: every value a reader can rebuild from the scenario, a constant or
+/// the medium is gone — the mesh mode, the engine horizon, the maximum
+/// guard band, `TxEnd`'s receiver list, the frame id on each RSSI record
+/// (each medium frame holds its own), and per robot the fix flag,
+/// equipment, estimator presence and backend tag, and the waypoint,
+/// odometry, energy and bitrate settings.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -455,22 +461,24 @@ pub trait Codec: Sized {
     }
 
     /// A value kept behind a save/restore pair (private state, foreign
-    /// types): the writer codes `save(v)`; the reader codes into
-    /// `S::default()` and replaces `v` with `load` of the result, which
-    /// is where decode-side consistency checks go.
-    fn via<T, S: Default>(
+    /// types): the writer codes `save(v)`; the reader codes into `save(v)`
+    /// of the value `v` it was given and replaces `v` with `load` of the
+    /// result, which is where decode-side consistency checks go. A field
+    /// the layout leaves out keeps the reader's value, so state derived
+    /// from elsewhere (a scenario setting) is set on `v` before decoding
+    /// and never stored.
+    fn via<T, S>(
         &mut self,
         v: &mut T,
         save: impl FnOnce(&T) -> S,
         layout: impl FnOnce(&mut Self, &mut S) -> Result<(), SnapshotError>,
         load: impl FnOnce(S) -> Result<T, SnapshotError>,
     ) -> Result<(), SnapshotError> {
-        if !self.reading() {
-            return layout(self, &mut save(v));
-        }
-        let mut state = S::default();
+        let mut state = save(v);
         layout(self, &mut state)?;
-        *v = load(state)?;
+        if self.reading() {
+            *v = load(state)?;
+        }
         Ok(())
     }
 }
