@@ -23,6 +23,7 @@ use std::fs;
 use std::path::Path;
 
 use cocoa_core::tracefile::{parse_flat_object, JsonValue};
+use cocoa_sim::files::write_atomic;
 
 /// How many history entries the ring keeps on `--record`.
 pub const HISTORY_KEEP: usize = 8;
@@ -252,10 +253,7 @@ pub fn record(history_dir: &Path, current: &Metrics) -> Result<String, String> {
     }
     text.push_str("\n}\n");
     let path = history_dir.join(&name);
-    let tmp = history_dir.join(format!("{name}.tmp"));
-    fs::write(&tmp, text)
-        .and_then(|()| fs::rename(&tmp, &path))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    write_atomic(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
     names.push(name.clone());
     names.sort();
     while names.len() > HISTORY_KEEP {

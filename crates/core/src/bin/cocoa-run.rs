@@ -13,6 +13,7 @@
 //! `--help`) so scripts and CI can react to *why* a run died, not just
 //! that it died.
 
+use std::path::Path;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -21,6 +22,7 @@ use cocoa_core::knobs::{self, Draft, KnobError};
 use cocoa_core::prelude::*;
 use cocoa_core::report;
 use cocoa_core::runner::SimRun;
+use cocoa_sim::files::write_atomic;
 use cocoa_sim::snapshot::SnapshotError;
 use cocoa_sim::time::SimTime;
 
@@ -289,10 +291,8 @@ fn real_main() -> i32 {
     if let Some(path) = &args.metrics_out {
         use cocoa_sim::telemetry::export::MetricsSnapshot;
         let text = MetricsSnapshot::from_telemetry(&telemetry).to_exposition();
-        // Atomic tmp+rename so a reader never observes a half-written file.
-        let tmp = format!("{path}.tmp");
-        let result = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
-        match result {
+        // Atomic, so a reader never observes a half-written file.
+        match write_atomic(Path::new(path), text) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {
                 eprintln!("error: cannot write {path}: {e}");

@@ -30,6 +30,7 @@ use cocoa_core::executor::supervisor::JobEvent;
 use cocoa_core::knobs::{self, Draft, KnobInput};
 use cocoa_core::prelude::*;
 use cocoa_core::report;
+use cocoa_sim::files::write_atomic;
 use cocoa_sim::snapshot::crc32;
 use cocoa_sim::telemetry::export::MetricsSnapshot;
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
@@ -45,10 +46,13 @@ SWEEP OPTIONS:
     --periods LIST      comma-separated beacon periods, seconds
                                                      [default: 20,60,100]
     --manifest PATH     checkpoint the sweep here and auto-resume from
-                        it on the next invocation
+                        it on the next invocation: PATH records each
+                        point's fingerprint and completed metrics, and
+                        each point in flight keeps its latest snapshot
+                        next to it in PATH.p<INDEX>-<FINGERPRINT>, a
+                        plain snapshot `cocoa-run --resume` accepts
     --inflight SECS     simulated seconds between in-flight checkpoints
-                        of each running point (requires --manifest to
-                        be useful)
+                        of each running point (requires --manifest)
     --deadline SECS     wall-clock limit per job attempt
     --attempts N        attempts per point before giving up [default: 3]
     --backoff-ms MS     base retry backoff, milliseconds    [default: 0]
@@ -75,7 +79,8 @@ EXIT CODES:
     0   every point completed
     1   the sweep finished but at least one point failed terminally
     2   usage error
-    5   the manifest file exists but is corrupt or unreadable
+    5   the manifest file exists but is corrupt or unreadable (a
+        corrupt point file only restarts its point cold)
 ";
 
 /// Knobs a sweep does not take from the command line: `--periods` sets
@@ -366,7 +371,8 @@ fn real_main() -> i32 {
 
     eprintln!(
         "sweep: {} points, {} completed, {} failed \
-         (retries {}, timeouts {}, panics {}, checkpoints {}, skipped-on-resume {})",
+         (retries {}, timeouts {}, panics {}, checkpoints {}, skipped-on-resume {}, \
+         resumed-in-flight {})",
         sweep.outcomes.len(),
         sweep.completed(),
         sweep.failed(),
@@ -375,6 +381,7 @@ fn real_main() -> i32 {
         sweep.counters.panics_caught,
         sweep.counters.checkpoints_written,
         sweep.counters.points_skipped_on_resume,
+        sweep.counters.points_resumed_in_flight,
     );
     for (index, failure) in sweep.failures() {
         eprintln!("point {index}: {failure}");
@@ -404,10 +411,7 @@ fn real_main() -> i32 {
         snap.push_gauge("sweep.points_total", sweep.outcomes.len() as f64);
         snap.push_gauge("sweep.points_done", sweep.completed() as f64);
         snap.push_gauge("sweep.points_failed", sweep.failed() as f64);
-        let tmp = path.with_extension("tmp");
-        let result =
-            std::fs::write(&tmp, snap.to_exposition()).and_then(|()| std::fs::rename(&tmp, path));
-        match result {
+        match write_atomic(path, snap.to_exposition()) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),
         }

@@ -4,8 +4,8 @@
 //! into a per-point state machine (pending → in-flight → retrying →
 //! done / failed) and renders it two ways: a one-line terminal progress
 //! display with throughput and ETA, and a machine-readable
-//! `status.json` document written atomically (tmp + rename, like the
-//! sweep manifest) so an external watcher never reads a torn file.
+//! `status.json` document written atomically (like the sweep manifest)
+//! so an external watcher never reads a torn file.
 //!
 //! The struct itself never touches a clock — elapsed wall time is an
 //! input, supplied by the CLI edge that owns the `Instant`. That keeps
@@ -14,6 +14,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
+
+use cocoa_sim::files::write_atomic;
 
 use super::supervisor::JobEvent;
 
@@ -249,17 +251,14 @@ impl FleetStatus {
         out
     }
 
-    /// Writes `status.json` atomically: the document lands under a
-    /// `.tmp` name first and is renamed into place, so a watcher never
-    /// observes a torn file.
+    /// Writes `status.json` atomically ([`write_atomic`]), so a watcher
+    /// never observes a torn file.
     ///
     /// # Errors
     ///
     /// Any io error from the write or the rename.
     pub fn store(&self, path: &Path, elapsed: Duration) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_status_json(elapsed))?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path, self.to_status_json(elapsed))
     }
 }
 
@@ -412,7 +411,7 @@ mod tests {
         fleet.store(&path, Duration::from_secs(1)).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"total\":1"), "{body}");
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
+        assert!(!dir.join("status.json.tmp").exists(), "tmp renamed away");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,23 +1,37 @@
 //! The sweep manifest: a versioned, CRC-guarded progress ledger that
 //! makes long sweeps resumable.
 //!
-//! A supervised sweep periodically persists one manifest file through
-//! the snapshot container codec (`CSNP` magic, per-section CRC-32).
-//! The manifest records, per sweep point:
+//! A checkpointed sweep keeps its progress in files next to its
+//! manifest path `PATH`:
 //!
-//! - a **fingerprint** of the scenario (so a manifest is never replayed
-//!   against a different sweep),
-//! - its **state**: still pending, in flight (carrying the latest
-//!   [`SimRun::capture`](crate::runner::SimRun::capture) snapshot so a
-//!   restart resumes mid-run instead of starting cold), or
-//!   completed (carrying the full [`RunMetrics`], byte-exact).
+//! - the **manifest file** at `PATH`, written through the snapshot
+//!   container codec (`CSNP` magic, schema version, per-section
+//!   CRC-32). Per sweep point it records a **fingerprint** of the
+//!   scenario, so a manifest is never replayed against a different
+//!   sweep, and whether the point is **completed**, with its full
+//!   [`RunMetrics`], byte-exact;
+//! - one **point file** per point in flight, at
+//!   [`point_path`]`(PATH, index, fingerprint)` (`PATH.p1-<16 hex
+//!   digits>`), holding exactly the bytes
+//!   [`SimRun::capture`](crate::runner::SimRun::capture) returned: a
+//!   plain snapshot, so `cocoa-run --resume` and `cocoa-trace snapdiff`
+//!   read it.
 //!
-//! Writes are atomic (temp file + rename), so a `SIGKILL` mid-write
-//! leaves the previous good manifest on disk rather than a torn one.
+//! A point is in flight if and only if its point file exists and the
+//! manifest file does not record it as completed; otherwise it is
+//! pending. Completion stores the manifest file first and then removes
+//! the point file, so a crash between the two leaves a stale point file
+//! that loses to the completed state. Every file is replaced atomically
+//! ([`write_atomic`]), so a `SIGKILL` mid-write leaves the previous good
+//! file rather than a torn one. The point file's name carries the
+//! point's fingerprint, so another sweep at the same path never reads
+//! it.
 
 use std::fmt;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
+use cocoa_sim::files::{write_atomic, TEMP_SUFFIX};
 use cocoa_sim::jsonfmt::ObjectWriter;
 use cocoa_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotWriter};
 
@@ -76,7 +90,8 @@ pub enum PointState {
     #[default]
     Pending,
     /// Mid-run: the latest engine snapshot, resumable via
-    /// [`SimRun::resume`](crate::runner::SimRun::resume).
+    /// [`SimRun::resume`](crate::runner::SimRun::resume). Stored in the
+    /// point's own file, not in the manifest file.
     InFlight(Vec<u8>),
     /// Finished: the point's metrics, byte-exact.
     Completed(Box<RunMetrics>),
@@ -125,24 +140,81 @@ impl SweepManifest {
             .count()
     }
 
-    /// Serializes the manifest through the snapshot container codec.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Persists the manifest at `path`: the manifest file, then one
+    /// point file per in-flight point. Any other point's file is removed,
+    /// so [`SweepManifest::load`] reads back exactly these states. Each
+    /// file is replaced atomically.
+    pub fn store(&self, path: &Path) -> Result<(), ManifestError> {
+        self.store_ledger(path)?;
+        for (index, (&fingerprint, state)) in self.fingerprints.iter().zip(&self.states).enumerate()
+        {
+            let file = point_path(path, index, fingerprint);
+            match state {
+                PointState::InFlight(snapshot) => write_atomic(&file, snapshot)?,
+                _ => remove_if_present(&file)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Loads the manifest at `path` with its in-flight points' snapshots.
+    /// A missing manifest file is `Ok(None)` (a fresh sweep); anything
+    /// unreadable or undecodable is an error. A point file's bytes are
+    /// returned as they are: whether they resume is the sweep's to find
+    /// out.
+    pub fn load(path: &Path) -> Result<Option<SweepManifest>, ManifestError> {
+        let Some(mut manifest) = SweepManifest::load_ledger(path)? else {
+            return Ok(None);
+        };
+        for (index, (&fingerprint, state)) in (manifest.fingerprints.iter())
+            .zip(&mut manifest.states)
+            .enumerate()
+        {
+            if matches!(state, PointState::Pending) {
+                if let Some(snapshot) = read_if_present(&point_path(path, index, fingerprint))? {
+                    *state = PointState::InFlight(snapshot);
+                }
+            }
+        }
+        Ok(Some(manifest))
+    }
+
+    /// Writes only the manifest file: fingerprints and completed
+    /// metrics. An in-flight point is recorded as not completed; its
+    /// point file is left as it is.
+    pub(crate) fn store_ledger(&self, path: &Path) -> Result<(), ManifestError> {
+        write_atomic(path, self.encode())?;
+        Ok(())
+    }
+
+    /// Reads only the manifest file: every point not completed is
+    /// pending, whatever point files lie next to it.
+    pub(crate) fn load_ledger(path: &Path) -> Result<Option<SweepManifest>, ManifestError> {
+        match read_if_present(path)? {
+            Some(bytes) => Ok(Some(SweepManifest::decode(&bytes)?)),
+            None => Ok(None),
+        }
+    }
+
+    /// The manifest file's bytes.
+    fn encode(&self) -> Vec<u8> {
         let mut meta = ObjectWriter::new();
         meta.str_field("kind", MANIFEST_KIND)
             .u64_field("points", self.fingerprints.len() as u64);
-        let mut points: Vec<(u64, PointState)> = (self.fingerprints.iter().copied())
-            .zip(self.states.iter().cloned())
+        let mut points: Vec<(u64, Option<Box<RunMetrics>>)> = (self.fingerprints.iter().copied())
+            .zip(self.states.iter().map(|state| match state {
+                PointState::Completed(metrics) => Some(metrics.clone()),
+                _ => None,
+            }))
             .collect();
-        let body = snapshot::encode(|c| c.vec(&mut points, point));
-        drop(points); // free the snapshot copies before the container copies the body
         let mut w = SnapshotWriter::new(meta.finish());
-        w.push_section("sweep", body);
+        w.push_section("sweep", snapshot::encode(|c| c.vec(&mut points, point)));
         w.finish()
     }
 
-    /// Decodes a manifest, verifying the container CRC and the meta
-    /// `kind` tag.
-    pub fn decode(bytes: &[u8]) -> Result<SweepManifest, ManifestError> {
+    /// Decodes the manifest file, verifying the container CRC and the
+    /// meta `kind` tag.
+    fn decode(bytes: &[u8]) -> Result<SweepManifest, ManifestError> {
         let snap = Snapshot::parse(bytes)?;
         let wanted = format!("\"kind\":\"{MANIFEST_KIND}\"");
         if !snap.meta().contains(&wanted) {
@@ -150,34 +222,76 @@ impl SweepManifest {
         }
         let mut points = Vec::new();
         snap.decode("sweep", |c| c.vec(&mut points, point))?;
-        let (fingerprints, states) = points.into_iter().unzip();
+        let (fingerprints, states) = points
+            .into_iter()
+            .map(|(fp, completed)| {
+                (
+                    fp,
+                    completed.map_or(PointState::Pending, PointState::Completed),
+                )
+            })
+            .unzip();
         Ok(SweepManifest {
             fingerprints,
             states,
         })
     }
+}
 
-    /// Atomically persists the manifest: the bytes land in a sibling
-    /// temp file first and replace `path` via rename, so a crash
-    /// mid-write cannot corrupt the previous good manifest.
-    pub fn store(&self, path: &Path) -> Result<(), ManifestError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
+/// The file that holds point `index`'s in-flight snapshot, next to the
+/// manifest at `manifest`: its name with `.p<index>-<fingerprint in 16
+/// hex digits>` appended.
+pub fn point_path(manifest: &Path, index: usize, fingerprint: u64) -> PathBuf {
+    let mut name = manifest.as_os_str().to_owned();
+    name.push(format!(".p{index}-{fingerprint:016x}"));
+    PathBuf::from(name)
+}
 
-    /// Loads a manifest from disk. A missing file is `Ok(None)` (a
-    /// fresh sweep); anything unreadable or undecodable is an error.
-    pub fn load(path: &Path) -> Result<Option<SweepManifest>, ManifestError> {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ManifestError::Io(e)),
+/// Removes every point file next to the manifest at `manifest`, of any
+/// sweep, and any temp file a killed write left of one.
+pub(crate) fn remove_point_files(manifest: &Path) -> io::Result<()> {
+    let Some(name) = manifest.file_name().and_then(|n| n.to_str()) else {
+        return Ok(());
+    };
+    let dir = match manifest.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let prefix = format!("{name}.p");
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let file = entry.file_name();
+        let Some(rest) = file.to_str().and_then(|f| f.strip_prefix(&prefix)) else {
+            continue;
         };
-        Ok(Some(SweepManifest::decode(&bytes)?))
+        let rest = rest.strip_suffix(TEMP_SUFFIX).unwrap_or(rest);
+        let is_point_file = rest.split_once('-').is_some_and(|(index, fp)| {
+            !index.is_empty()
+                && index.bytes().all(|b| b.is_ascii_digit())
+                && fp.len() == 16
+                && fp.bytes().all(|b| b.is_ascii_hexdigit())
+        });
+        if is_point_file {
+            remove_if_present(&entry.path())?;
+        }
+    }
+    Ok(())
+}
+
+/// The file's bytes, or `None` if it does not exist.
+pub(crate) fn read_if_present(path: &Path) -> io::Result<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Removes the file; one that does not exist is not an error.
+pub(crate) fn remove_if_present(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
     }
 }
 
@@ -185,24 +299,16 @@ impl SweepManifest {
 // Layouts. f64 fields travel as raw bit patterns, so decode → encode is
 // the identity on bytes.
 
-/// The tag order of [`PointState`].
-fn point_states() -> [PointState; 3] {
-    [
-        PointState::Pending,
-        PointState::InFlight(Vec::new()),
-        PointState::Completed(Box::default()),
-    ]
-}
-
-/// One point of the "sweep" section: its fingerprint and state.
-fn point(c: &mut impl Codec, (fp, state): &mut (u64, PointState)) -> Result<(), SnapshotError> {
+/// One point of the "sweep" section: its fingerprint and, once it has
+/// completed, its metrics.
+fn point(
+    c: &mut impl Codec,
+    (fp, completed): &mut (u64, Option<Box<RunMetrics>>),
+) -> Result<(), SnapshotError> {
     c.u64(fp)?;
-    c.tag(&point_states(), state, "point state")?;
-    match state {
-        PointState::Pending => Ok(()),
-        PointState::InFlight(snapshot) => c.bytes(snapshot),
-        PointState::Completed(metrics) => c.nested("run metrics", |c| run_metrics(c, metrics)),
-    }
+    c.opt(completed, |c, metrics| {
+        c.nested("run metrics", |c| run_metrics(c, metrics))
+    })
 }
 
 fn run_metrics(c: &mut impl Codec, m: &mut RunMetrics) -> Result<(), SnapshotError> {
@@ -320,8 +426,28 @@ mod tests {
         assert_eq!(encode_metrics(&back), bytes, "re-encode is the identity");
     }
 
+    /// A fresh directory under the system temp dir, named for `tag`.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cocoa-manifest-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create a temp dir");
+        dir
+    }
+
+    /// The file names in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list the dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn manifest_round_trip() {
+        let dir = temp_dir("round-trip");
+        let path = dir.join("sweep.csnp");
         let manifest = SweepManifest {
             fingerprints: vec![11, 22, 33],
             states: vec![
@@ -330,12 +456,63 @@ mod tests {
                 PointState::Pending,
             ],
         };
-        let bytes = manifest.encode();
-        let back = SweepManifest::decode(&bytes).expect("decodes");
+        manifest.store(&path).expect("store");
+        // The snapshot lives in its point's file, byte for byte, and
+        // the manifest file records the point as not completed.
+        assert_eq!(
+            names(&dir),
+            ["sweep.csnp", "sweep.csnp.p1-0000000000000016"]
+        );
+        assert_eq!(
+            std::fs::read(point_path(&path, 1, 22)).expect("point file"),
+            [1, 2, 3, 4]
+        );
+        let ledger = SweepManifest::load_ledger(&path)
+            .expect("load")
+            .expect("present");
+        assert_eq!(ledger.states[1], PointState::Pending);
+        let back = SweepManifest::load(&path).expect("load").expect("present");
         assert_eq!(back, manifest);
         assert_eq!(back.completed_count(), 1);
         assert!(back.matches(&[11, 22, 33]));
         assert!(!back.matches(&[11, 22, 34]));
+
+        // Storing the point as pending removes its file again.
+        SweepManifest::new(vec![11, 22, 33])
+            .store(&path)
+            .expect("store");
+        assert_eq!(names(&dir), ["sweep.csnp"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Only point files of the manifest's own name are removed: their
+    /// staged temp files too, but not a file that merely shares the
+    /// prefix.
+    #[test]
+    fn remove_point_files_spares_other_files() {
+        let dir = temp_dir("remove");
+        let path = dir.join("sweep.csnp");
+        for name in [
+            "sweep.csnp",
+            "sweep.csnp.p0-00000000000000ab",
+            "sweep.csnp.p12-ffffffffffffffff.tmp",
+            "sweep.csnp.p1-notafingerprint",
+            "sweep.csnp.prom",
+            "other.csnp.p0-00000000000000ab",
+        ] {
+            std::fs::write(dir.join(name), b"x").expect("write");
+        }
+        remove_point_files(&path).expect("remove");
+        assert_eq!(
+            names(&dir),
+            [
+                "other.csnp.p0-00000000000000ab",
+                "sweep.csnp",
+                "sweep.csnp.p1-notafingerprint",
+                "sweep.csnp.prom",
+            ]
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -360,13 +537,14 @@ mod tests {
 
     #[test]
     fn store_and_load_round_trip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("cocoa-manifest-test-{}.csnp", std::process::id()));
+        let dir = temp_dir("store");
+        let path = dir.join("sweep.csnp");
         let manifest = SweepManifest::new(vec![1, 2, 3]);
         manifest.store(&path).expect("store");
         let back = SweepManifest::load(&path).expect("load").expect("present");
         assert_eq!(back, manifest);
         std::fs::remove_file(&path).ok();
         assert!(SweepManifest::load(&path).expect("missing is ok").is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

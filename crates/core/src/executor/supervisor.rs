@@ -242,7 +242,8 @@ pub struct SupervisorCounters {
     pub timeouts: u64,
     /// Panics caught at the supervision boundary.
     pub panics_caught: u64,
-    /// Sweep-manifest checkpoints persisted to disk.
+    /// Checkpoints persisted to disk: in-flight point files and
+    /// completion stores of the sweep manifest.
     pub checkpoints_written: u64,
     /// Points skipped on resume because the manifest already carried
     /// their metrics.
@@ -250,12 +251,15 @@ pub struct SupervisorCounters {
     /// In-flight snapshots that failed to decode (the point restarted
     /// cold instead).
     pub snapshots_corrupt: u64,
+    /// Points resumed from an in-flight snapshot instead of starting
+    /// cold.
+    pub points_resumed_in_flight: u64,
 }
 
 impl SupervisorCounters {
     /// Every counter as a stable `(name, value)` list, in declaration
     /// order, under the `supervisor.` prefix.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 6] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 7] {
         [
             ("supervisor.retries", self.retries),
             ("supervisor.timeouts", self.timeouts),
@@ -266,6 +270,10 @@ impl SupervisorCounters {
                 self.points_skipped_on_resume,
             ),
             ("supervisor.snapshots_corrupt", self.snapshots_corrupt),
+            (
+                "supervisor.points_resumed_in_flight",
+                self.points_resumed_in_flight,
+            ),
         ]
     }
 
@@ -279,6 +287,7 @@ impl SupervisorCounters {
         self.checkpoints_written += other.checkpoints_written;
         self.points_skipped_on_resume += other.points_skipped_on_resume;
         self.snapshots_corrupt += other.snapshots_corrupt;
+        self.points_resumed_in_flight += other.points_resumed_in_flight;
     }
 
     /// Publishes the counters onto a telemetry bus.
@@ -856,6 +865,7 @@ mod tests {
             checkpoints_written: 4,
             points_skipped_on_resume: 5,
             snapshots_corrupt: 6,
+            points_resumed_in_flight: 7,
         };
         let pairs = c.as_pairs();
         assert!(pairs.iter().all(|(n, _)| n.starts_with("supervisor.")));
@@ -863,5 +873,9 @@ mod tests {
         c.absorb_into(&mut t);
         assert_eq!(t.counters().get("supervisor.retries"), Some(1));
         assert_eq!(t.counters().get("supervisor.snapshots_corrupt"), Some(6));
+        assert_eq!(
+            t.counters().get("supervisor.points_resumed_in_flight"),
+            Some(7)
+        );
     }
 }

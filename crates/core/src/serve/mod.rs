@@ -59,6 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cocoa_sim::files::write_atomic;
 use cocoa_sim::jsonfmt::ObjectWriter;
 use cocoa_sim::snapshot::{self, crc32, Codec, Snapshot, SnapshotWriter};
 use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
@@ -186,7 +187,7 @@ impl Shared {
         out
     }
 
-    /// Writes the drain-time manifest (atomic tmp + rename).
+    /// Writes the drain-time manifest atomically.
     fn persist_manifest(&self) {
         let Some(dir) = &self.cfg.state_dir else {
             return;
@@ -203,9 +204,7 @@ impl Shared {
         let mut body = w.finish();
         body.push('\n');
         let path = dir.join(MANIFEST_FILE);
-        let tmp = path.with_extension("json.tmp");
-        let stored = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, &path));
-        match stored {
+        match write_atomic(&path, body) {
             Ok(()) => self.log(&format!("wrote {}", path.display())),
             Err(e) => self.log(&format!("cannot write {}: {e}", path.display())),
         }
@@ -739,17 +738,14 @@ fn decode_job(bytes: &[u8]) -> Result<JobResult, String> {
     })
 }
 
-/// Persists one completed result under `<state_dir>/<fp>.job`
-/// (atomic tmp + rename).
+/// Persists one completed result under `<state_dir>/<fp>.job`,
+/// atomically.
 fn persist_result(shared: &Shared, result: &JobResult) {
     let Some(dir) = &shared.cfg.state_dir else {
         return;
     };
     let path = dir.join(format!("{:016x}.job", result.fingerprint));
-    let tmp = path.with_extension("job.tmp");
-    let stored =
-        std::fs::write(&tmp, encode_job(result)).and_then(|()| std::fs::rename(&tmp, &path));
-    match stored {
+    match write_atomic(&path, encode_job(result)) {
         Ok(()) => ServeCounters::bump(&shared.counters.persisted),
         Err(e) => shared.log(&format!("cannot persist {}: {e}", path.display())),
     }

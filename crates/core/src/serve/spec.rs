@@ -185,10 +185,10 @@ mod tests {
         assert_eq!(
             pinned,
             [
-                "f6756e15412847d3",
-                "41b637151804553c",
-                "f611c90db5a7de13",
-                "dea87e1fee1edbee"
+                "1a1d9b625d4d4e5f",
+                "95bc9eb5bc5dcc74",
+                "4d00c9cad0e07691",
+                "2c959209640a3031"
             ]
         );
     }

@@ -34,11 +34,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use cocoa_localization::backend::BackendCheckpoint;
-use cocoa_localization::estimator::{
-    EstimatorCheckpoint, EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator,
-};
-use cocoa_localization::grid::GridConfig;
+use cocoa_localization::backend::BackendState;
+use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm, WindowStats, WindowedRfEstimator};
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint, OdometryConfig};
 use cocoa_mobility::pose::Pose;
@@ -825,46 +822,56 @@ fn window_stats(c: &mut impl Codec, s: &mut WindowStats) -> Result<(), SnapshotE
     ])
 }
 
-/// The estimator section: the lifecycle header shared by every backend,
-/// then the solver payload (mirroring [`BackendCheckpoint`]). The backend
-/// is the scenario's, so no tag names it: the reader decodes onto a
-/// checkpoint of the scenario's backend.
-fn estimator(c: &mut impl Codec, e: &mut EstimatorCheckpoint) -> Result<(), SnapshotError> {
-    c.opt(&mut e.last_fix, point)?;
-    c.bool(&mut e.in_window)?;
-    window_stats(c, &mut e.stats)?;
-    match &mut e.backend {
-        BackendCheckpoint::Bayes {
+/// The estimator section, coded in place on the robot's own estimator:
+/// the lifecycle header shared by every backend, then the solver payload
+/// (mirroring
+/// [`BackendCheckpoint`](cocoa_localization::backend::BackendCheckpoint)).
+/// The backend and its grid are the scenario's, so no tag names the
+/// backend, the reader decodes onto the blank robot's estimator, and a
+/// posterior of another cell count is malformed.
+fn estimator(c: &mut impl Codec, rf: &mut WindowedRfEstimator) -> Result<(), SnapshotError> {
+    let e = rf.state_mut();
+    c.opt(e.last_fix, point)?;
+    c.bool(e.in_window)?;
+    window_stats(c, e.stats)?;
+    match e.backend {
+        BackendState::Bayes {
             posterior_cells,
             grid_stats,
             beacons_applied,
             beacons_seen,
         } => {
-            c.vec(posterior_cells, Codec::f64)?;
+            // Laid out like `Codec::vec`, but decoded where the cells lie.
+            let mut n = posterior_cells.len();
+            c.count(&mut n)?;
+            if n != posterior_cells.len() {
+                return Err(malformed(format!(
+                    "posterior cell count {n} does not fit the scenario's grid of {} cells",
+                    posterior_cells.len()
+                )));
+            }
+            posterior_cells.iter_mut().try_for_each(|p| c.f64(p))?;
             c.u32(beacons_applied)?;
             c.u32(beacons_seen)?;
             c.u64s([&mut grid_stats.kernel_simd, &mut grid_stats.cells_touched])
         }
-        BackendCheckpoint::Lateration { ranges } => c.vec(ranges, |c, obs| {
+        BackendState::Lateration { ranges } => c.vec(ranges, |c, obs| {
             point(c, &mut obs.anchor)?;
             c.f64(&mut obs.range)?;
             c.f64(&mut obs.weight)
         }),
-        BackendCheckpoint::Ekf {
+        BackendState::Ekf {
             filter,
             window_applied,
             last_odo,
         } => {
-            c.f64s([
-                &mut filter.x,
-                &mut filter.y,
-                &mut filter.p11,
-                &mut filter.p12,
-                &mut filter.p22,
-            ])?;
-            c.u64(&mut filter.updates_applied)?;
-            c.u64(&mut filter.updates_gated)?;
-            c.u32(&mut filter.consecutive_gated)?;
+            let mut f = filter.snapshot();
+            c.f64s([&mut f.x, &mut f.y, &mut f.p11, &mut f.p12, &mut f.p22])?;
+            c.u64(&mut f.updates_applied)?;
+            c.u64(&mut f.updates_gated)?;
+            c.u32(&mut f.consecutive_gated)?;
+            // The identity when writing.
+            filter.restore_snapshot(f);
             c.u32(window_applied)?;
             c.opt(last_odo, point)
         }
@@ -960,9 +967,7 @@ fn robot(
     health_ledger(c, &mut health.ledger)?;
     not_after("health state change", health.since, now)?;
     if let Some(rf) = r.rf.as_mut() {
-        c.via(rf, WindowedRfEstimator::checkpoint, estimator, |e| {
-            restore_estimator(e, s)
-        })?;
+        estimator(c, rf)?;
     }
     let id = r.id;
     c.via(
@@ -975,26 +980,6 @@ fn robot(
             Ok(mesh)
         },
     )
-}
-
-fn restore_estimator(
-    e: EstimatorCheckpoint,
-    s: &Scenario,
-) -> Result<WindowedRfEstimator, SnapshotError> {
-    let grid = GridConfig::new(s.area, s.grid_resolution_m);
-    let (nx, ny) = grid.dims();
-    if let BackendCheckpoint::Bayes {
-        posterior_cells, ..
-    } = &e.backend
-    {
-        if posterior_cells.len() != nx * ny {
-            return Err(malformed(format!(
-                "posterior cell count {} does not fit the scenario's {nx} x {ny} grid",
-                posterior_cells.len()
-            )));
-        }
-    }
-    Ok(WindowedRfEstimator::from_checkpoint(grid, e))
 }
 
 fn robots_section(
@@ -1236,17 +1221,29 @@ fn encode_all(world: &mut WorldState, parts: &mut EngineParts) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes snapshot bytes into a world and engine, ready to run. The
-/// calibration is recomputed from the serialized scenario (deterministic:
-/// it consumes a dedicated RNG stream derived only from the seed).
-fn decode(bytes: &[u8]) -> Result<(WorldState, Engine<Event>), SnapshotError> {
+/// Decodes snapshot bytes into a world and engine, ready to run, on
+/// `calibration` if it fits the serialized scenario. Without one, the
+/// calibration is recomputed from the scenario (deterministic: it
+/// consumes a dedicated RNG stream derived only from the seed).
+fn decode(
+    bytes: &[u8],
+    calibration: Option<Arc<Calibration>>,
+) -> Result<(WorldState, Engine<Event>), SnapshotError> {
     let snap = Snapshot::parse(bytes)?;
     let mut scenario = Scenario::builder().build();
     snap.decode("scenario", |c| scenario_section(c, &mut scenario))?;
     scenario
         .validate()
         .map_err(|e| malformed(format!("snapshot scenario fails validation: {e}")))?;
-    let calibration = Arc::new(Calibration::new(&scenario));
+    let calibration = match calibration {
+        Some(calibration) if calibration.fits(&scenario) => calibration,
+        Some(_) => {
+            return Err(malformed(
+                "the calibration fits another scenario".to_string(),
+            ))
+        }
+        None => Arc::new(Calibration::new(&scenario)),
+    };
     let mut world = WorldState::new(&scenario, Telemetry::off(), calibration);
 
     let mut parts = EngineParts::default();
@@ -1429,13 +1426,33 @@ impl SimRun {
     /// marker. This is the path resume-equivalence tests use, so the
     /// resumed trace is byte-identical to the uninterrupted one.
     pub fn resume(bytes: &[u8]) -> Result<SimRun, SnapshotError> {
-        let (world, engine) = decode(bytes)?;
+        decode(bytes, None).map(SimRun::resumed)
+    }
+
+    /// Like [`SimRun::resume`], but on a calibration the caller already
+    /// holds, as [`SimRun::with_calibration`] starts a run: a sweep
+    /// resumes its points on one calibration per seed and channel.
+    /// Results are bit-identical to [`SimRun::resume`]'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimRun::resume`]; a `calibration` run for another seed or
+    /// channel than the snapshot's scenario ([`Calibration::fits`]) is
+    /// [`SnapshotError::Malformed`].
+    pub fn resume_with_calibration(
+        bytes: &[u8],
+        calibration: Arc<Calibration>,
+    ) -> Result<SimRun, SnapshotError> {
+        decode(bytes, Some(calibration)).map(SimRun::resumed)
+    }
+
+    fn resumed((world, engine): (WorldState, Engine<Event>)) -> SimRun {
         let t_total = world.telemetry.span_start();
-        Ok(SimRun {
+        SimRun {
             world,
             engine,
             t_total,
-        })
+        }
     }
 
     /// Restores a run and records the restoration on the bus: a
@@ -1474,8 +1491,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocoa_localization::backend::BackendCheckpoint;
     use cocoa_localization::bayes::GridStats;
     use cocoa_localization::ekf::EkfSnapshot;
+    use cocoa_localization::estimator::EstimatorCheckpoint;
+    use cocoa_localization::grid::GridConfig;
     use cocoa_localization::multilateration::RangeObservation;
     use proptest::prelude::*;
 
@@ -1502,9 +1522,12 @@ mod tests {
             })
     }
 
+    /// Cells of the 16 m × 16 m, 2 m grid the estimator tests run on.
+    const CELLS: usize = 64;
+
     fn arb_backend() -> impl Strategy<Value = BackendCheckpoint> {
         let bayes = (
-            proptest::collection::vec(0.0f64..1.0, 0..64),
+            proptest::collection::vec(0.0f64..1.0, CELLS),
             any::<u8>(),
             any::<u8>(),
         )
@@ -1552,9 +1575,10 @@ mod tests {
 
     proptest! {
         /// The estimator section round-trips byte-exactly for every
-        /// backend variant: encode → decode onto a blank estimator of the
-        /// same backend, as a robot's reader does → re-encode reproduces
-        /// both the checkpoint struct and the original bytes.
+        /// backend variant: encode, which leaves the estimator as it was
+        /// → decode in place onto a blank estimator of the same backend,
+        /// as a robot's reader does → re-encode reproduces both the
+        /// checkpoint and the original bytes.
         #[test]
         fn estimator_section_round_trips_byte_exactly(
             backend in arb_backend(),
@@ -1568,15 +1592,16 @@ mod tests {
                 stats,
                 backend,
             };
-            let bytes = snapshot::encode(|c| estimator(c, &mut checkpoint.clone()));
             let grid = GridConfig::new(Area::square(16.0), 2.0);
-            let mut decoded =
-                WindowedRfEstimator::with_algorithm(grid, checkpoint.algorithm()).checkpoint();
+            let mut original = WindowedRfEstimator::from_checkpoint(grid, checkpoint.clone());
+            let bytes = snapshot::encode(|c| estimator(c, &mut original));
+            prop_assert_eq!(&original.checkpoint(), &checkpoint, "writing leaves it as it was");
+            let mut decoded = WindowedRfEstimator::with_algorithm(grid, checkpoint.algorithm());
             // `decode` also rejects bytes the layout leaves unread.
             snapshot::decode(&bytes, "test", |c| estimator(c, &mut decoded))
                 .expect("own bytes must decode");
-            prop_assert_eq!(&decoded, &checkpoint);
-            let again = snapshot::encode(|c| estimator(c, &mut decoded.clone()));
+            prop_assert_eq!(&decoded.checkpoint(), &checkpoint);
+            let again = snapshot::encode(|c| estimator(c, &mut decoded));
             prop_assert_eq!(again, bytes, "re-encode must be byte-identical");
         }
     }
@@ -1740,7 +1765,7 @@ mod tests {
             scenario_fingerprint(&template),
         ]
         .map(|fp| format!("{fp:016x}"));
-        assert_eq!(pinned, ["ae4ec873000001a0", "82939b78000001a0"]);
+        assert_eq!(pinned, ["b37ca4e9000001a0", "9fa1f7e2000001a0"]);
     }
 
     /// The codec version participates in the hash, so fingerprints from
@@ -1787,6 +1812,37 @@ mod tests {
         assert!(calibration.fits(&same_inputs));
         assert!(!calibration.fits(&Scenario::builder().seed(7).build()));
         assert!(!calibration.fits(&Scenario::builder().channel(louder_channel()).build()));
+    }
+
+    /// Resuming on a calibration of another seed or channel than the
+    /// snapshot's scenario is a typed error, not a panic; on its own
+    /// calibration the resumed run finishes like an uninterrupted one.
+    #[test]
+    fn resume_with_calibration_rejects_one_that_does_not_fit() {
+        let mut b = Scenario::builder();
+        b.robots(6).equipped(3).duration(SimDuration::from_secs(30));
+        let scenario = b.build();
+        let mut run = SimRun::new(&scenario, Telemetry::off());
+        run.run_until(SimTime::ZERO + SimDuration::from_secs(15));
+        let bytes = run.capture();
+        let (cold, _) = run.finish();
+        let misfits = [
+            Scenario::builder().seed(7).build(),
+            Scenario::builder().channel(louder_channel()).build(),
+        ];
+        for other in misfits {
+            let calibration = Arc::new(Calibration::new(&other));
+            match SimRun::resume_with_calibration(&bytes, calibration) {
+                Err(SnapshotError::Malformed { context }) => {
+                    assert!(context.contains("calibration"), "{context}")
+                }
+                Err(e) => panic!("expected a malformed-snapshot error, got {e}"),
+                Ok(_) => panic!("resumed on a calibration that does not fit"),
+            }
+        }
+        let own = Arc::new(Calibration::new(&scenario));
+        let resumed = SimRun::resume_with_calibration(&bytes, own).expect("fits");
+        assert_eq!(resumed.finish().0, cold);
     }
 
     /// Starts `scenario` on the default scenario's calibration.

@@ -7,10 +7,10 @@
 //! corrupted snapshot bytes yield a typed [`SnapshotError`], never a
 //! panic.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use cocoa_core::metrics::RunMetrics;
-use cocoa_core::runner::SimRun;
+use cocoa_core::runner::{Calibration, SimRun};
 use cocoa_core::scenario::Scenario;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::faults::FaultPlan;
@@ -111,11 +111,12 @@ fn resume_is_bit_identical_for_every_estimator_backend() {
 
 /// The wire bytes are pinned: CRC-32 and length of a capture for every
 /// mesh × estimator pair at full telemetry, of one run's encoded
-/// metrics, and of a manifest holding a point in each state. A codec
-/// refactor must not move a single byte.
+/// metrics, and of the manifest file of a sweep holding a point in each
+/// state (the in-flight point's file holds its capture, byte for byte).
+/// A codec refactor must not move a single byte.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    use cocoa_core::executor::manifest::{encode_metrics, PointState, SweepManifest};
+    use cocoa_core::executor::manifest::{encode_metrics, point_path, PointState, SweepManifest};
     use cocoa_localization::estimator::RfAlgorithm;
     use cocoa_sim::snapshot::crc32;
     let pin = |bytes: &[u8]| format!("{:08x}/{}", crc32(bytes), bytes.len());
@@ -138,29 +139,43 @@ fn snapshot_bytes_are_pinned() {
     )
     .finish();
     got.push(format!("metrics {}", pin(&encode_metrics(&metrics))));
+    let dir = std::env::temp_dir().join(format!("cocoa-pinned-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a temp dir");
+    let path = dir.join("sweep.csnp");
+    let inflight = captures.swap_remove(0);
     let manifest = SweepManifest {
         fingerprints: vec![11, 22, 33],
         states: vec![
             PointState::Pending,
-            PointState::InFlight(captures.swap_remove(0)),
+            PointState::InFlight(inflight.clone()),
             PointState::Completed(Box::new(metrics)),
         ],
     };
-    got.push(format!("manifest {}", pin(&manifest.encode())));
+    manifest.store(&path).expect("store the manifest");
+    got.push(format!(
+        "manifest {}",
+        pin(&std::fs::read(&path).expect("the manifest file"))
+    ));
+    let point_file = std::fs::read(point_path(&path, 1, 22)).expect("the point file");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        point_file == inflight,
+        "a point file holds the capture's bytes"
+    );
     assert_eq!(
         got,
         [
-            "flood/bayes 7ada531a/263566",
-            "flood/multilateration f8d1617b/23014",
-            "flood/ekf f0ebb70a/23032",
-            "odmrp/bayes 3889c9af/263813",
-            "odmrp/multilateration be6d022c/23153",
-            "odmrp/ekf 0fc4bc81/23399",
-            "mrmm/bayes a95d5598/263812",
-            "mrmm/multilateration fe43558f/23152",
-            "mrmm/ekf 1cd2ad59/23398",
+            "flood/bayes 6a6684a6/263566",
+            "flood/multilateration c37fe954/23014",
+            "flood/ekf 7e5d4829/23032",
+            "odmrp/bayes 197d36fc/263813",
+            "odmrp/multilateration 58c4dc04/23153",
+            "odmrp/ekf 03e1b928/23399",
+            "mrmm/bayes e956b3ac/263812",
+            "mrmm/multilateration 34c17cc0/23152",
+            "mrmm/ekf 8fcc3c92/23398",
             "metrics 63903f36/1862",
-            "manifest d3bd7a71/265558",
+            "manifest 724c11c9/1984",
         ]
     );
 }
@@ -574,22 +589,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_default()
 }
 
-/// Every `SWEEP_STRIDE`-th offset is overwritten where the sweep does
-/// not cover every offset.
-const SWEEP_STRIDE: usize = 5;
-
 /// A crafted-snapshot sweep. A small capture (6 robots, a 25 m grid,
 /// ODMRP, the `chaos` preset, captured at 15 s) gets 8 bytes at one
 /// offset of one non-scenario section overwritten, with `0x00` or with
 /// `0xFF`, and that section's CRC rewritten as [`edited_from`] does.
 /// Resuming such a file and running it to the end must never panic.
 ///
-/// The `robots` section is zero-filled and the `medium` section
-/// `0xFF`-filled at every offset; every other section and fill at every
-/// [`SWEEP_STRIDE`]-th offset. Each resume recomputes the calibration,
-/// so this takes minutes; CI runs it with `--ignored`.
+/// Every offset of every section is overwritten with both fills, about
+/// 20,000 edits. All resumes share one calibration, but the sweep still
+/// takes over a minute; CI runs it with `--ignored`.
 #[test]
-#[ignore = "takes about two minutes in release"]
+#[ignore = "takes about a minute and a half in release"]
 fn crafted_overwrites_never_panic() {
     let mut s = scenario(7, MulticastProtocol::Odmrp, "chaos");
     s.grid_resolution_m = 25.0;
@@ -598,19 +608,20 @@ fn crafted_overwrites_never_panic() {
     run.run_until(SimTime::ZERO + SimDuration::from_secs(15));
     let capture = run.capture();
     let snap = Snapshot::parse(&capture).expect("a valid snapshot parses");
+    // No edit touches the scenario section, so one calibration fits all.
+    let calibration = Arc::new(Calibration::new(&s));
     let mut edits = 0;
     let mut panics = Vec::new();
     for tag in &SECTIONS[1..] {
         let section = snap.sections().iter().find(|s| s.tag == *tag);
         let len = section.expect("every section present").payload.len();
         for fill in [0x00, 0xFF] {
-            let every = matches!((*tag, fill), ("robots", 0x00) | ("medium", 0xFF));
-            let stride = if every { 1 } else { SWEEP_STRIDE };
-            for at in (0..len).step_by(stride) {
+            for at in 0..len {
                 let bytes = edited_from(&capture, tag, |p| p[at..len.min(at + 8)].fill(fill));
                 edits += 1;
                 let outcome = std::panic::catch_unwind(|| {
-                    if let Ok(run) = SimRun::resume(&bytes) {
+                    let calibration = Arc::clone(&calibration);
+                    if let Ok(run) = SimRun::resume_with_calibration(&bytes, calibration) {
                         let _ = run.finish();
                     }
                 });

@@ -135,6 +135,38 @@ pub enum BackendCheckpoint {
     },
 }
 
+/// One backend's checkpointed fields, borrowed in place: a
+/// [`BackendCheckpoint`] without the copy.
+#[derive(Debug)]
+pub enum BackendState<'a> {
+    /// [`BayesianLocalizer`] state.
+    Bayes {
+        /// Posterior cell probabilities; their count is the grid's.
+        posterior_cells: &'a mut [f64],
+        /// Kernel accounting.
+        grid_stats: &'a mut GridStats,
+        /// Beacons applied since the last window reset.
+        beacons_applied: &'a mut u32,
+        /// Beacons offered since the last window reset.
+        beacons_seen: &'a mut u32,
+    },
+    /// [`Multilaterator`] state: the collected ranges.
+    Lateration {
+        /// Range observations of the open window.
+        ranges: &'a mut Vec<RangeObservation>,
+    },
+    /// [`EkfBackend`] state.
+    Ekf {
+        /// The filter: its state, covariance and gate counters are
+        /// checkpointed ([`EkfLocalizer::snapshot`]).
+        filter: &'a mut EkfLocalizer,
+        /// Range updates applied in the open window.
+        window_applied: &'a mut u32,
+        /// The dead-reckoned position at the last prediction step.
+        last_odo: &'a mut Option<Point>,
+    },
+}
+
 /// A placeholder decoders overwrite: an empty range set.
 impl Default for BackendCheckpoint {
     fn default() -> Self {
@@ -276,6 +308,15 @@ impl EkfBackend {
     /// The wrapped filter.
     pub fn filter(&self) -> &EkfLocalizer {
         &self.ekf
+    }
+
+    /// The checkpointed fields, borrowed in place.
+    pub(crate) fn state_mut(&mut self) -> BackendState<'_> {
+        BackendState::Ekf {
+            filter: &mut self.ekf,
+            window_applied: &mut self.window_applied,
+            last_odo: &mut self.last_odo,
+        }
     }
 
     /// Rebuilds the backend from checkpointed state.

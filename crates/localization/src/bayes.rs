@@ -13,6 +13,7 @@ use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 
+use crate::backend::BackendState;
 use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
 
 /// The paper requires at least this many beacons before estimating.
@@ -193,6 +194,16 @@ impl BayesianLocalizer {
     /// Read-only access to the posterior grid.
     pub fn grid(&self) -> &PositionGrid {
         &self.grid
+    }
+
+    /// The checkpointed fields, borrowed in place.
+    pub(crate) fn state_mut(&mut self) -> BackendState<'_> {
+        BackendState::Bayes {
+            posterior_cells: self.grid.cells_mut(),
+            grid_stats: &mut self.stats,
+            beacons_applied: &mut self.beacons_applied,
+            beacons_seen: &mut self.beacons_seen,
+        }
     }
 
     /// Restores checkpointed posterior cells (checkpoint plumbing).

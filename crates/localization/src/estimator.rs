@@ -23,7 +23,7 @@ use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 
-use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
+use crate::backend::{BackendCheckpoint, BackendState, EkfBackend, RfBackend};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
 use crate::grid::GridConfig;
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
@@ -465,6 +465,25 @@ impl WindowedRfEstimator {
         }
     }
 
+    /// Every checkpointed field, borrowed in place (checkpoint plumbing):
+    /// what [`WindowedRfEstimator::checkpoint`] copies out, without the
+    /// copy, so a codec writes the posterior where it lies and reads
+    /// into this estimator instead of building another. Borrowing drops
+    /// the posterior's cached entropy.
+    pub fn state_mut(&mut self) -> EstimatorState<'_> {
+        let backend = match &mut self.backend {
+            Backend::Bayes(b) => b.state_mut(),
+            Backend::Lateration(l) => l.state_mut(),
+            Backend::Ekf(e) => e.state_mut(),
+        };
+        EstimatorState {
+            last_fix: &mut self.last_fix,
+            in_window: &mut self.in_window,
+            stats: &mut self.stats,
+            backend,
+        }
+    }
+
     /// The estimator a reboot leaves behind over `grid`: a fresh posterior
     /// or filter, no ranges, no fix and no open window, but the same
     /// lifetime counters — [`WindowStats`], [`GridStats`] and the EKF's
@@ -541,6 +560,21 @@ pub struct EstimatorCheckpoint {
     pub stats: WindowStats,
     /// The solver's state, tagged by algorithm.
     pub backend: BackendCheckpoint,
+}
+
+/// The estimator's checkpointed fields, borrowed in place (see
+/// [`WindowedRfEstimator::state_mut`]): an [`EstimatorCheckpoint`]
+/// without the copy.
+#[derive(Debug)]
+pub struct EstimatorState<'a> {
+    /// The most recent trusted fix, if any.
+    pub last_fix: &'a mut Option<Point>,
+    /// Whether a transmit window is open.
+    pub in_window: &'a mut bool,
+    /// Lifetime statistics.
+    pub stats: &'a mut WindowStats,
+    /// The solver's state.
+    pub backend: BackendState<'a>,
 }
 
 impl EstimatorCheckpoint {

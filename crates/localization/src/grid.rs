@@ -400,6 +400,13 @@ impl PositionGrid {
         &self.cells
     }
 
+    /// The cells, lent to a checkpoint codec that codes them in place.
+    /// Like every write, it drops the cached entropy.
+    pub(crate) fn cells_mut(&mut self) -> &mut [f64] {
+        self.entropy.set(None);
+        &mut self.cells
+    }
+
     /// Overwrites the posterior with checkpointed cell probabilities.
     ///
     /// # Panics

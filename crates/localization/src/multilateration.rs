@@ -18,6 +18,8 @@ use cocoa_net::calibration::PdfTable;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
 
+use crate::backend::BackendState;
+
 /// One range observation derived from a beacon.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RangeObservation {
@@ -96,6 +98,13 @@ impl Multilaterator {
     /// Overwrites the collected ranges with checkpointed ones.
     pub fn restore_ranges(&mut self, ranges: Vec<RangeObservation>) {
         self.observations = ranges;
+    }
+
+    /// The checkpointed fields, borrowed in place: the collected ranges.
+    pub(crate) fn state_mut(&mut self) -> BackendState<'_> {
+        BackendState::Lateration {
+            ranges: &mut self.observations,
+        }
     }
 
     /// Clears collected ranges (start of a new window).

@@ -13,7 +13,8 @@
 //! - a typed observability bus — events, counters, span timers — in
 //!   [`telemetry::Telemetry`],
 //! - a versioned, CRC-checked binary checkpoint codec in [`snapshot`],
-//!   with the shared hand-rolled JSON emission helpers in [`jsonfmt`].
+//!   with the shared hand-rolled JSON emission helpers in [`jsonfmt`],
+//! - crash-safe file replacement in [`files`].
 //!
 //! The crate knows nothing about radios or robots; protocol models live in
 //! `cocoa-net`, `cocoa-mobility`, `cocoa-multicast` and `cocoa-core`.
@@ -41,6 +42,7 @@ pub mod dist;
 pub mod engine;
 pub mod event;
 pub mod faults;
+pub mod files;
 pub mod jsonfmt;
 pub mod rng;
 pub mod snapshot;

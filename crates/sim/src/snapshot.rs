@@ -81,8 +81,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// guard band, `TxEnd`'s receiver list, the frame id on each RSSI record
 /// (each medium frame holds its own), and per robot the fix flag,
 /// equipment, estimator presence and backend tag, and the waypoint,
-/// odometry, energy and bitrate settings.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
+/// odometry, energy and bitrate settings. v8: a sweep manifest keeps
+/// only fingerprints and completed metrics; an in-flight point's
+/// snapshot lives in a file of its own.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
