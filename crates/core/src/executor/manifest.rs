@@ -36,11 +36,6 @@ use cocoa_sim::jsonfmt::ObjectWriter;
 use cocoa_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotWriter};
 
 use crate::metrics::RunMetrics;
-use crate::world::checkpoint::{
-    energy_ledger, error_point, error_snapshot, final_state, health_ledger, position_snapshot,
-    robustness, traffic,
-};
-use crate::world::mesh::mesh_stats;
 
 /// The `kind` tag stamped into every manifest's meta line.
 pub const MANIFEST_KIND: &str = "cocoa-sweep-manifest";
@@ -307,32 +302,19 @@ fn point(
 ) -> Result<(), SnapshotError> {
     c.u64(fp)?;
     c.opt(completed, |c, metrics| {
-        c.nested("run metrics", |c| run_metrics(c, metrics))
+        c.nested("run metrics", |c| metrics.code(c))
     })
-}
-
-fn run_metrics(c: &mut impl Codec, m: &mut RunMetrics) -> Result<(), SnapshotError> {
-    c.vec(&mut m.error_series, error_point)?;
-    c.vec(&mut m.snapshots, error_snapshot)?;
-    c.vec(&mut m.energy.per_robot, energy_ledger)?;
-    mesh_stats(c, &mut m.mesh)?;
-    traffic(c, &mut m.traffic)?;
-    c.vec(&mut m.final_states, final_state)?;
-    c.vec(&mut m.position_snapshots, position_snapshot)?;
-    robustness(c, &mut m.robustness)?;
-    c.vec(&mut m.health, health_ledger)?;
-    c.u64(&mut m.events_processed)
 }
 
 /// Serializes metrics to the manifest wire form.
 pub fn encode_metrics(m: &RunMetrics) -> Vec<u8> {
-    snapshot::encode(|c| run_metrics(c, &mut m.clone()))
+    snapshot::encode(|c| m.clone().code(c))
 }
 
 /// Deserializes metrics from the manifest wire form.
 pub fn decode_metrics(bytes: &[u8]) -> Result<RunMetrics, SnapshotError> {
     let mut m = RunMetrics::default();
-    snapshot::decode(bytes, "run metrics", |c| run_metrics(c, &mut m))?;
+    snapshot::decode(bytes, "run metrics", |c| m.code(c))?;
     Ok(m)
 }
 

@@ -7,6 +7,7 @@
 //! `RunMetrics` so chaos experiments can assert "the team degraded, it did
 //! not cliff-dive".
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -25,6 +26,14 @@ pub enum DegradationState {
 }
 
 impl DegradationState {
+    /// Every state, in order; the order is the snapshot tag.
+    pub const ALL: [DegradationState; 4] = [
+        DegradationState::Healthy,
+        DegradationState::Degraded,
+        DegradationState::DeadReckoning,
+        DegradationState::Down,
+    ];
+
     /// Stable machine name of this state (report columns, telemetry events).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -56,6 +65,17 @@ pub struct HealthLedger {
 }
 
 impl HealthLedger {
+    /// The snapshot layout; the run metrics reuse it.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let HealthLedger {
+            healthy_s,
+            degraded_s,
+            dead_reckoning_s,
+            down_s,
+        } = self;
+        c.f64s([healthy_s, degraded_s, dead_reckoning_s, down_s])
+    }
+
     /// Total accounted time, seconds.
     pub fn total_s(&self) -> f64 {
         self.healthy_s + self.degraded_s + self.dead_reckoning_s + self.down_s
@@ -101,6 +121,18 @@ impl HealthMonitor {
             since: now,
             ledger: HealthLedger::default(),
         }
+    }
+
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let HealthMonitor {
+            state,
+            since,
+            ledger,
+        } = self;
+        c.tag(&DegradationState::ALL, state, "degradation state")?;
+        since.code(c)?;
+        ledger.code(c)
     }
 
     /// The current state.

@@ -84,7 +84,6 @@ pub mod prelude {
     pub use crate::serve::{parse_spec, request_fingerprint, ServeConfig, ServeRequest, Server};
     pub use crate::sync::{DriftingClock, SyncMessage};
     pub use crate::tracefile::{TraceError, TraceFile};
-    pub use crate::world::mesh::{make_backend, MeshBackend};
     pub use cocoa_localization::estimator::EstimatorMode;
     pub use cocoa_multicast::protocol::MulticastProtocol;
     pub use cocoa_sim::faults::{Fault, FaultPlan, GilbertElliott};

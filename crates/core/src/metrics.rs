@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use cocoa_multicast::mesh::MeshStats;
 use cocoa_net::energy::EnergyLedger;
 use cocoa_net::geometry::Point;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::stats;
 use cocoa_sim::time::SimTime;
 
@@ -26,6 +27,20 @@ pub struct ErrorPoint {
     pub robots: usize,
 }
 
+impl ErrorPoint {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let ErrorPoint {
+            t_s,
+            mean_error_m,
+            robots,
+        } = self;
+        c.f64(t_s)?;
+        c.f64(mean_error_m)?;
+        c.usize(robots)
+    }
+}
+
 /// An empirical CDF over per-robot errors at one instant (paper Fig. 8).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ErrorSnapshot {
@@ -36,6 +51,15 @@ pub struct ErrorSnapshot {
 }
 
 impl ErrorSnapshot {
+    /// The snapshot layout. The errors are stored sorted, as kept, so the
+    /// reader does not re-sort (a re-sort could reorder NaNs and break
+    /// byte-exactness).
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let ErrorSnapshot { time, errors_m } = self;
+        time.code(c)?;
+        c.vec(errors_m, Codec::f64)
+    }
+
     /// Builds a snapshot from unsorted errors.
     pub fn new(time: SimTime, mut errors_m: Vec<f64>) -> Self {
         stats::sort_finite(&mut errors_m);
@@ -118,6 +142,30 @@ pub struct TrafficStats {
     pub starved_windows: u64,
 }
 
+impl TrafficStats {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let TrafficStats {
+            beacons_sent,
+            beacons_received,
+            collisions,
+            syncs_delivered,
+            syncs_missed,
+            fixes,
+            starved_windows,
+        } = self;
+        c.u64s([
+            beacons_sent,
+            beacons_received,
+            collisions,
+            syncs_delivered,
+            syncs_missed,
+            fixes,
+            starved_windows,
+        ])
+    }
+}
+
 /// Fault-injection and graceful-degradation counters for the run.
 ///
 /// All counters stay zero on a fault-free run, so adding robustness
@@ -150,6 +198,36 @@ pub struct RobustnessStats {
     pub malformed_sync_bodies: u64,
 }
 
+impl RobustnessStats {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let RobustnessStats {
+            crashes,
+            reboots,
+            failovers,
+            burst_losses,
+            corrupt_frames_dropped,
+            garbled_frames_delivered,
+            outlier_beacons_rejected,
+            flat_posteriors,
+            stale_syncs_ignored,
+            malformed_sync_bodies,
+        } = self;
+        c.u64s([
+            crashes,
+            reboots,
+            failovers,
+            burst_losses,
+            corrupt_frames_dropped,
+            garbled_frames_delivered,
+            outlier_beacons_rejected,
+            flat_posteriors,
+            stale_syncs_ignored,
+            malformed_sync_bodies,
+        ])
+    }
+}
+
 /// A robot's state at the end of the run: what downstream applications
 /// (e.g. geographic routing over CoCoA coordinates) consume.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -160,6 +238,30 @@ pub struct RobotFinalState {
     pub estimate: Point,
     /// Whether the robot carried a localization device.
     pub equipped: bool,
+}
+
+impl RobotFinalState {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let RobotFinalState {
+            true_position,
+            estimate,
+            equipped,
+        } = self;
+        true_position.code(c)?;
+        estimate.code(c)?;
+        c.bool(equipped)
+    }
+
+    /// The snapshot layout of one position snapshot: its instant, then
+    /// each robot's state.
+    pub(crate) fn code_at(
+        c: &mut impl Codec,
+        (at, states): &mut (SimTime, Vec<RobotFinalState>),
+    ) -> Result<(), SnapshotError> {
+        at.code(c)?;
+        c.vec(states, |c, s| s.code(c))
+    }
 }
 
 /// Everything a simulation run produces.
@@ -191,6 +293,32 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// The layout a sweep manifest stores a completed point's metrics in.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let RunMetrics {
+            error_series,
+            snapshots,
+            energy: EnergyReport { per_robot },
+            mesh,
+            traffic,
+            final_states,
+            position_snapshots,
+            robustness,
+            health,
+            events_processed,
+        } = self;
+        c.vec(error_series, |c, p| p.code(c))?;
+        c.vec(snapshots, |c, s| s.code(c))?;
+        c.vec(per_robot, |c, l| l.code(c))?;
+        mesh.code(c)?;
+        traffic.code(c)?;
+        c.vec(final_states, |c, s| s.code(c))?;
+        c.vec(position_snapshots, RobotFinalState::code_at)?;
+        robustness.code(c)?;
+        c.vec(health, |c, l| l.code(c))?;
+        c.u64(events_processed)
+    }
+
     /// Mean of the per-second error series — "average localization error
     /// over time" in the paper's wording.
     pub fn mean_error_over_time(&self) -> f64 {

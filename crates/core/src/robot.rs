@@ -3,13 +3,14 @@
 use cocoa_localization::estimator::{EstimatorMode, WindowedRfEstimator};
 use cocoa_mobility::motion::RobotMotion;
 use cocoa_multicast::mrmm::MobilityInfo;
+use cocoa_multicast::protocol::MeshNode;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::packet::NodeId;
 use cocoa_net::radio::Radio;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::health::HealthMonitor;
 use crate::sync::DriftingClock;
-use crate::world::mesh::MeshBackend;
 
 /// The reference pair stored at each RF fix, used to re-anchor the
 /// dead-reckoned heading from consecutive fixes: comparing the
@@ -22,6 +23,15 @@ pub struct FixAnchor {
     pub fix: Point,
     /// The odometry estimate at the moment of that fix (before reset).
     pub odo_at_fix: Point,
+}
+
+impl FixAnchor {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let FixAnchor { fix, odo_at_fix } = self;
+        fix.code(c)?;
+        odo_at_fix.code(c)
+    }
 }
 
 /// One robot in the team: motion, radio, estimator, mesh node and clock.
@@ -38,9 +48,8 @@ pub struct Robot {
     pub radio: Radio,
     /// The windowed Bayesian RF estimator (unequipped robots in RF modes).
     pub rf: Option<WindowedRfEstimator>,
-    /// The mesh multicast transport (flood, ODMRP or MRMM), behind the
-    /// [`MeshBackend`] trait so the runner never names a concrete protocol.
-    pub mesh: Box<dyn MeshBackend>,
+    /// The mesh multicast node (flood, ODMRP or MRMM).
+    pub mesh: MeshNode,
     /// The drifting local clock.
     pub clock: DriftingClock,
     /// Window index of the last fresh fix; `None` until the first fix
@@ -76,6 +85,50 @@ impl std::fmt::Debug for Robot {
 }
 
 impl Robot {
+    /// The snapshot layout, decoded onto `world::blank_robot`'s robot,
+    /// which sets what the scenario fixes: identity, equipment, whether
+    /// an estimator runs and with which backend, and every component's
+    /// settings.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Robot {
+            alive,
+            epoch,
+            last_fix_window,
+            synced_this_window,
+            garbled_tx,
+            beacon_offset,
+            fix_anchor,
+            motion,
+            radio,
+            clock,
+            health,
+            rf,
+            mesh,
+            // The scenario's.
+            id: _,
+            index: _,
+            equipped: _,
+        } = self;
+        c.bool(alive)?;
+        c.u32(epoch)?;
+        c.opt(last_fix_window, Codec::u64)?;
+        c.bool(synced_this_window)?;
+        c.bool(garbled_tx)?;
+        c.opt(beacon_offset, |c, (dx, dy)| {
+            c.f64(dx)?;
+            c.f64(dy)
+        })?;
+        c.opt(fix_anchor, |c, a| a.code(c))?;
+        motion.code(c)?;
+        radio.code(c)?;
+        clock.code(c)?;
+        health.code(c)?;
+        if let Some(rf) = rf {
+            rf.code(c)?;
+        }
+        mesh.code(c)
+    }
+
     /// The robot's published position estimate under `mode`.
     ///
     /// - Equipped robots report their device position (ground truth);
@@ -170,7 +223,7 @@ mod tests {
             ),
             radio: Radio::new(EnergyParams::default(), SimTime::ZERO),
             rf: Some(WindowedRfEstimator::new(GridConfig::new(area, 2.0))),
-            mesh: crate::world::mesh::make_backend(
+            mesh: MeshNode::new(
                 MulticastProtocol::Mrmm,
                 NodeId(0),
                 GroupId(1),

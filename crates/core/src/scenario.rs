@@ -16,6 +16,7 @@ use cocoa_net::channel::{ChannelParams, RfChannel};
 use cocoa_net::energy::EnergyParams;
 use cocoa_net::geometry::Area;
 use cocoa_sim::faults::FaultPlan;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 
 /// The most cells a robot's Bayesian grid may have: 1 m cells over a
@@ -130,6 +131,77 @@ impl Scenario {
     /// Starts building a scenario from the paper's defaults.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::default()
+    }
+
+    /// The snapshot layout: every setting, since the reader builds the
+    /// rest of a run from them. Scenario fingerprints hash its bytes.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Scenario {
+            seed,
+            area,
+            num_robots,
+            num_equipped,
+            duration,
+            beacon_period,
+            transmit_window,
+            beacons_per_window,
+            v_min,
+            v_max,
+            mode,
+            rf_algorithm,
+            coordination,
+            grid_resolution_m,
+            channel,
+            energy,
+            odometry,
+            mesh,
+            multicast,
+            sync_enabled,
+            clock_skew_ppm,
+            guard_band,
+            tick,
+            metrics_interval,
+            snapshot_times,
+            packet_loss,
+            relay_beaconing,
+            relay_max_fix_age_windows,
+            faults,
+            failover_missed_periods,
+            entropy_watchdog_frac,
+            outlier_gate_m,
+        } = self;
+        c.u64(seed)?;
+        area.code(c)?;
+        c.usize(num_robots)?;
+        c.usize(num_equipped)?;
+        duration.code(c)?;
+        beacon_period.code(c)?;
+        transmit_window.code(c)?;
+        c.u32(beacons_per_window)?;
+        c.f64(v_min)?;
+        c.f64(v_max)?;
+        c.tag(&EstimatorMode::ALL, mode, "estimator mode")?;
+        c.tag(&RfAlgorithm::ALL, rf_algorithm, "rf algorithm")?;
+        c.bool(coordination)?;
+        c.f64(grid_resolution_m)?;
+        channel.code(c)?;
+        energy.code(c)?;
+        odometry.code(c)?;
+        mesh.code(c)?;
+        c.tag(&MulticastProtocol::ALL, multicast, "multicast")?;
+        c.bool(sync_enabled)?;
+        c.f64(clock_skew_ppm)?;
+        guard_band.code(c)?;
+        tick.code(c)?;
+        metrics_interval.code(c)?;
+        c.vec(snapshot_times, |c, t| t.code(c))?;
+        c.f64(packet_loss)?;
+        c.bool(relay_beaconing)?;
+        c.u64(relay_max_fix_age_windows)?;
+        faults.code(c)?;
+        c.u32(failover_missed_periods)?;
+        c.f64(entropy_watchdog_frac)?;
+        c.f64(outlier_gate_m)
     }
 
     /// Number of beacon periods that fit in the run.

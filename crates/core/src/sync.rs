@@ -12,6 +12,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 
 /// A drifting local clock.
@@ -46,6 +47,22 @@ pub struct DriftingClock {
 }
 
 impl DriftingClock {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let DriftingClock {
+            skew,
+            error_s,
+            anchor,
+            missed_syncs,
+            stale_syncs,
+        } = self;
+        c.f64(skew)?;
+        c.f64(error_s)?;
+        anchor.code(c)?;
+        c.u32(missed_syncs)?;
+        c.u32(stale_syncs)
+    }
+
     /// Creates a clock with the given fractional skew, synchronized at
     /// time zero.
     pub fn new(skew: f64) -> Self {

@@ -1,10 +1,12 @@
 //! The event vocabulary of the world, its span bookkeeping, and the
 //! dispatch table that routes each event to the module that owns it.
 
+use cocoa_net::geometry::Point;
 use cocoa_net::mac::TxId;
-use cocoa_net::packet::{NodeId, Packet};
+use cocoa_net::packet::{NodeId, Packet, Payload};
 use cocoa_sim::engine::Engine;
 use cocoa_sim::faults::Fault;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::telemetry::hist::HistId;
 use cocoa_sim::telemetry::{SpanId, Telemetry};
 use cocoa_sim::time::SimDuration;
@@ -62,6 +64,105 @@ pub(crate) enum Event {
     Snapshot { index: usize },
     /// An injected fault fires (from the scenario's `FaultPlan`).
     Fault(Fault),
+}
+
+/// One placeholder per variant; the order is the snapshot tag.
+static TX_INTENTS: [TxIntent; 2] = [
+    TxIntent::Beacon,
+    TxIntent::Mesh(Packet {
+        src: NodeId(0),
+        seq: 0,
+        payload: Payload::Beacon {
+            position: Point { x: 0.0, y: 0.0 },
+        },
+    }),
+];
+/// One placeholder per variant; the order is the snapshot tag.
+static EVENTS: [Event; 12] = [
+    Event::MoveTick,
+    Event::MetricsSample,
+    Event::WindowStart { index: 0 },
+    Event::RobotWake {
+        robot: 0,
+        window: 0,
+        epoch: 0,
+    },
+    Event::RobotWindowEnd {
+        robot: 0,
+        window: 0,
+        epoch: 0,
+    },
+    Event::Transmit {
+        robot: 0,
+        intent: TxIntent::Beacon,
+    },
+    Event::TxEnd {
+        tx: TxId::from_raw(0),
+    },
+    Event::MeshReply {
+        robot: 0,
+        source: NodeId(0),
+    },
+    Event::MeshRebroadcast {
+        robot: 0,
+        source: NodeId(0),
+        seq: 0,
+    },
+    Event::MediumGc,
+    Event::Snapshot { index: 0 },
+    Event::Fault(Fault::BurstLossEnd),
+];
+
+impl TxIntent {
+    /// The snapshot layout: a tag, then the packet of a mesh intent.
+    pub(crate) fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.tag(&TX_INTENTS, self, "tx intent")?;
+        match self {
+            TxIntent::Beacon => Ok(()),
+            TxIntent::Mesh(p) => p.code(c),
+        }
+    }
+}
+
+impl Event {
+    /// The snapshot layout: a tag, then the variant's fields.
+    pub(crate) fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.tag(&EVENTS, self, "event")?;
+        match self {
+            Event::MoveTick | Event::MetricsSample | Event::MediumGc => Ok(()),
+            Event::WindowStart { index } => c.u64(index),
+            Event::RobotWake {
+                robot,
+                window,
+                epoch,
+            }
+            | Event::RobotWindowEnd {
+                robot,
+                window,
+                epoch,
+            } => {
+                c.usize(robot)?;
+                c.u64(window)?;
+                c.u32(epoch)
+            }
+            Event::Transmit { robot, intent } => {
+                c.usize(robot)?;
+                intent.code(c)
+            }
+            Event::TxEnd { tx } => tx.code(c),
+            Event::MeshReply { robot, source } => {
+                c.usize(robot)?;
+                source.code(c)
+            }
+            Event::MeshRebroadcast { robot, source, seq } => {
+                c.usize(robot)?;
+                source.code(c)?;
+                c.u32(seq)
+            }
+            Event::Snapshot { index } => c.usize(index),
+            Event::Fault(f) => f.code(c),
+        }
+    }
 }
 
 /// Pre-registered span handles, so hot paths never look a span up by name.

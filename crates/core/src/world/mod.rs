@@ -12,8 +12,8 @@
 //!
 //! - [`events`](self): the event vocabulary, span bookkeeping and the
 //!   dispatch table;
-//! - [`mesh`]: the pluggable [`mesh::MeshBackend`] layer (flood / ODMRP /
-//!   MRMM) and the mesh-packet handling that drives it;
+//! - `mesh`: the event glue between the engine and each robot's
+//!   [`MeshNode`] (flood / ODMRP / MRMM);
 //! - `window`: the coordination timeline — window starts, per-robot wakes
 //!   and end-of-window fix/sync processing;
 //! - `beacon`: the physical layer — deferred transmissions, channel
@@ -30,7 +30,7 @@ pub(crate) mod beacon;
 pub mod checkpoint;
 pub(crate) mod events;
 pub(crate) mod faults_hook;
-pub mod mesh;
+pub(crate) mod mesh;
 pub(crate) mod metrics_hook;
 pub(crate) mod window;
 
@@ -41,8 +41,8 @@ use cocoa_localization::estimator::EstimatorMode;
 use cocoa_localization::estimator::WindowedRfEstimator;
 use cocoa_localization::grid::GridConfig;
 use cocoa_mobility::motion::RobotMotion;
-use cocoa_mobility::odometry::{Odometer, OdometerCheckpoint};
-use cocoa_mobility::waypoint::{WaypointCheckpoint, WaypointConfig, WaypointModel};
+use cocoa_mobility::waypoint::WaypointConfig;
+use cocoa_multicast::protocol::MeshNode;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, PdfTable, RadialConstraintTable};
 use cocoa_net::channel::{ChannelParams, RfChannel};
 use cocoa_net::energy::PowerState;
@@ -255,13 +255,13 @@ pub(crate) fn setup_world(
 }
 
 /// Robot `index` of `scenario` before setup or a snapshot gives it its
-/// state: alive, at rest at the origin, a fresh radio, clock, health
-/// monitor and mesh node. Everything the scenario fixes is set here and
-/// nowhere else, and snapshots do not store it: whether the robot is
-/// equipped (in RF modes, the first `num_equipped` robots are), whether
-/// it runs an estimator (the unequipped ones, with the scenario's
-/// backend and grid), and its waypoint, odometry, energy and mesh
-/// settings.
+/// state: alive, at the area's centre on a stand-in first leg, a fresh
+/// radio, clock, health monitor and mesh node. Everything the scenario
+/// fixes is set here and nowhere else, and snapshots do not store it:
+/// whether the robot is equipped (in RF modes, the first `num_equipped`
+/// robots are), whether it runs an estimator (the unequipped ones, with
+/// the scenario's backend and grid), and its waypoint, odometry, energy
+/// and mesh settings.
 pub(crate) fn blank_robot(index: usize, scenario: &Scenario) -> Robot {
     let id = NodeId(index as u32);
     let equipped = scenario.mode.uses_rf() && index < scenario.num_equipped;
@@ -275,19 +275,15 @@ pub(crate) fn blank_robot(index: usize, scenario: &Scenario) -> Robot {
         id,
         index,
         equipped,
-        motion: RobotMotion::from_parts(
-            WaypointModel::from_checkpoint(WaypointCheckpoint {
-                config: waypoint_config(scenario),
-                ..WaypointCheckpoint::default()
-            }),
-            Odometer::from_checkpoint(OdometerCheckpoint {
-                config: scenario.odometry,
-                ..OdometerCheckpoint::default()
-            }),
+        motion: RobotMotion::new(
+            waypoint_config(scenario),
+            scenario.odometry,
+            scenario.area.center(),
+            &mut checkpoint::blank_rng(index),
         ),
         radio: Radio::new(scenario.energy, SimTime::ZERO),
         rf,
-        mesh: mesh::make_backend(scenario.multicast, id, SYNC_GROUP, true, scenario.mesh),
+        mesh: MeshNode::new(scenario.multicast, id, SYNC_GROUP, true, scenario.mesh),
         clock: DriftingClock::new(0.0),
         last_fix_window: None,
         synced_this_window: false,

@@ -23,12 +23,13 @@ use serde::{Deserialize, Serialize};
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE};
-use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
+use crate::ekf::{EkfConfig, EkfLocalizer, EkfUpdate};
 use crate::estimator::RfAlgorithm;
 use crate::grid::GridConfig;
-use crate::multilateration::{Multilaterator, RangeObservation};
+use crate::multilateration::Multilaterator;
 
 /// One per-window RF solver, as driven by the window lifecycle in
 /// [`crate::estimator::WindowedRfEstimator`].
@@ -40,7 +41,6 @@ use crate::multilateration::{Multilaterator, RangeObservation};
 /// | `estimate` | posterior mean (≥ 3 beacons) | WLS solution (≥ 3 ranges) | filter state (≥ 3 applied this window) |
 /// | `end_window_confidence` | entropy vs maximum | none | none |
 /// | `note_odometry` | — | — | covariance-growing predict |
-/// | `checkpoint` | posterior + counters | ranges | state, covariance, gate counters |
 pub trait RfBackend {
     /// Which algorithm this backend implements.
     fn algorithm(&self) -> RfAlgorithm;
@@ -99,90 +99,6 @@ pub trait RfBackend {
     fn grid_stats(&self) -> GridStats {
         GridStats::default()
     }
-
-    /// The backend's complete state as checkpoint data.
-    fn checkpoint(&self) -> BackendCheckpoint;
-}
-
-/// One backend's complete state as checkpoint data, tagged by algorithm
-/// (the snapshot codec's estimator section mirrors this shape).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BackendCheckpoint {
-    /// [`BayesianLocalizer`] state.
-    Bayes {
-        /// Posterior cell probabilities.
-        posterior_cells: Vec<f64>,
-        /// Kernel accounting.
-        grid_stats: GridStats,
-        /// Beacons applied since the last window reset.
-        beacons_applied: u32,
-        /// Beacons offered since the last window reset.
-        beacons_seen: u32,
-    },
-    /// [`Multilaterator`] state: the collected ranges.
-    Lateration {
-        /// Range observations of the open window.
-        ranges: Vec<RangeObservation>,
-    },
-    /// [`EkfBackend`] state: the filter plus its window bookkeeping.
-    Ekf {
-        /// Filter state, covariance and gate counters.
-        filter: EkfSnapshot,
-        /// Range updates applied in the open window.
-        window_applied: u32,
-        /// The dead-reckoned position at the last prediction step.
-        last_odo: Option<Point>,
-    },
-}
-
-/// One backend's checkpointed fields, borrowed in place: a
-/// [`BackendCheckpoint`] without the copy.
-#[derive(Debug)]
-pub enum BackendState<'a> {
-    /// [`BayesianLocalizer`] state.
-    Bayes {
-        /// Posterior cell probabilities; their count is the grid's.
-        posterior_cells: &'a mut [f64],
-        /// Kernel accounting.
-        grid_stats: &'a mut GridStats,
-        /// Beacons applied since the last window reset.
-        beacons_applied: &'a mut u32,
-        /// Beacons offered since the last window reset.
-        beacons_seen: &'a mut u32,
-    },
-    /// [`Multilaterator`] state: the collected ranges.
-    Lateration {
-        /// Range observations of the open window.
-        ranges: &'a mut Vec<RangeObservation>,
-    },
-    /// [`EkfBackend`] state.
-    Ekf {
-        /// The filter: its state, covariance and gate counters are
-        /// checkpointed ([`EkfLocalizer::snapshot`]).
-        filter: &'a mut EkfLocalizer,
-        /// Range updates applied in the open window.
-        window_applied: &'a mut u32,
-        /// The dead-reckoned position at the last prediction step.
-        last_odo: &'a mut Option<Point>,
-    },
-}
-
-/// A placeholder decoders overwrite: an empty range set.
-impl Default for BackendCheckpoint {
-    fn default() -> Self {
-        BackendCheckpoint::Lateration { ranges: Vec::new() }
-    }
-}
-
-impl BackendCheckpoint {
-    /// Which algorithm produced this checkpoint.
-    pub fn algorithm(&self) -> RfAlgorithm {
-        match self {
-            BackendCheckpoint::Bayes { .. } => RfAlgorithm::Bayes,
-            BackendCheckpoint::Lateration { .. } => RfAlgorithm::Multilateration,
-            BackendCheckpoint::Ekf { .. } => RfAlgorithm::Ekf,
-        }
-    }
 }
 
 impl RfBackend for BayesianLocalizer {
@@ -224,15 +140,6 @@ impl RfBackend for BayesianLocalizer {
     fn grid_stats(&self) -> GridStats {
         *BayesianLocalizer::grid_stats(self)
     }
-
-    fn checkpoint(&self) -> BackendCheckpoint {
-        BackendCheckpoint::Bayes {
-            posterior_cells: self.grid().cells().to_vec(),
-            grid_stats: *BayesianLocalizer::grid_stats(self),
-            beacons_applied: self.beacons_applied(),
-            beacons_seen: self.beacons_seen(),
-        }
-    }
 }
 
 impl RfBackend for Multilaterator {
@@ -261,12 +168,6 @@ impl RfBackend for Multilaterator {
     fn estimate(&self) -> Option<Point> {
         Multilaterator::estimate(self)
     }
-
-    fn checkpoint(&self) -> BackendCheckpoint {
-        BackendCheckpoint::Lateration {
-            ranges: self.ranges().to_vec(),
-        }
-    }
 }
 
 /// The EKF solver adapted to the window lifecycle.
@@ -285,7 +186,7 @@ impl RfBackend for Multilaterator {
 /// outlier gate feeds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EkfBackend {
-    ekf: EkfLocalizer,
+    pub(crate) ekf: EkfLocalizer,
     /// Dead-reckoned position at the last `note_odometry`, i.e. the origin
     /// the next displacement is measured from.
     last_odo: Option<Point>,
@@ -310,29 +211,17 @@ impl EkfBackend {
         &self.ekf
     }
 
-    /// The checkpointed fields, borrowed in place.
-    pub(crate) fn state_mut(&mut self) -> BackendState<'_> {
-        BackendState::Ekf {
-            filter: &mut self.ekf,
-            window_applied: &mut self.window_applied,
-            last_odo: &mut self.last_odo,
-        }
-    }
-
-    /// Rebuilds the backend from checkpointed state.
-    pub fn restore(
-        grid: GridConfig,
-        filter: EkfSnapshot,
-        window_applied: u32,
-        last_odo: Option<Point>,
-    ) -> Self {
-        let mut ekf = EkfLocalizer::new(EkfConfig::default(), grid.area, None);
-        ekf.restore_snapshot(filter);
-        EkfBackend {
+    /// The snapshot layout: the filter, the open window's applied
+    /// updates, then the odometry anchor.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let EkfBackend {
             ekf,
             last_odo,
             window_applied,
-        }
+        } = self;
+        ekf.code(c)?;
+        c.u32(window_applied)?;
+        c.opt(last_odo, |c, p| p.code(c))
     }
 }
 
@@ -381,14 +270,6 @@ impl RfBackend for EkfBackend {
 
     fn ekf_counters(&self) -> Option<(u64, u64)> {
         Some((self.ekf.updates_applied(), self.ekf.updates_gated()))
-    }
-
-    fn checkpoint(&self) -> BackendCheckpoint {
-        BackendCheckpoint::Ekf {
-            filter: self.ekf.snapshot(),
-            window_applied: self.window_applied,
-            last_odo: self.last_odo,
-        }
     }
 }
 
@@ -514,25 +395,13 @@ mod tests {
         let mut ekf = EkfBackend::new(grid);
         ekf.note_odometry(Point::new(10.0, 10.0));
         ekf.ekf.predict(Vec2::new(1.0, 0.0));
-        assert_eq!(
-            RfBackend::checkpoint(&bayes).algorithm(),
-            RfAlgorithm::Bayes
-        );
-        assert_eq!(
-            RfBackend::checkpoint(&lat).algorithm(),
-            RfAlgorithm::Multilateration
-        );
-        let c = RfBackend::checkpoint(&ekf);
-        assert_eq!(c.algorithm(), RfAlgorithm::Ekf);
-        let BackendCheckpoint::Ekf {
-            filter,
-            window_applied,
-            last_odo,
-        } = c
-        else {
-            panic!("expected an EKF checkpoint");
-        };
-        let restored = EkfBackend::restore(grid, filter, window_applied, last_odo);
+        assert_eq!(RfBackend::algorithm(&bayes), RfAlgorithm::Bayes);
+        assert_eq!(RfBackend::algorithm(&lat), RfAlgorithm::Multilateration);
+        assert_eq!(RfBackend::algorithm(&ekf), RfAlgorithm::Ekf);
+        // The EKF backend's layout decodes onto a fresh backend exactly.
+        let bytes = cocoa_sim::snapshot::encode(|c| ekf.code(c));
+        let mut restored = EkfBackend::new(grid);
+        cocoa_sim::snapshot::decode(&bytes, "ekf", |c| restored.code(c)).expect("own bytes");
         assert_eq!(restored, ekf);
     }
 }

@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
-use crate::backend::BackendState;
 use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
 
 /// The paper requires at least this many beacons before estimating.
@@ -89,7 +89,7 @@ pub struct BayesianLocalizer {
     grid: PositionGrid,
     beacons_applied: u32,
     beacons_seen: u32,
-    stats: GridStats,
+    pub(crate) stats: GridStats,
 }
 
 /// Cumulative grid-kernel cost accounting, surfaced as `grid.*` telemetry
@@ -104,6 +104,15 @@ pub struct GridStats {
 }
 
 impl GridStats {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let GridStats {
+            kernel_simd,
+            cells_touched,
+        } = self;
+        c.u64s([kernel_simd, cells_touched])
+    }
+
     /// Merges another accumulator into this one (used when aggregating
     /// per-robot stats into run-level counters).
     pub fn absorb(&mut self, other: &GridStats) {
@@ -196,31 +205,20 @@ impl BayesianLocalizer {
         &self.grid
     }
 
-    /// The checkpointed fields, borrowed in place.
-    pub(crate) fn state_mut(&mut self) -> BackendState<'_> {
-        BackendState::Bayes {
-            posterior_cells: self.grid.cells_mut(),
-            grid_stats: &mut self.stats,
-            beacons_applied: &mut self.beacons_applied,
-            beacons_seen: &mut self.beacons_seen,
-        }
-    }
-
-    /// Restores checkpointed posterior cells (checkpoint plumbing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs.
-    pub fn restore_posterior_cells(&mut self, cells: &[f64]) {
-        self.grid.restore_cells(cells);
-    }
-
-    /// Restores checkpointed beacon counters and kernel accounting
-    /// (checkpoint plumbing).
-    pub fn restore_counters(&mut self, beacons_applied: u32, beacons_seen: u32, stats: GridStats) {
-        self.beacons_applied = beacons_applied;
-        self.beacons_seen = beacons_seen;
-        self.stats = stats;
+    /// The snapshot layout: the posterior, the window's beacon counters,
+    /// then the kernel accounting. Decode onto a localizer over the same
+    /// grid (see [`PositionGrid::code`] on the cell count).
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let BayesianLocalizer {
+            grid,
+            beacons_applied,
+            beacons_seen,
+            stats,
+        } = self;
+        grid.code(c)?;
+        c.u32(beacons_applied)?;
+        c.u32(beacons_seen)?;
+        stats.code(c)
     }
 }
 

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use cocoa_net::calibration::PdfTable;
 use cocoa_net::geometry::{Area, Point, Vec2};
 use cocoa_net::rssi::Dbm;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 /// EKF tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -101,8 +102,8 @@ pub struct EkfLocalizer {
     p11: f64,
     p12: f64,
     p22: f64,
-    updates_applied: u64,
-    updates_gated: u64,
+    pub(crate) updates_applied: u64,
+    pub(crate) updates_gated: u64,
     consecutive_gated: u32,
 }
 
@@ -129,6 +130,11 @@ impl EkfLocalizer {
     /// The current position estimate (clamped to the deployment area).
     pub fn estimate(&self) -> Point {
         self.area.clamp(Point::new(self.x, self.y))
+    }
+
+    /// The position covariance `P`, metres² (symmetric).
+    pub fn covariance(&self) -> [[f64; 2]; 2] {
+        [[self.p11, self.p12], [self.p12, self.p22]]
     }
 
     /// RMS position uncertainty, metres (`sqrt(trace(P)/2)`).
@@ -252,56 +258,27 @@ impl EkfLocalizer {
         }
     }
 
-    /// The filter's complete internal state as checkpoint data.
-    pub fn snapshot(&self) -> EkfSnapshot {
-        EkfSnapshot {
-            x: self.x,
-            y: self.y,
-            p11: self.p11,
-            p12: self.p12,
-            p22: self.p22,
-            updates_applied: self.updates_applied,
-            updates_gated: self.updates_gated,
-            consecutive_gated: self.consecutive_gated,
-        }
+    /// The snapshot layout: position, covariance and gate counters,
+    /// decoded onto a filter built with the same configuration and area.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let EkfLocalizer {
+            x,
+            y,
+            p11,
+            p12,
+            p22,
+            updates_applied,
+            updates_gated,
+            consecutive_gated,
+            // Set by the reader's constructor.
+            config: _,
+            area: _,
+        } = self;
+        c.f64s([x, y, p11, p12, p22])?;
+        c.u64(updates_applied)?;
+        c.u64(updates_gated)?;
+        c.u32(consecutive_gated)
     }
-
-    /// Restores the internal state captured by
-    /// [`snapshot`](Self::snapshot). Configuration and area are not part
-    /// of the snapshot; the filter must be constructed with the same ones
-    /// the original had.
-    pub fn restore_snapshot(&mut self, s: EkfSnapshot) {
-        self.x = s.x;
-        self.y = s.y;
-        self.p11 = s.p11;
-        self.p12 = s.p12;
-        self.p22 = s.p22;
-        self.updates_applied = s.updates_applied;
-        self.updates_gated = s.updates_gated;
-        self.consecutive_gated = s.consecutive_gated;
-    }
-}
-
-/// The filter's internal state — position, covariance and gate counters —
-/// as checkpoint data (see [`EkfLocalizer::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct EkfSnapshot {
-    /// Believed x position, metres.
-    pub x: f64,
-    /// Believed y position, metres.
-    pub y: f64,
-    /// Covariance entry P₁₁.
-    pub p11: f64,
-    /// Covariance entry P₁₂ (= P₂₁).
-    pub p12: f64,
-    /// Covariance entry P₂₂.
-    pub p22: f64,
-    /// Range updates fused so far.
-    pub updates_applied: u64,
-    /// Range updates rejected by the gate so far.
-    pub updates_gated: u64,
-    /// Length of the current consecutive-rejection streak.
-    pub consecutive_gated: u32,
 }
 
 #[cfg(test)]
@@ -466,11 +443,11 @@ mod tests {
             f.update_range(a, robot.distance_to(a), 1.0);
         }
         f.update_range(Point::new(95.0, 100.0), 120.0, 1.0); // gated
-        let s = f.snapshot();
+        let s = cocoa_sim::snapshot::encode(|c| f.code(c));
         let mut g = ekf();
-        g.restore_snapshot(s);
+        cocoa_sim::snapshot::decode(&s, "ekf", |c| g.code(c)).expect("own bytes decode");
         assert_eq!(f, g);
-        assert_eq!(g.snapshot(), s);
+        assert_eq!(cocoa_sim::snapshot::encode(|c| g.code(c)), s);
     }
 
     #[test]

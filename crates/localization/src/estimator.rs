@@ -22,10 +22,11 @@ use serde::{Deserialize, Serialize};
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
-use crate::backend::{BackendCheckpoint, BackendState, EkfBackend, RfBackend};
+use crate::backend::{EkfBackend, RfBackend};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
-use crate::grid::GridConfig;
+use crate::grid::{GridConfig, PositionGrid};
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
 
 /// Which localization strategy a robot runs (paper Sections 4.1–4.3).
@@ -157,6 +158,16 @@ impl Backend {
             Backend::Ekf(e) => e,
         }
     }
+
+    /// The solver's layout. No tag names the variant: the reader decodes
+    /// onto the backend its scenario selects.
+    fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        match self {
+            Backend::Bayes(b) => b.code(c),
+            Backend::Lateration(l) => l.code(c),
+            Backend::Ekf(e) => e.code(c),
+        }
+    }
 }
 
 /// Statistics of a windowed estimator's life so far.
@@ -178,6 +189,22 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let WindowStats {
+            windows,
+            fixes,
+            flat_windows,
+            beacons_seen,
+            beacons_applied,
+            beacons_rejected_outlier,
+        } = self;
+        c.u32(windows)?;
+        c.u32(fixes)?;
+        c.u32(flat_windows)?;
+        c.u64s([beacons_seen, beacons_applied, beacons_rejected_outlier])
+    }
+
     /// The statistics as `(short-name, value)` pairs, in the order the
     /// `estimator.<backend>.*` telemetry counters are exported.
     pub fn counters(&self) -> [(&'static str, u64); 6] {
@@ -453,35 +480,30 @@ impl WindowedRfEstimator {
         self.backend.as_dyn().grid_stats()
     }
 
-    /// The estimator's complete state as checkpoint data: the lifecycle
-    /// header plus the backend-tagged solver state (see
-    /// [`BackendCheckpoint`]).
-    pub fn checkpoint(&self) -> EstimatorCheckpoint {
-        EstimatorCheckpoint {
-            last_fix: self.last_fix,
-            in_window: self.in_window,
-            stats: self.stats,
-            backend: self.backend.as_dyn().checkpoint(),
+    /// The Bayesian backend's posterior; `None` for gridless backends.
+    pub fn posterior(&self) -> Option<&PositionGrid> {
+        match &self.backend {
+            Backend::Bayes(b) => Some(b.grid()),
+            Backend::Lateration(_) | Backend::Ekf(_) => None,
         }
     }
 
-    /// Every checkpointed field, borrowed in place (checkpoint plumbing):
-    /// what [`WindowedRfEstimator::checkpoint`] copies out, without the
-    /// copy, so a codec writes the posterior where it lies and reads
-    /// into this estimator instead of building another. Borrowing drops
-    /// the posterior's cached entropy.
-    pub fn state_mut(&mut self) -> EstimatorState<'_> {
-        let backend = match &mut self.backend {
-            Backend::Bayes(b) => b.state_mut(),
-            Backend::Lateration(l) => l.state_mut(),
-            Backend::Ekf(e) => e.state_mut(),
-        };
-        EstimatorState {
-            last_fix: &mut self.last_fix,
-            in_window: &mut self.in_window,
-            stats: &mut self.stats,
+    /// The snapshot layout: the lifecycle state shared by every backend,
+    /// then the solver's. Decode onto an estimator built with the same
+    /// grid and algorithm ([`WindowedRfEstimator::with_algorithm`]); a
+    /// Bayesian posterior keeps the cell count it was stored with (see
+    /// [`PositionGrid::code`]).
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let WindowedRfEstimator {
             backend,
-        }
+            last_fix,
+            in_window,
+            stats,
+        } = self;
+        c.opt(last_fix, |c, p| p.code(c))?;
+        c.bool(in_window)?;
+        stats.code(c)?;
+        backend.code(c)
     }
 
     /// The estimator a reboot leaves behind over `grid`: a fresh posterior
@@ -490,97 +512,18 @@ impl WindowedRfEstimator {
     /// update counts — so the `estimator.<backend>.*` and `grid.*`
     /// telemetry keep the work done before the crash.
     pub fn reboot(&mut self, grid: GridConfig) {
-        use BackendCheckpoint::{Bayes, Ekf};
-        let old = self.checkpoint();
-        let mut fresh = Self::with_algorithm(grid, self.algorithm()).checkpoint();
-        fresh.stats = old.stats;
-        match (&mut fresh.backend, old.backend) {
-            (Bayes { grid_stats, .. }, Bayes { grid_stats: g, .. }) => *grid_stats = g,
-            (Ekf { filter, .. }, Ekf { filter: kept, .. }) => {
-                filter.updates_applied = kept.updates_applied;
-                filter.updates_gated = kept.updates_gated;
+        let mut fresh = Self::with_algorithm(grid, self.algorithm());
+        fresh.stats = self.stats;
+        match (&mut fresh.backend, &self.backend) {
+            (Backend::Bayes(b), Backend::Bayes(old)) => b.stats = old.stats,
+            (Backend::Ekf(e), Backend::Ekf(old)) => {
+                e.ekf.updates_applied = old.ekf.updates_applied;
+                e.ekf.updates_gated = old.ekf.updates_gated;
             }
+            // Multilateration keeps no lifetime counters.
             _ => {}
         }
-        *self = Self::from_checkpoint(grid, fresh);
-    }
-
-    /// Rebuilds an estimator from checkpointed state over `grid` (the same
-    /// grid configuration the original was built with). The gridless
-    /// backends are reconstructed with the default solver configuration,
-    /// as [`WindowedRfEstimator::with_algorithm`] uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint's posterior cell count does not match
-    /// `grid`.
-    pub fn from_checkpoint(grid: GridConfig, c: EstimatorCheckpoint) -> Self {
-        let backend = match c.backend {
-            BackendCheckpoint::Bayes {
-                posterior_cells,
-                grid_stats,
-                beacons_applied,
-                beacons_seen,
-            } => {
-                let mut b = BayesianLocalizer::new(grid);
-                b.restore_posterior_cells(&posterior_cells);
-                b.restore_counters(beacons_applied, beacons_seen, grid_stats);
-                Backend::Bayes(Box::new(b))
-            }
-            BackendCheckpoint::Lateration { ranges } => {
-                let mut l = Multilaterator::new(grid.area, MultilaterationConfig::default());
-                l.restore_ranges(ranges);
-                Backend::Lateration(l)
-            }
-            BackendCheckpoint::Ekf {
-                filter,
-                window_applied,
-                last_odo,
-            } => Backend::Ekf(EkfBackend::restore(grid, filter, window_applied, last_odo)),
-        };
-        WindowedRfEstimator {
-            backend,
-            last_fix: c.last_fix,
-            in_window: c.in_window,
-            stats: c.stats,
-        }
-    }
-}
-
-/// The windowed estimator's complete state as checkpoint data (see
-/// [`WindowedRfEstimator::checkpoint`]): the lifecycle header shared by
-/// every backend, plus the backend-tagged solver state.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct EstimatorCheckpoint {
-    /// The most recent trusted fix, if any.
-    pub last_fix: Option<Point>,
-    /// Whether a transmit window was open.
-    pub in_window: bool,
-    /// Lifetime statistics.
-    pub stats: WindowStats,
-    /// The solver's state, tagged by algorithm.
-    pub backend: BackendCheckpoint,
-}
-
-/// The estimator's checkpointed fields, borrowed in place (see
-/// [`WindowedRfEstimator::state_mut`]): an [`EstimatorCheckpoint`]
-/// without the copy.
-#[derive(Debug)]
-pub struct EstimatorState<'a> {
-    /// The most recent trusted fix, if any.
-    pub last_fix: &'a mut Option<Point>,
-    /// Whether a transmit window is open.
-    pub in_window: &'a mut bool,
-    /// Lifetime statistics.
-    pub stats: &'a mut WindowStats,
-    /// The solver's state.
-    pub backend: BackendState<'a>,
-}
-
-impl EstimatorCheckpoint {
-    /// Which backend algorithm was running.
-    pub fn algorithm(&self) -> RfAlgorithm {
-        self.backend.algorithm()
+        *self = fresh;
     }
 }
 
@@ -791,31 +734,82 @@ mod tests {
         assert_eq!(est.entropy_fraction(), None);
     }
 
-    #[test]
-    fn checkpoints_round_trip_for_every_algorithm() {
+    /// An estimator of `algorithm` after one window with a fix, with a
+    /// second window left open.
+    fn driven(algorithm: RfAlgorithm) -> WindowedRfEstimator {
         let (ch, table, radial, _) = setup();
-        let grid = grid();
         let mut rng = SeedSplitter::new(8).stream("t", 0);
         let robot = Point::new(80.0, 120.0);
-        for algorithm in RfAlgorithm::ALL {
-            let mut est = WindowedRfEstimator::with_algorithm(grid, algorithm);
-            est.note_odometry(Point::new(79.0, 119.0));
-            est.begin_window();
-            for b in [
-                Point::new(72.0, 120.0),
-                Point::new(88.0, 124.0),
-                Point::new(80.0, 112.0),
-            ] {
-                let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
-            }
-            est.end_window();
-            est.begin_window(); // leave a window open: in_window must survive
-            let c = est.checkpoint();
-            assert_eq!(c.algorithm(), algorithm);
-            let restored = WindowedRfEstimator::from_checkpoint(grid, c);
-            assert_eq!(restored, est, "{algorithm}: restore must be exact");
+        let mut est = WindowedRfEstimator::with_algorithm(grid(), algorithm);
+        est.note_odometry(Point::new(79.0, 119.0));
+        est.begin_window();
+        for b in [
+            Point::new(72.0, 120.0),
+            Point::new(88.0, 124.0),
+            Point::new(80.0, 112.0),
+        ] {
+            let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
+            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
         }
+        est.end_window();
+        est.begin_window(); // leave a window open: in_window must survive
+        est
+    }
+
+    fn encode(est: &mut WindowedRfEstimator) -> Vec<u8> {
+        cocoa_sim::snapshot::encode(|c| est.code(c))
+    }
+
+    #[test]
+    fn checkpoints_round_trip_for_every_algorithm() {
+        for algorithm in RfAlgorithm::ALL {
+            let mut est = driven(algorithm);
+            let bytes = encode(&mut est);
+            let mut restored = WindowedRfEstimator::with_algorithm(grid(), algorithm);
+            cocoa_sim::snapshot::decode(&bytes, "estimator", |c| restored.code(c))
+                .expect("own bytes decode");
+            assert_eq!(restored.algorithm(), algorithm);
+            assert_eq!(restored, est, "{algorithm}: restore must be exact");
+            assert_eq!(encode(&mut restored), bytes, "{algorithm}: re-encode");
+        }
+    }
+
+    /// A reboot keeps [`WindowStats`], [`GridStats`] and the EKF's update
+    /// counters, and nothing else: its bytes are those of a fresh
+    /// estimator that carries the same counters.
+    fn reboot_keeps_only_the_lifetime_counters(algorithm: RfAlgorithm) {
+        let mut est = driven(algorithm);
+        let (stats, grid_stats, ekf) = (est.stats(), est.grid_stats(), est.ekf_counters());
+        assert!(stats.windows == 2 && stats.beacons_applied > 0, "{stats:?}");
+        est.reboot(grid());
+        assert_eq!(est.stats(), stats);
+        assert_eq!(est.grid_stats(), grid_stats);
+        assert_eq!(est.ekf_counters(), ekf);
+        let mut fresh = WindowedRfEstimator::with_algorithm(grid(), algorithm);
+        fresh.stats = stats;
+        match &mut fresh.backend {
+            Backend::Bayes(b) => b.stats = grid_stats,
+            Backend::Ekf(e) => {
+                (e.ekf.updates_applied, e.ekf.updates_gated) = ekf.expect("an EKF");
+            }
+            Backend::Lateration(_) => {}
+        }
+        assert_eq!(encode(&mut est), encode(&mut fresh));
+    }
+
+    #[test]
+    fn reboot_keeps_only_the_bayes_lifetime_counters() {
+        reboot_keeps_only_the_lifetime_counters(RfAlgorithm::Bayes);
+    }
+
+    #[test]
+    fn reboot_keeps_only_the_multilateration_lifetime_counters() {
+        reboot_keeps_only_the_lifetime_counters(RfAlgorithm::Multilateration);
+    }
+
+    #[test]
+    fn reboot_keeps_only_the_ekf_lifetime_counters() {
+        reboot_keeps_only_the_lifetime_counters(RfAlgorithm::Ekf);
     }
 
     #[test]

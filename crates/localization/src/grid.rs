@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::RadialProfile;
 use cocoa_net::geometry::{Area, Point};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::kernel;
 
@@ -400,26 +401,34 @@ impl PositionGrid {
         &self.cells
     }
 
-    /// The cells, lent to a checkpoint codec that codes them in place.
-    /// Like every write, it drops the cached entropy.
-    pub(crate) fn cells_mut(&mut self) -> &mut [f64] {
-        self.entropy.set(None);
-        &mut self.cells
-    }
-
-    /// Overwrites the posterior with checkpointed cell probabilities.
+    /// The snapshot layout: the cell count, then each cell probability,
+    /// decoded where the cells lie. Like every write, it drops the cached
+    /// entropy.
     ///
-    /// # Panics
-    ///
-    /// Panics if `cells` does not match this grid's cell count.
-    pub fn restore_cells(&mut self, cells: &[f64]) {
-        assert_eq!(
-            cells.len(),
-            self.cells.len(),
-            "checkpointed posterior has wrong cell count"
-        );
-        self.cells.copy_from_slice(cells);
-        self.entropy.set(None);
+    /// The reader takes the count as stored, so a reader of bytes it did
+    /// not write must check [`PositionGrid::num_cells`] against
+    /// `nx · ny` before using the grid.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let PositionGrid {
+            cells,
+            entropy,
+            // The configuration and what is derived from it, set by the
+            // reader's constructor.
+            config: _,
+            nx: _,
+            ny: _,
+            xs: _,
+            ys: _,
+            // Scratch buffers.
+            scratch: _,
+            dx2: _,
+            row_t: _,
+        } = self;
+        entropy.set(None);
+        let mut n = cells.len();
+        c.count(&mut n)?;
+        cells.resize(n, 0.0);
+        cells.iter_mut().try_for_each(|p| c.f64(p))
     }
 
     /// Probability of the cell containing `p` (0 outside the area).
@@ -661,11 +670,11 @@ mod tests {
         assert_entropy_fresh(&g, "apply_radial_constraint");
         g.apply_radial_constraint_reference(Point::new(90.0, 110.0), &profile);
         assert_entropy_fresh(&g, "apply_radial_constraint_reference");
-        let cells = g.cells().to_vec();
+        let cells = cocoa_sim::snapshot::encode(|c| g.code(c));
         g.reset_uniform();
         assert_entropy_fresh(&g, "reset_uniform");
-        g.restore_cells(&cells);
-        assert_entropy_fresh(&g, "restore_cells");
+        cocoa_sim::snapshot::decode(&cells, "grid", |c| g.code(c)).expect("own bytes decode");
+        assert_entropy_fresh(&g, "code");
 
         // A rejected constraint writes nothing, so the cached value stands.
         let cached = g.entropy();

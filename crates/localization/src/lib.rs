@@ -32,11 +32,11 @@ pub mod multilateration;
 
 /// Glob-import of the most commonly used types.
 pub mod prelude {
-    pub use crate::backend::{BackendCheckpoint, EkfBackend, RfBackend};
+    pub use crate::backend::{EkfBackend, RfBackend};
     pub use crate::bayes::{
         BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE,
     };
-    pub use crate::ekf::{EkfConfig, EkfLocalizer, EkfSnapshot, EkfUpdate};
+    pub use crate::ekf::{EkfConfig, EkfLocalizer, EkfUpdate};
     pub use crate::estimator::{
         EstimatorMode, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
     };

@@ -17,8 +17,7 @@ use serde::{Deserialize, Serialize};
 use cocoa_net::calibration::PdfTable;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
-
-use crate::backend::BackendState;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 /// One range observation derived from a beacon.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -29,6 +28,20 @@ pub struct RangeObservation {
     pub range: f64,
     /// Weight = 1/σ² of the distance estimate.
     pub weight: f64,
+}
+
+impl RangeObservation {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let RangeObservation {
+            anchor,
+            range,
+            weight,
+        } = self;
+        anchor.code(c)?;
+        c.f64(range)?;
+        c.f64(weight)
+    }
 }
 
 /// Configuration of the solver.
@@ -90,21 +103,16 @@ impl Multilaterator {
         self.observations.len()
     }
 
-    /// The ranges collected so far.
-    pub fn ranges(&self) -> &[RangeObservation] {
-        &self.observations
-    }
-
-    /// Overwrites the collected ranges with checkpointed ones.
-    pub fn restore_ranges(&mut self, ranges: Vec<RangeObservation>) {
-        self.observations = ranges;
-    }
-
-    /// The checkpointed fields, borrowed in place: the collected ranges.
-    pub(crate) fn state_mut(&mut self) -> BackendState<'_> {
-        BackendState::Lateration {
-            ranges: &mut self.observations,
-        }
+    /// The snapshot layout: the collected ranges, decoded onto an
+    /// estimator built with the same area and configuration.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Multilaterator {
+            observations,
+            // Set by the reader's constructor.
+            area: _,
+            config: _,
+        } = self;
+        c.vec(observations, |c, o| o.code(c))
     }
 
     /// Clears collected ranges (start of a new window).

@@ -9,6 +9,7 @@ use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point, Vec2};
 use cocoa_net::rssi::{Dbm, RssiBin};
 use cocoa_sim::rng::SeedSplitter;
+use cocoa_sim::snapshot;
 use proptest::prelude::*;
 
 fn arb_in_area() -> impl Strategy<Value = Point> {
@@ -313,24 +314,26 @@ proptest! {
             }
             // Symmetry is structural (P₁₂ is stored once); health means the
             // matrix it denotes is positive-definite and finite.
-            let s = f.snapshot();
+            let p = f.covariance();
+            let [[p11, p12], [_, p22]] = p;
             prop_assert!(
-                s.p11.is_finite() && s.p22.is_finite() && s.p12.is_finite(),
-                "covariance went non-finite: {s:?}"
+                p11.is_finite() && p22.is_finite() && p12.is_finite(),
+                "covariance went non-finite: {p:?}"
             );
-            prop_assert!(s.p11 > 0.0 && s.p22 > 0.0, "diagonal must stay positive: {s:?}");
+            prop_assert!(p11 > 0.0 && p22 > 0.0, "diagonal must stay positive: {p:?}");
             prop_assert!(
-                s.p12 * s.p12 <= s.p11 * s.p22 * (1.0 + 1e-9) + 1e-12,
-                "P must stay positive-definite: {s:?}"
+                p12 * p12 <= p11 * p22 * (1.0 + 1e-9) + 1e-12,
+                "P must stay positive-definite: {p:?}"
             );
             prop_assert!(f.uncertainty().is_finite());
             prop_assert!(Area::square(200.0).contains(f.estimate()));
         }
     }
 
-    /// Every backend's checkpoint restores to an estimator that equals the
-    /// original field for field — including mid-window, with a window open
-    /// and beacons partially accumulated.
+    /// Every backend's layout decodes onto a fresh estimator that equals
+    /// the original field for field — including mid-window, with a window
+    /// open and beacons partially accumulated — and encodes to the same
+    /// bytes again.
     #[test]
     fn backend_checkpoints_round_trip_for_every_algorithm(
         seed in 0u64..200,
@@ -366,11 +369,17 @@ proptest! {
                     est.end_window();
                 }
             }
-            let c = est.checkpoint();
-            prop_assert_eq!(c.algorithm(), algorithm);
-            let restored = WindowedRfEstimator::from_checkpoint(grid, c.clone());
+            let bytes = snapshot::encode(|c| est.code(c));
+            let mut restored = WindowedRfEstimator::with_algorithm(grid, algorithm);
+            snapshot::decode(&bytes, "estimator", |c| restored.code(c)).expect("own bytes decode");
+            prop_assert_eq!(restored.algorithm(), algorithm);
             prop_assert_eq!(&restored, &est, "{} restore must be exact", algorithm);
-            prop_assert_eq!(restored.checkpoint(), c, "{} re-checkpoint must be exact", algorithm);
+            prop_assert_eq!(
+                snapshot::encode(|c| restored.code(c)),
+                bytes,
+                "{} re-encode must be exact",
+                algorithm
+            );
         }
     }
 }

@@ -9,6 +9,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use cocoa_net::geometry::{Point, Vec2};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::odometry::{Odometer, OdometryConfig};
 use crate::pose::Pose;
@@ -40,13 +41,17 @@ impl RobotMotion {
         }
     }
 
-    /// Reassembles motion state from checkpointed parts (see
-    /// [`WaypointModel::from_checkpoint`] and [`Odometer::from_checkpoint`]).
-    pub fn from_parts(waypoints: WaypointModel, odometer: Odometer) -> Self {
-        RobotMotion {
+    /// The snapshot layout: the waypoint model, then the odometer. Decode
+    /// onto a motion built with the same configurations; which start and
+    /// RNG built it does not matter, since every draw it made is
+    /// overwritten.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let RobotMotion {
             waypoints,
             odometer,
-        }
+        } = self;
+        waypoints.code(c)?;
+        odometer.code(c)
     }
 
     /// Advances true motion by `dt` seconds and feeds the performed
@@ -100,11 +105,6 @@ impl RobotMotion {
     /// Read-only access to the waypoint model.
     pub fn waypoints(&self) -> &WaypointModel {
         &self.waypoints
-    }
-
-    /// Read-only access to the odometer.
-    pub fn odometer(&self) -> &Odometer {
-        &self.odometer
     }
 }
 

@@ -24,6 +24,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use cocoa_sim::dist::Normal;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::pose::Pose;
 use crate::waypoint::Segment;
@@ -54,6 +55,18 @@ impl Default for OdometryConfig {
 }
 
 impl OdometryConfig {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let OdometryConfig {
+            displacement_sigma,
+            angular_sigma,
+            heading_drift_sigma,
+        } = self;
+        c.f64(displacement_sigma)?;
+        c.f64(angular_sigma)?;
+        c.f64(heading_drift_sigma)
+    }
+
     /// A perfect odometer (for tests and ablations).
     pub fn noiseless() -> Self {
         OdometryConfig {
@@ -123,24 +136,19 @@ impl Odometer {
         self.estimate = pose;
     }
 
-    /// The odometer's complete state as checkpoint data.
-    pub fn checkpoint(&self) -> OdometerCheckpoint {
-        OdometerCheckpoint {
-            config: self.config,
-            estimate: self.estimate,
-            distance_integrated: self.distance_integrated,
-            observations: self.observations,
-        }
-    }
-
-    /// Rebuilds an odometer from checkpointed state.
-    pub fn from_checkpoint(c: OdometerCheckpoint) -> Self {
-        Odometer {
-            config: c.config,
-            estimate: c.estimate,
-            distance_integrated: c.distance_integrated,
-            observations: c.observations,
-        }
+    /// The snapshot layout, decoded onto an odometer built with the same
+    /// noise configuration.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Odometer {
+            estimate,
+            distance_integrated,
+            observations,
+            // The scenario's, set by the reader's constructor.
+            config: _,
+        } = self;
+        estimate.code(c)?;
+        c.f64(distance_integrated)?;
+        c.u64(observations)
     }
 
     /// Feeds one true motion segment through the noisy sensors and
@@ -169,20 +177,6 @@ impl Odometer {
         self.distance_integrated += measured_distance;
         self.observations += 1;
     }
-}
-
-/// The odometer's complete state as checkpoint data (see
-/// [`Odometer::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OdometerCheckpoint {
-    /// Odometry noise parameters.
-    pub config: OdometryConfig,
-    /// Current dead-reckoned pose estimate.
-    pub estimate: Pose,
-    /// Total distance integrated so far, metres.
-    pub distance_integrated: f64,
-    /// Segments observed so far.
-    pub observations: u64,
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use cocoa_net::geometry::{Point, Vec2};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 /// Normalizes an angle to `(-π, π]`.
 ///
@@ -41,6 +42,13 @@ impl Pose {
             position,
             heading: normalize_angle(heading),
         }
+    }
+
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Pose { position, heading } = self;
+        position.code(c)?;
+        c.f64(heading)
     }
 
     /// A pose at `position` facing east.

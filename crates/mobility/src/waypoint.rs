@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::geometry::{Area, Point, Vec2};
 use cocoa_sim::dist::uniform;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::pose::{normalize_angle, Pose};
 
@@ -169,27 +170,21 @@ impl WaypointModel {
         self.legs_completed
     }
 
-    /// The model's complete state as checkpoint data.
-    pub fn checkpoint(&self) -> WaypointCheckpoint {
-        WaypointCheckpoint {
-            config: self.config,
-            pose: self.pose,
-            destination: self.destination,
-            speed: self.speed,
-            legs_completed: self.legs_completed,
-        }
-    }
-
-    /// Rebuilds a model from checkpointed state without consuming any RNG
-    /// draws (unlike [`WaypointModel::new`], which issues the first command).
-    pub fn from_checkpoint(c: WaypointCheckpoint) -> Self {
-        WaypointModel {
-            config: c.config,
-            pose: c.pose,
-            destination: c.destination,
-            speed: c.speed,
-            legs_completed: c.legs_completed,
-        }
+    /// The snapshot layout, decoded onto a model built with the same
+    /// configuration. Decoding consumes no RNG draws.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let WaypointModel {
+            pose,
+            destination,
+            speed,
+            legs_completed,
+            // The scenario's, set by the reader's constructor.
+            config: _,
+        } = self;
+        pose.code(c)?;
+        destination.code(c)?;
+        c.f64(speed)?;
+        c.u64(legs_completed)
     }
 
     /// Advances the robot by `dt` seconds and returns the new true pose.
@@ -244,22 +239,6 @@ impl WaypointModel {
         }
         self.pose
     }
-}
-
-/// The waypoint model's complete state as checkpoint data (see
-/// [`WaypointModel::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WaypointCheckpoint {
-    /// Movement-model configuration.
-    pub config: WaypointConfig,
-    /// Current true pose.
-    pub pose: Pose,
-    /// Current commanded destination.
-    pub destination: Point,
-    /// Current commanded speed, m/s.
-    pub speed: f64,
-    /// Waypoint legs completed so far.
-    pub legs_completed: u64,
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 use bytes::Bytes;
 
 use cocoa_net::packet::{GroupId, NodeId, Packet, Payload};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 
-use crate::mesh::{DedupCache, MeshStats};
+use crate::mesh::{code_round, DedupCache, MeshStats};
 use crate::odmrp::ProtocolAction;
 
 /// A blind-flooding node: rebroadcast every first copy of every data
@@ -83,21 +84,22 @@ impl FloodNode {
         self.stats.data_undecodable += 1;
     }
 
-    /// The node's mutable state as checkpoint data (identity fields are
-    /// reconstructed by the caller, which knows id/group/membership).
-    pub fn checkpoint(&self) -> FloodCheckpoint {
-        FloodCheckpoint {
-            seen: self.seen.entries().cloned().collect(),
-            next_seq: self.next_seq,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores checkpointed mutable state onto a freshly created node.
-    pub fn restore(&mut self, c: FloodCheckpoint) {
-        self.seen = DedupCache::from_entries(self.seen.retention(), c.seen);
-        self.next_seq = c.next_seq;
-        self.stats = c.stats;
+    /// The snapshot layout of the node's mutable state, decoded onto a
+    /// node built with the same identity.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let FloodNode {
+            seen,
+            next_seq,
+            stats,
+            // Identity and settings, set by the reader's constructor.
+            id: _,
+            group: _,
+            member: _,
+            jitter: _,
+        } = self;
+        seen.code(c, code_round)?;
+        c.u32(next_seq)?;
+        stats.code(c)
     }
 
     /// Handles a received packet: deliver once, rebroadcast once.
@@ -127,17 +129,6 @@ impl FloodNode {
         });
         actions
     }
-}
-
-/// A [`FloodNode`]'s mutable state as checkpoint data.
-#[derive(Debug, Clone, Default)]
-pub struct FloodCheckpoint {
-    /// Duplicate-suppression entries in insertion order.
-    pub seen: Vec<((NodeId, u32), SimTime)>,
-    /// Next originated sequence number.
-    pub next_seq: u32,
-    /// Protocol counters.
-    pub stats: MeshStats,
 }
 
 #[cfg(test)]

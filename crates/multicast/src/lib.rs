@@ -16,7 +16,8 @@
 //! - [`flood`]: the blind-flooding baseline behind the same sans-IO
 //!   interface;
 //! - [`protocol`]: the backend selector (`flood` / `odmrp` / `mrmm`)
-//!   shared by configuration, CLI and reporting.
+//!   shared by configuration, CLI and reporting, and the
+//!   [`protocol::MeshNode`] each backend runs.
 //!
 //! The node is sans-IO: it consumes packets and returns
 //! [`odmrp::ProtocolAction`]s; `cocoa-core`'s runner owns all timing.
@@ -36,5 +37,5 @@ pub mod prelude {
     pub use crate::mesh::{DedupCache, MeshStats};
     pub use crate::mrmm::{link_lifetime, MobilityInfo, PathScore, PruneConfig};
     pub use crate::odmrp::{OdmrpConfig, OdmrpNode, ProtocolAction};
-    pub use crate::protocol::MulticastProtocol;
+    pub use crate::protocol::{MeshNode, MulticastProtocol};
 }

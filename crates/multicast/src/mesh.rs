@@ -5,7 +5,19 @@ use std::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
+use cocoa_net::packet::NodeId;
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
+
+/// The snapshot layout of a `(source, seq)` round: the key of every
+/// duplicate cache and of ODMRP's query rounds.
+pub(crate) fn code_round(
+    c: &mut impl Codec,
+    (source, seq): &mut (NodeId, u32),
+) -> Result<(), SnapshotError> {
+    source.code(c)?;
+    c.u32(seq)
+}
 
 /// A time-bounded duplicate-suppression cache.
 ///
@@ -56,25 +68,33 @@ impl<K: Eq + Hash + Clone> DedupCache<K> {
         self.set.is_empty()
     }
 
-    /// The retention window.
-    pub fn retention(&self) -> SimDuration {
-        self.retention
-    }
-
-    /// The live entries in insertion order (checkpoint support).
-    pub fn entries(&self) -> impl Iterator<Item = &(K, SimTime)> {
-        self.order.iter()
-    }
-
-    /// Rebuilds a cache from checkpointed entries, which must be in the
-    /// insertion order [`DedupCache::entries`] yielded them in.
-    pub fn from_entries(retention: SimDuration, entries: Vec<(K, SimTime)>) -> Self {
-        let set = entries.iter().map(|(k, _)| k.clone()).collect();
-        DedupCache {
-            retention,
-            order: entries.into(),
+    /// The snapshot layout: the live entries in insertion order, each as
+    /// its key (coded by `key`) and insertion time. Decode onto a cache
+    /// built with the same retention; the lookup set is rebuilt from the
+    /// entries.
+    pub fn code<C: Codec>(
+        &mut self,
+        c: &mut C,
+        mut key: impl FnMut(&mut C, &mut K) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError>
+    where
+        K: Default,
+    {
+        let DedupCache {
+            order,
             set,
-        }
+            // The owner's configuration, set by the reader's constructor.
+            retention: _,
+        } = self;
+        let mut entries = Vec::from(std::mem::take(order));
+        let coded = c.vec(&mut entries, |c, (k, at)| {
+            key(c, k)?;
+            at.code(c)
+        });
+        set.clear();
+        set.extend(entries.iter().map(|(k, _)| k.clone()));
+        *order = entries.into();
+        coded
     }
 
     fn purge(&mut self, now: SimTime) {
@@ -118,6 +138,35 @@ pub struct MeshStats {
 }
 
 impl MeshStats {
+    /// The snapshot layout, in [`MeshStats::counters`] order; the run
+    /// metrics reuse it.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let MeshStats {
+            queries_originated,
+            queries_rebroadcast,
+            queries_suppressed,
+            replies_sent,
+            fg_activations,
+            data_originated,
+            data_forwarded,
+            data_delivered,
+            data_duplicates,
+            data_undecodable,
+        } = self;
+        c.u64s([
+            queries_originated,
+            queries_rebroadcast,
+            queries_suppressed,
+            replies_sent,
+            fg_activations,
+            data_originated,
+            data_forwarded,
+            data_delivered,
+            data_duplicates,
+            data_undecodable,
+        ])
+    }
+
     /// Adds another node's counters into this one.
     pub fn merge(&mut self, other: &MeshStats) {
         self.queries_originated += other.queries_originated;

@@ -13,6 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use cocoa_net::geometry::{Point, Vec2};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 /// The mobility knowledge a robot advertises in JOIN QUERY packets.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -140,6 +141,13 @@ pub struct PathScore {
 }
 
 impl PathScore {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let PathScore { lifetime, hops } = self;
+        c.f64(lifetime)?;
+        c.u8(hops)
+    }
+
     /// Whether this path beats `other` under MRMM's ordering.
     pub fn better_than(&self, other: &PathScore) -> bool {
         if (self.lifetime - other.lifetime).abs() > 1e-9 {
@@ -171,6 +179,16 @@ impl Default for PruneConfig {
 }
 
 impl PruneConfig {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let PruneConfig {
+            min_lifetime_s,
+            redundancy_threshold,
+        } = self;
+        c.f64(min_lifetime_s)?;
+        c.u32(redundancy_threshold)
+    }
+
     /// MRMM's pruning decision: should a node *suppress* its JOIN QUERY
     /// rebroadcast (drop out of the candidate forwarder set F)?
     pub fn should_prune(&self, best_lifetime_s: f64, copies_heard: u32) -> bool {

@@ -21,14 +21,16 @@
 //! actual radio.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use cocoa_net::packet::{GroupId, NodeId, Packet, Payload};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 
-use crate::mesh::{DedupCache, MeshStats};
+use crate::mesh::{code_round, DedupCache, MeshStats};
 use crate::mrmm::{link_lifetime, MobilityInfo, PathScore, PruneConfig};
 
 /// Protocol configuration, shared by plain ODMRP and MRMM nodes (the
@@ -54,6 +56,30 @@ pub struct OdmrpConfig {
     pub prune: PruneConfig,
     /// Duplicate-cache retention.
     pub dedup_retention: SimDuration,
+}
+
+impl OdmrpConfig {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let OdmrpConfig {
+            max_hops,
+            fg_timeout,
+            reply_delay,
+            rebroadcast_jitter,
+            range_m,
+            lifetime_horizon_s,
+            prune,
+            dedup_retention,
+        } = self;
+        c.u8(max_hops)?;
+        fg_timeout.code(c)?;
+        reply_delay.code(c)?;
+        rebroadcast_jitter.code(c)?;
+        c.f64(range_m)?;
+        c.f64(lifetime_horizon_s)?;
+        prune.code(c)?;
+        dedup_retention.code(c)
+    }
 }
 
 impl Default for OdmrpConfig {
@@ -110,7 +136,7 @@ pub enum ProtocolAction {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct RouteEntry {
     prev_hop: NodeId,
     hops: u8,
@@ -118,11 +144,58 @@ struct RouteEntry {
     seq: u32,
 }
 
+impl RouteEntry {
+    fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let RouteEntry {
+            prev_hop,
+            hops,
+            score,
+            seq,
+        } = self;
+        prev_hop.code(c)?;
+        c.u8(hops)?;
+        score.code(c)?;
+        c.u32(seq)
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct QueryRound {
     copies: u32,
     reply_scheduled: bool,
     rebroadcast_scheduled: bool,
+}
+
+impl QueryRound {
+    fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let QueryRound {
+            copies,
+            reply_scheduled,
+            rebroadcast_scheduled,
+        } = self;
+        c.u32(copies)?;
+        c.bool(reply_scheduled)?;
+        c.bool(rebroadcast_scheduled)
+    }
+}
+
+/// The snapshot layout of a hash map: its entries sorted by key, so the
+/// bytes do not depend on hash order. The reader collects them back.
+fn code_map<C: Codec, K: Copy + Default + Ord + Hash, V: Clone + Default>(
+    c: &mut C,
+    map: &mut HashMap<K, V>,
+    mut entry: impl FnMut(&mut C, &mut K, &mut V) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    c.via(
+        map,
+        |m| {
+            let mut entries: Vec<(K, V)> = m.iter().map(|(&k, v)| (k, v.clone())).collect();
+            entries.sort_unstable_by_key(|&(k, _)| k);
+            entries
+        },
+        |c, entries| c.vec(entries, |c, (k, v)| entry(c, k, v)),
+        |entries| Ok(entries.into_iter().collect()),
+    )
 }
 
 /// One node's ODMRP/MRMM state.
@@ -247,90 +320,45 @@ impl OdmrpNode {
         )
     }
 
-    /// The node's mutable state as checkpoint data. All map-backed state
-    /// is emitted sorted by key, so identical nodes always produce
-    /// identical checkpoints regardless of hash-map iteration order.
-    pub fn checkpoint(&self) -> OdmrpCheckpoint {
-        let mut routes: Vec<RouteCheckpoint> = self
-            .routes
-            .iter()
-            .map(|(&source, e)| RouteCheckpoint {
-                source,
-                prev_hop: e.prev_hop,
-                hops: e.hops,
-                score: e.score,
-                seq: e.seq,
-            })
-            .collect();
-        routes.sort_by_key(|r| r.source.0);
-        let mut rounds: Vec<RoundCheckpoint> = self
-            .rounds
-            .iter()
-            .map(|(&(source, seq), r)| RoundCheckpoint {
-                source,
-                seq,
-                copies: r.copies,
-                reply_scheduled: r.reply_scheduled,
-                rebroadcast_scheduled: r.rebroadcast_scheduled,
-            })
-            .collect();
-        rounds.sort_by_key(|r| (r.source.0, r.seq));
-        let mut last_reply_propagated: Vec<(NodeId, SimTime)> = self
-            .last_reply_propagated
-            .iter()
-            .map(|(&n, &t)| (n, t))
-            .collect();
-        last_reply_propagated.sort_by_key(|&(n, _)| n.0);
-        OdmrpCheckpoint {
-            fg_until: self.fg_until,
+    /// The snapshot layout of the node's mutable state, decoded onto a
+    /// node built with the same identity, variant and configuration. The
+    /// hash maps are stored sorted by key, so identical nodes always code
+    /// to identical bytes.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let OdmrpNode {
+            fg_until,
             routes,
             rounds,
-            seen_queries: self.seen_queries.entries().cloned().collect(),
-            seen_data: self.seen_data.entries().cloned().collect(),
+            seen_queries,
+            seen_data,
             last_reply_propagated,
-            next_seq: self.next_seq,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores checkpointed mutable state onto a freshly created node
-    /// (identity, variant and configuration come from its constructor).
-    pub fn restore(&mut self, c: OdmrpCheckpoint) {
-        self.fg_until = c.fg_until;
-        self.routes = c
-            .routes
-            .into_iter()
-            .map(|r| {
-                (
-                    r.source,
-                    RouteEntry {
-                        prev_hop: r.prev_hop,
-                        hops: r.hops,
-                        score: r.score,
-                        seq: r.seq,
-                    },
-                )
-            })
-            .collect();
-        self.rounds = c
-            .rounds
-            .into_iter()
-            .map(|r| {
-                (
-                    (r.source, r.seq),
-                    QueryRound {
-                        copies: r.copies,
-                        reply_scheduled: r.reply_scheduled,
-                        rebroadcast_scheduled: r.rebroadcast_scheduled,
-                    },
-                )
-            })
-            .collect();
-        self.seen_queries = DedupCache::from_entries(self.config.dedup_retention, c.seen_queries);
-        self.seen_data = DedupCache::from_entries(self.config.dedup_retention, c.seen_data);
-        self.last_reply_propagated = c.last_reply_propagated.into_iter().collect();
-        self.next_seq = c.next_seq;
-        self.stats = c.stats;
+            next_seq,
+            stats,
+            // Identity, variant and settings, set by the reader's
+            // constructor.
+            id: _,
+            group: _,
+            member: _,
+            mrmm: _,
+            config: _,
+        } = self;
+        c.opt(fg_until, |c, t| t.code(c))?;
+        code_map(c, routes, |c, source, route| {
+            source.code(c)?;
+            route.code(c)
+        })?;
+        code_map(c, rounds, |c, key, round| {
+            code_round(c, key)?;
+            round.code(c)
+        })?;
+        seen_queries.code(c, code_round)?;
+        seen_data.code(c, code_round)?;
+        code_map(c, last_reply_propagated, |c, source, at| {
+            source.code(c)?;
+            at.code(c)
+        })?;
+        c.u32(next_seq)?;
+        stats.code(c)
     }
 
     /// Handles a received packet; returns the actions the runner must
@@ -580,58 +608,6 @@ impl OdmrpNode {
         }
         actions
     }
-}
-
-/// One reverse-path route as checkpoint data.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RouteCheckpoint {
-    /// The mesh source the route leads to.
-    pub source: NodeId,
-    /// Reverse-path predecessor.
-    pub prev_hop: NodeId,
-    /// Hop count from the source.
-    pub hops: u8,
-    /// MRMM path score.
-    pub score: PathScore,
-    /// Query round that installed the route.
-    pub seq: u32,
-}
-
-/// One query round's bookkeeping as checkpoint data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundCheckpoint {
-    /// Query source.
-    pub source: NodeId,
-    /// Query round.
-    pub seq: u32,
-    /// Copies of the query heard so far.
-    pub copies: u32,
-    /// Whether a reply was already scheduled.
-    pub reply_scheduled: bool,
-    /// Whether a rebroadcast was already scheduled.
-    pub rebroadcast_scheduled: bool,
-}
-
-/// An [`OdmrpNode`]'s mutable state as checkpoint data (see
-/// [`OdmrpNode::checkpoint`]). Map-backed fields are sorted by key.
-#[derive(Debug, Clone, Default)]
-pub struct OdmrpCheckpoint {
-    /// Forwarding-group flag expiry, if set.
-    pub fg_until: Option<SimTime>,
-    /// Reverse-path routes, sorted by source id.
-    pub routes: Vec<RouteCheckpoint>,
-    /// Per-round bookkeeping, sorted by (source id, seq).
-    pub rounds: Vec<RoundCheckpoint>,
-    /// Query duplicate-suppression entries in insertion order.
-    pub seen_queries: Vec<((NodeId, u32), SimTime)>,
-    /// Data duplicate-suppression entries in insertion order.
-    pub seen_data: Vec<((NodeId, u32), SimTime)>,
-    /// Last reply-propagation time per source, sorted by source id.
-    pub last_reply_propagated: Vec<(NodeId, SimTime)>,
-    /// Next originated sequence number.
-    pub next_seq: u32,
-    /// Protocol counters.
-    pub stats: MeshStats,
 }
 
 #[cfg(test)]

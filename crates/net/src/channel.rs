@@ -17,6 +17,7 @@
 //! localization algorithm never sees the model parameters directly.
 
 use cocoa_sim::dist::{Exponential, Normal};
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +44,31 @@ pub enum PathLossModel {
     },
 }
 
+/// One placeholder per variant; the order is the snapshot tag.
+const PATH_LOSS_MODELS: [PathLossModel; 2] = [
+    PathLossModel::LogDistance { exponent: 0.0 },
+    PathLossModel::TwoRayGround {
+        antenna_height_m: 0.0,
+        wavelength_m: 0.0,
+    },
+];
+
 impl PathLossModel {
+    /// The snapshot layout: a tag, then the variant's fields.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.tag(&PATH_LOSS_MODELS, self, "path-loss model")?;
+        match self {
+            PathLossModel::LogDistance { exponent } => c.f64(exponent),
+            PathLossModel::TwoRayGround {
+                antenna_height_m,
+                wavelength_m,
+            } => {
+                c.f64(antenna_height_m)?;
+                c.f64(wavelength_m)
+            }
+        }
+    }
+
     /// Path loss relative to 1 m, dB, at distance `d`.
     fn excess_loss_db(&self, d: f64) -> f64 {
         match *self {
@@ -111,6 +136,32 @@ pub struct ChannelParams {
 }
 
 impl ChannelParams {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let ChannelParams {
+            tx_power_dbm,
+            path_loss_1m_db,
+            path_loss,
+            shadowing_sigma_db,
+            shadowing_sigma_slope_db_per_m,
+            multipath_onset_m,
+            multipath_fade_prob,
+            multipath_fade_mean_db,
+            sensitivity_dbm,
+        } = self;
+        c.f64(tx_power_dbm)?;
+        c.f64(path_loss_1m_db)?;
+        path_loss.code(c)?;
+        c.f64s([
+            shadowing_sigma_db,
+            shadowing_sigma_slope_db_per_m,
+            multipath_onset_m,
+            multipath_fade_prob,
+            multipath_fade_mean_db,
+            sensitivity_dbm,
+        ])
+    }
+
     /// Checks that every parameter is finite and within its physical
     /// range: positive path-loss parameters, multipath onset and fade
     /// mean; non-negative shadowing; a fade probability within `[0, 1]`.

@@ -17,6 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::SimDuration;
 
 /// Energy model parameters (defaults follow Feeney & Nilsson's broadcast
@@ -54,6 +55,28 @@ impl Default for EnergyParams {
 }
 
 impl EnergyParams {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let EnergyParams {
+            idle_mw,
+            sleep_mw,
+            tx_uj_per_byte,
+            tx_uj_fixed,
+            rx_uj_per_byte,
+            rx_uj_fixed,
+            wake_uj,
+        } = self;
+        c.f64s([
+            idle_mw,
+            sleep_mw,
+            tx_uj_per_byte,
+            tx_uj_fixed,
+            rx_uj_per_byte,
+            rx_uj_fixed,
+            wake_uj,
+        ])
+    }
+
     /// Incremental energy of broadcasting a packet of `bytes`, microjoules.
     pub fn tx_cost_uj(&self, bytes: usize) -> f64 {
         self.tx_uj_per_byte * bytes as f64 + self.tx_uj_fixed
@@ -78,6 +101,9 @@ pub enum PowerState {
 }
 
 impl PowerState {
+    /// Every state, in order; the order is the snapshot tag.
+    pub const ALL: [PowerState; 3] = [PowerState::Off, PowerState::Sleep, PowerState::Idle];
+
     /// Stable machine name of this state (telemetry event field).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -107,6 +133,18 @@ impl EnergyLedger {
     /// A zeroed ledger.
     pub fn new() -> Self {
         EnergyLedger::default()
+    }
+
+    /// The snapshot layout; the run metrics reuse it.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let EnergyLedger {
+            tx_uj,
+            rx_uj,
+            idle_uj,
+            sleep_uj,
+            wake_uj,
+        } = self;
+        c.f64s([tx_uj, rx_uj, idle_uj, sleep_uj, wake_uj])
     }
 
     /// Charges a broadcast transmission of `bytes`.

@@ -7,6 +7,8 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 use serde::{Deserialize, Serialize};
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
+
 /// A point in the deployment plane, metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Point {
@@ -32,6 +34,13 @@ impl Point {
     /// Creates a point from coordinates.
     pub const fn new(x: f64, y: f64) -> Self {
         Point { x, y }
+    }
+
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Point { x, y } = self;
+        c.f64(x)?;
+        c.f64(y)
     }
 
     /// Euclidean distance to `other`.
@@ -180,6 +189,17 @@ pub struct Area {
 }
 
 impl Area {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Area {
+            x_min,
+            x_max,
+            y_min,
+            y_max,
+        } = self;
+        c.f64s([x_min, x_max, y_min, y_max])
+    }
+
     /// Creates an area from its bounds.
     ///
     /// # Panics

@@ -22,6 +22,7 @@
 //! that overlap its airtime, and each receiver is then judged against
 //! those alone, its RSSI in each found by binary search.
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 
 use crate::geometry::Point;
@@ -43,6 +44,12 @@ impl TxId {
     pub const fn from_raw(v: u64) -> Self {
         TxId(v)
     }
+
+    /// The snapshot layout: the allocation counter value.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let TxId(raw) = self;
+        c.u64(raw)
+    }
 }
 
 /// The classic 802.11 capture threshold, dB: a frame is decodable in the
@@ -51,7 +58,7 @@ pub const DEFAULT_CAPTURE_MARGIN_DB: f64 = 10.0;
 
 /// One frame on the medium: its airtime, its packet and the RSSI sampled
 /// at each receiver that heard it. The frame's receivers are exactly the
-/// receivers in `heard`, so it is also the medium's checkpoint data.
+/// receivers in `heard`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Frame {
     /// The transmission's id.
@@ -72,6 +79,29 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Frame {
+            id,
+            src,
+            src_pos,
+            start,
+            end,
+            packet,
+            heard,
+        } = self;
+        id.code(c)?;
+        src.code(c)?;
+        src_pos.code(c)?;
+        start.code(c)?;
+        end.code(c)?;
+        packet.code(c)?;
+        c.vec(heard, |c, (rx, dbm)| {
+            rx.code(c)?;
+            c.f64(&mut dbm.0)
+        })
+    }
+
     /// Whether this frame is on the air during part of `[start, end)`.
     fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.start < end && self.end > start
@@ -306,55 +336,66 @@ impl Medium {
         self.total_half_duplex
     }
 
-    /// The medium's complete state as checkpoint data.
-    pub fn state(&self) -> MediumState {
-        MediumState {
-            active: self.active.clone(),
-            capture_margin_db: self.capture_margin_db,
-            retention: self.retention,
-            next_id: self.next_id,
-            total_tx: self.total_tx,
-            total_collisions: self.total_collisions,
-            total_half_duplex: self.total_half_duplex,
-        }
+    /// The frames on the air or recently ended, in increasing id order.
+    pub fn frames(&self) -> &[Frame] {
+        &self.active
     }
 
-    /// Rebuilds a medium from checkpointed state. `state` must keep the
-    /// orders [`MediumState`] documents, as [`Medium::state`] writes them;
-    /// snapshot decoding rejects a state that does not.
-    pub fn from_state(state: MediumState) -> Self {
-        Medium {
-            active: state.active,
-            capture_margin_db: state.capture_margin_db,
-            retention: state.retention,
-            next_id: state.next_id,
-            total_tx: state.total_tx,
-            total_collisions: state.total_collisions,
-            total_half_duplex: state.total_half_duplex,
-            overlapping: Vec::new(),
-        }
+    /// The id the next transmission will get, as its raw value.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
     }
-}
 
-/// The medium's complete state as checkpoint data (see [`Medium::state`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MediumState {
-    /// Frames on the air or recently ended, in registration order: ids
-    /// strictly increasing, each below `next_id`, and each frame's
-    /// receivers strictly increasing.
-    pub active: Vec<Frame>,
-    /// Capture margin, dB.
-    pub capture_margin_db: f64,
-    /// How long ended frames are retained for late judgements.
-    pub retention: SimDuration,
-    /// Next [`TxId`] to allocate.
-    pub next_id: u64,
-    /// Transmissions ever registered.
-    pub total_tx: u64,
-    /// Reception attempts judged collided or half-duplex.
-    pub total_collisions: u64,
-    /// The half-duplex subset of the collision total.
-    pub total_half_duplex: u64,
+    /// The snapshot layout. The reader rejects what [`Medium::judge`]'s
+    /// binary searches could not work on: frame ids not strictly
+    /// increasing or not below the next id to allocate, and a frame's
+    /// receivers not strictly increasing.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Medium {
+            active,
+            capture_margin_db,
+            retention,
+            next_id,
+            total_tx,
+            total_collisions,
+            total_half_duplex,
+            // A buffer reused across judgements.
+            overlapping: _,
+        } = self;
+        c.f64(capture_margin_db)?;
+        retention.code(c)?;
+        c.u64s([next_id, total_tx, total_collisions, total_half_duplex])?;
+        c.vec(active, |c, frame| frame.code(c))?;
+        if let Some(pair) = active.windows(2).find(|w| w[0].id >= w[1].id) {
+            return Err(SnapshotError::malformed(format!(
+                "medium frame ids are not strictly increasing: {} then {}",
+                pair[0].id.raw(),
+                pair[1].id.raw()
+            )));
+        }
+        if let Some(last) = active.last().filter(|f| f.id.raw() >= *next_id) {
+            return Err(SnapshotError::malformed(format!(
+                "medium frame id {} is not below the next id {next_id}",
+                last.id.raw()
+            )));
+        }
+        for frame in active.iter() {
+            if let Some(pair) = frame.heard.windows(2).find(|w| w[0].0 >= w[1].0) {
+                let what = if pair[0].0 == pair[1].0 {
+                    "duplicated"
+                } else {
+                    "out of order"
+                };
+                return Err(SnapshotError::malformed(format!(
+                    "medium frame {} RSSI records {what}: receiver {} then {}",
+                    frame.id.raw(),
+                    pair[0].0 .0,
+                    pair[1].0 .0
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -527,7 +568,15 @@ mod tests {
         let mut verdicts = vec![(NodeId(2), ReceptionOutcome::HalfDuplex)];
         assert_eq!(m.judge(a, &mut verdicts), None);
         assert!(verdicts.is_empty());
-        assert!(m.state().active.is_empty());
+        assert!(m.frames().is_empty());
+    }
+
+    /// Encodes `m` and decodes the bytes onto a new medium.
+    fn round_trip(m: &mut Medium) -> (Vec<u8>, Medium) {
+        let bytes = cocoa_sim::snapshot::encode(|c| m.code(c));
+        let mut r = Medium::new();
+        cocoa_sim::snapshot::decode(&bytes, "medium", |c| r.code(c)).expect("own bytes decode");
+        (bytes, r)
     }
 
     #[test]
@@ -535,8 +584,8 @@ mod tests {
         let mut m = Medium::new();
         let a = send(&mut m, 1, 0, &[(3, -60.0), (5, -70.0)]);
         let b = send(&mut m, 2, 100, &[(3, -62.0)]);
-        let mut r = Medium::from_state(m.state());
-        assert_eq!(r.state(), m.state());
+        let (bytes, mut r) = round_trip(&mut m);
+        assert_eq!(round_trip(&mut r).0, bytes);
         for (tx, rx) in [(a, 3), (a, 5), (b, 3)] {
             assert_eq!(judge_at(&mut m, tx, rx), judge_at(&mut r, tx, rx));
         }

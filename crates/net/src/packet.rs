@@ -15,6 +15,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
+
 use crate::geometry::Point;
 
 /// IP header size used for wire-size accounting, bytes (paper Section 2.3).
@@ -28,6 +30,14 @@ pub const UDP_HEADER_BYTES: usize = 20;
     Debug, Clone, Copy, PartialEq, Eq, Default, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
 pub struct NodeId(pub u32);
+
+impl NodeId {
+    /// The snapshot layout: the id's `u32`.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let NodeId(id) = self;
+        c.u32(id)
+    }
+}
 
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -165,6 +175,21 @@ impl Packet {
     /// Creates a packet.
     pub fn new(src: NodeId, seq: u32, payload: Payload) -> Self {
         Packet { src, seq, payload }
+    }
+
+    /// The snapshot layout: the on-air bytes ([`Packet::encode`]) as a
+    /// blob. Bytes [`Packet::decode`] refuses are malformed.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.via(
+            self,
+            |p| p.encode().to_vec(),
+            Codec::bytes,
+            |raw| {
+                Packet::decode(Bytes::from(raw)).map_err(|e| {
+                    SnapshotError::malformed(format!("undecodable packet in snapshot: {e:?}"))
+                })
+            },
+        )
     }
 
     /// Serializes to the on-air byte representation (excluding the IP/UDP

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use cocoa_sim::snapshot::{Codec, SnapshotError};
 use cocoa_sim::time::{SimDuration, SimTime};
 
 use crate::energy::{EnergyLedger, EnergyParams, PowerState};
@@ -60,6 +61,12 @@ impl Radio {
     /// Current power state.
     pub fn state(&self) -> PowerState {
         self.state
+    }
+
+    /// When the radio entered its current state: the instant energy
+    /// accrues from.
+    pub fn since(&self) -> SimTime {
+        self.since
     }
 
     /// Whether the radio can currently detect incoming packets.
@@ -166,53 +173,28 @@ impl Radio {
         &self.params
     }
 
-    /// The radio's complete state as checkpoint data.
-    pub fn checkpoint(&self) -> RadioCheckpoint {
-        RadioCheckpoint {
-            params: self.params,
-            state: self.state,
-            since: self.since,
-            ledger: self.ledger,
-            wakes: self.wakes,
-            packets_sent: self.packets_sent,
-            packets_received: self.packets_received,
-        }
+    /// The snapshot layout, decoded onto a radio built with the same
+    /// energy parameters. A decoded radio resumes mid-accrual: the ledger
+    /// and the `since` anchor continue the exact interval sums of the
+    /// original (bit-identical energy totals, see [`Radio::peek_ledger`]).
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Radio {
+            state,
+            since,
+            ledger,
+            wakes,
+            packets_sent,
+            packets_received,
+            // The scenario's, set by the reader's constructor.
+            params: _,
+        } = self;
+        c.tag(&PowerState::ALL, state, "power state")?;
+        since.code(c)?;
+        ledger.code(c)?;
+        c.u32(wakes)?;
+        c.u32(packets_sent)?;
+        c.u32(packets_received)
     }
-
-    /// Rebuilds a radio from checkpointed state, mid-accrual: the ledger
-    /// and `since` anchor continue the exact interval sums of the original
-    /// (bit-identical energy totals, see [`Radio::peek_ledger`]).
-    pub fn from_checkpoint(c: RadioCheckpoint) -> Self {
-        Radio {
-            params: c.params,
-            state: c.state,
-            since: c.since,
-            ledger: c.ledger,
-            wakes: c.wakes,
-            packets_sent: c.packets_sent,
-            packets_received: c.packets_received,
-        }
-    }
-}
-
-/// The radio's complete state as checkpoint data (see
-/// [`Radio::checkpoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RadioCheckpoint {
-    /// Energy model parameters.
-    pub params: EnergyParams,
-    /// Current power state.
-    pub state: PowerState,
-    /// Time of the last state transition (accrual anchor).
-    pub since: SimTime,
-    /// Energy accrued so far.
-    pub ledger: EnergyLedger,
-    /// Wake-up transitions so far.
-    pub wakes: u32,
-    /// Packets sent so far.
-    pub packets_sent: u32,
-    /// Packets received so far.
-    pub packets_received: u32,
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use bytes::Bytes;
 use cocoa_net::prelude::*;
 use cocoa_sim::rng::SeedSplitter;
+use cocoa_sim::snapshot;
 use cocoa_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -165,8 +166,8 @@ impl OracleMedium {
         }
     }
 
-    /// Every frame as `(id, src, start, end)`, the part of a
-    /// `MediumState`'s frames it models.
+    /// Every frame as `(id, src, start, end)`, the part of
+    /// `Medium::frames` it models.
     fn frames(&self) -> Vec<(TxId, NodeId, SimTime, SimTime)> {
         self.active
             .iter()
@@ -174,8 +175,8 @@ impl OracleMedium {
             .collect()
     }
 
-    /// Every RSSI record, sorted by `(tx, rx)` as walking a `MediumState`'s
-    /// frames and their receivers lists them.
+    /// Every RSSI record, sorted by `(tx, rx)` as walking
+    /// `Medium::frames` and their receivers lists them.
     fn rssi_records(&self) -> Vec<(TxId, NodeId, Dbm)> {
         let mut rssi: Vec<_> = self
             .rssi
@@ -443,22 +444,25 @@ proptest! {
             }
             prop_assert_eq!(m.collisions(), oracle.total_collisions);
             prop_assert_eq!(m.half_duplex(), oracle.total_half_duplex);
-            let state = m.state();
-            let frames: Vec<_> = state
-                .active
+            let frames: Vec<_> = m
+                .frames()
                 .iter()
                 .map(|t| (t.id, t.src, t.start, t.end))
                 .collect();
             prop_assert_eq!(frames, oracle.frames());
-            let rssi: Vec<_> = state
-                .active
+            let rssi: Vec<_> = m
+                .frames()
                 .iter()
                 .flat_map(|t| t.heard.iter().map(|&(rx, dbm)| (t.id, rx, dbm)))
                 .collect();
             prop_assert_eq!(rssi, oracle.rssi_records());
-            prop_assert_eq!(state.next_id, oracle.next_id);
-            // A restored medium carries the same state on.
-            prop_assert_eq!(Medium::from_state(state.clone()).state(), state);
+            prop_assert_eq!(m.next_id(), oracle.next_id);
+            // A decoded medium carries the same state on: decoding the
+            // bytes onto a new medium and encoding it again gives them back.
+            let bytes = snapshot::encode(|c| m.code(c));
+            let mut decoded = Medium::new();
+            snapshot::decode(&bytes, "medium", |c| decoded.code(c)).expect("own bytes decode");
+            prop_assert_eq!(snapshot::encode(|c| decoded.code(c)), bytes);
         }
     }
 

@@ -18,6 +18,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::snapshot::{Codec, SnapshotError};
 use crate::time::{SimDuration, SimTime};
 
 /// One injectable fault, interpreted by the simulation runner.
@@ -81,7 +82,58 @@ pub enum Fault {
     BurstLossEnd,
 }
 
+/// Placeholder model of [`FAULTS`]' burst-loss entry.
+const GILBERT: GilbertElliott = GilbertElliott {
+    p_enter_bad: 0.0,
+    p_exit_bad: 0.0,
+    loss_good: 0.0,
+    loss_bad: 0.0,
+};
+
+/// One placeholder per variant; the order is the snapshot tag.
+const FAULTS: [Fault; 9] = [
+    Fault::Crash { robot: 0 },
+    Fault::Reboot { robot: 0 },
+    Fault::ClockSkewStep {
+        robot: 0,
+        delta_ppm: 0.0,
+    },
+    Fault::GarbleTxStart { robot: 0 },
+    Fault::GarbleTxEnd { robot: 0 },
+    Fault::BeaconOffsetStart {
+        robot: 0,
+        dx_m: 0.0,
+        dy_m: 0.0,
+    },
+    Fault::BeaconOffsetEnd { robot: 0 },
+    Fault::BurstLossStart { model: GILBERT },
+    Fault::BurstLossEnd,
+];
+
 impl Fault {
+    /// The snapshot layout: a tag, then the variant's fields.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.tag(&FAULTS, self, "fault")?;
+        match self {
+            Fault::Crash { robot }
+            | Fault::Reboot { robot }
+            | Fault::GarbleTxStart { robot }
+            | Fault::GarbleTxEnd { robot }
+            | Fault::BeaconOffsetEnd { robot } => c.usize(robot),
+            Fault::ClockSkewStep { robot, delta_ppm } => {
+                c.usize(robot)?;
+                c.f64(delta_ppm)
+            }
+            Fault::BeaconOffsetStart { robot, dx_m, dy_m } => {
+                c.usize(robot)?;
+                c.f64(dx_m)?;
+                c.f64(dy_m)
+            }
+            Fault::BurstLossStart { model } => model.code(c),
+            Fault::BurstLossEnd => Ok(()),
+        }
+    }
+
     /// The robot index this fault targets, if it targets one.
     pub fn robot(&self) -> Option<usize> {
         match self {
@@ -104,6 +156,15 @@ pub struct FaultEvent {
     pub at: SimTime,
     /// What happens.
     pub fault: Fault,
+}
+
+impl FaultEvent {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let FaultEvent { at, fault } = self;
+        at.code(c)?;
+        fault.code(c)
+    }
 }
 
 /// An ordered, validated schedule of faults for one run.
@@ -137,6 +198,24 @@ impl FaultPlan {
     /// Creates an empty plan (the benign baseline).
     pub fn new() -> Self {
         FaultPlan::default()
+    }
+
+    /// The snapshot layout: the schedule's events. The reader schedules
+    /// them one by one, so its plan is sorted whatever order they were
+    /// stored in.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.via(
+            self,
+            |plan| plan.events.clone(),
+            |c, events| c.vec(events, |c, e| e.code(c)),
+            |events| {
+                let mut plan = FaultPlan::new();
+                for e in events {
+                    plan.schedule(e.at, e.fault);
+                }
+                Ok(plan)
+            },
+        )
     }
 
     /// Whether the plan injects nothing.
@@ -338,6 +417,17 @@ impl GilbertElliott {
         (1.0 - b) * self.loss_good + b * self.loss_bad
     }
 
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let GilbertElliott {
+            p_enter_bad,
+            p_exit_bad,
+            loss_good,
+            loss_bad,
+        } = self;
+        c.f64s([p_enter_bad, p_exit_bad, loss_good, loss_bad])
+    }
+
     /// Checks that every parameter is a probability.
     ///
     /// # Errors
@@ -376,19 +466,11 @@ impl GilbertElliottLink {
         }
     }
 
-    /// Rebuilds a link mid-burst (checkpoint restore).
-    pub fn with_state(model: GilbertElliott, in_bad: bool) -> Self {
-        GilbertElliottLink { model, in_bad }
-    }
-
-    /// The loss model this link evolves under.
-    pub fn model(&self) -> GilbertElliott {
-        self.model
-    }
-
-    /// Whether the link is currently in the bad (bursting) state.
-    pub fn in_bad(&self) -> bool {
-        self.in_bad
+    /// The snapshot layout: the model, then whether the link is bursting.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let GilbertElliottLink { model, in_bad } = self;
+        model.code(c)?;
+        c.bool(in_bad)
     }
 
     /// Advances the chain one attempt and decides whether it is lost.

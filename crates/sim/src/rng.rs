@@ -8,12 +8,30 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::snapshot::{Codec, SnapshotError};
+
 /// The RNG handed to every model component.
 ///
 /// `StdRng` (ChaCha-based) is specified to be reproducible across platforms
 /// and `rand` patch releases, which is what makes the figures in
 /// EXPERIMENTS.md bit-reproducible.
 pub type DetRng = StdRng;
+
+/// The snapshot layout of a stream: its four state words. The all-zero
+/// state, which no stream can reach, is malformed.
+pub fn code(c: &mut impl Codec, r: &mut DetRng) -> Result<(), SnapshotError> {
+    c.via(
+        r,
+        DetRng::state,
+        |c, words| words.iter_mut().try_for_each(|w| c.u64(w)),
+        |words| match words {
+            [0, 0, 0, 0] => Err(SnapshotError::malformed(
+                "rng stream has the all-zero state",
+            )),
+            _ => Ok(DetRng::from_state(words)),
+        },
+    )
+}
 
 /// SplitMix64 finalizer; a high-quality 64-bit mixing function.
 fn splitmix64(mut z: u64) -> u64 {

@@ -24,8 +24,9 @@
 //! within a schema version while *reinterpreting* one requires a version
 //! bump.
 //!
-//! A section's payload is written and read by one layout function
-//! generic over [`Codec`], so its two directions cannot drift apart.
+//! A section's payload is written and read by one layout generic over
+//! [`Codec`], so its two directions cannot drift apart. Each stateful
+//! type carries its own layout as a `code` method beside its fields.
 //! Every decode error is a typed [`SnapshotError`]; feeding this module
 //! truncated or corrupted bytes must never panic.
 //!
@@ -151,6 +152,15 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl SnapshotError {
+    /// A [`SnapshotError::Malformed`] with `context` as its description.
+    pub fn malformed(context: impl Into<String>) -> Self {
+        SnapshotError::Malformed {
+            context: context.into(),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3 polynomial, zlib's values), slicing-by-16 over
@@ -354,7 +364,7 @@ pub trait Codec: Sized {
         *v = match b {
             0 => false,
             1 => true,
-            other => return Err(malformed(format!("bool byte {other}"))),
+            other => return Err(SnapshotError::malformed(format!("bool byte {other}"))),
         };
         Ok(())
     }
@@ -364,8 +374,9 @@ pub trait Codec: Sized {
     fn usize(&mut self, v: &mut usize) -> Result<(), SnapshotError> {
         let mut wide = *v as u64;
         self.u64(&mut wide)?;
-        *v = usize::try_from(wide)
-            .map_err(|_| malformed(format!("usize {wide} overflows the platform word")))?;
+        *v = usize::try_from(wide).map_err(|_| {
+            SnapshotError::malformed(format!("usize {wide} overflows the platform word"))
+        })?;
         Ok(())
     }
 
@@ -457,18 +468,17 @@ pub trait Codec: Sized {
             *v = variants
                 .get(usize::from(tag))
                 .cloned()
-                .ok_or_else(|| malformed(format!("unknown {what} tag {tag}")))?;
+                .ok_or_else(|| SnapshotError::malformed(format!("unknown {what} tag {tag}")))?;
         }
         Ok(())
     }
 
-    /// A value kept behind a save/restore pair (private state, foreign
-    /// types): the writer codes `save(v)`; the reader codes into `save(v)`
-    /// of the value `v` it was given and replaces `v` with `load` of the
-    /// result, which is where decode-side consistency checks go. A field
-    /// the layout leaves out keeps the reader's value, so state derived
-    /// from elsewhere (a scenario setting) is set on `v` before decoding
-    /// and never stored.
+    /// A value stored in another form: the writer codes `save(v)`; the
+    /// reader codes into `save(v)` of the value `v` it was given and
+    /// replaces `v` with `load` of the result, which may reject it. For
+    /// value conversions only (a packet as its on-air bytes, a hash map
+    /// as its entries sorted by key); a component's state is coded in
+    /// place by its own layout.
     fn via<T, S>(
         &mut self,
         v: &mut T,
@@ -483,10 +493,6 @@ pub trait Codec: Sized {
         }
         Ok(())
     }
-}
-
-fn malformed(context: String) -> SnapshotError {
-    SnapshotError::Malformed { context }
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -566,8 +572,9 @@ impl<'a> Decoder<'a> {
         let mut len = 0u32;
         self.u32(&mut len)?;
         let bytes = self.r.take(len as usize)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| malformed(format!("non-UTF-8 string in {}", self.r.context)))
+        std::str::from_utf8(bytes).map_err(|_| {
+            SnapshotError::malformed(format!("non-UTF-8 string in {}", self.r.context))
+        })
     }
 }
 

@@ -54,12 +54,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::jsonfmt::write_opt_f64;
+use crate::snapshot::{Codec, SnapshotError};
 use crate::time::{SimDuration, SimTime};
 
 pub mod export;
 pub mod hist;
 
-use hist::{HistId, HistSnapshot, Histogram, HistogramRegistry};
+use hist::{HistId, HistogramRegistry};
 
 /// Version of the JSONL trace schema emitted by [`Telemetry::to_jsonl`].
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
@@ -80,6 +81,14 @@ pub enum TelemetryLevel {
 }
 
 impl TelemetryLevel {
+    /// Every level, in order; the order is the snapshot tag.
+    pub const ALL: [TelemetryLevel; 4] = [
+        TelemetryLevel::Off,
+        TelemetryLevel::Counters,
+        TelemetryLevel::Timeline,
+        TelemetryLevel::Full,
+    ];
+
     /// Parses the CLI spelling of a level.
     pub fn parse(s: &str) -> Option<TelemetryLevel> {
         match s {
@@ -287,7 +296,190 @@ impl Default for TelemetryEvent {
     }
 }
 
+/// One placeholder per variant; the order is the snapshot tag.
+static TELEMETRY_EVENTS: [TelemetryEvent; 18] = [
+    TelemetryEvent::WindowStart { window: 0 },
+    TelemetryEvent::BeaconTx {
+        robot: 0,
+        x_m: 0.0,
+        y_m: 0.0,
+    },
+    TelemetryEvent::BeaconRx {
+        robot: 0,
+        from: 0,
+        rssi_dbm: 0.0,
+        outcome: "",
+    },
+    TelemetryEvent::GridUpdate { robot: 0 },
+    TelemetryEvent::Fix {
+        robot: 0,
+        window: 0,
+        x_m: 0.0,
+        y_m: 0.0,
+        err_m: 0.0,
+    },
+    TelemetryEvent::FlatPosterior {
+        robot: 0,
+        window: 0,
+        entropy: 0.0,
+        threshold: 0.0,
+    },
+    TelemetryEvent::StarvedWindow {
+        robot: 0,
+        window: 0,
+    },
+    TelemetryEvent::SyncDelivered {
+        robot: 0,
+        window: 0,
+    },
+    TelemetryEvent::SyncMissed {
+        robot: 0,
+        window: 0,
+    },
+    TelemetryEvent::Failover { new_sync: 0 },
+    TelemetryEvent::MeshPrune {
+        robot: 0,
+        source: 0,
+        seq: 0,
+    },
+    TelemetryEvent::RadioState {
+        robot: 0,
+        state: "",
+    },
+    TelemetryEvent::FaultInjected {
+        kind: "",
+        robot: None,
+    },
+    TelemetryEvent::HealthTransition {
+        robot: 0,
+        state: "",
+    },
+    TelemetryEvent::RobotSample {
+        robot: 0,
+        true_x_m: 0.0,
+        true_y_m: 0.0,
+        est_x_m: 0.0,
+        est_y_m: 0.0,
+        err_m: 0.0,
+        entropy_frac: None,
+        energy_j: 0.0,
+        radio: "",
+        health: "",
+    },
+    TelemetryEvent::TeamSample {
+        mean_err_m: 0.0,
+        robots: 0,
+        energy_j: 0.0,
+    },
+    TelemetryEvent::SnapshotTaken {
+        bytes: 0,
+        sections: 0,
+    },
+    TelemetryEvent::SnapshotRestored { bytes: 0 },
+];
+
 impl TelemetryEvent {
+    /// The snapshot layout: a tag, then the variant's fields.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        c.tag(&TELEMETRY_EVENTS, self, "telemetry event")?;
+        match self {
+            TelemetryEvent::WindowStart { window } => c.u64(window),
+            TelemetryEvent::BeaconTx { robot, x_m, y_m } => {
+                c.u32(robot)?;
+                c.f64(x_m)?;
+                c.f64(y_m)
+            }
+            TelemetryEvent::BeaconRx {
+                robot,
+                from,
+                rssi_dbm,
+                outcome,
+            } => {
+                c.u32(robot)?;
+                c.u32(from)?;
+                c.f64(rssi_dbm)?;
+                c.name(outcome)
+            }
+            TelemetryEvent::GridUpdate { robot } => c.u32(robot),
+            TelemetryEvent::Fix {
+                robot,
+                window,
+                x_m,
+                y_m,
+                err_m,
+            } => {
+                c.u32(robot)?;
+                c.u64(window)?;
+                c.f64s([x_m, y_m, err_m])
+            }
+            TelemetryEvent::FlatPosterior {
+                robot,
+                window,
+                entropy,
+                threshold,
+            } => {
+                c.u32(robot)?;
+                c.u64(window)?;
+                c.f64(entropy)?;
+                c.f64(threshold)
+            }
+            TelemetryEvent::StarvedWindow { robot, window }
+            | TelemetryEvent::SyncDelivered { robot, window }
+            | TelemetryEvent::SyncMissed { robot, window } => {
+                c.u32(robot)?;
+                c.u64(window)
+            }
+            TelemetryEvent::Failover { new_sync } => c.u32(new_sync),
+            TelemetryEvent::MeshPrune { robot, source, seq } => {
+                c.u32(robot)?;
+                c.u32(source)?;
+                c.u32(seq)
+            }
+            TelemetryEvent::RadioState { robot, state }
+            | TelemetryEvent::HealthTransition { robot, state } => {
+                c.u32(robot)?;
+                c.name(state)
+            }
+            TelemetryEvent::FaultInjected { kind, robot } => {
+                c.name(kind)?;
+                c.opt(robot, Codec::u32)
+            }
+            TelemetryEvent::RobotSample {
+                robot,
+                true_x_m,
+                true_y_m,
+                est_x_m,
+                est_y_m,
+                err_m,
+                entropy_frac,
+                energy_j,
+                radio,
+                health,
+            } => {
+                c.u32(robot)?;
+                c.f64s([true_x_m, true_y_m, est_x_m, est_y_m, err_m])?;
+                c.opt(entropy_frac, Codec::f64)?;
+                c.f64(energy_j)?;
+                c.name(radio)?;
+                c.name(health)
+            }
+            TelemetryEvent::TeamSample {
+                mean_err_m,
+                robots,
+                energy_j,
+            } => {
+                c.f64(mean_err_m)?;
+                c.u32(robots)?;
+                c.f64(energy_j)
+            }
+            TelemetryEvent::SnapshotTaken { bytes, sections } => {
+                c.u64(bytes)?;
+                c.u32(sections)
+            }
+            TelemetryEvent::SnapshotRestored { bytes } => c.u64(bytes),
+        }
+    }
+
     /// The stable machine name of this event kind (the JSONL `kind` field).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -324,28 +516,14 @@ pub struct StampedEvent {
     pub event: TelemetryEvent,
 }
 
-/// Checkpointed bus state ([`Telemetry::checkpoint`],
-/// [`Telemetry::from_checkpoint`]): everything deterministic the bus
-/// carries — wall-clock span timers and wall histograms are deliberately
-/// absent.
-#[derive(Debug, Default)]
-pub struct TelemetryCheckpoint {
-    /// The recording level.
-    pub level: TelemetryLevel,
-    /// Ring-buffer capacity bound, if one was set.
-    pub capacity: Option<usize>,
-    /// Next sequence number to assign.
-    pub seq: u64,
-    /// Events evicted before the capture.
-    pub dropped: u64,
-    /// Per-robot timeline sampling interval, if configured.
-    pub sample_interval: Option<SimDuration>,
-    /// The retained event window.
-    pub events: Vec<StampedEvent>,
-    /// Counter values by name.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Deterministic histogram states by name.
-    pub hists: Vec<(&'static str, HistSnapshot)>,
+impl StampedEvent {
+    /// The snapshot layout.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let StampedEvent { t_us, seq, event } = self;
+        c.u64(t_us)?;
+        c.u64(seq)?;
+        event.code(c)
+    }
 }
 
 /// Handle to one registered counter (index into the registry, `Copy`).
@@ -411,6 +589,23 @@ impl CounterRegistry {
     /// Whether no counters are registered.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
+    }
+
+    /// The snapshot layout: every counter as its name and value, sorted
+    /// by name. The reader registers each name it decodes.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let CounterRegistry { names, values } = self;
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        c.vec(&mut sorted, |c, name| {
+            c.name(name)?;
+            let i = names.iter().position(|n| n == name).unwrap_or_else(|| {
+                names.push(*name);
+                values.push(0);
+                names.len() - 1
+            });
+            c.u64(&mut values[i])
+        })
     }
 
     /// All counters sorted by name (deterministic export order).
@@ -638,50 +833,42 @@ impl Telemetry {
         self.capacity
     }
 
-    /// The bus's deterministic state as checkpoint data: the retained
-    /// event window, the emission/drop totals, the counters and the
-    /// deterministic histograms, both sorted by name.
-    pub fn checkpoint(&self) -> TelemetryCheckpoint {
-        TelemetryCheckpoint {
-            level: self.level,
-            capacity: self.capacity,
-            seq: self.seq,
-            dropped: self.dropped,
-            sample_interval: self.sample_interval,
-            events: self.events.iter().cloned().collect(),
-            counters: self.counters.sorted(),
-            hists: (self.hists.deterministic_sorted().into_iter())
-                .map(|(name, h)| (name, h.snapshot()))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a bus from checkpointed state: the retained event window,
-    /// the emission/drop totals, the counter values and the deterministic
-    /// histogram states, exactly as captured.
+    /// The snapshot layout: everything deterministic the bus carries —
+    /// its settings, the retained event window, the emission and drop
+    /// totals, the counters and the deterministic histograms.
     ///
-    /// Span timers (and wall-clock histograms such as `span.duration_us`)
-    /// restart at zero — span durations are wall-clock, the one
-    /// non-deterministic quantity the bus records, and are excluded from
-    /// snapshots by design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a histogram bucket index is out of range.
-    pub fn from_checkpoint(c: TelemetryCheckpoint) -> Self {
-        let mut t = Telemetry::new(c.level);
-        t.capacity = c.capacity;
-        t.seq = c.seq;
-        t.dropped = c.dropped;
-        t.sample_interval = c.sample_interval;
-        t.events = c.events.into();
-        for (name, value) in c.counters {
-            t.counters.set(name, value);
-        }
-        for (name, hist) in &c.hists {
-            t.hists.restore(name, Histogram::from_snapshot(hist));
-        }
-        t
+    /// Decode onto a fresh bus ([`Telemetry::off`]). Span timers (and
+    /// wall-clock histograms such as `span.duration_us`) are not stored
+    /// and restart at zero: span durations are wall-clock, the one
+    /// non-deterministic quantity the bus records.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let Telemetry {
+            level,
+            events,
+            capacity,
+            seq,
+            dropped,
+            counters,
+            hists,
+            sample_interval,
+            // Wall-clock timers, never stored.
+            spans: _,
+            // A run setting: the reader's bus keeps its own.
+            hist_enabled: _,
+            // Registered by `Telemetry::new` on every bus.
+            span_dur_hist: _,
+        } = self;
+        c.tag(&TelemetryLevel::ALL, level, "telemetry level")?;
+        c.opt(capacity, Codec::usize)?;
+        c.u64(seq)?;
+        c.u64(dropped)?;
+        c.opt(sample_interval, |c, d| d.code(c))?;
+        let mut retained = Vec::from(std::mem::take(events));
+        let coded = c.vec(&mut retained, |c, e| e.code(c));
+        *events = retained.into();
+        coded?;
+        counters.code(c)?;
+        hists.code(c)
     }
 
     /// Sets the per-robot timeline sampling interval. Unset means "sample

@@ -20,6 +20,7 @@
 //! every other quantile in the workspace up to bucket resolution (better
 //! than 12.5 % by construction; `min`/`max` are tracked exactly).
 
+use crate::snapshot::{Codec, SnapshotError};
 use crate::stats::{percentile_sorted, sort_finite};
 
 /// Number of linear sub-bucket bits per octave (2^3 = 8 sub-buckets, so
@@ -274,6 +275,40 @@ impl Histogram {
         }
     }
 
+    /// The snapshot layout: the count, sum, minimum and maximum, then each
+    /// non-empty bucket as its index and count, the [`HistSnapshot`]
+    /// shape. A bucket index out of range or a NaN aggregate is
+    /// malformed.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let mut buckets = self.snapshot().buckets;
+        let Histogram {
+            counts,
+            count,
+            sum,
+            min,
+            max,
+        } = self;
+        c.u64(count)?;
+        c.f64s([sum, min, max])?;
+        c.vec(&mut buckets, |c, (index, n)| {
+            c.u32(index)?;
+            c.u64(n)
+        })?;
+        if let Some(&(index, _)) = buckets.iter().find(|(i, _)| *i as usize >= NUM_BUCKETS) {
+            return Err(SnapshotError::malformed(format!(
+                "histogram bucket index {index}"
+            )));
+        }
+        if sum.is_nan() || min.is_nan() || max.is_nan() {
+            return Err(SnapshotError::malformed("histogram NaN aggregate"));
+        }
+        counts.fill(0);
+        for (index, n) in buckets {
+            counts[index as usize] = n;
+        }
+        Ok(())
+    }
+
     /// Rebuilds a histogram from a snapshot (inverse of
     /// [`Histogram::snapshot`]).
     ///
@@ -412,11 +447,27 @@ impl HistogramRegistry {
             .collect()
     }
 
-    /// Restores a histogram's state by name (snapshot resume path). The
-    /// name is registered as deterministic if new.
-    pub fn restore(&mut self, name: &'static str, hist: Histogram) {
-        let id = self.register(name, false);
-        self.hists[id.0] = hist;
+    /// The snapshot layout: each deterministic histogram as its name and
+    /// state, sorted by name. The reader registers each name it decodes
+    /// as deterministic if it is new; wall-clock histograms are not
+    /// stored.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let HistogramRegistry { names, hists, wall } = self;
+        let mut stored: Vec<&'static str> = (names.iter().zip(wall.iter()))
+            .filter(|(_, &w)| !w)
+            .map(|(&n, _)| n)
+            .collect();
+        stored.sort_unstable();
+        c.vec(&mut stored, |c, name| {
+            c.name(name)?;
+            let i = names.iter().position(|n| n == name).unwrap_or_else(|| {
+                names.push(*name);
+                hists.push(Histogram::new());
+                wall.push(false);
+                names.len() - 1
+            });
+            hists[i].code(c)
+        })
     }
 }
 

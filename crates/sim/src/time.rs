@@ -10,6 +10,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 use serde::{Deserialize, Serialize};
 
+use crate::snapshot::{Codec, SnapshotError};
+
 /// Number of microseconds in one second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
@@ -53,6 +55,12 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant; useful as an "infinite" horizon.
     pub const MAX: SimTime = SimTime(u64::MAX);
+
+    /// The snapshot layout: whole microseconds.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let SimTime(us) = self;
+        c.u64(us)
+    }
 
     /// Creates an instant from integer microseconds.
     pub const fn from_micros(us: u64) -> Self {
@@ -123,6 +131,12 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
+
+    /// The snapshot layout: whole microseconds.
+    pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
+        let SimDuration(us) = self;
+        c.u64(us)
+    }
 
     /// Creates a duration from integer microseconds.
     pub const fn from_micros(us: u64) -> Self {
