@@ -7,10 +7,13 @@
 //! ```
 //!
 //! A single fast pass (a few seconds end to end), intended as a regression
-//! tripwire: the JSON records ops/s for the Bayesian grid update, the lane
-//! kernel against its scalar reference, the dense PDF-table lookup, the
-//! wall time of the quick-scale Figure 7 comparison, and (in
-//! `BENCH_snapshot.json`) the snapshot CRC-32's throughput.
+//! tripwire: the JSON records the calibration campaign's and the radial
+//! table's set-up times, ops/s for the Bayesian grid update, the lane
+//! kernels (one receiver of a beacon frame, and a later receiver reading
+//! the frame's stored distances) against their scalar reference, the
+//! dense PDF-table lookup, the wall time of the quick-scale Figure 7
+//! comparison, and (in `BENCH_snapshot.json`) the snapshot CRC-32's
+//! throughput.
 //!
 //! The tripwire is armed by the regression gate
 //! (see [`cocoa_bench::regress`]):
@@ -36,8 +39,8 @@ use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::{run, Calibration, SimRun};
 use cocoa_core::serve::{client, ServeConfig, Server};
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
-use cocoa_localization::grid::{ConstraintOutcome, GridConfig, PositionGrid};
-use cocoa_net::calibration::{calibrate, CalibrationConfig, RadialProfile};
+use cocoa_localization::grid::{BeaconField, GridConfig, PositionGrid};
+use cocoa_net::calibration::{calibrate, CalibrationConfig};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
@@ -136,25 +139,61 @@ fn main() -> ExitCode {
         return check_only(&history_dir);
     }
 
+    // The calibration campaign every run starts with, and the radial
+    // table a run builds on it: constructed (all a run pays before its
+    // first beacon) and with every bin's profile sampled (what a run pays
+    // once its robots have heard every bin). Medians of nine.
     let channel = RfChannel::default();
+    let median_secs = |f: &mut dyn FnMut()| {
+        let mut secs: Vec<f64> = (0..9)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
+    };
+    let calibrate_ms = 1e3
+        * median_secs(&mut || {
+            let mut rng = SeedSplitter::new(1).stream("cal", 0);
+            std::hint::black_box(calibrate(&channel, &CalibrationConfig::default(), &mut rng));
+        });
     let mut cal_rng = SeedSplitter::new(1).stream("cal", 0);
     let table = calibrate(&channel, &CalibrationConfig::default(), &mut cal_rng);
     let grid_cfg = GridConfig::new(Area::square(200.0), 2.0);
+    let radial_setup_us = 1e6
+        * median_secs(&mut || {
+            std::hint::black_box(radial_constraints_for_grid(&table, &grid_cfg));
+        });
+    let radial_all_bins_ms = 1e3
+        * median_secs(&mut || {
+            let radial = radial_constraints_for_grid(&table, &grid_cfg);
+            for (bin, _) in table.entries() {
+                std::hint::black_box(radial.get(bin));
+            }
+        });
     let radial = radial_constraints_for_grid(&table, &grid_cfg);
     let beacon = Point::new(90.0, 110.0);
 
-    // Bayesian grid update, 100x100 cells, one beacon per call.
+    // Bayesian grid update, 100x100 cells, one beacon frame per call.
     let mut loc = BayesianLocalizer::new(grid_cfg);
     let mut rng = SeedSplitter::new(2).stream("bench", 0);
+    let mut field = BeaconField::new(beacon);
     let grid_radial = ops_per_sec(|| {
         let rssi = channel.sample_rssi(20.0, &mut rng);
-        loc.observe_beacon(&radial, beacon, rssi);
+        field.reset(beacon);
+        loc.observe_beacon(&radial, &mut field, rssi);
     });
 
-    // The lane kernel against the scalar reference loop it must match bit
-    // for bit, isolated at the grid level (100×100 cells, one
+    // The lane kernels against the scalar reference loop they must match
+    // bit for bit, isolated at the grid level (100×100 cells, one
     // representative floored profile, beacon positions rotated so the work
-    // is not degenerate).
+    // is not degenerate). The one-receiver update starts a new frame each
+    // call, so it computes the distances and stores them in the field;
+    // the shared-field update is a later receiver of a frame, which reads
+    // them.
     let profile = radial
         .lookup(Dbm::new(-70.0))
         .expect("calibrated bin")
@@ -165,21 +204,33 @@ fn main() -> ExitCode {
         Point::new(60.0, 60.0),
         Point::new(140.0, 150.0),
     ];
-    let bench_kernel =
-        |apply: fn(&mut PositionGrid, Point, &RadialProfile) -> ConstraintOutcome| {
-            let mut g = PositionGrid::new(grid_cfg);
-            let mut i = 0usize;
-            ops_per_sec(|| {
-                apply(&mut g, beacons[i % 4], &profile);
-                i += 1;
-                if i.is_multiple_of(16) {
-                    g.reset_uniform();
-                }
-            })
-        };
-    let kernel_scalar = bench_kernel(PositionGrid::apply_radial_constraint_reference);
-    let kernel_simd = bench_kernel(PositionGrid::apply_radial_constraint);
+    let bench_kernel = |apply: &mut dyn FnMut(&mut PositionGrid, usize)| {
+        let mut g = PositionGrid::new(grid_cfg);
+        let mut i = 0usize;
+        ops_per_sec(|| {
+            apply(&mut g, i % 4);
+            i += 1;
+            if i.is_multiple_of(16) {
+                g.reset_uniform();
+            }
+        })
+    };
+    let kernel_scalar = bench_kernel(&mut |g, b| {
+        g.apply_radial_constraint_reference(beacons[b], &profile);
+    });
+    let kernel_simd = bench_kernel(&mut |g, b| {
+        field.reset(beacons[b]);
+        g.apply_radial_constraint(&mut field, &profile);
+    });
+    let mut shared = beacons.map(BeaconField::new);
+    for f in &mut shared {
+        PositionGrid::new(grid_cfg).apply_radial_constraint(f, &profile);
+    }
+    let kernel_shared = bench_kernel(&mut |g, b| {
+        g.apply_radial_constraint(&mut shared[b], &profile);
+    });
     let simd_speedup = kernel_simd / kernel_scalar;
+    let shared_speedup = kernel_shared / kernel_simd;
 
     // Window-level: 4 beacons applied sequentially (one posterior
     // load/store + renormalize each).
@@ -187,7 +238,8 @@ fn main() -> ExitCode {
     let window_sequential = ops_per_sec(|| {
         g_seq.reset_uniform();
         for &b in &beacons {
-            g_seq.apply_radial_constraint(b, &profile);
+            field.reset(b);
+            g_seq.apply_radial_constraint(&mut field, &profile);
         }
     });
 
@@ -325,11 +377,19 @@ fn main() -> ExitCode {
     );
     drop(server);
 
+    println!(
+        "calibration:           {calibrate_ms:.2} ms; radial table {radial_setup_us:.1} us, \
+         every bin sampled {radial_all_bins_ms:.2} ms"
+    );
     println!("grid update (radial):  {}", fmt_ops(grid_radial));
     println!("grid kernel (scalar):  {}", fmt_ops(kernel_scalar));
     println!(
         "grid kernel (simd):    {}  ({simd_speedup:.2}x)",
         fmt_ops(kernel_simd)
+    );
+    println!(
+        "grid kernel (shared):  {}  ({shared_speedup:.2}x one receiver)",
+        fmt_ops(kernel_shared)
     );
     println!("grid window (4 seq):   {}", fmt_ops(window_sequential));
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
@@ -360,7 +420,12 @@ fn main() -> ExitCode {
         "{{\n  \"grid_update_radial_ops_per_sec\": {grid_radial:.1},\n  \
          \"grid_kernel_scalar_ops_per_sec\": {kernel_scalar:.1},\n  \
          \"grid_kernel_simd_ops_per_sec\": {kernel_simd:.1},\n  \
+         \"grid_kernel_shared_ops_per_sec\": {kernel_shared:.1},\n  \
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \
+         \"grid_update_shared_speedup\": {shared_speedup:.2},\n  \
+         \"calibrate_ms\": {calibrate_ms:.3},\n  \
+         \"radial_setup_us\": {radial_setup_us:.1},\n  \
+         \"radial_all_bins_ms\": {radial_all_bins_ms:.3},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
          \"pdf_lookup_dense_ops_per_sec\": {lookup_dense:.1},\n  \

@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 use cocoa_localization::bayes::ObservationResult;
+use cocoa_localization::grid::BeaconField;
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{ReceptionOutcome, TxId};
 use cocoa_net::packet::{NodeId, Packet, Payload};
@@ -148,6 +149,12 @@ pub(crate) fn deliver(engine: &mut Engine<Event>, world: &mut WorldState, tx: Tx
     let corrupt = world.corrupt_txs.remove(&tx);
     let mut verdicts = std::mem::take(&mut world.rx_buffers.verdicts);
     if let Some(packet) = world.medium.judge(tx, &mut verdicts).cloned() {
+        if let Payload::Beacon { position } = packet.payload {
+            // Every receiver of this frame measures distances from one
+            // position: the first Bayes update fills the field, the rest
+            // read it.
+            world.rx_buffers.field.reset(position);
+        }
         let bytes = packet.wire_size();
         for &(rx, verdict) in &verdicts {
             let ReceptionOutcome::Delivered { rssi } = verdict else {
@@ -179,6 +186,8 @@ pub(crate) struct RxBuffers {
     heard: Vec<(NodeId, Dbm)>,
     /// One verdict per receiver of the frame being judged.
     verdicts: Vec<(NodeId, ReceptionOutcome)>,
+    /// The distance field of the beacon frame being delivered.
+    field: BeaconField,
 }
 
 /// Routes a delivered packet to the localizer or the mesh node.
@@ -191,7 +200,7 @@ fn dispatch(
     now: SimTime,
 ) {
     match &packet.payload {
-        Payload::Beacon { position } => {
+        Payload::Beacon { .. } => {
             let gate = world.scenario.outlier_gate_m;
             let mode = world.mode();
             let area = world.scenario.area;
@@ -212,7 +221,7 @@ fn dispatch(
                 let result = rf.observe_beacon(
                     &world.calibration.table,
                     &world.radial,
-                    *position,
+                    &mut world.rx_buffers.field,
                     rssi,
                     reference,
                     gate,
@@ -249,6 +258,69 @@ fn dispatch(
         }
         _ => {
             super::mesh::handle_mesh_packet(engine, world, robot, packet, now);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use cocoa_localization::estimator::RfAlgorithm;
+    use cocoa_localization::grid::beacon_field_fills;
+    use cocoa_net::calibration::radial_profile_builds;
+    use cocoa_sim::telemetry::{Telemetry, TelemetryEvent, TelemetryLevel};
+    use cocoa_sim::time::SimDuration;
+
+    use crate::scenario::Scenario;
+    use crate::world::{run, run_with_telemetry};
+
+    /// A beacon frame's cell distances are computed once, by its first
+    /// Bayes receiver's update; every later receiver reads them.
+    #[test]
+    fn deliver_fills_one_field_per_beacon_frame_with_bayes_receivers() {
+        let mut b = Scenario::builder();
+        b.robots(12)
+            .equipped(4)
+            .duration(SimDuration::from_secs(300));
+        let fills = beacon_field_fills();
+        let (_, telemetry) = run_with_telemetry(&b.build(), Telemetry::new(TelemetryLevel::Full));
+        let fills = beacon_field_fills() - fills;
+        // A frame is its source and the instant its airtime ended.
+        let mut frames = BTreeSet::new();
+        let mut applied = 0;
+        for e in telemetry.events() {
+            if let TelemetryEvent::BeaconRx {
+                from,
+                outcome: "applied",
+                ..
+            } = e.event
+            {
+                frames.insert((e.t_us, from));
+                applied += 1;
+            }
+        }
+        // No grid update was rejected as degenerate, so the frames above
+        // are every frame that updated a grid.
+        assert_eq!(telemetry.counters().get("grid.kernel.simd"), Some(applied));
+        assert_eq!(fills, frames.len() as u64);
+        assert!(
+            applied > 2 * fills,
+            "receivers share fields: {applied} updates, {fills} fills"
+        );
+    }
+
+    /// The gridless estimators read only a beacon's position: a
+    /// paper-scale run fills no field and samples no radial profile.
+    #[test]
+    fn gridless_runs_fill_no_field_and_build_no_profile() {
+        for algorithm in [RfAlgorithm::Ekf, RfAlgorithm::Multilateration] {
+            let scenario = Scenario::builder().rf_algorithm(algorithm).build();
+            let (fills, builds) = (beacon_field_fills(), radial_profile_builds());
+            let metrics = run(&scenario);
+            assert!(metrics.traffic.beacons_received > 0, "{algorithm}");
+            assert_eq!(beacon_field_fills(), fills, "{algorithm}");
+            assert_eq!(radial_profile_builds(), builds, "{algorithm}");
         }
     }
 }

@@ -919,6 +919,23 @@ mod tests {
         assert_eq!(pinned, ["b37ca4e9000001a0", "9fa1f7e2000001a0"]);
     }
 
+    /// Every run localizes through the calibration campaign's table, so
+    /// a change to the campaign must not move it. The digest is the
+    /// CRC-32 and length of the table's `Debug` form, which prints each
+    /// float in its shortest round-trip form: any bit that moves shows.
+    #[test]
+    fn calibration_tables_are_pinned() {
+        let digests = [1, 7, 42].map(|seed| {
+            let calibration = Calibration::new(&Scenario::builder().seed(seed).build());
+            let text = format!("{:?}", calibration.table);
+            format!("{:08x}-{}", snapshot::crc32(text.as_bytes()), text.len())
+        });
+        assert_eq!(
+            digests,
+            ["2ed4bb84-26480", "f9813365-26459", "5a91d1f0-26270"]
+        );
+    }
+
     /// The codec version participates in the hash, so fingerprints from
     /// one snapshot schema never match another's: a results cache built
     /// under one schema cannot serve a request under the next.

@@ -83,8 +83,9 @@ pub(crate) struct WorldState {
     pub(crate) scenario: Scenario,
     pub(crate) channel: RfChannel,
     pub(crate) calibration: Arc<Calibration>,
-    /// Pre-sampled radial constraint profiles (one per calibrated RSSI
-    /// bin, floor baked in), shared by every robot's Bayesian update.
+    /// Radial constraint profiles (one per calibrated RSSI bin, floor
+    /// baked in, each sampled when a beacon first resolves to its bin),
+    /// shared by every robot's Bayesian update.
     pub(crate) radial: RadialConstraintTable,
     pub(crate) medium: Medium,
     pub(crate) rx_buffers: beacon::RxBuffers,
@@ -345,8 +346,8 @@ const _: () = {
 };
 
 impl WorldState {
-    /// A world for `scenario` with no team yet: the radial table built
-    /// from `calibration` for the scenario's grid, empty accumulators, the
+    /// A world for `scenario` with no team yet: the radial table over
+    /// `calibration` for the scenario's grid, empty accumulators, the
     /// shared RNG streams split from the seed, span and histogram ids
     /// registered on `telemetry`.
     pub(crate) fn new(

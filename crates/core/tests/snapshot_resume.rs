@@ -537,6 +537,25 @@ fn a_medium_frame_receiver_outside_the_team_is_a_typed_error() {
     assert_inconsistent(&bytes, "outside the 6-robot team");
 }
 
+/// The capture margin and the retention are constants of the medium, so
+/// an edited one is a typed error; a retention as long as the run would
+/// otherwise keep every frame in memory until it ends.
+#[test]
+fn a_medium_capture_margin_or_retention_not_its_constant_is_a_typed_error() {
+    // The capture margin (f64 dB) leads the section, then the retention
+    // (u64 µs).
+    let margin = medium_edited(|p, _| {
+        assert_eq!(p[0..8], 10.0f64.to_le_bytes());
+        p[0..8].copy_from_slice(&3.0f64.to_le_bytes());
+    });
+    assert_inconsistent(&margin, "capture margin");
+    let retention = medium_edited(|p, _| {
+        assert_eq!(p[8..16], 10_000u64.to_le_bytes());
+        p[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    });
+    assert_inconsistent(&retention, "retention");
+}
+
 #[test]
 fn a_channel_with_an_unbounded_radio_range_fails_validation() {
     use cocoa_net::channel::ChannelParams;

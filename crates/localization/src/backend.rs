@@ -28,7 +28,7 @@ use cocoa_sim::snapshot::{Codec, SnapshotError};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE};
 use crate::ekf::{EkfConfig, EkfLocalizer, EkfUpdate};
 use crate::estimator::RfAlgorithm;
-use crate::grid::GridConfig;
+use crate::grid::{BeaconField, GridConfig};
 use crate::multilateration::Multilaterator;
 
 /// One per-window RF solver, as driven by the window lifecycle in
@@ -48,15 +48,16 @@ pub trait RfBackend {
     /// Called at every transmit-window start, before beacons arrive.
     fn begin_window(&mut self);
 
-    /// Offers one received beacon. The Bayesian backend applies `radial`'s
-    /// pre-sampled constraint (the zero-allocation lane kernel); the
-    /// gridless backends read the PDF table, so the two arguments must
-    /// describe the same calibration.
+    /// Offers one received beacon, sent from the `beacon` field's center.
+    /// The Bayesian backend applies `radial`'s pre-sampled constraint
+    /// through the field (the zero-allocation lane kernels); the gridless
+    /// backends read the PDF table and only the field's center, so the two
+    /// tables must describe the same calibration.
     fn observe_beacon(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
-        beacon_pos: Point,
+        beacon: &mut BeaconField,
         rssi: Dbm,
     ) -> ObservationResult;
 
@@ -114,10 +115,10 @@ impl RfBackend for BayesianLocalizer {
         &mut self,
         _table: &PdfTable,
         radial: &RadialConstraintTable,
-        beacon_pos: Point,
+        beacon: &mut BeaconField,
         rssi: Dbm,
     ) -> ObservationResult {
-        BayesianLocalizer::observe_beacon(self, radial, beacon_pos, rssi)
+        BayesianLocalizer::observe_beacon(self, radial, beacon, rssi)
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -155,10 +156,10 @@ impl RfBackend for Multilaterator {
         &mut self,
         table: &PdfTable,
         _radial: &RadialConstraintTable,
-        beacon_pos: Point,
+        beacon: &mut BeaconField,
         rssi: Dbm,
     ) -> ObservationResult {
-        if Multilaterator::observe_beacon(self, table, beacon_pos, rssi) {
+        if Multilaterator::observe_beacon(self, table, beacon.center(), rssi) {
             ObservationResult::Applied
         } else {
             ObservationResult::NoPdf
@@ -240,10 +241,10 @@ impl RfBackend for EkfBackend {
         &mut self,
         table: &PdfTable,
         _radial: &RadialConstraintTable,
-        beacon_pos: Point,
+        beacon: &mut BeaconField,
         rssi: Dbm,
     ) -> ObservationResult {
-        match self.ekf.update_from_beacon(table, beacon_pos, rssi) {
+        match self.ekf.update_from_beacon(table, beacon.center(), rssi) {
             EkfUpdate::Applied => {
                 self.window_applied += 1;
                 ObservationResult::Applied
@@ -307,7 +308,7 @@ mod tests {
             RfBackend::begin_window(&mut b);
             for p in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-                RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
+                RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
             }
         }
         // Window resets did not throw the filter away: nine updates fused.
@@ -332,12 +333,12 @@ mod tests {
         RfBackend::begin_window(&mut b);
         for p in [Point::new(92.0, 100.0), Point::new(108.0, 104.0)] {
             let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-            RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
+            RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
         }
         assert_eq!(RfBackend::estimate(&b), None, "two beacons are not enough");
         let p = Point::new(100.0, 92.0);
         let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-        RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
+        RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
         assert!(RfBackend::estimate(&b).is_some());
     }
 
@@ -376,13 +377,19 @@ mod tests {
         for _ in 0..3 {
             for p in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-                RfBackend::observe_beacon(&mut b, &table, &radial, p, rssi);
+                RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
             }
         }
         // A beacon whose RSSI says "far away" while standing next to the
         // converged filter fails the innovation gate.
         let ghost = ch.mean_rssi(150.0);
-        let r = RfBackend::observe_beacon(&mut b, &table, &radial, Point::new(101.0, 100.0), ghost);
+        let r = RfBackend::observe_beacon(
+            &mut b,
+            &table,
+            &radial,
+            &mut BeaconField::new(Point::new(101.0, 100.0)),
+            ghost,
+        );
         assert_eq!(r, ObservationResult::Outlier);
         assert!(b.filter().updates_gated() >= 1);
     }

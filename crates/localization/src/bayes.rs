@@ -14,7 +14,7 @@ use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 use cocoa_sim::snapshot::{Codec, SnapshotError};
 
-use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
+use crate::grid::{BeaconField, ConstraintOutcome, GridConfig, PositionGrid};
 
 /// The paper requires at least this many beacons before estimating.
 pub const MIN_BEACONS_FOR_ESTIMATE: u32 = 3;
@@ -29,11 +29,11 @@ pub const MIN_BEACONS_FOR_ESTIMATE: u32 = 3;
 /// profiles.
 pub const CONSTRAINT_FLOOR: f64 = 1e-6;
 
-/// Builds the per-experiment radial constraint cache for `table`, sized to
-/// `grid`: one floored [`RadialProfile`](cocoa_net::calibration::RadialProfile)
-/// per calibrated RSSI bin, sampled at sub-cell resolution out to the
-/// area's diagonal. Build it once and share it by reference across every
-/// robot and transmit round.
+/// The per-run radial constraint table for `table`, sized to `grid`: one
+/// floored [`RadialProfile`](cocoa_net::calibration::RadialProfile) per
+/// calibrated RSSI bin, sampled at sub-cell resolution out to the area's
+/// diagonal the first time a beacon resolves to the bin. Build it once
+/// and share it by reference across every robot and transmit round.
 pub fn radial_constraints_for_grid(table: &PdfTable, grid: &GridConfig) -> RadialConstraintTable {
     // Sub-cell sampling: fine enough for the clamped minimum sigma of the
     // calibration fits (0.25 m) and always at least 4 samples per cell.
@@ -63,7 +63,7 @@ pub enum ObservationResult {
 ///
 /// ```
 /// use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
-/// use cocoa_localization::grid::GridConfig;
+/// use cocoa_localization::grid::{BeaconField, GridConfig};
 /// use cocoa_net::calibration::{calibrate, CalibrationConfig};
 /// use cocoa_net::channel::RfChannel;
 /// use cocoa_net::geometry::{Area, Point};
@@ -79,7 +79,7 @@ pub enum ObservationResult {
 /// let robot = Point::new(100.0, 100.0);
 /// for beacon in [Point::new(90.0, 100.0), Point::new(110.0, 95.0), Point::new(100.0, 112.0)] {
 ///     let rssi = channel.sample_rssi(robot.distance_to(beacon), &mut rng);
-///     loc.observe_beacon(&radial, beacon, rssi);
+///     loc.observe_beacon(&radial, &mut BeaconField::new(beacon), rssi);
 /// }
 /// let est = loc.estimate().expect("three beacons received");
 /// assert!(est.distance_to(robot) < 15.0);
@@ -138,15 +138,17 @@ impl BayesianLocalizer {
         &self.stats
     }
 
-    /// Incorporates one beacon: the sender claims to be at `beacon_pos` and
-    /// was heard at `rssi`. The constraint comes from `radial`'s
-    /// pre-sampled profile for the observed RSSI (same bin-fallback rule as
-    /// [`PdfTable::lookup`]) and is applied through the lane kernel — no
-    /// per-cell `exp`, no allocation.
+    /// Incorporates one beacon: the sender claims to be at the `beacon`
+    /// field's center and was heard at `rssi`. The constraint comes from
+    /// `radial`'s pre-sampled profile for the observed RSSI (same
+    /// bin-fallback rule as [`PdfTable::lookup`]) and is applied through
+    /// the lane kernels — no per-cell `exp`, no allocation. The field
+    /// carries the frame's cell distances from one receiver to the next
+    /// ([`PositionGrid::apply_radial_constraint`]).
     pub fn observe_beacon(
         &mut self,
         radial: &RadialConstraintTable,
-        beacon_pos: Point,
+        beacon: &mut BeaconField,
         rssi: Dbm,
     ) -> ObservationResult {
         self.beacons_seen += 1;
@@ -155,7 +157,7 @@ impl BayesianLocalizer {
         };
         self.stats.cells_touched += self.grid.num_cells() as u64;
         self.stats.kernel_simd += 1;
-        match self.grid.apply_radial_constraint(beacon_pos, profile) {
+        match self.grid.apply_radial_constraint(beacon, profile) {
             ConstraintOutcome::Applied => {
                 self.beacons_applied += 1;
                 ObservationResult::Applied
@@ -259,12 +261,12 @@ mod tests {
         {
             assert!(loc.estimate().is_none(), "no estimate after {i} beacons");
             let rssi = ch.sample_rssi(robot.distance_to(beacon), &mut rng);
-            loc.observe_beacon(&radial, beacon, rssi);
+            loc.observe_beacon(&radial, &mut BeaconField::new(beacon), rssi);
         }
         assert!(loc.estimate().is_none());
         let third = Point::new(104.0, 96.0);
         let rssi = ch.sample_rssi(robot.distance_to(third), &mut rng);
-        loc.observe_beacon(&radial, third, rssi);
+        loc.observe_beacon(&radial, &mut BeaconField::new(third), rssi);
         assert!(loc.estimate().is_some());
     }
 
@@ -285,7 +287,7 @@ mod tests {
             let mut loc = localizer();
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&radial, b, rssi);
+                loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
             }
             errs.push(loc.estimate().unwrap().distance_to(robot));
         }
@@ -306,7 +308,7 @@ mod tests {
                 Point::new(100.0, 90.0),
             ] {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&radial, b, rssi);
+                loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
             }
             loc.estimate().unwrap().distance_to(robot)
         };
@@ -320,7 +322,7 @@ mod tests {
                 Point::new(100.0, 5.0),
             ] {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&radial, b, rssi);
+                loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
             }
             loc.estimate()
                 .map_or(f64::INFINITY, |e| e.distance_to(robot))
@@ -336,7 +338,11 @@ mod tests {
         let (_, radial) = setup();
         let mut loc = localizer();
         // Absurdly strong: no bin within fallback range.
-        let r = loc.observe_beacon(&radial, Point::new(1.0, 1.0), Dbm::new(20.0));
+        let r = loc.observe_beacon(
+            &radial,
+            &mut BeaconField::new(Point::new(1.0, 1.0)),
+            Dbm::new(20.0),
+        );
         assert_eq!(r, ObservationResult::NoPdf);
         assert_eq!(loc.beacons_applied(), 0);
         assert_eq!(loc.beacons_seen(), 1);
@@ -355,7 +361,7 @@ mod tests {
         ];
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            loc.observe_beacon(&radial, b, rssi);
+            loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
         }
         assert!(loc.estimate().is_some());
         loc.reset();
@@ -372,7 +378,7 @@ mod tests {
         let robot = Point::new(100.0, 100.0);
         let b = Point::new(95.0, 100.0);
         let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-        loc.observe_beacon(&radial, b, rssi);
+        loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
         assert!(loc.entropy() < initial);
     }
 
@@ -392,8 +398,16 @@ mod tests {
         let radial = radial_constraints_for_grid(&table, &config());
         let mut loc = localizer();
         // Two contradictory beacons claiming 5 m from opposite corners.
-        let a = loc.observe_beacon(&radial, Point::new(0.0, 0.0), Dbm::new(-50.0));
-        let b = loc.observe_beacon(&radial, Point::new(200.0, 200.0), Dbm::new(-50.0));
+        let a = loc.observe_beacon(
+            &radial,
+            &mut BeaconField::new(Point::new(0.0, 0.0)),
+            Dbm::new(-50.0),
+        );
+        let b = loc.observe_beacon(
+            &radial,
+            &mut BeaconField::new(Point::new(200.0, 200.0)),
+            Dbm::new(-50.0),
+        );
         assert_eq!(a, ObservationResult::Applied);
         // Thanks to the density floor the second is still applicable.
         assert_eq!(b, ObservationResult::Applied);

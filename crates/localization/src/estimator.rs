@@ -26,7 +26,7 @@ use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::backend::{EkfBackend, RfBackend};
 use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
-use crate::grid::{GridConfig, PositionGrid};
+use crate::grid::{BeaconField, GridConfig, PositionGrid};
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
 
 /// Which localization strategy a robot runs (paper Sections 4.1–4.3).
@@ -265,7 +265,7 @@ pub enum WindowOutcome {
 /// ```
 /// use cocoa_localization::bayes::radial_constraints_for_grid;
 /// use cocoa_localization::estimator::WindowedRfEstimator;
-/// use cocoa_localization::grid::GridConfig;
+/// use cocoa_localization::grid::{BeaconField, GridConfig};
 /// use cocoa_net::calibration::{calibrate, CalibrationConfig};
 /// use cocoa_net::channel::RfChannel;
 /// use cocoa_net::geometry::{Area, Point};
@@ -283,7 +283,7 @@ pub enum WindowOutcome {
 /// for b in [Point::new(42.0, 50.0), Point::new(55.0, 58.0), Point::new(50.0, 40.0)] {
 ///     let rssi = channel.sample_rssi(robot.distance_to(b), &mut rng);
 ///     // No reference position yet, so the outlier gate is off.
-///     est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+///     est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
 /// }
 /// let fix = est.end_window().expect("enough beacons");
 /// assert!(fix.distance_to(robot) < 15.0);
@@ -357,8 +357,8 @@ impl WindowedRfEstimator {
         self.backend.as_dyn_mut().reanchor_odometry(fix);
     }
 
-    /// Offers one received beacon to the open window, first screening it
-    /// against the outlier gate.
+    /// Offers one received beacon, sent from the `beacon` field's center,
+    /// to the open window, first screening it against the outlier gate.
     ///
     /// If `reference` is the robot's current position belief, the beacon's
     /// claimed position implies a distance to us; the observed RSSI implies
@@ -370,14 +370,15 @@ impl WindowedRfEstimator {
     ///
     /// Beacons arriving outside a window (e.g. stale deliveries right after
     /// the radio slept) are counted but ignored. The Bayesian backend
-    /// applies `radial`'s pre-sampled constraint; the gridless backends
-    /// read `table`, so the two arguments must describe the same
-    /// calibration.
+    /// applies `radial`'s pre-sampled constraint through the field, which
+    /// carries the frame's cell distances from one receiver to the next;
+    /// the gridless backends read `table`, so the two tables must describe
+    /// the same calibration.
     pub fn observe_beacon(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
-        beacon_pos: Point,
+        beacon: &mut BeaconField,
         rssi: Dbm,
         reference: Option<Point>,
         gate_m: f64,
@@ -385,7 +386,7 @@ impl WindowedRfEstimator {
         self.stats.beacons_seen += 1;
         if gate_m > 0.0 {
             if let (Some(refp), Some(pdf)) = (reference, table.lookup(rssi)) {
-                let claimed = refp.distance_to(beacon_pos);
+                let claimed = refp.distance_to(beacon.center());
                 if !claimed.is_finite() || (claimed - pdf.mean()).abs() > gate_m {
                     self.stats.beacons_rejected_outlier += 1;
                     return ObservationResult::Outlier;
@@ -398,7 +399,7 @@ impl WindowedRfEstimator {
         let r = self
             .backend
             .as_dyn_mut()
-            .observe_beacon(table, radial, beacon_pos, rssi);
+            .observe_beacon(table, radial, beacon, rssi);
         // Only the EKF backend returns `Outlier` (its innovation gate).
         match r {
             ObservationResult::Applied => self.stats.beacons_applied += 1,
@@ -565,13 +566,20 @@ mod tests {
             Point::new(100.0, 92.0),
         ] {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+            est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
         let fix1 = est.end_window().expect("fix");
         // Second window: only 1 beacon — no new fix, old one kept.
         est.begin_window();
         let rssi = ch.sample_rssi(10.0, &mut rng);
-        est.observe_beacon(&table, &radial, Point::new(90.0, 100.0), rssi, None, 0.0);
+        est.observe_beacon(
+            &table,
+            &radial,
+            &mut BeaconField::new(Point::new(90.0, 100.0)),
+            rssi,
+            None,
+            0.0,
+        );
         assert_eq!(est.end_window(), None);
         assert_eq!(est.last_fix(), Some(fix1));
         assert_eq!(est.stats().windows, 2);
@@ -583,7 +591,14 @@ mod tests {
         let (ch, table, radial, mut est) = setup();
         let mut rng = SeedSplitter::new(3).stream("t", 0);
         let rssi = ch.sample_rssi(10.0, &mut rng);
-        let r = est.observe_beacon(&table, &radial, Point::new(90.0, 100.0), rssi, None, 0.0);
+        let r = est.observe_beacon(
+            &table,
+            &radial,
+            &mut BeaconField::new(Point::new(90.0, 100.0)),
+            rssi,
+            None,
+            0.0,
+        );
         assert_eq!(r, ObservationResult::Rejected);
         assert_eq!(est.stats().beacons_seen, 1);
         assert_eq!(est.stats().beacons_applied, 0);
@@ -603,7 +618,7 @@ mod tests {
         est.begin_window();
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+            est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
         est.end_window().expect("fix 1");
         // Next window near a different location converges there, not to a
@@ -617,7 +632,7 @@ mod tests {
         est.begin_window();
         for b in beacons2 {
             let rssi = ch.sample_rssi(robot2.distance_to(b), &mut rng);
-            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+            est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
         let fix2 = est.end_window().expect("fix 2");
         assert!(fix2.distance_to(robot2) < 20.0, "fix2 {fix2}");
@@ -634,7 +649,7 @@ mod tests {
         let r = est.observe_beacon(
             &table,
             &radial,
-            Point::new(105.0, 100.0),
+            &mut BeaconField::new(Point::new(105.0, 100.0)),
             lying_rssi,
             reference,
             40.0,
@@ -647,7 +662,7 @@ mod tests {
         let r = est.observe_beacon(
             &table,
             &radial,
-            Point::new(105.0, 100.0),
+            &mut BeaconField::new(Point::new(105.0, 100.0)),
             honest_rssi,
             reference,
             40.0,
@@ -657,7 +672,7 @@ mod tests {
         let r = est.observe_beacon(
             &table,
             &radial,
-            Point::new(105.0, 100.0),
+            &mut BeaconField::new(Point::new(105.0, 100.0)),
             lying_rssi,
             reference,
             0.0,
@@ -681,7 +696,7 @@ mod tests {
         let r = est.observe_beacon(
             &table,
             &radial,
-            Point::new(105.0, 100.0),
+            &mut BeaconField::new(Point::new(105.0, 100.0)),
             lying_rssi,
             reference,
             40.0,
@@ -695,7 +710,7 @@ mod tests {
         let r = est.observe_beacon(
             &table,
             &radial,
-            Point::new(105.0, 100.0),
+            &mut BeaconField::new(Point::new(105.0, 100.0)),
             honest_rssi,
             reference,
             40.0,
@@ -723,7 +738,7 @@ mod tests {
             est.begin_window();
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+                est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
             }
             fix = est.end_window().or(fix);
         }
@@ -749,7 +764,7 @@ mod tests {
             Point::new(80.0, 112.0),
         ] {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+            est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
         est.end_window();
         est.begin_window(); // leave a window open: in_window must survive
@@ -825,7 +840,7 @@ mod tests {
         est.begin_window();
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+            est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
         // An absurdly strict watchdog treats even a good posterior as flat:
         // the fix is vetoed and the previous (absent) fix kept.
@@ -842,7 +857,7 @@ mod tests {
         est.begin_window();
         for b in beacons {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-            est.observe_beacon(&table, &radial, b, rssi, None, 0.0);
+            est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
         assert!(matches!(est.end_window_guarded(1.0), WindowOutcome::Fix(_)));
         assert_eq!(est.stats().fixes, 1);

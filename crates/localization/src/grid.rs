@@ -71,7 +71,7 @@ pub enum ConstraintOutcome {
 /// # Examples
 ///
 /// ```
-/// use cocoa_localization::grid::{GridConfig, PositionGrid};
+/// use cocoa_localization::grid::{BeaconField, GridConfig, PositionGrid};
 /// use cocoa_net::calibration::RadialProfile;
 /// use cocoa_net::geometry::{Area, Point};
 ///
@@ -81,7 +81,7 @@ pub enum ConstraintOutcome {
 /// assert!((c.x - 100.0).abs() < 1e-9 && (c.y - 100.0).abs() < 1e-9);
 /// // Concentrate mass near (50, 50).
 /// let near = RadialProfile::from_fn(0.25, 300.0, |d| (-d * d / 50.0).exp());
-/// grid.apply_radial_constraint(Point::new(50.0, 50.0), &near);
+/// grid.apply_radial_constraint(&mut BeaconField::new(Point::new(50.0, 50.0)), &near);
 /// assert!(grid.mean().distance_to(Point::new(50.0, 50.0)) < 2.0);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -116,8 +116,76 @@ pub struct PositionGrid {
     entropy: Cell<Option<f64>>,
 }
 
+/// One beacon frame's distance field: the position the beacon claims
+/// and, once a grid has filled it, each cell's lattice coordinate
+/// `√(dx² + dy²) · inv_step` to that position.
+///
+/// Every receiver of a frame multiplies a constraint around the same
+/// position into a grid of the same geometry, so the first receiver's
+/// update stores the coordinates and each later one only looks them up
+/// ([`PositionGrid::apply_radial_constraint`]). The field is keyed by the
+/// bits of the position, the grid geometry and the profile step, and
+/// refills whenever one of them differs, so a caller can never feed it a
+/// field it was not filled for.
+#[derive(Debug, Default)]
+pub struct BeaconField {
+    center: Point,
+    /// The bits of what `coords` were filled for: the center, the grid
+    /// geometry and `inv_step`. `None` until filled.
+    key: Option<[u64; 8]>,
+    /// Row-major (`iy * nx + ix`) unclamped lattice coordinates.
+    coords: Vec<f64>,
+}
+
+impl BeaconField {
+    /// A field for a beacon claiming `center`, with nothing filled yet.
+    pub fn new(center: Point) -> Self {
+        BeaconField {
+            center,
+            key: None,
+            coords: Vec::new(),
+        }
+    }
+
+    /// Starts the next frame: claims `center` and drops the filled
+    /// coordinates, keeping their buffer.
+    pub fn reset(&mut self, center: Point) {
+        self.center = center;
+        self.key = None;
+    }
+
+    /// The position the beacon claims.
+    pub fn center(&self) -> Point {
+        self.center
+    }
+
+    fn key(&self, config: &GridConfig, inv_step: f64) -> [u64; 8] {
+        let a = &config.area;
+        [
+            self.center.x,
+            self.center.y,
+            a.x_min,
+            a.x_max,
+            a.y_min,
+            a.y_max,
+            config.resolution_m,
+            inv_step,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
 thread_local! {
     static ENTROPY_PASSES: Cell<u64> = const { Cell::new(0) };
+    static FIELD_FILLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times this thread has filled a [`BeaconField`]. Tests read it
+/// to pin that a beacon frame's distance field is computed once, however
+/// many grids it updates.
+#[doc(hidden)]
+pub fn beacon_field_fills() -> u64 {
+    FIELD_FILLS.with(Cell::get)
 }
 
 /// How many full entropy passes over a posterior this thread has made —
@@ -243,37 +311,54 @@ impl PositionGrid {
     }
 
     /// Multiplies a radial constraint — `profile.density(‖cell − center‖)`
-    /// — into every cell and renormalizes (paper Eq. 2).
+    /// around the field's center — into every cell and renormalizes
+    /// (paper Eq. 2).
     ///
-    /// The Bayesian update's one path: squared x-offsets are computed
-    /// once per column, squared y-offsets once per row, and the density
-    /// comes from a pre-sampled 1-D [`RadialProfile`] lookup through the
-    /// lane-packed [`kernel::radial_product_row`] instead of a per-cell
-    /// `exp`/histogram evaluation. All buffers are persistent, so a beacon
-    /// update allocates nothing.
+    /// The Bayesian update's one path: the density comes from a
+    /// pre-sampled 1-D [`RadialProfile`] lookup through the lane-packed
+    /// kernels instead of a per-cell `exp`/histogram evaluation. The first
+    /// update on a `field` runs [`kernel::radial_product_row`], which
+    /// computes squared x-offsets once per column and squared y-offsets
+    /// once per row and stores each cell's coordinate in the field; an
+    /// update on a field already filled for this grid and step runs only
+    /// [`kernel::lookup_product_row`]. All buffers are persistent, so a
+    /// beacon update allocates nothing in steady state.
     ///
     /// Returns [`ConstraintOutcome::Rejected`] — leaving the posterior
     /// untouched — if the product has (near-)zero total mass or is not
     /// finite. Bit-identical to
     /// [`apply_radial_constraint_reference`](Self::apply_radial_constraint_reference)
-    /// (see [`kernel`] for the contract).
+    /// whichever kernel runs (see [`kernel`] for the contract).
     pub fn apply_radial_constraint(
         &mut self,
-        center: Point,
+        field: &mut BeaconField,
         profile: &RadialProfile,
     ) -> ConstraintOutcome {
         let mut scratch = std::mem::take(&mut self.scratch);
         Self::ensure_scratch(&mut scratch, self.cells.len());
-        let mut dx2 = std::mem::take(&mut self.dx2);
-        Self::fill_dx2(&mut dx2, &self.xs, center.x);
         let inv_step = profile.inv_step();
         let table = profile.lane_table();
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
-            let dy = self.ys[iy] - center.y;
-            let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
-            kernel::radial_product_row(out, row, &dx2, dy * dy, inv_step, table);
+        let key = field.key(&self.config, inv_step);
+        let rows = scratch
+            .chunks_exact_mut(self.nx)
+            .zip(self.cells.chunks_exact(self.nx));
+        if field.key == Some(key) {
+            for ((out, row), coords) in rows.zip(field.coords.chunks_exact(self.nx)) {
+                kernel::lookup_product_row(out, row, coords, table);
+            }
+        } else {
+            FIELD_FILLS.with(|n| n.set(n.get() + 1));
+            field.coords.resize(self.cells.len(), 0.0);
+            let mut dx2 = std::mem::take(&mut self.dx2);
+            Self::fill_dx2(&mut dx2, &self.xs, field.center.x);
+            let coords = field.coords.chunks_exact_mut(self.nx);
+            for (((out, row), coords), &y) in rows.zip(coords).zip(&self.ys) {
+                let dy = y - field.center.y;
+                kernel::radial_product_row(out, row, &dx2, dy * dy, inv_step, table, coords);
+            }
+            self.dx2 = dx2;
+            field.key = Some(key);
         }
-        self.dx2 = dx2;
         let outcome = self.commit(&scratch, sum_4lane(&scratch));
         self.scratch = scratch;
         outcome
@@ -484,7 +569,7 @@ mod tests {
         let mut g = grid(2.0);
         let target = Point::new(60.0, 140.0);
         let before = g.entropy();
-        let out = g.apply_radial_constraint(target, &bump(10.0));
+        let out = g.apply_radial_constraint(&mut BeaconField::new(target), &bump(10.0));
         assert_eq!(out, ConstraintOutcome::Applied);
         assert!((g.total_mass() - 1.0).abs() < 1e-9, "renormalized");
         assert!(g.entropy() < before, "entropy decreased");
@@ -499,7 +584,7 @@ mod tests {
         let profile = bump(20.0);
         let mut last_entropy = g.entropy();
         for _ in 0..3 {
-            g.apply_radial_constraint(target, &profile);
+            g.apply_radial_constraint(&mut BeaconField::new(target), &profile);
             let e = g.entropy();
             assert!(e < last_entropy);
             last_entropy = e;
@@ -513,13 +598,13 @@ mod tests {
         let center = Point::new(100.0, 100.0);
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         assert_eq!(
-            g.apply_radial_constraint(center, &zero),
+            g.apply_radial_constraint(&mut BeaconField::new(center), &zero),
             ConstraintOutcome::Rejected
         );
         assert_eq!(g, before, "posterior untouched after rejection");
         let nan = RadialProfile::from_fn(1.0, 300.0, |_| f64::NAN);
         assert_eq!(
-            g.apply_radial_constraint(center, &nan),
+            g.apply_radial_constraint(&mut BeaconField::new(center), &nan),
             ConstraintOutcome::Rejected
         );
         assert_eq!(g, before);
@@ -528,7 +613,7 @@ mod tests {
     #[test]
     fn reset_restores_uniform() {
         let mut g = grid(2.0);
-        g.apply_radial_constraint(Point::new(30.0, 170.0), &bump(40.0));
+        g.apply_radial_constraint(&mut BeaconField::new(Point::new(30.0, 170.0)), &bump(40.0));
         g.reset_uniform();
         assert!(g.mean().distance_to(Point::new(100.0, 100.0)) < 1e-9);
         let max_entropy = (g.nx() as f64 * g.ny() as f64).ln();
@@ -550,7 +635,7 @@ mod tests {
     fn density_at_reads_back_cells() {
         let mut g = grid(2.0);
         let target = Point::new(50.0, 50.0);
-        g.apply_radial_constraint(target, &bump(5.0));
+        g.apply_radial_constraint(&mut BeaconField::new(target), &bump(5.0));
         assert!(g.density_at(target) > g.density_at(Point::new(150.0, 150.0)));
         assert_eq!(g.density_at(Point::new(-1.0, 0.0)), 0.0);
     }
@@ -563,10 +648,10 @@ mod tests {
         let ring = |radius: f64| {
             RadialProfile::from_fn(0.1, 300.0, |d| (-((d - radius) / 3.0).powi(2)).exp())
         };
-        g.apply_radial_constraint(Point::new(80.0, 100.0), &ring(25.0));
-        g.apply_radial_constraint(Point::new(120.0, 100.0), &ring(25.0));
+        g.apply_radial_constraint(&mut BeaconField::new(Point::new(80.0, 100.0)), &ring(25.0));
+        g.apply_radial_constraint(&mut BeaconField::new(Point::new(120.0, 100.0)), &ring(25.0));
         // Intersections are near (100, 100 ± 15); a third beacon breaks the tie.
-        g.apply_radial_constraint(Point::new(100.0, 130.0), &ring(15.0));
+        g.apply_radial_constraint(&mut BeaconField::new(Point::new(100.0, 130.0)), &ring(15.0));
         let est = g.mean();
         let expected = Point::new(100.0, 115.0);
         assert!(
@@ -587,10 +672,12 @@ mod tests {
         let profile = RadialProfile::from_fn(0.25, 300.0, |d| (-((d - 30.0) / 8.0).powi(2)).exp())
             .offset(1e-6);
         let mut radial = grid(2.0);
-        // Two rounds so the scratch-buffer reuse is also exercised.
+        // Two rounds on one field: the second reuses the scratch buffers
+        // and the coordinates the first stored.
+        let mut field = BeaconField::new(center);
         for _ in 0..2 {
             let expected = per_cell_product(&radial, center, &profile);
-            let outcome = radial.apply_radial_constraint(center, &profile);
+            let outcome = radial.apply_radial_constraint(&mut field, &profile);
             assert_eq!(outcome, ConstraintOutcome::Applied);
             for (i, (&pa, &pb)) in expected.iter().zip(radial.cells()).enumerate() {
                 assert!(
@@ -606,17 +693,17 @@ mod tests {
     fn radial_rejection_leaves_posterior_untouched() {
         let mut g = grid(2.0);
         let target = Point::new(60.0, 140.0);
-        g.apply_radial_constraint(target, &bump(10.0));
+        g.apply_radial_constraint(&mut BeaconField::new(target), &bump(10.0));
         let before = g.clone();
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         assert_eq!(
-            g.apply_radial_constraint(target, &zero),
+            g.apply_radial_constraint(&mut BeaconField::new(target), &zero),
             ConstraintOutcome::Rejected
         );
         assert_eq!(g, before, "posterior untouched after radial rejection");
         let nan = RadialProfile::from_fn(1.0, 300.0, |_| f64::NAN);
         assert_eq!(
-            g.apply_radial_constraint(target, &nan),
+            g.apply_radial_constraint(&mut BeaconField::new(target), &nan),
             ConstraintOutcome::Rejected
         );
         assert_eq!(g, before);
@@ -629,7 +716,7 @@ mod tests {
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         // A rejected update leaves the posterior alone but dirties scratch,
         // and reading the entropy fills the cache.
-        used.apply_radial_constraint(Point::new(10.0, 10.0), &zero);
+        used.apply_radial_constraint(&mut BeaconField::new(Point::new(10.0, 10.0)), &zero);
         used.entropy();
         assert_eq!(fresh, used);
     }
@@ -666,7 +753,7 @@ mod tests {
         // filled the cache, so a writer that kept the cache would fail.
         let mut g = grid(2.0);
         assert_entropy_fresh(&g, "new");
-        g.apply_radial_constraint(Point::new(63.0, 141.0), &profile);
+        g.apply_radial_constraint(&mut BeaconField::new(Point::new(63.0, 141.0)), &profile);
         assert_entropy_fresh(&g, "apply_radial_constraint");
         g.apply_radial_constraint_reference(Point::new(90.0, 110.0), &profile);
         assert_entropy_fresh(&g, "apply_radial_constraint_reference");
@@ -681,7 +768,7 @@ mod tests {
         let passes = entropy_passes();
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
         assert_eq!(
-            g.apply_radial_constraint(Point::new(10.0, 10.0), &zero),
+            g.apply_radial_constraint(&mut BeaconField::new(Point::new(10.0, 10.0)), &zero),
             ConstraintOutcome::Rejected
         );
         assert_eq!(

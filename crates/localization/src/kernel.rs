@@ -43,6 +43,16 @@
 //! kernel clamps.) That is what lets the lane kernel be the only
 //! production path while pinned-seed golden traces stay byte-identical.
 //!
+//! [`radial_product_row`] also stores each cell's unclamped coordinate,
+//! and [`lookup_product_row`] runs only the lookup-and-multiply stage on
+//! stored coordinates: the later receivers of one beacon frame share the
+//! first one's distance field ([`BeaconField`]). A stored coordinate is
+//! the very f64 the fused row computed, and the clamp, split, index and
+//! interpolation that follow are the same operations in the same order,
+//! so the two kernels agree bit for bit.
+//!
+//! [`BeaconField`]: crate::grid::BeaconField
+//!
 //! [`PositionGrid::apply_radial_constraint_reference`]: crate::grid::PositionGrid::apply_radial_constraint_reference
 
 use cocoa_net::calibration::LaneTable;
@@ -53,7 +63,9 @@ use cocoa_net::calibration::LaneTable;
 const P52: f64 = 4503599627370496.0;
 
 /// One grid row of the radial update:
-/// `out[i] = cells[i] · lerp(table, √(dx2[i] + dy2) · inv_step)`.
+/// `out[i] = cells[i] · lerp(table, √(dx2[i] + dy2) · inv_step)`, storing
+/// each cell's unclamped lattice coordinate `√(dx2[i] + dy2) · inv_step`
+/// in `coords[i]` for [`lookup_product_row`].
 ///
 /// Fully auto-vectorized (packed sqrt, gathers, FMA) via the float-domain
 /// clamp + magic-bias indexing described in the module docs, and
@@ -63,7 +75,7 @@ const P52: f64 = 4503599627370496.0;
 ///
 /// # Panics
 ///
-/// Panics if `cells` or `dx2` are shorter than `out`.
+/// Panics if `cells`, `dx2` or `coords` are shorter than `out`.
 #[inline(never)]
 pub fn radial_product_row(
     out: &mut [f64],
@@ -72,18 +84,49 @@ pub fn radial_product_row(
     dy2: f64,
     inv_step: f64,
     table: &LaneTable,
+    coords: &mut [f64],
 ) {
     let n = out.len();
     let cells = &cells[..n];
     let dx2 = &dx2[..n];
+    let coords = &mut coords[..n];
     let val = table.val();
     let del = table.del();
     let lastf = table.lastf();
     assert!(val.len().is_power_of_two());
     assert_eq!(val.len(), del.len());
     let mask = val.len() - 1;
-    for ((o, &c), &d) in out.iter_mut().zip(cells).zip(dx2) {
-        let t = ((d + dy2).sqrt() * inv_step).min(lastf);
+    for (((o, &c), &d), s) in out.iter_mut().zip(cells).zip(dx2).zip(coords) {
+        let raw = (d + dy2).sqrt() * inv_step;
+        *s = raw;
+        let t = raw.min(lastf);
+        let tf = t.trunc();
+        let j = ((tf + P52).to_bits() as usize) & mask;
+        *o = c * (val[j] + del[j] * (t - tf));
+    }
+}
+
+/// The lookup-and-multiply stage of [`radial_product_row`] alone, on
+/// coordinates it stored: `out[i] = cells[i] · lerp(table, coords[i])`.
+/// The same operations in the same order on the same coordinate, so the
+/// same bits.
+///
+/// # Panics
+///
+/// Panics if `cells` or `coords` are shorter than `out`.
+#[inline(never)]
+pub fn lookup_product_row(out: &mut [f64], cells: &[f64], coords: &[f64], table: &LaneTable) {
+    let n = out.len();
+    let cells = &cells[..n];
+    let coords = &coords[..n];
+    let val = table.val();
+    let del = table.del();
+    let lastf = table.lastf();
+    assert!(val.len().is_power_of_two());
+    assert_eq!(val.len(), del.len());
+    let mask = val.len() - 1;
+    for ((o, &c), &raw) in out.iter_mut().zip(cells).zip(coords) {
+        let t = raw.min(lastf);
         let tf = t.trunc();
         let j = ((tf + P52).to_bits() as usize) & mask;
         *o = c * (val[j] + del[j] * (t - tf));
@@ -133,11 +176,16 @@ mod tests {
         let dx2: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7 - 9.0).powi(2)).collect();
         let dy2 = 12.25;
         let mut out = vec![0.0; n];
-        radial_product_row(&mut out, &cells, &dx2, dy2, inv_step, &table);
+        let mut coords = vec![0.0; n];
+        radial_product_row(&mut out, &cells, &dx2, dy2, inv_step, &table, &mut coords);
+        let mut looked_up = vec![0.0; n];
+        lookup_product_row(&mut looked_up, &cells, &coords, &table);
         for i in 0..n {
             let t = (dx2[i] + dy2).sqrt() * inv_step;
+            assert_eq!(coords[i].to_bits(), t.to_bits(), "coordinate {i}");
             let expected = cells[i] * lerp_table(&table, t);
             assert_eq!(out[i].to_bits(), expected.to_bits(), "cell {i}");
+            assert_eq!(looked_up[i].to_bits(), expected.to_bits(), "lookup {i}");
         }
     }
 
@@ -151,10 +199,14 @@ mod tests {
         let cells = vec![0.125; n];
         let dx2: Vec<f64> = (0..n).map(|i| (1e3 + i as f64).powi(2)).collect();
         let mut out = vec![0.0; n];
-        radial_product_row(&mut out, &cells, &dx2, 0.0, 1.0, &table);
-        for (i, &o) in out.iter().enumerate() {
-            let expected = 0.125 * values[values.len() - 1];
+        let mut coords = vec![0.0; n];
+        radial_product_row(&mut out, &cells, &dx2, 0.0, 1.0, &table, &mut coords);
+        let mut looked_up = vec![0.0; n];
+        lookup_product_row(&mut looked_up, &cells, &coords, &table);
+        let expected = 0.125 * values[values.len() - 1];
+        for (i, (&o, &l)) in out.iter().zip(&looked_up).enumerate() {
             assert_eq!(o.to_bits(), expected.to_bits(), "cell {i}");
+            assert_eq!(l.to_bits(), expected.to_bits(), "lookup {i}");
         }
     }
 }

@@ -40,6 +40,6 @@ pub mod prelude {
     pub use crate::estimator::{
         EstimatorMode, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
     };
-    pub use crate::grid::{ConstraintOutcome, GridConfig, PositionGrid};
+    pub use crate::grid::{BeaconField, ConstraintOutcome, GridConfig, PositionGrid};
     pub use crate::multilateration::{MultilaterationConfig, Multilaterator, RangeObservation};
 }

@@ -314,7 +314,7 @@ mod tests {
         // The paper's Section 5 claim: naive multilateration suffers under
         // noisy RF ranges. Compare both algorithms on far anchors.
         use crate::bayes::{radial_constraints_for_grid, BayesianLocalizer};
-        use crate::grid::GridConfig;
+        use crate::grid::{BeaconField, GridConfig};
         let ch = RfChannel::default();
         let table = calibrate(
             &ch,
@@ -340,7 +340,7 @@ mod tests {
             let mut lateration = solver();
             for &a in &anchors {
                 let rssi = ch.sample_rssi(robot.distance_to(a), &mut rng);
-                bayes.observe_beacon(&radial, a, rssi);
+                bayes.observe_beacon(&radial, &mut BeaconField::new(a), rssi);
                 lateration.observe_beacon(&table, a, rssi);
             }
             bayes_total += bayes.estimate().map_or(150.0, |e| e.distance_to(robot));

@@ -2,7 +2,7 @@
 //! backend's covariance health, and backend checkpoint round-trips.
 
 use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
-use cocoa_localization::grid::ConstraintOutcome;
+use cocoa_localization::grid::{beacon_field_fills, ConstraintOutcome};
 use cocoa_localization::prelude::*;
 use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialProfile};
 use cocoa_net::channel::RfChannel;
@@ -39,7 +39,7 @@ fn assert_matches_per_cell_product(g: &mut PositionGrid, center: Point, profile:
     let product = per_cell_product(g, center, profile);
     let total: f64 = product.iter().sum();
     assert_eq!(
-        g.apply_radial_constraint(center, profile),
+        g.apply_radial_constraint(&mut BeaconField::new(center), profile),
         ConstraintOutcome::Applied
     );
     for (i, (&pa, &pb)) in product.iter().zip(g.cells()).enumerate() {
@@ -61,7 +61,7 @@ proptest! {
     ) {
         let mut grid = PositionGrid::new(GridConfig::new(Area::square(200.0), 4.0));
         for (c, w) in centers.iter().zip(widths.iter().cycle()) {
-            grid.apply_radial_constraint(*c, &bump(*w, 1e-9));
+            grid.apply_radial_constraint(&mut BeaconField::new(*c), &bump(*w, 1e-9));
             prop_assert!((grid.total_mass() - 1.0).abs() < 1e-6);
         }
     }
@@ -75,7 +75,7 @@ proptest! {
         let mut grid = PositionGrid::new(GridConfig::new(area, 4.0));
         let profile = bump(15.0, 1e-9);
         for c in &centers {
-            grid.apply_radial_constraint(*c, &profile);
+            grid.apply_radial_constraint(&mut BeaconField::new(*c), &profile);
         }
         prop_assert!(area.contains(grid.mean()));
         prop_assert!(area.contains(grid.map_estimate()));
@@ -87,7 +87,7 @@ proptest! {
     fn entropy_monotone_under_information(c in arb_in_area(), w in 2.0..40.0f64) {
         let mut grid = PositionGrid::new(GridConfig::new(Area::square(200.0), 4.0));
         let max_entropy = grid.entropy();
-        grid.apply_radial_constraint(c, &bump(w, 1e-12));
+        grid.apply_radial_constraint(&mut BeaconField::new(c), &bump(w, 1e-12));
         prop_assert!(grid.entropy() <= max_entropy + 1e-9);
         grid.reset_uniform();
         prop_assert!((grid.entropy() - max_entropy).abs() < 1e-9);
@@ -107,7 +107,7 @@ proptest! {
         let radial = radial_constraints_for_grid(&table, &grid);
         let mut loc = BayesianLocalizer::new(grid);
         for (pos, rssi) in &beacons {
-            loc.observe_beacon(&radial, *pos, Dbm::new(*rssi));
+            loc.observe_beacon(&radial, &mut BeaconField::new(*pos), Dbm::new(*rssi));
         }
         prop_assert!(loc.beacons_applied() <= beacons.len() as u32);
         if loc.beacons_applied() < 3 {
@@ -142,7 +142,7 @@ proptest! {
             let mut loc = BayesianLocalizer::new(grid);
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&radial, b, rssi);
+                loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
             }
             loc.estimate().map(|e| e.distance_to(robot))
         };
@@ -210,13 +210,13 @@ proptest! {
         let center = Point::new(cx, cy);
         let mut radial = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
         if informative {
-            radial.apply_radial_constraint(center, &bump(20.0, 1e-9));
+            radial.apply_radial_constraint(&mut BeaconField::new(center), &bump(20.0, 1e-9));
         }
         let before = radial.clone();
         let zero = RadialProfile::from_fn(0.5, 340.0, |_| 0.0);
         prop_assert_eq!(per_cell_product(&radial, center, &zero).iter().sum::<f64>(), 0.0);
         prop_assert_eq!(
-            radial.apply_radial_constraint(center, &zero),
+            radial.apply_radial_constraint(&mut BeaconField::new(center), &zero),
             ConstraintOutcome::Rejected
         );
         prop_assert_eq!(&radial, &before);
@@ -250,7 +250,7 @@ proptest! {
                 for _ in 0..beacons_per {
                     let b = Point::new(rng.gen::<f64>() * 200.0, rng.gen::<f64>() * 200.0);
                     let rssi = ch.sample_rssi(b.distance_to(Point::new(100.0, 100.0)).max(0.5), &mut rng);
-                    est.observe_beacon(&table, &radial, b, rssi, Some(reference), gate_m);
+                    est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, Some(reference), gate_m);
                 }
                 est.end_window();
             }
@@ -363,7 +363,7 @@ proptest! {
                     // The production gate: 80 m around the last fix, off
                     // before the first.
                     let reference = est.last_fix();
-                    est.observe_beacon(&table, &radial, b, rssi, reference, 80.0);
+                    est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, reference, 80.0);
                 }
                 if w + 1 < windows || !open {
                     est.end_window();
@@ -384,36 +384,73 @@ proptest! {
     }
 }
 
+/// Fails unless the two posteriors hold the same bytes.
+fn assert_same_bits(scalar: &PositionGrid, simd: &PositionGrid) {
+    assert_eq!(scalar.num_cells(), simd.num_cells());
+    for (ix, (a, b)) in scalar.cells().iter().zip(simd.cells()).enumerate() {
+        assert!(
+            a.to_bits() == b.to_bits(),
+            "cell {ix}: scalar {a:e} vs simd {b:e}"
+        );
+    }
+}
+
 proptest! {
-    /// The lane-packed kernel behind `apply_radial_constraint` is
+    /// The lane-packed kernels behind `apply_radial_constraint` are
     /// bit-identical to the scalar reference loop: same posterior bytes for
-    /// arbitrary beacon geometry, profile shape and grid resolution. This
-    /// is the contract that lets the lane kernel be the only production
-    /// path without perturbing goldens.
+    /// arbitrary beacon geometry, profile shape and grid resolution,
+    /// whether an update fills the beacon's distance field or reads the
+    /// coordinates an earlier update stored. This is the contract that
+    /// lets the lane kernels be the only production path without
+    /// perturbing goldens.
     #[test]
     fn simd_f64_kernel_is_bit_identical_to_scalar(
         cx in -20.0..220.0f64,
         cy in -20.0..220.0f64,
         res in 1.0..8.0f64,
+        res2 in 1.0..8.0f64,
         mean in 2.0..90.0f64,
         sigma in 0.25..25.0f64,
         step in 0.02..0.5f64,
+        step2 in 0.02..0.5f64,
     ) {
-        let pdf = DistancePdf::Gaussian { mean, sigma };
-        let profile = pdf.radial_profile(step, 340.0).offset(CONSTRAINT_FLOOR);
+        prop_assume!(res != res2 && step != step2);
         let center = Point::new(cx, cy);
-        let mut scalar = PositionGrid::new(GridConfig::new(Area::square(200.0), res));
+        let pdfs = [
+            DistancePdf::Gaussian { mean, sigma },
+            DistancePdf::Gaussian { mean: 0.5 * mean + 10.0, sigma: 1.5 * sigma },
+        ];
+        let floored = |pdf: &DistancePdf, step| pdf.radial_profile(step, 340.0).offset(CONSTRAINT_FLOOR);
+        let profiles = [floored(&pdfs[0], step), floored(&pdfs[1], step)];
+        let grid = |res| PositionGrid::new(GridConfig::new(Area::square(200.0), res));
+        // Two grids of one geometry; the second starts from another prior.
+        let mut scalar = [grid(res), grid(res)];
+        scalar[1].apply_radial_constraint_reference(Point::new(100.0, 100.0), &profiles[1]);
         let mut simd = scalar.clone();
-        for _ in 0..2 {
-            let oa = scalar.apply_radial_constraint_reference(center, &profile);
-            let ob = simd.apply_radial_constraint(center, &profile);
+        let mut field = BeaconField::new(center);
+        let fills = beacon_field_fills();
+        // One field serves two profiles and two grids in turn: the first
+        // update fills it and every later one reads the stored coordinates.
+        for (g, p) in [(0, 0), (1, 1), (0, 1), (1, 0), (0, 0)] {
+            let oa = scalar[g].apply_radial_constraint_reference(center, &profiles[p]);
+            let ob = simd[g].apply_radial_constraint(&mut field, &profiles[p]);
             prop_assert_eq!(oa, ob);
-            for (ix, (a, b)) in scalar.cells().iter().zip(simd.cells()).enumerate() {
-                prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "cell {}: scalar {:e} vs simd {:e}", ix, a, b
-                );
-            }
+            assert_same_bits(&scalar[g], &simd[g]);
         }
+        prop_assert_eq!(beacon_field_fills(), fills + 1);
+
+        // Another step refills the field, and so does another resolution.
+        let restepped = floored(&pdfs[0], step2);
+        let oa = scalar[0].apply_radial_constraint_reference(center, &restepped);
+        let ob = simd[0].apply_radial_constraint(&mut field, &restepped);
+        prop_assert_eq!(oa, ob);
+        assert_same_bits(&scalar[0], &simd[0]);
+        prop_assert_eq!(beacon_field_fills(), fills + 2);
+        let (mut scalar2, mut simd2) = (grid(res2), grid(res2));
+        let oa = scalar2.apply_radial_constraint_reference(center, &restepped);
+        let ob = simd2.apply_radial_constraint(&mut field, &restepped);
+        prop_assert_eq!(oa, ob);
+        assert_same_bits(&scalar2, &simd2);
+        prop_assert_eq!(beacon_field_fills(), fills + 3);
     }
 }

@@ -16,6 +16,7 @@
 //!
 //! exactly mirroring the decision the authors made from their Fig. 1.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -147,8 +148,8 @@ const MAX_FALLBACK_DB: i16 = 3;
 /// Resolves an observed RSSI to the calibrated bin a lookup should use:
 /// the exact bin when present, otherwise — within ±[`MAX_FALLBACK_DB`] —
 /// the present bin whose centre is nearest the *continuous* RSSI value,
-/// ties broken towards the stronger bin. Shared by [`PdfTable`] and
-/// [`RadialConstraintTable`] so the two stay bit-for-bit consistent.
+/// ties broken towards the stronger bin. [`RadialConstraintTable`] resolves
+/// through its [`PdfTable`], so the two stay bit-for-bit consistent.
 fn nearest_present_bin(rssi: Dbm, present: impl Fn(i16) -> bool) -> Option<i16> {
     let key = rssi.bin().0;
     if present(key) {
@@ -208,12 +209,13 @@ impl PdfTable {
         gaussian_floor_dbm: f64,
     ) -> Self {
         let bins: BTreeMap<i16, DistancePdf> = entries.into_iter().map(|(b, p)| (b.0, p)).collect();
-        Self::from_sorted(bins, gaussian_floor_dbm)
+        Self::from_sorted(bins.into_iter().collect(), gaussian_floor_dbm)
     }
 
-    fn from_sorted(bins: BTreeMap<i16, DistancePdf>, gaussian_floor_dbm: f64) -> Self {
-        let (min_bin, max_bin) = match (bins.keys().next(), bins.keys().next_back()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
+    /// Builds a table from per-bin PDFs in strictly increasing bin order.
+    fn from_sorted(bins: Vec<(i16, DistancePdf)>, gaussian_floor_dbm: f64) -> Self {
+        let (min_bin, max_bin) = match (bins.first(), bins.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
             _ => {
                 return PdfTable {
                     min_bin: 0,
@@ -302,17 +304,38 @@ impl LaneTable {
     ///
     /// Panics if `values` is empty.
     pub fn from_values(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "lane table needs at least one sample");
-        let n = values.len();
+        let mut val = Vec::with_capacity(values.len().next_power_of_two());
+        val.extend_from_slice(values);
+        Self::from_samples(val)
+    }
+
+    /// [`LaneTable::from_values`] on samples already in a vector, padded in
+    /// place (no reallocation when its capacity is the padded length).
+    fn from_samples(mut val: Vec<f64>) -> Self {
+        assert!(!val.is_empty(), "lane table needs at least one sample");
+        let n = val.len();
         let pad = n.next_power_of_two();
-        let mut val = values.to_vec();
-        val.resize(pad, values[n - 1]);
-        let mut del: Vec<f64> = values.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut del = Vec::with_capacity(pad);
+        del.extend(val.windows(2).map(|w| w[1] - w[0]));
         del.resize(pad, 0.0);
+        val.resize(pad, val[n - 1]);
         LaneTable {
             val,
             del,
             lastf: (n - 1) as f64,
+        }
+    }
+
+    /// Adds `floor` to every sample (the padding included) and recomputes
+    /// the differences from the new samples: the table
+    /// [`LaneTable::from_values`] builds from the offset samples.
+    fn offset(&mut self, floor: f64) {
+        for v in &mut self.val {
+            *v += floor;
+        }
+        let n = self.lastf as usize + 1;
+        for (d, w) in self.del.iter_mut().zip(self.val[..n].windows(2)) {
+            *d = w[1] - w[0];
         }
     }
 
@@ -347,24 +370,17 @@ impl LaneTable {
 /// sample clamp to the final value, so a profile built out to the area
 /// diagonal with a floor baked in behaves like `pdf.density(d) + floor`
 /// everywhere the grid can ask.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The samples are stored once, in the [`LaneTable`] the lane-packed
+/// grid kernel reads: its `val` holds them, padded.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadialProfile {
     step: f64,
     inv_step: f64,
-    /// `values[k]` = profile value at distance `k * step`.
-    values: Vec<f64>,
-    /// Lazily-built SoA interpolation table for the lane-packed f64 grid
-    /// kernel (see [`LaneTable`]).
-    #[serde(skip)]
-    lane64: OnceLock<LaneTable>,
-}
-
-// Derived caches carry no state of their own: profiles are equal iff their
-// lattices are.
-impl PartialEq for RadialProfile {
-    fn eq(&self, other: &Self) -> bool {
-        self.step == other.step && self.values == other.values
-    }
+    /// Number of lattice points; the table pads past them.
+    len: usize,
+    /// `lane.val()[k]` = profile value at distance `k * step`.
+    lane: LaneTable,
 }
 
 impl RadialProfile {
@@ -383,12 +399,13 @@ impl RadialProfile {
             "profile extent must be non-negative"
         );
         let n = (max_d / step).ceil() as usize + 1;
-        let values = (0..=n).map(|k| f(k as f64 * step)).collect();
+        let mut values = Vec::with_capacity((n + 1).next_power_of_two());
+        values.extend((0..=n).map(|k| f(k as f64 * step)));
         RadialProfile {
             step,
             inv_step: 1.0 / step,
-            values,
-            lane64: OnceLock::new(),
+            len: values.len(),
+            lane: LaneTable::from_samples(values),
         }
     }
 
@@ -397,7 +414,7 @@ impl RadialProfile {
     #[inline]
     pub fn density(&self, d: f64) -> f64 {
         if d <= 0.0 {
-            return self.values[0];
+            return self.lane.val[0];
         }
         self.density_scaled(d * self.inv_step)
     }
@@ -411,12 +428,13 @@ impl RadialProfile {
     /// [`density`](Self::density) of the corresponding distance.
     #[inline]
     pub fn density_scaled(&self, t: f64) -> f64 {
+        let values = &self.lane.val;
         let i = t as usize;
-        if i + 1 >= self.values.len() {
-            return self.values[self.values.len() - 1];
+        if i + 1 >= self.len {
+            return values[self.len - 1];
         }
-        let a = self.values[i];
-        a + (self.values[i + 1] - a) * (t - i as f64)
+        let a = values[i];
+        a + (values[i + 1] - a) * (t - i as f64)
     }
 
     /// `1 / step` — the factor converting a distance to a lattice
@@ -429,19 +447,13 @@ impl RadialProfile {
     /// Adds a constant floor to every sample (used to bake the Bayesian
     /// constraint floor into the cached profile).
     pub fn offset(mut self, floor: f64) -> Self {
-        for v in &mut self.values {
-            *v += floor;
-        }
-        // The samples changed; drop the derived interpolation table.
-        self.lane64 = OnceLock::new();
+        self.lane.offset(floor);
         self
     }
 
-    /// The SoA interpolation table for the lane-packed f64 kernel, built on
-    /// first use and cached.
+    /// The SoA interpolation table for the lane-packed f64 kernel.
     pub fn lane_table(&self) -> &LaneTable {
-        self.lane64
-            .get_or_init(|| LaneTable::from_values(&self.values))
+        &self.lane
     }
 
     /// Distance between lattice points, metres.
@@ -451,18 +463,18 @@ impl RadialProfile {
 
     /// Distance of the last lattice point, metres.
     pub fn max_distance(&self) -> f64 {
-        (self.values.len() - 1) as f64 * self.step
+        (self.len - 1) as f64 * self.step
     }
 
     /// Number of lattice points.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
-    /// Whether the profile has no lattice points (never true for profiles
-    /// built by this module).
+    /// Whether the profile has no lattice points (never true: a profile
+    /// holds at least one sample).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        false
     }
 }
 
@@ -474,56 +486,76 @@ impl DistancePdf {
     }
 }
 
+thread_local! {
+    static PROFILE_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many radial profiles this thread's [`RadialConstraintTable`]s have
+/// sampled. Tests read it to pin that a run builds only the profiles its
+/// beacons resolve to.
+#[doc(hidden)]
+pub fn radial_profile_builds() -> u64 {
+    PROFILE_BUILDS.with(Cell::get)
+}
+
 /// One floored [`RadialProfile`] per calibrated RSSI bin, sharing the
 /// [`PdfTable`]'s dense layout and its exact lookup-fallback rule.
 ///
-/// Built once per experiment from the calibrated table and shared by
-/// reference across every robot and transmit round — profile construction
-/// is O(bins × samples) but amortizes to nothing over a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A bin's profile is sampled the first time a lookup resolves to it and
+/// kept for the table's life, so a run builds only the bins its robots
+/// hear, and a run that never looks one up (the gridless estimators)
+/// builds none. Shared by reference across every robot of a run.
+#[derive(Debug, Clone)]
 pub struct RadialConstraintTable {
-    min_bin: i16,
-    profiles: Vec<Option<RadialProfile>>,
+    table: PdfTable,
+    step: f64,
+    max_d: f64,
+    floor: f64,
+    /// `profiles[i]` serves `table.slots[i]`, built on first use.
+    profiles: Vec<OnceLock<RadialProfile>>,
 }
 
 impl RadialConstraintTable {
-    /// Samples every bin of `table` on a `step` lattice out to `max_d`
-    /// (typically the deployment area's diagonal), adding `floor` to every
-    /// sample.
+    /// A table serving every bin of `table`, each sampled on a `step`
+    /// lattice out to `max_d` (typically the deployment area's diagonal)
+    /// with `floor` added to every sample. Samples nothing yet.
     pub fn new(table: &PdfTable, step: f64, max_d: f64, floor: f64) -> Self {
-        let min_bin = table.entries().next().map_or(0, |(b, _)| b.0);
-        let max_bin = table.entries().last().map_or(0, |(b, _)| b.0);
-        let mut profiles = vec![None; bin_offset(max_bin, min_bin) as usize + 1];
-        for (bin, pdf) in table.entries() {
-            profiles[bin_offset(bin.0, min_bin) as usize] =
-                Some(pdf.radial_profile(step, max_d).offset(floor));
+        RadialConstraintTable {
+            table: table.clone(),
+            step,
+            max_d,
+            floor,
+            profiles: (0..table.slots.len()).map(|_| OnceLock::new()).collect(),
         }
-        RadialConstraintTable { min_bin, profiles }
     }
 
-    /// The profile stored for exactly `bin`, with no fallback.
+    /// The profile for exactly `bin`, with no fallback; sampled on the
+    /// first call for a calibrated bin.
     #[inline]
     pub fn get(&self, bin: RssiBin) -> Option<&RadialProfile> {
-        let idx = usize::try_from(bin_offset(bin.0, self.min_bin)).ok()?;
-        self.profiles.get(idx)?.as_ref()
+        let pdf = self.table.get(bin)?;
+        let cell = &self.profiles[bin_offset(bin.0, self.table.min_bin) as usize];
+        Some(cell.get_or_init(|| {
+            PROFILE_BUILDS.with(|n| n.set(n.get() + 1));
+            pdf.radial_profile(self.step, self.max_d).offset(self.floor)
+        }))
     }
 
     /// Looks up the profile for an observed RSSI with the same fallback
     /// rule as [`PdfTable::resolve`] — the two tables always agree on which
     /// bin serves a given RSSI.
     pub fn lookup(&self, rssi: Dbm) -> Option<&RadialProfile> {
-        nearest_present_bin(rssi, |k| self.get(RssiBin(k)).is_some())
-            .and_then(|k| self.get(RssiBin(k)))
+        self.table.resolve(rssi).and_then(|bin| self.get(bin))
     }
 
-    /// Number of cached profiles.
+    /// Number of calibrated bins served.
     pub fn len(&self) -> usize {
-        self.profiles.iter().flatten().count()
+        self.table.len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether no bin is served.
     pub fn is_empty(&self) -> bool {
-        self.profiles.iter().all(Option::is_none)
+        self.table.is_empty()
     }
 }
 
@@ -562,27 +594,36 @@ pub fn calibrate<R: Rng + ?Sized>(
         "invalid calibration range"
     );
 
-    // Collect (distance) samples per RSSI bin.
-    let mut by_bin: BTreeMap<i16, Vec<f64>> = BTreeMap::new();
+    // Collect (distance) samples per RSSI bin: `by_bin[i]` holds bin
+    // `min_bin + i`. Samples below the receiver sensitivity are never
+    // actually received, so no PDF is learned for them, and a detectable
+    // sample never rounds below the sensitivity's own bin.
+    let min_bin = Dbm::new(channel.params().sensitivity_dbm).bin().0;
+    let mut by_bin: Vec<Vec<f64>> = Vec::new();
     let mut d = config.d_min;
     while d <= d_max {
+        let law = channel.rssi_law(d);
         for _ in 0..config.samples_per_distance {
-            let rssi = channel.sample_rssi(d, rng);
-            // Samples below the receiver sensitivity are never actually
-            // received, so no PDF is learned for them.
+            let rssi = law.sample(rng);
             if channel.is_detectable(rssi) {
-                by_bin.entry(rssi.bin().0).or_default().push(d);
+                let i = usize::try_from(bin_offset(rssi.bin().0, min_bin))
+                    .expect("a detectable sample rounds to the sensitivity's bin or above");
+                if i >= by_bin.len() {
+                    by_bin.resize_with(i + 1, Vec::new);
+                }
+                by_bin[i].push(d);
             }
         }
         d += config.step_m;
     }
 
     let gaussian_floor = channel.gaussian_rssi_floor().value();
-    let mut bins = BTreeMap::new();
-    for (bin, samples) in by_bin {
+    let mut bins = Vec::new();
+    for (i, samples) in by_bin.into_iter().enumerate() {
         if samples.len() < config.min_samples_per_bin {
             continue;
         }
+        let bin = (i32::from(min_bin) + i as i32) as i16;
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
         let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
@@ -609,7 +650,7 @@ pub fn calibrate<R: Rng + ?Sized>(
                 sigma,
             }
         };
-        bins.insert(bin, pdf);
+        bins.push((bin, pdf));
     }
     PdfTable::from_sorted(bins, gaussian_floor)
 }
@@ -784,9 +825,21 @@ mod tests {
             mean: 10.0,
             sigma: 2.0,
         };
-        let profile = pdf.radial_profile(0.1, 30.0).offset(1e-6);
+        let raw = pdf.radial_profile(0.1, 30.0);
+        let floored: Vec<f64> = raw.lane_table().val()[..raw.len()]
+            .iter()
+            .map(|v| v + 1e-6)
+            .collect();
+        let profile = raw.offset(1e-6);
         assert!((profile.density(10.0) - (pdf.density(10.0) + 1e-6)).abs() < 1e-15);
         assert!((profile.density(29.9) - (pdf.density(29.9) + 1e-6)).abs() < 1e-9);
+        // Offsetting in place gives the table built from the offset samples.
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let expected = LaneTable::from_values(&floored);
+        let lane = profile.lane_table();
+        assert_eq!(bits(lane.val()), bits(expected.val()));
+        assert_eq!(bits(lane.del()), bits(expected.del()));
+        assert_eq!(lane.lastf().to_bits(), expected.lastf().to_bits());
     }
 
     #[test]
@@ -809,6 +862,57 @@ mod tests {
                 (None, None) => {}
                 (a, b) => panic!("tables disagree at {rssi:?}: {a:?} vs {}", b.is_some()),
             }
+        }
+    }
+
+    /// A table samples a bin's profile on the first lookup that resolves
+    /// to it, to the bits the eager expression gives, and resolves every
+    /// RSSI to the bin [`PdfTable::resolve`] picks.
+    #[test]
+    fn radial_profiles_are_built_on_first_lookup() {
+        let (ch, t) = table();
+        let (step, max_d, floor) = (0.05, 283.0, 1e-6);
+        let radial = RadialConstraintTable::new(&t, step, max_d, floor);
+        let built = |radial: &RadialConstraintTable| -> Vec<i16> {
+            t.entries()
+                .map(|(bin, _)| bin)
+                .filter(|bin| {
+                    radial.profiles[bin_offset(bin.0, t.min_bin) as usize]
+                        .get()
+                        .is_some()
+                })
+                .map(|bin| bin.0)
+                .collect()
+        };
+        let builds = radial_profile_builds();
+        assert!(built(&radial).is_empty(), "a fresh table builds nothing");
+
+        let rssi = ch.mean_rssi(20.0);
+        let bin = t.resolve(rssi).expect("a calibrated bin");
+        radial.lookup(rssi).expect("a profile");
+        radial.lookup(rssi).expect("a profile");
+        assert_eq!(built(&radial), [bin.0], "one lookup builds its bin");
+        assert_eq!(radial_profile_builds(), builds + 1, "and builds it once");
+
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (bin, pdf) in t.entries() {
+            let lazy = radial.get(bin).expect("calibrated").lane_table();
+            let eager = pdf.radial_profile(step, max_d).offset(floor);
+            let eager = eager.lane_table();
+            assert_eq!(bits(lazy.val()), bits(eager.val()), "bin {bin:?}");
+            assert_eq!(bits(lazy.del()), bits(eager.del()), "bin {bin:?}");
+            assert_eq!(lazy.lastf().to_bits(), eager.lastf().to_bits());
+        }
+        assert_eq!(radial_profile_builds(), builds + t.len() as u64);
+
+        for quarter in -400..=-80 {
+            let rssi = Dbm::new(f64::from(quarter) / 4.0);
+            let via_lookup = radial.lookup(rssi).map(|p| p as *const RadialProfile);
+            let via_resolve = t
+                .resolve(rssi)
+                .and_then(|bin| radial.get(bin))
+                .map(|p| p as *const RadialProfile);
+            assert_eq!(via_lookup, via_resolve, "at {rssi:?}");
         }
     }
 

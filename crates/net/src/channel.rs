@@ -232,6 +232,29 @@ impl Default for ChannelParams {
     }
 }
 
+/// The RSSI distribution at one distance (see [`RfChannel::rssi_law`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RssiLaw {
+    /// Mean RSSI and log-normal shadowing, dBm.
+    shadowing: Normal,
+    /// Past the multipath onset: the deep-fade probability and depth.
+    fade: Option<(f64, Exponential)>,
+}
+
+impl RssiLaw {
+    /// Draws one RSSI sample: the shadowing draw, then (past the onset)
+    /// the fade coin and, on heads, the fade depth.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Dbm {
+        let mut v = self.shadowing.sample(rng);
+        if let Some((prob, depth)) = self.fade {
+            if rng.gen_bool(prob) {
+                v -= depth.sample(rng);
+            }
+        }
+        Dbm::new(v)
+    }
+}
+
 /// The stochastic RF channel.
 ///
 /// # Examples
@@ -323,13 +346,27 @@ impl RfChannel {
     ///
     /// Panics if `d` is not strictly positive.
     pub fn sample_rssi<R: Rng + ?Sized>(&self, d: f64, rng: &mut R) -> Dbm {
-        let mean = self.mean_rssi(d).value();
-        let sigma = self.shadowing_sigma(d);
-        let mut v = Normal::new(mean, sigma).sample(rng);
-        if d > self.params.multipath_onset_m && rng.gen_bool(self.params.multipath_fade_prob) {
-            v -= Exponential::new(self.params.multipath_fade_mean_db).sample(rng);
+        self.rssi_law(d).sample(rng)
+    }
+
+    /// The law [`RfChannel::sample_rssi`] draws from at distance `d`: the
+    /// path-loss mean and shadowing σ, evaluated once, for a caller that
+    /// draws many samples at one distance (the calibration campaign).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not strictly positive.
+    pub fn rssi_law(&self, d: f64) -> RssiLaw {
+        let p = &self.params;
+        RssiLaw {
+            shadowing: Normal::new(self.mean_rssi(d).value(), self.shadowing_sigma(d)),
+            fade: (d > p.multipath_onset_m).then(|| {
+                (
+                    p.multipath_fade_prob,
+                    Exponential::new(p.multipath_fade_mean_db),
+                )
+            }),
         }
-        Dbm::new(v)
     }
 
     /// Whether a packet at RSSI `rssi` is detectable at all.

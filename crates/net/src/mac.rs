@@ -56,6 +56,9 @@ impl TxId {
 /// presence of an overlapping frame only if it is this much stronger.
 pub const DEFAULT_CAPTURE_MARGIN_DB: f64 = 10.0;
 
+/// How long the medium keeps a frame after its airtime ends.
+const RETENTION: SimDuration = SimDuration::from_millis(10);
+
 /// One frame on the medium: its airtime, its packet and the RSSI sampled
 /// at each receiver that heard it. The frame's receivers are exactly the
 /// receivers in `heard`.
@@ -181,22 +184,13 @@ impl Default for Medium {
 }
 
 impl Medium {
-    /// Creates a medium with the default 10 dB capture margin.
+    /// Creates a medium with the 10 dB capture margin
+    /// ([`DEFAULT_CAPTURE_MARGIN_DB`]).
     pub fn new() -> Self {
-        Medium::with_capture_margin(DEFAULT_CAPTURE_MARGIN_DB)
-    }
-
-    /// Creates a medium with an explicit capture margin in dB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the margin is negative.
-    pub fn with_capture_margin(margin_db: f64) -> Self {
-        assert!(margin_db >= 0.0, "capture margin must be non-negative");
         Medium {
             active: Vec::new(),
-            capture_margin_db: margin_db,
-            retention: SimDuration::from_millis(10),
+            capture_margin_db: DEFAULT_CAPTURE_MARGIN_DB,
+            retention: RETENTION,
             next_id: 0,
             total_tx: 0,
             total_collisions: 0,
@@ -346,10 +340,12 @@ impl Medium {
         self.next_id
     }
 
-    /// The snapshot layout. The reader rejects what [`Medium::judge`]'s
-    /// binary searches could not work on: frame ids not strictly
-    /// increasing or not below the next id to allocate, and a frame's
-    /// receivers not strictly increasing.
+    /// The snapshot layout. The reader rejects a capture margin or
+    /// retention other than [`Medium::new`]'s (both are constants, stored
+    /// only until a schema change drops them), and what
+    /// [`Medium::judge`]'s binary searches could not work on: frame ids
+    /// not strictly increasing or not below the next id to allocate, and
+    /// a frame's receivers not strictly increasing.
     pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
         let Medium {
             active,
@@ -364,6 +360,19 @@ impl Medium {
         } = self;
         c.f64(capture_margin_db)?;
         retention.code(c)?;
+        if capture_margin_db.to_bits() != DEFAULT_CAPTURE_MARGIN_DB.to_bits() {
+            return Err(SnapshotError::malformed(format!(
+                "medium capture margin {capture_margin_db} dB is not the \
+                 {DEFAULT_CAPTURE_MARGIN_DB} dB the medium uses"
+            )));
+        }
+        if *retention != RETENTION {
+            return Err(SnapshotError::malformed(format!(
+                "medium retention {} µs is not the {} µs the medium uses",
+                retention.as_micros(),
+                RETENTION.as_micros()
+            )));
+        }
         c.u64s([next_id, total_tx, total_collisions, total_half_duplex])?;
         c.vec(active, |c, frame| frame.code(c))?;
         if let Some(pair) = active.windows(2).find(|w| w[0].id >= w[1].id) {

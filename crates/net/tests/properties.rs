@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use bytes::Bytes;
+use cocoa_net::mac::DEFAULT_CAPTURE_MARGIN_DB;
 use cocoa_net::prelude::*;
 use cocoa_sim::rng::SeedSplitter;
 use cocoa_sim::snapshot;
@@ -382,12 +383,10 @@ proptest! {
     /// counts, and state, through garbage collection.
     #[test]
     fn per_frame_judgement_matches_the_per_receiver_oracle(
-        margin in 0usize..3,
         ops in proptest::collection::vec(arb_medium_op(), 1..48),
     ) {
-        let margin_db = [0.0, 5.0, 10.0][margin];
-        let mut m = Medium::with_capture_margin(margin_db);
-        let mut oracle = OracleMedium::new(margin_db);
+        let mut m = Medium::new();
+        let mut oracle = OracleMedium::new(DEFAULT_CAPTURE_MARGIN_DB);
         let mut sent: Vec<(TxId, Packet)> = Vec::new();
         let mut verdicts = Vec::new();
         for op in ops {

@@ -19,7 +19,7 @@
 
 use cocoa_suite::localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 use cocoa_suite::localization::ekf::{EkfConfig, EkfLocalizer};
-use cocoa_suite::localization::grid::GridConfig;
+use cocoa_suite::localization::grid::{BeaconField, GridConfig};
 use cocoa_suite::mobility::prelude::*;
 use cocoa_suite::net::calibration::{calibrate, CalibrationConfig};
 use cocoa_suite::net::channel::RfChannel;
@@ -95,7 +95,7 @@ fn main() {
                 if !channel.is_detectable(rssi) {
                     continue;
                 }
-                bayes.observe_beacon(&radial, a, rssi);
+                bayes.observe_beacon(&radial, &mut BeaconField::new(a), rssi);
                 if let Some(f) = ekf.as_mut() {
                     f.update_from_beacon(&table, a, rssi);
                 }
