@@ -11,9 +11,10 @@
 //! table's set-up times, ops/s for the Bayesian grid update, the lane
 //! kernels (one receiver of a beacon frame, and a later receiver reading
 //! the frame's stored distances) against their scalar reference, the
-//! dense PDF-table lookup, the wall time of the quick-scale Figure 7
-//! comparison, and (in `BENCH_snapshot.json`) the snapshot CRC-32's
-//! throughput.
+//! dense PDF-table lookup, one paper-scale window of beacons applied in
+//! one batch on one worker and on every core, the wall time of the
+//! quick-scale Figure 7 comparison, and (in `BENCH_snapshot.json`) the
+//! snapshot CRC-32's throughput.
 //!
 //! The tripwire is armed by the regression gate
 //! (see [`cocoa_bench::regress`]):
@@ -38,6 +39,7 @@ use cocoa_core::experiment::{
 use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::{run, Calibration, SimRun};
 use cocoa_core::serve::{client, ServeConfig, Server};
+use cocoa_localization::batch::BeaconLog;
 use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
 use cocoa_localization::grid::{BeaconField, GridConfig, PositionGrid};
 use cocoa_net::calibration::{calibrate, CalibrationConfig};
@@ -245,6 +247,54 @@ fn main() -> ExitCode {
 
     let dense_cells_per_window = 4 * PositionGrid::new(grid_cfg).num_cells();
 
+    // One paper-scale window in one batch: 25 equipped robots send 3
+    // beacons each, and every one of the 25 Bayes robots hears each of
+    // the 75 frames at the RSSI its distance draws. Applied on one worker
+    // and on as many as the host has cores; medians of five.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut place = SeedSplitter::new(3).stream("bench", 1);
+    let mut at = || {
+        Point::new(
+            rand::Rng::gen_range(&mut place, 0.0..200.0),
+            rand::Rng::gen_range(&mut place, 0.0..200.0),
+        )
+    };
+    let receivers: Vec<Point> = (0..25).map(|_| at()).collect();
+    let mut heard = SeedSplitter::new(3).stream("bench", 2);
+    let mut window = Vec::new();
+    for _ in 0..75 {
+        let sender = at();
+        for (slot, &rx) in receivers.iter().enumerate() {
+            let rssi = channel.sample_rssi(sender.distance_to(rx).max(1.0), &mut heard);
+            if let Some((bin, _)) = radial.resolve(rssi) {
+                window.push((sender, slot, bin));
+            }
+        }
+    }
+    let flush_ms = |workers: usize| {
+        let mut grids: Vec<PositionGrid> = (0..25).map(|_| PositionGrid::new(grid_cfg)).collect();
+        let mut fields: Vec<BeaconField> = (0..workers).map(|_| BeaconField::default()).collect();
+        let mut log = BeaconLog::new();
+        let mut ms: Vec<f64> = (0..5)
+            .map(|_| {
+                grids.iter_mut().for_each(PositionGrid::reset_uniform);
+                for &(sender, slot, bin) in &window {
+                    log.push(sender, slot, bin);
+                }
+                let batches = grids.iter_mut().map(|g| Some(g.batch())).collect();
+                let t0 = Instant::now();
+                log.apply(batches, &radial, &mut fields);
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let flush_one_ms = flush_ms(1);
+    let flush_all_ms = flush_ms(cores);
+    let flush_speedup = flush_one_ms / flush_all_ms;
+    let flush_updates = window.len();
+
     // PDF-table lookup over a 64-value RSSI ramp.
     let rssis: Vec<Dbm> = (0..64).map(|i| Dbm::new(-95.0 + f64::from(i))).collect();
     let lookup_dense = ops_per_sec(|| {
@@ -392,6 +442,10 @@ fn main() -> ExitCode {
         fmt_ops(kernel_shared)
     );
     println!("grid window (4 seq):   {}", fmt_ops(window_sequential));
+    println!(
+        "paper window batch:    {flush_updates} updates in {flush_one_ms:.1} ms on 1 worker, \
+         {flush_all_ms:.1} ms on {cores} ({flush_speedup:.2}x)"
+    );
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
     println!("fig7 quick scale:      {fig7_secs:.2} s");
     if let Some((cocoa, rf)) = fig7_headline {
@@ -428,6 +482,10 @@ fn main() -> ExitCode {
          \"radial_all_bins_ms\": {radial_all_bins_ms:.3},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
+         \"grid_window_batch_one_worker_ms\": {flush_one_ms:.3},\n  \
+         \"grid_window_batch_all_workers_ms\": {flush_all_ms:.3},\n  \
+         \"grid_window_batch_workers\": {cores},\n  \
+         \"grid_window_batch_speedup\": {flush_speedup:.2},\n  \
          \"pdf_lookup_dense_ops_per_sec\": {lookup_dense:.1},\n  \
          \"fig7_quick_wall_secs\": {fig7_secs:.3}\n}}\n"
     );

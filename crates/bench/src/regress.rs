@@ -87,6 +87,15 @@ pub const SPECS: &[MetricSpec] = &[
     spec("calibrate_ms", LowerIsBetter, 1.0),
     spec("radial_setup_us", LowerIsBetter, 10.0),
     spec("radial_all_bins_ms", LowerIsBetter, 1.0),
+    // --- BENCH_grid.json: one paper-scale window (75 frames × 25 grids)
+    // applied in one batch on one worker and on every core. The
+    // all-core time and the speedup depend on how many cores the host
+    // has, and the one-worker time is the kernel rows' again, so all four
+    // are tracked, not gated.
+    spec("grid_window_batch_one_worker_ms", Informational, 0.0),
+    spec("grid_window_batch_all_workers_ms", Informational, 0.0),
+    spec("grid_window_batch_workers", Informational, 0.0),
+    spec("grid_window_batch_speedup", Informational, 0.0),
     // --- BENCH_grid.json: deterministic shape ---
     spec("grid_dense_cells_per_window", LowerIsBetter, 0.01),
     spec("fig7_quick_wall_secs", LowerIsBetter, 1.0),

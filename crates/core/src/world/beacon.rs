@@ -1,11 +1,16 @@
 //! The physical layer of the world: deferred transmissions firing onto
 //! the medium, per-receiver channel sampling, reception judgment at the
 //! end of each frame's airtime, and dispatch of delivered packets into
-//! the localizer or the mesh.
+//! the localizer or the mesh; and the flush that applies the Bayes
+//! beacons a window logged to their receivers' posteriors.
+
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 use bytes::Bytes;
+use cocoa_localization::batch::BeaconLog;
 use cocoa_localization::bayes::ObservationResult;
-use cocoa_localization::grid::BeaconField;
+use cocoa_localization::grid::{BeaconField, GridConfig};
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{ReceptionOutcome, TxId};
 use cocoa_net::packet::{NodeId, Packet, Payload};
@@ -149,12 +154,6 @@ pub(crate) fn deliver(engine: &mut Engine<Event>, world: &mut WorldState, tx: Tx
     let corrupt = world.corrupt_txs.remove(&tx);
     let mut verdicts = std::mem::take(&mut world.rx_buffers.verdicts);
     if let Some(packet) = world.medium.judge(tx, &mut verdicts).cloned() {
-        if let Payload::Beacon { position } = packet.payload {
-            // Every receiver of this frame measures distances from one
-            // position: the first Bayes update fills the field, the rest
-            // read it.
-            world.rx_buffers.field.reset(position);
-        }
         let bytes = packet.wire_size();
         for &(rx, verdict) in &verdicts {
             let ReceptionOutcome::Delivered { rssi } = verdict else {
@@ -186,8 +185,98 @@ pub(crate) struct RxBuffers {
     heard: Vec<(NodeId, Dbm)>,
     /// One verdict per receiver of the frame being judged.
     verdicts: Vec<(NodeId, ReceptionOutcome)>,
-    /// The distance field of the beacon frame being delivered.
-    field: BeaconField,
+}
+
+/// The Bayes beacons delivered since the last flush, and the distance
+/// fields a flush lends its workers. Like [`RxBuffers`], it holds nothing
+/// a snapshot needs: a capture flushes first.
+pub(crate) struct PendingBeacons {
+    /// Each Bayes reception since the last flush, by frame, the receiver
+    /// named by its robot index.
+    pub(crate) log: BeaconLog,
+    /// One distance field per worker, kept across flushes so workers
+    /// allocate nothing.
+    fields: Vec<BeaconField>,
+    /// Cells of every robot's posterior.
+    cells: usize,
+    /// The worker count every flush uses, in place of the spare cores.
+    #[cfg(test)]
+    pub(crate) fixed_workers: Option<usize>,
+}
+
+/// Cell updates (grid updates times cells per grid) a flush must carry
+/// before it spawns a worker. With the second core of a 2-vCPU host idle,
+/// a two-worker flush breaks even near 7·10⁴ (seven paper-scale grid
+/// updates); the threshold sits higher so that a served 8-robot window
+/// (at most 4 × 3 × 4 = 48 updates of 10⁴ cells, about 5·10⁵) stays on
+/// the simulation's thread, which `serve_mixed` measured at no cost
+/// (DESIGN.md, "Grid kernel").
+const MIN_FANOUT_CELL_UPDATES: usize = 1_000_000;
+
+/// The cores this process may run on, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+impl PendingBeacons {
+    pub(crate) fn new(grid: &GridConfig) -> Self {
+        let (nx, ny) = grid.dims();
+        PendingBeacons {
+            log: BeaconLog::new(),
+            fields: Vec::new(),
+            cells: nx * ny,
+            #[cfg(test)]
+            fixed_workers: None,
+        }
+    }
+
+    /// Workers for a flush of the logged beacons: the simulation's own
+    /// thread, plus one per core that no live simulation in the process
+    /// is using once the flush is large enough to pay for the spawns.
+    fn workers(&self, robots: usize) -> usize {
+        #[cfg(test)]
+        if let Some(workers) = self.fixed_workers {
+            return workers;
+        }
+        if self.log.len() * self.cells < MIN_FANOUT_CELL_UPDATES {
+            return 1;
+        }
+        let spare = cores().saturating_sub(super::live_simulations());
+        (1 + spare).min(robots.max(1))
+    }
+}
+
+/// Applies every logged Bayes beacon to its receiver's posterior, each
+/// receiver's in arrival order. Runs before anything reads or resets a
+/// posterior; a flush that comes earlier than it must changes no bit,
+/// since each receiver's updates keep their order. The flush's wall time
+/// goes to the `grid.update` span, counted once per update.
+pub(crate) fn flush(world: &mut WorldState) {
+    let pending = &mut world.pending;
+    if pending.log.is_empty() {
+        return;
+    }
+    let workers = pending.workers(world.robots.len());
+    let cells = pending.cells;
+    if pending.fields.len() < workers {
+        pending.fields.resize_with(workers, BeaconField::default);
+    }
+    for field in &mut pending.fields[..workers] {
+        field.reserve(cells);
+    }
+    let sp = world.telemetry.span_start();
+    let grids = world
+        .robots
+        .iter_mut()
+        .map(|r| r.rf.as_mut().and_then(|rf| rf.batch()))
+        .collect();
+    let applied = pending
+        .log
+        .apply(grids, &world.radial, &mut pending.fields[..workers]);
+    world
+        .telemetry
+        .span_end_n(world.spans.grid_update, sp, applied as u64);
 }
 
 /// Routes a delivered packet to the localizer or the mesh node.
@@ -200,7 +289,7 @@ fn dispatch(
     now: SimTime,
 ) {
     match &packet.payload {
-        Payload::Beacon { .. } => {
+        Payload::Beacon { position } => {
             let gate = world.scenario.outlier_gate_m;
             let mode = world.mode();
             let area = world.scenario.area;
@@ -217,16 +306,20 @@ fn dispatch(
             let r = &mut world.robots[robot];
             if let Some(rf) = r.rf.as_mut() {
                 world.traffic.beacons_received += 1;
-                let sp = world.telemetry.span_start();
-                let result = rf.observe_beacon(
+                let admission = rf.admit_beacon(
                     &world.calibration.table,
                     &world.radial,
-                    &mut world.rx_buffers.field,
+                    *position,
                     rssi,
                     reference,
                     gate,
                 );
-                world.telemetry.span_end(world.spans.grid_update, sp);
+                // A Bayes beacon's grid update waits for the next flush;
+                // it is reported applied now, which it will be.
+                if let Some(bin) = admission.constraint {
+                    world.pending.log.push(*position, robot, bin);
+                }
+                let result = admission.result;
                 if result == ObservationResult::Outlier {
                     world.robustness.outlier_beacons_rejected += 1;
                 }
@@ -264,63 +357,116 @@ fn dispatch(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
+    use cocoa_localization::batch::batch_worker_spawns;
     use cocoa_localization::estimator::RfAlgorithm;
-    use cocoa_localization::grid::beacon_field_fills;
     use cocoa_net::calibration::radial_profile_builds;
-    use cocoa_sim::telemetry::{Telemetry, TelemetryEvent, TelemetryLevel};
-    use cocoa_sim::time::SimDuration;
+    use cocoa_sim::engine::Engine;
+    use cocoa_sim::faults::FaultPlan;
+    use cocoa_sim::telemetry::{Telemetry, TelemetryLevel};
+    use cocoa_sim::time::{SimDuration, SimTime};
 
+    use super::flush;
+    use crate::executor::manifest::encode_metrics;
     use crate::scenario::Scenario;
-    use crate::world::{run, run_with_telemetry};
+    use crate::world::checkpoint::SimRun;
+    use crate::world::events::{handle_event, Event};
+    use crate::world::{build_initial_schedule, setup_world, Calibration, WorldState};
 
-    /// A beacon frame's cell distances are computed once, by its first
-    /// Bayes receiver's update; every later receiver reads them.
+    /// `scenario`'s world at time zero, flushing on `workers` workers.
+    fn world(scenario: &Scenario, workers: usize) -> (WorldState, Engine<Event>) {
+        let calibration = std::sync::Arc::new(Calibration::new(scenario));
+        let mut world = setup_world(scenario, Telemetry::off(), calibration);
+        world.pending.fixed_workers = Some(workers);
+        let engine = build_initial_schedule(&mut world);
+        (world, engine)
+    }
+
+    /// Each worker of a flush fills its distance field once per beacon
+    /// frame with a receiver it owns, however many of its receivers the
+    /// frame updates: here with a flush before every event, the most
+    /// flushes a run can make.
     #[test]
-    fn deliver_fills_one_field_per_beacon_frame_with_bayes_receivers() {
+    fn each_worker_fills_its_field_once_per_frame_it_serves() {
         let mut b = Scenario::builder();
         b.robots(12)
             .equipped(4)
             .duration(SimDuration::from_secs(300));
-        let fills = beacon_field_fills();
-        let (_, telemetry) = run_with_telemetry(&b.build(), Telemetry::new(TelemetryLevel::Full));
-        let fills = beacon_field_fills() - fills;
-        // A frame is its source and the instant its airtime ended.
-        let mut frames = BTreeSet::new();
-        let mut applied = 0;
-        for e in telemetry.events() {
-            if let TelemetryEvent::BeaconRx {
-                from,
-                outcome: "applied",
-                ..
-            } = e.event
-            {
-                frames.insert((e.t_us, from));
-                applied += 1;
-            }
+        let scenario = b.build();
+        for workers in 1..=3 {
+            let (mut world, mut engine) = world(&scenario, workers);
+            let mut served = vec![0; workers];
+            let mut updates = 0;
+            engine.run(&mut world, |engine, world, event| {
+                for (w, n) in served.iter_mut().enumerate() {
+                    *n += world.pending.log.frames_served(w, workers) as u64;
+                }
+                updates += world.pending.log.len() as u64;
+                flush(world);
+                handle_event(engine, world, event);
+            });
+            let fills: Vec<u64> = world.pending.fields.iter().map(|f| f.fills()).collect();
+            assert_eq!(fills, served, "{workers} workers");
+            assert!(
+                updates > 2 * served.iter().sum::<u64>(),
+                "receivers share fields: {updates} updates, {served:?} fills"
+            );
         }
-        // No grid update was rejected as degenerate, so the frames above
-        // are every frame that updated a grid.
-        assert_eq!(telemetry.counters().get("grid.kernel.simd"), Some(applied));
-        assert_eq!(fills, frames.len() as u64);
-        assert!(
-            applied > 2 * fills,
-            "receivers share fields: {applied} updates, {fills} fills"
-        );
     }
 
     /// The gridless estimators read only a beacon's position: a
-    /// paper-scale run fills no field and samples no radial profile.
+    /// paper-scale run logs no beacon, so it never flushes, fills no
+    /// field, spawns no worker and samples no radial profile, even where
+    /// every flush would spread over two workers.
     #[test]
     fn gridless_runs_fill_no_field_and_build_no_profile() {
         for algorithm in [RfAlgorithm::Ekf, RfAlgorithm::Multilateration] {
             let scenario = Scenario::builder().rf_algorithm(algorithm).build();
-            let (fills, builds) = (beacon_field_fills(), radial_profile_builds());
-            let metrics = run(&scenario);
-            assert!(metrics.traffic.beacons_received > 0, "{algorithm}");
-            assert_eq!(beacon_field_fills(), fills, "{algorithm}");
+            let (spawns, builds) = (batch_worker_spawns(), radial_profile_builds());
+            let (mut world, mut engine) = world(&scenario, 2);
+            engine.run(&mut world, |engine, world, event| {
+                handle_event(engine, world, event);
+                assert!(world.pending.log.is_empty(), "{algorithm} logged a beacon");
+            });
+            assert!(world.traffic.beacons_received > 0, "{algorithm}");
+            assert!(world.pending.fields.is_empty(), "{algorithm} flushed");
+            assert_eq!(batch_worker_spawns(), spawns, "{algorithm}");
             assert_eq!(radial_profile_builds(), builds, "{algorithm}");
+        }
+    }
+
+    /// A run's results do not depend on how many workers apply its
+    /// beacons: on 1, 2 and 3 workers, with and without the chaos preset's
+    /// faults, the metrics, a capture half-way and the Full trace are the
+    /// same bytes.
+    #[test]
+    fn results_do_not_depend_on_the_flush_worker_count() {
+        let mut b = Scenario::builder();
+        b.robots(20)
+            .equipped(10)
+            .duration(SimDuration::from_secs(600));
+        let calm = b.build();
+        let mut chaos = calm.clone();
+        chaos.faults =
+            FaultPlan::preset("chaos", chaos.duration, chaos.num_robots).expect("preset");
+        chaos.validate().expect("valid scenario");
+        for scenario in [calm, chaos] {
+            let outputs: Vec<(Vec<u8>, Vec<u8>, String)> = (1..=3)
+                .map(|workers| {
+                    let telemetry = Telemetry::new(TelemetryLevel::Full);
+                    let mut run = SimRun::new(&scenario, telemetry).flushing_on(workers);
+                    run.run_until(SimTime::ZERO + SimDuration::from_secs(300));
+                    let capture = run.capture();
+                    let (metrics, telemetry) = run.finish();
+                    (encode_metrics(&metrics), capture, telemetry.to_jsonl(false))
+                })
+                .collect();
+            assert!(outputs[0].2.contains("\"grid_update\""), "a Full trace");
+            for (i, out) in outputs.iter().enumerate().skip(1) {
+                let workers = i + 1;
+                assert!(out.0 == outputs[0].0, "metrics on {workers} workers");
+                assert!(out.1 == outputs[0].1, "capture on {workers} workers");
+                assert!(out.2 == outputs[0].2, "trace on {workers} workers");
+            }
         }
     }
 }

@@ -246,8 +246,9 @@ fn not_after(what: &str, t: SimTime, now: SimTime) -> Result<(), SnapshotError> 
 
 /// One robot, decoded onto [`world::blank_robot`], then checked against
 /// the engine clock and the scenario's grid: state accrues from each
-/// stored instant, and the estimator's posterior must have the grid's
-/// cell count.
+/// stored instant, and the estimator's posterior must be a distribution
+/// over the grid's cells — finite, non-negative cells summing to 1, which
+/// is what lets a beacon's grid update be reported applied on arrival.
 fn robot(c: &mut impl Codec, r: &mut Robot, now: SimTime) -> Result<(), SnapshotError> {
     r.code(c)?;
     not_after("radio state change", r.radio.since(), now)?;
@@ -268,9 +269,20 @@ fn robot(c: &mut impl Codec, r: &mut Robot, now: SimTime) -> Result<(), Snapshot
                 grid.num_cells()
             )));
         }
+        if !grid.is_distribution(POSTERIOR_MASS_TOLERANCE) {
+            return Err(SnapshotError::malformed(format!(
+                "posterior is not a distribution: a cell is negative or not finite, \
+                 or the cells sum to {}",
+                grid.total_mass()
+            )));
+        }
     }
     Ok(())
 }
+
+/// How far a decoded posterior's mass may stray from 1: renormalizing
+/// leaves it within a few ulps per thousand cells.
+const POSTERIOR_MASS_TOLERANCE: f64 = 1e-6;
 
 fn robots_section(
     c: &mut impl Codec,
@@ -326,7 +338,8 @@ fn telemetry_section(c: &mut impl Codec, t: &mut Telemetry) -> Result<(), Snapsh
 // Top-level encode / decode: the container's section order.
 // ---------------------------------------------------------------------------
 
-fn encode_all(world: &mut WorldState, parts: &mut EngineParts) -> Vec<u8> {
+/// Encodes the whole run into one buffer reserved at `capacity` bytes.
+fn encode_all(world: &mut WorldState, parts: &mut EngineParts, capacity: usize) -> Vec<u8> {
     let mut meta = ObjectWriter::new();
     meta.str_field("kind", "cocoa-run-snapshot")
         .u64_field("t_us", parts.now.as_micros())
@@ -334,24 +347,15 @@ fn encode_all(world: &mut WorldState, parts: &mut EngineParts) -> Vec<u8> {
         .u64_field("robots", world.scenario.num_robots as u64)
         .str_field("multicast", world.scenario.multicast.as_str());
     let now = parts.now;
-    let mut w = SnapshotWriter::new(meta.finish());
-    w.push_section("scenario", snapshot::encode(|c| world.scenario.code(c)));
-    w.push_section("engine", snapshot::encode(|c| parts.code(c)));
-    w.push_section("rngs", snapshot::encode(|c| rngs_section(c, world)));
+    let mut w = SnapshotWriter::with_capacity(meta.finish(), capacity);
+    w.section("scenario", |c| world.scenario.code(c));
+    w.section("engine", |c| parts.code(c));
+    w.section("rngs", |c| rngs_section(c, world));
     let team = world.scenario.num_robots;
-    w.push_section(
-        "medium",
-        snapshot::encode(|c| medium_section(c, &mut world.medium, team)),
-    );
-    w.push_section(
-        "robots",
-        snapshot::encode(|c| robots_section(c, world, now)),
-    );
-    w.push_section("world", snapshot::encode(|c| world_section(c, world)));
-    w.push_section(
-        "telemetry",
-        snapshot::encode(|c| telemetry_section(c, &mut world.telemetry)),
-    );
+    w.section("medium", |c| medium_section(c, &mut world.medium, team));
+    w.section("robots", |c| robots_section(c, world, now));
+    w.section("world", |c| world_section(c, world));
+    w.section("telemetry", |c| telemetry_section(c, &mut world.telemetry));
     debug_assert_eq!(w.section_count(), SECTIONS.len());
     w.finish()
 }
@@ -420,6 +424,9 @@ pub struct SimRun {
     world: WorldState,
     engine: Engine<Event>,
     t_total: SpanStart,
+    /// The length of the last capture, or of the snapshot this run
+    /// resumed from: the next capture reserves that much up front.
+    capture_len: usize,
 }
 
 impl SimRun {
@@ -462,7 +469,16 @@ impl SimRun {
             world,
             engine,
             t_total,
+            capture_len: 0,
         }
+    }
+
+    /// Makes every flush of this run use `workers` workers, whatever the
+    /// spare cores, so tests can pin that results do not depend on it.
+    #[cfg(test)]
+    pub(crate) fn flushing_on(mut self, workers: usize) -> SimRun {
+        self.world.pending.fixed_workers = Some(workers);
+        self
     }
 
     /// The current simulation time.
@@ -518,6 +534,7 @@ impl SimRun {
     /// snapshot never contains its own marker and a resumed run stays
     /// bit-identical to an uninterrupted one.
     pub fn capture(&mut self) -> Vec<u8> {
+        world::beacon::flush(&mut self.world);
         let queue = self.engine.replace_queue(EventQueue::new());
         let next_seq = queue.next_seq();
         let peak_len = queue.peak_len();
@@ -530,7 +547,8 @@ impl SimRun {
             peak_len,
             events,
         };
-        let bytes = encode_all(&mut self.world, &mut parts);
+        let bytes = encode_all(&mut self.world, &mut parts, self.capture_len);
+        self.capture_len = bytes.len();
         let rebuilt = EventQueue::from_parts(parts.events, next_seq, peak_len);
         let _ = self.engine.replace_queue(rebuilt);
 
@@ -561,7 +579,7 @@ impl SimRun {
     /// marker. This is the path resume-equivalence tests use, so the
     /// resumed trace is byte-identical to the uninterrupted one.
     pub fn resume(bytes: &[u8]) -> Result<SimRun, SnapshotError> {
-        decode(bytes, None).map(SimRun::resumed)
+        decode(bytes, None).map(|parts| SimRun::resumed(parts, bytes.len()))
     }
 
     /// Like [`SimRun::resume`], but on a calibration the caller already
@@ -578,15 +596,16 @@ impl SimRun {
         bytes: &[u8],
         calibration: Arc<Calibration>,
     ) -> Result<SimRun, SnapshotError> {
-        decode(bytes, Some(calibration)).map(SimRun::resumed)
+        decode(bytes, Some(calibration)).map(|parts| SimRun::resumed(parts, bytes.len()))
     }
 
-    fn resumed((world, engine): (WorldState, Engine<Event>)) -> SimRun {
+    fn resumed((world, engine): (WorldState, Engine<Event>), capture_len: usize) -> SimRun {
         let t_total = world.telemetry.span_start();
         SimRun {
             world,
             engine,
             t_total,
+            capture_len,
         }
     }
 

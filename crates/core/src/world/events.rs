@@ -284,6 +284,12 @@ impl SpanIds {
 }
 
 pub(crate) fn handle_event(engine: &mut Engine<Event>, world: &mut WorldState, event: Event) {
+    // The logged beacons land before their posteriors are read, outside
+    // the event's span, so the `grid.update` span has one parent however
+    // many event kinds trigger a flush.
+    if reads_posteriors(&event, world) {
+        super::beacon::flush(world);
+    }
     // Attribute the wall-clock cost of every dispatch to its event
     // category; dispatch_event holds the actual logic so early returns
     // inside the arms cannot skip closing the span.
@@ -291,6 +297,19 @@ pub(crate) fn handle_event(engine: &mut Engine<Event>, world: &mut WorldState, e
     let span_id = world.spans.for_event(&event);
     dispatch_event(engine, world, event);
     world.telemetry.span_end(span_id, span);
+}
+
+/// Whether handling `event` may read or reset a posterior: a window's
+/// end reads it, a wake resets it, a reboot replaces it, and a metrics
+/// tick reads its entropy when something records it.
+fn reads_posteriors(event: &Event, world: &WorldState) -> bool {
+    match event {
+        Event::RobotWake { .. }
+        | Event::RobotWindowEnd { .. }
+        | Event::Fault(Fault::Reboot { .. }) => true,
+        Event::MetricsSample => world.telemetry.wants_hists() || world.telemetry.wants_events(),
+        _ => false,
+    }
 }
 
 fn dispatch_event(engine: &mut Engine<Event>, world: &mut WorldState, event: Event) {

@@ -34,6 +34,7 @@ pub(crate) mod mesh;
 pub(crate) mod metrics_hook;
 pub(crate) mod window;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cocoa_localization::bayes::radial_constraints_for_grid;
@@ -89,6 +90,8 @@ pub(crate) struct WorldState {
     pub(crate) radial: RadialConstraintTable,
     pub(crate) medium: Medium,
     pub(crate) rx_buffers: beacon::RxBuffers,
+    /// Bayes beacons delivered since the last flush.
+    pub(crate) pending: beacon::PendingBeacons,
     pub(crate) robots: Vec<Robot>,
     pub(crate) move_rngs: Vec<DetRng>,
     pub(crate) odo_rngs: Vec<DetRng>,
@@ -116,6 +119,36 @@ pub(crate) struct WorldState {
     pub(crate) robustness: RobustnessStats,
     /// Consecutive beacon periods the Sync timebase has been silent.
     pub(crate) sync_dead_windows: u32,
+    /// This world's place in the count of live simulations.
+    _live: LiveSimulation,
+}
+
+/// Simulations alive in this process: every [`WorldState`] counts itself
+/// while it exists.
+static LIVE_SIMULATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// How many simulations are alive in this process. A flush spreads its
+/// grid updates only over the cores the others leave spare, so sweeps and
+/// `serve`, which already keep a run per core, fan out only in their
+/// tails.
+pub(crate) fn live_simulations() -> usize {
+    LIVE_SIMULATIONS.load(Ordering::Relaxed)
+}
+
+/// One count in [`LIVE_SIMULATIONS`], held for a world's life.
+struct LiveSimulation;
+
+impl LiveSimulation {
+    fn new() -> Self {
+        LIVE_SIMULATIONS.fetch_add(1, Ordering::Relaxed);
+        LiveSimulation
+    }
+}
+
+impl Drop for LiveSimulation {
+    fn drop(&mut self) {
+        LIVE_SIMULATIONS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl WorldState {
@@ -358,10 +391,8 @@ impl WorldState {
         let split = SeedSplitter::new(scenario.seed);
         let spans = SpanIds::register(&mut telemetry);
         let hists = HistIds::register(&mut telemetry);
-        let radial = radial_constraints_for_grid(
-            &calibration.table,
-            &GridConfig::new(scenario.area, scenario.grid_resolution_m),
-        );
+        let grid = GridConfig::new(scenario.area, scenario.grid_resolution_m);
+        let radial = radial_constraints_for_grid(&calibration.table, &grid);
         WorldState {
             scenario: scenario.clone(),
             channel: RfChannel::new(scenario.channel),
@@ -369,6 +400,7 @@ impl WorldState {
             radial,
             medium: Medium::new(),
             rx_buffers: beacon::RxBuffers::default(),
+            pending: beacon::PendingBeacons::new(&grid),
             robots: Vec::new(),
             move_rngs: Vec::new(),
             odo_rngs: Vec::new(),
@@ -388,6 +420,7 @@ impl WorldState {
             corrupt_txs: std::collections::HashSet::new(),
             robustness: RobustnessStats::default(),
             sync_dead_windows: 0,
+            _live: LiveSimulation::new(),
         }
     }
 }

@@ -419,6 +419,68 @@ fn a_robot_instant_after_the_engine_clock_is_a_typed_error() {
     assert_inconsistent(&bytes, "radio state change");
 }
 
+/// `pristine()` with the cells of the first robot posterior in the robots
+/// section passed to `edit`. A posterior is laid out as its cell count,
+/// 10,000 for the default 2 m grid, then each cell: the edit lands on the
+/// first such count whose cells sum to 1.
+fn posterior_edited(edit: impl FnOnce(&mut [f64])) -> Vec<u8> {
+    const CELLS: usize = 10_000;
+    let cells_of = |p: &[u8], at: usize| -> Vec<f64> {
+        p[at..at + 8 * CELLS]
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect()
+    };
+    edited("robots", |p| {
+        let at = (0..p.len().saturating_sub(8 * CELLS + 8))
+            .find(|&i| {
+                u64::from_le_bytes(p[i..i + 8].try_into().unwrap()) == CELLS as u64
+                    && (cells_of(p, i + 8).iter().sum::<f64>() - 1.0).abs() < 1e-9
+            })
+            .expect("a posterior in the robots section")
+            + 8;
+        let mut cells = cells_of(p, at);
+        edit(&mut cells);
+        for (k, c) in cells.iter().enumerate() {
+            p[at + 8 * k..at + 8 * k + 8].copy_from_slice(&c.to_le_bytes());
+        }
+    })
+}
+
+#[test]
+fn an_unedited_posterior_resumes() {
+    SimRun::resume(&posterior_edited(|_| {})).expect("the same bytes resume");
+}
+
+#[test]
+fn a_nan_posterior_cell_is_a_typed_error() {
+    let bytes = posterior_edited(|c| c[17] = f64::NAN);
+    assert_inconsistent(&bytes, "posterior is not a distribution");
+}
+
+#[test]
+fn an_infinite_posterior_cell_is_a_typed_error() {
+    let bytes = posterior_edited(|c| c[17] = f64::INFINITY);
+    assert_inconsistent(&bytes, "posterior is not a distribution");
+}
+
+#[test]
+fn a_negative_posterior_cell_is_a_typed_error() {
+    // Moves cell 17's mass, and a little more, to cell 18: the cells
+    // still sum to 1, but one is negative.
+    let bytes = posterior_edited(|c| {
+        c[18] += c[17] + 1e-9;
+        c[17] = -1e-9;
+    });
+    assert_inconsistent(&bytes, "posterior is not a distribution");
+}
+
+#[test]
+fn a_posterior_not_summing_to_one_is_a_typed_error() {
+    let bytes = posterior_edited(|c| c.iter_mut().for_each(|p| *p *= 1.5));
+    assert_inconsistent(&bytes, "posterior is not a distribution");
+}
+
 /// A capture while the frames of the 10 s window are still held on the
 /// medium (the next garbage collection is at 20 s), taken once for the
 /// whole test binary.

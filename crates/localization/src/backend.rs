@@ -25,10 +25,12 @@ use cocoa_net::geometry::Point;
 use cocoa_net::rssi::Dbm;
 use cocoa_sim::snapshot::{Codec, SnapshotError};
 
-use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE};
+use crate::bayes::{
+    Admission, BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE,
+};
 use crate::ekf::{EkfConfig, EkfLocalizer, EkfUpdate};
 use crate::estimator::RfAlgorithm;
-use crate::grid::{BeaconField, GridConfig};
+use crate::grid::GridConfig;
 use crate::multilateration::Multilaterator;
 
 /// One per-window RF solver, as driven by the window lifecycle in
@@ -37,7 +39,7 @@ use crate::multilateration::Multilaterator;
 /// | Method | Bayes | Multilateration | EKF |
 /// |---|---|---|---|
 /// | `begin_window` | discard posterior | discard ranges | reset window count only |
-/// | `observe_beacon` | grid constraint | collect range | gated IEKF range update |
+/// | `admit_beacon` | admit a grid constraint | collect range | gated IEKF range update |
 /// | `estimate` | posterior mean (≥ 3 beacons) | WLS solution (≥ 3 ranges) | filter state (≥ 3 applied this window) |
 /// | `end_window_confidence` | entropy vs maximum | none | none |
 /// | `note_odometry` | — | — | covariance-growing predict |
@@ -48,18 +50,19 @@ pub trait RfBackend {
     /// Called at every transmit-window start, before beacons arrive.
     fn begin_window(&mut self);
 
-    /// Offers one received beacon, sent from the `beacon` field's center.
-    /// The Bayesian backend applies `radial`'s pre-sampled constraint
-    /// through the field (the zero-allocation lane kernels); the gridless
-    /// backends read the PDF table and only the field's center, so the two
-    /// tables must describe the same calibration.
-    fn observe_beacon(
+    /// Offers one received beacon, sent from `center`. The gridless
+    /// backends read the PDF table and fold the beacon in at once; the
+    /// Bayesian backend resolves `rssi` in `radial` and returns the bin
+    /// whose constraint its grid update must multiply in
+    /// ([`BayesianLocalizer::admit_beacon`]). The two tables must describe
+    /// the same calibration.
+    fn admit_beacon(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
-        beacon: &mut BeaconField,
+        center: Point,
         rssi: Dbm,
-    ) -> ObservationResult;
+    ) -> Admission;
 
     /// The solver's position estimate at window end, if this window
     /// gathered enough evidence for one.
@@ -111,14 +114,14 @@ impl RfBackend for BayesianLocalizer {
         self.reset();
     }
 
-    fn observe_beacon(
+    fn admit_beacon(
         &mut self,
         _table: &PdfTable,
         radial: &RadialConstraintTable,
-        beacon: &mut BeaconField,
+        _center: Point,
         rssi: Dbm,
-    ) -> ObservationResult {
-        BayesianLocalizer::observe_beacon(self, radial, beacon, rssi)
+    ) -> Admission {
+        BayesianLocalizer::admit_beacon(self, radial, rssi)
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -152,18 +155,20 @@ impl RfBackend for Multilaterator {
         self.reset();
     }
 
-    fn observe_beacon(
+    fn admit_beacon(
         &mut self,
         table: &PdfTable,
         _radial: &RadialConstraintTable,
-        beacon: &mut BeaconField,
+        center: Point,
         rssi: Dbm,
-    ) -> ObservationResult {
-        if Multilaterator::observe_beacon(self, table, beacon.center(), rssi) {
-            ObservationResult::Applied
-        } else {
-            ObservationResult::NoPdf
-        }
+    ) -> Admission {
+        Admission::done(
+            if Multilaterator::observe_beacon(self, table, center, rssi) {
+                ObservationResult::Applied
+            } else {
+                ObservationResult::NoPdf
+            },
+        )
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -237,21 +242,21 @@ impl RfBackend for EkfBackend {
         self.window_applied = 0;
     }
 
-    fn observe_beacon(
+    fn admit_beacon(
         &mut self,
         table: &PdfTable,
         _radial: &RadialConstraintTable,
-        beacon: &mut BeaconField,
+        center: Point,
         rssi: Dbm,
-    ) -> ObservationResult {
-        match self.ekf.update_from_beacon(table, beacon.center(), rssi) {
+    ) -> Admission {
+        Admission::done(match self.ekf.update_from_beacon(table, center, rssi) {
             EkfUpdate::Applied => {
                 self.window_applied += 1;
                 ObservationResult::Applied
             }
             EkfUpdate::Gated => ObservationResult::Outlier,
             EkfUpdate::NoPdf => ObservationResult::NoPdf,
-        }
+        })
     }
 
     fn estimate(&self) -> Option<Point> {
@@ -308,7 +313,7 @@ mod tests {
             RfBackend::begin_window(&mut b);
             for p in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-                RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
+                RfBackend::admit_beacon(&mut b, &table, &radial, p, rssi);
             }
         }
         // Window resets did not throw the filter away: nine updates fused.
@@ -333,12 +338,12 @@ mod tests {
         RfBackend::begin_window(&mut b);
         for p in [Point::new(92.0, 100.0), Point::new(108.0, 104.0)] {
             let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-            RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
+            RfBackend::admit_beacon(&mut b, &table, &radial, p, rssi);
         }
         assert_eq!(RfBackend::estimate(&b), None, "two beacons are not enough");
         let p = Point::new(100.0, 92.0);
         let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-        RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
+        RfBackend::admit_beacon(&mut b, &table, &radial, p, rssi);
         assert!(RfBackend::estimate(&b).is_some());
     }
 
@@ -377,20 +382,14 @@ mod tests {
         for _ in 0..3 {
             for p in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(p), &mut rng);
-                RfBackend::observe_beacon(&mut b, &table, &radial, &mut BeaconField::new(p), rssi);
+                RfBackend::admit_beacon(&mut b, &table, &radial, p, rssi);
             }
         }
         // A beacon whose RSSI says "far away" while standing next to the
         // converged filter fails the innovation gate.
         let ghost = ch.mean_rssi(150.0);
-        let r = RfBackend::observe_beacon(
-            &mut b,
-            &table,
-            &radial,
-            &mut BeaconField::new(Point::new(101.0, 100.0)),
-            ghost,
-        );
-        assert_eq!(r, ObservationResult::Outlier);
+        let r = RfBackend::admit_beacon(&mut b, &table, &radial, Point::new(101.0, 100.0), ghost);
+        assert_eq!(r, Admission::done(ObservationResult::Outlier));
         assert!(b.filter().updates_gated() >= 1);
     }
 

@@ -11,10 +11,10 @@ use serde::{Deserialize, Serialize};
 
 use cocoa_net::calibration::{PdfTable, RadialConstraintTable};
 use cocoa_net::geometry::Point;
-use cocoa_net::rssi::Dbm;
+use cocoa_net::rssi::{Dbm, RssiBin};
 use cocoa_sim::snapshot::{Codec, SnapshotError};
 
-use crate::grid::{BeaconField, ConstraintOutcome, GridConfig, PositionGrid};
+use crate::grid::{BeaconField, ConstraintOutcome, GridBatch, GridConfig, PositionGrid};
 
 /// The paper requires at least this many beacons before estimating.
 pub const MIN_BEACONS_FOR_ESTIMATE: u32 = 3;
@@ -45,16 +45,47 @@ pub fn radial_constraints_for_grid(table: &PdfTable, grid: &GridConfig) -> Radia
 /// What happened to one beacon observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservationResult {
-    /// The constraint was multiplied into the posterior.
+    /// The beacon is part of the posterior: multiplied in, or, for a Bayes
+    /// beacon, admitted for the grid kernel to multiply in before the
+    /// posterior is next read ([`Admission::constraint`]).
     Applied,
     /// The RSSI had no usable PDF-table bin (outside the calibrated range).
     NoPdf,
-    /// The constraint was rejected as degenerate (kept old posterior).
+    /// The beacon arrived while no window was open and was ignored.
     Rejected,
     /// The beacon failed the outlier gate: its claimed position is
     /// inconsistent with the RSSI-implied distance (a corrupted or lying
     /// beacon source) and was not applied.
     Outlier,
+}
+
+/// What the bookkeeping half of an observation decided on arrival.
+///
+/// An observation is bookkeeping — the outlier gate, the RSSI's bin
+/// lookup (which samples the bin's profile on first use) and the counters
+/// — and, for a Bayes beacon, a grid update. The bookkeeping's result is
+/// final: the grid update of an admitted Bayes beacon multiplies a
+/// floored profile into a valid posterior, which always applies
+/// ([`GridBatch::apply`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admission {
+    /// The observation's outcome.
+    pub result: ObservationResult,
+    /// For a Bayes beacon reported [`ObservationResult::Applied`]: the
+    /// calibrated bin whose profile the grid update still has to multiply
+    /// into the posterior, around the beacon's claimed position, before
+    /// the posterior is next read or reset.
+    pub constraint: Option<RssiBin>,
+}
+
+impl Admission {
+    /// An outcome with no grid update left to run.
+    pub fn done(result: ObservationResult) -> Self {
+        Admission {
+            result,
+            constraint: None,
+        }
+    }
 }
 
 /// A Bayesian grid localizer fed by beacons.
@@ -122,8 +153,7 @@ impl GridStats {
 }
 
 impl BayesianLocalizer {
-    /// Creates a localizer with a uniform prior over the area that applies
-    /// each beacon as it arrives.
+    /// Creates a localizer with a uniform prior over the area.
     pub fn new(config: GridConfig) -> Self {
         BayesianLocalizer {
             grid: PositionGrid::new(config),
@@ -143,27 +173,47 @@ impl BayesianLocalizer {
     /// `radial`'s pre-sampled profile for the observed RSSI (same
     /// bin-fallback rule as [`PdfTable::lookup`]) and is applied through
     /// the lane kernels — no per-cell `exp`, no allocation. The field
-    /// carries the frame's cell distances from one receiver to the next
-    /// ([`PositionGrid::apply_radial_constraint`]).
+    /// carries the frame's cell distances from one receiver to the next.
+    ///
+    /// [`admit_beacon`](Self::admit_beacon), then the grid update as a
+    /// batch of one.
     pub fn observe_beacon(
         &mut self,
         radial: &RadialConstraintTable,
         beacon: &mut BeaconField,
         rssi: Dbm,
     ) -> ObservationResult {
+        let admission = self.admit_beacon(radial, rssi);
+        if let Some(bin) = admission.constraint {
+            apply_admitted(&mut self.batch(), radial, beacon, bin);
+        }
+        admission.result
+    }
+
+    /// The bookkeeping half of [`observe_beacon`](Self::observe_beacon):
+    /// resolves `rssi` to a calibrated bin, sampling its profile on first
+    /// use, and counts the beacon. An admitted beacon counts as applied;
+    /// its grid update — the bin's profile, multiplied in through a
+    /// [`batch`](Self::batch) — must run before the posterior is next read
+    /// or reset.
+    pub fn admit_beacon(&mut self, radial: &RadialConstraintTable, rssi: Dbm) -> Admission {
         self.beacons_seen += 1;
-        let Some(profile) = radial.lookup(rssi) else {
-            return ObservationResult::NoPdf;
+        let Some((bin, _)) = radial.resolve(rssi) else {
+            return Admission::done(ObservationResult::NoPdf);
         };
         self.stats.cells_touched += self.grid.num_cells() as u64;
         self.stats.kernel_simd += 1;
-        match self.grid.apply_radial_constraint(beacon, profile) {
-            ConstraintOutcome::Applied => {
-                self.beacons_applied += 1;
-                ObservationResult::Applied
-            }
-            ConstraintOutcome::Rejected => ObservationResult::Rejected,
+        self.beacons_applied += 1;
+        Admission {
+            result: ObservationResult::Applied,
+            constraint: Some(bin),
         }
+    }
+
+    /// Opens a batch of grid updates on the posterior (see
+    /// [`GridBatch`]).
+    pub fn batch(&mut self) -> GridBatch<'_> {
+        self.grid.batch()
     }
 
     /// The position estimate: the posterior mean, available once at least
@@ -222,6 +272,24 @@ impl BayesianLocalizer {
         c.u32(beacons_seen)?;
         stats.code(c)
     }
+}
+
+/// The grid update of an admitted beacon, as the standalone observation
+/// paths run it: `bin`'s profile around the `beacon` field's center,
+/// multiplied into `batch`.
+pub(crate) fn apply_admitted(
+    batch: &mut GridBatch<'_>,
+    radial: &RadialConstraintTable,
+    beacon: &mut BeaconField,
+    bin: RssiBin,
+) {
+    let profile = radial.get(bin).expect("an admitted bin is calibrated");
+    let outcome = batch.apply(beacon, profile);
+    debug_assert_eq!(
+        outcome,
+        ConstraintOutcome::Applied,
+        "an admitted beacon was rejected"
+    );
 }
 
 #[cfg(test)]

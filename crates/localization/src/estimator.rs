@@ -25,8 +25,8 @@ use cocoa_net::rssi::Dbm;
 use cocoa_sim::snapshot::{Codec, SnapshotError};
 
 use crate::backend::{EkfBackend, RfBackend};
-use crate::bayes::{BayesianLocalizer, GridStats, ObservationResult};
-use crate::grid::{BeaconField, GridConfig, PositionGrid};
+use crate::bayes::{apply_admitted, Admission, BayesianLocalizer, GridStats, ObservationResult};
+use crate::grid::{BeaconField, GridBatch, GridConfig, PositionGrid};
 use crate::multilateration::{MultilaterationConfig, Multilaterator};
 
 /// Which localization strategy a robot runs (paper Sections 4.1–4.3).
@@ -253,7 +253,12 @@ pub enum WindowOutcome {
 /// The per-robot windowed RF estimator.
 ///
 /// Drives an [`RfBackend`] through the CoCoA window lifecycle:
-/// `begin_window → observe_beacon* → end_window`. If a window yields fewer
+/// `begin_window → observe_beacon* → end_window`. Each observation is
+/// bookkeeping ([`admit_beacon`](Self::admit_beacon)) and, for the
+/// Bayesian backend, a grid update, which a caller may defer and run for
+/// many beacons at once in a [`batch`](Self::batch) before the window
+/// ends; [`observe_beacon`](Self::observe_beacon) runs both as a batch of
+/// one. If a window yields fewer
 /// than three beacons, the previous fix is retained ("if certain robots do
 /// not receive any beacons, they continue with their old estimated
 /// position", paper Section 2.3). The lifecycle policy — window state, the
@@ -358,7 +363,29 @@ impl WindowedRfEstimator {
     }
 
     /// Offers one received beacon, sent from the `beacon` field's center,
-    /// to the open window, first screening it against the outlier gate.
+    /// to the open window: [`admit_beacon`](Self::admit_beacon), then, for
+    /// an admitted Bayes beacon, its grid update as a batch of one. The
+    /// field carries the frame's cell distances from one receiver to the
+    /// next.
+    pub fn observe_beacon(
+        &mut self,
+        table: &PdfTable,
+        radial: &RadialConstraintTable,
+        beacon: &mut BeaconField,
+        rssi: Dbm,
+        reference: Option<Point>,
+        gate_m: f64,
+    ) -> ObservationResult {
+        let admission = self.admit_beacon(table, radial, beacon.center(), rssi, reference, gate_m);
+        if let (Some(bin), Some(mut batch)) = (admission.constraint, self.batch()) {
+            apply_admitted(&mut batch, radial, beacon, bin);
+        }
+        admission.result
+    }
+
+    /// The bookkeeping half of an observation: offers one received beacon,
+    /// sent from `center`, to the open window, first screening it against
+    /// the outlier gate.
     ///
     /// If `reference` is the robot's current position belief, the beacon's
     /// claimed position implies a distance to us; the observed RSSI implies
@@ -369,44 +396,54 @@ impl WindowedRfEstimator {
     /// check.
     ///
     /// Beacons arriving outside a window (e.g. stale deliveries right after
-    /// the radio slept) are counted but ignored. The Bayesian backend
-    /// applies `radial`'s pre-sampled constraint through the field, which
-    /// carries the frame's cell distances from one receiver to the next;
-    /// the gridless backends read `table`, so the two tables must describe
-    /// the same calibration.
-    pub fn observe_beacon(
+    /// the radio slept) are counted but ignored. The gridless backends
+    /// fold the beacon in at once from `table`; the Bayesian backend
+    /// resolves `rssi` in `radial` and counts the beacon applied, and the
+    /// returned [`Admission::constraint`] names the profile a
+    /// [`batch`](Self::batch) must multiply in around `center` before the
+    /// window ends. The two tables must describe the same calibration.
+    pub fn admit_beacon(
         &mut self,
         table: &PdfTable,
         radial: &RadialConstraintTable,
-        beacon: &mut BeaconField,
+        center: Point,
         rssi: Dbm,
         reference: Option<Point>,
         gate_m: f64,
-    ) -> ObservationResult {
+    ) -> Admission {
         self.stats.beacons_seen += 1;
         if gate_m > 0.0 {
             if let (Some(refp), Some(pdf)) = (reference, table.lookup(rssi)) {
-                let claimed = refp.distance_to(beacon.center());
+                let claimed = refp.distance_to(center);
                 if !claimed.is_finite() || (claimed - pdf.mean()).abs() > gate_m {
                     self.stats.beacons_rejected_outlier += 1;
-                    return ObservationResult::Outlier;
+                    return Admission::done(ObservationResult::Outlier);
                 }
             }
         }
         if !self.in_window {
-            return ObservationResult::Rejected;
+            return Admission::done(ObservationResult::Rejected);
         }
-        let r = self
+        let admission = self
             .backend
             .as_dyn_mut()
-            .observe_beacon(table, radial, beacon, rssi);
+            .admit_beacon(table, radial, center, rssi);
         // Only the EKF backend returns `Outlier` (its innovation gate).
-        match r {
+        match admission.result {
             ObservationResult::Applied => self.stats.beacons_applied += 1,
             ObservationResult::Outlier => self.stats.beacons_rejected_outlier += 1,
             ObservationResult::NoPdf | ObservationResult::Rejected => {}
         }
-        r
+        admission
+    }
+
+    /// Opens a batch of grid updates on the Bayesian backend's posterior
+    /// (see [`GridBatch`]); `None` for gridless backends.
+    pub fn batch(&mut self) -> Option<GridBatch<'_>> {
+        match &mut self.backend {
+            Backend::Bayes(b) => Some(b.batch()),
+            Backend::Lateration(_) | Backend::Ekf(_) => None,
+        }
     }
 
     /// Closes the window. Returns the fresh fix if the window produced one

@@ -97,8 +97,9 @@ pub struct PositionGrid {
     /// Cell-centre y coordinates, indexed by `iy`.
     #[serde(skip)]
     ys: Vec<f64>,
-    /// Reusable buffer for the unnormalized product during an update, so
-    /// the per-beacon hot path allocates nothing.
+    /// Reusable buffer for unnormalized products: a [`GridBatch`]'s
+    /// updates alternate between it and `cells`, so the per-beacon hot
+    /// path allocates nothing.
     #[serde(skip)]
     scratch: Vec<f64>,
     /// Reusable buffer of per-column squared x-distances to the current
@@ -123,10 +124,10 @@ pub struct PositionGrid {
 /// Every receiver of a frame multiplies a constraint around the same
 /// position into a grid of the same geometry, so the first receiver's
 /// update stores the coordinates and each later one only looks them up
-/// ([`PositionGrid::apply_radial_constraint`]). The field is keyed by the
-/// bits of the position, the grid geometry and the profile step, and
-/// refills whenever one of them differs, so a caller can never feed it a
-/// field it was not filled for.
+/// ([`GridBatch::apply`]). The field is keyed by the bits of the
+/// position, the grid geometry and the profile step, and refills whenever
+/// one of them differs, so a caller can never feed it a field it was not
+/// filled for.
 #[derive(Debug, Default)]
 pub struct BeaconField {
     center: Point,
@@ -135,6 +136,8 @@ pub struct BeaconField {
     key: Option<[u64; 8]>,
     /// Row-major (`iy * nx + ix`) unclamped lattice coordinates.
     coords: Vec<f64>,
+    /// How many times `coords` were computed.
+    fills: u64,
 }
 
 impl BeaconField {
@@ -142,8 +145,7 @@ impl BeaconField {
     pub fn new(center: Point) -> Self {
         BeaconField {
             center,
-            key: None,
-            coords: Vec::new(),
+            ..BeaconField::default()
         }
     }
 
@@ -154,9 +156,23 @@ impl BeaconField {
         self.key = None;
     }
 
+    /// Makes room for the coordinates of a grid of `cells` cells, so
+    /// filling the field for such a grid allocates nothing.
+    pub fn reserve(&mut self, cells: usize) {
+        self.coords.reserve(cells.saturating_sub(self.coords.len()));
+    }
+
     /// The position the beacon claims.
     pub fn center(&self) -> Point {
         self.center
+    }
+
+    /// How many times this field computed its coordinates. Tests read it
+    /// to pin that a beacon frame's distances are computed once per
+    /// field, however many grids it updates.
+    #[doc(hidden)]
+    pub fn fills(&self) -> u64 {
+        self.fills
     }
 
     fn key(&self, config: &GridConfig, inv_step: f64) -> [u64; 8] {
@@ -177,15 +193,6 @@ impl BeaconField {
 
 thread_local! {
     static ENTROPY_PASSES: Cell<u64> = const { Cell::new(0) };
-    static FIELD_FILLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// How many times this thread has filled a [`BeaconField`]. Tests read it
-/// to pin that a beacon frame's distance field is computed once, however
-/// many grids it updates.
-#[doc(hidden)]
-pub fn beacon_field_fills() -> u64 {
-    FIELD_FILLS.with(Cell::get)
 }
 
 /// How many full entropy passes over a posterior this thread has made —
@@ -279,10 +286,11 @@ impl PositionGrid {
         Point::new(self.xs[ix], self.ys[iy])
     }
 
-    /// Commits the unnormalized product held in `scratch` (total mass
-    /// `total`) to the posterior, or rejects it as degenerate.
+    /// The reference loop's renormalization: commits the unnormalized
+    /// product held in `scratch` (total mass `total`) to the posterior, or
+    /// rejects it as degenerate.
     fn commit(&mut self, scratch: &[f64], total: f64) -> ConstraintOutcome {
-        if !total.is_finite() || total <= f64::MIN_POSITIVE * self.cells.len() as f64 {
+        if Self::degenerate(total, self.cells.len()) {
             return ConstraintOutcome::Rejected;
         }
         let inv_total = 1.0 / total;
@@ -291,6 +299,12 @@ impl PositionGrid {
         }
         self.entropy.set(None);
         ConstraintOutcome::Applied
+    }
+
+    /// Whether a product of total mass `total` over `n` cells is too
+    /// degenerate to renormalize: not finite, or (near-)zero.
+    fn degenerate(total: f64, n: usize) -> bool {
+        !total.is_finite() || total <= f64::MIN_POSITIVE * n as f64
     }
 
     /// The scratch-preparation idiom of the reference loop: `clear` +
@@ -312,56 +326,29 @@ impl PositionGrid {
 
     /// Multiplies a radial constraint — `profile.density(‖cell − center‖)`
     /// around the field's center — into every cell and renormalizes
-    /// (paper Eq. 2).
-    ///
-    /// The Bayesian update's one path: the density comes from a
-    /// pre-sampled 1-D [`RadialProfile`] lookup through the lane-packed
-    /// kernels instead of a per-cell `exp`/histogram evaluation. The first
-    /// update on a `field` runs [`kernel::radial_product_row`], which
-    /// computes squared x-offsets once per column and squared y-offsets
-    /// once per row and stores each cell's coordinate in the field; an
-    /// update on a field already filled for this grid and step runs only
-    /// [`kernel::lookup_product_row`]. All buffers are persistent, so a
-    /// beacon update allocates nothing in steady state.
+    /// (paper Eq. 2): a [`GridBatch`] of one update.
     ///
     /// Returns [`ConstraintOutcome::Rejected`] — leaving the posterior
     /// untouched — if the product has (near-)zero total mass or is not
     /// finite. Bit-identical to
     /// [`apply_radial_constraint_reference`](Self::apply_radial_constraint_reference)
-    /// whichever kernel runs (see [`kernel`] for the contract).
+    /// (see [`kernel`] for the contract).
     pub fn apply_radial_constraint(
         &mut self,
         field: &mut BeaconField,
         profile: &RadialProfile,
     ) -> ConstraintOutcome {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::ensure_scratch(&mut scratch, self.cells.len());
-        let inv_step = profile.inv_step();
-        let table = profile.lane_table();
-        let key = field.key(&self.config, inv_step);
-        let rows = scratch
-            .chunks_exact_mut(self.nx)
-            .zip(self.cells.chunks_exact(self.nx));
-        if field.key == Some(key) {
-            for ((out, row), coords) in rows.zip(field.coords.chunks_exact(self.nx)) {
-                kernel::lookup_product_row(out, row, coords, table);
-            }
-        } else {
-            FIELD_FILLS.with(|n| n.set(n.get() + 1));
-            field.coords.resize(self.cells.len(), 0.0);
-            let mut dx2 = std::mem::take(&mut self.dx2);
-            Self::fill_dx2(&mut dx2, &self.xs, field.center.x);
-            let coords = field.coords.chunks_exact_mut(self.nx);
-            for (((out, row), coords), &y) in rows.zip(coords).zip(&self.ys) {
-                let dy = y - field.center.y;
-                kernel::radial_product_row(out, row, &dx2, dy * dy, inv_step, table, coords);
-            }
-            self.dx2 = dx2;
-            field.key = Some(key);
+        self.batch().apply(field, profile)
+    }
+
+    /// Opens a batch of updates on this posterior: each
+    /// [`GridBatch::apply`] multiplies one constraint in, and the cells
+    /// are renormalized once, when the batch settles.
+    pub fn batch(&mut self) -> GridBatch<'_> {
+        GridBatch {
+            grid: self,
+            pending: None,
         }
-        let outcome = self.commit(&scratch, sum_4lane(&scratch));
-        self.scratch = scratch;
-        outcome
     }
 
     /// The scalar two-stage reference loop for
@@ -476,6 +463,17 @@ impl PositionGrid {
         h
     }
 
+    /// Whether the cells form a probability distribution: every cell
+    /// finite and non-negative, the cells summing to 1 within `tolerance`.
+    /// One pass with no early exit, so it vectorizes.
+    pub fn is_distribution(&self, tolerance: f64) -> bool {
+        let in_range = self
+            .cells
+            .iter()
+            .fold(true, |ok, &p| ok & (0.0..f64::INFINITY).contains(&p));
+        in_range && (sum_4lane(&self.cells) - 1.0).abs() <= tolerance
+    }
+
     /// Total probability mass (1.0 up to rounding; exposed for tests).
     pub fn total_mass(&self) -> f64 {
         self.cells.iter().sum()
@@ -525,6 +523,139 @@ impl PositionGrid {
         let ix = (((p.x - self.config.area.x_min) / r) as usize).min(self.nx - 1);
         let iy = (((p.y - self.config.area.y_min) / r) as usize).min(self.ny - 1);
         self.cells[iy * self.nx + ix]
+    }
+}
+
+/// A run of constraint updates on one posterior, renormalized once at
+/// the end of the run instead of after every update.
+///
+/// Renormalizing after each update takes a pass over the cells to store
+/// `c' = p · s`, where `p` is the update's unnormalized product and
+/// `s = 1 / total`. A batch keeps `p` and `s` instead, and the next update
+/// reads each cell as `p · s` inside its own multiply, `(p · s) · w`: the
+/// same IEEE operations in the same order as reading the stored `c'`, so
+/// every product, total and settled cell has the bits that renormalizing
+/// after every update gives (and
+/// [`PositionGrid::apply_radial_constraint_reference`] defines). The
+/// products alternate between the grid's cells and its scratch buffer,
+/// so an update reads one and writes the other, and a rejected update
+/// leaves the batch's product as it was.
+///
+/// The batch borrows the grid, so nothing reads the posterior while it
+/// is unnormalized. [`settle`](Self::settle), or dropping the batch,
+/// writes the normalized cells.
+#[derive(Debug)]
+pub struct GridBatch<'g> {
+    grid: &'g mut PositionGrid,
+    /// The latest unnormalized product and its `1 / total`; `None` while
+    /// the cells hold the posterior.
+    pending: Option<Pending>,
+}
+
+/// Where a batch's unnormalized product lives, and its `1 / total`.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    scale: f64,
+    in_scratch: bool,
+}
+
+impl GridBatch<'_> {
+    /// Multiplies a radial constraint — `profile.density(‖cell − center‖)`
+    /// around the field's center — into the batch's posterior (paper
+    /// Eq. 2), deferring the renormalization to [`settle`](Self::settle).
+    ///
+    /// The Bayesian update's one kernel entry point: the density comes
+    /// from a pre-sampled 1-D [`RadialProfile`] lookup through the
+    /// lane-packed kernels instead of a per-cell `exp`/histogram
+    /// evaluation. The first update on a `field` runs
+    /// [`kernel::radial_product_row`], which computes squared x-offsets
+    /// once per column and squared y-offsets once per row and stores each
+    /// cell's coordinate in the field; an update on a field already filled
+    /// for this grid and step runs only [`kernel::lookup_product_row`].
+    /// All buffers are persistent, so an update allocates nothing in
+    /// steady state.
+    ///
+    /// Returns [`ConstraintOutcome::Rejected`], keeping the batch's
+    /// posterior as it was, if the product has (near-)zero total mass or
+    /// is not finite. A floored profile (every sample finite and at least
+    /// [`CONSTRAINT_FLOOR`](crate::bayes::CONSTRAINT_FLOOR)) on a
+    /// posterior of finite, non-negative cells summing to 1 always
+    /// applies: the total is at least the largest cell times the floor.
+    pub fn apply(&mut self, field: &mut BeaconField, profile: &RadialProfile) -> ConstraintOutcome {
+        let (scale, in_scratch) = self
+            .pending
+            .map_or((1.0, false), |p| (p.scale, p.in_scratch));
+        let PositionGrid {
+            config,
+            nx,
+            cells,
+            xs,
+            ys,
+            scratch,
+            dx2,
+            ..
+        } = &mut *self.grid;
+        let nx = *nx;
+        let n = cells.len();
+        PositionGrid::ensure_scratch(scratch, n);
+        let (src, dst): (&[f64], &mut [f64]) = if in_scratch {
+            (scratch, cells)
+        } else {
+            (cells, scratch)
+        };
+        let inv_step = profile.inv_step();
+        let table = profile.lane_table();
+        let key = field.key(config, inv_step);
+        let rows = dst.chunks_exact_mut(nx).zip(src.chunks_exact(nx));
+        if field.key == Some(key) {
+            for ((out, row), coords) in rows.zip(field.coords.chunks_exact(nx)) {
+                kernel::lookup_product_row(out, row, scale, coords, table);
+            }
+        } else {
+            field.fills += 1;
+            field.coords.resize(n, 0.0);
+            PositionGrid::fill_dx2(dx2, xs, field.center.x);
+            let coords = field.coords.chunks_exact_mut(nx);
+            for (((out, row), coords), &y) in rows.zip(coords).zip(ys.iter()) {
+                let dy = y - field.center.y;
+                kernel::radial_product_row(out, row, scale, dx2, dy * dy, inv_step, table, coords);
+            }
+            field.key = Some(key);
+        }
+        let total = sum_4lane(dst);
+        if PositionGrid::degenerate(total, n) {
+            return ConstraintOutcome::Rejected;
+        }
+        self.pending = Some(Pending {
+            scale: 1.0 / total,
+            in_scratch: !in_scratch,
+        });
+        ConstraintOutcome::Applied
+    }
+
+    /// Writes the normalized posterior, one pass over the cells, if any
+    /// update applied since the batch opened or last settled.
+    pub fn settle(&mut self) {
+        let Some(Pending { scale, in_scratch }) = self.pending.take() else {
+            return;
+        };
+        let grid = &mut *self.grid;
+        if in_scratch {
+            for (dst, &v) in grid.cells.iter_mut().zip(&grid.scratch) {
+                *dst = v * scale;
+            }
+        } else {
+            for c in &mut grid.cells {
+                *c *= scale;
+            }
+        }
+        grid.entropy.set(None);
+    }
+}
+
+impl Drop for GridBatch<'_> {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 

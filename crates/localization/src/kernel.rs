@@ -51,7 +51,15 @@
 //! interpolation that follow are the same operations in the same order,
 //! so the two kernels agree bit for bit.
 //!
+//! Both kernels read each cell as `cells[i] · scale`: a batch of updates
+//! ([`GridBatch`]) passes the previous update's `1 / total` instead of
+//! writing the normalised cells back between updates. The normalised
+//! value the reference loop would have stored is that very product, so
+//! the update that follows sees the same bits either way; a settled
+//! posterior passes `1.0`, which multiplies exactly.
+//!
 //! [`BeaconField`]: crate::grid::BeaconField
+//! [`GridBatch`]: crate::grid::GridBatch
 //!
 //! [`PositionGrid::apply_radial_constraint_reference`]: crate::grid::PositionGrid::apply_radial_constraint_reference
 
@@ -63,9 +71,9 @@ use cocoa_net::calibration::LaneTable;
 const P52: f64 = 4503599627370496.0;
 
 /// One grid row of the radial update:
-/// `out[i] = cells[i] · lerp(table, √(dx2[i] + dy2) · inv_step)`, storing
-/// each cell's unclamped lattice coordinate `√(dx2[i] + dy2) · inv_step`
-/// in `coords[i]` for [`lookup_product_row`].
+/// `out[i] = (cells[i] · scale) · lerp(table, √(dx2[i] + dy2) · inv_step)`,
+/// storing each cell's unclamped lattice coordinate
+/// `√(dx2[i] + dy2) · inv_step` in `coords[i]` for [`lookup_product_row`].
 ///
 /// Fully auto-vectorized (packed sqrt, gathers, FMA) via the float-domain
 /// clamp + magic-bias indexing described in the module docs, and
@@ -77,9 +85,11 @@ const P52: f64 = 4503599627370496.0;
 ///
 /// Panics if `cells`, `dx2` or `coords` are shorter than `out`.
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 pub fn radial_product_row(
     out: &mut [f64],
     cells: &[f64],
+    scale: f64,
     dx2: &[f64],
     dy2: f64,
     inv_step: f64,
@@ -102,12 +112,13 @@ pub fn radial_product_row(
         let t = raw.min(lastf);
         let tf = t.trunc();
         let j = ((tf + P52).to_bits() as usize) & mask;
-        *o = c * (val[j] + del[j] * (t - tf));
+        *o = (c * scale) * (val[j] + del[j] * (t - tf));
     }
 }
 
 /// The lookup-and-multiply stage of [`radial_product_row`] alone, on
-/// coordinates it stored: `out[i] = cells[i] · lerp(table, coords[i])`.
+/// coordinates it stored:
+/// `out[i] = (cells[i] · scale) · lerp(table, coords[i])`.
 /// The same operations in the same order on the same coordinate, so the
 /// same bits.
 ///
@@ -115,7 +126,13 @@ pub fn radial_product_row(
 ///
 /// Panics if `cells` or `coords` are shorter than `out`.
 #[inline(never)]
-pub fn lookup_product_row(out: &mut [f64], cells: &[f64], coords: &[f64], table: &LaneTable) {
+pub fn lookup_product_row(
+    out: &mut [f64],
+    cells: &[f64],
+    scale: f64,
+    coords: &[f64],
+    table: &LaneTable,
+) {
     let n = out.len();
     let cells = &cells[..n];
     let coords = &coords[..n];
@@ -129,7 +146,7 @@ pub fn lookup_product_row(out: &mut [f64], cells: &[f64], coords: &[f64], table:
         let t = raw.min(lastf);
         let tf = t.trunc();
         let j = ((tf + P52).to_bits() as usize) & mask;
-        *o = c * (val[j] + del[j] * (t - tf));
+        *o = (c * scale) * (val[j] + del[j] * (t - tf));
     }
 }
 
@@ -175,17 +192,31 @@ mod tests {
         let cells: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 7.0)).collect();
         let dx2: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7 - 9.0).powi(2)).collect();
         let dy2 = 12.25;
-        let mut out = vec![0.0; n];
-        let mut coords = vec![0.0; n];
-        radial_product_row(&mut out, &cells, &dx2, dy2, inv_step, &table, &mut coords);
-        let mut looked_up = vec![0.0; n];
-        lookup_product_row(&mut looked_up, &cells, &coords, &table);
-        for i in 0..n {
-            let t = (dx2[i] + dy2).sqrt() * inv_step;
-            assert_eq!(coords[i].to_bits(), t.to_bits(), "coordinate {i}");
-            let expected = cells[i] * lerp_table(&table, t);
-            assert_eq!(out[i].to_bits(), expected.to_bits(), "cell {i}");
-            assert_eq!(looked_up[i].to_bits(), expected.to_bits(), "lookup {i}");
+        // A settled posterior's scale, then a batch's carried `1 / total`:
+        // each cell is read as the value a renormalising pass would store.
+        for scale in [1.0, 1.0 / 0.37] {
+            let mut out = vec![0.0; n];
+            let mut coords = vec![0.0; n];
+            radial_product_row(
+                &mut out,
+                &cells,
+                scale,
+                &dx2,
+                dy2,
+                inv_step,
+                &table,
+                &mut coords,
+            );
+            let mut looked_up = vec![0.0; n];
+            lookup_product_row(&mut looked_up, &cells, scale, &coords, &table);
+            for i in 0..n {
+                let t = (dx2[i] + dy2).sqrt() * inv_step;
+                assert_eq!(coords[i].to_bits(), t.to_bits(), "coordinate {i}");
+                let normalised = cells[i] * scale;
+                let expected = normalised * lerp_table(&table, t);
+                assert_eq!(out[i].to_bits(), expected.to_bits(), "cell {i}");
+                assert_eq!(looked_up[i].to_bits(), expected.to_bits(), "lookup {i}");
+            }
         }
     }
 
@@ -200,9 +231,9 @@ mod tests {
         let dx2: Vec<f64> = (0..n).map(|i| (1e3 + i as f64).powi(2)).collect();
         let mut out = vec![0.0; n];
         let mut coords = vec![0.0; n];
-        radial_product_row(&mut out, &cells, &dx2, 0.0, 1.0, &table, &mut coords);
+        radial_product_row(&mut out, &cells, 1.0, &dx2, 0.0, 1.0, &table, &mut coords);
         let mut looked_up = vec![0.0; n];
-        lookup_product_row(&mut looked_up, &cells, &coords, &table);
+        lookup_product_row(&mut looked_up, &cells, 1.0, &coords, &table);
         let expected = 0.125 * values[values.len() - 1];
         for (i, (&o, &l)) in out.iter().zip(&looked_up).enumerate() {
             assert_eq!(o.to_bits(), expected.to_bits(), "cell {i}");

@@ -9,7 +9,8 @@
 //!    deployment area (Eq. 1) — implemented on a discrete posterior grid in
 //!    [`grid`];
 //! 3. Bayesian inference multiplies constraint into prior and renormalizes
-//!    (Eq. 2) — [`bayes`];
+//!    (Eq. 2) — [`bayes`]; [`batch`] records a window's beacons on arrival
+//!    and applies them in one batch, across the cores the caller lends it;
 //! 4. after ≥ 3 beacons, the posterior mean is the position estimate
 //!    (Eq. 3);
 //! 5. [`estimator`] wraps the algorithm in the CoCoA window lifecycle and
@@ -23,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod batch;
 pub mod bayes;
 pub mod ekf;
 pub mod estimator;
@@ -33,6 +35,7 @@ pub mod multilateration;
 /// Glob-import of the most commonly used types.
 pub mod prelude {
     pub use crate::backend::{EkfBackend, RfBackend};
+    pub use crate::batch::BeaconLog;
     pub use crate::bayes::{
         BayesianLocalizer, GridStats, ObservationResult, MIN_BEACONS_FOR_ESTIMATE,
     };
@@ -40,6 +43,6 @@ pub mod prelude {
     pub use crate::estimator::{
         EstimatorMode, RfAlgorithm, WindowOutcome, WindowStats, WindowedRfEstimator,
     };
-    pub use crate::grid::{BeaconField, ConstraintOutcome, GridConfig, PositionGrid};
+    pub use crate::grid::{BeaconField, ConstraintOutcome, GridBatch, GridConfig, PositionGrid};
     pub use crate::multilateration::{MultilaterationConfig, Multilaterator, RangeObservation};
 }

@@ -2,9 +2,11 @@
 //! backend's covariance health, and backend checkpoint round-trips.
 
 use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
-use cocoa_localization::grid::{beacon_field_fills, ConstraintOutcome};
+use cocoa_localization::grid::ConstraintOutcome;
 use cocoa_localization::prelude::*;
-use cocoa_net::calibration::{calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialProfile};
+use cocoa_net::calibration::{
+    calibrate, CalibrationConfig, DistancePdf, PdfTable, RadialConstraintTable, RadialProfile,
+};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point, Vec2};
 use cocoa_net::rssi::{Dbm, RssiBin};
@@ -428,7 +430,6 @@ proptest! {
         scalar[1].apply_radial_constraint_reference(Point::new(100.0, 100.0), &profiles[1]);
         let mut simd = scalar.clone();
         let mut field = BeaconField::new(center);
-        let fills = beacon_field_fills();
         // One field serves two profiles and two grids in turn: the first
         // update fills it and every later one reads the stored coordinates.
         for (g, p) in [(0, 0), (1, 1), (0, 1), (1, 0), (0, 0)] {
@@ -437,7 +438,7 @@ proptest! {
             prop_assert_eq!(oa, ob);
             assert_same_bits(&scalar[g], &simd[g]);
         }
-        prop_assert_eq!(beacon_field_fills(), fills + 1);
+        prop_assert_eq!(field.fills(), 1);
 
         // Another step refills the field, and so does another resolution.
         let restepped = floored(&pdfs[0], step2);
@@ -445,12 +446,119 @@ proptest! {
         let ob = simd[0].apply_radial_constraint(&mut field, &restepped);
         prop_assert_eq!(oa, ob);
         assert_same_bits(&scalar[0], &simd[0]);
-        prop_assert_eq!(beacon_field_fills(), fills + 2);
+        prop_assert_eq!(field.fills(), 2);
         let (mut scalar2, mut simd2) = (grid(res2), grid(res2));
         let oa = scalar2.apply_radial_constraint_reference(center, &restepped);
         let ob = simd2.apply_radial_constraint(&mut field, &restepped);
         prop_assert_eq!(oa, ob);
         assert_same_bits(&scalar2, &simd2);
-        prop_assert_eq!(beacon_field_fills(), fills + 3);
+        prop_assert_eq!(field.fills(), 3);
+    }
+}
+
+/// A calibration with every bin's profile floored as a run's are, and a
+/// 40 m × 40 m, 2 m grid over which the tests below draw posteriors.
+fn calibrated_radial() -> (PdfTable, RadialConstraintTable, GridConfig) {
+    let table = calibrate(
+        &RfChannel::default(),
+        &CalibrationConfig {
+            samples_per_distance: 30,
+            ..Default::default()
+        },
+        &mut SeedSplitter::new(13).stream("cal", 0),
+    );
+    let grid = GridConfig::new(Area::square(40.0), 2.0);
+    let radial = radial_constraints_for_grid(&table, &grid);
+    (table, radial, grid)
+}
+
+/// A finite, non-negative posterior over `cells` cells summing to 1:
+/// arbitrary weights, some zero and some subnormal, or all the mass on
+/// one cell.
+fn arb_posterior(cells: usize) -> impl Strategy<Value = Vec<f64>> {
+    let weight = prop_oneof![Just(0.0), 1e-310..1e-300f64, 0.0..1.0f64, 1.0..1e6f64];
+    prop_oneof![
+        proptest::collection::vec(weight, cells).prop_map(|mut w| {
+            if w.iter().all(|&x| x == 0.0) {
+                w[0] = 1.0;
+            }
+            let total: f64 = w.iter().sum();
+            w.into_iter().map(|x| x / total).collect()
+        }),
+        (0..cells).prop_map(move |i| {
+            let mut w = vec![0.0; cells];
+            w[i] = 1.0;
+            w
+        }),
+    ]
+}
+
+/// `grid` holding `cells`, decoded as a snapshot reader would.
+fn grid_holding(grid: GridConfig, mut cells: Vec<f64>) -> PositionGrid {
+    use snapshot::Codec;
+    let bytes = snapshot::encode(|c| c.vec(&mut cells, Codec::f64));
+    let mut g = PositionGrid::new(grid);
+    snapshot::decode(&bytes, "grid", |c| g.code(c)).expect("own bytes");
+    g
+}
+
+proptest! {
+    /// A beacon admitted on arrival is reported applied before its grid
+    /// update runs, which holds because the update cannot be rejected:
+    /// any calibrated, floored profile multiplied into any finite,
+    /// non-negative posterior that sums to 1 applies, however far its
+    /// center, alone or after earlier updates of one batch.
+    #[test]
+    fn floored_calibrated_profiles_never_reject_a_valid_posterior(
+        cells in arb_posterior(400),
+        updates in proptest::collection::vec(
+            (any::<usize>(), -300.0..340.0f64, -300.0..340.0f64),
+            1..5,
+        ),
+    ) {
+        let (table, radial, grid) = calibrated_radial();
+        let bins: Vec<RssiBin> = table.entries().map(|(bin, _)| bin).collect();
+        let mut g = grid_holding(grid, cells);
+        let mut batch = g.batch();
+        for (bin, x, y) in updates {
+            let profile = radial.get(bins[bin % bins.len()]).expect("calibrated bin");
+            let outcome = batch.apply(&mut BeaconField::new(Point::new(x, y)), profile);
+            prop_assert_eq!(outcome, ConstraintOutcome::Applied);
+        }
+        drop(batch);
+        prop_assert!(g.cells().iter().all(|p| p.is_finite() && *p >= 0.0));
+        prop_assert!((g.total_mass() - 1.0).abs() < 1e-9);
+    }
+
+    /// A batch renormalizes once, at the end, yet leaves the very bits
+    /// renormalizing after every update leaves: each update reads the
+    /// previous product times its `1 / total`, which is the value a
+    /// renormalizing pass would have stored.
+    #[test]
+    fn a_batch_is_bit_identical_to_renormalizing_every_update(
+        cells in arb_posterior(400),
+        updates in proptest::collection::vec(
+            (any::<usize>(), 0.0..40.0f64, 0.0..40.0f64, any::<bool>()),
+            1..6,
+        ),
+    ) {
+        let (table, radial, grid) = calibrated_radial();
+        let bins: Vec<RssiBin> = table.entries().map(|(bin, _)| bin).collect();
+        let mut eager = grid_holding(grid, cells);
+        let mut batched = eager.clone();
+        let mut batch = batched.batch();
+        let mut field = BeaconField::default();
+        for (bin, x, y, new_frame) in updates {
+            let center = if new_frame { Point::new(x, y) } else { field.center() };
+            let profile = radial.get(bins[bin % bins.len()]).expect("calibrated bin");
+            let oa = eager.apply_radial_constraint_reference(center, profile);
+            if new_frame {
+                field.reset(center);
+            }
+            let ob = batch.apply(&mut field, profile);
+            prop_assert_eq!(oa, ob);
+        }
+        drop(batch);
+        assert_same_bits(&eager, &batched);
     }
 }

@@ -545,7 +545,15 @@ impl RadialConstraintTable {
     /// rule as [`PdfTable::resolve`] — the two tables always agree on which
     /// bin serves a given RSSI.
     pub fn lookup(&self, rssi: Dbm) -> Option<&RadialProfile> {
-        self.table.resolve(rssi).and_then(|bin| self.get(bin))
+        self.resolve(rssi).map(|(_, profile)| profile)
+    }
+
+    /// Like [`lookup`](Self::lookup), also naming the bin that serves
+    /// `rssi`, so a caller can keep the bin and read its profile back with
+    /// [`get`](Self::get) later.
+    pub fn resolve(&self, rssi: Dbm) -> Option<(RssiBin, &RadialProfile)> {
+        let bin = self.table.resolve(rssi)?;
+        self.get(bin).map(|profile| (bin, profile))
     }
 
     /// Number of calibrated bins served.

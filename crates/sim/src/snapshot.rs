@@ -541,11 +541,19 @@ impl Codec for Vec<u8> {
         _context: &'static str,
         layout: impl FnOnce(&mut Self) -> Result<(), SnapshotError>,
     ) -> Result<(), SnapshotError> {
-        let mut blob = Vec::new();
-        layout(&mut blob)?;
-        put_bytes(self, &blob);
+        let len_at = self.len();
+        self.extend_from_slice(&[0; 8]);
+        layout(self)?;
+        backpatch_len(self, len_at);
         Ok(())
     }
+}
+
+/// Writes the length of the bytes after the 8-byte slot at `len_at` into
+/// that slot: a blob laid out like [`Codec::bytes`], encoded in place.
+fn backpatch_len(buf: &mut [u8], len_at: usize) {
+    let len = (buf.len() - len_at - 8) as u64;
+    buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
 /// The reader: overwrites each value with what it decodes from a
@@ -644,63 +652,94 @@ pub fn decode<'a>(
 // ---------------------------------------------------------------------------
 // Container.
 
-/// Builds a snapshot file: metadata header plus CRC-guarded sections.
+/// Builds a snapshot file: metadata header plus CRC-guarded sections,
+/// each encoded straight into the one container buffer.
 #[derive(Debug)]
 pub struct SnapshotWriter {
-    meta: String,
-    sections: Vec<(&'static str, Vec<u8>)>,
+    /// Magic, version, metadata, the section-count slot, then every
+    /// finished section.
+    buf: Vec<u8>,
+    /// Where the section count goes once the last section is written.
+    count_at: usize,
+    tags: Vec<&'static str>,
 }
 
 impl SnapshotWriter {
     /// Starts a snapshot whose metadata header is `meta` — one flat JSON
     /// line, typically built with [`crate::jsonfmt::ObjectWriter`].
     pub fn new(meta: String) -> Self {
+        Self::with_capacity(meta, 0)
+    }
+
+    /// Like [`new`](Self::new), reserving `capacity` bytes for the whole
+    /// file up front: a writer that knows roughly how large the snapshot
+    /// will be (the previous one's length) writes it without growing the
+    /// buffer.
+    pub fn with_capacity(meta: String, capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(capacity.max(16 + meta.len()));
+        buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_SCHEMA_VERSION.to_le_bytes());
+        put_str(&mut buf, &meta);
+        let count_at = buf.len();
+        buf.extend_from_slice(&[0; 4]);
         SnapshotWriter {
-            meta,
-            sections: Vec::new(),
+            buf,
+            count_at,
+            tags: Vec::new(),
         }
     }
 
-    /// Appends a section. Tags must be unique; sections render in push
-    /// order.
+    /// Appends a section holding `payload`. Tags must be unique; sections
+    /// render in push order.
     ///
     /// # Panics
     ///
     /// Panics if `tag` was already pushed — duplicate tags would make
     /// [`Snapshot::decode`]'s lookup by tag ambiguous.
     pub fn push_section(&mut self, tag: &'static str, payload: Vec<u8>) {
+        self.section(tag, |c| {
+            c.extend_from_slice(&payload);
+            Ok(())
+        });
+    }
+
+    /// Appends a section whose payload `layout` encodes in place, like
+    /// [`encode`] would into a buffer of its own, with no copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` was already pushed, or if `layout` fails, which
+    /// encoding into a `Vec` cannot unless the value itself is invalid.
+    pub fn section(
+        &mut self,
+        tag: &'static str,
+        layout: impl FnOnce(&mut Vec<u8>) -> Result<(), SnapshotError>,
+    ) {
         assert!(
-            self.sections.iter().all(|(t, _)| *t != tag),
+            !self.tags.contains(&tag),
             "duplicate snapshot section '{tag}'"
         );
-        self.sections.push((tag, payload));
+        self.tags.push(tag);
+        put_str(&mut self.buf, tag);
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 8]);
+        layout(&mut self.buf).expect("encoding into a Vec cannot fail");
+        backpatch_len(&mut self.buf, len_at);
+        let crc = crc32(&self.buf[len_at + 8..]);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
     }
 
     /// Number of sections pushed so far.
     pub fn section_count(&self) -> usize {
-        self.sections.len()
+        self.tags.len()
     }
 
-    /// Serializes the container: magic, version, metadata, sections with
+    /// The finished container: magic, version, metadata, sections with
     /// their CRCs.
-    pub fn finish(self) -> Vec<u8> {
-        let payload_total: usize = self
-            .sections
-            .iter()
-            .map(|(t, p)| t.len() + p.len() + 16)
-            .sum();
-        let mut out = Vec::with_capacity(4 + 4 + 4 + self.meta.len() + 4 + payload_total);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_SCHEMA_VERSION.to_le_bytes());
-        put_str(&mut out, &self.meta);
-        let count = u32::try_from(self.sections.len()).expect("section count");
-        out.extend_from_slice(&count.to_le_bytes());
-        for (tag, payload) in &self.sections {
-            put_str(&mut out, tag);
-            put_bytes(&mut out, payload);
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-        }
-        out
+    pub fn finish(mut self) -> Vec<u8> {
+        let count = u32::try_from(self.tags.len()).expect("section count");
+        self.buf[self.count_at..self.count_at + 4].copy_from_slice(&count.to_le_bytes());
+        self.buf
     }
 }
 

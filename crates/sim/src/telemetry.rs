@@ -637,7 +637,8 @@ pub struct SpanStat {
     pub name: &'static str,
     /// Total wall-clock time attributed, nanoseconds.
     pub total_ns: u128,
-    /// Number of times the span closed.
+    /// Number of times the span closed, or, for a span recorded with
+    /// [`SpanProfiler::record_n`], of the units of work it timed.
     pub count: u64,
 }
 
@@ -646,8 +647,9 @@ pub struct SpanStat {
 /// Spans follow a dot-separated naming convention: `run.*` spans tile the
 /// whole run (calibrate / setup / event_loop / finalize), `event.*` spans
 /// tile the event loop by event category, and subsystem spans
-/// (`grid.update`, `channel.sample`, `mesh.handle`, `mobility.step`) nest
-/// inside event spans — so `run.*` children sum to the run and everything
+/// (`channel.sample`, `mesh.handle`, `mobility.step`) nest inside event
+/// spans, or, like `grid.update`, run between events inside
+/// `run.event_loop` — so `run.*` children sum to the run and everything
 /// else attributes time *within* them.
 #[derive(Debug, Default)]
 pub struct SpanProfiler {
@@ -675,8 +677,15 @@ impl SpanProfiler {
 
     /// Attributes `elapsed` to a span.
     pub fn record(&mut self, id: SpanId, elapsed: std::time::Duration) {
+        self.record_n(id, elapsed, 1);
+    }
+
+    /// Attributes `elapsed` to `n` closings of a span at once: one timed
+    /// stretch of work that did `n` of the span's units (a batch of grid
+    /// updates), so the span's per-call time stays time per unit.
+    pub fn record_n(&mut self, id: SpanId, elapsed: std::time::Duration, n: u64) {
         self.totals_ns[id.0] += elapsed.as_nanos();
-        self.counts[id.0] += 1;
+        self.counts[id.0] += n;
     }
 
     /// The accumulated totals, sorted by total time descending.
@@ -1043,9 +1052,17 @@ impl Telemetry {
     /// open at `Full`, so this costs nothing otherwise).
     #[inline]
     pub fn span_end(&mut self, id: SpanId, start: SpanStart) {
-        if let Some(t0) = start {
+        self.span_end_n(id, start, 1);
+    }
+
+    /// Closes a span opened with [`Telemetry::span_start`] that covered
+    /// `n` units of the span's work, counting it `n` times
+    /// ([`SpanProfiler::record_n`]). Nothing is recorded for `n = 0`.
+    #[inline]
+    pub fn span_end_n(&mut self, id: SpanId, start: SpanStart, n: u64) {
+        if let (Some(t0), true) = (start, n > 0) {
             let elapsed = t0.elapsed();
-            self.spans.record(id, elapsed);
+            self.spans.record_n(id, elapsed, n);
             if self.hist_enabled {
                 self.hists
                     .record(self.span_dur_hist, elapsed.as_secs_f64() * 1e6);

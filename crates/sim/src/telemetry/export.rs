@@ -373,10 +373,11 @@ pub fn parse_exposition(text: &str) -> Result<Vec<ParsedFamily>, String> {
 /// hierarchy: `run.total` is the root, other `run.*` spans are its direct
 /// children, `event.*` spans nest under `run.event_loop`, and the
 /// subsystem spans nest under the event category whose handler invokes
-/// them (`channel.sample` under `event.transmit`, `grid.update` and
-/// `mesh.handle` under `event.tx_end`, `grid.fix` under
-/// `event.robot_window_end`, `mobility.step` under `event.move_tick` —
-/// unknown names fall back to `run.event_loop`). Each output line carries
+/// them (`channel.sample` under `event.transmit`, `mesh.handle` under
+/// `event.tx_end`, `grid.fix` under `event.robot_window_end`,
+/// `mobility.step` under `event.move_tick` — unknown names, and
+/// `grid.update`, which runs between events, fall back to
+/// `run.event_loop`). Each output line carries
 /// the span's *self* time — its total minus its direct children's totals,
 /// in exact integer arithmetic (saturating at zero if children overlap) —
 /// so that summing a frame's subtree reproduces the profiler's total for
@@ -397,7 +398,9 @@ pub fn fold_spans(spans: &[(&str, u128)]) -> Vec<(String, u128)> {
             "channel.sample_rebroadcast" => {
                 &["event.mesh_rebroadcast", "run.event_loop", "run.total"]
             }
-            "grid.update" | "mesh.handle" => &["event.tx_end", "run.event_loop", "run.total"],
+            // The logged beacons are applied between events.
+            "grid.update" => &["run.event_loop", "run.total"],
+            "mesh.handle" => &["event.tx_end", "run.event_loop", "run.total"],
             "grid.fix" => &["event.robot_window_end", "run.event_loop", "run.total"],
             "mobility.step" => &["event.move_tick", "run.event_loop", "run.total"],
             _ => &["run.event_loop", "run.total"],
