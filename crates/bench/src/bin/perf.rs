@@ -40,7 +40,8 @@ use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::{run, Calibration, SimRun};
 use cocoa_core::serve::{client, ServeConfig, Server};
 use cocoa_localization::batch::BeaconLog;
-use cocoa_localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
+use cocoa_localization::bayes::radial_constraints_for_grid;
+use cocoa_localization::estimator::WindowedRfEstimator;
 use cocoa_localization::grid::{BeaconField, GridConfig, PositionGrid};
 use cocoa_net::calibration::{calibrate, CalibrationConfig};
 use cocoa_net::channel::RfChannel;
@@ -179,14 +180,16 @@ fn main() -> ExitCode {
     let radial = radial_constraints_for_grid(&table, &grid_cfg);
     let beacon = Point::new(90.0, 110.0);
 
-    // Bayesian grid update, 100x100 cells, one beacon frame per call.
-    let mut loc = BayesianLocalizer::new(grid_cfg);
+    // Bayesian grid update, 100x100 cells, one beacon frame per call,
+    // observed by an estimator with a window open.
+    let mut est = WindowedRfEstimator::new(grid_cfg);
+    est.begin_window();
     let mut rng = SeedSplitter::new(2).stream("bench", 0);
     let mut field = BeaconField::new(beacon);
     let grid_radial = ops_per_sec(|| {
         let rssi = channel.sample_rssi(20.0, &mut rng);
         field.reset(beacon);
-        loc.observe_beacon(&radial, &mut field, rssi);
+        est.observe_beacon(&table, &radial, &mut field, rssi, None, 0.0);
     });
 
     // The lane kernels against the scalar reference loop they must match

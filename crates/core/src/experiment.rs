@@ -73,30 +73,6 @@ fn run_parallel(scenarios: Vec<Scenario>) -> Vec<RunMetrics> {
     crate::executor::map_bounded(scenarios, run)
 }
 
-/// Runs a sweep under full supervision: panic isolation, per-point
-/// deadlines, deterministic retry, and (when
-/// [`SweepConfig::manifest_path`](crate::executor::sweep::SweepConfig)
-/// is set) checkpointed auto-resume of interrupted sweeps.
-///
-/// Unlike an unsupervised sweep, one crashing or hanging point does not
-/// abort the sweep: every other point still completes and the failure
-/// comes back classified inside the
-/// [`SweepReport`](crate::executor::supervisor::SweepReport).
-///
-/// # Errors
-///
-/// Fails only when a configured manifest file exists but cannot be
-/// read or decoded; job failures are reported, not raised.
-pub fn run_parallel_supervised(
-    scenarios: Vec<Scenario>,
-    cfg: &crate::executor::sweep::SweepConfig,
-) -> Result<
-    crate::executor::supervisor::SweepReport<RunMetrics>,
-    crate::executor::manifest::ManifestError,
-> {
-    crate::executor::sweep::run_supervised(scenarios, cfg)
-}
-
 /// A labelled `(x, y)` series — one curve of a figure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Series {

@@ -185,10 +185,10 @@ mod tests {
         assert_eq!(
             pinned,
             [
-                "1a1d9b625d4d4e5f",
-                "95bc9eb5bc5dcc74",
-                "4d00c9cad0e07691",
-                "2c959209640a3031"
+                "1a63b9aea32336a4",
+                "922a7e57a00f837d",
+                "73a714816179ba2b",
+                "560906d48ff7fe68"
             ]
         );
     }

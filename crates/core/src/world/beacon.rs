@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use bytes::Bytes;
 use cocoa_localization::batch::BeaconLog;
-use cocoa_localization::bayes::ObservationResult;
+use cocoa_localization::estimator::ObservationResult;
 use cocoa_localization::grid::{BeaconField, GridConfig};
 use cocoa_net::geometry::Point;
 use cocoa_net::mac::{ReceptionOutcome, TxId};

@@ -669,20 +669,22 @@ mod tests {
         c.f64(&mut p.y)
     }
 
-    /// An estimator's lifecycle state — last fix, open window and window
-    /// statistics — written field by field with the `Codec` primitives.
+    /// An estimator's lifecycle state — last fix, open window, the
+    /// window's applied beacons and window statistics — written field by
+    /// field with the `Codec` primitives.
     fn arb_header() -> impl Strategy<Value = Vec<u8>> {
         (
             prop_oneof![Just(None), arb_point().prop_map(Some)],
-            any::<bool>(),
+            (any::<bool>(), any::<u16>()),
             (any::<u16>(), any::<u16>(), any::<u16>()),
             (any::<u32>(), any::<u32>(), any::<u32>()),
         )
             .prop_map(
-                |(last_fix, in_window, (w, f, fl), (seen, applied, rejected))| {
+                |(last_fix, (in_window, window_applied), (w, f, fl), (seen, applied, rejected))| {
                     snapshot::encode(|c| {
                         c.opt(&mut last_fix.clone(), |c, p| put_point(c, *p))?;
                         c.bool(&mut { in_window })?;
+                        c.u32(&mut u32::from(window_applied))?;
                         for mut n in [w, f, fl].map(u32::from) {
                             c.u32(&mut n)?;
                         }
@@ -702,20 +704,10 @@ mod tests {
     /// ranges, extreme covariances — written with the `Codec` primitives,
     /// and the algorithm whose blank estimator decodes it.
     fn arb_backend() -> impl Strategy<Value = (RfAlgorithm, Vec<u8>)> {
-        let bayes = (
-            proptest::collection::vec(0.0f64..1.0, CELLS),
-            (any::<u8>(), any::<u8>()),
-            (any::<u32>(), any::<u32>()),
-        )
-            .prop_map(|(mut cells, (applied, seen), (simd, touched))| {
-                let bytes = snapshot::encode(|c| {
-                    c.vec(&mut cells, Codec::f64)?;
-                    c.u32(&mut u32::from(applied))?;
-                    c.u32(&mut u32::from(seen))?;
-                    c.u64s([&mut u64::from(simd), &mut u64::from(touched)])
-                });
-                (RfAlgorithm::Bayes, bytes)
-            });
+        let bayes = proptest::collection::vec(0.0f64..1.0, CELLS).prop_map(|mut cells| {
+            let bytes = snapshot::encode(|c| c.vec(&mut cells, Codec::f64));
+            (RfAlgorithm::Bayes, bytes)
+        });
         let lateration =
             proptest::collection::vec((arb_point(), 0.1f64..300.0, 0.01f64..10.0), 0..8).prop_map(
                 |mut ranges| {
@@ -732,17 +724,15 @@ mod tests {
         let ekf = (
             arb_point(),
             (1e-9f64..1e4, 1e-9f64..1e4, -10.0f64..10.0),
-            (any::<u32>(), any::<u32>(), any::<u16>(), 0u32..8),
+            (any::<u32>(), any::<u16>()),
             prop_oneof![Just(None), arb_point().prop_map(Some)],
         )
-            .prop_map(|(mean, (p11, p22, p12), (ua, ug, cg, wa), last_odo)| {
+            .prop_map(|(mean, (p11, p22, p12), (ug, cg), last_odo)| {
                 let bytes = snapshot::encode(|c| {
                     put_point(c, mean)?;
                     c.f64s([&mut { p11 }, &mut { p12 }, &mut { p22 }])?;
-                    c.u64(&mut u64::from(ua))?;
                     c.u64(&mut u64::from(ug))?;
                     c.u32(&mut u32::from(cg))?;
-                    c.u32(&mut { wa })?;
                     c.opt(&mut last_odo.clone(), |c, p| put_point(c, *p))
                 });
                 (RfAlgorithm::Ekf, bytes)
@@ -935,7 +925,7 @@ mod tests {
             scenario_fingerprint(&template),
         ]
         .map(|fp| format!("{fp:016x}"));
-        assert_eq!(pinned, ["b37ca4e9000001a0", "9fa1f7e2000001a0"]);
+        assert_eq!(pinned, ["f80cae41000001a0", "d4d1fd4a000001a0"]);
     }
 
     /// Every run localizes through the calibration campaign's table, so

@@ -4,6 +4,7 @@
 //! registry.
 
 use cocoa_localization::estimator::RfAlgorithm;
+use cocoa_localization::grid::GridConfig;
 use cocoa_multicast::mesh::MeshStats;
 use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_sim::engine::Engine;
@@ -262,48 +263,38 @@ pub(crate) fn finalize(
             ro.outlier_beacons_rejected,
         );
         t.absorb("robustness.flat_posteriors", ro.flat_posteriors);
-        // Grid kernel accounting: only counters that actually fired are
-        // emitted, so a gridless run carries no `grid.*` rows.
-        let mut gs = cocoa_localization::bayes::GridStats::default();
-        for r in &world.robots {
-            if let Some(rf) = r.rf.as_ref() {
-                gs.absorb(&rf.grid_stats());
-            }
-        }
-        for (name, value) in [
-            ("grid.kernel.simd", gs.kernel_simd),
-            ("grid.cells_touched", gs.cells_touched),
-        ] {
-            if value > 0 {
-                t.absorb(name, value);
-            }
-        }
         t.absorb("robustness.stale_syncs_ignored", ro.stale_syncs_ignored);
         t.absorb("robustness.malformed_sync_bodies", ro.malformed_sync_bodies);
         // Estimator backend accounting: the `estimator.<backend>.*`
         // namespace names the solver that actually ran, so ablation sweeps
         // over RF backends stay attributable, mirroring `mesh.<backend>.*`.
         let mut ws = cocoa_localization::estimator::WindowStats::default();
-        let (mut ekf_applied, mut ekf_gated) = (0u64, 0u64);
-        let mut any_ekf = false;
-        for r in &world.robots {
-            if let Some(rf) = r.rf.as_ref() {
-                ws.absorb(&rf.stats());
-                if let Some((applied, gated)) = rf.ekf_counters() {
-                    any_ekf = true;
-                    ekf_applied += applied;
-                    ekf_gated += gated;
-                }
+        let mut ekf_gated = None;
+        for rf in world.robots.iter().filter_map(|r| r.rf.as_ref()) {
+            ws.absorb(&rf.stats());
+            if let Some(filter) = rf.filter() {
+                *ekf_gated.get_or_insert(0) += filter.updates_gated();
             }
         }
-        let names = estimator_counter_names(world.scenario.rf_algorithm);
+        let algorithm = world.scenario.rf_algorithm;
+        let names = estimator_counter_names(algorithm);
         for ((short, value), name) in ws.counters().iter().zip(names) {
             debug_assert!(name.ends_with(short), "{name} out of order vs {short}");
             t.absorb(name, *value);
         }
-        if any_ekf {
-            t.absorb("estimator.ekf.updates_applied", ekf_applied);
-            t.absorb("estimator.ekf.updates_gated", ekf_gated);
+        // Each applied Bayes beacon is one lane-kernel update over every
+        // cell of the grid, and each applied EKF beacon one fused range
+        // update. Only counters that fired are emitted, so a gridless run
+        // carries no `grid.*` rows.
+        if algorithm == RfAlgorithm::Bayes && ws.beacons_applied > 0 {
+            let (nx, ny) =
+                GridConfig::new(world.scenario.area, world.scenario.grid_resolution_m).dims();
+            t.absorb("grid.kernel.simd", ws.beacons_applied);
+            t.absorb("grid.cells_touched", ws.beacons_applied * (nx * ny) as u64);
+        }
+        if let Some(gated) = ekf_gated {
+            t.absorb("estimator.ekf.updates_applied", ws.beacons_applied);
+            t.absorb("estimator.ekf.updates_gated", gated);
         }
         // The flat `mesh.*` namespace stays for backwards compatibility;
         // the `mesh.<backend>.*` namespace names the transport that

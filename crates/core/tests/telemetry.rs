@@ -486,3 +486,104 @@ fn golden_default_metrics_survive_the_world_refactor() {
         "default-path RunMetrics",
     );
 }
+
+/// Every `grid.*` and `estimator.<backend>.*` counter of one
+/// Counters-level run of `s`, sorted by name, and how many robots the run
+/// rebooted.
+fn backend_counters(s: &Scenario) -> (Vec<(&'static str, u64)>, Option<u64>) {
+    let (_, t) = run_with_telemetry(s, Telemetry::new(TelemetryLevel::Counters));
+    let counters = t
+        .counters()
+        .sorted()
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("grid.") || name.starts_with("estimator."))
+        .collect();
+    (counters, t.counters().get("robustness.reboots"))
+}
+
+#[test]
+fn backend_counters_are_pinned() {
+    // The golden trace strips these lines (`strip_backend_counters`), so
+    // this test is what pins their values: one small run per backend,
+    // and chaos runs for the two backends with counters of their own. The
+    // preset's reboot hits robot 0, which is equipped, so the chaos runs
+    // also crash and reboot robot 9, which runs an estimator.
+    use cocoa_localization::estimator::RfAlgorithm;
+    use cocoa_sim::time::SimTime;
+    let plain = |algorithm| {
+        let mut s = scenario(42);
+        s.rf_algorithm = algorithm;
+        s
+    };
+    let chaos = |algorithm| {
+        let mut s = faulty_scenario(7);
+        s.rf_algorithm = algorithm;
+        let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+        s.faults
+            .schedule(at(50), Fault::Crash { robot: 9 })
+            .schedule(at(80), Fault::Reboot { robot: 9 });
+        s.validate().expect("valid scenario");
+        s
+    };
+    let bayes: &[(&str, u64)] = &[
+        ("estimator.bayes.beacons_applied", 284),
+        ("estimator.bayes.beacons_rejected_outlier", 0),
+        ("estimator.bayes.beacons_seen", 284),
+        ("estimator.bayes.fixes", 20),
+        ("estimator.bayes.flat_windows", 0),
+        ("estimator.bayes.windows", 20),
+        ("grid.cells_touched", 328_304),
+        ("grid.kernel.simd", 284),
+    ];
+    let multilateration: &[(&str, u64)] = &[
+        ("estimator.multilateration.beacons_applied", 284),
+        ("estimator.multilateration.beacons_rejected_outlier", 0),
+        ("estimator.multilateration.beacons_seen", 284),
+        ("estimator.multilateration.fixes", 20),
+        ("estimator.multilateration.flat_windows", 0),
+        ("estimator.multilateration.windows", 20),
+    ];
+    let ekf: &[(&str, u64)] = &[
+        ("estimator.ekf.beacons_applied", 239),
+        ("estimator.ekf.beacons_rejected_outlier", 35),
+        ("estimator.ekf.beacons_seen", 274),
+        ("estimator.ekf.fixes", 20),
+        ("estimator.ekf.flat_windows", 0),
+        ("estimator.ekf.updates_applied", 239),
+        ("estimator.ekf.updates_gated", 31),
+        ("estimator.ekf.windows", 20),
+    ];
+    let bayes_chaos: &[(&str, u64)] = &[
+        ("estimator.bayes.beacons_applied", 136),
+        ("estimator.bayes.beacons_rejected_outlier", 2),
+        ("estimator.bayes.beacons_seen", 138),
+        ("estimator.bayes.fixes", 15),
+        ("estimator.bayes.flat_windows", 0),
+        ("estimator.bayes.windows", 19),
+        ("grid.cells_touched", 157_216),
+        ("grid.kernel.simd", 136),
+    ];
+    let ekf_chaos: &[(&str, u64)] = &[
+        ("estimator.ekf.beacons_applied", 134),
+        ("estimator.ekf.beacons_rejected_outlier", 4),
+        ("estimator.ekf.beacons_seen", 138),
+        ("estimator.ekf.fixes", 15),
+        ("estimator.ekf.flat_windows", 0),
+        ("estimator.ekf.updates_applied", 134),
+        ("estimator.ekf.updates_gated", 3),
+        ("estimator.ekf.windows", 19),
+    ];
+    let runs = [
+        (plain(RfAlgorithm::Bayes), 0, bayes),
+        (plain(RfAlgorithm::Multilateration), 0, multilateration),
+        (plain(RfAlgorithm::Ekf), 0, ekf),
+        (chaos(RfAlgorithm::Bayes), 2, bayes_chaos),
+        (chaos(RfAlgorithm::Ekf), 2, ekf_chaos),
+    ];
+    for (s, reboots, expected) in runs {
+        let what = format!("{} (faults: {})", s.rf_algorithm, !s.faults.is_empty());
+        let (counters, rebooted) = backend_counters(&s);
+        assert_eq!(rebooted, Some(reboots), "{what}");
+        assert_eq!(counters, expected, "{what}");
+    }
+}

@@ -102,7 +102,6 @@ pub struct EkfLocalizer {
     p11: f64,
     p12: f64,
     p22: f64,
-    pub(crate) updates_applied: u64,
     pub(crate) updates_gated: u64,
     consecutive_gated: u32,
 }
@@ -121,7 +120,6 @@ impl EkfLocalizer {
             p11: var,
             p12: 0.0,
             p22: var,
-            updates_applied: 0,
             updates_gated: 0,
             consecutive_gated: 0,
         }
@@ -140,11 +138,6 @@ impl EkfLocalizer {
     /// RMS position uncertainty, metres (`sqrt(trace(P)/2)`).
     pub fn uncertainty(&self) -> f64 {
         ((self.p11 + self.p22) / 2.0).sqrt()
-    }
-
-    /// Range updates fused so far.
-    pub fn updates_applied(&self) -> u64 {
-        self.updates_applied
     }
 
     /// Range updates rejected by the gate so far.
@@ -237,7 +230,6 @@ impl EkfLocalizer {
         self.p11 = p11.max(1e-9);
         self.p22 = p22.max(1e-9);
         self.p12 = (p12 + p21) / 2.0;
-        self.updates_applied += 1;
         self.consecutive_gated = 0;
         EkfUpdate::Applied
     }
@@ -267,7 +259,6 @@ impl EkfLocalizer {
             p11,
             p12,
             p22,
-            updates_applied,
             updates_gated,
             consecutive_gated,
             // Set by the reader's constructor.
@@ -275,7 +266,6 @@ impl EkfLocalizer {
             area: _,
         } = self;
         c.f64s([x, y, p11, p12, p22])?;
-        c.u64(updates_applied)?;
         c.u64(updates_gated)?;
         c.u32(consecutive_gated)
     }

@@ -62,8 +62,8 @@ impl Default for MultilaterationConfig {
     }
 }
 
-/// A batch multilateration estimator fed by beacons, mirroring the window
-/// lifecycle of the Bayesian localizer.
+/// A batch multilateration estimator fed by beacons: the ranges of one
+/// window, solved when it ends.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Multilaterator {
     area: Area,
@@ -120,10 +120,12 @@ impl Multilaterator {
         self.observations.clear();
     }
 
-    /// Solves for the position, requiring at least three ranges (the same
-    /// rule the paper applies to the Bayesian algorithm).
+    /// Solves for the position; `None` without any range. The window
+    /// asks only once it holds three
+    /// ([`MIN_BEACONS_FOR_ESTIMATE`](crate::estimator::MIN_BEACONS_FOR_ESTIMATE)),
+    /// the rule the paper applies to the Bayesian algorithm.
     pub fn estimate(&self) -> Option<Point> {
-        if self.observations.len() < 3 {
+        if self.observations.is_empty() {
             return None;
         }
         // Start from the weighted centroid of the anchors — robust and
@@ -224,9 +226,34 @@ mod tests {
 
     #[test]
     fn requires_three_ranges() {
+        // The window's three-beacon rule holds for multilateration too:
+        // two ranges give no fix, a third does.
+        use crate::bayes::radial_constraints_for_grid;
+        use crate::estimator::{RfAlgorithm, WindowedRfEstimator};
+        use crate::grid::{BeaconField, GridConfig};
+        let ch = RfChannel::default();
+        let table = calibrate(
+            &ch,
+            &CalibrationConfig::default(),
+            &mut SeedSplitter::new(3).stream("cal", 0),
+        );
+        let grid = GridConfig::new(Area::square(200.0), 2.0);
+        let radial = radial_constraints_for_grid(&table, &grid);
+        let mut est = WindowedRfEstimator::with_algorithm(grid, RfAlgorithm::Multilateration);
         let robot = Point::new(100.0, 100.0);
-        let m = with_exact_ranges(robot, &[Point::new(90.0, 100.0), Point::new(110.0, 100.0)]);
-        assert_eq!(m.estimate(), None);
+        let anchors = [
+            Point::new(90.0, 100.0),
+            Point::new(110.0, 100.0),
+            Point::new(100.0, 112.0),
+        ];
+        for n in 2..=3 {
+            est.begin_window();
+            for &a in &anchors[..n] {
+                let rssi = ch.mean_rssi(robot.distance_to(a));
+                est.observe_beacon(&table, &radial, &mut BeaconField::new(a), rssi, None, 0.0);
+            }
+            assert_eq!(est.end_window().is_some(), n == 3, "{n} ranges");
+        }
     }
 
     #[test]
@@ -313,7 +340,8 @@ mod tests {
     fn far_anchor_noise_hurts_multilateration_more_than_bayes() {
         // The paper's Section 5 claim: naive multilateration suffers under
         // noisy RF ranges. Compare both algorithms on far anchors.
-        use crate::bayes::{radial_constraints_for_grid, BayesianLocalizer};
+        use crate::bayes::radial_constraints_for_grid;
+        use crate::estimator::WindowedRfEstimator;
         use crate::grid::{BeaconField, GridConfig};
         let ch = RfChannel::default();
         let table = calibrate(
@@ -336,14 +364,15 @@ mod tests {
         let mut lateration_total = 0.0;
         for t in 0..trials {
             let mut rng = SeedSplitter::new(100 + t).stream("probe", 0);
-            let mut bayes = BayesianLocalizer::new(grid);
+            let mut bayes = WindowedRfEstimator::new(grid);
+            bayes.begin_window();
             let mut lateration = solver();
             for &a in &anchors {
                 let rssi = ch.sample_rssi(robot.distance_to(a), &mut rng);
-                bayes.observe_beacon(&radial, &mut BeaconField::new(a), rssi);
+                bayes.observe_beacon(&table, &radial, &mut BeaconField::new(a), rssi, None, 0.0);
                 lateration.observe_beacon(&table, a, rssi);
             }
-            bayes_total += bayes.estimate().map_or(150.0, |e| e.distance_to(robot));
+            bayes_total += bayes.end_window().map_or(150.0, |e| e.distance_to(robot));
             lateration_total += lateration
                 .estimate()
                 .map_or(150.0, |e| e.distance_to(robot));

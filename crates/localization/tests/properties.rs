@@ -1,5 +1,5 @@
-//! Property-based tests for the Bayesian localization invariants, the EKF
-//! backend's covariance health, and backend checkpoint round-trips.
+//! Property-based tests for the Bayesian localization invariants, the EKF's
+//! covariance health, and the estimator's checkpoint round-trips.
 
 use cocoa_localization::bayes::{radial_constraints_for_grid, CONSTRAINT_FLOOR};
 use cocoa_localization::grid::ConstraintOutcome;
@@ -95,10 +95,10 @@ proptest! {
         prop_assert!((grid.entropy() - max_entropy).abs() < 1e-9);
     }
 
-    /// The localizer never produces an estimate from fewer than three
-    /// applied beacons, whatever the inputs.
+    /// No solver produces a fix from a window that applied fewer than
+    /// three beacons, whatever the inputs.
     #[test]
-    fn three_beacon_rule(beacons in proptest::collection::vec((arb_in_area(), -95.0..-35.0f64), 0..3)) {
+    fn three_beacon_rule(beacons in proptest::collection::vec((arb_in_area(), -95.0..-35.0f64), 0..5)) {
         let ch = RfChannel::default();
         let table = calibrate(
             &ch,
@@ -107,13 +107,16 @@ proptest! {
         );
         let grid = GridConfig::new(Area::square(200.0), 4.0);
         let radial = radial_constraints_for_grid(&table, &grid);
-        let mut loc = BayesianLocalizer::new(grid);
-        for (pos, rssi) in &beacons {
-            loc.observe_beacon(&radial, &mut BeaconField::new(*pos), Dbm::new(*rssi));
-        }
-        prop_assert!(loc.beacons_applied() <= beacons.len() as u32);
-        if loc.beacons_applied() < 3 {
-            prop_assert!(loc.estimate().is_none());
+        for algorithm in RfAlgorithm::ALL {
+            let mut est = WindowedRfEstimator::with_algorithm(grid, algorithm);
+            est.begin_window();
+            for (pos, rssi) in &beacons {
+                est.observe_beacon(&table, &radial, &mut BeaconField::new(*pos), Dbm::new(*rssi), None, 0.0);
+            }
+            let applied = est.stats().beacons_applied;
+            prop_assert!(applied <= beacons.len() as u64);
+            let fix = est.end_window();
+            prop_assert_eq!(fix.is_some(), applied >= 3, "{}: {} applied", algorithm, applied);
         }
     }
 
@@ -141,12 +144,13 @@ proptest! {
             let radial = radial_constraints_for_grid(&table, &grid);
             let ch = RfChannel::default();
             let mut rng = SeedSplitter::new(seed).stream("probe", 0);
-            let mut loc = BayesianLocalizer::new(grid);
+            let mut est = WindowedRfEstimator::new(grid);
+            est.begin_window();
             for b in beacons {
                 let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
-                loc.observe_beacon(&radial, &mut BeaconField::new(b), rssi);
+                est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
             }
-            loc.estimate().map(|e| e.distance_to(robot))
+            est.end_window().map(|e| e.distance_to(robot))
         };
         if let (Some(sharp), Some(loose)) = (run(2.0), run(30.0)) {
             // Allow statistical slack; the loose table must not be

@@ -166,8 +166,6 @@ pub struct Medium {
     /// Frames on the air or recently ended, in strictly increasing id
     /// order: ids are allocated in increasing order, and `gc` keeps it.
     active: Vec<Frame>,
-    capture_margin_db: f64,
-    retention: SimDuration,
     next_id: u64,
     total_tx: u64,
     total_collisions: u64,
@@ -189,8 +187,6 @@ impl Medium {
     pub fn new() -> Self {
         Medium {
             active: Vec::new(),
-            capture_margin_db: DEFAULT_CAPTURE_MARGIN_DB,
-            retention: RETENTION,
             next_id: 0,
             total_tx: 0,
             total_collisions: 0,
@@ -256,7 +252,6 @@ impl Medium {
         let Medium {
             active,
             overlapping,
-            capture_margin_db,
             total_collisions,
             total_half_duplex,
             ..
@@ -290,7 +285,7 @@ impl Medium {
                 }
             }
             if let Some((irssi, interferer)) = worst {
-                if rssi.value() < irssi.value() + *capture_margin_db {
+                if rssi.value() < irssi.value() + DEFAULT_CAPTURE_MARGIN_DB {
                     *total_collisions += 1;
                     return (rx, ReceptionOutcome::Collided { interferer });
                 }
@@ -305,9 +300,8 @@ impl Medium {
     /// age out.
     pub fn gc(&mut self, now: SimTime) {
         let cutoff = now.saturating_since(SimTime::ZERO); // now as duration
-        let retention = self.retention;
-        let keep_after = if cutoff > retention {
-            SimTime::ZERO + (cutoff - retention)
+        let keep_after = if cutoff > RETENTION {
+            SimTime::ZERO + (cutoff - RETENTION)
         } else {
             SimTime::ZERO
         };
@@ -340,17 +334,13 @@ impl Medium {
         self.next_id
     }
 
-    /// The snapshot layout. The reader rejects a capture margin or
-    /// retention other than [`Medium::new`]'s (both are constants, stored
-    /// only until a schema change drops them), and what
-    /// [`Medium::judge`]'s binary searches could not work on: frame ids
-    /// not strictly increasing or not below the next id to allocate, and
-    /// a frame's receivers not strictly increasing.
+    /// The snapshot layout. The reader rejects what [`Medium::judge`]'s
+    /// binary searches could not work on: frame ids not strictly
+    /// increasing or not below the next id to allocate, and a frame's
+    /// receivers not strictly increasing.
     pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
         let Medium {
             active,
-            capture_margin_db,
-            retention,
             next_id,
             total_tx,
             total_collisions,
@@ -358,21 +348,6 @@ impl Medium {
             // A buffer reused across judgements.
             overlapping: _,
         } = self;
-        c.f64(capture_margin_db)?;
-        retention.code(c)?;
-        if capture_margin_db.to_bits() != DEFAULT_CAPTURE_MARGIN_DB.to_bits() {
-            return Err(SnapshotError::malformed(format!(
-                "medium capture margin {capture_margin_db} dB is not the \
-                 {DEFAULT_CAPTURE_MARGIN_DB} dB the medium uses"
-            )));
-        }
-        if *retention != RETENTION {
-            return Err(SnapshotError::malformed(format!(
-                "medium retention {} µs is not the {} µs the medium uses",
-                retention.as_micros(),
-                RETENTION.as_micros()
-            )));
-        }
         c.u64s([next_id, total_tx, total_collisions, total_half_duplex])?;
         c.vec(active, |c, frame| frame.code(c))?;
         if let Some(pair) = active.windows(2).find(|w| w[0].id >= w[1].id) {

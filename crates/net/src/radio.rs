@@ -168,11 +168,6 @@ impl Radio {
         self.packets_received
     }
 
-    /// The energy parameters this radio uses.
-    pub fn energy_params(&self) -> &EnergyParams {
-        &self.params
-    }
-
     /// The snapshot layout, decoded onto a radio built with the same
     /// energy parameters. A decoded radio resumes mid-accrual: the ledger
     /// and the `since` anchor continue the exact interval sums of the

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::faults::{Fault, FaultEvent, FaultPlan, GilbertElliott, GilbertElliottLink};
     pub use crate::rng::{DetRng, SeedSplitter};
     pub use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-    pub use crate::stats::{Histogram, RunningStats};
+    pub use crate::stats::RunningStats;
     pub use crate::telemetry::{
         CounterId, CounterRegistry, SpanId, SpanProfiler, StampedEvent, Telemetry, TelemetryEvent,
         TelemetryLevel,

@@ -84,8 +84,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// equipment, estimator presence and backend tag, and the waypoint,
 /// odometry, energy and bitrate settings. v8: a sweep manifest keeps
 /// only fingerprints and completed metrics; an in-flight point's
-/// snapshot lives in a file of its own.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
+/// snapshot lives in a file of its own. v9: each beacon count is stored
+/// once — the estimator keeps one per-window applied count, and the Bayes
+/// payload's kernel counters and window counts and the EKF's applied
+/// updates are gone — and the medium no longer stores its capture margin
+/// and retention, which are constants.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,8 +2,9 @@
 //!
 //! Error series over 30 simulated minutes × many robots produce a lot of
 //! samples; these accumulators compute exact running moments (Welford's
-//! algorithm) and histogram-based quantiles in O(1) memory, so sweeps can
-//! aggregate without retaining every sample.
+//! algorithm) in O(1) memory, so sweeps can aggregate without retaining
+//! every sample. Quantiles over a run come from the telemetry histograms
+//! ([`crate::telemetry::hist`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -174,132 +175,6 @@ impl RunningStats {
     }
 }
 
-/// A fixed-range histogram with O(1) quantile queries.
-///
-/// Samples outside the range clamp to the edge bins, so quantiles remain
-/// conservative rather than silently wrong.
-///
-/// # Examples
-///
-/// ```
-/// use cocoa_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 100.0, 200);
-/// for i in 0..1000 {
-///     h.push(f64::from(i % 100));
-/// }
-/// let median = h.quantile(0.5);
-/// assert!((median - 50.0).abs() < 2.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty/not finite or `bins` is zero.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "invalid histogram range"
-        );
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds a sample (clamped to the range).
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "histogram samples must not be NaN");
-        let bins = self.counts.len();
-        let idx = if x <= self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether no samples were added.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The `q`-quantile (bin midpoint; `q` in `[0, 1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram is empty or `q` is out of range.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        assert!(self.total > 0, "quantile of an empty histogram");
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0;
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= target {
-                return self.lo + (i as f64 + 0.5) * width;
-            }
-        }
-        self.hi
-    }
-
-    /// Fraction of samples at or below `x`.
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let bins = self.counts.len();
-        let width = (self.hi - self.lo) / bins as f64;
-        let mut count = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let bin_hi = self.lo + (i as f64 + 1.0) * width;
-            if bin_hi <= x {
-                count += c;
-            } else {
-                break;
-            }
-        }
-        count as f64 / self.total as f64
-    }
-
-    /// Merges a histogram with identical layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.counts.len() == other.counts.len(),
-            "histogram layouts differ"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,63 +288,5 @@ mod tests {
         let mut empty = RunningStats::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 100);
-        for i in 0..10_000 {
-            h.push((i % 100) as f64 / 10.0);
-        }
-        assert!((h.quantile(0.5) - 5.0).abs() < 0.2);
-        assert!((h.quantile(0.9) - 9.0).abs() < 0.2);
-        assert!(h.quantile(0.0) < h.quantile(1.0));
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-100.0);
-        h.push(100.0);
-        assert_eq!(h.len(), 2);
-        assert!(h.quantile(0.25) < 1.0);
-        assert!(h.quantile(1.0) > 9.0);
-    }
-
-    #[test]
-    fn histogram_fraction_below() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 2.5, 3.5] {
-            h.push(x);
-        }
-        assert!((h.fraction_below(2.0) - 0.5).abs() < 1e-12);
-        assert_eq!(h.fraction_below(10.0), 1.0);
-        assert_eq!(h.fraction_below(0.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let mut b = Histogram::new(0.0, 10.0, 10);
-        a.push(1.0);
-        b.push(9.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.fraction_below(5.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "layouts differ")]
-    fn histogram_merge_rejects_mismatch() {
-        let mut a = Histogram::new(0.0, 10.0, 10);
-        let b = Histogram::new(0.0, 20.0, 10);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn quantile_of_empty_panics() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        let _ = h.quantile(0.5);
     }
 }

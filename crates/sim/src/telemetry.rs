@@ -897,12 +897,6 @@ impl Telemetry {
         self.level >= TelemetryLevel::Timeline
     }
 
-    /// Whether high-volume per-packet events and spans are recorded.
-    #[inline]
-    pub fn wants_full(&self) -> bool {
-        self.level >= TelemetryLevel::Full
-    }
-
     /// Whether counters are maintained.
     #[inline]
     pub fn wants_counters(&self) -> bool {
@@ -1019,11 +1013,6 @@ impl Telemetry {
     /// zero-observer-effect suite to compare on vs off).
     pub fn set_histograms(&mut self, enabled: bool) {
         self.hist_enabled = enabled;
-    }
-
-    /// Whether histogram recording is enabled.
-    pub fn histograms_enabled(&self) -> bool {
-        self.hist_enabled
     }
 
     /// The histogram registry.

@@ -17,8 +17,9 @@
 //! One robot wanders the paper's field for 15 minutes; 25 static anchors
 //! beacon every T = 100 s for 3 s.
 
-use cocoa_suite::localization::bayes::{radial_constraints_for_grid, BayesianLocalizer};
-use cocoa_suite::localization::ekf::{EkfConfig, EkfLocalizer};
+use cocoa_suite::localization::bayes::radial_constraints_for_grid;
+use cocoa_suite::localization::ekf::{EkfConfig, EkfLocalizer, EkfUpdate};
+use cocoa_suite::localization::estimator::WindowedRfEstimator;
 use cocoa_suite::localization::grid::{BeaconField, GridConfig};
 use cocoa_suite::mobility::prelude::*;
 use cocoa_suite::net::calibration::{calibrate, CalibrationConfig};
@@ -60,15 +61,17 @@ fn main() {
         &mut move_rng,
     );
 
-    // CoCoA-style state.
+    // CoCoA-style state; the first window is open from the start.
     let grid = GridConfig::new(area, 2.0);
     let radial = radial_constraints_for_grid(&table, &grid);
-    let mut bayes = BayesianLocalizer::new(grid);
+    let mut bayes = WindowedRfEstimator::new(grid);
+    bayes.begin_window();
     let mut cocoa_fix: Option<Point> = None;
     let mut odo_at_fix = robot.odometry_pose().position;
 
     // EKF state (initialized after the first Bayesian fix).
     let mut ekf: Option<EkfLocalizer> = None;
+    let mut fused = 0u32;
     let mut last_odo = robot.odometry_pose().position;
 
     let mut cocoa_stats = cocoa_suite::sim::stats::RunningStats::new();
@@ -85,7 +88,7 @@ fn main() {
 
         let in_window = t % PERIOD_S < WINDOW_S;
         if t % PERIOD_S == 0 {
-            bayes.reset(); // window opens: throw the old posterior away
+            bayes.begin_window(); // window opens: throw the old posterior away
         }
         if in_window {
             // Each anchor sends one beacon per second of the window.
@@ -95,15 +98,17 @@ fn main() {
                 if !channel.is_detectable(rssi) {
                     continue;
                 }
-                bayes.observe_beacon(&radial, &mut BeaconField::new(a), rssi);
+                bayes.observe_beacon(&table, &radial, &mut BeaconField::new(a), rssi, None, 0.0);
                 if let Some(f) = ekf.as_mut() {
-                    f.update_from_beacon(&table, a, rssi);
+                    if f.update_from_beacon(&table, a, rssi) == EkfUpdate::Applied {
+                        fused += 1;
+                    }
                 }
             }
         }
         if t % PERIOD_S == WINDOW_S - 1 {
             // Window closes: take the fix.
-            if let Some(fix) = bayes.estimate() {
+            if let Some(fix) = bayes.end_window() {
                 cocoa_fix = Some(fix);
                 odo_at_fix = odo_now;
                 if ekf.is_none() {
@@ -156,8 +161,7 @@ fn main() {
     );
     let f = ekf.expect("ekf bootstrapped");
     println!(
-        "\nEKF fused {} ranges, gated {} ({} windows of beacons)",
-        f.updates_applied(),
+        "\nEKF fused {fused} ranges, gated {} ({} windows of beacons)",
         f.updates_gated(),
         DURATION_S / PERIOD_S
     );
