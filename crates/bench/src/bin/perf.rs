@@ -388,9 +388,11 @@ fn main() -> ExitCode {
     // `--submit` code path). Cold executes the run; an identical
     // resubmission must come from the results cache with a byte-identical
     // body; a spec with the same seed at a different beacon period reuses
-    // the cached calibration instead of cold-starting. The ≥5× floor on
-    // the cold/cached ratio is deliberately loose — a cache hit skips the
-    // whole simulation, so anything near the floor means the cache broke.
+    // the cached calibration instead of cold-starting. The cached time is
+    // the median of several hits, so one slow round trip cannot fail the
+    // gate. The ≥5× floor on the cold/cached ratio is deliberately loose —
+    // a cache hit skips the whole simulation, so anything near the floor
+    // means the cache broke.
     let serve_spec = "{\"seed\": 42, \"robots\": 10, \"equipped\": 5, \
                       \"duration_s\": 300, \"period_s\": 100}";
     let serve_warm_spec = "{\"seed\": 42, \"robots\": 10, \"equipped\": 5, \
@@ -404,9 +406,19 @@ fn main() -> ExitCode {
     let t0 = Instant::now();
     let serve_cold = client::submit(&serve_addr, serve_spec).expect("cold submit");
     let serve_cold_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let serve_cached = client::submit(&serve_addr, serve_spec).expect("cached submit");
-    let serve_cached_secs = t0.elapsed().as_secs_f64();
+    const SERVE_HITS: usize = 9;
+    let mut hits: Vec<(f64, _)> = (0..SERVE_HITS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let hit = client::submit(&serve_addr, serve_spec).expect("cached submit");
+            (t0.elapsed().as_secs_f64(), hit)
+        })
+        .collect();
+    hits.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (serve_cached_secs, serve_cached) = hits.swap_remove(SERVE_HITS / 2);
+    assert!(hits
+        .iter()
+        .all(|(_, hit)| hit.cache_status() == Some("hit") && hit.body == serve_cached.body));
     let t0 = Instant::now();
     let serve_warm = client::submit(&serve_addr, serve_warm_spec).expect("warm submit");
     let serve_warm_secs = t0.elapsed().as_secs_f64();

@@ -185,10 +185,10 @@ mod tests {
         assert_eq!(
             pinned,
             [
-                "1a63b9aea32336a4",
-                "922a7e57a00f837d",
-                "73a714816179ba2b",
-                "560906d48ff7fe68"
+                "870b55627465bea0",
+                "e451c9e59a5bd669",
+                "3458fc3589ed7ff8",
+                "0c1b5cc4860bc9bb"
             ]
         );
     }

@@ -44,7 +44,7 @@ pub(crate) fn transmit_intent(
                 // advertises a wrong position.
                 pos = Point::new(pos.x + dx, pos.y + dy);
             }
-            world.traffic.beacons_sent += 1;
+            world.traffic.beacons_sent = world.traffic.beacons_sent.wrapping_add(1);
             world.telemetry.emit_full(now, || TelemetryEvent::BeaconTx {
                 robot: robot as u32,
                 x_m: pos.x,
@@ -89,7 +89,8 @@ pub(crate) fn transmit(
         garble_bytes(&mut raw, &mut world.fault_rng);
         match Packet::decode(Bytes::from(raw)) {
             Ok(altered) => {
-                world.robustness.garbled_frames_delivered += 1;
+                world.robustness.garbled_frames_delivered =
+                    world.robustness.garbled_frames_delivered.wrapping_add(1);
                 packet = altered;
             }
             Err(_) => corrupt = true,
@@ -126,7 +127,7 @@ pub(crate) fn transmit(
         // Injected Gilbert–Elliott burst loss on this receiver's link.
         if let Some(links) = world.burst.as_mut() {
             if links[j].drops(&mut world.fault_rng) {
-                world.robustness.burst_losses += 1;
+                world.robustness.burst_losses = world.robustness.burst_losses.wrapping_add(1);
                 continue;
             }
         }
@@ -167,7 +168,8 @@ pub(crate) fn deliver(engine: &mut Engine<Event>, world: &mut WorldState, tx: Tx
             if corrupt {
                 // The frame arrived but its bytes no longer parse: the
                 // receiver paid the energy and drops it at the decoder.
-                world.robustness.corrupt_frames_dropped += 1;
+                world.robustness.corrupt_frames_dropped =
+                    world.robustness.corrupt_frames_dropped.wrapping_add(1);
                 continue;
             }
             dispatch(engine, world, j, &packet, rssi, now);
@@ -305,7 +307,7 @@ fn dispatch(
                 .hist_record(world.hists.beacon_rssi, rssi.value());
             let r = &mut world.robots[robot];
             if let Some(rf) = r.rf.as_mut() {
-                world.traffic.beacons_received += 1;
+                world.traffic.beacons_received = world.traffic.beacons_received.wrapping_add(1);
                 let admission = rf.admit_beacon(
                     &world.calibration.table,
                     &world.radial,
@@ -321,7 +323,8 @@ fn dispatch(
                 }
                 let result = admission.result;
                 if result == ObservationResult::Outlier {
-                    world.robustness.outlier_beacons_rejected += 1;
+                    world.robustness.outlier_beacons_rejected =
+                        world.robustness.outlier_beacons_rejected.wrapping_add(1);
                 }
                 let outcome = match result {
                     ObservationResult::Applied => "applied",

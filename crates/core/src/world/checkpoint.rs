@@ -246,9 +246,11 @@ fn not_after(what: &str, t: SimTime, now: SimTime) -> Result<(), SnapshotError> 
 
 /// One robot, decoded onto [`world::blank_robot`], then checked against
 /// the engine clock and the scenario's grid: state accrues from each
-/// stored instant, and the estimator's posterior must be a distribution
-/// over the grid's cells — finite, non-negative cells summing to 1, which
-/// is what lets a beacon's grid update be reported applied on arrival.
+/// stored instant, and stored posterior cells must be a distribution over
+/// the grid's cells — finite, non-negative cells summing to 1, which is
+/// what lets a beacon's grid update be reported applied on arrival. A
+/// recorded entropy belongs to a closed window and lies in
+/// `[0, ln cells]`.
 fn robot(c: &mut impl Codec, r: &mut Robot, now: SimTime) -> Result<(), SnapshotError> {
     r.code(c)?;
     not_after("radio state change", r.radio.since(), now)?;
@@ -261,7 +263,24 @@ fn robot(c: &mut impl Codec, r: &mut Robot, now: SimTime) -> Result<(), Snapshot
     }
     not_after("clock anchor", clock.anchor, now)?;
     not_after("health state change", r.health.since, now)?;
-    if let Some(grid) = r.rf.as_ref().and_then(|rf| rf.posterior()) {
+    let Some(rf) = r.rf.as_ref() else {
+        return Ok(());
+    };
+    if let (Some(entropy), Some(grid)) = (rf.closed_entropy(), rf.posterior()) {
+        if rf.in_window() {
+            return Err(SnapshotError::malformed(format!(
+                "recorded entropy {entropy} while a window is open"
+            )));
+        }
+        let max = grid.max_entropy();
+        let slack = RECORDED_ENTROPY_TOLERANCE;
+        if !(-slack..=max + slack).contains(&entropy) {
+            return Err(SnapshotError::malformed(format!(
+                "recorded entropy {entropy} outside [0, {max}] nats"
+            )));
+        }
+    }
+    if let Some(grid) = rf.stored_posterior() {
         let cells = grid.nx() * grid.ny();
         if grid.num_cells() != cells {
             return Err(SnapshotError::malformed(format!(
@@ -283,6 +302,10 @@ fn robot(c: &mut impl Codec, r: &mut Robot, now: SimTime) -> Result<(), Snapshot
 /// How far a decoded posterior's mass may stray from 1: renormalizing
 /// leaves it within a few ulps per thousand cells.
 const POSTERIOR_MASS_TOLERANCE: f64 = 1e-6;
+
+/// How far, nats, a recorded entropy may stray outside `[0, ln cells]`:
+/// its sum over the cells rounds within a few ulps per thousand cells.
+const RECORDED_ENTROPY_TOLERANCE: f64 = 1e-6;
 
 fn robots_section(
     c: &mut impl Codec,
@@ -671,28 +694,32 @@ mod tests {
 
     /// An estimator's lifecycle state — last fix, open window, the
     /// window's applied beacons and window statistics — written field by
-    /// field with the `Codec` primitives.
-    fn arb_header() -> impl Strategy<Value = Vec<u8>> {
+    /// field with the `Codec` primitives, after the open-window flag and
+    /// applied count that the Bayes payload's layout reads. Half the
+    /// windows have applied no beacon.
+    fn arb_header() -> impl Strategy<Value = (bool, u32, Vec<u8>)> {
         (
             prop_oneof![Just(None), arb_point().prop_map(Some)],
-            (any::<bool>(), any::<u16>()),
+            (any::<bool>(), prop_oneof![Just(0), any::<u16>()]),
             (any::<u16>(), any::<u16>(), any::<u16>()),
             (any::<u32>(), any::<u32>(), any::<u32>()),
         )
             .prop_map(
-                |(last_fix, (in_window, window_applied), (w, f, fl), (seen, applied, rejected))| {
-                    snapshot::encode(|c| {
+                |(last_fix, (in_window, applied), (w, f, fl), (seen, applied_total, rejected))| {
+                    let window_applied = u32::from(applied);
+                    let bytes = snapshot::encode(|c| {
                         c.opt(&mut last_fix.clone(), |c, p| put_point(c, *p))?;
                         c.bool(&mut { in_window })?;
-                        c.u32(&mut u32::from(window_applied))?;
+                        c.u32(&mut { window_applied })?;
                         for mut n in [w, f, fl].map(u32::from) {
                             c.u32(&mut n)?;
                         }
-                        for mut n in [seen, applied, rejected].map(u64::from) {
+                        for mut n in [seen, applied_total, rejected].map(u64::from) {
                             c.u64(&mut n)?;
                         }
                         Ok(())
-                    })
+                    });
+                    (in_window, window_applied, bytes)
                 },
             )
     }
@@ -700,14 +727,53 @@ mod tests {
     /// Cells of the 16 m × 16 m, 2 m grid the estimator tests run on.
     const CELLS: usize = 64;
 
-    /// One backend's arbitrary state — unnormalised posteriors, arbitrary
-    /// ranges, extreme covariances — written with the `Codec` primitives,
-    /// and the algorithm whose blank estimator decodes it.
-    fn arb_backend() -> impl Strategy<Value = (RfAlgorithm, Vec<u8>)> {
-        let bayes = proptest::collection::vec(0.0f64..1.0, CELLS).prop_map(|mut cells| {
-            let bytes = snapshot::encode(|c| c.vec(&mut cells, Codec::f64));
-            (RfAlgorithm::Bayes, bytes)
-        });
+    /// One backend's arbitrary state: a Bayes payload's recorded entropy
+    /// and unnormalised cells, or the bytes of arbitrary ranges or of an
+    /// EKF with extreme covariances.
+    enum Backend {
+        Bayes {
+            closed_entropy: Option<f64>,
+            cells: Vec<f64>,
+        },
+        Other(RfAlgorithm, Vec<u8>),
+    }
+
+    impl Backend {
+        /// The algorithm whose blank estimator decodes the payload, and
+        /// the payload written with the `Codec` primitives after a header
+        /// with the given open-window flag and applied count. A Bayes
+        /// payload holds the recorded entropy, then cells only while they
+        /// hold evidence: a window open with beacons, or closed with
+        /// beacons and no recorded entropy.
+        fn write(self, in_window: bool, window_applied: u32) -> (RfAlgorithm, Vec<u8>) {
+            match self {
+                Backend::Bayes {
+                    mut closed_entropy,
+                    mut cells,
+                } => {
+                    let bytes = snapshot::encode(|c| {
+                        c.opt(&mut closed_entropy, Codec::f64)?;
+                        if window_applied > 0 && (in_window || closed_entropy.is_none()) {
+                            c.vec(&mut cells, Codec::f64)?;
+                        }
+                        Ok(())
+                    });
+                    (RfAlgorithm::Bayes, bytes)
+                }
+                Backend::Other(algorithm, bytes) => (algorithm, bytes),
+            }
+        }
+    }
+
+    fn arb_backend() -> impl Strategy<Value = Backend> {
+        let bayes = (
+            prop_oneof![Just(None), (0.0f64..(CELLS as f64).ln()).prop_map(Some)],
+            proptest::collection::vec(0.0f64..1.0, CELLS),
+        )
+            .prop_map(|(closed_entropy, cells)| Backend::Bayes {
+                closed_entropy,
+                cells,
+            });
         let lateration =
             proptest::collection::vec((arb_point(), 0.1f64..300.0, 0.01f64..10.0), 0..8).prop_map(
                 |mut ranges| {
@@ -718,7 +784,7 @@ mod tests {
                             c.f64(weight)
                         })
                     });
-                    (RfAlgorithm::Multilateration, bytes)
+                    Backend::Other(RfAlgorithm::Multilateration, bytes)
                 },
             );
         let ekf = (
@@ -735,23 +801,31 @@ mod tests {
                     c.u32(&mut u32::from(cg))?;
                     c.opt(&mut last_odo.clone(), |c, p| put_point(c, *p))
                 });
-                (RfAlgorithm::Ekf, bytes)
+                Backend::Other(RfAlgorithm::Ekf, bytes)
             });
         prop_oneof![bayes, lateration, ekf]
     }
 
+    /// A header and a backend payload written after it, with the
+    /// algorithm whose blank estimator decodes them.
+    fn arb_estimator() -> impl Strategy<Value = (RfAlgorithm, Vec<u8>)> {
+        (arb_header(), arb_backend()).prop_map(|((in_window, window_applied, header), backend)| {
+            let (algorithm, payload) = backend.write(in_window, window_applied);
+            (algorithm, [header, payload].concat())
+        })
+    }
+
     proptest! {
         /// The estimator section round-trips byte-exactly for every
-        /// backend variant: bytes written field by field decode in place
+        /// backend variant and window state (open with and without
+        /// beacons, closed): bytes written field by field decode in place
         /// onto a blank estimator of the same backend, as a robot's reader
         /// does → re-encoding reproduces them, and writing leaves the
         /// estimator as it was.
         #[test]
         fn estimator_section_round_trips_byte_exactly(
-            (algorithm, backend) in arb_backend(),
-            header in arb_header(),
+            (algorithm, bytes) in arb_estimator(),
         ) {
-            let bytes = [header, backend].concat();
             let grid = GridConfig::new(Area::square(16.0), 2.0);
             let mut decoded = WindowedRfEstimator::with_algorithm(grid, algorithm);
             // `decode` also rejects bytes the layout leaves unread.
@@ -925,7 +999,7 @@ mod tests {
             scenario_fingerprint(&template),
         ]
         .map(|fp| format!("{fp:016x}"));
-        assert_eq!(pinned, ["f80cae41000001a0", "d4d1fd4a000001a0"]);
+        assert_eq!(pinned, ["259cb1b9000001a0", "0941e2b2000001a0"]);
     }
 
     /// Every run localizes through the calibration campaign's table, so

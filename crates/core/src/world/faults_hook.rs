@@ -68,7 +68,7 @@ pub(crate) fn apply_fault(
                     },
                 );
             }
-            world.robustness.crashes += 1;
+            world.robustness.crashes = world.robustness.crashes.wrapping_add(1);
         }
         Fault::Reboot { robot } => {
             if world.robots[robot].alive {
@@ -117,7 +117,7 @@ pub(crate) fn apply_fault(
                     },
                 );
             }
-            world.robustness.reboots += 1;
+            world.robustness.reboots = world.robustness.reboots.wrapping_add(1);
             // Rejoin the window cycle at the next period boundary.
             if uses_rf {
                 let period = world.scenario.beacon_period;

@@ -132,13 +132,15 @@ pub(crate) fn handle_mesh_packet(
                         } else {
                             // A replayed or reordered SYNC older than
                             // the clock's anchor: ignored, counted.
-                            world.robustness.stale_syncs_ignored += 1;
+                            world.robustness.stale_syncs_ignored =
+                                world.robustness.stale_syncs_ignored.wrapping_add(1);
                         }
                     }
                     None => {
                         // Garbled in flight: the mesh delivered bytes
                         // the application cannot parse.
-                        world.robustness.malformed_sync_bodies += 1;
+                        world.robustness.malformed_sync_bodies =
+                            world.robustness.malformed_sync_bodies.wrapping_add(1);
                         world.robots[robot].mesh.note_undecodable_delivery();
                     }
                 }

@@ -45,7 +45,7 @@ pub(crate) fn window_start(
         if world.robots[world.sync_robot].alive {
             world.sync_dead_windows = 0;
         } else {
-            world.sync_dead_windows += 1;
+            world.sync_dead_windows = world.sync_dead_windows.wrapping_add(1);
             if world.sync_dead_windows >= world.scenario.failover_missed_periods {
                 let elected = world
                     .robots
@@ -55,7 +55,7 @@ pub(crate) fn window_start(
                 if let Some(new_sync) = elected {
                     world.sync_robot = new_sync;
                     world.sync_dead_windows = 0;
-                    world.robustness.failovers += 1;
+                    world.robustness.failovers = world.robustness.failovers.wrapping_add(1);
                     world.telemetry.emit(
                         now,
                         TelemetryEvent::Failover {
@@ -210,7 +210,7 @@ pub(crate) fn robot_window_end(
             match outcome {
                 WindowOutcome::Fix(fix) => {
                     r.last_fix_window = Some(window);
-                    world.traffic.fixes += 1;
+                    world.traffic.fixes = world.traffic.fixes.wrapping_add(1);
                     world.telemetry.hist_record(
                         world.hists.fix_err,
                         r.motion.true_position().distance_to(fix),
@@ -254,7 +254,8 @@ pub(crate) fn robot_window_end(
                     // The entropy watchdog vetoed a near-uniform posterior:
                     // the robot keeps dead-reckoning from its previous fix
                     // rather than jumping to an uninformative centroid.
-                    world.robustness.flat_posteriors += 1;
+                    world.robustness.flat_posteriors =
+                        world.robustness.flat_posteriors.wrapping_add(1);
                     world.telemetry.emit(
                         now,
                         TelemetryEvent::FlatPosterior {
@@ -269,7 +270,8 @@ pub(crate) fn robot_window_end(
                     if had_window {
                         // Fewer than the minimum beacons arrived: the robot
                         // keeps its previous estimate (paper Section 2.3).
-                        world.traffic.starved_windows += 1;
+                        world.traffic.starved_windows =
+                            world.traffic.starved_windows.wrapping_add(1);
                         world.telemetry.emit(
                             now,
                             TelemetryEvent::StarvedWindow {
@@ -303,7 +305,7 @@ pub(crate) fn robot_window_end(
         // Synchronization accounting.
         if world.scenario.sync_enabled {
             if r.synced_this_window {
-                world.traffic.syncs_delivered += 1;
+                world.traffic.syncs_delivered = world.traffic.syncs_delivered.wrapping_add(1);
                 world.telemetry.emit(
                     now,
                     TelemetryEvent::SyncDelivered {
@@ -313,7 +315,7 @@ pub(crate) fn robot_window_end(
                 );
             } else {
                 r.clock.note_missed_sync();
-                world.traffic.syncs_missed += 1;
+                world.traffic.syncs_missed = world.traffic.syncs_missed.wrapping_add(1);
                 world.telemetry.emit(
                     now,
                     TelemetryEvent::SyncMissed {

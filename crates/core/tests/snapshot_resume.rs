@@ -109,6 +109,86 @@ fn resume_is_bit_identical_for_every_estimator_backend() {
     }
 }
 
+/// Robot 4, which runs an estimator (robots 0–2 are equipped), crashes in
+/// the middle of the 20 s window, its posterior holding beacons, and
+/// reboots at 24 s, between windows.
+fn unequipped_crash_and_reboot() -> FaultPlan {
+    use cocoa_sim::faults::Fault;
+    let mut plan = FaultPlan::new();
+    plan.schedule(SimTime::from_millis(21_500), Fault::Crash { robot: 4 })
+        .schedule(SimTime::from_secs(24), Fault::Reboot { robot: 4 });
+    plan
+}
+
+/// Every estimator resumes bit-identically from each point of a window:
+/// its start, before the first beacon (20 s; robots wake 0.2 s early and
+/// the first beacon flies at 20.7 s), its middle, after beacons (22 s),
+/// and the gap after its close at 23.2 s (25 s). Each runs without faults
+/// and with an unequipped robot crashing and rebooting around them.
+#[test]
+fn resume_is_bit_identical_from_every_point_of_a_window() {
+    use cocoa_localization::estimator::RfAlgorithm;
+    let instants = [20_000, 22_000, 25_000].map(SimTime::from_millis);
+    for algorithm in RfAlgorithm::ALL {
+        for (plan, faults) in [
+            ("none", FaultPlan::new()),
+            ("reboot", unequipped_crash_and_reboot()),
+        ] {
+            let mut s = scenario(42, MulticastProtocol::Odmrp, "none");
+            s.rf_algorithm = algorithm;
+            s.faults = faults;
+            s.validate().expect("a valid scenario");
+            let (m_cold, j_cold) = uninterrupted(&s);
+            let reboots = if plan == "none" { 0 } else { 1 };
+            assert_eq!(m_cold.robustness.reboots, reboots, "{algorithm}/{plan}");
+            for at in instants {
+                let (m_res, j_res) = interrupted_at(&s, at);
+                assert_eq!(
+                    m_cold, m_res,
+                    "{algorithm}/{plan} at {at}: RunMetrics diverged"
+                );
+                assert!(
+                    j_cold == j_res,
+                    "{algorithm}/{plan} at {at}: telemetry JSONL diverged"
+                );
+            }
+        }
+    }
+}
+
+/// With the entropy watchdog armed, as by default, a window's close
+/// records the posterior's entropy and resets its cells, so a capture
+/// between windows stores no posterior, and neither capturing nor
+/// resuming it computes an entropy; a capture mid-window stores them.
+#[test]
+fn a_capture_between_windows_makes_no_entropy_pass() {
+    use cocoa_localization::grid::entropy_passes;
+    let s = scenario(42, MulticastProtocol::Odmrp, "none");
+    let mut run = SimRun::new(&s, Telemetry::off());
+    run.run_until(SimTime::from_secs(25));
+    let before = entropy_passes();
+    let bytes = run.capture();
+    let resumed = SimRun::resume(&bytes).expect("own snapshot must restore");
+    assert_eq!(
+        entropy_passes(),
+        before,
+        "capture and resume computed an entropy"
+    );
+    // One posterior of the default 2 m grid is 80,008 bytes.
+    assert!(
+        bytes.len() < 80_000,
+        "a {}-byte capture holds a posterior",
+        bytes.len()
+    );
+    let (cold, _) = SimRun::new(&s, Telemetry::off()).finish();
+    assert_eq!(resumed.finish().0, cold);
+    // The same run in the middle of that window, as the resume test above
+    // captures it, stores posteriors.
+    let mut mid = SimRun::new(&s, Telemetry::off());
+    mid.run_until(SimTime::from_secs(22));
+    assert!(mid.capture().len() > 80_000, "no posterior mid-window");
+}
+
 /// The wire bytes are pinned: CRC-32 and length of a capture for every
 /// mesh × estimator pair at full telemetry, of one run's encoded
 /// metrics, and of the manifest file of a sweep holding a point in each
@@ -165,17 +245,17 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(
         got,
         [
-            "flood/bayes 36e725c0/263490",
-            "flood/multilateration 3393286e/23010",
-            "flood/ekf 6acc0945/22992",
-            "odmrp/bayes 5d43f352/263737",
-            "odmrp/multilateration a0476cda/23149",
-            "odmrp/ekf 9d9989f2/23359",
-            "mrmm/bayes a4c82808/263736",
-            "mrmm/multilateration 01b15eca/23148",
-            "mrmm/ekf e9744114/23358",
+            "flood/bayes e51f297b/23469",
+            "flood/multilateration 2dfbff9a/23010",
+            "flood/ekf b1575b16/22992",
+            "odmrp/bayes 93ecb63e/23716",
+            "odmrp/multilateration 17cad0ac/23149",
+            "odmrp/ekf f6e2f084/23359",
+            "mrmm/bayes a7d4e7c5/23715",
+            "mrmm/multilateration 315113b4/23148",
+            "mrmm/ekf f95cc344/23358",
             "metrics 63903f36/1862",
-            "manifest c22238ac/1984",
+            "manifest c9e14542/1984",
         ]
     );
 }
@@ -257,16 +337,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(9))]
 
     /// snapshot → restore → run is bit-identical for random seeds,
-    /// snapshot instants, mesh backends and fault presets.
+    /// snapshot instants (to the millisecond, anywhere in the run: at a
+    /// window start, mid-window or between windows), mesh backends and
+    /// fault presets.
     #[test]
     fn snapshot_restore_run_is_bit_identical(
         seed in 1u64..10_000,
         backend in 0usize..3,
         preset in 0usize..2,
-        quarter in 1u64..4,
+        at_ms in 0u64..DURATION_S * 1000,
     ) {
         let s = scenario(seed, MulticastProtocol::ALL[backend], FAULT_PRESETS[preset]);
-        let at = SimTime::ZERO + SimDuration::from_secs(DURATION_S * quarter / 4);
+        let at = SimTime::ZERO + SimDuration::from_millis(at_ms);
         let (m_cold, j_cold) = uninterrupted(&s);
         let (m_res, j_res) = interrupted_at(&s, at);
         prop_assert_eq!(m_cold, m_res);
@@ -274,7 +356,8 @@ proptest! {
     }
 }
 
-/// A valid snapshot to corrupt, captured once for the whole test binary.
+/// A valid snapshot to corrupt, captured once for the whole test binary,
+/// at the start of the 20 s window: no posterior holds a beacon yet.
 fn pristine() -> &'static Vec<u8> {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -376,9 +459,22 @@ fn assert_inconsistent(bytes: &[u8], what: &str) {
     }
 }
 
+/// A capture of `pristine()`'s run in the middle of the 20 s window, after
+/// its first beacons: posteriors hold evidence, so their cells are stored.
+/// Taken once for the whole test binary.
+fn mid_window() -> &'static Vec<u8> {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let s = scenario(7, MulticastProtocol::Odmrp, "chaos");
+        let mut run = SimRun::new(&s, Telemetry::off());
+        run.run_until(SimTime::ZERO + SimDuration::from_secs(22));
+        run.capture()
+    })
+}
+
 #[test]
 fn a_scenario_grid_that_does_not_fit_the_posterior_is_a_typed_error() {
-    let bytes = edited("scenario", |p| {
+    let bytes = edited_from(mid_window(), "scenario", |p| {
         // grid_resolution_m sits at byte 103 of the fingerprint-pinned
         // scenario layout.
         assert_eq!(p[103..111], 2.0f64.to_le_bytes());
@@ -419,10 +515,10 @@ fn a_robot_instant_after_the_engine_clock_is_a_typed_error() {
     assert_inconsistent(&bytes, "radio state change");
 }
 
-/// `pristine()` with the cells of the first robot posterior in the robots
-/// section passed to `edit`. A posterior is laid out as its cell count,
-/// 10,000 for the default 2 m grid, then each cell: the edit lands on the
-/// first such count whose cells sum to 1.
+/// `mid_window()` with the cells of the first robot posterior in the
+/// robots section passed to `edit`. A posterior is laid out as its cell
+/// count, 10,000 for the default 2 m grid, then each cell: the edit lands
+/// on the first such count whose cells sum to 1.
 fn posterior_edited(edit: impl FnOnce(&mut [f64])) -> Vec<u8> {
     const CELLS: usize = 10_000;
     let cells_of = |p: &[u8], at: usize| -> Vec<f64> {
@@ -431,7 +527,7 @@ fn posterior_edited(edit: impl FnOnce(&mut [f64])) -> Vec<u8> {
             .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
             .collect()
     };
-    edited("robots", |p| {
+    edited_from(mid_window(), "robots", |p| {
         let at = (0..p.len().saturating_sub(8 * CELLS + 8))
             .find(|&i| {
                 u64::from_le_bytes(p[i..i + 8].try_into().unwrap()) == CELLS as u64
@@ -481,9 +577,59 @@ fn a_posterior_not_summing_to_one_is_a_typed_error() {
     assert_inconsistent(&bytes, "posterior is not a distribution");
 }
 
+/// `frames_on_the_air()`, captured between windows, with `edit` applied to
+/// its robots section at the first recorded entropy: the offset of its
+/// presence byte. In an estimator's layout that byte follows the open
+/// window flag (41 bytes before it), the window's applied beacons and 36
+/// bytes of window statistics; the entropy's `f64` comes after it.
+fn recorded_entropy_edited(edit: impl FnOnce(&mut Vec<u8>, usize)) -> Vec<u8> {
+    edited_from(frames_on_the_air(), "robots", |p| {
+        let u32_at = |at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+        let f64_at = |at: usize| f64::from_le_bytes(p[at..at + 8].try_into().unwrap());
+        let max_entropy = 10_000f64.ln();
+        let at = (41..p.len() - 9)
+            .find(|&i| {
+                p[i] == 1
+                    && p[i - 41] == 0
+                    && (3..=9).contains(&u32_at(i - 40))
+                    && (1..=2).contains(&u32_at(i - 36))
+                    && (0.0..=max_entropy).contains(&f64_at(i + 1))
+            })
+            .expect("a recorded entropy in the robots section");
+        edit(p, at)
+    })
+}
+
+#[test]
+fn an_unedited_recorded_entropy_resumes() {
+    SimRun::resume(&recorded_entropy_edited(|_, _| {})).expect("the same bytes resume");
+}
+
+#[test]
+fn a_recorded_entropy_outside_its_range_is_a_typed_error() {
+    for bad in [-1.0, 10.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let bytes = recorded_entropy_edited(|p, at| {
+            p[at + 1..at + 9].copy_from_slice(&f64::to_le_bytes(bad));
+        });
+        assert_inconsistent(&bytes, &format!("recorded entropy {bad} outside [0, "));
+    }
+}
+
+#[test]
+fn a_recorded_entropy_in_an_open_window_is_a_typed_error() {
+    // Opens the window with no beacon applied, so the layout still stores
+    // no cells after the entropy.
+    let bytes = recorded_entropy_edited(|p, at| {
+        p[at - 41] = 1;
+        p[at - 40..at - 36].fill(0);
+    });
+    assert_inconsistent(&bytes, "while a window is open");
+}
+
 /// A capture while the frames of the 10 s window are still held on the
 /// medium (the next garbage collection is at 20 s), taken once for the
-/// whole test binary.
+/// whole test binary. At 15 s that window has closed and the next one
+/// has not opened.
 fn frames_on_the_air() -> &'static Vec<u8> {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -651,47 +797,51 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_default()
 }
 
-/// A crafted-snapshot sweep. A small capture (6 robots, a 25 m grid,
-/// ODMRP, the `chaos` preset, captured at 15 s) gets 8 bytes at one
+/// A crafted-snapshot sweep. Two small captures (6 robots, a 25 m grid,
+/// ODMRP, the `chaos` preset), one at 15 s, between windows, and one at
+/// 22 s, mid-window with posteriors stored, each get 8 bytes at one
 /// offset of one non-scenario section overwritten, with `0x00` or with
 /// `0xFF`, and that section's CRC rewritten as [`edited_from`] does.
 /// Resuming such a file and running it to the end must never panic.
 ///
-/// Every offset of every section is overwritten with both fills, about
-/// 20,000 edits. All resumes share one calibration, but the sweep still
-/// takes over a minute; CI runs it with `--ignored`.
+/// Every offset of every section of both captures is overwritten with
+/// both fills, about 30,000 edits. All resumes share one calibration, but
+/// the sweep still takes 15–25 s on a 2-vCPU host; CI runs it with
+/// `--ignored`, in release and in the dev profile.
 #[test]
-#[ignore = "takes about a minute and a half in release"]
+#[ignore = "takes about 20 s"]
 fn crafted_overwrites_never_panic() {
     let mut s = scenario(7, MulticastProtocol::Odmrp, "chaos");
     s.grid_resolution_m = 25.0;
     s.validate().expect("a 25 m grid is valid");
-    let mut run = SimRun::new(&s, Telemetry::off());
-    run.run_until(SimTime::ZERO + SimDuration::from_secs(15));
-    let capture = run.capture();
-    let snap = Snapshot::parse(&capture).expect("a valid snapshot parses");
     // No edit touches the scenario section, so one calibration fits all.
     let calibration = Arc::new(Calibration::new(&s));
     let mut edits = 0;
     let mut panics = Vec::new();
-    for tag in &SECTIONS[1..] {
-        let section = snap.sections().iter().find(|s| s.tag == *tag);
-        let len = section.expect("every section present").payload.len();
-        for fill in [0x00, 0xFF] {
-            for at in 0..len {
-                let bytes = edited_from(&capture, tag, |p| p[at..len.min(at + 8)].fill(fill));
-                edits += 1;
-                let outcome = std::panic::catch_unwind(|| {
-                    let calibration = Arc::clone(&calibration);
-                    if let Ok(run) = SimRun::resume_with_calibration(&bytes, calibration) {
-                        let _ = run.finish();
+    for at_s in [15, 22] {
+        let mut run = SimRun::new(&s, Telemetry::off());
+        run.run_until(SimTime::from_secs(at_s));
+        let capture = run.capture();
+        let snap = Snapshot::parse(&capture).expect("a valid snapshot parses");
+        for tag in &SECTIONS[1..] {
+            let section = snap.sections().iter().find(|s| s.tag == *tag);
+            let len = section.expect("every section present").payload.len();
+            for fill in [0x00, 0xFF] {
+                for at in 0..len {
+                    let bytes = edited_from(&capture, tag, |p| p[at..len.min(at + 8)].fill(fill));
+                    edits += 1;
+                    let outcome = std::panic::catch_unwind(|| {
+                        let calibration = Arc::clone(&calibration);
+                        if let Ok(run) = SimRun::resume_with_calibration(&bytes, calibration) {
+                            let _ = run.finish();
+                        }
+                    });
+                    if let Err(payload) = outcome {
+                        panics.push(format!(
+                            "{at_s} s {tag}+{at} {fill:#04x}: {}",
+                            panic_message(payload)
+                        ));
                     }
-                });
-                if let Err(payload) = outcome {
-                    panics.push(format!(
-                        "{tag}+{at} {fill:#04x}: {}",
-                        panic_message(payload)
-                    ));
                 }
             }
         }

@@ -192,8 +192,16 @@ impl RfAlgorithm {
 /// | `Ekf` | kept | a gated IEKF range update | filter state |
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Solver {
-    /// The paper's grid posterior, thrown away at every window start.
-    Bayes(Box<PositionGrid>),
+    /// The paper's grid posterior, thrown away at every window start, or
+    /// already at the window's close once its entropy is recorded.
+    Bayes {
+        grid: Box<PositionGrid>,
+        /// The entropy, nats, of the posterior the last window closed
+        /// with, recorded when the close found it already computed; the
+        /// cells were then returned to the uniform prior. `None` while a
+        /// window is open.
+        closed_entropy: Option<f64>,
+    },
     /// Weighted least squares over the window's ranges.
     Lateration(Multilaterator),
     /// A filter that carries its state across windows, predicting from
@@ -256,14 +264,18 @@ impl WindowStats {
     }
 
     /// Adds another estimator's lifetime statistics into this one (the
-    /// team-wide aggregation the telemetry counters report).
+    /// team-wide aggregation the telemetry counters report). Like every
+    /// bump of these lifetime counters, it wraps: a restored snapshot may
+    /// carry any value.
     pub fn absorb(&mut self, other: &WindowStats) {
-        self.windows += other.windows;
-        self.fixes += other.fixes;
-        self.flat_windows += other.flat_windows;
-        self.beacons_seen += other.beacons_seen;
-        self.beacons_applied += other.beacons_applied;
-        self.beacons_rejected_outlier += other.beacons_rejected_outlier;
+        self.windows = self.windows.wrapping_add(other.windows);
+        self.fixes = self.fixes.wrapping_add(other.fixes);
+        self.flat_windows = self.flat_windows.wrapping_add(other.flat_windows);
+        self.beacons_seen = self.beacons_seen.wrapping_add(other.beacons_seen);
+        self.beacons_applied = self.beacons_applied.wrapping_add(other.beacons_applied);
+        self.beacons_rejected_outlier = self
+            .beacons_rejected_outlier
+            .wrapping_add(other.beacons_rejected_outlier);
     }
 }
 
@@ -334,7 +346,8 @@ pub struct WindowedRfEstimator {
     solver: Solver,
     last_fix: Option<Point>,
     in_window: bool,
-    /// Beacons the solver took in the open window.
+    /// Beacons the solver took in the open window, or in the last one
+    /// once it has closed.
     window_applied: u32,
     stats: WindowStats,
 }
@@ -350,7 +363,10 @@ impl WindowedRfEstimator {
     /// paper's arbitrary-deployment prior: a large sigma).
     pub fn with_algorithm(grid: GridConfig, algorithm: RfAlgorithm) -> Self {
         let solver = match algorithm {
-            RfAlgorithm::Bayes => Solver::Bayes(Box::new(PositionGrid::new(grid))),
+            RfAlgorithm::Bayes => Solver::Bayes {
+                grid: Box::new(PositionGrid::new(grid)),
+                closed_entropy: None,
+            },
             RfAlgorithm::Multilateration => Solver::Lateration(Multilaterator::new(
                 grid.area,
                 MultilaterationConfig::default(),
@@ -372,7 +388,7 @@ impl WindowedRfEstimator {
     /// The algorithm this estimator runs.
     pub fn algorithm(&self) -> RfAlgorithm {
         match self.solver {
-            Solver::Bayes(_) => RfAlgorithm::Bayes,
+            Solver::Bayes { .. } => RfAlgorithm::Bayes,
             Solver::Lateration(_) => RfAlgorithm::Multilateration,
             Solver::Ekf { .. } => RfAlgorithm::Ekf,
         }
@@ -384,13 +400,21 @@ impl WindowedRfEstimator {
     /// accumulation begins.
     pub fn begin_window(&mut self) {
         match &mut self.solver {
-            Solver::Bayes(grid) => grid.reset_uniform(),
+            Solver::Bayes {
+                grid,
+                closed_entropy,
+            } => {
+                // A close that recorded the entropy has reset the cells.
+                if closed_entropy.take().is_none() {
+                    grid.reset_uniform();
+                }
+            }
             Solver::Lateration(l) => l.reset(),
             Solver::Ekf { .. } => {}
         }
         self.window_applied = 0;
         self.in_window = true;
-        self.stats.windows += 1;
+        self.stats.windows = self.stats.windows.wrapping_add(1);
     }
 
     /// Whether a window is currently open.
@@ -477,12 +501,13 @@ impl WindowedRfEstimator {
         gate_m: f64,
     ) -> Admission {
         use ObservationResult::{Applied, NoPdf, Outlier, Rejected};
-        self.stats.beacons_seen += 1;
+        self.stats.beacons_seen = self.stats.beacons_seen.wrapping_add(1);
         if gate_m > 0.0 {
             if let (Some(refp), Some(pdf)) = (reference, table.lookup(rssi)) {
                 let claimed = refp.distance_to(center);
                 if !claimed.is_finite() || (claimed - pdf.mean()).abs() > gate_m {
-                    self.stats.beacons_rejected_outlier += 1;
+                    self.stats.beacons_rejected_outlier =
+                        self.stats.beacons_rejected_outlier.wrapping_add(1);
                     return Admission::done(Outlier);
                 }
             }
@@ -491,7 +516,7 @@ impl WindowedRfEstimator {
             return Admission::done(Rejected);
         }
         let admission = match &mut self.solver {
-            Solver::Bayes(_) => match radial.resolve(rssi) {
+            Solver::Bayes { .. } => match radial.resolve(rssi) {
                 Some((bin, _)) => Admission {
                     result: Applied,
                     constraint: Some(bin),
@@ -513,11 +538,14 @@ impl WindowedRfEstimator {
         };
         match admission.result {
             Applied => {
-                self.window_applied += 1;
-                self.stats.beacons_applied += 1;
+                self.window_applied = self.window_applied.wrapping_add(1);
+                self.stats.beacons_applied = self.stats.beacons_applied.wrapping_add(1);
             }
             // Only the EKF's innovation gate refuses a beacon here.
-            Outlier => self.stats.beacons_rejected_outlier += 1,
+            Outlier => {
+                self.stats.beacons_rejected_outlier =
+                    self.stats.beacons_rejected_outlier.wrapping_add(1);
+            }
             NoPdf | Rejected => {}
         }
         admission
@@ -527,7 +555,7 @@ impl WindowedRfEstimator {
     /// [`GridBatch`]); `None` for the gridless solvers.
     pub fn batch(&mut self) -> Option<GridBatch<'_>> {
         match &mut self.solver {
-            Solver::Bayes(grid) => Some(grid.batch()),
+            Solver::Bayes { grid, .. } => Some(grid.batch()),
             Solver::Lateration(_) | Solver::Ekf { .. } => None,
         }
     }
@@ -555,17 +583,43 @@ impl WindowedRfEstimator {
     ///
     /// `watchdog_frac >= 1.0` disables the veto. The gridless solvers have
     /// no posterior to judge and never trip it.
+    ///
+    /// Once the fix is taken, a closed window is read only for its
+    /// entropy (paper Sections 2.2–2.3). If that is already known — the
+    /// watchdog has just computed it — the close records it
+    /// ([`closed_entropy`](Self::closed_entropy)) and returns the cells
+    /// to the uniform prior now rather than at the next window start.
+    /// Closing a window that is not open yields [`WindowOutcome::NoFix`].
     pub fn end_window_guarded(&mut self, watchdog_frac: f64) -> WindowOutcome {
-        self.in_window = false;
+        if !std::mem::take(&mut self.in_window) {
+            return WindowOutcome::NoFix;
+        }
+        let outcome = self.judge_window(watchdog_frac);
+        if let Solver::Bayes {
+            grid,
+            closed_entropy,
+        } = &mut self.solver
+        {
+            if let Some(entropy) = grid.known_entropy() {
+                *closed_entropy = Some(entropy);
+                grid.reset_uniform();
+            }
+        }
+        outcome
+    }
+
+    /// The outcome of the window just closed, applied to the last fix and
+    /// the statistics.
+    fn judge_window(&mut self, watchdog_frac: f64) -> WindowOutcome {
         if self.window_applied < MIN_BEACONS_FOR_ESTIMATE {
             return WindowOutcome::NoFix;
         }
         let fix = match &self.solver {
-            Solver::Bayes(grid) => {
+            Solver::Bayes { grid, .. } => {
                 if watchdog_frac < 1.0 {
                     let (entropy, threshold) = (grid.entropy(), watchdog_frac * grid.max_entropy());
                     if entropy > threshold {
-                        self.stats.flat_windows += 1;
+                        self.stats.flat_windows = self.stats.flat_windows.wrapping_add(1);
                         return WindowOutcome::FlatPosterior { entropy, threshold };
                     }
                 }
@@ -578,7 +632,7 @@ impl WindowedRfEstimator {
             Solver::Ekf { filter, .. } => filter.estimate(),
         };
         self.last_fix = Some(fix);
-        self.stats.fixes += 1;
+        self.stats.fixes = self.stats.fixes.wrapping_add(1);
         WindowOutcome::Fix(fix)
     }
 
@@ -588,13 +642,36 @@ impl WindowedRfEstimator {
     }
 
     /// Posterior entropy as a fraction of the uniform-grid maximum, in
-    /// `[0, 1]` (1 = completely uninformative). `None` for the gridless
-    /// solvers — telemetry timelines record it as null rather than a
-    /// fake number.
+    /// `[0, 1]` (1 = completely uninformative). Between windows it is the
+    /// closed window's: the recorded entropy if the close recorded one.
+    /// `None` for the gridless solvers — telemetry timelines record it as
+    /// null rather than a fake number.
     pub fn entropy_fraction(&self) -> Option<f64> {
-        let grid = self.posterior()?;
+        let Solver::Bayes {
+            grid,
+            closed_entropy,
+        } = &self.solver
+        else {
+            return None;
+        };
         let max = grid.max_entropy();
-        Some(if max > 0.0 { grid.entropy() / max } else { 0.0 })
+        Some(if max > 0.0 {
+            closed_entropy.unwrap_or_else(|| grid.entropy()) / max
+        } else {
+            0.0
+        })
+    }
+
+    /// The entropy, nats, of the posterior the last window closed with,
+    /// if the close recorded it (see
+    /// [`end_window_guarded`](Self::end_window_guarded)); the cells are
+    /// then the uniform prior. `None` while a window is open, after a
+    /// close that found the entropy unknown, and for the gridless solvers.
+    pub fn closed_entropy(&self) -> Option<f64> {
+        match self.solver {
+            Solver::Bayes { closed_entropy, .. } => closed_entropy,
+            Solver::Lateration(_) | Solver::Ekf { .. } => None,
+        }
     }
 
     /// Lifetime statistics.
@@ -605,8 +682,22 @@ impl WindowedRfEstimator {
     /// The Bayesian posterior; `None` for the gridless solvers.
     pub fn posterior(&self) -> Option<&PositionGrid> {
         match &self.solver {
-            Solver::Bayes(grid) => Some(grid),
+            Solver::Bayes { grid, .. } => Some(grid),
             Solver::Lateration(_) | Solver::Ekf { .. } => None,
+        }
+    }
+
+    /// The Bayesian posterior while it holds evidence, which is when a
+    /// snapshot stores its cells: from a window's first applied beacon to
+    /// the next window start, or to the window's close if that recorded
+    /// the entropy. Otherwise the cells are the uniform prior, and `None`.
+    pub fn stored_posterior(&self) -> Option<&PositionGrid> {
+        match &self.solver {
+            Solver::Bayes {
+                grid,
+                closed_entropy,
+            } if holds_evidence(self.window_applied, self.in_window, *closed_entropy) => Some(grid),
+            Solver::Bayes { .. } | Solver::Lateration(_) | Solver::Ekf { .. } => None,
         }
     }
 
@@ -614,15 +705,20 @@ impl WindowedRfEstimator {
     pub fn filter(&self) -> Option<&EkfLocalizer> {
         match &self.solver {
             Solver::Ekf { filter, .. } => Some(filter),
-            Solver::Bayes(_) | Solver::Lateration(_) => None,
+            Solver::Bayes { .. } | Solver::Lateration(_) => None,
         }
     }
 
     /// The snapshot layout: the lifecycle state shared by every solver,
     /// then the solver's own. No tag names the solver: decode onto an
     /// estimator built with the same grid and algorithm
-    /// ([`WindowedRfEstimator::with_algorithm`]); a Bayesian posterior
-    /// keeps the cell count it was stored with (see
+    /// ([`WindowedRfEstimator::with_algorithm`]).
+    ///
+    /// The Bayesian solver stores the recorded entropy, then the cells
+    /// only while they hold evidence
+    /// ([`stored_posterior`](Self::stored_posterior)); cells that are not
+    /// stored decode as the uniform prior the new estimator holds. Stored
+    /// cells keep the count they were stored with (see
     /// [`PositionGrid::code`]).
     pub fn code(&mut self, c: &mut impl Codec) -> Result<(), SnapshotError> {
         let WindowedRfEstimator {
@@ -637,7 +733,16 @@ impl WindowedRfEstimator {
         c.u32(window_applied)?;
         stats.code(c)?;
         match solver {
-            Solver::Bayes(grid) => grid.code(c),
+            Solver::Bayes {
+                grid,
+                closed_entropy,
+            } => {
+                c.opt(closed_entropy, Codec::f64)?;
+                if holds_evidence(*window_applied, *in_window, *closed_entropy) {
+                    grid.code(c)?;
+                }
+                Ok(())
+            }
             Solver::Lateration(l) => l.code(c),
             Solver::Ekf { filter, last_odo } => {
                 filter.code(c)?;
@@ -661,6 +766,12 @@ impl WindowedRfEstimator {
             filter.updates_gated = gated;
         }
     }
+}
+
+/// Whether the Bayesian cells hold evidence: a window has applied a
+/// beacon, and its close has not recorded the entropy and reset them.
+fn holds_evidence(window_applied: u32, in_window: bool, closed_entropy: Option<f64>) -> bool {
+    window_applied > 0 && (in_window || closed_entropy.is_none())
 }
 
 #[cfg(test)]
@@ -885,15 +996,11 @@ mod tests {
         assert_eq!(est.entropy_fraction(), None);
     }
 
-    /// An estimator of `algorithm` after one window with a fix, with a
-    /// second window left open.
-    fn driven(algorithm: RfAlgorithm) -> WindowedRfEstimator {
+    /// Three beacons 8–9 m from (80, 120), heard there.
+    fn offer_three_beacons(est: &mut WindowedRfEstimator, seed: u64) {
         let (ch, table, radial, _) = setup();
-        let mut rng = SeedSplitter::new(8).stream("t", 0);
+        let mut rng = SeedSplitter::new(seed).stream("t", 0);
         let robot = Point::new(80.0, 120.0);
-        let mut est = WindowedRfEstimator::with_algorithm(grid(), algorithm);
-        est.note_odometry(Point::new(79.0, 119.0));
-        est.begin_window();
         for b in [
             Point::new(72.0, 120.0),
             Point::new(88.0, 124.0),
@@ -902,9 +1009,37 @@ mod tests {
             let rssi = ch.sample_rssi(robot.distance_to(b), &mut rng);
             est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, None, 0.0);
         }
+    }
+
+    /// An estimator of `algorithm` after one window with a fix, with a
+    /// second window left open.
+    fn driven(algorithm: RfAlgorithm) -> WindowedRfEstimator {
+        let mut est = WindowedRfEstimator::with_algorithm(grid(), algorithm);
+        est.note_odometry(Point::new(79.0, 119.0));
+        est.begin_window();
+        offer_three_beacons(&mut est, 8);
         est.end_window();
         est.begin_window(); // leave a window open: in_window must survive
         est
+    }
+
+    /// `driven(algorithm)` in each window state a snapshot can find it in:
+    /// open before any beacon, open with beacons, closed with its entropy
+    /// recorded (the watchdog computed it), and closed with it unknown.
+    fn window_states(algorithm: RfAlgorithm) -> [(&'static str, WindowedRfEstimator); 4] {
+        let open = driven(algorithm);
+        let mut with_beacons = open.clone();
+        offer_three_beacons(&mut with_beacons, 9);
+        let mut recorded = with_beacons.clone();
+        recorded.end_window_guarded(0.98);
+        let mut unknown = with_beacons.clone();
+        unknown.end_window();
+        [
+            ("open", open),
+            ("open with beacons", with_beacons),
+            ("closed, entropy recorded", recorded),
+            ("closed, entropy unknown", unknown),
+        ]
     }
 
     fn encode(est: &mut WindowedRfEstimator) -> Vec<u8> {
@@ -914,15 +1049,101 @@ mod tests {
     #[test]
     fn checkpoints_round_trip_for_every_algorithm() {
         for algorithm in RfAlgorithm::ALL {
-            let mut est = driven(algorithm);
-            let bytes = encode(&mut est);
-            let mut restored = WindowedRfEstimator::with_algorithm(grid(), algorithm);
-            cocoa_sim::snapshot::decode(&bytes, "estimator", |c| restored.code(c))
-                .expect("own bytes decode");
-            assert_eq!(restored.algorithm(), algorithm);
-            assert_eq!(restored, est, "{algorithm}: restore must be exact");
-            assert_eq!(encode(&mut restored), bytes, "{algorithm}: re-encode");
+            for (state, mut est) in window_states(algorithm) {
+                let recorded =
+                    state == "closed, entropy recorded" && algorithm == RfAlgorithm::Bayes;
+                assert_eq!(
+                    est.closed_entropy().is_some(),
+                    recorded,
+                    "{algorithm}, {state}"
+                );
+                let bytes = encode(&mut est);
+                let mut restored = WindowedRfEstimator::with_algorithm(grid(), algorithm);
+                cocoa_sim::snapshot::decode(&bytes, "estimator", |c| restored.code(c))
+                    .expect("own bytes decode");
+                assert_eq!(restored.algorithm(), algorithm);
+                assert_eq!(restored, est, "{algorithm}, {state}: restore must be exact");
+                assert_eq!(
+                    encode(&mut restored),
+                    bytes,
+                    "{algorithm}, {state}: re-encode"
+                );
+                assert_eq!(
+                    restored.entropy_fraction().map(f64::to_bits),
+                    est.entropy_fraction().map(f64::to_bits),
+                    "{algorithm}, {state}"
+                );
+            }
         }
+    }
+
+    /// A Bayes snapshot stores cells only while they hold evidence: the 8
+    /// bytes of the cell count and 8 per cell.
+    #[test]
+    fn only_a_posterior_holding_evidence_is_stored() {
+        let posterior = 8 + 8 * grid().dims().0 * grid().dims().1;
+        let [open, with_beacons, recorded, unknown] =
+            window_states(RfAlgorithm::Bayes).map(|(_, mut est)| encode(&mut est).len());
+        assert_eq!(with_beacons - open, posterior);
+        assert_eq!(unknown, with_beacons);
+        assert_eq!(recorded, open + 8, "the recorded entropy, not the cells");
+    }
+
+    /// A close whose watchdog computed the entropy records it and resets
+    /// the cells with no further entropy pass; until the next window start
+    /// the entropy fraction is the closed posterior's, bit for bit.
+    #[test]
+    fn a_close_that_knows_the_entropy_records_it_and_resets_the_cells() {
+        let mut est = driven(RfAlgorithm::Bayes);
+        offer_three_beacons(&mut est, 9);
+        let grid_before = est.posterior().expect("a posterior").clone();
+        let fraction = grid_before.entropy() / grid_before.max_entropy();
+        let passes = crate::grid::entropy_passes();
+        let outcome = est.end_window_guarded(0.98);
+        assert!(matches!(outcome, WindowOutcome::Fix(_)), "{outcome:?}");
+        assert_eq!(
+            crate::grid::entropy_passes(),
+            passes + 1,
+            "the watchdog's pass"
+        );
+        assert_eq!(est.closed_entropy(), Some(grid_before.entropy()));
+        assert_eq!(
+            est.posterior(),
+            Some(&PositionGrid::new(grid())),
+            "reset to uniform"
+        );
+        assert_eq!(
+            est.entropy_fraction().map(f64::to_bits),
+            Some(fraction.to_bits())
+        );
+        assert_eq!(crate::grid::entropy_passes(), passes + 1);
+        // Closing again changes nothing; the next window starts afresh.
+        assert_eq!(est.end_window_guarded(0.98), WindowOutcome::NoFix);
+        est.begin_window();
+        assert_eq!(est.closed_entropy(), None);
+        let flat = est.entropy_fraction().expect("a posterior");
+        assert!((flat - 1.0).abs() < 1e-9, "{flat}");
+    }
+
+    /// A close that does not know the entropy keeps the cells until the
+    /// next window start, as the watchdog-disarmed default `end_window`.
+    #[test]
+    fn a_close_that_does_not_know_the_entropy_keeps_the_cells() {
+        let mut est = driven(RfAlgorithm::Bayes);
+        offer_three_beacons(&mut est, 9);
+        let grid_before = est.posterior().expect("a posterior").clone();
+        let passes = crate::grid::entropy_passes();
+        assert!(est.end_window().is_some());
+        assert_eq!(
+            crate::grid::entropy_passes(),
+            passes,
+            "no pass at the close"
+        );
+        assert_eq!(est.closed_entropy(), None);
+        assert_eq!(est.posterior(), Some(&grid_before));
+        assert_eq!(est.stored_posterior(), Some(&grid_before));
+        est.begin_window();
+        assert_eq!(est.stored_posterior(), None);
     }
 
     /// Each estimator reports its algorithm, before any window and after a

@@ -463,6 +463,12 @@ impl PositionGrid {
         h
     }
 
+    /// The entropy of the cells, nats, if a read has computed it since
+    /// they last changed. Makes no pass over the cells.
+    pub fn known_entropy(&self) -> Option<f64> {
+        self.entropy.get()
+    }
+
     /// Whether the cells form a probability distribution: every cell
     /// finite and non-negative, the cells summing to 1 within `tolerance`.
     /// One pass with no early exit, so it vectorizes.

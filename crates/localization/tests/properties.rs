@@ -337,15 +337,16 @@ proptest! {
     }
 
     /// Every backend's layout decodes onto a fresh estimator that equals
-    /// the original field for field — including mid-window, with a window
-    /// open and beacons partially accumulated — and encodes to the same
-    /// bytes again.
+    /// the original field for field — with a window open, with or without
+    /// beacons accumulated, or closed, its entropy recorded by the
+    /// watchdog or not — and encodes to the same bytes again.
     #[test]
     fn backend_checkpoints_round_trip_for_every_algorithm(
         seed in 0u64..200,
         beacons_per in 0usize..6,
         windows in 1u32..4,
         open in any::<bool>(),
+        armed in any::<bool>(),
     ) {
         let ch = RfChannel::default();
         let table = calibrate(
@@ -372,7 +373,7 @@ proptest! {
                     est.observe_beacon(&table, &radial, &mut BeaconField::new(b), rssi, reference, 80.0);
                 }
                 if w + 1 < windows || !open {
-                    est.end_window();
+                    est.end_window_guarded(if armed { 0.98 } else { 1.0 });
                 }
             }
             let bytes = snapshot::encode(|c| est.code(c));
@@ -380,6 +381,10 @@ proptest! {
             snapshot::decode(&bytes, "estimator", |c| restored.code(c)).expect("own bytes decode");
             prop_assert_eq!(restored.algorithm(), algorithm);
             prop_assert_eq!(&restored, &est, "{} restore must be exact", algorithm);
+            prop_assert_eq!(
+                restored.entropy_fraction().map(f64::to_bits),
+                est.entropy_fraction().map(f64::to_bits)
+            );
             prop_assert_eq!(
                 snapshot::encode(|c| restored.code(c)),
                 bytes,

@@ -175,7 +175,7 @@ impl Odometer {
             .turned(measured_turn)
             .advanced(measured_distance);
         self.distance_integrated += measured_distance;
-        self.observations += 1;
+        self.observations = self.observations.wrapping_add(1);
     }
 }
 

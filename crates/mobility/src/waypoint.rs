@@ -229,7 +229,7 @@ impl WaypointModel {
             remaining -= seg_time;
             if reach_time <= remaining + 1e-12 || self.d_rest() < 1e-9 {
                 // Destination reached: task done, new command.
-                self.legs_completed += 1;
+                self.legs_completed = self.legs_completed.wrapping_add(1);
                 self.pose.position = self.config.area.clamp(self.destination);
                 self.issue_command(rng);
             }

@@ -65,9 +65,9 @@ impl FloodNode {
     /// Originates a data packet (source only).
     pub fn originate_data(&mut self, now: SimTime, body: Bytes) -> Packet {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.wrapping_add(1);
         self.seen.insert((self.id, seq), now);
-        self.stats.data_originated += 1;
+        self.stats.data_originated = self.stats.data_originated.wrapping_add(1);
         Packet::new(
             self.id,
             seq,
@@ -81,7 +81,7 @@ impl FloodNode {
     /// Records a delivered data body the application could not decode
     /// (same accounting hook as `OdmrpNode::note_undecodable_delivery`).
     pub fn note_undecodable_delivery(&mut self) {
-        self.stats.data_undecodable += 1;
+        self.stats.data_undecodable = self.stats.data_undecodable.wrapping_add(1);
     }
 
     /// The snapshot layout of the node's mutable state, decoded onto a
@@ -111,18 +111,18 @@ impl FloodNode {
             return Vec::new();
         }
         if !self.seen.insert((packet.src, packet.seq), now) {
-            self.stats.data_duplicates += 1;
+            self.stats.data_duplicates = self.stats.data_duplicates.wrapping_add(1);
             return Vec::new();
         }
         let mut actions = Vec::new();
         if self.member {
-            self.stats.data_delivered += 1;
+            self.stats.data_delivered = self.stats.data_delivered.wrapping_add(1);
             actions.push(ProtocolAction::Deliver {
                 source: packet.src,
                 body: body.clone(),
             });
         }
-        self.stats.data_forwarded += 1;
+        self.stats.data_forwarded = self.stats.data_forwarded.wrapping_add(1);
         actions.push(ProtocolAction::Broadcast {
             packet: packet.clone(),
             jitter_bound: self.jitter,

@@ -169,16 +169,22 @@ impl MeshStats {
 
     /// Adds another node's counters into this one.
     pub fn merge(&mut self, other: &MeshStats) {
-        self.queries_originated += other.queries_originated;
-        self.queries_rebroadcast += other.queries_rebroadcast;
-        self.queries_suppressed += other.queries_suppressed;
-        self.replies_sent += other.replies_sent;
-        self.fg_activations += other.fg_activations;
-        self.data_originated += other.data_originated;
-        self.data_forwarded += other.data_forwarded;
-        self.data_delivered += other.data_delivered;
-        self.data_duplicates += other.data_duplicates;
-        self.data_undecodable += other.data_undecodable;
+        self.queries_originated = self
+            .queries_originated
+            .wrapping_add(other.queries_originated);
+        self.queries_rebroadcast = self
+            .queries_rebroadcast
+            .wrapping_add(other.queries_rebroadcast);
+        self.queries_suppressed = self
+            .queries_suppressed
+            .wrapping_add(other.queries_suppressed);
+        self.replies_sent = self.replies_sent.wrapping_add(other.replies_sent);
+        self.fg_activations = self.fg_activations.wrapping_add(other.fg_activations);
+        self.data_originated = self.data_originated.wrapping_add(other.data_originated);
+        self.data_forwarded = self.data_forwarded.wrapping_add(other.data_forwarded);
+        self.data_delivered = self.data_delivered.wrapping_add(other.data_delivered);
+        self.data_duplicates = self.data_duplicates.wrapping_add(other.data_duplicates);
+        self.data_undecodable = self.data_undecodable.wrapping_add(other.data_undecodable);
     }
 
     /// Every counter as a stable `(name, value)` list, in declaration

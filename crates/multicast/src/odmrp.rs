@@ -280,16 +280,16 @@ impl OdmrpNode {
     /// application layer (garbled in flight). The mesh did its job — the
     /// payload was corrupt — but reliability accounting wants the split.
     pub fn note_undecodable_delivery(&mut self) {
-        self.stats.data_undecodable += 1;
+        self.stats.data_undecodable = self.stats.data_undecodable.wrapping_add(1);
     }
 
     /// Originates a JOIN QUERY round (call on the mesh source; CoCoA's
     /// Sync robot does this every beacon period).
     pub fn originate_query(&mut self, now: SimTime, my: &MobilityInfo) -> Packet {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.wrapping_add(1);
         self.seen_queries.insert((self.id, seq), now);
-        self.stats.queries_originated += 1;
+        self.stats.queries_originated = self.stats.queries_originated.wrapping_add(1);
         Packet::new(
             self.id,
             seq,
@@ -307,9 +307,9 @@ impl OdmrpNode {
     /// Originates a data packet down the mesh (source only).
     pub fn originate_data(&mut self, now: SimTime, body: Bytes) -> Packet {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = self.next_seq.wrapping_add(1);
         self.seen_data.insert((self.id, seq), now);
-        self.stats.data_originated += 1;
+        self.stats.data_originated = self.stats.data_originated.wrapping_add(1);
         Packet::new(
             self.id,
             seq,
@@ -461,7 +461,7 @@ impl OdmrpNode {
 
         let first_copy = self.seen_queries.insert((source, seq), now);
         let round = self.rounds.entry((source, seq)).or_default();
-        round.copies += 1;
+        round.copies = round.copies.wrapping_add(1);
         let mut actions = Vec::new();
         if first_copy {
             if self.member && !round.reply_scheduled {
@@ -505,10 +505,10 @@ impl OdmrpNode {
             return None; // a newer round superseded this one
         }
         if self.mrmm && self.config.prune.should_prune(route.score.lifetime, copies) {
-            self.stats.queries_suppressed += 1;
+            self.stats.queries_suppressed = self.stats.queries_suppressed.wrapping_add(1);
             return None;
         }
-        self.stats.queries_rebroadcast += 1;
+        self.stats.queries_rebroadcast = self.stats.queries_rebroadcast.wrapping_add(1);
         Some(Packet::new(
             source,
             seq,
@@ -531,7 +531,7 @@ impl OdmrpNode {
             return None;
         }
         let route = self.routes.get(&source)?;
-        self.stats.replies_sent += 1;
+        self.stats.replies_sent = self.stats.replies_sent.wrapping_add(1);
         Some(Packet::new(
             self.id,
             route.seq,
@@ -555,7 +555,7 @@ impl OdmrpNode {
         let was_forwarding = self.is_forwarding(now);
         self.fg_until = Some(now + self.config.fg_timeout);
         if !was_forwarding {
-            self.stats.fg_activations += 1;
+            self.stats.fg_activations = self.stats.fg_activations.wrapping_add(1);
         }
         // Propagate towards the source, at most once per reply_delay to
         // collapse the replies of multiple downstream members.
@@ -570,7 +570,7 @@ impl OdmrpNode {
             return Vec::new();
         };
         self.last_reply_propagated.insert(source, now);
-        self.stats.replies_sent += 1;
+        self.stats.replies_sent = self.stats.replies_sent.wrapping_add(1);
         vec![ProtocolAction::Broadcast {
             packet: Packet::new(
                 self.id,
@@ -587,12 +587,12 @@ impl OdmrpNode {
 
     fn on_data(&mut self, now: SimTime, packet: &Packet, body: Bytes) -> Vec<ProtocolAction> {
         if !self.seen_data.insert((packet.src, packet.seq), now) {
-            self.stats.data_duplicates += 1;
+            self.stats.data_duplicates = self.stats.data_duplicates.wrapping_add(1);
             return Vec::new();
         }
         let mut actions = Vec::new();
         if self.member && packet.src != self.id {
-            self.stats.data_delivered += 1;
+            self.stats.data_delivered = self.stats.data_delivered.wrapping_add(1);
             actions.push(ProtocolAction::Deliver {
                 source: packet.src,
                 body,
@@ -600,7 +600,7 @@ impl OdmrpNode {
         }
         // Members and forwarding-group nodes rebroadcast down the mesh.
         if (self.member || self.is_forwarding(now)) && packet.src != self.id {
-            self.stats.data_forwarded += 1;
+            self.stats.data_forwarded = self.stats.data_forwarded.wrapping_add(1);
             actions.push(ProtocolAction::Broadcast {
                 packet: packet.clone(),
                 jitter_bound: self.config.rebroadcast_jitter,

@@ -218,8 +218,8 @@ impl Medium {
             "a frame's receivers must be listed once each, in increasing order"
         );
         let id = TxId(self.next_id);
-        self.next_id += 1;
-        self.total_tx += 1;
+        self.next_id = self.next_id.wrapping_add(1);
+        self.total_tx = self.total_tx.wrapping_add(1);
         self.active.push(Frame {
             id,
             src,
@@ -270,8 +270,8 @@ impl Medium {
             // Half-duplex: the receiver transmitting during any overlap
             // (this frame included) kills it.
             if overlapping.iter().any(|&i| active[i].src == rx) {
-                *total_collisions += 1;
-                *total_half_duplex += 1;
+                *total_collisions = total_collisions.wrapping_add(1);
+                *total_half_duplex = total_half_duplex.wrapping_add(1);
                 return (rx, ReceptionOutcome::HalfDuplex);
             }
             // Strongest overlapping interferer that this receiver could
@@ -286,7 +286,7 @@ impl Medium {
             }
             if let Some((irssi, interferer)) = worst {
                 if rssi.value() < irssi.value() + DEFAULT_CAPTURE_MARGIN_DB {
-                    *total_collisions += 1;
+                    *total_collisions = total_collisions.wrapping_add(1);
                     return (rx, ReceptionOutcome::Collided { interferer });
                 }
             }

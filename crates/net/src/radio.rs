@@ -92,7 +92,7 @@ impl Radio {
         let was_dormant = matches!(self.state, PowerState::Sleep | PowerState::Off);
         if was_dormant && new_state == PowerState::Idle {
             self.ledger.charge_wake(&self.params);
-            self.wakes += 1;
+            self.wakes = self.wakes.wrapping_add(1);
         }
         self.state = new_state;
         self.since = now;
@@ -111,7 +111,7 @@ impl Radio {
             self.state
         );
         self.ledger.charge_tx(&self.params, bytes);
-        self.packets_sent += 1;
+        self.packets_sent = self.packets_sent.wrapping_add(1);
     }
 
     /// Charges the incremental energy of receiving `bytes` at `now`.
@@ -126,7 +126,7 @@ impl Radio {
             self.state
         );
         self.ledger.charge_rx(&self.params, bytes);
-        self.packets_received += 1;
+        self.packets_received = self.packets_received.wrapping_add(1);
     }
 
     /// Accrues energy up to `now` and returns the final ledger. The radio

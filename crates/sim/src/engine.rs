@@ -6,7 +6,7 @@
 //! crates. This mirrors how the paper's Glomosim separates its event kernel
 //! from protocol models.
 
-use crate::event::{EventId, EventQueue};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A deterministic discrete-event simulation engine.
@@ -123,7 +123,7 @@ impl<E> Engine<E> {
     ///
     /// Panics if `time` is earlier than the current simulation time —
     /// scheduling into the past is always a model bug.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule event into the past: now={}, requested={}",
@@ -134,14 +134,9 @@ impl<E> Engine<E> {
     }
 
     /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         let t = self.now + delay;
         self.queue.push(t, event)
-    }
-
-    /// Cancels a scheduled event. Returns `true` if it was still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Requests that the run loop stop after the current event.
@@ -170,7 +165,7 @@ impl<E> Engine<E> {
             Some(t) if t <= self.horizon => {
                 let (t, e) = self.queue.pop().expect("peeked event must pop");
                 self.now = t;
-                self.processed += 1;
+                self.processed = self.processed.wrapping_add(1);
                 handler(self, state, e);
                 true
             }
@@ -307,15 +302,5 @@ mod tests {
             (seen, eng.events_processed(), eng.now())
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn cancel_through_engine() {
-        let mut eng: Engine<u8> = Engine::new(SimTime::from_secs(100));
-        let id = eng.schedule_at(SimTime::from_secs(1), 7);
-        assert!(eng.cancel(id));
-        let mut seen = 0;
-        eng.run(&mut seen, |_, seen, _| *seen += 1);
-        assert_eq!(seen, 0);
     }
 }

@@ -11,14 +11,9 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
-    cancelled: bool,
     payload: E,
 }
 
@@ -63,10 +58,7 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    // Number of live (non-cancelled) events; keeps len()/is_empty() O(1).
-    live: usize,
-    peak_live: usize,
-    cancelled: Vec<u64>,
+    peak_len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -81,89 +73,41 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            live: 0,
-            peak_live: 0,
-            cancelled: Vec::new(),
+            peak_len: 0,
         }
     }
 
-    /// Schedules `payload` for delivery at `time` and returns a handle that
-    /// can later be passed to [`EventQueue::cancel`].
-    pub fn push(&mut self, time: SimTime, payload: E) -> EventId {
+    /// Schedules `payload` for delivery at `time`.
+    pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled {
-            time,
-            seq,
-            cancelled: false,
-            payload,
-        });
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        EventId(seq)
+        self.next_seq = self.next_seq.wrapping_add(1);
+        self.heap.push(Scheduled { time, seq, payload });
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Cancellation is lazy: the entry stays in the heap but is skipped when
-    /// popped. Returns `true` if the id was not already cancelled or
-    /// delivered. Cancelling an unknown or already-popped id returns `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.contains(&id.0) {
-            return false;
-        }
-        // We cannot reach into the heap; record the id and filter on pop.
-        // `live` may briefly over-count if the event was already delivered,
-        // so guard by scanning the heap only in debug builds.
-        let present = self.heap.iter().any(|s| s.seq == id.0 && !s.cancelled);
-        if present {
-            self.cancelled.push(id.0);
-            self.live -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes and returns the earliest live event, as `(time, payload)`.
+    /// Removes and returns the earliest event, as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.heap.pop() {
-            if let Some(pos) = self.cancelled.iter().position(|&c| c == s.seq) {
-                self.cancelled.swap_remove(pos);
-                continue;
-            }
-            self.live -= 1;
-            return Some((s.time, s.payload));
-        }
-        None
+        self.heap.pop().map(|s| (s.time, s.payload))
     }
 
-    /// The time of the earliest live event, if any.
+    /// The time of the earliest event, if any: the heap's top.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
-            .iter()
-            .filter(|s| !self.cancelled.contains(&s.seq))
-            .map(|s| (s.time, s.seq))
-            .min()
-            .map(|(t, _)| t)
+        self.heap.peek().map(|s| s.time)
     }
 
-    /// Number of live (non-cancelled, undelivered) events.
+    /// Number of undelivered events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// The highest number of live events ever pending at once.
+    /// The highest number of events ever pending at once.
     pub fn peak_len(&self) -> usize {
-        self.peak_live
+        self.peak_len
     }
 
     /// The sequence number the next [`EventQueue::push`] will be assigned.
@@ -171,19 +115,15 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Consumes the queue and returns every live event sorted by
-    /// `(time, seq)` — the exact delivery order — with each event's
-    /// original sequence number. Cancelled entries are dropped.
+    /// Consumes the queue and returns every event sorted by `(time, seq)`
+    /// — the exact delivery order — with each event's original sequence
+    /// number.
     ///
     /// This is the deterministic iteration the snapshot codec needs: the
     /// heap's internal layout never leaks into serialized bytes.
     pub fn drain_sorted(mut self) -> Vec<(SimTime, u64, E)> {
-        let mut out: Vec<(SimTime, u64, E)> = Vec::with_capacity(self.live);
+        let mut out: Vec<(SimTime, u64, E)> = Vec::with_capacity(self.heap.len());
         while let Some(s) = self.heap.pop() {
-            if let Some(pos) = self.cancelled.iter().position(|&c| c == s.seq) {
-                self.cancelled.swap_remove(pos);
-                continue;
-            }
             out.push((s.time, s.seq, s.payload));
         }
         // BinaryHeap pops earliest-first under the inverted Ord, so `out`
@@ -210,25 +150,17 @@ impl<E> EventQueue<E> {
             events.len()
         );
         let mut heap = BinaryHeap::with_capacity(events.len());
-        let live = events.len();
         for (time, seq, payload) in events {
             assert!(
                 seq < next_seq,
                 "event seq {seq} not below next_seq {next_seq}"
             );
-            heap.push(Scheduled {
-                time,
-                seq,
-                cancelled: false,
-                payload,
-            });
+            heap.push(Scheduled { time, seq, payload });
         }
         EventQueue {
             heap,
             next_seq,
-            live,
-            peak_live: peak_len,
-            cancelled: Vec::new(),
+            peak_len,
         }
     }
 }
@@ -236,7 +168,7 @@ impl<E> EventQueue<E> {
 impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.live)
+            .field("len", &self.heap.len())
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -268,44 +200,19 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
+    fn peek_time_is_the_earliest_event() {
         let mut q = EventQueue::new();
-        let _a = q.push(SimTime::from_secs(1), "a");
-        let b = q.push(SimTime::from_secs(2), "b");
-        let _c = q.push(SimTime::from_secs(3), "c");
-        assert!(q.cancel(b));
-        assert_eq!(q.len(), 2);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "c"]);
-    }
-
-    #[test]
-    fn cancel_is_idempotent_and_rejects_unknown() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_secs(1), ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        assert!(!q.cancel(EventId(999)));
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_after_pop_returns_false() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_secs(1), ());
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn peek_time_ignores_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_secs(1), ());
+        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(2), ());
+        q.push(SimTime::from_secs(1), ());
+        q.push(SimTime::from_secs(1), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        q.cancel(a);
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        q.pop();
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        q.pop();
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -320,18 +227,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_yields_delivery_order_and_skips_cancelled() {
+    fn drain_sorted_yields_delivery_order() {
         let mut q = EventQueue::new();
-        let _late = q.push(SimTime::from_secs(3), "late"); // seq 0
-        let _a = q.push(SimTime::from_secs(1), "a"); // seq 1
-        let _b = q.push(SimTime::from_secs(1), "b"); // seq 2, FIFO tie with a
-        let x = q.push(SimTime::from_secs(2), "x"); // seq 3, cancelled below
-        q.cancel(x);
+        q.push(SimTime::from_secs(3), "late"); // seq 0
+        q.push(SimTime::from_secs(1), "a"); // seq 1
+        q.push(SimTime::from_secs(1), "b"); // seq 2, FIFO tie with a
+        q.push(SimTime::from_secs(2), "x"); // seq 3
         let drained = q.drain_sorted();
         let seqs: Vec<u64> = drained.iter().map(|&(_, s, _)| s).collect();
         let payloads: Vec<&str> = drained.iter().map(|&(_, _, p)| p).collect();
-        assert_eq!(payloads, vec!["a", "b", "late"]);
-        assert_eq!(seqs, vec![1, 2, 0]);
+        assert_eq!(payloads, vec!["a", "b", "x", "late"]);
+        assert_eq!(seqs, vec![1, 2, 3, 0]);
     }
 
     #[test]
@@ -353,8 +259,9 @@ mod tests {
         assert_eq!(order, vec![11, 20]);
         // New pushes continue the original seq allocation.
         let mut r2 = EventQueue::from_parts(Vec::<(SimTime, u64, u32)>::new(), 5, 7);
-        let id = r2.push(SimTime::ZERO, 1);
-        assert!(r2.cancel(id));
+        r2.push(SimTime::ZERO, 1);
+        assert_eq!(r2.next_seq(), 6);
+        assert_eq!(r2.drain_sorted()[0].1, 5);
     }
 
     #[test]

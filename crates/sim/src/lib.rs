@@ -5,8 +5,7 @@
 //! deterministic discrete-event kernel with
 //!
 //! - exact integer-microsecond [`time::SimTime`] / [`time::SimDuration`],
-//! - a time-ordered, FIFO-tie-broken [`event::EventQueue`] with lazy
-//!   cancellation,
+//! - a time-ordered, FIFO-tie-broken [`event::EventQueue`],
 //! - a generic run loop, [`engine::Engine`], that dispatches events to a
 //!   caller-supplied handler,
 //! - reproducible per-subsystem random streams via [`rng::SeedSplitter`],
@@ -53,7 +52,7 @@ pub mod time;
 /// Convenient glob-import of the types nearly every consumer needs.
 pub mod prelude {
     pub use crate::engine::Engine;
-    pub use crate::event::{EventId, EventQueue};
+    pub use crate::event::EventQueue;
     pub use crate::faults::{Fault, FaultEvent, FaultPlan, GilbertElliott, GilbertElliottLink};
     pub use crate::rng::{DetRng, SeedSplitter};
     pub use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

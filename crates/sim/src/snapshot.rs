@@ -88,8 +88,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNP";
 /// once — the estimator keeps one per-window applied count, and the Bayes
 /// payload's kernel counters and window counts and the EKF's applied
 /// updates are gone — and the medium no longer stores its capture margin
-/// and retention, which are constants.)
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
+/// and retention, which are constants. v10: a Bayes payload stores the
+/// entropy its last window closed with, if recorded, and its cells only
+/// while they hold a window's evidence.)
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 
 /// A typed decode failure. Corrupted input surfaces here — never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -38,33 +38,6 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset delivers exactly the complement.
-    #[test]
-    fn cancellation_delivers_complement(
-        times in proptest::collection::vec(0u64..1000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (q.push(SimTime::from_micros(t), i), i))
-            .collect();
-        let mut expect: std::collections::HashSet<usize> =
-            (0..times.len()).collect();
-        for (idx, (id, i)) in ids.iter().enumerate() {
-            if cancel_mask[idx % cancel_mask.len()] {
-                prop_assert!(q.cancel(*id));
-                expect.remove(i);
-            }
-        }
-        let mut got = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            got.insert(i);
-        }
-        prop_assert_eq!(got, expect);
-    }
-
     /// The engine clock never goes backwards and never exceeds the horizon.
     #[test]
     fn engine_clock_monotone(
