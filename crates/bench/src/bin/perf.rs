@@ -8,13 +8,13 @@
 //!
 //! A single fast pass (a few seconds end to end), intended as a regression
 //! tripwire: the JSON records the calibration campaign's and the radial
-//! table's set-up times, ops/s for the Bayesian grid update, the lane
-//! kernels (one receiver of a beacon frame, and a later receiver reading
-//! the frame's stored distances) against their scalar reference, the
-//! dense PDF-table lookup, one paper-scale window of beacons applied in
-//! one batch on one worker and on every core, the wall time of the
-//! quick-scale Figure 7 comparison, and (in `BENCH_snapshot.json`) the
-//! snapshot CRC-32's throughput.
+//! table's set-up times and the bytes of every bin's profile, ops/s for
+//! the Bayesian grid update, the lane kernels (one receiver of a beacon
+//! frame, and a later receiver reading the frame's stored distances)
+//! against their scalar reference, the dense PDF-table lookup, one
+//! paper-scale window of beacons applied in one batch on one worker and
+//! on every core, the wall time of the quick-scale Figure 7 comparison,
+//! and (in `BENCH_snapshot.json`) the snapshot CRC-32's throughput.
 //!
 //! The tripwire is armed by the regression gate
 //! (see [`cocoa_bench::regress`]):
@@ -177,6 +177,17 @@ fn main() -> ExitCode {
                 std::hint::black_box(radial.get(bin));
             }
         });
+    // The bytes those profiles hold (`val` and `del` of every bin's lane
+    // table), a function of the calibration, the grid and the floor alone.
+    let all_bins = radial_constraints_for_grid(&table, &grid_cfg);
+    let radial_all_bins_kib = table
+        .entries()
+        .map(|(bin, _)| {
+            let lane = all_bins.get(bin).expect("calibrated bin").lane_table();
+            std::mem::size_of_val(lane.val()) + std::mem::size_of_val(lane.del())
+        })
+        .sum::<usize>() as f64
+        / 1024.0;
     let radial = radial_constraints_for_grid(&table, &grid_cfg);
     let beacon = Point::new(90.0, 110.0);
 
@@ -444,7 +455,7 @@ fn main() -> ExitCode {
 
     println!(
         "calibration:           {calibrate_ms:.2} ms; radial table {radial_setup_us:.1} us, \
-         every bin sampled {radial_all_bins_ms:.2} ms"
+         every bin sampled {radial_all_bins_ms:.2} ms ({radial_all_bins_kib:.0} KiB)"
     );
     println!("grid update (radial):  {}", fmt_ops(grid_radial));
     println!("grid kernel (scalar):  {}", fmt_ops(kernel_scalar));
@@ -495,6 +506,7 @@ fn main() -> ExitCode {
          \"calibrate_ms\": {calibrate_ms:.3},\n  \
          \"radial_setup_us\": {radial_setup_us:.1},\n  \
          \"radial_all_bins_ms\": {radial_all_bins_ms:.3},\n  \
+         \"radial_all_bins_kib\": {radial_all_bins_kib:.1},\n  \
          \"grid_window_sequential_ops_per_sec\": {window_sequential:.1},\n  \
          \"grid_dense_cells_per_window\": {dense_cells_per_window},\n  \
          \"grid_window_batch_one_worker_ms\": {flush_one_ms:.3},\n  \

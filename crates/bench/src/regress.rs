@@ -87,6 +87,10 @@ pub const SPECS: &[MetricSpec] = &[
     spec("calibrate_ms", LowerIsBetter, 1.0),
     spec("radial_setup_us", LowerIsBetter, 10.0),
     spec("radial_all_bins_ms", LowerIsBetter, 1.0),
+    // The bytes of every bin's lane table once all are built. It is
+    // deterministic, so its tolerance is tight: profiles sampled out to
+    // the diagonal again, past their flat tails, would read about 5×.
+    spec("radial_all_bins_kib", LowerIsBetter, 0.01),
     // --- BENCH_grid.json: one paper-scale window (75 frames × 25 grids)
     // applied in one batch on one worker and on every core. The
     // all-core time and the speedup depend on how many cores the host

@@ -25,9 +25,10 @@ pub const CONSTRAINT_FLOOR: f64 = 1e-6;
 
 /// The per-run radial constraint table for `table`, sized to `grid`: one
 /// floored [`RadialProfile`](cocoa_net::calibration::RadialProfile) per
-/// calibrated RSSI bin, sampled at sub-cell resolution out to the area's
-/// diagonal the first time a beacon resolves to the bin. Build it once
-/// and share it by reference across every robot and transmit round.
+/// calibrated RSSI bin, sampled at sub-cell resolution the first time a
+/// beacon resolves to the bin, out to where the floored density turns
+/// exactly flat or to the area's diagonal, whichever is nearer. Build it
+/// once and share it by reference across every robot and transmit round.
 pub fn radial_constraints_for_grid(table: &PdfTable, grid: &GridConfig) -> RadialConstraintTable {
     // Sub-cell sampling: fine enough for the clamped minimum sigma of the
     // calibration fits (0.25 m) and always at least 4 samples per cell.
@@ -216,8 +217,7 @@ mod tests {
         let fix = est.end_window().expect("three beacons");
         // A new window starts from the uniform prior with no evidence.
         est.begin_window();
-        let flat = est.entropy_fraction().expect("a posterior");
-        assert!((flat - 1.0).abs() < 1e-9, "{flat}");
+        assert_eq!(est.entropy_fraction(), Some(1.0));
         assert_eq!(est.end_window(), None);
         assert_eq!(est.last_fix(), Some(fix));
     }

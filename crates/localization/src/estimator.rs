@@ -646,6 +646,10 @@ impl WindowedRfEstimator {
     /// closed window's: the recorded entropy if the close recorded one.
     /// `None` for the gridless solvers — telemetry timelines record it as
     /// null rather than a fake number.
+    ///
+    /// The entropy is a sum over every cell and can round past the
+    /// maximum (a uniform 100 × 100 posterior would read
+    /// 1 + 1.4 × 10⁻¹³), so the fraction is clamped into `[0, 1]`.
     pub fn entropy_fraction(&self) -> Option<f64> {
         let Solver::Bayes {
             grid,
@@ -656,7 +660,7 @@ impl WindowedRfEstimator {
         };
         let max = grid.max_entropy();
         Some(if max > 0.0 {
-            closed_entropy.unwrap_or_else(|| grid.entropy()) / max
+            (closed_entropy.unwrap_or_else(|| grid.entropy()) / max).clamp(0.0, 1.0)
         } else {
             0.0
         })
@@ -1121,8 +1125,19 @@ mod tests {
         assert_eq!(est.end_window_guarded(0.98), WindowOutcome::NoFix);
         est.begin_window();
         assert_eq!(est.closed_entropy(), None);
-        let flat = est.entropy_fraction().expect("a posterior");
-        assert!((flat - 1.0).abs() < 1e-9, "{flat}");
+        assert_eq!(est.entropy_fraction(), Some(1.0));
+    }
+
+    /// A fresh uniform posterior reads an entropy fraction of exactly 1,
+    /// though its entropy, a sum over 10,000 cells, rounds above the
+    /// maximum.
+    #[test]
+    fn a_uniform_posterior_reads_an_entropy_fraction_of_exactly_one() {
+        let est = WindowedRfEstimator::new(grid());
+        let posterior = est.posterior().expect("a posterior");
+        assert_eq!(posterior.num_cells(), 100 * 100);
+        assert!(posterior.entropy() > posterior.max_entropy());
+        assert_eq!(est.entropy_fraction(), Some(1.0));
     }
 
     /// A close that does not know the entropy keeps the cells until the

@@ -571,3 +571,130 @@ proptest! {
         assert_same_bits(&eager, &batched);
     }
 }
+
+/// The diagonal of `area`, computed as `radial_constraints_for_grid`
+/// computes a run's profile extent.
+fn diagonal(area: Area) -> f64 {
+    (area.width().powi(2) + area.height().powi(2)).sqrt()
+}
+
+/// A run's profiles stop only where every later sample is the floor.
+/// Over 20 calibration seeds, three channels (the default log-distance
+/// n = 3, n = 2.4 and two-ray ground) and three grids (0.5, 2 and 4 m
+/// over 100, 200 and 400 m squares), every sample that the full-length
+/// profile holds past a built profile's end is that profile's last
+/// sample, the floor.
+#[test]
+fn built_profiles_stop_only_where_every_later_sample_is_the_floor() {
+    use cocoa_net::channel::{ChannelParams, PathLossModel};
+    let models = [
+        PathLossModel::LogDistance { exponent: 3.0 },
+        PathLossModel::LogDistance { exponent: 2.4 },
+        PathLossModel::TwoRayGround {
+            antenna_height_m: 0.5,
+            wavelength_m: 0.125,
+        },
+    ];
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let floor = CONSTRAINT_FLOOR.to_bits();
+    let (mut trimmed, mut capped) = (0, 0);
+    for seed in 0..20 {
+        for path_loss in models {
+            let channel = RfChannel::new(ChannelParams {
+                path_loss,
+                ..Default::default()
+            });
+            let table = calibrate(
+                &channel,
+                &CalibrationConfig::default(),
+                &mut SeedSplitter::new(seed).stream("calibration", 0),
+            );
+            for (res, side) in [(0.5, 100.0), (2.0, 200.0), (4.0, 400.0)] {
+                let area = Area::square(side);
+                let radial = radial_constraints_for_grid(&table, &GridConfig::new(area, res));
+                for (bin, pdf) in table.entries() {
+                    let what = format!("seed {seed}, {path_loss:?}, {res} m grid, {bin:?}");
+                    let built = radial.get(bin).expect("calibrated bin");
+                    let full = pdf
+                        .radial_profile(built.step(), diagonal(area))
+                        .offset(CONSTRAINT_FLOOR);
+                    let samples = &full.lane_table().val()[..full.len()];
+                    let n = built.len();
+                    assert!(n <= samples.len(), "{what}: {n} samples");
+                    assert_eq!(
+                        bits(&built.lane_table().val()[..n]),
+                        bits(&samples[..n]),
+                        "{what}"
+                    );
+                    if n == samples.len() {
+                        capped += 1;
+                        continue;
+                    }
+                    trimmed += 1;
+                    for (k, sample) in samples.iter().enumerate().skip(n - 1) {
+                        assert_eq!(sample.to_bits(), floor, "{what}: sample {k} of {n}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        trimmed > 0 && capped > 0,
+        "{trimmed} trimmed, {capped} capped"
+    );
+}
+
+/// A calibrated bin's PDF, or one it could be: a Gaussian with a sigma
+/// from the calibration's 0.25 m clamp up to 40 m, where the flat tail
+/// of many means starts past the 200 m area's diagonal, or an empirical
+/// histogram of one cell.
+fn arb_bin_pdf() -> impl Strategy<Value = DistancePdf> {
+    prop_oneof![
+        (0.5..250.0f64, prop_oneof![0.25..2.0f64, 2.0..40.0f64])
+            .prop_map(|(mean, sigma)| DistancePdf::Gaussian { mean, sigma }),
+        (0.0..300.0f64, 0.5..4.0f64).prop_map(|(origin, bin_width)| DistancePdf::Empirical {
+            origin,
+            bin_width,
+            densities: vec![1.0 / bin_width],
+            mean: origin + 0.5 * bin_width,
+            sigma: bin_width / 12f64.sqrt(),
+        }),
+    ]
+}
+
+proptest! {
+    /// A built profile, cut where its floored density turns flat, moves a
+    /// posterior through `GridBatch::apply` to the bits the full-length
+    /// profile gives through the scalar reference: an update that fills
+    /// the beacon's field and one that reads it, from any beacon position.
+    #[test]
+    fn built_profiles_apply_the_bits_of_full_length_ones(
+        cx in -20.0..220.0f64,
+        cy in -20.0..220.0f64,
+        res in 1.0..8.0f64,
+        pdf in arb_bin_pdf(),
+    ) {
+        let grid = GridConfig::new(Area::square(200.0), res);
+        let bin = RssiBin(-60);
+        let radial =
+            radial_constraints_for_grid(&PdfTable::from_entries([(bin, pdf.clone())], -80.0), &grid);
+        let built = radial.get(bin).expect("one bin");
+        let full = pdf
+            .radial_profile(built.step(), diagonal(grid.area))
+            .offset(CONSTRAINT_FLOOR);
+        prop_assert!(built.len() <= full.len());
+        let center = Point::new(cx, cy);
+        let mut reference = PositionGrid::new(grid);
+        let mut batched = reference.clone();
+        let mut field = BeaconField::new(center);
+        let mut batch = batched.batch();
+        for _ in 0..2 {
+            let oa = reference.apply_radial_constraint_reference(center, &full);
+            let ob = batch.apply(&mut field, built);
+            prop_assert_eq!(oa, ob);
+        }
+        drop(batch);
+        prop_assert_eq!(field.fills(), 1);
+        assert_same_bits(&reference, &batched);
+    }
+}

@@ -128,7 +128,7 @@ impl DistancePdf {
     }
 
     /// A conservative upper bound on distances with non-negligible density
-    /// (used to prune grid updates).
+    /// (the range over which Fig. 1 plots a bin).
     pub fn support_max(&self) -> f64 {
         match self {
             DistancePdf::Gaussian { mean, sigma } => mean + 5.0 * sigma,
@@ -138,6 +138,40 @@ impl DistancePdf {
                 densities,
                 ..
             } => origin + bin_width * densities.len() as f64,
+        }
+    }
+
+    /// A distance from which on `density(d) + floor == floor` bit for bit,
+    /// derived from the parameters alone; NaN or infinite where they bound
+    /// no flat tail, as for a sigma or width that is not positive or a NaN
+    /// floor.
+    fn reach(&self, floor: f64) -> f64 {
+        match self {
+            DistancePdf::Gaussian { mean, sigma } => {
+                // `floor + x` rounds back to `floor` while `x` is under half
+                // the gap above it. Solve for the density falling to a
+                // sixteenth of that gap, which leaves a factor of 8 for the
+                // rounding of `density`'s `exp` and division, and step one
+                // metre further for the rounding of this `ln` and `sqrt`.
+                let gap = floor.next_up() - floor;
+                let peak = sigma * (2.0 * std::f64::consts::PI).sqrt();
+                let z2 = -2.0 * (peak * gap / 16.0).ln();
+                // Negative when even the peak density is under the target;
+                // a NaN (a sigma that is not positive) must stay NaN.
+                let z = if z2 < 0.0 { 0.0 } else { z2.sqrt() };
+                mean + sigma * z + 1.0
+            }
+            // `density` is zero past the last cell; one more cell covers the
+            // rounding of the cell index.
+            DistancePdf::Empirical {
+                origin,
+                bin_width,
+                densities,
+                ..
+            } if *bin_width > 0.0 => origin + bin_width * (densities.len() + 1) as f64,
+            // A width that is not positive gives no bound: a negative one
+            // reads the first cell at every distance past the origin.
+            DistancePdf::Empirical { .. } => f64::INFINITY,
         }
     }
 }
@@ -367,9 +401,10 @@ impl LaneTable {
 /// a beacon constraint depends on the cell only through its distance to
 /// the beacon, so the per-cell transcendental work (`exp`, histogram
 /// indexing) collapses into one profile lookup. Distances beyond the last
-/// sample clamp to the final value, so a profile built out to the area
-/// diagonal with a floor baked in behaves like `pdf.density(d) + floor`
-/// everywhere the grid can ask.
+/// sample clamp to the final value, so a profile with a floor baked in,
+/// sampled out to where `pdf.density(d) + floor` turns exactly flat (see
+/// [`RadialConstraintTable`]), behaves like that sum everywhere the grid
+/// can ask.
 ///
 /// The samples are stored once, in the [`LaneTable`] the lane-packed
 /// grid kernel reads: its `val` holds them, padded.
@@ -505,6 +540,14 @@ pub fn radial_profile_builds() -> u64 {
 /// kept for the table's life, so a run builds only the bins its robots
 /// hear, and a run that never looks one up (the gridless estimators)
 /// builds none. Shared by reference across every robot of a run.
+///
+/// A profile stops at its bin's *reach*, where `pdf.density(d) + floor`
+/// turns into the floor to the last bit (a Gaussian bin some ten sigmas
+/// past its mean, an empirical one a cell past its histogram), or at the
+/// table's extent if that comes first. Every sample the extent would add
+/// past the reach is that floor, and a lookup past a profile's last
+/// sample reads that sample, so both lookups return the same bits
+/// wherever the grid asks.
 #[derive(Debug, Clone)]
 pub struct RadialConstraintTable {
     table: PdfTable,
@@ -517,8 +560,9 @@ pub struct RadialConstraintTable {
 
 impl RadialConstraintTable {
     /// A table serving every bin of `table`, each sampled on a `step`
-    /// lattice out to `max_d` (typically the deployment area's diagonal)
-    /// with `floor` added to every sample. Samples nothing yet.
+    /// lattice with `floor` added to every sample, out to the bin's reach
+    /// but no further than `max_d` (typically the deployment area's
+    /// diagonal). Samples nothing yet.
     pub fn new(table: &PdfTable, step: f64, max_d: f64, floor: f64) -> Self {
         RadialConstraintTable {
             table: table.clone(),
@@ -537,7 +581,14 @@ impl RadialConstraintTable {
         let cell = &self.profiles[bin_offset(bin.0, self.table.min_bin) as usize];
         Some(cell.get_or_init(|| {
             PROFILE_BUILDS.with(|n| n.set(n.get() + 1));
-            pdf.radial_profile(self.step, self.max_d).offset(self.floor)
+            // A NaN reach bounds nothing: sample out to the extent.
+            let reach = pdf.reach(self.floor);
+            let extent = if reach < self.max_d {
+                reach.max(0.0)
+            } else {
+                self.max_d
+            };
+            pdf.radial_profile(self.step, extent).offset(self.floor)
         }))
     }
 
@@ -873,9 +924,55 @@ mod tests {
         }
     }
 
+    /// Fails unless `built` is no longer than `full` and answers every
+    /// lookup `full` answers with the same bits: the samples it stores,
+    /// and at every lattice point of `full`, between lattice points and
+    /// far past the end, both [`RadialProfile::density_scaled`] and the
+    /// lane kernels' lookup (clamp to `lastf`, split, `val + del · frac`).
+    fn assert_same_lookups(built: &RadialProfile, full: &RadialProfile, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let n = built.len();
+        assert!(
+            n <= full.len(),
+            "{what}: {n} samples against {}",
+            full.len()
+        );
+        let (lane, full_lane) = (built.lane_table(), full.lane_table());
+        assert_eq!(
+            bits(&lane.val()[..n]),
+            bits(&full_lane.val()[..n]),
+            "{what}"
+        );
+        assert_eq!(
+            bits(&lane.del()[..n]),
+            bits(&full_lane.del()[..n]),
+            "{what}"
+        );
+        let lane_lookup = |table: &LaneTable, t: f64| {
+            let t = t.min(table.lastf());
+            let tf = t.trunc();
+            let j = tf as usize;
+            table.val()[j] + table.del()[j] * (t - tf)
+        };
+        let lattice = (0..full.len()).map(|k| k as f64);
+        for t in lattice.flat_map(|k| [k, k + 0.3, k + 0.5]).chain([1e6]) {
+            assert_eq!(
+                built.density_scaled(t).to_bits(),
+                full.density_scaled(t).to_bits(),
+                "{what}: at t = {t}"
+            );
+            assert_eq!(
+                lane_lookup(lane, t).to_bits(),
+                lane_lookup(full_lane, t).to_bits(),
+                "{what}: lane lookup at t = {t}"
+            );
+        }
+    }
+
     /// A table samples a bin's profile on the first lookup that resolves
-    /// to it, to the bits the eager expression gives, and resolves every
-    /// RSSI to the bin [`PdfTable::resolve`] picks.
+    /// to it and resolves every RSSI to the bin [`PdfTable::resolve`]
+    /// picks. A built profile stops where its floored density turns flat,
+    /// and answers every lookup as the eager full-length profile does.
     #[test]
     fn radial_profiles_are_built_on_first_lookup() {
         let (ch, t) = table();
@@ -902,16 +999,19 @@ mod tests {
         assert_eq!(built(&radial), [bin.0], "one lookup builds its bin");
         assert_eq!(radial_profile_builds(), builds + 1, "and builds it once");
 
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut trimmed = 0;
         for (bin, pdf) in t.entries() {
-            let lazy = radial.get(bin).expect("calibrated").lane_table();
+            let lazy = radial.get(bin).expect("calibrated");
             let eager = pdf.radial_profile(step, max_d).offset(floor);
-            let eager = eager.lane_table();
-            assert_eq!(bits(lazy.val()), bits(eager.val()), "bin {bin:?}");
-            assert_eq!(bits(lazy.del()), bits(eager.del()), "bin {bin:?}");
-            assert_eq!(lazy.lastf().to_bits(), eager.lastf().to_bits());
+            assert_same_lookups(lazy, &eager, &format!("bin {bin:?}"));
+            trimmed += usize::from(lazy.len() < eager.len());
         }
         assert_eq!(radial_profile_builds(), builds + t.len() as u64);
+        assert!(
+            trimmed > t.len() / 2,
+            "{trimmed} of {} bins trimmed",
+            t.len()
+        );
 
         for quarter in -400..=-80 {
             let rssi = Dbm::new(f64::from(quarter) / 4.0);
@@ -921,6 +1021,55 @@ mod tests {
                 .and_then(|bin| radial.get(bin))
                 .map(|p| p as *const RadialProfile);
             assert_eq!(via_lookup, via_resolve, "at {rssi:?}");
+        }
+    }
+
+    /// Only parameters that bound a flat tail trim a profile: a PDF with a
+    /// non-positive width or sigma or a NaN mean, or a NaN or +∞ floor, is
+    /// sampled out to the table's extent. Each profile whose samples are
+    /// numbers answers every lookup as its full-length one.
+    #[test]
+    fn profiles_without_a_flat_tail_reach_the_extent() {
+        let gaussian = |mean, sigma| DistancePdf::Gaussian { mean, sigma };
+        let empirical = |origin, bin_width| DistancePdf::Empirical {
+            origin,
+            bin_width,
+            densities: vec![0.25, 0.5],
+            mean: 10.0,
+            sigma: 1.0,
+        };
+        let (step, max_d) = (0.25, 60.0);
+        let cases = [
+            (gaussian(10.0, 2.0), 1e-6, false),
+            (empirical(10.0, 2.0), 1e-6, false),
+            (gaussian(10.0, 1e30), 1e-6, false),
+            (gaussian(f64::NEG_INFINITY, 2.0), 1e-6, false),
+            (gaussian(10.0, 2.0), f64::INFINITY, true),
+            (gaussian(10.0, 2.0), f64::NAN, true),
+            (gaussian(10.0, 0.0), 1e-6, true),
+            (gaussian(10.0, -2.0), 1e-6, true),
+            (gaussian(f64::NAN, 2.0), 1e-6, true),
+            (empirical(10.0, -2.0), 1e-6, true),
+            (empirical(10.0, -0.0), 1e-6, true),
+            (empirical(10.0, f64::NAN), 1e-6, true),
+        ];
+        for (pdf, floor, reaches_extent) in cases {
+            let radial = RadialConstraintTable::new(
+                &PdfTable::from_entries([(RssiBin(-60), pdf.clone())], -80.0),
+                step,
+                max_d,
+                floor,
+            );
+            let built = radial.get(RssiBin(-60)).expect("one bin");
+            let full = pdf.radial_profile(step, max_d).offset(floor);
+            assert_eq!(
+                built.len() == full.len(),
+                reaches_extent,
+                "{pdf:?}, floor {floor}"
+            );
+            if floor.is_finite() && !full.lane_table().val().iter().any(|v| v.is_nan()) {
+                assert_same_lookups(built, &full, &format!("{pdf:?}"));
+            }
         }
     }
 
