@@ -7,159 +7,40 @@
 //! ```
 //!
 //! Pass figure names (`fig1 fig4 fig6 fig7 fig8 fig9 fig10 ablations
-//! multicast estimator geo`) to run a subset.
+//! multicast estimator geo`) to run a subset; an unknown name exits 2.
+//! The selected figures' distinct scenarios run once each, together.
 
 use cocoa_bench::figure_scale;
-use cocoa_core::experiment::{
-    ablation_estimator, ablation_grid_resolution, ablation_multicast, ablation_packet_loss,
-    ablation_propagation, ablation_relay_beaconing, ablation_rf_algorithm, ablation_sync,
-    ablation_tx_power, fig10_equipped, fig1_calibration, fig4_odometry, fig6_rf_only,
-    fig7_comparison, fig8_cdf, fig9_period, render_ablation, render_estimator_ablation,
-    render_multicast_ablation,
-};
-use cocoa_core::prelude::*;
-use cocoa_georouting::prelude::*;
-use cocoa_sim::rng::SeedSplitter;
-use rand::Rng;
-
-fn geo_routing_experiment() {
-    println!("# Extension — geographic routing over CoCoA coordinates (Section 6)");
-    let scale = figure_scale();
-    let scenario = Scenario::builder()
-        .seed(scale.seed)
-        .robots(scale.num_robots)
-        .equipped(scale.num_robots / 2)
-        .duration(scale.duration)
-        .mode(EstimatorMode::Cocoa)
-        .build();
-    let m = run(&scenario);
-    let exact: Vec<RoutingNode> = m
-        .final_states
-        .iter()
-        .map(|r| RoutingNode::exact(r.true_position))
-        .collect();
-    let cocoa: Vec<RoutingNode> = m
-        .final_states
-        .iter()
-        .map(|r| RoutingNode {
-            true_position: r.true_position,
-            believed_position: r.estimate,
-        })
-        .collect();
-    let ge = UnitDiskGraph::new(exact, 50.0);
-    let gc = UnitDiskGraph::new(cocoa, 50.0);
-    let mut rng = SeedSplitter::new(scale.seed).stream("pairs", 0);
-    let n = ge.len();
-    let pairs: Vec<(usize, usize)> = (0..400)
-        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-        .collect();
-    let se = delivery_experiment(&ge, &pairs);
-    let sc = delivery_experiment(&gc, &pairs);
-    println!(
-        "coordinates  delivery  mean hops  stretch  face fraction\n\
-         exact        {:>7.1}%  {:>9.2}  {:>7.2}  {:>12.1}%\n\
-         CoCoA        {:>7.1}%  {:>9.2}  {:>7.2}  {:>12.1}%\n",
-        se.delivery_rate() * 100.0,
-        se.mean_hops,
-        se.mean_stretch,
-        se.face_fraction * 100.0,
-        sc.delivery_rate() * 100.0,
-        sc.mean_hops,
-        sc.mean_stretch,
-        sc.face_fraction * 100.0,
-    );
-}
+use cocoa_core::experiment::{figures, run_rows, Figure};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
     let scale = figure_scale();
+    let table = figures(scale);
+    if let Some(unknown) = args.iter().find(|a| !table.iter().any(|f| f.name == *a)) {
+        let names: Vec<&str> = table.iter().map(|f| f.name).collect();
+        eprintln!(
+            "figures: unknown figure `{unknown}`; valid names: {}",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
+    let chosen: Vec<&Figure> = table
+        .iter()
+        .filter(|f| args.is_empty() || args.iter().any(|a| a == f.name))
+        .collect();
     println!(
         "scale: {} robots, {} simulated, seed {}\n",
         scale.num_robots, scale.duration, scale.seed
     );
     let t0 = std::time::Instant::now();
-    if want("fig1") {
-        println!("{}", fig1_calibration(scale.seed).render());
+    let runs = run_rows(chosen.iter().flat_map(|f| &f.rows));
+    for f in chosen {
+        print!("{}", f.render(&runs));
     }
-    if want("fig4") {
-        println!("{}", fig4_odometry(scale).render());
-    }
-    if want("fig6") {
-        println!("{}", fig6_rf_only(scale, &[10, 50, 100, 300]).render());
-    }
-    if want("fig7") {
-        let fig = fig7_comparison(scale);
-        println!("{}", fig.render());
-        if let Some((cocoa, rf)) = fig.headline() {
-            println!(
-                "headline @ 2 m/s: CoCoA {cocoa:.1} m vs RF-only {rf:.1} m (paper: 6.5 vs ~33)\n"
-            );
-        }
-    }
-    if want("fig8") {
-        println!("{}", fig8_cdf(scale).render());
-    }
-    if want("fig9") {
-        println!("{}", fig9_period(scale, &[10, 50, 100, 300]).render());
-    }
-    if want("fig10") {
-        let sweep: Vec<usize> = [5usize, 15, 25, 35]
-            .into_iter()
-            .map(|n| (n * scale.num_robots / 50).max(2))
-            .collect();
-        println!("{}", fig10_equipped(scale, &sweep).render());
-    }
-    if want("ablations") {
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation — relay beaconing",
-                &ablation_relay_beaconing(scale)
-            )
-        );
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation — grid resolution",
-                &ablation_grid_resolution(scale)
-            )
-        );
-        println!(
-            "{}",
-            render_ablation("Ablation — SYNC service", &ablation_sync(scale))
-        );
-        println!(
-            "{}",
-            render_ablation("Ablation — beacon tx power", &ablation_tx_power(scale))
-        );
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation — RF algorithm (Section 5 baseline)",
-                &ablation_rf_algorithm(scale)
-            )
-        );
-        println!(
-            "{}",
-            render_ablation("Ablation — propagation model", &ablation_propagation(scale))
-        );
-        println!(
-            "{}",
-            render_ablation(
-                "Ablation — packet loss robustness",
-                &ablation_packet_loss(scale)
-            )
-        );
-    }
-    if want("multicast") {
-        println!("{}", render_multicast_ablation(&ablation_multicast(scale)));
-    }
-    if want("estimator") {
-        println!("{}", render_estimator_ablation(&ablation_estimator(scale)));
-    }
-    if want("geo") {
-        geo_routing_experiment();
-    }
-    eprintln!("total wall time: {:.1} s", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "total wall time: {:.1} s ({} scenarios)",
+        t0.elapsed().as_secs_f64(),
+        runs.distinct()
+    );
 }

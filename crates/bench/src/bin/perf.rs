@@ -33,9 +33,7 @@ use std::time::Instant;
 
 use cocoa_bench::regress;
 
-use cocoa_core::experiment::{
-    ablation_estimator, fig7_comparison, fig9_scenarios, ExperimentScale,
-};
+use cocoa_core::experiment::{estimator, fig7, fig9, run_rows, ExperimentScale};
 use cocoa_core::metrics::RunMetrics;
 use cocoa_core::runner::{run, Calibration, SimRun};
 use cocoa_core::serve::{client, ServeConfig, Server};
@@ -319,26 +317,26 @@ fn main() -> ExitCode {
     // Quick-scale Figure 7 (CoCoA vs RF-only vs odometry comparison) as an
     // end-to-end smoke run through the bounded sweep executor.
     let t0 = Instant::now();
-    let fig7 = fig7_comparison(ExperimentScale::quick());
+    let fig7_runs = run_rows(&fig7(ExperimentScale::quick()).rows);
     let fig7_secs = t0.elapsed().as_secs_f64();
-    let fig7_headline = fig7.headline();
+    let fig7_cocoa = fig7_runs.get("fig7.v2.cocoa").mean_error_over_time();
+    let fig7_rf = fig7_runs.get("fig7.v2.rf-only").mean_error_over_time();
 
     // Quick-scale estimator-backend ablation: the summary rows feed the
     // regression gate, so a change that silently degrades one RF backend
     // (or stops exercising the outlier gate under faults) trips `--check`.
     let t0 = Instant::now();
-    let est_rows = ablation_estimator(ExperimentScale::quick());
+    let est_runs = run_rows(&estimator(ExperimentScale::quick()).rows);
     let est_secs = t0.elapsed().as_secs_f64();
-    let est = |algo: &str, faults: &str| {
-        est_rows
-            .iter()
-            .find(|r| r.algorithm.to_string() == algo && r.faults == faults)
-            .expect("ablation_estimator rows are fixed")
-    };
-    let est_bayes = est("bayes", "none");
-    let est_lateration = est("multilateration", "none");
-    let est_ekf = est("ekf", "none");
-    let est_ekf_chaos = est("ekf", "chaos");
+    let est_error = |key: &str| est_runs.get(key).mean_error_over_time();
+    let est_bayes = est_error("estimator.bayes.none");
+    let est_lateration = est_error("estimator.multilateration.none");
+    let est_ekf = est_error("estimator.ekf.none");
+    let est_ekf_chaos = est_error("estimator.ekf.chaos");
+    let est_ekf_chaos_gated = est_runs
+        .get("estimator.ekf.chaos")
+        .robustness
+        .outlier_beacons_rejected;
 
     // Shared-calibration sweep: the default beacon-period family (Fig. 9,
     // paper periods 10/50/100/300 s) executed point by point, cold vs on
@@ -355,7 +353,11 @@ fn main() -> ExitCode {
         num_robots: 4,
     };
     let periods_s = [10u64, 50, 100, 300];
-    let scenarios = fig9_scenarios(snap_scale, &periods_s);
+    let scenarios: Vec<_> = fig9(snap_scale, &periods_s)
+        .rows
+        .into_iter()
+        .map(|r| r.scenario)
+        .collect();
     let t0 = Instant::now();
     let cold: Vec<RunMetrics> = scenarios.iter().map(run).collect();
     let snap_cold_secs = t0.elapsed().as_secs_f64();
@@ -474,17 +476,11 @@ fn main() -> ExitCode {
     );
     println!("pdf lookup (dense):    {}", fmt_ops(lookup_dense));
     println!("fig7 quick scale:      {fig7_secs:.2} s");
-    if let Some((cocoa, rf)) = fig7_headline {
-        println!("fig7 headline @ 2 m/s: CoCoA {cocoa:.1} m vs RF-only {rf:.1} m");
-    }
+    println!("fig7 headline @ 2 m/s: CoCoA {fig7_cocoa:.1} m vs RF-only {fig7_rf:.1} m");
     println!(
-        "estimator ablation:    bayes {:.2} m / wls {:.2} m / ekf {:.2} m \
-         (chaos {:.2} m, {} gated) in {est_secs:.2} s",
-        est_bayes.mean_error_m,
-        est_lateration.mean_error_m,
-        est_ekf.mean_error_m,
-        est_ekf_chaos.mean_error_m,
-        est_ekf_chaos.outliers_rejected,
+        "estimator ablation:    bayes {est_bayes:.2} m / wls {est_lateration:.2} m / \
+         ekf {est_ekf:.2} m (chaos {est_ekf_chaos:.2} m, {est_ekf_chaos_gated} gated) \
+         in {est_secs:.2} s"
     );
     println!(
         "shared calibration:    cold {snap_cold_secs:.2} s, warm {snap_warm_secs:.2} s \
@@ -538,17 +534,12 @@ fn main() -> ExitCode {
     println!("wrote BENCH_snapshot.json");
 
     let est_json = format!(
-        "{{\n  \"estimator_bayes_error_m\": {:.4},\n  \
-         \"estimator_multilateration_error_m\": {:.4},\n  \
-         \"estimator_ekf_error_m\": {:.4},\n  \
-         \"estimator_ekf_chaos_error_m\": {:.4},\n  \
-         \"estimator_ekf_chaos_outliers_rejected\": {},\n  \
-         \"estimator_quick_wall_secs\": {est_secs:.3}\n}}\n",
-        est_bayes.mean_error_m,
-        est_lateration.mean_error_m,
-        est_ekf.mean_error_m,
-        est_ekf_chaos.mean_error_m,
-        est_ekf_chaos.outliers_rejected,
+        "{{\n  \"estimator_bayes_error_m\": {est_bayes:.4},\n  \
+         \"estimator_multilateration_error_m\": {est_lateration:.4},\n  \
+         \"estimator_ekf_error_m\": {est_ekf:.4},\n  \
+         \"estimator_ekf_chaos_error_m\": {est_ekf_chaos:.4},\n  \
+         \"estimator_ekf_chaos_outliers_rejected\": {est_ekf_chaos_gated},\n  \
+         \"estimator_quick_wall_secs\": {est_secs:.3}\n}}\n"
     );
     std::fs::write("BENCH_estimator.json", &est_json).expect("write BENCH_estimator.json");
     println!("wrote BENCH_estimator.json");

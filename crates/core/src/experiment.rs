@@ -1,23 +1,38 @@
-//! One driver per figure of the paper's evaluation (Section 4), plus the
-//! ablations DESIGN.md calls out.
+//! The paper's evaluation (Section 4) and the ablations DESIGN.md calls
+//! out, as one table of figures.
 //!
-//! Every driver takes an [`ExperimentScale`] so the benchmark harness can
-//! run a downsized variant while the figure-regeneration binaries run the
-//! paper's full 30-minute, 50-robot setup. Drivers return structured
-//! results and render the same rows/series the paper reports via their
-//! `render()` methods. Parameter sweeps run their points on parallel
-//! threads (each simulation is single-threaded and deterministic).
+//! A [`Figure`] is a name (`fig1` … `geo`, the names the `figures` binary
+//! accepts), its [`Row`]s — each a stable key such as
+//! `fig9.t100.uncoordinated` and the [`Scenario`] it runs — and a render
+//! that reads its rows' [`RunMetrics`] by key and prints the rows and
+//! series the paper reports. Every row changes a setting or two of the
+//! paper default at an [`ExperimentScale`], so tests and CI run a
+//! downsized table while `figures` runs the paper's 50-robot, 30-minute
+//! setup.
+//!
+//! [`run_rows`] runs each distinct scenario among the rows it is given
+//! once, on one bounded sweep: the paper default alone is a row of
+//! Fig. 7, Fig. 9, Fig. 10, several ablations, the multicast and
+//! estimator tables and `geo`. Scenarios are compared whole, with `==`:
+//! a fingerprint is a CRC-32, which two scenarios can share.
+
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use cocoa_localization::estimator::EstimatorMode;
+use cocoa_georouting::prelude::*;
+use cocoa_localization::estimator::{EstimatorMode, RfAlgorithm};
+use cocoa_multicast::protocol::MulticastProtocol;
 use cocoa_net::calibration::{calibrate, CalibrationConfig};
-use cocoa_net::channel::RfChannel;
+use cocoa_net::channel::{ChannelParams, PathLossModel, RfChannel};
 use cocoa_net::rssi::RssiBin;
+use cocoa_sim::faults::FaultPlan;
 use cocoa_sim::rng::SeedSplitter;
 use cocoa_sim::stats;
 use cocoa_sim::time::{SimDuration, SimTime};
+use rand::Rng;
 
+use crate::executor::map_bounded;
 use crate::metrics::RunMetrics;
 use crate::runner::run;
 use crate::scenario::{Scenario, ScenarioBuilder};
@@ -45,7 +60,7 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A downsized scale for CI and Criterion benches.
+    /// A downsized scale (20 robots, 300 s) for `perf`'s smoke runs.
     pub fn quick() -> Self {
         ExperimentScale {
             seed: 42,
@@ -54,6 +69,8 @@ impl ExperimentScale {
         }
     }
 
+    /// The paper default at this scale: CoCoA, T = 100 s, `v_max` = 2 m/s,
+    /// half the team equipped.
     fn base_builder(&self) -> ScenarioBuilder {
         let mut b = Scenario::builder();
         b.seed(self.seed)
@@ -64,13 +81,143 @@ impl ExperimentScale {
     }
 }
 
-/// Runs scenarios on the bounded sweep executor, preserving input order.
+/// One run of a figure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Stable name of the run, such as `fig9.t100.uncoordinated`.
+    pub key: String,
+    /// What the figure prints for the run: a curve's legend, or a table
+    /// row's label.
+    pub label: String,
+    /// The run itself.
+    pub scenario: Scenario,
+}
+
+fn row(key: impl Into<String>, label: impl Into<String>, scenario: &ScenarioBuilder) -> Row {
+    Row {
+        key: key.into(),
+        label: label.into(),
+        scenario: scenario.build(),
+    }
+}
+
+/// A number as a key segment: `0.5` → `0_5`, `2.0` → `2`.
+fn key_num(x: f64) -> String {
+    x.to_string().replace('.', "_")
+}
+
+/// How a figure prints its rows' metrics.
+type Render = dyn Fn(&[Row], &Runs) -> String;
+
+/// A figure of the evaluation: its runs and how it prints them.
+pub struct Figure {
+    /// The name `figures` selects it by.
+    pub name: &'static str,
+    /// Its runs, in print order.
+    pub rows: Vec<Row>,
+    render: Box<Render>,
+}
+
+impl Figure {
+    fn new(
+        name: &'static str,
+        rows: Vec<Row>,
+        render: impl Fn(&[Row], &Runs) -> String + 'static,
+    ) -> Self {
+        Figure {
+            name,
+            rows,
+            render: Box::new(render),
+        }
+    }
+
+    /// The text `figures` prints for this figure, its trailing blank line
+    /// included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `runs` lacks one of the figure's rows.
+    pub fn render(&self, runs: &Runs) -> String {
+        (self.render)(&self.rows, runs)
+    }
+}
+
+/// The metrics of a set of rows, read by row key.
+pub struct Runs {
+    /// Row key → index into `metrics`.
+    index: HashMap<String, usize>,
+    metrics: Vec<RunMetrics>,
+}
+
+impl Runs {
+    /// The metrics of the row `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row run had that key.
+    pub fn get(&self, key: &str) -> &RunMetrics {
+        let i = self
+            .index
+            .get(key)
+            .unwrap_or_else(|| panic!("no row {key}"));
+        &self.metrics[*i]
+    }
+
+    /// How many distinct scenarios ran.
+    pub fn distinct(&self) -> usize {
+        self.metrics.len()
+    }
+}
+
+/// Runs `rows`, each distinct scenario once, in one [`map_bounded`] call.
 ///
-/// Each simulation is single-threaded and deterministic; the executor
-/// caps concurrency at the machine's core count instead of spawning one
-/// thread per scenario.
-fn run_parallel(scenarios: Vec<Scenario>) -> Vec<RunMetrics> {
-    crate::executor::map_bounded(scenarios, run)
+/// # Panics
+///
+/// Panics if two rows share a key but not a scenario, or if a run panics.
+pub fn run_rows<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Runs {
+    let mut index = HashMap::new();
+    let mut distinct: Vec<&Scenario> = Vec::new();
+    for row in rows {
+        let i = match distinct.iter().position(|s| **s == row.scenario) {
+            Some(i) => i,
+            None => {
+                distinct.push(&row.scenario);
+                distinct.len() - 1
+            }
+        };
+        let previous = index.insert(row.key.clone(), i);
+        assert!(
+            previous.is_none_or(|p| p == i),
+            "row {} names two scenarios",
+            row.key
+        );
+    }
+    Runs {
+        index,
+        metrics: map_bounded(distinct, |s| run(s)),
+    }
+}
+
+/// The beacon periods of Figs. 6 and 9, seconds.
+const PAPER_PERIODS_S: [u64; 4] = [10, 50, 100, 300];
+
+/// Every figure `figures` prints, in print order, at `scale`.
+pub fn figures(scale: ExperimentScale) -> Vec<Figure> {
+    // Fig. 10's 5 to 35 equipped of 50 robots, scaled to the team.
+    let equipped = [5, 15, 25, 35].map(|n| (n * scale.num_robots / 50).max(2));
+    vec![
+        fig1(scale.seed),
+        fig4(scale),
+        fig6(scale, &PAPER_PERIODS_S),
+        fig7(scale),
+        fig8(scale),
+        fig9(scale, &PAPER_PERIODS_S),
+        fig10(scale, &equipped),
+        ablations(scale),
+        multicast(scale),
+        estimator(scale),
+        geo(scale),
+    ]
 }
 
 /// A labelled `(x, y)` series — one curve of a figure.
@@ -135,9 +282,12 @@ impl Series {
     }
 }
 
-fn render_series_table(title: &str, series: &[Series], n_points: usize) -> String {
+/// One error-over-time curve per row, each printed as a summary line and
+/// about `n_points` samples.
+fn render_series_table(title: &str, rows: &[Row], runs: &Runs, n_points: usize) -> String {
     let mut out = format!("# {title}\n");
-    for s in series {
+    for r in rows {
+        let s = Series::from_metrics(r.label.as_str(), runs.get(&r.key));
         let ds = s.downsampled(n_points);
         out.push_str(&format!(
             "{} | mean={:.2} m, steady(>310s)={:.2} m, max={:.2} m, final={:.2} m\n",
@@ -250,204 +400,130 @@ impl Fig1Calibration {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 4 — odometry-only error growth
-// ---------------------------------------------------------------------------
-
-/// Output of the Fig. 4 regeneration: one error-vs-time series per speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig4Odometry {
-    /// Error series for `v_max` = 0.5 and 2.0 m/s.
-    pub series: Vec<Series>,
+/// Paper Fig. 1 as a figure of the table. It runs no scenario.
+pub fn fig1(seed: u64) -> Figure {
+    Figure::new("fig1", Vec::new(), move |_, _| {
+        format!("{}\n", fig1_calibration(seed).render())
+    })
 }
 
-/// Regenerates paper Fig. 4: localization error over time using odometry
-/// only, for maximum speeds 0.5 and 2.0 m/s.
-pub fn fig4_odometry(scale: ExperimentScale) -> Fig4Odometry {
-    let scenarios: Vec<Scenario> = [0.5, 2.0]
+// ---------------------------------------------------------------------------
+// Figs. 4–10
+// ---------------------------------------------------------------------------
+
+/// Paper Fig. 4: error over time on odometry alone, at `v_max` 0.5 and
+/// 2 m/s.
+pub fn fig4(scale: ExperimentScale) -> Figure {
+    let rows = [0.5, 2.0]
         .into_iter()
         .map(|v| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::OdometryOnly)
-                .v_max(v)
-                .build()
+            row(
+                format!("fig4.v{}", key_num(v)),
+                format!("v_max = {v:.1} m/s"),
+                scale
+                    .base_builder()
+                    .mode(EstimatorMode::OdometryOnly)
+                    .v_max(v),
+            )
         })
         .collect();
-    let results = run_parallel(scenarios);
-    Fig4Odometry {
-        series: results
-            .iter()
-            .zip(["v_max = 0.5 m/s", "v_max = 2.0 m/s"])
-            .map(|(m, label)| Series::from_metrics(label, m))
-            .collect(),
-    }
-}
-
-impl Fig4Odometry {
-    /// Renders the figure's series as text.
-    pub fn render(&self) -> String {
+    Figure::new("fig4", rows, |rows, runs| {
         render_series_table(
             "Fig. 4 — localization error over time, odometry only",
-            &self.series,
+            rows,
+            runs,
             12,
-        )
-    }
+        ) + "\n"
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 6 — RF-only error for different beacon periods
-// ---------------------------------------------------------------------------
-
-/// Output of the Fig. 6 regeneration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig6RfOnly {
-    /// One error series per beacon period `T`.
-    pub series: Vec<Series>,
-}
-
-/// Regenerates paper Fig. 6: RF-only localization error over time for the
-/// given beacon periods (the paper uses 10/50/100/300 s).
-pub fn fig6_rf_only(scale: ExperimentScale, periods_s: &[u64]) -> Fig6RfOnly {
-    let scenarios: Vec<Scenario> = periods_s
+/// Paper Fig. 6: RF-only error over time for each beacon period (the
+/// paper's are 10, 50, 100 and 300 s).
+pub fn fig6(scale: ExperimentScale, periods_s: &[u64]) -> Figure {
+    let rows = periods_s
         .iter()
         .map(|&t| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::RfOnly)
-                .beacon_period(SimDuration::from_secs(t))
-                .build()
+            row(
+                format!("fig6.t{t}"),
+                format!("T = {t} s"),
+                scale
+                    .base_builder()
+                    .mode(EstimatorMode::RfOnly)
+                    .beacon_period(SimDuration::from_secs(t)),
+            )
         })
         .collect();
-    let results = run_parallel(scenarios);
-    Fig6RfOnly {
-        series: results
-            .iter()
-            .zip(periods_s)
-            .map(|(m, t)| Series::from_metrics(format!("T = {t} s"), m))
-            .collect(),
-    }
-}
-
-impl Fig6RfOnly {
-    /// Renders the figure's series as text.
-    pub fn render(&self) -> String {
+    Figure::new("fig6", rows, |rows, runs| {
         render_series_table(
             "Fig. 6 — localization error over time, RF localization only",
-            &self.series,
+            rows,
+            runs,
             12,
-        )
-    }
+        ) + "\n"
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 7 — CoCoA vs odometry-only vs RF-only
-// ---------------------------------------------------------------------------
-
-/// Output of the Fig. 7 regeneration: for each speed, the three modes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig7Comparison {
-    /// `(v_max, [odometry, rf-only, cocoa])` series.
-    pub by_speed: Vec<(f64, Vec<Series>)>,
-}
-
-/// Regenerates paper Fig. 7: the three estimator modes at T = 100 s for
-/// both maximum speeds.
-pub fn fig7_comparison(scale: ExperimentScale) -> Fig7Comparison {
-    let mut by_speed = Vec::new();
-    for v in [0.5, 2.0] {
-        let scenarios: Vec<Scenario> = [
-            EstimatorMode::OdometryOnly,
-            EstimatorMode::RfOnly,
-            EstimatorMode::Cocoa,
-        ]
+/// Paper Fig. 7: odometry only, RF only and CoCoA at T = 100 s for both
+/// speeds, then the comparison the paper quotes at 2 m/s (CoCoA ≈ 6.5 m
+/// against ≈ 33 m for RF only).
+pub fn fig7(scale: ExperimentScale) -> Figure {
+    let modes = [
+        (EstimatorMode::OdometryOnly, "odometry only"),
+        (EstimatorMode::RfOnly, "RF localization only"),
+        (EstimatorMode::Cocoa, "CoCoA"),
+    ];
+    let rows = [0.5, 2.0]
         .into_iter()
-        .map(|mode| {
-            scale
-                .base_builder()
-                .mode(mode)
-                .v_max(v)
-                .beacon_period(SimDuration::from_secs(100))
-                .build()
+        .flat_map(|v| {
+            modes.map(|(mode, label)| {
+                row(
+                    format!("fig7.v{}.{}", key_num(v), mode.as_str()),
+                    label,
+                    scale.base_builder().mode(mode).v_max(v),
+                )
+            })
         })
         .collect();
-        let results = run_parallel(scenarios);
-        let series = results
-            .iter()
-            .zip(["odometry only", "RF localization only", "CoCoA"])
-            .map(|(m, label)| Series::from_metrics(label, m))
-            .collect();
-        by_speed.push((v, series));
-    }
-    Fig7Comparison { by_speed }
-}
-
-impl Fig7Comparison {
-    /// Renders the figure's series as text.
-    pub fn render(&self) -> String {
+    Figure::new("fig7", rows, move |rows, runs| {
         let mut out = String::new();
-        for (v, series) in &self.by_speed {
-            out.push_str(&render_series_table(
+        for speed in rows.chunks(modes.len()) {
+            let v = speed[0].scenario.v_max;
+            out += &render_series_table(
                 &format!("Fig. 7 — error over time at v_max = {v} m/s (T = 100 s)"),
-                series,
+                speed,
+                runs,
                 10,
-            ));
+            );
         }
-        out
-    }
-
-    /// The headline comparison the paper quotes (CoCoA ≈ 6.5 m vs RF-only
-    /// ≈ 33 m at 2 m/s): returns `(cocoa_mean, rf_only_mean)`.
-    pub fn headline(&self) -> Option<(f64, f64)> {
-        let (_, series) = self.by_speed.iter().find(|(v, _)| *v == 2.0)?;
-        let rf = series.iter().find(|s| s.label.starts_with("RF"))?;
-        let cocoa = series.iter().find(|s| s.label == "CoCoA")?;
-        Some((cocoa.mean(), rf.mean()))
-    }
+        let mean = |key: &str| runs.get(key).mean_error_over_time();
+        out + &format!(
+            "\nheadline @ 2 m/s: CoCoA {:.1} m vs RF-only {:.1} m (paper: 6.5 vs ~33)\n\n",
+            mean("fig7.v2.cocoa"),
+            mean("fig7.v2.rf-only"),
+        )
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 8 — error CDFs at three time instants
-// ---------------------------------------------------------------------------
-
-/// Output of the Fig. 8 regeneration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig8Cdf {
-    /// The run's metrics; `metrics.snapshots` holds the three CDFs: end of
-    /// beacon period, end of transmit period, middle of beacon period.
-    pub metrics: RunMetrics,
-}
-
-/// Regenerates paper Fig. 8: CDFs of the localization error at the end of
-/// a beacon period, right after a transmit period (the paper's 804 s
-/// instant), and in the middle of a beacon period, for T = 100 s.
-pub fn fig8_cdf(scale: ExperimentScale) -> Fig8Cdf {
-    // Land just before the window nearest 45% of the run (the paper's
-    // 799/804/854 s instants for its 1800 s run with T = 100 s).
+/// Paper Fig. 8: CDFs of the error at T = 100 s at the end of a beacon
+/// period, right after a transmit period and in the middle of a beacon
+/// period (the paper's 799, 804 and 854 s of its 1800 s run).
+pub fn fig8(scale: ExperimentScale) -> Figure {
+    // Land just before the window nearest 45% of the run.
     let base = ((scale.duration.as_secs_f64() * 0.45 / 100.0).floor() * 100.0 - 1.0).max(99.0);
-    let s = scale
-        .base_builder()
-        .mode(EstimatorMode::Cocoa)
-        .beacon_period(SimDuration::from_secs(100))
-        .snapshots([
-            SimTime::from_secs_f64(base),
-            SimTime::from_secs_f64(base + 5.0),
-            SimTime::from_secs_f64(base + 55.0),
-        ])
-        .build();
-    Fig8Cdf { metrics: run(&s) }
-}
-
-impl Fig8Cdf {
-    /// Renders the CDF summary (fractions below 5/10/20 m per instant).
-    pub fn render(&self) -> String {
+    let instants = [base, base + 5.0, base + 55.0].map(SimTime::from_secs_f64);
+    let rows = vec![row(
+        "fig8",
+        "CoCoA",
+        scale.base_builder().snapshots(instants),
+    )];
+    Figure::new("fig8", rows, |rows, runs| {
         let labels = [
             "end of beacon period   ",
             "end of transmit period ",
             "middle of beacon period",
         ];
         let mut out = String::from("# Fig. 8 — CDF of localization error (T = 100 s)\n");
-        for (snap, label) in self.metrics.snapshots.iter().zip(labels) {
+        for (snap, label) in runs.get(&rows[0].key).snapshots.iter().zip(labels) {
             if snap.errors_m.is_empty() {
                 continue;
             }
@@ -460,720 +536,430 @@ impl Fig8Cdf {
                 snap.percentile(0.5),
             ));
         }
-        out
-    }
+        out + "\n"
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 9 — impact of the beacon period on error and energy
-// ---------------------------------------------------------------------------
-
-/// One row of the Fig. 9 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PeriodPoint {
-    /// Beacon period `T`, seconds.
-    pub period_s: u64,
-    /// Mean localization error over time, metres.
-    pub mean_error_m: f64,
-    /// Mean error excluding the cold start before the first possible fix
-    /// of the largest swept period, metres (comparable across periods).
-    pub steady_error_m: f64,
-    /// Team energy with sleep coordination, joules.
-    pub energy_coordinated_j: f64,
-    /// Team energy without coordination (radios idle), joules.
-    pub energy_uncoordinated_j: f64,
-    /// The error series (Fig. 9(a)'s curves).
-    pub series: Series,
-}
-
-impl PeriodPoint {
-    /// How many times more energy the uncoordinated system burns.
-    pub fn savings_factor(&self) -> f64 {
-        if self.energy_coordinated_j == 0.0 {
-            0.0
-        } else {
-            self.energy_uncoordinated_j / self.energy_coordinated_j
-        }
-    }
-}
-
-/// Output of the Fig. 9 regeneration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig9Period {
-    /// One entry per beacon period.
-    pub points: Vec<PeriodPoint>,
-}
-
-/// Builds the Fig. 9 scenario family: `periods × {coordinated, not}`.
-/// Every point shares the scale's seed and the default channel, so one
-/// [`Calibration`](crate::runner::Calibration) fits them all.
-///
-/// Public so the perf harness can time the exact same family on cold
-/// runs and on one shared calibration.
-pub fn fig9_scenarios(scale: ExperimentScale, periods_s: &[u64]) -> Vec<Scenario> {
-    let mut scenarios = Vec::new();
-    for &t in periods_s {
-        for coordination in [true, false] {
-            scenarios.push(
-                scale
-                    .base_builder()
-                    .mode(EstimatorMode::Cocoa)
-                    .beacon_period(SimDuration::from_secs(t))
-                    .coordination(coordination)
-                    .build(),
-            );
-        }
-    }
-    scenarios
-}
-
-/// Regenerates paper Fig. 9: localization error (a) and team energy with
-/// vs without sleep coordination (b) across beacon periods (paper:
-/// 10/50/100/300 s).
-pub fn fig9_period(scale: ExperimentScale, periods_s: &[u64]) -> Fig9Period {
-    let results = run_parallel(fig9_scenarios(scale, periods_s));
-    let warmup_s = periods_s.iter().copied().max().unwrap_or(0) as f64 + 10.0;
-    let points = periods_s
+/// Paper Fig. 9: error (a) and team energy with and without sleep
+/// coordination (b) for each beacon period (the paper's are 10, 50, 100
+/// and 300 s). The steady-state error starts after the largest period
+/// + 10 s, so that every period has had its first fix.
+pub fn fig9(scale: ExperimentScale, periods_s: &[u64]) -> Figure {
+    let rows = periods_s
         .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let with = &results[i * 2];
-            let without = &results[i * 2 + 1];
-            PeriodPoint {
-                period_s: t,
-                mean_error_m: with.mean_error_over_time(),
-                steady_error_m: with.mean_error_after(warmup_s),
-                energy_coordinated_j: with.energy.total_j(),
-                energy_uncoordinated_j: without.energy.total_j(),
-                series: Series::from_metrics(format!("T = {t} s"), with),
-            }
+        .flat_map(|&t| {
+            [(true, "coordinated"), (false, "uncoordinated")].map(|(on, name)| {
+                row(
+                    format!("fig9.t{t}.{name}"),
+                    format!("T = {t} s"),
+                    scale
+                        .base_builder()
+                        .beacon_period(SimDuration::from_secs(t))
+                        .coordination(on),
+                )
+            })
         })
         .collect();
-    Fig9Period { points }
-}
-
-impl Fig9Period {
-    /// Renders both panels as text tables.
-    pub fn render(&self) -> String {
-        let mut out = String::from("# Fig. 9 — impact of beacon period T (50% equipped)\n");
-        out.push_str("(a) T[s]  mean error [m]  steady-state [m]\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "    {:>4}  {:>8.2}  {:>8.2}\n",
-                p.period_s, p.mean_error_m, p.steady_error_m
-            ));
+    let periods_s = periods_s.to_vec();
+    let warmup_s = periods_s.iter().copied().max().unwrap_or(0) as f64 + 10.0;
+    Figure::new("fig9", rows, move |rows, runs| {
+        let mut error = String::from(
+            "# Fig. 9 — impact of beacon period T (50% equipped)\n\
+             (a) T[s]  mean error [m]  steady-state [m]\n",
+        );
+        let mut energy = String::from("(b) T[s]  coordinated [J]  uncoordinated [J]  savings\n");
+        for (t, pair) in periods_s.iter().zip(rows.chunks(2)) {
+            let with = runs.get(&pair[0].key);
+            let (on_j, off_j) = (
+                with.energy.total_j(),
+                runs.get(&pair[1].key).energy.total_j(),
+            );
+            let savings = if on_j == 0.0 { 0.0 } else { off_j / on_j };
+            error += &format!(
+                "    {t:>4}  {:>8.2}  {:>8.2}\n",
+                with.mean_error_over_time(),
+                with.mean_error_after(warmup_s)
+            );
+            energy += &format!("    {t:>4}  {on_j:>12.1}  {off_j:>12.1}  {savings:.1}x\n");
         }
-        out.push_str("(b) T[s]  coordinated [J]  uncoordinated [J]  savings\n");
-        for p in &self.points {
-            out.push_str(&format!(
-                "    {:>4}  {:>12.1}  {:>12.1}  {:.1}x\n",
-                p.period_s,
-                p.energy_coordinated_j,
-                p.energy_uncoordinated_j,
-                p.savings_factor()
-            ));
-        }
-        out
-    }
+        error + &energy + "\n"
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 10 — impact of the number of equipped robots
-// ---------------------------------------------------------------------------
-
-/// One row of the Fig. 10 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EquippedPoint {
-    /// Robots carrying localization devices.
-    pub equipped: usize,
-    /// Mean localization error over time, metres.
-    pub mean_error_m: f64,
-    /// Mean error after the cold start (first two periods), metres.
-    pub steady_error_m: f64,
-    /// Maximum of the per-second mean error, metres.
-    pub max_error_m: f64,
-}
-
-/// Output of the Fig. 10 regeneration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig10Equipped {
-    /// One entry per equipped-count.
-    pub points: Vec<EquippedPoint>,
-}
-
-/// Regenerates paper Fig. 10: localization error as the number of robots
-/// with localization devices varies (paper: 5 to 35).
-pub fn fig10_equipped(scale: ExperimentScale, equipped: &[usize]) -> Fig10Equipped {
-    let scenarios: Vec<Scenario> = equipped
+/// Paper Fig. 10: error for each count of equipped robots (the paper's
+/// are 5, 15, 25 and 35 of 50). The steady state starts after two
+/// periods.
+pub fn fig10(scale: ExperimentScale, equipped: &[usize]) -> Figure {
+    let rows = equipped
         .iter()
         .map(|&n| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .equipped(n)
-                .beacon_period(SimDuration::from_secs(100))
-                .build()
+            row(
+                format!("fig10.e{n}"),
+                n.to_string(),
+                scale.base_builder().equipped(n),
+            )
         })
         .collect();
-    let results = run_parallel(scenarios);
-    Fig10Equipped {
-        points: equipped
-            .iter()
-            .zip(&results)
-            .map(|(&n, m)| EquippedPoint {
-                equipped: n,
-                mean_error_m: m.mean_error_over_time(),
-                steady_error_m: m.mean_error_after(210.0),
-                max_error_m: m.max_error_over_time(),
-            })
-            .collect(),
-    }
-}
-
-impl Fig10Equipped {
-    /// Renders the sweep as a text table.
-    pub fn render(&self) -> String {
+    Figure::new("fig10", rows, |rows, runs| {
         let mut out = String::from(
             "# Fig. 10 — impact of number of robots with localization devices\n\
              equipped  mean error [m]  steady-state [m]  max error [m]\n",
         );
-        for p in &self.points {
+        for r in rows {
+            let m = runs.get(&r.key);
             out.push_str(&format!(
                 "    {:>4}  {:>10.2}  {:>10.2}  {:>10.2}\n",
-                p.equipped, p.mean_error_m, p.steady_error_m, p.max_error_m
+                r.scenario.num_equipped,
+                m.mean_error_over_time(),
+                m.mean_error_after(210.0),
+                m.max_error_over_time()
             ));
         }
-        out
-    }
+        out + "\n"
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md) — relay beaconing, grid resolution, sync, tx power
+// Ablations (DESIGN.md) and extensions
 // ---------------------------------------------------------------------------
 
-/// A labelled `(configuration, mean error, energy, fixes)` ablation row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AblationRow {
-    /// What was varied.
-    pub label: String,
-    /// Mean localization error over time, metres.
-    pub mean_error_m: f64,
-    /// Team energy, joules.
-    pub energy_j: f64,
-    /// Fresh fixes obtained.
-    pub fixes: u64,
-}
-
-fn ablation_row(label: impl Into<String>, m: &RunMetrics) -> AblationRow {
-    AblationRow {
-        label: label.into(),
-        mean_error_m: m.mean_error_over_time(),
-        energy_j: m.energy.total_j(),
-        fixes: m.traffic.fixes,
-    }
-}
-
-/// Relay-beaconing ablation (paper Section 6 future work): localized
-/// unequipped robots also beacon, in a team with few equipped robots.
-pub fn ablation_relay_beaconing(scale: ExperimentScale) -> Vec<AblationRow> {
+/// The ablations, one table each: relay beaconing (paper Section 6), grid
+/// resolution (DESIGN.md decision 2), the SYNC service, beacon tx power
+/// (Section 6), the RF algorithm against Section 5's WLS baseline, the
+/// propagation model (the calibration learns whichever channel is
+/// deployed) and packet loss (k = 3 beacons exist to absorb it, Section
+/// 2.3).
+pub fn ablations(scale: ExperimentScale) -> Figure {
+    let b = || scale.base_builder();
+    let on_off = |on: bool| if on { "on" } else { "off" };
     // Sparse enough that many robots miss beacons without relaying.
-    let equipped = (scale.num_robots / 10).max(1);
-    let scenarios: Vec<Scenario> = [false, true]
-        .into_iter()
-        .map(|relay| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .equipped(equipped)
-                .relay_beaconing(relay)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip(["relay off", "relay on"])
-        .map(|(m, label)| ablation_row(format!("{label} ({equipped} equipped)"), m))
-        .collect()
-}
-
-/// Grid-resolution ablation: accuracy of the Bayesian posterior at
-/// 1/2/4/8 m cells (DESIGN.md decision 2).
-pub fn ablation_grid_resolution(scale: ExperimentScale) -> Vec<AblationRow> {
-    let scenarios: Vec<Scenario> = [1.0, 2.0, 4.0, 8.0]
-        .into_iter()
-        .map(|res| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .grid_resolution(res)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip(["1 m grid", "2 m grid", "4 m grid", "8 m grid"])
-        .map(|(m, label)| ablation_row(label, m))
-        .collect()
-}
-
-/// Synchronization ablation: CoCoA with the MRMM SYNC service disabled,
-/// at realistic and exaggerated clock skews.
-pub fn ablation_sync(scale: ExperimentScale) -> Vec<AblationRow> {
-    let scenarios: Vec<Scenario> = [(true, 100.0), (false, 100.0), (false, 2000.0)]
-        .into_iter()
-        .map(|(sync, ppm)| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .sync_enabled(sync)
-                .clock_skew_ppm(ppm)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip([
-            "sync on, 100 ppm clocks",
-            "sync off, 100 ppm clocks",
-            "sync off, 2000 ppm clocks",
-        ])
-        .map(|(m, label)| ablation_row(label, m))
-        .collect()
-}
-
-/// RF-algorithm ablation (paper Section 5): the Bayesian algorithm vs the
-/// classic weighted-least-squares multilateration baseline, on identical
-/// beacons.
-pub fn ablation_rf_algorithm(scale: ExperimentScale) -> Vec<AblationRow> {
-    use cocoa_localization::estimator::RfAlgorithm;
-    let scenarios: Vec<Scenario> = [RfAlgorithm::Bayes, RfAlgorithm::Multilateration]
-        .into_iter()
-        .map(|algo| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .rf_algorithm(algo)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip([
-            "bayesian inference (paper)",
-            "wls multilateration (baseline)",
-        ])
-        .map(|(m, label)| ablation_row(label, m))
-        .collect()
-}
-
-/// Transmission-power ablation (paper Section 6): sweep the beacon tx
-/// power and observe the range-vs-sharpness trade-off.
-pub fn ablation_tx_power(scale: ExperimentScale) -> Vec<AblationRow> {
-    let scenarios: Vec<Scenario> = [5.0, 10.0, 15.0, 20.0]
-        .into_iter()
-        .map(|dbm| {
-            let ch = cocoa_net::channel::ChannelParams {
-                tx_power_dbm: dbm,
-                ..Default::default()
-            };
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .channel(ch)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip(["5 dBm", "10 dBm", "15 dBm", "20 dBm"])
-        .map(|(m, label)| ablation_row(format!("tx power {label}"), m))
-        .collect()
-}
-
-/// Packet-loss robustness ablation: how CoCoA degrades when receptions
-/// are lost to unmodelled effects (k = 3 beacons exist exactly to absorb
-/// this, paper Section 2.3).
-pub fn ablation_packet_loss(scale: ExperimentScale) -> Vec<AblationRow> {
-    let scenarios: Vec<Scenario> = [0.0, 0.1, 0.3, 0.6]
-        .into_iter()
-        .map(|p| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .packet_loss(p)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip(["0% loss", "10% loss", "30% loss", "60% loss"])
-        .map(|(m, label)| ablation_row(label, m))
-        .collect()
-}
-
-/// Fault-injection ablation (chaos harness): CoCoA under each canned
-/// fault schedule — none, Sync-robot crash, 30% bursty loss, corrupted
-/// beacons, and everything at once. The graceful-degradation machinery
-/// (entropy watchdog, outlier gate, Sync failover) should keep the error
-/// bounded in every row.
-pub fn ablation_faults(scale: ExperimentScale) -> Vec<AblationRow> {
-    use cocoa_sim::faults::{FaultPlan, PRESET_NAMES};
-    let scenarios: Vec<Scenario> = PRESET_NAMES
-        .iter()
-        .map(|name| {
-            let plan = FaultPlan::preset(name, scale.duration, scale.num_robots)
-                .expect("preset names are exhaustive");
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .faults(plan)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip(PRESET_NAMES)
-        .map(|(m, name)| {
-            let mut row = ablation_row(format!("faults: {name}"), m);
-            // Dead robots are excluded from the error series; surface the
-            // failover count in the label so the table tells the story.
-            if m.robustness.failovers > 0 {
-                row.label
-                    .push_str(&format!(" ({} failovers)", m.robustness.failovers));
-            }
-            row
-        })
-        .collect()
-}
-
-/// Propagation-model ablation: the calibrated log-distance channel vs a
-/// two-ray ground-reflection channel (the classic Glomosim outdoor model).
-/// The calibration pipeline adapts automatically — the table is learned
-/// from whichever channel is deployed.
-pub fn ablation_propagation(scale: ExperimentScale) -> Vec<AblationRow> {
-    use cocoa_net::channel::{ChannelParams, PathLossModel};
-    let models = [
+    let sparse = (scale.num_robots / 10).max(1);
+    let tables: [(&str, Vec<Row>); 7] = [
         (
-            "log-distance n=3.0",
-            PathLossModel::LogDistance { exponent: 3.0 },
+            "relay beaconing",
+            [false, true]
+                .into_iter()
+                .map(|on| {
+                    let s = on_off(on);
+                    row(
+                        format!("ablations.relay.{s}"),
+                        format!("relay {s} ({sparse} equipped)"),
+                        b().equipped(sparse).relay_beaconing(on),
+                    )
+                })
+                .collect(),
         ),
         (
-            "log-distance n=2.4",
-            PathLossModel::LogDistance { exponent: 2.4 },
+            "grid resolution",
+            [1.0, 2.0, 4.0, 8.0]
+                .into_iter()
+                .map(|m| {
+                    row(
+                        format!("ablations.grid.{m}m"),
+                        format!("{m} m grid"),
+                        b().grid_resolution(m),
+                    )
+                })
+                .collect(),
         ),
         (
-            "two-ray ground h=0.5m",
-            PathLossModel::TwoRayGround {
-                antenna_height_m: 0.5,
-                wavelength_m: 0.125,
-            },
+            "SYNC service",
+            [(true, 100.0), (false, 100.0), (false, 2000.0)]
+                .into_iter()
+                .map(|(on, ppm)| {
+                    let s = on_off(on);
+                    row(
+                        format!("ablations.sync.{s}.{ppm}ppm"),
+                        format!("sync {s}, {ppm} ppm clocks"),
+                        b().sync_enabled(on).clock_skew_ppm(ppm),
+                    )
+                })
+                .collect(),
+        ),
+        (
+            "beacon tx power",
+            [5.0, 10.0, 15.0, 20.0]
+                .into_iter()
+                .map(|dbm| {
+                    row(
+                        format!("ablations.tx_power.{dbm}dbm"),
+                        format!("tx power {dbm} dBm"),
+                        b().channel(ChannelParams {
+                            tx_power_dbm: dbm,
+                            ..Default::default()
+                        }),
+                    )
+                })
+                .collect(),
+        ),
+        (
+            "RF algorithm (Section 5 baseline)",
+            [
+                (RfAlgorithm::Bayes, "bayesian inference (paper)"),
+                (
+                    RfAlgorithm::Multilateration,
+                    "wls multilateration (baseline)",
+                ),
+            ]
+            .into_iter()
+            .map(|(algo, label)| {
+                row(
+                    format!("ablations.rf.{algo}"),
+                    label,
+                    b().rf_algorithm(algo),
+                )
+            })
+            .collect(),
+        ),
+        (
+            "propagation model",
+            [
+                (
+                    "n3",
+                    "log-distance n=3.0",
+                    PathLossModel::LogDistance { exponent: 3.0 },
+                ),
+                (
+                    "n2_4",
+                    "log-distance n=2.4",
+                    PathLossModel::LogDistance { exponent: 2.4 },
+                ),
+                (
+                    "two_ray",
+                    "two-ray ground h=0.5m",
+                    PathLossModel::TwoRayGround {
+                        antenna_height_m: 0.5,
+                        wavelength_m: 0.125,
+                    },
+                ),
+            ]
+            .into_iter()
+            .map(|(key, label, path_loss)| {
+                row(
+                    format!("ablations.propagation.{key}"),
+                    label,
+                    b().channel(ChannelParams {
+                        path_loss,
+                        ..Default::default()
+                    }),
+                )
+            })
+            .collect(),
+        ),
+        (
+            "packet loss robustness",
+            [0u32, 10, 30, 60]
+                .into_iter()
+                .map(|pct| {
+                    row(
+                        format!("ablations.loss.{pct}pct"),
+                        format!("{pct}% loss"),
+                        b().packet_loss(f64::from(pct) / 100.0),
+                    )
+                })
+                .collect(),
         ),
     ];
-    let scenarios: Vec<Scenario> = models
-        .iter()
-        .map(|(_, model)| {
-            let ch = ChannelParams {
-                path_loss: *model,
-                ..Default::default()
-            };
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .channel(ch)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    results
-        .iter()
-        .zip(models)
-        .map(|(m, (label, _))| ablation_row(label, m))
-        .collect()
+    let titles = tables.each_ref().map(|(title, rows)| (*title, rows.len()));
+    let rows = tables.into_iter().flat_map(|(_, rows)| rows).collect();
+    Figure::new("ablations", rows, move |rows, runs| {
+        let mut rest = rows;
+        let mut out = String::new();
+        for (title, n) in titles {
+            let (table, tail) = rest.split_at(n);
+            rest = tail;
+            out += &format!(
+                "# Ablation — {title}\n{:<34}  {:>10}  {:>12}  {:>6}\n",
+                "config", "error [m]", "energy [J]", "fixes"
+            );
+            for r in table {
+                let m = runs.get(&r.key);
+                out += &format!(
+                    "{:<34}  {:>10.2}  {:>12.1}  {:>6}\n",
+                    r.label,
+                    m.mean_error_over_time(),
+                    m.energy.total_j(),
+                    m.traffic.fixes
+                );
+            }
+            out.push('\n');
+        }
+        out
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Ablation — multicast backends (flood vs ODMRP vs MRMM)
-// ---------------------------------------------------------------------------
-
-/// One row of the multicast-backend ablation: SYNC dissemination quality
-/// and cost under one [`cocoa_multicast::protocol::MulticastProtocol`],
-/// plus how well geographic
-/// routing works over the coordinates that backend's run produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MulticastRow {
-    /// The SYNC transport that ran.
-    pub backend: cocoa_multicast::protocol::MulticastProtocol,
-    /// Fraction of robot-windows that heard a SYNC.
-    pub sync_delivery_rate: f64,
-    /// Data transmissions on the air (originated + forwarded).
-    pub data_transmissions: u64,
-    /// Data payloads delivered to members.
-    pub data_delivered: u64,
-    /// Deliveries per data transmission.
-    pub forwarding_efficiency: f64,
-    /// Control transmissions on the air (queries + rebroadcasts + replies).
-    pub control_transmissions: u64,
-    /// JOIN QUERY rebroadcasts pruned (MRMM's redundancy suppression).
-    pub prunes: u64,
-    /// Mean localization error over time, metres.
-    pub mean_error_m: f64,
-    /// Team energy, joules.
-    pub energy_j: f64,
-    /// Greedy/face geographic-routing delivery rate over the believed
-    /// coordinates at the end of the run (Section 6 extension).
-    pub geo_delivery_rate: f64,
-}
-
-impl MulticastRow {
-    /// Everything the backend put on the air: data plus mesh control.
-    /// Every robot is a SYNC member, so member-driven data forwarding is
-    /// near-identical across backends — where MRMM earns its keep is the
-    /// control plane (fewer rebroadcasts and replies on longer-lived
-    /// routes), which this total exposes.
-    pub fn total_transmissions(&self) -> u64 {
-        self.data_transmissions + self.control_transmissions
+/// Fraction of robot-windows that heard a SYNC.
+fn sync_delivery_rate(m: &RunMetrics) -> f64 {
+    let windows = m.traffic.syncs_delivered + m.traffic.syncs_missed;
+    if windows == 0 {
+        0.0
+    } else {
+        m.traffic.syncs_delivered as f64 / windows as f64
     }
 }
 
-/// Multicast-backend ablation: disseminate SYNC over blind flooding,
-/// classic ODMRP and the paper's MRMM, on otherwise identical scenarios,
-/// and compare delivery, traffic, energy and localization. Every backend
-/// sees the same seed, so the placement, motion and channel draws match.
-pub fn ablation_multicast(scale: ExperimentScale) -> Vec<MulticastRow> {
-    use cocoa_georouting::prelude::*;
-    use cocoa_multicast::protocol::MulticastProtocol;
-    use rand::Rng;
+/// Everything a mesh put on the air: data (originated and forwarded)
+/// plus control. Every robot is a SYNC member, so data forwarding is
+/// near-identical across backends; MRMM's saving is in the control plane,
+/// which this total exposes.
+fn mesh_transmissions(m: &RunMetrics) -> u64 {
+    m.mesh.data_originated + m.mesh.data_forwarded + m.mesh.control_overhead()
+}
 
-    let scenarios: Vec<Scenario> = MulticastProtocol::ALL
+/// Greedy/face geographic routing (paper Section 6) over the team at the
+/// end of a run: a 50 m unit-disk graph of the true positions, routed on
+/// the estimates (`believed`) or on the true positions, between `pairs`
+/// node pairs drawn from the seed's `pairs` stream.
+fn geo_delivery(m: &RunMetrics, seed: u64, pairs: usize, believed: bool) -> DeliveryStats {
+    let nodes = m
+        .final_states
+        .iter()
+        .map(|r| RoutingNode {
+            true_position: r.true_position,
+            believed_position: if believed {
+                r.estimate
+            } else {
+                r.true_position
+            },
+        })
+        .collect();
+    let graph = UnitDiskGraph::new(nodes, 50.0);
+    let mut rng = SeedSplitter::new(seed).stream("pairs", 0);
+    let n = graph.len();
+    let pairs: Vec<(usize, usize)> = (0..pairs)
+        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+        .collect();
+    delivery_experiment(&graph, &pairs)
+}
+
+/// The SYNC multicast backends (blind flooding, classic ODMRP and the
+/// paper's MRMM) on otherwise identical runs: delivery, traffic, error,
+/// energy, and geographic routing over the coordinates each run ends
+/// with (a mesh that starves localization of SYNC degrades the
+/// coordinates every other service consumes).
+pub fn multicast(scale: ExperimentScale) -> Figure {
+    let rows = MulticastProtocol::ALL
         .into_iter()
         .map(|p| {
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .multicast(p)
-                .build()
+            row(
+                format!("multicast.{}", p.as_str()),
+                p.as_str(),
+                scale.base_builder().multicast(p),
+            )
         })
         .collect();
-    let results = run_parallel(scenarios);
-    MulticastProtocol::ALL
-        .into_iter()
-        .zip(&results)
-        .map(|(backend, m)| {
-            let tr = &m.traffic;
-            let windows = tr.syncs_delivered + tr.syncs_missed;
-            // Route over the team's believed coordinates at the end of the
-            // run: a mesh that starves localization of SYNC (sleep windows
-            // drift apart) degrades the coordinates every other service
-            // consumes.
-            let nodes: Vec<RoutingNode> = m
-                .final_states
-                .iter()
-                .map(|r| RoutingNode {
-                    true_position: r.true_position,
-                    believed_position: r.estimate,
-                })
-                .collect();
-            let graph = UnitDiskGraph::new(nodes, 50.0);
-            let mut rng = SeedSplitter::new(scale.seed).stream("pairs", 0);
-            let n = graph.len();
-            let pairs: Vec<(usize, usize)> = (0..200)
-                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-                .collect();
-            let geo = delivery_experiment(&graph, &pairs);
-            MulticastRow {
-                backend,
-                sync_delivery_rate: if windows == 0 {
-                    0.0
-                } else {
-                    tr.syncs_delivered as f64 / windows as f64
-                },
-                data_transmissions: m.mesh.data_originated + m.mesh.data_forwarded,
-                data_delivered: m.mesh.data_delivered,
-                forwarding_efficiency: m.mesh.forwarding_efficiency(),
-                control_transmissions: m.mesh.control_overhead(),
-                prunes: m.mesh.queries_suppressed,
-                mean_error_m: m.mean_error_over_time(),
-                energy_j: m.energy.total_j(),
-                geo_delivery_rate: geo.delivery_rate(),
-            }
-        })
-        .collect()
-}
-
-/// Renders the multicast ablation as a text table.
-pub fn render_multicast_ablation(rows: &[MulticastRow]) -> String {
-    let mut out = String::from(
-        "# Ablation — SYNC multicast backend (flood vs ODMRP vs MRMM)\n\
-         backend  sync del.  data tx  delivered  fwd effic.  ctrl tx  pruned  error [m]  energy [J]  geo del.\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<7}  {:>8.1}%  {:>7}  {:>9}  {:>10.2}  {:>7}  {:>6}  {:>9.2}  {:>10.1}  {:>7.1}%\n",
-            r.backend.as_str(),
-            r.sync_delivery_rate * 100.0,
-            r.data_transmissions,
-            r.data_delivered,
-            r.forwarding_efficiency,
-            r.control_transmissions,
-            r.prunes,
-            r.mean_error_m,
-            r.energy_j,
-            r.geo_delivery_rate * 100.0,
-        ));
-    }
-    let find =
-        |p: cocoa_multicast::protocol::MulticastProtocol| rows.iter().find(|r| r.backend == p);
-    if let (Some(odmrp), Some(mrmm)) = (
-        find(cocoa_multicast::protocol::MulticastProtocol::Odmrp),
-        find(cocoa_multicast::protocol::MulticastProtocol::Mrmm),
-    ) {
-        out.push_str(&format!(
+    Figure::new("multicast", rows, move |rows, runs| {
+        let mut out = String::from(
+            "# Ablation — SYNC multicast backend (flood vs ODMRP vs MRMM)\n\
+             backend  sync del.  data tx  delivered  fwd effic.  ctrl tx  pruned  error [m]  energy [J]  geo del.\n",
+        );
+        for r in rows {
+            let m = runs.get(&r.key);
+            out.push_str(&format!(
+                "{:<7}  {:>8.1}%  {:>7}  {:>9}  {:>10.2}  {:>7}  {:>6}  {:>9.2}  {:>10.1}  {:>7.1}%\n",
+                r.label,
+                sync_delivery_rate(m) * 100.0,
+                m.mesh.data_originated + m.mesh.data_forwarded,
+                m.mesh.data_delivered,
+                m.mesh.forwarding_efficiency(),
+                m.mesh.control_overhead(),
+                m.mesh.queries_suppressed,
+                m.mean_error_over_time(),
+                m.energy.total_j(),
+                geo_delivery(m, scale.seed, 200, true).delivery_rate() * 100.0,
+            ));
+        }
+        let (odmrp, mrmm) = (runs.get("multicast.odmrp"), runs.get("multicast.mrmm"));
+        out + &format!(
             "headline: MRMM forwards {} mesh transmissions vs ODMRP's {} \
-             at {:.1}% vs {:.1}% SYNC delivery\n",
-            mrmm.total_transmissions(),
-            odmrp.total_transmissions(),
-            mrmm.sync_delivery_rate * 100.0,
-            odmrp.sync_delivery_rate * 100.0,
-        ));
-    }
-    out
+             at {:.1}% vs {:.1}% SYNC delivery\n\n",
+            mesh_transmissions(mrmm),
+            mesh_transmissions(odmrp),
+            sync_delivery_rate(mrmm) * 100.0,
+            sync_delivery_rate(odmrp) * 100.0,
+        )
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Ablation — estimator backends (Bayes vs multilateration vs EKF)
-// ---------------------------------------------------------------------------
-
-/// One row of the estimator-backend ablation: localization quality and
-/// cost under one [`cocoa_localization::estimator::RfAlgorithm`], on
-/// beacons drawn from the identical seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EstimatorRow {
-    /// The per-window RF solver that ran.
-    pub algorithm: cocoa_localization::estimator::RfAlgorithm,
-    /// The injected fault preset (`"none"` for the clean rows).
-    pub faults: String,
-    /// Mean localization error over time, metres.
-    pub mean_error_m: f64,
-    /// Team energy, joules.
-    pub energy_j: f64,
-    /// Beacons put on the air (the estimator's input traffic).
-    pub beacons_sent: u64,
-    /// Position fixes produced over the run.
-    pub fixes: u64,
-    /// Beacons the shared claimed-distance outlier gate refused to fuse
-    /// (for the EKF this includes innovation-gated updates).
-    pub outliers_rejected: u64,
-}
-
-/// Estimator-backend ablation (paper Section 5: CoCoA "is not tied to a
-/// specific localization technique"): run the Bayesian grid, WLS
-/// multilateration and the EKF on identical seeds — same placement,
-/// motion, channel draws and beacon traffic — and compare error, energy
-/// and traffic. A final row reruns the EKF under the `chaos` fault
-/// preset, so the innovation gate's behaviour under corrupted beacons is
-/// part of the figure.
-pub fn ablation_estimator(scale: ExperimentScale) -> Vec<EstimatorRow> {
-    use cocoa_localization::estimator::RfAlgorithm;
-    use cocoa_sim::faults::FaultPlan;
-    let configs: Vec<(RfAlgorithm, &str)> = vec![
+/// The per-window RF solvers (paper Section 5: CoCoA "is not tied to a
+/// specific localization technique") on identical seeds — same placement,
+/// motion, channel draws and beacon traffic — plus the EKF under the
+/// `chaos` fault preset, whose corrupted beacons its innovation gate must
+/// refuse. Each row's label is its fault preset.
+pub fn estimator(scale: ExperimentScale) -> Figure {
+    let rows = [
         (RfAlgorithm::Bayes, "none"),
         (RfAlgorithm::Multilateration, "none"),
         (RfAlgorithm::Ekf, "none"),
         (RfAlgorithm::Ekf, "chaos"),
-    ];
-    let scenarios: Vec<Scenario> = configs
-        .iter()
-        .map(|&(algo, preset)| {
-            let plan = FaultPlan::preset(preset, scale.duration, scale.num_robots)
-                .expect("preset names are canned");
-            scale
-                .base_builder()
-                .mode(EstimatorMode::Cocoa)
-                .rf_algorithm(algo)
-                .faults(plan)
-                .build()
-        })
-        .collect();
-    let results = run_parallel(scenarios);
-    configs
-        .into_iter()
-        .zip(&results)
-        .map(|((algorithm, preset), m)| EstimatorRow {
-            algorithm,
-            faults: preset.to_string(),
-            mean_error_m: m.mean_error_over_time(),
-            energy_j: m.energy.total_j(),
-            beacons_sent: m.traffic.beacons_sent,
-            fixes: m.traffic.fixes,
-            outliers_rejected: m.robustness.outlier_beacons_rejected,
-        })
-        .collect()
-}
-
-/// Renders the estimator ablation as a text table.
-pub fn render_estimator_ablation(rows: &[EstimatorRow]) -> String {
-    let mut out = String::from(
-        "# Ablation — estimator backend (Bayes vs multilateration vs EKF)\n\
-         backend          faults  error [m]  energy [J]  beacons  fixes  outliers\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<15}  {:>6}  {:>9.2}  {:>10.1}  {:>7}  {:>5}  {:>8}\n",
-            r.algorithm.to_string(),
-            r.faults,
-            r.mean_error_m,
-            r.energy_j,
-            r.beacons_sent,
-            r.fixes,
-            r.outliers_rejected,
-        ));
-    }
-    use cocoa_localization::estimator::RfAlgorithm;
-    let find = |algo: RfAlgorithm, faults: &str| {
-        rows.iter()
-            .find(|r| r.algorithm == algo && r.faults == faults)
-    };
-    if let (Some(bayes), Some(ekf)) = (
-        find(RfAlgorithm::Bayes, "none"),
-        find(RfAlgorithm::Ekf, "none"),
-    ) {
-        out.push_str(&format!(
-            "headline: EKF tracks at {:.2} m vs Bayes {:.2} m on identical \
-             beacon traffic ({} beacons)",
-            ekf.mean_error_m, bayes.mean_error_m, bayes.beacons_sent,
-        ));
-        if let Some(chaos) = find(RfAlgorithm::Ekf, "chaos") {
+    ]
+    .into_iter()
+    .map(|(algo, preset)| {
+        let plan = FaultPlan::preset(preset, scale.duration, scale.num_robots)
+            .expect("preset names are canned");
+        row(
+            format!("estimator.{algo}.{preset}"),
+            preset,
+            scale.base_builder().rf_algorithm(algo).faults(plan),
+        )
+    })
+    .collect();
+    Figure::new("estimator", rows, |rows, runs| {
+        let mut out = String::from(
+            "# Ablation — estimator backend (Bayes vs multilateration vs EKF)\n\
+             backend          faults  error [m]  energy [J]  beacons  fixes  outliers\n",
+        );
+        for r in rows {
+            let m = runs.get(&r.key);
             out.push_str(&format!(
-                "; under chaos faults the gate rejects {} beacons and holds \
-                 {:.2} m",
-                chaos.outliers_rejected, chaos.mean_error_m,
+                "{:<15}  {:>6}  {:>9.2}  {:>10.1}  {:>7}  {:>5}  {:>8}\n",
+                r.scenario.rf_algorithm.as_str(),
+                r.label,
+                m.mean_error_over_time(),
+                m.energy.total_j(),
+                m.traffic.beacons_sent,
+                m.traffic.fixes,
+                m.robustness.outlier_beacons_rejected,
             ));
         }
-        out.push('\n');
-    }
-    out
+        let bayes = runs.get("estimator.bayes.none");
+        let chaos = runs.get("estimator.ekf.chaos");
+        out + &format!(
+            "headline: EKF tracks at {:.2} m vs Bayes {:.2} m on identical \
+             beacon traffic ({} beacons); under chaos faults the gate rejects {} \
+             beacons and holds {:.2} m\n\n",
+            runs.get("estimator.ekf.none").mean_error_over_time(),
+            bayes.mean_error_over_time(),
+            bayes.traffic.beacons_sent,
+            chaos.robustness.outlier_beacons_rejected,
+            chaos.mean_error_over_time(),
+        )
+    })
 }
 
-/// Renders ablation rows as a text table.
-pub fn render_ablation(title: &str, rows: &[AblationRow]) -> String {
-    let mut out = format!(
-        "# {title}\n{:<34}  {:>10}  {:>12}  {:>6}\n",
-        "config", "error [m]", "energy [J]", "fixes"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<34}  {:>10.2}  {:>12.1}  {:>6}\n",
-            r.label, r.mean_error_m, r.energy_j, r.fixes
-        ));
-    }
-    out
+/// Geographic routing (paper Section 6) over the true and over the CoCoA
+/// coordinates at the end of a paper-default run.
+pub fn geo(scale: ExperimentScale) -> Figure {
+    let rows = vec![row("geo", "CoCoA", &scale.base_builder())];
+    Figure::new("geo", rows, move |rows, runs| {
+        let m = runs.get(&rows[0].key);
+        let line = |name: &str, believed: bool| {
+            let s = geo_delivery(m, scale.seed, 400, believed);
+            format!(
+                "{name:<13}{:>7.1}%  {:>9.2}  {:>7.2}  {:>12.1}%\n",
+                s.delivery_rate() * 100.0,
+                s.mean_hops,
+                s.mean_stretch,
+                s.face_fraction * 100.0,
+            )
+        };
+        format!(
+            "# Extension — geographic routing over CoCoA coordinates (Section 6)\n\
+             coordinates  delivery  mean hops  stretch  face fraction\n{}{}\n",
+            line("exact", false),
+            line("CoCoA", true),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1189,6 +975,71 @@ mod tests {
     }
 
     #[test]
+    fn every_figure_renders_the_pinned_bytes() {
+        // A scale at which every row runs and prints: Fig. 8's three
+        // instants and Fig. 9's largest period fall inside the run. The
+        // pin was recorded through the per-figure drivers this table
+        // replaced, printed as `figures` printed them.
+        let table = figures(ExperimentScale {
+            seed: 7,
+            duration: SimDuration::from_secs(400),
+            num_robots: 12,
+        });
+        let runs = run_rows(table.iter().flat_map(|f| &f.rows));
+        let text: String = table.iter().map(|f| f.render(&runs)).collect();
+        assert_eq!(
+            (cocoa_sim::snapshot::crc32(text.as_bytes()), text.len()),
+            (0xc185_4add, 7937),
+            "{text}"
+        );
+        // 55 rows, 40 distinct scenarios: the paper default is 12 rows.
+        // (With 30 or 50 robots the sparse relay-off row is a Fig. 10 row
+        // too, and 39 run.)
+        assert_eq!(table.iter().map(|f| f.rows.len()).sum::<usize>(), 55);
+        assert_eq!(runs.distinct(), 40);
+    }
+
+    #[test]
+    fn repeated_scenarios_run_once() {
+        let fig7 = fig7(tiny());
+        // Half the team equipped at T = 100 s is Fig. 7's CoCoA row at
+        // 2 m/s, and every row of Fig. 7 is given twice.
+        let fig10 = fig10(tiny(), &[6]);
+        let runs = run_rows(fig7.rows.iter().chain(&fig10.rows).chain(&fig7.rows));
+        assert_eq!(runs.distinct(), 6);
+        assert!(std::ptr::eq(
+            runs.get("fig10.e6"),
+            runs.get("fig7.v2.cocoa")
+        ));
+        assert!(!std::ptr::eq(
+            runs.get("fig7.v0_5.cocoa"),
+            runs.get("fig7.v2.cocoa")
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "names two scenarios")]
+    fn a_key_names_one_scenario() {
+        let a = fig10(tiny(), &[6]);
+        let mut b = fig10(tiny(), &[5]);
+        b.rows[0].key = a.rows[0].key.clone();
+        run_rows(a.rows.iter().chain(&b.rows));
+    }
+
+    #[test]
+    fn a_subset_renders_as_inside_the_whole_table() {
+        let table = figures(tiny());
+        let whole = run_rows(table.iter().flat_map(|f| &f.rows));
+        for names in [&["fig9", "multicast"][..], &["geo"], &["fig7", "estimator"]] {
+            let subset: Vec<&Figure> = table.iter().filter(|f| names.contains(&f.name)).collect();
+            let runs = run_rows(subset.iter().flat_map(|f| &f.rows));
+            for f in subset {
+                assert_eq!(f.render(&runs), f.render(&whole), "{}", f.name);
+            }
+        }
+    }
+
+    #[test]
     fn fig1_shapes_match_paper() {
         let f = fig1_calibration(3);
         assert!(f.near.gaussian, "-52 dBm must be Gaussian");
@@ -1199,25 +1050,29 @@ mod tests {
 
     #[test]
     fn fig4_produces_two_series() {
-        let f = fig4_odometry(tiny());
-        assert_eq!(f.series.len(), 2);
-        assert!(f.series.iter().all(|s| !s.points.is_empty()));
-        assert!(f.render().contains("odometry"));
+        let f = fig4(tiny());
+        let runs = run_rows(&f.rows);
+        assert_eq!(f.rows.len(), 2);
+        assert!(f
+            .rows
+            .iter()
+            .all(|r| !runs.get(&r.key).error_series.is_empty()));
+        assert!(f.render(&runs).contains("odometry"));
     }
 
     #[test]
     fn fig9_energy_savings_positive_and_growing() {
-        let f = fig9_period(tiny(), &[20, 60]);
-        assert_eq!(f.points.len(), 2);
-        for p in &f.points {
-            assert!(
-                p.savings_factor() > 1.0,
-                "coordination must save energy at T = {}",
-                p.period_s
-            );
+        let f = fig9(tiny(), &[20, 60]);
+        let runs = run_rows(&f.rows);
+        let savings = |t: u64| {
+            let energy = |c: &str| runs.get(&format!("fig9.t{t}.{c}")).energy.total_j();
+            energy("uncoordinated") / energy("coordinated")
+        };
+        for t in [20, 60] {
+            assert!(savings(t) > 1.0, "coordination must save energy at T = {t}");
         }
-        assert!(f.points[1].savings_factor() > f.points[0].savings_factor());
-        assert!(f.render().contains("Fig. 9"));
+        assert!(savings(60) > savings(20));
+        assert!(f.render(&runs).contains("Fig. 9"));
     }
 
     #[test]
@@ -1228,7 +1083,11 @@ mod tests {
         use crate::runner::{Calibration, SimRun};
         use cocoa_sim::telemetry::Telemetry;
         use std::sync::Arc;
-        let scenarios = fig9_scenarios(tiny(), &[20, 60]);
+        let scenarios: Vec<Scenario> = fig9(tiny(), &[20, 60])
+            .rows
+            .into_iter()
+            .map(|r| r.scenario)
+            .collect();
         let calibration = Arc::new(Calibration::new(&scenarios[0]));
         for (i, s) in scenarios.iter().enumerate() {
             let (shared, _) =
@@ -1255,114 +1114,94 @@ mod tests {
     }
 
     #[test]
-    fn ablation_faults_covers_every_preset() {
-        let rows = ablation_faults(tiny());
-        assert_eq!(rows.len(), cocoa_sim::faults::PRESET_NAMES.len());
-        for r in &rows {
-            assert!(
-                r.mean_error_m.is_finite(),
-                "{}: error must stay finite",
-                r.label
-            );
-        }
-    }
-
-    #[test]
     fn ablation_multicast_runs_all_three_backends() {
-        use cocoa_multicast::protocol::MulticastProtocol;
         // Full figure scale: MRMM's control-plane savings accrue from
         // mobility churn over the whole mission; short runs land in the
         // noise (the 200 m arena is near-single-hop at 150 m range).
-        let rows = ablation_multicast(ExperimentScale {
-            seed: 42,
-            duration: SimDuration::from_secs(1800),
-            num_robots: 50,
-        });
-        assert_eq!(rows.len(), MulticastProtocol::ALL.len());
-        for (p, r) in MulticastProtocol::ALL.into_iter().zip(&rows) {
-            assert_eq!(r.backend, p);
+        let f = multicast(ExperimentScale::default());
+        let runs = run_rows(&f.rows);
+        assert_eq!(f.rows.len(), MulticastProtocol::ALL.len());
+        for p in MulticastProtocol::ALL {
+            let m = runs.get(&format!("multicast.{}", p.as_str()));
             assert!(
-                r.sync_delivery_rate > 0.0,
+                sync_delivery_rate(m) > 0.0,
                 "{}: SYNC never arrived",
                 p.as_str()
             );
             assert!(
-                r.data_transmissions > 0,
+                m.mesh.data_originated + m.mesh.data_forwarded > 0,
                 "{}: no data on the air",
                 p.as_str()
             );
-            assert!(r.data_delivered > 0 && r.forwarding_efficiency > 0.0);
-            assert!(r.mean_error_m.is_finite() && r.energy_j > 0.0);
+            assert!(m.mesh.data_delivered > 0 && m.mesh.forwarding_efficiency() > 0.0);
+            assert!(m.mean_error_over_time().is_finite() && m.energy.total_j() > 0.0);
         }
         // Flooding pays no control traffic; the mesh protocols do.
-        assert_eq!(rows[0].control_transmissions, 0);
-        assert!(rows[1].control_transmissions > 0);
+        let odmrp = runs.get("multicast.odmrp");
+        let mrmm = runs.get("multicast.mrmm");
+        assert_eq!(runs.get("multicast.flood").mesh.control_overhead(), 0);
+        assert!(odmrp.mesh.control_overhead() > 0);
         // The paper's claim, pinned: MRMM puts less traffic on the air than
         // plain ODMRP at equal-or-better SYNC delivery. (Every robot is a
         // SYNC member, so data forwarding matches; the saving is control.)
-        let odmrp = &rows[1];
-        let mrmm = &rows[2];
         assert!(
-            mrmm.total_transmissions() < odmrp.total_transmissions(),
+            mesh_transmissions(mrmm) < mesh_transmissions(odmrp),
             "MRMM {} vs ODMRP {} transmissions",
-            mrmm.total_transmissions(),
-            odmrp.total_transmissions()
+            mesh_transmissions(mrmm),
+            mesh_transmissions(odmrp)
         );
-        assert!(mrmm.sync_delivery_rate >= odmrp.sync_delivery_rate);
-        let rendered = render_multicast_ablation(&rows);
+        assert!(sync_delivery_rate(mrmm) >= sync_delivery_rate(odmrp));
+        let rendered = f.render(&runs);
         assert!(rendered.contains("mrmm") && rendered.contains("headline:"));
         assert!(rendered.contains("fwd effic."));
     }
 
     #[test]
     fn ablation_estimator_compares_backends_on_identical_traffic() {
-        use cocoa_localization::estimator::RfAlgorithm;
         // Full figure scale, like the multicast ablation: the EKF's
         // odometry prediction only differentiates itself over a whole
         // mission of inter-window motion.
-        let rows = ablation_estimator(ExperimentScale {
-            seed: 42,
-            duration: SimDuration::from_secs(1800),
-            num_robots: 50,
-        });
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
+        let f = estimator(ExperimentScale::default());
+        let runs = run_rows(&f.rows);
+        assert_eq!(f.rows.len(), 4);
+        for r in &f.rows {
+            let m = runs.get(&r.key);
             assert!(
-                r.mean_error_m.is_finite() && r.energy_j > 0.0,
-                "{} ({}): degenerate row",
-                r.algorithm,
-                r.faults
+                m.mean_error_over_time().is_finite() && m.energy.total_j() > 0.0,
+                "{}: degenerate row",
+                r.key
             );
-            assert!(r.beacons_sent > 0 && r.fixes > 0);
+            assert!(m.traffic.beacons_sent > 0 && m.traffic.fixes > 0);
         }
         // Same seed, same schedule: the estimator choice must not change
         // what goes on the air in the clean rows.
-        assert_eq!(rows[0].beacons_sent, rows[1].beacons_sent);
-        assert_eq!(rows[0].beacons_sent, rows[2].beacons_sent);
+        let beacons = |key: &str| runs.get(key).traffic.beacons_sent;
+        let bayes = beacons("estimator.bayes.none");
+        assert_eq!(bayes, beacons("estimator.multilateration.none"));
+        assert_eq!(bayes, beacons("estimator.ekf.none"));
         // The paper's point, pinned: the grid solver and the EKF both
         // track; the faults row shows the shared outlier gate plus the
         // EKF's innovation gate actively rejecting corrupted beacons.
-        let ekf_chaos = &rows[3];
-        assert_eq!(ekf_chaos.algorithm, RfAlgorithm::Ekf);
-        assert_eq!(ekf_chaos.faults, "chaos");
         assert!(
-            ekf_chaos.outliers_rejected > 0,
+            runs.get("estimator.ekf.chaos")
+                .robustness
+                .outlier_beacons_rejected
+                > 0,
             "chaos faults must exercise the outlier gate"
         );
-        let rendered = render_estimator_ablation(&rows);
+        let rendered = f.render(&runs);
         assert!(rendered.contains("ekf") && rendered.contains("headline:"));
         assert!(rendered.contains("under chaos faults"));
     }
 
     #[test]
     fn ablation_render_contains_rows() {
-        let rows = vec![AblationRow {
-            label: "demo".into(),
-            mean_error_m: 1.0,
-            energy_j: 2.0,
-            fixes: 3,
-        }];
-        let s = render_ablation("Demo", &rows);
-        assert!(s.contains("demo") && s.contains("1.00"));
+        let f = ablations(tiny());
+        let runs = run_rows(&f.rows);
+        let rendered = f.render(&runs);
+        assert_eq!(rendered.matches("# Ablation — ").count(), 7);
+        for r in &f.rows {
+            assert!(rendered.contains(&r.label), "{} missing", r.label);
+        }
     }
 }

@@ -25,7 +25,9 @@
 //! - [`runner`]: the stable facade over [`world`]'s entry points;
 //! - [`metrics`]: localization-error series, CDF snapshots and the energy
 //!   ledger;
-//! - [`experiment`]: one driver per paper figure (4 through 10);
+//! - [`experiment`]: the paper's figures (1, 4 through 10) and the
+//!   ablations as one table of keyed scenario rows, each distinct scenario
+//!   run once;
 //! - [`tracefile`]: the read side of the telemetry bus — JSONL trace
 //!   parsing, validation and the queries behind `cocoa-trace`;
 //! - [`serve`]: sweep-as-a-service — the `cocoa-serve` batch server with

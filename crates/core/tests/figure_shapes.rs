@@ -3,8 +3,7 @@
 //! reproduction to be faithful, regardless of absolute numbers.
 
 use cocoa_core::experiment::{
-    ablation_packet_loss, ablation_rf_algorithm, fig10_equipped, fig1_calibration, fig6_rf_only,
-    fig7_comparison, fig9_period, ExperimentScale,
+    ablations, fig10, fig1_calibration, fig6, fig7, fig9, run_rows, ExperimentScale,
 };
 use cocoa_sim::time::SimDuration;
 
@@ -34,29 +33,26 @@ fn fig1_shape_gaussian_near_empirical_far() {
 
 #[test]
 fn fig6_shape_error_grows_with_period() {
-    let f = fig6_rf_only(scale(), &[20, 100]);
-    let steady = |s: &cocoa_core::experiment::Series| s.mean_after(110.0);
+    let runs = run_rows(&fig6(scale(), &[20, 100]).rows);
+    let steady = |t: u64| runs.get(&format!("fig6.t{t}")).mean_error_after(110.0);
     assert!(
-        steady(&f.series[0]) < steady(&f.series[1]),
+        steady(20) < steady(100),
         "T = 20 ({:.1} m) must beat T = 100 ({:.1} m) in RF-only mode",
-        steady(&f.series[0]),
-        steady(&f.series[1])
+        steady(20),
+        steady(100)
     );
 }
 
 #[test]
 fn fig7_shape_cocoa_wins_at_both_speeds() {
-    let f = fig7_comparison(scale());
-    for (v, series) in &f.by_speed {
-        let find = |label: &str| {
-            series
-                .iter()
-                .find(|s| s.label.starts_with(label))
-                .unwrap_or_else(|| panic!("{label} series missing"))
-                .mean_after(150.0)
+    let runs = run_rows(&fig7(scale()).rows);
+    for v in ["0_5", "2"] {
+        let steady = |mode: &str| {
+            runs.get(&format!("fig7.v{v}.{mode}"))
+                .mean_error_after(150.0)
         };
-        let cocoa = find("CoCoA");
-        let rf = find("RF");
+        let cocoa = steady("cocoa");
+        let rf = steady("rf-only");
         assert!(
             cocoa < rf,
             "at v_max = {v}: CoCoA {cocoa:.1} m must beat RF-only {rf:.1} m"
@@ -66,44 +62,58 @@ fn fig7_shape_cocoa_wins_at_both_speeds() {
 
 #[test]
 fn fig9_shape_energy_tradeoff() {
-    let f = fig9_period(scale(), &[20, 100]);
+    let runs = run_rows(&fig9(scale(), &[20, 100]).rows);
+    let energy = |t: u64, c: &str| runs.get(&format!("fig9.t{t}.{c}")).energy.total_j();
+    let savings = |t: u64| energy(t, "uncoordinated") / energy(t, "coordinated");
+    // Fig. 9's steady state starts after the largest period + 10 s.
+    let steady = |t: u64| {
+        runs.get(&format!("fig9.t{t}.coordinated"))
+            .mean_error_after(110.0)
+    };
     // Larger T: cheaper coordinated energy, bigger savings factor, worse
     // (or equal) accuracy.
-    let (a, b) = (&f.points[0], &f.points[1]);
-    assert!(b.energy_coordinated_j < a.energy_coordinated_j);
-    assert!(b.savings_factor() > a.savings_factor());
+    assert!(energy(100, "coordinated") < energy(20, "coordinated"));
+    assert!(savings(100) > savings(20));
     assert!(
-        b.steady_error_m >= a.steady_error_m * 0.8,
+        steady(100) >= steady(20) * 0.8,
         "accuracy should not improve much with larger T"
     );
     // Uncoordinated energy barely depends on T (radios always idle).
-    let drift = (a.energy_uncoordinated_j - b.energy_uncoordinated_j).abs();
-    assert!(drift < 0.05 * a.energy_uncoordinated_j);
+    let drift = (energy(20, "uncoordinated") - energy(100, "uncoordinated")).abs();
+    assert!(drift < 0.05 * energy(20, "uncoordinated"));
 }
 
 #[test]
 fn fig10_shape_more_equipped_is_better() {
-    let f = fig10_equipped(scale(), &[3, 12]);
+    let runs = run_rows(&fig10(scale(), &[3, 12]).rows);
+    let error = |n: usize| runs.get(&format!("fig10.e{n}")).mean_error_over_time();
     assert!(
-        f.points[1].mean_error_m < f.points[0].mean_error_m,
+        error(12) < error(3),
         "12 equipped ({:.1} m) must beat 3 equipped ({:.1} m)",
-        f.points[1].mean_error_m,
-        f.points[0].mean_error_m
+        error(12),
+        error(3)
     );
 }
 
 #[test]
 fn ablation_shapes_hold() {
+    let fig = ablations(scale());
+    let runs =
+        run_rows(fig.rows.iter().filter(|r| {
+            r.key.starts_with("ablations.rf.") || r.key.starts_with("ablations.loss.")
+        }));
+    let error = |key: &str| runs.get(key).mean_error_over_time();
     // Bayes beats (or matches) the multilateration baseline.
-    let algo = ablation_rf_algorithm(scale());
+    let (bayes, wls) = (
+        error("ablations.rf.bayes"),
+        error("ablations.rf.multilateration"),
+    );
     assert!(
-        algo[0].mean_error_m <= algo[1].mean_error_m * 1.1,
-        "bayes {:.1} m vs multilateration {:.1} m",
-        algo[0].mean_error_m,
-        algo[1].mean_error_m
+        bayes <= wls * 1.1,
+        "bayes {bayes:.1} m vs multilateration {wls:.1} m"
     );
     // Packet loss degrades accuracy monotonically-ish and never adds fixes.
-    let loss = ablation_packet_loss(scale());
-    assert!(loss.last().unwrap().mean_error_m >= loss.first().unwrap().mean_error_m * 0.95);
-    assert!(loss.last().unwrap().fixes <= loss.first().unwrap().fixes);
+    assert!(error("ablations.loss.60pct") >= error("ablations.loss.0pct") * 0.95);
+    let fixes = |key: &str| runs.get(key).traffic.fixes;
+    assert!(fixes("ablations.loss.60pct") <= fixes("ablations.loss.0pct"));
 }

@@ -37,11 +37,10 @@
 //! in the clamp region both paths multiply a non-negative finite fraction
 //! by the zero sentinel delta, adding an exact `+0.0`. The lane kernel is
 //! therefore **bit-identical** to the scalar loop cell for cell for every
-//! finite lattice coordinate — i.e. any physically representable
-//! geometry. (An infinite coordinate needs cell-to-beacon distances
-//! beyond ~1e154 m; there the scalar loop propagates NaN while the lane
-//! kernel clamps.) That is what lets the lane kernel be the only
-//! production path while pinned-seed golden traces stay byte-identical.
+//! lattice coordinate, infinite ones included: past the last lattice
+//! point both return the last sample. That is what lets the lane kernel
+//! be the only production path while pinned-seed golden traces stay
+//! byte-identical.
 //!
 //! [`radial_product_row`] also stores each cell's unclamped coordinate,
 //! and [`lookup_product_row`] runs only the lookup-and-multiply stage on
@@ -77,8 +76,7 @@ const P52: f64 = 4503599627370496.0;
 ///
 /// Fully auto-vectorized (packed sqrt, gathers, FMA) via the float-domain
 /// clamp + magic-bias indexing described in the module docs, and
-/// bit-identical to the scalar reference expression for finite
-/// coordinates. Kept out-of-line so the surrounding caller can't break
+/// bit-identical to the scalar reference expression. Kept out-of-line so the surrounding caller can't break
 /// the vectorizable codegen.
 ///
 /// # Panics
@@ -180,6 +178,33 @@ mod tests {
             };
             let got = lerp_table(&table, t);
             assert_eq!(got.to_bits(), expected.to_bits(), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn huge_and_infinite_coordinates_read_the_last_sample() {
+        use cocoa_net::calibration::DistancePdf;
+        let profile = DistancePdf::Gaussian {
+            mean: 10.0,
+            sigma: 2.0,
+        }
+        .radial_profile(0.5, 40.0)
+        .offset(1e-6);
+        let table = profile.lane_table();
+        let last = table.val()[profile.len() - 1];
+        let coords = [2f64.powi(63), 2f64.powi(64), 1e300, f64::INFINITY];
+        let mut lane = [0.0; 4];
+        lookup_product_row(&mut lane, &[1.0; 4], 1.0, &coords, table);
+        for (t, lane) in coords.into_iter().zip(lane) {
+            assert_eq!(lane.to_bits(), last.to_bits(), "lane lookup at t = {t}");
+            let scaled = profile.density_scaled(t);
+            assert_eq!(
+                scaled.to_bits(),
+                last.to_bits(),
+                "density_scaled at t = {t}"
+            );
+            let d = profile.density(t * profile.step());
+            assert_eq!(d.to_bits(), last.to_bits(), "density at t = {t}");
         }
     }
 

@@ -460,11 +460,15 @@ impl RadialProfile {
     /// The grid update computes `t` for a whole row in a vectorizable
     /// pass (`t = ‖cell − center‖ · inv_step`) and then resolves densities
     /// through this entry point; for any `t ≥ 0` the result is identical to
-    /// [`density`](Self::density) of the corresponding distance.
+    /// [`density`](Self::density) of the corresponding distance. Every
+    /// coordinate at or past the last lattice point, infinity included,
+    /// returns the last sample.
     #[inline]
     pub fn density_scaled(&self, t: f64) -> f64 {
         let values = &self.lane.val;
-        let i = t as usize;
+        // Clamped in the float domain, as the lane kernels clamp: `t as
+        // usize` saturates from 2⁶⁴ on, and `i + 1` would then overflow.
+        let i = t.min(self.lane.lastf) as usize;
         if i + 1 >= self.len {
             return values[self.len - 1];
         }

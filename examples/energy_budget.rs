@@ -10,7 +10,7 @@
 //! paper lands on T between 50 and 100 s; this example shows the same
 //! trade-off on a downsized run.
 
-use cocoa_suite::core::experiment::{fig9_period, ExperimentScale};
+use cocoa_suite::core::experiment::{fig9, run_rows, ExperimentScale};
 use cocoa_suite::sim::time::SimDuration;
 
 fn main() {
@@ -23,33 +23,38 @@ fn main() {
         "Sweeping beacon period T ({} robots, {} simulated)...\n",
         scale.num_robots, scale.duration
     );
-    let fig = fig9_period(scale, &[10, 50, 100, 300]);
-    println!("{}", fig.render());
+    let periods = [10, 50, 100, 300];
+    let fig = fig9(scale, &periods);
+    let runs = run_rows(&fig.rows);
+    print!("{}", fig.render(&runs));
+
+    // `(T, error, coordinated energy, uncoordinated energy)` per period.
+    let points: Vec<(u64, f64, f64, f64)> = periods
+        .iter()
+        .map(|&t| {
+            let with = runs.get(&format!("fig9.t{t}.coordinated"));
+            let without = runs.get(&format!("fig9.t{t}.uncoordinated"));
+            (
+                t,
+                with.mean_error_over_time(),
+                with.energy.total_j(),
+                without.energy.total_j(),
+            )
+        })
+        .collect();
 
     // A simple operating-point recommendation, the way Section 4.3.1
     // reasons: the smallest T whose error is within 25% of the best and
     // whose energy is within 2x of the cheapest.
-    let best_err = fig
-        .points
+    let best_err = points.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+    let cheapest = points.iter().map(|p| p.2).fold(f64::INFINITY, f64::min);
+    let pick = points
         .iter()
-        .map(|p| p.mean_error_m)
-        .fold(f64::INFINITY, f64::min);
-    let cheapest = fig
-        .points
-        .iter()
-        .map(|p| p.energy_coordinated_j)
-        .fold(f64::INFINITY, f64::min);
-    let pick = fig
-        .points
-        .iter()
-        .find(|p| p.mean_error_m <= best_err * 1.25 && p.energy_coordinated_j <= cheapest * 2.0);
+        .find(|p| p.1 <= best_err * 1.25 && p.2 <= cheapest * 2.0);
     match pick {
-        Some(p) => println!(
-            "recommended operating point: T = {} s ({:.1} m, {:.0} J, {:.1}x savings)",
-            p.period_s,
-            p.mean_error_m,
-            p.energy_coordinated_j,
-            p.savings_factor()
+        Some(&(t, error, on_j, off_j)) => println!(
+            "recommended operating point: T = {t} s ({error:.1} m, {on_j:.0} J, {:.1}x savings)",
+            off_j / on_j
         ),
         None => println!("no single T satisfies both constraints; pick per application"),
     }
