@@ -7,8 +7,10 @@
 //! ```
 //!
 //! A single fast pass (a few seconds end to end), intended as a regression
-//! tripwire: the JSON records the calibration campaign's and the radial
-//! table's set-up times and the bytes of every bin's profile, ops/s for
+//! tripwire: the JSON records the calibration campaign's time against
+//! its per-draw reference and how many of its samples it computed
+//! exactly, the radial table's set-up times and the bytes of every bin's
+//! profile, ops/s for
 //! the Bayesian grid update, the lane kernels (one receiver of a beacon
 //! frame, and a later receiver reading the frame's stored distances)
 //! against their scalar reference, the dense PDF-table lookup, one
@@ -41,7 +43,9 @@ use cocoa_localization::batch::BeaconLog;
 use cocoa_localization::bayes::radial_constraints_for_grid;
 use cocoa_localization::estimator::WindowedRfEstimator;
 use cocoa_localization::grid::{BeaconField, GridConfig, PositionGrid};
-use cocoa_net::calibration::{calibrate, CalibrationConfig};
+use cocoa_net::calibration::{
+    calibrate, calibrate_reference, calibration_exact_draws, CalibrationConfig,
+};
 use cocoa_net::channel::RfChannel;
 use cocoa_net::geometry::{Area, Point};
 use cocoa_net::rssi::Dbm;
@@ -140,29 +144,46 @@ fn main() -> ExitCode {
         return check_only(&history_dir);
     }
 
-    // The calibration campaign every run starts with, and the radial
-    // table a run builds on it: constructed (all a run pays before its
-    // first beacon) and with every bin's profile sampled (what a run pays
-    // once its robots have heard every bin). Medians of nine.
+    // The calibration campaign every run starts with, against its
+    // per-draw reference (nine alternating rounds, medians), and the
+    // radial table a run builds on it: constructed (all a run pays before
+    // its first beacon) and with every bin's profile sampled (what a run
+    // pays once its robots have heard every bin). Medians of nine.
     let channel = RfChannel::default();
-    let median_secs = |f: &mut dyn FnMut()| {
-        let mut secs: Vec<f64> = (0..9)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
+    let time_secs = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    let median = |mut secs: Vec<f64>| {
         secs.sort_by(f64::total_cmp);
         secs[secs.len() / 2]
     };
-    let calibrate_ms = 1e3
-        * median_secs(&mut || {
-            let mut rng = SeedSplitter::new(1).stream("cal", 0);
-            std::hint::black_box(calibrate(&channel, &CalibrationConfig::default(), &mut rng));
+    let median_secs = |f: &mut dyn FnMut()| median((0..9).map(|_| time_secs(f)).collect());
+    let campaign = |reference: bool| {
+        let mut rng = SeedSplitter::new(1).stream("cal", 0);
+        let cfg = CalibrationConfig::default();
+        std::hint::black_box(if reference {
+            calibrate_reference(&channel, &cfg, &mut rng)
+        } else {
+            calibrate(&channel, &cfg, &mut rng)
         });
+    };
+    let (fast_secs, reference_secs): (Vec<f64>, Vec<f64>) = (0..9)
+        .map(|_| {
+            (
+                time_secs(&mut || campaign(false)),
+                time_secs(&mut || campaign(true)),
+            )
+        })
+        .unzip();
+    let calibrate_ms = 1e3 * median(fast_secs);
+    let calibrate_reference_ms = 1e3 * median(reference_secs);
+    let calibrate_speedup = calibrate_reference_ms / calibrate_ms;
+    let exact_before = calibration_exact_draws();
     let mut cal_rng = SeedSplitter::new(1).stream("cal", 0);
     let table = calibrate(&channel, &CalibrationConfig::default(), &mut cal_rng);
+    let calibrate_exact_draws = calibration_exact_draws() - exact_before;
     let grid_cfg = GridConfig::new(Area::square(200.0), 2.0);
     let radial_setup_us = 1e6
         * median_secs(&mut || {
@@ -456,8 +477,12 @@ fn main() -> ExitCode {
     drop(server);
 
     println!(
-        "calibration:           {calibrate_ms:.2} ms; radial table {radial_setup_us:.1} us, \
-         every bin sampled {radial_all_bins_ms:.2} ms ({radial_all_bins_kib:.0} KiB)"
+        "calibration:           {calibrate_ms:.2} ms against {calibrate_reference_ms:.2} ms per \
+         draw ({calibrate_speedup:.2}x, {calibrate_exact_draws} exact draws)"
+    );
+    println!(
+        "radial table:          {radial_setup_us:.1} us, every bin sampled \
+         {radial_all_bins_ms:.2} ms ({radial_all_bins_kib:.0} KiB)"
     );
     println!("grid update (radial):  {}", fmt_ops(grid_radial));
     println!("grid kernel (scalar):  {}", fmt_ops(kernel_scalar));
@@ -500,6 +525,9 @@ fn main() -> ExitCode {
          \"grid_update_simd_speedup\": {simd_speedup:.2},\n  \
          \"grid_update_shared_speedup\": {shared_speedup:.2},\n  \
          \"calibrate_ms\": {calibrate_ms:.3},\n  \
+         \"calibrate_reference_ms\": {calibrate_reference_ms:.3},\n  \
+         \"calibrate_speedup\": {calibrate_speedup:.2},\n  \
+         \"calibrate_exact_draws\": {calibrate_exact_draws},\n  \
          \"radial_setup_us\": {radial_setup_us:.1},\n  \
          \"radial_all_bins_ms\": {radial_all_bins_ms:.3},\n  \
          \"radial_all_bins_kib\": {radial_all_bins_kib:.1},\n  \

@@ -6,22 +6,17 @@
 //! [`regress`]'s history ring.
 //!
 //! The `COCOA_BENCH_QUICK=1` environment variable downsizes the figure
-//! regeneration (useful on laptops / CI).
+//! regeneration to [`ExperimentScale::quick`] (useful on laptops / CI).
 
 pub mod regress;
 
 use cocoa_core::experiment::ExperimentScale;
-use cocoa_sim::time::SimDuration;
 
 /// The scale used for figure regeneration: the paper's setup, unless
-/// `COCOA_BENCH_QUICK` is set.
+/// `COCOA_BENCH_QUICK` is set, which picks the quick scale `perf` runs.
 pub fn figure_scale() -> ExperimentScale {
     if std::env::var_os("COCOA_BENCH_QUICK").is_some() {
-        ExperimentScale {
-            seed: 42,
-            duration: SimDuration::from_secs(300),
-            num_robots: 30,
-        }
+        ExperimentScale::quick()
     } else {
         ExperimentScale::default()
     }

@@ -85,6 +85,14 @@ pub const SPECS: &[MetricSpec] = &[
     // every bin up front again would read thousands of times that, so a
     // microsecond timing's noise gets a 10× tolerance.
     spec("calibrate_ms", LowerIsBetter, 1.0),
+    spec("calibrate_reference_ms", LowerIsBetter, 1.0),
+    // The campaign's polynomials against libm, timed alternately on one
+    // machine: the ratio falls towards the scalar polynomials' if the
+    // value pass stops vectorizing (CI also gates an absolute floor).
+    spec("calibrate_speedup", HigherIsBetter, 0.35),
+    // Samples too close to a bin edge or the sensitivity for the
+    // polynomials to decide; deterministic for the seed, and tracked.
+    spec("calibrate_exact_draws", Informational, 0.0),
     spec("radial_setup_us", LowerIsBetter, 10.0),
     spec("radial_all_bins_ms", LowerIsBetter, 1.0),
     // The bytes of every bin's lane table once all are built. It is

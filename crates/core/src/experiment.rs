@@ -28,7 +28,6 @@ use cocoa_net::channel::{ChannelParams, PathLossModel, RfChannel};
 use cocoa_net::rssi::RssiBin;
 use cocoa_sim::faults::FaultPlan;
 use cocoa_sim::rng::SeedSplitter;
-use cocoa_sim::stats;
 use cocoa_sim::time::{SimDuration, SimTime};
 use rand::Rng;
 
@@ -60,7 +59,8 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A downsized scale (20 robots, 300 s) for `perf`'s smoke runs.
+    /// A downsized scale (20 robots, 300 s) for `perf`'s smoke runs and
+    /// `figures` under `COCOA_BENCH_QUICK`.
     pub fn quick() -> Self {
         ExperimentScale {
             seed: 42,
@@ -241,31 +241,9 @@ impl Series {
         }
     }
 
-    /// Mean of the y values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        let ys: Vec<f64> = self.points.iter().map(|p| p.1).collect();
-        stats::mean(&ys)
-    }
-
-    /// Maximum of the y values (0 if empty).
-    pub fn max(&self) -> f64 {
-        self.points.iter().map(|p| p.1).fold(0.0, f64::max)
-    }
-
     /// The last y value (0 if empty).
     pub fn last(&self) -> f64 {
         self.points.last().map_or(0.0, |p| p.1)
-    }
-
-    /// Mean of the y values with `x >= from` (0 if none).
-    pub fn mean_after(&self, from: f64) -> f64 {
-        let tail: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.0 >= from)
-            .map(|p| p.1)
-            .collect();
-        stats::mean(&tail)
     }
 
     /// Downsamples to roughly `n` points (for compact printing). `n = 0`
@@ -287,14 +265,15 @@ impl Series {
 fn render_series_table(title: &str, rows: &[Row], runs: &Runs, n_points: usize) -> String {
     let mut out = format!("# {title}\n");
     for r in rows {
-        let s = Series::from_metrics(r.label.as_str(), runs.get(&r.key));
+        let m = runs.get(&r.key);
+        let s = Series::from_metrics(r.label.as_str(), m);
         let ds = s.downsampled(n_points);
         out.push_str(&format!(
             "{} | mean={:.2} m, steady(>310s)={:.2} m, max={:.2} m, final={:.2} m\n",
             ds.label,
-            s.mean(),
-            s.mean_after(310.0),
-            s.max(),
+            m.mean_error_over_time(),
+            m.mean_error_after(310.0),
+            m.max_error_over_time(),
             s.last()
         ));
         let row: Vec<String> = ds
@@ -1106,8 +1085,6 @@ mod tests {
             label: "x".into(),
             points: (0..100).map(|i| (f64::from(i), f64::from(i))).collect(),
         };
-        assert_eq!(s.mean(), 49.5);
-        assert_eq!(s.max(), 99.0);
         assert_eq!(s.last(), 99.0);
         assert!(s.downsampled(10).points.len() <= 11);
         assert_eq!(s.downsampled(0).points.len(), 100);

@@ -97,11 +97,6 @@ pub struct PositionGrid {
     /// Cell-centre y coordinates, indexed by `iy`.
     #[serde(skip)]
     ys: Vec<f64>,
-    /// Reusable buffer for unnormalized products: a [`GridBatch`]'s
-    /// updates alternate between it and `cells`, so the per-beacon hot
-    /// path allocates nothing.
-    #[serde(skip)]
-    scratch: Vec<f64>,
     /// Reusable buffer of per-column squared x-distances to the current
     /// constraint centre.
     #[serde(skip)]
@@ -119,7 +114,8 @@ pub struct PositionGrid {
 
 /// One beacon frame's distance field: the position the beacon claims
 /// and, once a grid has filled it, each cell's lattice coordinate
-/// `√(dx² + dy²) · inv_step` to that position.
+/// `√(dx² + dy²) · inv_step` to that position. It also lends each update
+/// the buffer its product is written into ([`GridBatch::apply`]).
 ///
 /// Every receiver of a frame multiplies a constraint around the same
 /// position into a grid of the same geometry, so the first receiver's
@@ -138,6 +134,10 @@ pub struct BeaconField {
     coords: Vec<f64>,
     /// How many times `coords` were computed.
     fills: u64,
+    /// The buffer an update writes its unnormalized product into; an
+    /// applied update swaps it with the grid's cells, so the field keeps
+    /// the cells it replaced for the next update to write over.
+    product: Vec<f64>,
 }
 
 impl BeaconField {
@@ -156,10 +156,13 @@ impl BeaconField {
         self.key = None;
     }
 
-    /// Makes room for the coordinates of a grid of `cells` cells, so
-    /// filling the field for such a grid allocates nothing.
+    /// Makes room for the coordinates and the product of a grid of
+    /// `cells` cells, so updating such a grid through the field allocates
+    /// nothing.
     pub fn reserve(&mut self, cells: usize) {
         self.coords.reserve(cells.saturating_sub(self.coords.len()));
+        self.product
+            .reserve(cells.saturating_sub(self.product.len()));
     }
 
     /// The position the beacon claims.
@@ -251,7 +254,6 @@ impl PositionGrid {
             cells: vec![1.0 / n as f64; n],
             xs,
             ys,
-            scratch: Vec::with_capacity(n),
             dx2: Vec::with_capacity(nx),
             row_t: Vec::with_capacity(nx),
             entropy: Cell::new(None),
@@ -287,14 +289,14 @@ impl PositionGrid {
     }
 
     /// The reference loop's renormalization: commits the unnormalized
-    /// product held in `scratch` (total mass `total`) to the posterior, or
-    /// rejects it as degenerate.
-    fn commit(&mut self, scratch: &[f64], total: f64) -> ConstraintOutcome {
+    /// `product` (total mass `total`) to the posterior, or rejects it as
+    /// degenerate.
+    fn commit(&mut self, product: &[f64], total: f64) -> ConstraintOutcome {
         if Self::degenerate(total, self.cells.len()) {
             return ConstraintOutcome::Rejected;
         }
         let inv_total = 1.0 / total;
-        for (dst, &v) in self.cells.iter_mut().zip(scratch) {
+        for (dst, &v) in self.cells.iter_mut().zip(product) {
             *dst = v * inv_total;
         }
         self.entropy.set(None);
@@ -305,23 +307,6 @@ impl PositionGrid {
     /// degenerate to renormalize: not finite, or (near-)zero.
     fn degenerate(total: f64, n: usize) -> bool {
         !total.is_finite() || total <= f64::MIN_POSITIVE * n as f64
-    }
-
-    /// The scratch-preparation idiom of the reference loop: `clear` +
-    /// `resize` (zero-fill), which amortizes to a `memset` after the first
-    /// call.
-    fn reset_scratch(scratch: &mut Vec<f64>, n: usize) {
-        scratch.clear();
-        scratch.resize(n, 0.0);
-    }
-
-    /// Scratch preparation for the lane-kernel path, which overwrites every
-    /// element (its row loop tiles the buffer exactly): only the length is
-    /// established; no zero-fill pass is paid.
-    fn ensure_scratch(scratch: &mut Vec<f64>, n: usize) {
-        if scratch.len() != n {
-            Self::reset_scratch(scratch, n);
-        }
     }
 
     /// Multiplies a radial constraint — `profile.density(‖cell − center‖)`
@@ -354,24 +339,24 @@ impl PositionGrid {
     /// The scalar two-stage reference loop for
     /// [`apply_radial_constraint`](Self::apply_radial_constraint): a
     /// vectorizable distance stage into `row_t`, then a gather-bound
-    /// interpolation stage. It defines the bits the lane kernel must
-    /// reproduce and exists for the bit-identity proptest and the kernel
-    /// speedup benchmark; no run configuration selects it.
+    /// interpolation stage into a product buffer of its own. It defines
+    /// the bits the lane kernel must reproduce and exists for the
+    /// bit-identity proptest and the kernel speedup benchmark; no run
+    /// configuration selects it.
     #[doc(hidden)]
     pub fn apply_radial_constraint_reference(
         &mut self,
         center: Point,
         profile: &RadialProfile,
     ) -> ConstraintOutcome {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::reset_scratch(&mut scratch, self.cells.len());
+        let mut product = vec![0.0; self.cells.len()];
         let mut dx2 = std::mem::take(&mut self.dx2);
         let mut row_t = std::mem::take(&mut self.row_t);
         Self::fill_dx2(&mut dx2, &self.xs, center.x);
         row_t.clear();
         row_t.resize(self.nx, 0.0);
         let inv_step = profile.inv_step();
-        for (iy, out) in scratch.chunks_exact_mut(self.nx).enumerate() {
+        for (iy, out) in product.chunks_exact_mut(self.nx).enumerate() {
             let dy = self.ys[iy] - center.y;
             let dy2 = dy * dy;
             let row = &self.cells[iy * self.nx..(iy + 1) * self.nx];
@@ -384,9 +369,7 @@ impl PositionGrid {
         }
         self.dx2 = dx2;
         self.row_t = row_t;
-        let outcome = self.commit(&scratch, sum_4lane(&scratch));
-        self.scratch = scratch;
-        outcome
+        self.commit(&product, sum_4lane(&product))
     }
 
     /// Fills `dx2` with per-column squared x-distances to `cx`.
@@ -509,7 +492,6 @@ impl PositionGrid {
             xs: _,
             ys: _,
             // Scratch buffers.
-            scratch: _,
             dx2: _,
             row_t: _,
         } = self;
@@ -542,10 +524,11 @@ impl PositionGrid {
 /// same IEEE operations in the same order as reading the stored `c'`, so
 /// every product, total and settled cell has the bits that renormalizing
 /// after every update gives (and
-/// [`PositionGrid::apply_radial_constraint_reference`] defines). The
-/// products alternate between the grid's cells and its scratch buffer,
-/// so an update reads one and writes the other, and a rejected update
-/// leaves the batch's product as it was.
+/// [`PositionGrid::apply_radial_constraint_reference`] defines). An
+/// update reads the cells and writes the field's product buffer, which an
+/// applied update swaps in for the cells, so a rejected update leaves the
+/// batch's product as it was, and a grid holds one buffer of cells
+/// however many updates it takes.
 ///
 /// The batch borrows the grid, so nothing reads the posterior while it
 /// is unnormalized. [`settle`](Self::settle), or dropping the batch,
@@ -553,16 +536,9 @@ impl PositionGrid {
 #[derive(Debug)]
 pub struct GridBatch<'g> {
     grid: &'g mut PositionGrid,
-    /// The latest unnormalized product and its `1 / total`; `None` while
-    /// the cells hold the posterior.
-    pending: Option<Pending>,
-}
-
-/// Where a batch's unnormalized product lives, and its `1 / total`.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    scale: f64,
-    in_scratch: bool,
+    /// The `1 / total` of the unnormalized product the cells hold; `None`
+    /// while they hold the posterior.
+    pending: Option<f64>,
 }
 
 impl GridBatch<'_> {
@@ -578,8 +554,9 @@ impl GridBatch<'_> {
     /// once per column and squared y-offsets once per row and stores each
     /// cell's coordinate in the field; an update on a field already filled
     /// for this grid and step runs only [`kernel::lookup_product_row`].
-    /// All buffers are persistent, so an update allocates nothing in
-    /// steady state.
+    /// The product is written into the field's buffer, which an applied
+    /// update swaps with the grid's cells. All buffers are persistent, so
+    /// an update allocates nothing in steady state.
     ///
     /// Returns [`ConstraintOutcome::Rejected`], keeping the batch's
     /// posterior as it was, if the product has (near-)zero total mass or
@@ -588,31 +565,28 @@ impl GridBatch<'_> {
     /// posterior of finite, non-negative cells summing to 1 always
     /// applies: the total is at least the largest cell times the floor.
     pub fn apply(&mut self, field: &mut BeaconField, profile: &RadialProfile) -> ConstraintOutcome {
-        let (scale, in_scratch) = self
-            .pending
-            .map_or((1.0, false), |p| (p.scale, p.in_scratch));
+        let scale = self.pending.unwrap_or(1.0);
         let PositionGrid {
             config,
             nx,
             cells,
             xs,
             ys,
-            scratch,
             dx2,
             ..
         } = &mut *self.grid;
         let nx = *nx;
         let n = cells.len();
-        PositionGrid::ensure_scratch(scratch, n);
-        let (src, dst): (&[f64], &mut [f64]) = if in_scratch {
-            (scratch, cells)
-        } else {
-            (cells, scratch)
-        };
+        // The kernels' rows tile the buffer and overwrite every element, so
+        // only its length matters.
+        field.product.resize(n, 0.0);
         let inv_step = profile.inv_step();
         let table = profile.lane_table();
         let key = field.key(config, inv_step);
-        let rows = dst.chunks_exact_mut(nx).zip(src.chunks_exact(nx));
+        let rows = field
+            .product
+            .chunks_exact_mut(nx)
+            .zip(cells.chunks_exact(nx));
         if field.key == Some(key) {
             for ((out, row), coords) in rows.zip(field.coords.chunks_exact(nx)) {
                 kernel::lookup_product_row(out, row, scale, coords, table);
@@ -628,34 +602,25 @@ impl GridBatch<'_> {
             }
             field.key = Some(key);
         }
-        let total = sum_4lane(dst);
+        let total = sum_4lane(&field.product);
         if PositionGrid::degenerate(total, n) {
             return ConstraintOutcome::Rejected;
         }
-        self.pending = Some(Pending {
-            scale: 1.0 / total,
-            in_scratch: !in_scratch,
-        });
+        std::mem::swap(cells, &mut field.product);
+        self.pending = Some(1.0 / total);
         ConstraintOutcome::Applied
     }
 
     /// Writes the normalized posterior, one pass over the cells, if any
     /// update applied since the batch opened or last settled.
     pub fn settle(&mut self) {
-        let Some(Pending { scale, in_scratch }) = self.pending.take() else {
+        let Some(scale) = self.pending.take() else {
             return;
         };
-        let grid = &mut *self.grid;
-        if in_scratch {
-            for (dst, &v) in grid.cells.iter_mut().zip(&grid.scratch) {
-                *dst = v * scale;
-            }
-        } else {
-            for c in &mut grid.cells {
-                *c *= scale;
-            }
+        for c in &mut self.grid.cells {
+            *c *= scale;
         }
-        grid.entropy.set(None);
+        self.grid.entropy.set(None);
     }
 }
 
@@ -809,7 +774,7 @@ mod tests {
         let profile = RadialProfile::from_fn(0.25, 300.0, |d| (-((d - 30.0) / 8.0).powi(2)).exp())
             .offset(1e-6);
         let mut radial = grid(2.0);
-        // Two rounds on one field: the second reuses the scratch buffers
+        // Two rounds on one field: the second reuses the product buffer
         // and the coordinates the first stored.
         let mut field = BeaconField::new(center);
         for _ in 0..2 {
@@ -851,8 +816,8 @@ mod tests {
         let fresh = grid(2.0);
         let mut used = grid(2.0);
         let zero = RadialProfile::from_fn(1.0, 300.0, |_| 0.0);
-        // A rejected update leaves the posterior alone but dirties scratch,
-        // and reading the entropy fills the cache.
+        // A rejected update leaves the posterior alone but fills the
+        // grid's distance buffer, and reading the entropy fills the cache.
         used.apply_radial_constraint(&mut BeaconField::new(Point::new(10.0, 10.0)), &zero);
         used.entropy();
         assert_eq!(fresh, used);

@@ -20,10 +20,11 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use cocoa_sim::dist::{Exponential, Normal};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::channel::RfChannel;
+use crate::channel::{RfChannel, RssiLaw};
 use crate::rssi::{Dbm, RssiBin};
 
 /// Parameters of the calibration campaign.
@@ -633,6 +634,15 @@ fn bin_offset(bin: i16, min_bin: i16) -> i32 {
 /// Sweeps ground-truth distances, samples the channel at each, buckets the
 /// samples by integer-dBm RSSI and fits a distance PDF per bin.
 ///
+/// The table keeps only each sample's bin and whether it is detectable,
+/// so most samples never need their exact value. Each distance's samples
+/// are drawn in three passes: their uniforms, in the order
+/// [`RssiLaw::sample`] draws them; every value at once from bounded
+/// polynomials; and, for the few values too close to a bin edge or the
+/// sensitivity for the polynomials' error to decide, the exact value
+/// `RssiLaw::sample` returns. The table and the stream's end are those of
+/// [`calibrate_reference`], bit for bit.
+///
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (non-positive step, zero
@@ -641,6 +651,36 @@ pub fn calibrate<R: Rng + ?Sized>(
     channel: &RfChannel,
     config: &CalibrationConfig,
     rng: &mut R,
+) -> PdfTable {
+    let mut draws = Draws::default();
+    campaign(channel, config, |law, tally| {
+        draws.sample(law, config.samples_per_distance, rng, tally);
+    })
+}
+
+/// The campaign of [`calibrate`] with every sample drawn by
+/// [`RssiLaw::sample`], one at a time: the reference `calibrate` must
+/// match bit for bit, kept for the equivalence tests and the speedup
+/// benchmark; no run selects it.
+#[doc(hidden)]
+pub fn calibrate_reference<R: Rng + ?Sized>(
+    channel: &RfChannel,
+    config: &CalibrationConfig,
+    rng: &mut R,
+) -> PdfTable {
+    campaign(channel, config, |law, tally| {
+        for _ in 0..config.samples_per_distance {
+            tally.add(law.sample(rng));
+        }
+    })
+}
+
+/// The campaign's sweep: `sample` draws each distance's samples into the
+/// tally, which fits the table.
+fn campaign(
+    channel: &RfChannel,
+    config: &CalibrationConfig,
+    mut sample: impl FnMut(&RssiLaw, &mut Tally),
 ) -> PdfTable {
     assert!(config.step_m > 0.0, "calibration step must be positive");
     assert!(
@@ -656,66 +696,402 @@ pub fn calibrate<R: Rng + ?Sized>(
         config.d_min > 0.0 && config.d_min < d_max,
         "invalid calibration range"
     );
-
-    // Collect (distance) samples per RSSI bin: `by_bin[i]` holds bin
-    // `min_bin + i`. Samples below the receiver sensitivity are never
-    // actually received, so no PDF is learned for them, and a detectable
-    // sample never rounds below the sensitivity's own bin.
-    let min_bin = Dbm::new(channel.params().sensitivity_dbm).bin().0;
-    let mut by_bin: Vec<Vec<f64>> = Vec::new();
+    let mut tally = Tally::new(channel);
     let mut d = config.d_min;
     while d <= d_max {
-        let law = channel.rssi_law(d);
-        for _ in 0..config.samples_per_distance {
-            let rssi = law.sample(rng);
-            if channel.is_detectable(rssi) {
-                let i = usize::try_from(bin_offset(rssi.bin().0, min_bin))
-                    .expect("a detectable sample rounds to the sensitivity's bin or above");
-                if i >= by_bin.len() {
-                    by_bin.resize_with(i + 1, Vec::new);
-                }
-                by_bin[i].push(d);
-            }
-        }
+        sample(&channel.rssi_law(d), &mut tally);
+        tally.end_distance(d);
         d += config.step_m;
     }
+    tally.fit(config, channel.gaussian_rssi_floor().value())
+}
 
-    let gaussian_floor = channel.gaussian_rssi_floor().value();
-    let mut bins = Vec::new();
-    for (i, samples) in by_bin.into_iter().enumerate() {
-        if samples.len() < config.min_samples_per_bin {
-            continue;
+/// The campaign's detectable samples, by RSSI bin from the sensitivity's
+/// bin up (a detectable sample never rounds below it): for each bin, the
+/// distances its samples were drawn at, in sweep order, with how many.
+struct Tally<'c> {
+    channel: &'c RfChannel,
+    min_bin: i16,
+    /// Samples per slot at the distance being drawn: slot 0 counts the
+    /// undetectable ones, slot `i + 1` bin `min_bin + i`.
+    here: Vec<usize>,
+    /// `runs[i]` holds bin `min_bin + i`'s `(distance, samples)`.
+    runs: Vec<Vec<(f64, usize)>>,
+}
+
+impl<'c> Tally<'c> {
+    fn new(channel: &'c RfChannel) -> Self {
+        Tally {
+            channel,
+            min_bin: Dbm::new(channel.params().sensitivity_dbm).bin().0,
+            here: Vec::new(),
+            runs: Vec::new(),
         }
-        let bin = (i32::from(min_bin) + i as i32) as i16;
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-        let sigma = var.sqrt().max(0.25);
-        let pdf = if f64::from(bin) >= gaussian_floor {
-            DistancePdf::Gaussian { mean, sigma }
-        } else {
-            // Histogram over the sample support.
-            let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let width = config.histogram_bin_m;
-            let cells = (((hi - lo) / width).ceil() as usize).max(1);
-            let mut counts = vec![0usize; cells];
-            for &s in &samples {
-                let idx = (((s - lo) / width) as usize).min(cells - 1);
-                counts[idx] += 1;
-            }
-            let densities: Vec<f64> = counts.iter().map(|&c| c as f64 / (n * width)).collect();
-            DistancePdf::Empirical {
-                origin: lo,
-                bin_width: width,
-                densities,
-                mean,
-                sigma,
-            }
-        };
-        bins.push((bin, pdf));
     }
-    PdfTable::from_sorted(bins, gaussian_floor)
+
+    /// Counts one sample drawn at the current distance. Samples below the
+    /// receiver sensitivity are never actually received, so no PDF is
+    /// learned for them.
+    #[inline]
+    fn add(&mut self, rssi: Dbm) {
+        let slot = if self.channel.is_detectable(rssi) {
+            let i = usize::try_from(bin_offset(rssi.bin().0, self.min_bin))
+                .expect("a detectable sample rounds to the sensitivity's bin or above");
+            i + 1
+        } else {
+            0
+        };
+        self.count(slot);
+    }
+
+    /// Counts one sample of the current distance in `slot`.
+    #[inline]
+    fn count(&mut self, slot: usize) {
+        if slot >= self.here.len() {
+            self.here.resize(slot + 1, 0);
+        }
+        self.here[slot] += 1;
+    }
+
+    /// Closes the current distance, `d`.
+    fn end_distance(&mut self, d: f64) {
+        let Some((undetectable, bins)) = self.here.split_first_mut() else {
+            return;
+        };
+        *undetectable = 0;
+        if self.runs.len() < bins.len() {
+            self.runs.resize_with(bins.len(), Vec::new);
+        }
+        for (runs, here) in self.runs.iter_mut().zip(bins) {
+            if *here > 0 {
+                runs.push((d, *here));
+                *here = 0;
+            }
+        }
+    }
+
+    /// Fits a distance PDF to every bin with enough samples: a Gaussian at
+    /// or above `gaussian_floor`, a histogram below it.
+    ///
+    /// A bin's samples, in the order they were drawn, are its runs'
+    /// distances each repeated its count, so every sum below makes the
+    /// same additions in the same order as a fit over the samples one by
+    /// one, and gets the same bits.
+    fn fit(self, config: &CalibrationConfig, gaussian_floor: f64) -> PdfTable {
+        let mut bins = Vec::new();
+        for (i, runs) in self.runs.iter().enumerate() {
+            let count: usize = runs.iter().map(|&(_, c)| c).sum();
+            if count < config.min_samples_per_bin {
+                continue;
+            }
+            let samples = || runs.iter().flat_map(|&(d, c)| std::iter::repeat_n(d, c));
+            let bin = (i32::from(self.min_bin) + i as i32) as i16;
+            let n = count as f64;
+            let mean = samples().sum::<f64>() / n;
+            let var = samples().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
+            let sigma = var.sqrt().max(0.25);
+            let pdf = if f64::from(bin) >= gaussian_floor {
+                DistancePdf::Gaussian { mean, sigma }
+            } else {
+                // Histogram over the sample support.
+                let lo = runs.iter().map(|&(d, _)| d).fold(f64::INFINITY, f64::min);
+                let hi = runs
+                    .iter()
+                    .map(|&(d, _)| d)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let width = config.histogram_bin_m;
+                let cells = (((hi - lo) / width).ceil() as usize).max(1);
+                let mut counts = vec![0usize; cells];
+                for &(s, c) in runs {
+                    let idx = (((s - lo) / width) as usize).min(cells - 1);
+                    counts[idx] += c;
+                }
+                let densities: Vec<f64> = counts.iter().map(|&c| c as f64 / (n * width)).collect();
+                DistancePdf::Empirical {
+                    origin: lo,
+                    bin_width: width,
+                    densities,
+                    mean,
+                    sigma,
+                }
+            };
+            bins.push((bin, pdf));
+        }
+        PdfTable::from_sorted(bins, gaussian_floor)
+    }
+}
+
+thread_local! {
+    static EXACT_DRAWS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many samples this thread's [`calibrate`] campaigns have had to
+/// compute exactly because the polynomials could not tell their bin or
+/// detectability apart; the laws that take the per-draw path are not
+/// counted. `perf` records the count for its seed.
+#[doc(hidden)]
+pub fn calibration_exact_draws() -> u64 {
+    EXACT_DRAWS.with(Cell::get)
+}
+
+/// One distance's samples, structure of arrays: the uniforms each sample
+/// drew and the tally slot the polynomials decide for it.
+///
+/// The polynomials' error bound, derived at [`ln_poly`] and [`cos_turn`]
+/// and gathered in [`error_budget`], holds for every uniform a sample can
+/// draw. A value farther than [`separation_margin`], at least 10³ budgets,
+/// from every bin edge (x.5 dBm) and from the sensitivity lies on the
+/// same side of each as the exact value, so it has the exact value's bin
+/// and detectability; the rest are recomputed with [`Normal::transform`]
+/// and [`Exponential::transform`], the formulas `RssiLaw::sample` applies.
+#[derive(Debug, Default)]
+struct Draws {
+    /// Box–Muller's `u1`, in (0, 1].
+    u1: Vec<f64>,
+    /// Box–Muller's `u2`, in [0, 1).
+    u2: Vec<f64>,
+    /// The fade depth's uniform, in (0, 1], after heads; 0 after tails or
+    /// before the onset, which draw none.
+    fade: Vec<f64>,
+    /// Each sample's [`Tally`] slot as the polynomials decide it, or −1
+    /// where they cannot.
+    slot: Vec<f64>,
+}
+
+impl Draws {
+    /// Draws `n` samples of `law` into `tally`: the three passes, or one
+    /// [`RssiLaw::sample`] per draw for a law the margin cannot separate.
+    fn sample<R: Rng + ?Sized>(&mut self, law: &RssiLaw, n: usize, rng: &mut R, tally: &mut Tally) {
+        let Some(margin) = separation_margin(law) else {
+            for _ in 0..n {
+                tally.add(law.sample(rng));
+            }
+            return;
+        };
+        self.draw(law, n, rng);
+        self.classify(law, margin, tally);
+        let mut exact = 0;
+        for (i, &slot) in self.slot.iter().enumerate() {
+            if slot < 0.0 {
+                tally.add(Dbm::new(self.exact(law, i)));
+                exact += 1;
+            } else {
+                tally.count(slot as usize);
+            }
+        }
+        EXACT_DRAWS.with(|c| c.set(c.get() + exact));
+    }
+
+    /// The first pass: the uniforms of `n` samples, drawn in the order
+    /// [`RssiLaw::sample`] draws them when the shadowing σ is positive —
+    /// Box–Muller's two, then past the onset the fade coin and, on heads,
+    /// the depth's.
+    fn draw<R: Rng + ?Sized>(&mut self, law: &RssiLaw, n: usize, rng: &mut R) {
+        for column in [&mut self.u1, &mut self.u2, &mut self.fade] {
+            column.resize(n, 0.0);
+        }
+        let columns = self.u1.iter_mut().zip(&mut self.u2).zip(&mut self.fade);
+        for ((u1, u2), fade) in columns {
+            (*u1, *u2) = Normal::uniforms(rng);
+            *fade = match law.fade {
+                Some((prob, _)) if rng.gen_bool(prob) => Exponential::uniform(rng),
+                _ => 0.0,
+            };
+        }
+    }
+
+    /// The second pass, in one branch-free loop the compiler vectorizes:
+    /// each sample's [`polynomial_value`] and, unless it lies within
+    /// `margin` of the sensitivity or a bin edge, its tally slot — 0 below
+    /// the sensitivity, its bin's offset from the sensitivity's plus 1
+    /// above. Away from an edge the nearest integer is the bin
+    /// `Dbm::bin` rounds to, and the magnitudes [`separation_margin`]
+    /// admits keep it an exact integer within `i16`.
+    fn classify(&mut self, law: &RssiLaw, margin: f64, tally: &Tally) {
+        let sensitivity = tally.channel.params().sensitivity_dbm;
+        let below_first_bin = f64::from(tally.min_bin) - 1.0;
+        self.slot.resize(self.u1.len(), 0.0);
+        let draws = self.u1.iter().zip(&self.u2).zip(&self.fade);
+        for (slot, ((&u1, &u2), &fade)) in self.slot.iter_mut().zip(draws) {
+            let v = polynomial_value(law, u1, u2, fade);
+            let nearest = (v + SHIFT) - SHIFT;
+            let to_edge = 0.5 - (v - nearest).abs();
+            let undecided = ((v - sensitivity).abs() <= margin) | (to_edge <= margin);
+            *slot = if undecided {
+                -1.0
+            } else if v >= sensitivity {
+                nearest - below_first_bin
+            } else {
+                0.0
+            };
+        }
+    }
+
+    /// The third pass, for one sample: the value `RssiLaw::sample`
+    /// returned for the uniforms it drew.
+    fn exact(&self, law: &RssiLaw, i: usize) -> f64 {
+        let mut v = law.shadowing.transform(self.u1[i], self.u2[i]);
+        if let Some((_, depth)) = law.fade.filter(|_| self.fade[i] > 0.0) {
+            v -= depth.transform(self.fade[i]);
+        }
+        v
+    }
+}
+
+/// One sample's value from the polynomials: `RssiLaw::sample`'s formula
+/// with [`ln_poly`] and [`cos_turn`] in place of `ln` and `cos`, for the
+/// uniforms [`Draws::draw`] stores (`fade` 0 for no fade).
+#[inline(always)]
+fn polynomial_value(law: &RssiLaw, u1: f64, u2: f64, fade: f64) -> f64 {
+    let r = (-2.0 * ln_poly(u1)).sqrt();
+    let shadowed = law.shadowing.mean() + law.shadowing.sigma() * r * cos_turn(u2);
+    let depth = match law.fade {
+        Some((_, depth)) if fade > 0.0 => -depth.mean() * ln_poly(fade),
+        _ => 0.0,
+    };
+    shadowed - depth
+}
+
+/// `ln 2`, rounded.
+const LN_2: f64 = std::f64::consts::LN_2;
+
+/// The bits of √½, rounded; adding 2⁵² to them gives √2's.
+const SQRT_HALF_BITS: u64 = 0x3FE6_A09E_667F_3BCD;
+
+/// The significand field of an `f64`.
+const SIGNIFICAND: u64 = (1 << 52) - 1;
+
+/// 1.5 · 2⁵², where the spacing of doubles is 1: `(x + SHIFT) - SHIFT`
+/// rounds `|x| < 2⁵¹` to the nearest integer, and adding an integer
+/// `|k| < 2⁵¹` to SHIFT's bits gives the double `SHIFT + k`.
+const SHIFT: f64 = 6_755_399_441_055_744.0;
+
+/// `1 / (2n + 1)`, n = 0..=8: `atanh(s) = s · Σ s²ⁿ / (2n + 1)`.
+const ATANH: [f64; 9] = [
+    1.0,
+    1.0 / 3.0,
+    1.0 / 5.0,
+    1.0 / 7.0,
+    1.0 / 9.0,
+    1.0 / 11.0,
+    1.0 / 13.0,
+    1.0 / 15.0,
+    1.0 / 17.0,
+];
+
+/// `(−1)ⁿ (π/2)²ⁿ / (2n)!`, n = 0..=7, rounded: `cos(πx/2)` in `x²`.
+const COS: [f64; 8] = [
+    1.0,
+    -1.2337005501361697,
+    0.25366950790104803,
+    -0.02086348076335296,
+    0.0009192602748394266,
+    -2.5202042373060607e-05,
+    4.710874778818172e-07,
+    -6.386603083791852e-09,
+];
+
+/// `(−1)ⁿ (π/2)²ⁿ⁺¹ / (2n+1)!`, n = 0..=7, rounded: `sin(πx/2) / x` in
+/// `x²`.
+const SIN: [f64; 8] = [
+    std::f64::consts::FRAC_PI_2,
+    -0.6459640975062463,
+    0.07969262624616705,
+    -0.004681754135318688,
+    0.00016044118478735983,
+    -3.598843235212085e-06,
+    5.692172921967927e-08,
+    -6.688035109811468e-10,
+];
+
+/// `Σ coeffs[n] · xⁿ` by Horner's rule.
+#[inline(always)]
+fn horner<const N: usize>(x: f64, coeffs: &[f64; N]) -> f64 {
+    coeffs[..N - 1]
+        .iter()
+        .rev()
+        .fold(coeffs[N - 1], |acc, &c| acc * x + c)
+}
+
+/// `ln(u)` for `u` in [2⁻⁵³, 1], as `ln(u)·(1 + η)` with `|η| ≤ 2⁻⁴⁶`.
+///
+/// `u = 2ᵏ·m` with `m` in [√½, √2), split from the bits, so `f = m − 1`
+/// is exact, and `ln(m) = 2·atanh(s)` with `s = f / (2 + f)`, `|s| ≤
+/// 0.1716`. The series above stops after `s¹⁷`: the terms left out sum to
+/// at most `s¹⁸ / (19·(1 − s²)) < 2⁻⁴⁹·⁹` of `atanh(s) / s`, and the
+/// rounding of `2 + f`, the division and the 20 operations of the sum
+/// add no more than 2⁻⁴⁸ relative, all its terms being positive. For
+/// `k = 0` that is the error of `ln(u)` itself; otherwise `|ln(u)| ≥
+/// (|k| − ½)·ln 2`, and the rounding of `ln 2`, of `k·ln 2` and of the
+/// final sum, each at most 2⁻⁵³ of their size, keep `|η|` under 2⁻⁴⁷.
+/// `ln(1)` is 0 exactly.
+#[inline(always)]
+fn ln_poly(u: f64) -> f64 {
+    let ix = u.to_bits().wrapping_sub(SQRT_HALF_BITS);
+    // k = ⌊log₂(u/√½)⌋ sits in the exponent field of `ix`.
+    let k = f64::from_bits(SHIFT.to_bits().wrapping_add(((ix as i64) >> 52) as u64)) - SHIFT;
+    let f = f64::from_bits((ix & SIGNIFICAND) + SQRT_HALF_BITS) - 1.0;
+    let s = f / (2.0 + f);
+    k * LN_2 + 2.0 * s * horner(s * s, &ATANH)
+}
+
+/// `cos(2πu)` for `u` in [0, 1), within 2⁻⁴⁶.
+///
+/// The argument folds exactly: `4u` and its nearest integer `q` are exact,
+/// so is `x = 4u − q` with `|x| ≤ ½`, and `2πu = q·π/2 + πx/2`, an eighth
+/// of a turn at most from a quarter-turn point. The Taylor series of
+/// `cos(πx/2)` and `sin(πx/2)` above stop with the terms left out under
+/// `(π/4)¹⁶ / 16! < 2⁻⁴⁹·⁸` and `(π/4)¹⁷ / 17!`, and the rounding of the
+/// coefficients, of `x²` and of 16 Horner operations on sums of at most
+/// `cosh(π/4)` adds no more than 2⁻⁴⁷.
+#[inline(always)]
+fn cos_turn(u: f64) -> f64 {
+    let t = 4.0 * u;
+    let q = (t + SHIFT) - SHIFT;
+    let x = t - q;
+    let x2 = x * x;
+    let (cos, sin) = (horner(x2, &COS), x * horner(x2, &SIN));
+    // cos(qπ/2 + φ) is cos φ, −sin φ, −cos φ, sin φ for q = 0, 1, 2, 3
+    // (and q = 4 is q = 0).
+    let v = if q == 1.0 || q == 3.0 { sin } else { cos };
+    if q == 1.0 || q == 2.0 {
+        -v
+    } else {
+        v
+    }
+}
+
+/// `|mean| + 9σ + 37·(fade mean)` of `law`, dB: every uniform a sample
+/// draws has `r = √(−2 ln u₁) ≤ 9` and `|ln u| ≤ 37`, so this bounds
+/// each term of a sample's value.
+fn magnitude(law: &RssiLaw) -> f64 {
+    let fade_mean = law.fade.map_or(0.0, |(_, depth)| depth.mean());
+    law.shadowing.mean().abs() + 9.0 * law.shadowing.sigma() + 37.0 * fade_mean
+}
+
+/// The most the polynomials' value of one sample of `law` can differ
+/// from `RssiLaw::sample`'s, dB.
+///
+/// [`ln_poly`]'s relative 2⁻⁴⁶ moves `r` by at most 2⁻⁴⁷ of it (its square
+/// root halves it) and the fade's `ln` by 37·2⁻⁴⁶, and [`cos_turn`]'s
+/// 2⁻⁴⁶ moves `r·cos` by at most 9·2⁻⁴⁶. libm's `ln` and `cos`, and the
+/// rounding of `2π·u₂`, err by under 2⁻⁵⁰ of the same sizes, and each
+/// product and sum rounds by 2⁻⁵³ of its size. So the two values differ
+/// by under 2⁻⁴³ of the law's [`magnitude`]. The budget takes 2⁻⁴⁰ of the
+/// magnitude plus one: the 1 covers the edge test's own rounding when the
+/// magnitudes are small.
+fn error_budget(law: &RssiLaw) -> f64 {
+    (1.0 + magnitude(law)) * 2f64.powi(-40)
+}
+
+/// The distance from a bin edge or the sensitivity beyond which the
+/// polynomials' value decides a sample: 2¹⁰ error budgets. `None` sends
+/// the law to the per-draw path: a shadowing σ of zero draws no uniforms
+/// for the normal, and from a magnitude of 2¹⁴ dB on a value could round
+/// past the bins an `i16` holds, where `Dbm::bin` saturates. Below that
+/// the margin stays under 2⁻¹⁶ dB, and the edge test is exact.
+fn separation_margin(law: &RssiLaw) -> Option<f64> {
+    (law.shadowing.sigma() > 0.0 && magnitude(law) < 16384.0).then(|| 1024.0 * error_budget(law))
 }
 
 #[cfg(test)]
@@ -1097,6 +1473,226 @@ mod tests {
         let a = calibrate(&ch, &cfg, &mut SeedSplitter::new(5).stream("c", 0));
         let b = calibrate(&ch, &cfg, &mut SeedSplitter::new(5).stream("c", 0));
         assert_eq!(a, b);
+    }
+
+    /// The channels the campaign must reproduce the reference on: the
+    /// paper's log-distance n = 3, n = 2.4, two-ray ground, a louder
+    /// transmitter, wide shadowing with frequent deep fades, and no
+    /// shadowing at all (a σ of zero, which takes the per-draw path).
+    fn campaign_channels() -> [(&'static str, RfChannel); 6] {
+        use crate::channel::{ChannelParams, PathLossModel};
+        let with = |params: ChannelParams| RfChannel::new(params);
+        let base = ChannelParams::default();
+        [
+            ("log-distance n = 3", RfChannel::default()),
+            (
+                "log-distance n = 2.4",
+                with(ChannelParams {
+                    path_loss: PathLossModel::LogDistance { exponent: 2.4 },
+                    ..base
+                }),
+            ),
+            (
+                "two-ray ground",
+                with(ChannelParams {
+                    path_loss: PathLossModel::TwoRayGround {
+                        antenna_height_m: 0.5,
+                        wavelength_m: 0.125,
+                    },
+                    ..base
+                }),
+            ),
+            (
+                "louder",
+                with(ChannelParams {
+                    tx_power_dbm: 18.0,
+                    ..base
+                }),
+            ),
+            (
+                "wide shadowing, deep fades",
+                with(ChannelParams {
+                    shadowing_sigma_db: 2.0,
+                    shadowing_sigma_slope_db_per_m: 0.06,
+                    multipath_fade_prob: 0.6,
+                    multipath_fade_mean_db: 9.0,
+                    ..base
+                }),
+            ),
+            (
+                "no shadowing",
+                with(ChannelParams {
+                    shadowing_sigma_db: 0.0,
+                    shadowing_sigma_slope_db_per_m: 0.0,
+                    ..base
+                }),
+            ),
+        ]
+    }
+
+    /// The three-pass campaign gives the per-draw reference's table bit
+    /// for bit (its `Debug` form prints every float in its shortest
+    /// round-trip form) and leaves the stream where the reference does.
+    #[test]
+    fn campaign_matches_the_per_draw_reference() {
+        let cfg = CalibrationConfig::default();
+        let exact_before = calibration_exact_draws();
+        for (name, channel) in campaign_channels() {
+            for seed in 0..64 {
+                let mut fast_rng = SeedSplitter::new(seed).stream("calibration", 0);
+                let mut reference_rng = fast_rng.clone();
+                let fast = calibrate(&channel, &cfg, &mut fast_rng);
+                let reference = calibrate_reference(&channel, &cfg, &mut reference_rng);
+                assert_eq!(
+                    format!("{fast:?}"),
+                    format!("{reference:?}"),
+                    "{name}, seed {seed}"
+                );
+                assert!(fast == reference, "{name}, seed {seed}");
+                assert_eq!(fast_rng, reference_rng, "{name}, seed {seed}: stream");
+            }
+        }
+        // A handful of the 33 million polynomial samples need their exact
+        // value (15); a margin grown by orders of magnitude shows here.
+        let exact = calibration_exact_draws() - exact_before;
+        assert!(exact < 1000, "{exact} exact recomputations");
+    }
+
+    /// A law past the onset with the given fade probability.
+    fn law(mean: f64, sigma: f64, fade: Option<(f64, f64)>) -> RssiLaw {
+        RssiLaw {
+            shadowing: Normal::new(mean, sigma),
+            fade: fade.map(|(prob, depth)| (prob, Exponential::new(depth))),
+        }
+    }
+
+    /// Recomputing a sample from the uniforms the first pass drew gives
+    /// the value `RssiLaw::sample` returns, to the bit, and the first pass
+    /// leaves the stream where as many `sample` calls do.
+    #[test]
+    fn a_recomputed_sample_is_the_exact_sample() {
+        let laws = [
+            law(-60.0, 1.5, None),
+            law(-85.0, 2.5, Some((0.25, 4.0))),
+            law(-85.0, 2.5, Some((1.0, 4.0))),
+            law(-85.0, 2.5, Some((0.0, 4.0))),
+        ];
+        for (k, law) in laws.iter().enumerate() {
+            let mut rng = SeedSplitter::new(9).stream("draws", k as u64);
+            let mut per_draw = rng.clone();
+            let mut draws = Draws::default();
+            draws.draw(law, 500, &mut rng);
+            for i in 0..500 {
+                let exact = draws.exact(law, i);
+                let sample = law.sample(&mut per_draw).value();
+                assert_eq!(exact.to_bits(), sample.to_bits(), "law {k}, draw {i}");
+            }
+            assert_eq!(rng, per_draw, "law {k}: stream");
+        }
+    }
+
+    /// A draw within the margin of a bin edge or of the sensitivity is
+    /// recomputed, so it counts where `RssiLaw::sample`'s value falls, on
+    /// either side, and the stream ends where the per-draw loop leaves it.
+    /// The draw lies 10⁻⁹ dB from the edge: inside the margin, outside the
+    /// error budget.
+    #[test]
+    fn a_draw_near_an_edge_is_recomputed() {
+        let channel = RfChannel::default();
+        let rng = SeedSplitter::new(3).stream("edge", 0);
+        // The first draw's σ·r·cos θ, which a law adds to its mean.
+        let centred = law(0.0, 2.0, None);
+        let mut draws = Draws::default();
+        draws.draw(&centred, 1, &mut rng.clone());
+        let term = draws.exact(&centred, 0);
+        for edge in [-60.5, channel.params().sensitivity_dbm] {
+            let mut slots = Vec::new();
+            for offset in [-1e-9, 1e-9] {
+                let law = law(edge + offset - term, 2.0, None);
+                let margin = separation_margin(&law).expect("a separable law");
+                assert!(error_budget(&law) < 1e-9 && 1e-9 < margin);
+                let (mut fast, mut per_draw) = (rng.clone(), rng.clone());
+                let mut tally = Tally::new(&channel);
+                let mut reference = Tally::new(&channel);
+                let exact_before = calibration_exact_draws();
+                Draws::default().sample(&law, 1, &mut fast, &mut tally);
+                reference.add(law.sample(&mut per_draw));
+                let at = format!("{edge} {offset:+e}");
+                assert_eq!(calibration_exact_draws() - exact_before, 1, "{at}");
+                assert_eq!(tally.here, reference.here, "{at}");
+                assert_eq!(fast, per_draw, "{at}: stream");
+                slots.push(reference.here);
+            }
+            assert_ne!(slots[0], slots[1], "the draws straddle {edge}");
+        }
+    }
+
+    /// The uniforms Box–Muller's u1 and a fade depth's u can be, (0, 1]:
+    /// any, any in a random binade down to 2⁻⁵³, or the ends.
+    fn arb_open_closed() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0.0..1.0f64).prop_map(|g| 1.0 - g),
+            (0.0..1.0f64, 0i32..53).prop_map(|(g, k)| (1.0 - g) * 2f64.powi(-k)),
+            Just(2f64.powi(-53)),
+            Just(1.0),
+        ]
+    }
+
+    /// Box–Muller's u2, [0, 1): any, or a multiple of an eighth turn, or
+    /// the last before 1.
+    fn arb_closed_open() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            0.0..1.0f64,
+            (0u8..8).prop_map(|e| f64::from(e) / 8.0),
+            Just(1.0 - 2f64.powi(-53)),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Each polynomial stays inside its stated bound, and one sample's
+        /// polynomial value inside the law's error budget of the exact
+        /// one, for any uniforms a sample can draw.
+        #[test]
+        fn polynomials_stay_inside_the_error_budget(
+            u1 in arb_open_closed(),
+            u2 in arb_closed_open(),
+            fade_u in arb_open_closed(),
+            heads in proptest::prelude::any::<bool>(),
+            mean in -130.0..30.0f64,
+            sigma in 0.01..12.0f64,
+            fade_mean in 0.5..30.0f64,
+        ) {
+            let ln = u1.ln();
+            // libm's own error is under 2⁻⁵² of its result.
+            proptest::prop_assert!(
+                (ln_poly(u1) - ln).abs() <= (2f64.powi(-46) + 2f64.powi(-52)) * ln.abs(),
+                "ln({u1}): {} vs {ln}", ln_poly(u1)
+            );
+            let cos = (2.0 * std::f64::consts::PI * u2).cos();
+            proptest::prop_assert!(
+                (cos_turn(u2) - cos).abs() <= 2f64.powi(-46) + 2f64.powi(-50),
+                "cos(2π·{u2}): {} vs {cos}", cos_turn(u2)
+            );
+            let law = law(mean, sigma, Some((0.5, fade_mean)));
+            let fade = if heads { fade_u } else { 0.0 };
+            let draws = Draws {
+                u1: vec![u1],
+                u2: vec![u2],
+                fade: vec![fade],
+                slot: Vec::new(),
+            };
+            let value = polynomial_value(&law, u1, u2, fade);
+            let exact = draws.exact(&law, 0);
+            let budget = error_budget(&law);
+            proptest::prop_assert!(
+                (value - exact).abs() <= budget,
+                "{value} vs {exact}, budget {budget}"
+            );
+        }
     }
 
     #[test]

@@ -236,9 +236,9 @@ impl Default for ChannelParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RssiLaw {
     /// Mean RSSI and log-normal shadowing, dBm.
-    shadowing: Normal,
+    pub(crate) shadowing: Normal,
     /// Past the multipath onset: the deep-fade probability and depth.
-    fade: Option<(f64, Exponential)>,
+    pub(crate) fade: Option<(f64, Exponential)>,
 }
 
 impl RssiLaw {

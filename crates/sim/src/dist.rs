@@ -57,14 +57,28 @@ impl Normal {
         self.sigma
     }
 
-    /// Draws one sample (Box–Muller transform).
+    /// Draws one sample: the mean when `sigma` is zero, which draws
+    /// nothing, otherwise the [`transform`](Self::transform) of the
+    /// [`uniforms`](Self::uniforms) it draws.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.sigma == 0.0 {
             return self.mean;
         }
-        // u1 in (0, 1] so ln(u1) is finite.
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
+        let (u1, u2) = Normal::uniforms(rng);
+        self.transform(u1, u2)
+    }
+
+    /// The two uniforms a sample with a positive sigma draws, in order:
+    /// `u1` in (0, 1], so `ln(u1)` is finite, then `u2` in [0, 1).
+    pub fn uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+        let u1 = 1.0 - rng.gen::<f64>();
+        let u2 = rng.gen();
+        (u1, u2)
+    }
+
+    /// The Box–Muller transform: the sample for the uniforms
+    /// [`uniforms`](Self::uniforms) drew.
+    pub fn transform(&self, u1: f64, u2: f64) -> f64 {
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.mean + self.sigma * r * theta.cos()
@@ -107,9 +121,20 @@ impl Exponential {
         self.mean
     }
 
-    /// Draws one sample (inverse CDF).
+    /// Draws one sample: the [`transform`](Self::transform) of the
+    /// [`uniform`](Self::uniform) it draws.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>(); // in (0, 1]
+        self.transform(Exponential::uniform(rng))
+    }
+
+    /// The uniform a sample draws, in (0, 1], so `ln(u)` is finite.
+    pub fn uniform<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+        1.0 - rng.gen::<f64>()
+    }
+
+    /// The inverse CDF: the sample for the uniform
+    /// [`uniform`](Self::uniform) drew.
+    pub fn transform(&self, u: f64) -> f64 {
         -self.mean * u.ln()
     }
 }
